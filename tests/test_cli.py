@@ -9,6 +9,10 @@ import pytest
 from tensorsplit.cli import main
 
 CONFIG_DIR = Path(str(resources.files("tensorsplit") / "configs"))
+GOLDEN_DIR = Path(__file__).parent / "golden"
+#: bundled config stem -> expected exit code; the regress artifact is left
+#: out because its coefficients depend on the BLAS build in the last bits
+GOLDEN_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
 
 SUBCOMMANDS = [
     ("epsdim", "epsdim_example.json"),
@@ -133,3 +137,14 @@ class TestDeterminism:
         assert run_cli(command, CONFIG_DIR / config, out1) == 0
         assert run_cli(command, CONFIG_DIR / config, out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestGolden:
+    """Bundled configs reproduce the stored artifacts byte for byte."""
+
+    @pytest.mark.parametrize("stem", sorted(GOLDEN_CODES))
+    def test_artifact_and_exit_code(self, tmp_path, stem):
+        out = tmp_path / "artifact.out"
+        code = run_cli(stem.split("_")[0], CONFIG_DIR / f"{stem}.json", out)
+        assert code == GOLDEN_CODES[stem]
+        assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.out").read_bytes()
