@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import functions as functions_mod
 from .decomp import decompose, weighted_norm
 from .epsdim import (
     DEFAULT_CAP,
@@ -32,10 +31,10 @@ from .epsdim import (
     stabilization_dim,
 )
 from .equivalence import certify_equivalence
-from .errors import ConfigInvalid, NoCertificate, TensorsplitError
+from .errors import ConfigInvalid, NoCertificate, TensorsplitError, check_keys
 from .functions import function_from_json
 from .gammas import gamma_from_json
-from .indexing import IndexVector
+from .indexing import IndexVector, SupportSet
 from .regress import AnchoredKernel, SampleSet, fit, fit_map, predict
 from .sensitivity import sobol_indices, truncate_order, truncation_bound, l2_error
 from .weights import orthogonalized_weight, weights_from_json
@@ -77,18 +76,13 @@ def _json_render(obj, indent=0) -> str:
             return "[]"
         rows = [f"{inner}{_json_render(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isinf(f) or math.isnan(f):
-            return json.dumps(_fmt(f))
-        return _fmt(f)
-    return json.dumps(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    text = _fmt(obj)
+    # JSON has no literal for non-finite floats: write them as strings
+    return json.dumps(text) if text in ("inf", "-inf", "nan") else text
 
 
 def _write_text(path: str, text: str):
@@ -105,6 +99,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
     _write_text(path, buf.getvalue())
 
 
+def _write_json(path: str, report: dict):
+    _write_text(path, _json_render(report) + "\n")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -118,12 +116,6 @@ def _load_config(path: str) -> dict:
     return obj
 
 
-def _check_keys(cfg: dict, allowed: set, where: str = "config"):
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigInvalid(f"unknown keys {sorted(unknown)} in {where}")
-
-
 def _index_json(j: IndexVector) -> str:
     return json.dumps(j.to_json_obj(), separators=(",", ":"), sort_keys=True)
 
@@ -133,11 +125,11 @@ def _omega_json(omega) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (config, args) and writes the artifact to args.out
 
 
-def _cmd_epsdim(cfg: dict, args) -> list[tuple[str, str]]:
-    _check_keys(cfg, {"a", "b", "dims", "eps", "d"})
+def _cmd_epsdim(cfg: dict, args):
+    check_keys(cfg, "config", {"a", "b", "eps"}, {"dims", "d"})
     a = weights_from_json(cfg["a"])
     b = weights_from_json(cfg["b"])
     dims = dims_from_json(cfg.get("dims", "all_one"))
@@ -151,11 +143,11 @@ def _cmd_epsdim(cfg: dict, args) -> list[tuple[str, str]]:
         for d in d_list:
             res = eps_dimension_restricted(a, b, eps, dims, d, cap=args.cap, on_cap="truncate")
             rows.append([eps, str(d), res.n, len(res.index_set), d0, res.truncated])
-    return [("csv", (["eps", "d", "n", "set_size", "d0", "truncated"], rows))]
+    _write_csv(args.out, ["eps", "d", "n", "set_size", "d0", "truncated"], rows)
 
 
-def _cmd_transform(cfg: dict, args) -> list[tuple[str, str]]:
-    _check_keys(cfg, {"a", "indices"})
+def _cmd_transform(cfg: dict, args):
+    check_keys(cfg, "config", {"a", "indices"})
     a = weights_from_json(cfg["a"])
     indices = [IndexVector.from_json_obj(obj) for obj in cfg["indices"]]
     oracle = a.tail_oracle()
@@ -164,15 +156,16 @@ def _cmd_transform(cfg: dict, args) -> list[tuple[str, str]]:
         w = a.weight(j)
         w_hat = orthogonalized_weight(a, j, oracle)
         rows.append([_index_json(j), w, w_hat, w_hat / w if w > 0 else math.inf])
-    return [("csv", (["index", "weight", "orthogonalized", "ratio"], rows))]
+    _write_csv(args.out, ["index", "weight", "orthogonalized", "ratio"], rows)
 
 
-def _cmd_decomp(cfg: dict, args, mode: str) -> list[tuple[str, str]]:
-    _check_keys(cfg, {"function", "gamma"})
+def _cmd_decomp(cfg: dict, args):
+    """``anova`` and ``anchored``: the subcommand names the decomposition mode."""
+    check_keys(cfg, "config", {"function", "gamma"})
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
     rows = []
-    for term in decompose(f, mode, args.anchor):
+    for term in decompose(f, args.command, args.anchor):
         gv = gamma.value(term.omega)
         if gv > 0.0:
             contribution = term.mixed_norm_sq / gv
@@ -183,23 +176,23 @@ def _cmd_decomp(cfg: dict, args, mode: str) -> list[tuple[str, str]]:
             math.sqrt(max(0.0, term.mixed_norm_sq)),
             contribution,
         ])
-    return [("csv", (["omega", "term_norm", "weighted_contribution"], rows))]
+    _write_csv(args.out, ["omega", "term_norm", "weighted_contribution"], rows)
 
 
-def _cmd_equiv(cfg: dict, args) -> list[tuple[str, str]]:
-    _check_keys(cfg, {"gamma", "q_tilde"})
+def _cmd_equiv(cfg: dict, args):
+    check_keys(cfg, "config", {"gamma"}, {"q_tilde"})
     gamma = gamma_from_json(cfg["gamma"])
     q_tilde = float(cfg.get("q_tilde", 1.0))
     cert = certify_equivalence(gamma, anchor=args.anchor, q_tilde=q_tilde)
     if cert is None:
-        report = {
+        _write_json(args.out, {
             "certified": False,
             "reason": "a domination supremum diverges for these weights",
             "anchor": args.anchor,
             "q_tilde": q_tilde,
-        }
-        return [("json_error", (report, NoCertificate("no equivalence certificate")))]
-    report = {
+        })
+        raise NoCertificate("no equivalence certificate")
+    _write_json(args.out, {
         "certified": True,
         "c_prime": cert.c_prime,
         "c_dprime": cert.c_dprime,
@@ -207,27 +200,25 @@ def _cmd_equiv(cfg: dict, args) -> list[tuple[str, str]]:
         "q": cert.q,
         "alpha": cert.alpha_spec,
         "anchor": args.anchor,
-    }
-    return [("json", report)]
+    })
 
 
-def _cmd_sobol(cfg: dict, args) -> list[tuple[str, str]]:
-    _check_keys(cfg, {"function", "gamma", "mode", "include_empty"})
+def _cmd_sobol(cfg: dict, args):
+    check_keys(cfg, "config", {"function", "gamma"}, {"mode"})
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anova")
-    include_empty = bool(cfg.get("include_empty", False)) or args.include_empty
     table = sobol_indices(
-        f, gamma, mode, anchor=args.anchor, include_empty=include_empty
+        f, gamma, mode, anchor=args.anchor, include_empty=args.include_empty
     )
     rows = []
-    for omega in sorted(table.per_omega, key=lambda w: (len(w), w.coords)):
+    for omega in sorted(table.per_omega, key=SupportSet.canonical_key):
         rows.append([_omega_json(omega), table.per_omega[omega], table.total(omega)])
-    return [("csv", (["omega", "index", "total"], rows))]
+    _write_csv(args.out, ["omega", "index", "total"], rows)
 
 
-def _cmd_truncate(cfg: dict, args) -> list[tuple[str, str]]:
-    _check_keys(cfg, {"function", "gamma", "mode", "m"})
+def _cmd_truncate(cfg: dict, args):
+    check_keys(cfg, "config", {"function", "gamma"}, {"mode", "m"})
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anchored")
@@ -239,11 +230,12 @@ def _cmd_truncate(cfg: dict, args) -> list[tuple[str, str]]:
         err = l2_error(f, s_m)
         bound = truncation_bound(gamma, m, mode, anchor=args.anchor) * norm
         rows.append([m, err, bound, err / bound if bound > 0 else 0.0])
-    return [("csv", (["m", "error", "bound", "bound_ratio"], rows))]
+    _write_csv(args.out, ["m", "error", "bound", "bound_ratio"], rows)
 
 
-def _cmd_regress(cfg: dict, args, config_dir: Path) -> list[tuple[str, str]]:
-    _check_keys(cfg, {"samples", "kernel", "lambda", "holdout"})
+def _cmd_regress(cfg: dict, args):
+    check_keys(cfg, "config", {"samples", "lambda"}, {"kernel", "holdout"})
+    config_dir = Path(args.config).resolve().parent
     X, Y = _load_samples(cfg["samples"], config_dir)
     samples = SampleSet(X, Y)
     kernel = _kernel_from_json(cfg.get("kernel", {"type": "anchored"}),
@@ -270,7 +262,7 @@ def _cmd_regress(cfg: dict, args, config_dir: Path) -> list[tuple[str, str]]:
         Xh, Yh = _load_samples(cfg["holdout"], config_dir)
         pred_h = predict(model, Xh)
         report["rmse_holdout"] = float(np.sqrt(np.mean((pred_h - Yh) ** 2)))
-    return [("json", report)]
+    _write_json(args.out, report)
 
 
 def _load_samples(spec, config_dir: Path):
@@ -295,7 +287,7 @@ def _load_samples(spec, config_dir: Path):
             Y = Y[:, 0]
         return X, Y
     if isinstance(spec, dict):
-        _check_keys(spec, {"inputs", "outputs"}, "samples")
+        check_keys(spec, "samples", {"inputs", "outputs"})
         return np.asarray(spec["inputs"], dtype=float), np.asarray(spec["outputs"], dtype=float)
     raise ConfigInvalid("samples must be a CSV path or an inline object")
 
@@ -304,7 +296,7 @@ def _kernel_from_json(obj, dim: int, anchor: float):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigInvalid("kernel spec must be an object with 'type'")
     if obj["type"] == "anchored":
-        _check_keys(obj, {"type", "scales", "anchor"}, "kernel spec")
+        check_keys(obj, "kernel spec", {"type"}, {"scales", "anchor"})
         return AnchoredKernel(dim, anchor=float(obj.get("anchor", anchor)),
                               scales=obj.get("scales"))
     raise ConfigInvalid(f"unknown kernel type {obj['type']!r}")
@@ -313,6 +305,18 @@ def _kernel_from_json(obj, dim: int, anchor: float):
 # ---------------------------------------------------------------------------
 # driver
 
+#: subcommand -> (help text, handler)
+_COMMANDS = {
+    "epsdim": ("exact eps-dimension over an eps grid", _cmd_epsdim),
+    "transform": ("orthogonalizing weight transform", _cmd_transform),
+    "anova": ("mean-projection decomposition table", _cmd_decomp),
+    "anchored": ("anchor-projection decomposition table", _cmd_decomp),
+    "equiv": ("norm-equivalence certificate", _cmd_equiv),
+    "sobol": ("weighted sensitivity indices", _cmd_sobol),
+    "truncate": ("m-variate truncation errors and bounds", _cmd_truncate),
+    "regress": ("kernel least-squares fit", _cmd_regress),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -320,23 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weighted tensor-product space computations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("epsdim", "exact eps-dimension over an eps grid"),
-        ("transform", "orthogonalizing weight transform"),
-        ("anova", "mean-projection decomposition table"),
-        ("anchored", "anchor-projection decomposition table"),
-        ("equiv", "norm-equivalence certificate"),
-        ("sobol", "weighted sensitivity indices"),
-        ("truncate", "m-variate truncation errors and bounds"),
-        ("regress", "kernel least-squares fit"),
-    ]:
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output artifact path")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker cap (reserved; execution is sequential)")
-        p.add_argument("--quad-order", type=int, default=32,
-                       help="quadrature order for non-polynomial factors")
         p.add_argument("--anchor", type=float, default=0.5,
                        help="anchor point in [0, 1]")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
@@ -348,51 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    if args.threads < 1:
-        raise ConfigInvalid("--threads must be at least 1")
-    if not 1 <= args.quad_order <= 64:
-        raise ConfigInvalid("--quad-order must lie in [1, 64]")
     if not 0.0 <= args.anchor <= 1.0:
         raise ConfigInvalid("--anchor must lie in [0, 1]")
     if args.cap < 1:
         raise ConfigInvalid("--cap must be positive")
-    functions_mod.DEFAULT_MEAN_ORDER = args.quad_order
-
-    cfg = _load_config(args.config)
-    config_dir = Path(args.config).resolve().parent
-
-    if args.command == "epsdim":
-        outputs = _cmd_epsdim(cfg, args)
-    elif args.command == "transform":
-        outputs = _cmd_transform(cfg, args)
-    elif args.command == "anova":
-        outputs = _cmd_decomp(cfg, args, "anova")
-    elif args.command == "anchored":
-        outputs = _cmd_decomp(cfg, args, "anchored")
-    elif args.command == "equiv":
-        outputs = _cmd_equiv(cfg, args)
-    elif args.command == "sobol":
-        outputs = _cmd_sobol(cfg, args)
-    elif args.command == "truncate":
-        outputs = _cmd_truncate(cfg, args)
-    elif args.command == "regress":
-        outputs = _cmd_regress(cfg, args, config_dir)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigInvalid(f"unknown command {args.command!r}")
-
-    status = 0
-    for kind, payload in outputs:
-        if kind == "csv":
-            header, rows = payload
-            _write_csv(args.out, header, rows)
-        elif kind == "json":
-            _write_text(args.out, _json_render(payload) + "\n")
-        elif kind == "json_error":
-            report, err = payload
-            _write_text(args.out, _json_render(report) + "\n")
-            log.error(str(err))
-            status = err.exit_code
-    return status
+    _, handler = _COMMANDS[args.command]
+    handler(_load_config(args.config), args)
+    return 0
 
 
 def main(argv=None) -> int:

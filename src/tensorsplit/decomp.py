@@ -17,10 +17,9 @@ truncation bounds downstream.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigInvalid, NormInfinite
 from .functions import SeparableFunction, Term, deriv_inner
@@ -230,22 +229,15 @@ def _check_support(f: SeparableFunction, omega: SupportSet):
         )
 
 
-def all_supports(dim: int) -> Iterable[SupportSet]:
-    """All subsets of {1..dim}, by size then lexicographic order."""
-    coords = range(1, dim + 1)
-    for size in range(dim + 1):
-        for combo in itertools.combinations(coords, size):
-            yield SupportSet(combo)
-
-
 def decompose(
     f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> list[DecompositionTerm]:
     """All components of the chosen decomposition, in canonical set order."""
     _check_mode(mode)
+    supports = SupportSet(range(1, f.dim + 1)).subsets()
     if mode == MODE_ANOVA:
-        return [anova_term(f, omega) for omega in all_supports(f.dim)]
-    return [anchored_term(f, omega, anchor) for omega in all_supports(f.dim)]
+        return [anova_term(f, omega) for omega in supports]
+    return [anchored_term(f, omega, anchor) for omega in supports]
 
 
 def weighted_norm(
@@ -277,5 +269,5 @@ def weighted_norm(
 
 def reconstruct(terms: Sequence[DecompositionTerm], x: Sequence[float]) -> float:
     """Sum of all components at a point; equals the original function."""
-    ordered = sorted(terms, key=lambda t: (len(t.omega), t.omega.coords))
+    ordered = sorted(terms, key=lambda t: t.omega.canonical_key())
     return math.fsum(t.func.value(x) for t in ordered)

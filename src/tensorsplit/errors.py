@@ -89,3 +89,13 @@ class NoCertificate(TensorsplitError):
     """Equivalence conditions could not be certified (not a disproof)."""
 
     exit_code = 16
+
+
+def check_keys(obj: dict, where: str, required: set, optional: set = frozenset()):
+    """Reject keys outside ``required | optional`` and missing required keys."""
+    unknown = set(obj) - required - optional
+    if unknown:
+        raise ConfigInvalid(f"unknown keys {sorted(unknown)} in {where}")
+    missing = required - set(obj)
+    if missing:
+        raise ConfigInvalid(f"missing keys {sorted(missing)} in {where}")

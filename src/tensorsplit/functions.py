@@ -16,11 +16,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, check_keys
 from .quadrature import gauss_legendre, integrate_1d
 
 __all__ = ["UnivariateFactor", "SeparableFunction", "Term", "function_from_json"]
 
+#: Gauss-Legendre points for means and inner products of non-polynomial factors
 DEFAULT_MEAN_ORDER = 32
 
 
@@ -143,23 +144,21 @@ class UnivariateFactor:
 ONE_FACTOR = UnivariateFactor.polynomial([1.0])
 
 
-def _pair_rule(f: UnivariateFactor, g: UnivariateFactor, default_order: int | None):
+def _pair_rule(f: UnivariateFactor, g: UnivariateFactor):
     if f.degree is not None and g.degree is not None:
         deg = f.degree + g.degree
         return gauss_legendre(min(max(1, deg // 2 + 1), 60))
-    return gauss_legendre(default_order or DEFAULT_MEAN_ORDER)
+    return gauss_legendre(DEFAULT_MEAN_ORDER)
 
 
-def value_inner(f: UnivariateFactor, g: UnivariateFactor, default_order: int | None = None) -> float:
+def value_inner(f: UnivariateFactor, g: UnivariateFactor) -> float:
     """Integral over [0,1] of f * g; exact for polynomial pairs."""
-    rule = _pair_rule(f, g, default_order)
-    return integrate_1d(lambda x: f.value(x) * g.value(x), rule)
+    return integrate_1d(lambda x: f.value(x) * g.value(x), _pair_rule(f, g))
 
 
-def deriv_inner(f: UnivariateFactor, g: UnivariateFactor, default_order: int | None = None) -> float:
+def deriv_inner(f: UnivariateFactor, g: UnivariateFactor) -> float:
     """Integral over [0,1] of f' * g'; exact for polynomial pairs."""
-    rule = _pair_rule(f, g, default_order)
-    return integrate_1d(lambda x: f.deriv(x) * g.deriv(x), rule)
+    return integrate_1d(lambda x: f.deriv(x) * g.deriv(x), _pair_rule(f, g))
 
 
 @dataclass(frozen=True)
@@ -241,16 +240,12 @@ def function_from_json(obj) -> SeparableFunction:
     """
     if not isinstance(obj, dict):
         raise ConfigInvalid("function spec must be an object")
-    unknown = set(obj) - {"dim", "terms"}
-    if unknown:
-        raise ConfigInvalid(f"unknown keys {sorted(unknown)} in function spec")
+    check_keys(obj, "function spec", {"dim", "terms"})
     try:
         dim = int(obj["dim"])
         terms = []
         for tobj in obj["terms"]:
-            tunknown = set(tobj) - {"coef", "factors"}
-            if tunknown:
-                raise ConfigInvalid(f"unknown keys {sorted(tunknown)} in term spec")
+            check_keys(tobj, "term spec", {"coef"}, {"factors"})
             factors = {
                 int(k): _factor_from_json(fobj)
                 for k, fobj in tobj.get("factors", {}).items()
@@ -265,19 +260,17 @@ def _factor_from_json(obj) -> UnivariateFactor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigInvalid(f"factor spec must be an object with 'kind': {obj!r}")
     kind = obj["kind"]
-    allowed = {
-        "monomial": {"kind", "power"},
-        "polynomial": {"kind", "coeffs"},
-        "sin": {"kind", "freq", "phase"},
-        "cos": {"kind", "freq", "phase"},
-        "exp": {"kind", "rate"},
-        "constant": {"kind", "value"},
+    keys = {  # kind -> (required, optional)
+        "monomial": ({"kind", "power"}, set()),
+        "polynomial": ({"kind", "coeffs"}, set()),
+        "sin": ({"kind", "freq"}, {"phase"}),
+        "cos": ({"kind", "freq"}, {"phase"}),
+        "exp": ({"kind", "rate"}, set()),
+        "constant": ({"kind", "value"}, set()),
     }
-    if kind not in allowed:
+    if kind not in keys:
         raise ConfigInvalid(f"unknown factor kind {kind!r}")
-    unknown = set(obj) - allowed[kind]
-    if unknown:
-        raise ConfigInvalid(f"unknown keys {sorted(unknown)} in factor spec")
+    check_keys(obj, "factor spec", *keys[kind])
     if kind == "monomial":
         return UnivariateFactor.monomial(int(obj["power"]))
     if kind == "polynomial":

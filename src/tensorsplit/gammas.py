@@ -16,11 +16,10 @@ enumerated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator
 
-from .errors import ConfigInvalid, TailUnavailable
+from .errors import ConfigInvalid, TailUnavailable, check_keys
 from .indexing import EMPTY_SUPPORT, SupportSet
 from .sequences import CoordSeq, seq_from_json
 
@@ -78,10 +77,8 @@ class ProductGamma(GammaModel):
         last = self.seq.max_support
         if last is None:
             raise TailUnavailable("product gamma over an infinite sequence")
-        active = [k for k in range(1, last + 1) if self.seq.value(k) > 0]
-        for size in range(len(active) + 1):
-            for combo in itertools.combinations(active, size):
-                yield SupportSet(combo)
+        active = SupportSet(k for k in range(1, last + 1) if self.seq.value(k) > 0)
+        yield from active.subsets()
 
     def order_sums(self, t: float, m: int) -> tuple[list[float], float]:
         scaled = self.seq.scaled(t)
@@ -134,7 +131,7 @@ class TableGamma(GammaModel):
         return True
 
     def iter_support(self) -> Iterator[SupportSet]:
-        yield from sorted(self.entries, key=lambda w: (len(w), w.coords))
+        yield from sorted(self.entries, key=SupportSet.canonical_key)
 
     def order_sums(self, t: float, m: int) -> tuple[list[float], float]:
         by_order = [0.0] * (m + 1)
@@ -218,10 +215,10 @@ def gamma_from_json(obj) -> GammaModel:
         raise ConfigInvalid(f"gamma spec must be an object with 'kind': {obj!r}")
     kind = obj["kind"]
     if kind == "product":
-        _require(obj, {"kind", "seq"})
+        check_keys(obj, "gamma spec", {"kind", "seq"})
         return ProductGamma(seq_from_json(obj["seq"]))
     if kind == "table":
-        _require(obj, {"kind", "entries", "assert_monotone"})
+        check_keys(obj, "gamma spec", {"kind", "entries"}, {"assert_monotone"})
         entries = {}
         for pair in obj["entries"]:
             if not (isinstance(pair, list) and len(pair) == 2):
@@ -229,12 +226,6 @@ def gamma_from_json(obj) -> GammaModel:
             entries[SupportSet.from_json_obj(pair[0])] = float(pair[1])
         return TableGamma(entries, assert_monotone=bool(obj.get("assert_monotone", False)))
     if kind == "finite_order":
-        _require(obj, {"kind", "base", "order"})
+        check_keys(obj, "gamma spec", {"kind", "base", "order"})
         return FiniteOrderGamma(gamma_from_json(obj["base"]), int(obj["order"]))
     raise ConfigInvalid(f"unknown gamma kind {kind!r}")
-
-
-def _require(obj: dict, allowed: set):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigInvalid(f"unknown keys {sorted(unknown)} in gamma spec")

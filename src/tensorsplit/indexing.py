@@ -85,10 +85,15 @@ class SupportSet:
         return other.issubset(self)
 
     def subsets(self) -> Iterator["SupportSet"]:
-        """All subsets, by cardinality then lexicographic order."""
+        """All subsets, in canonical order."""
         for size in range(len(self.coords) + 1):
             for combo in itertools.combinations(self.coords, size):
                 yield SupportSet(combo)
+
+    def canonical_key(self):
+        """Sort key fixing the global iteration (and summation) order:
+        cardinality, then lexicographic order of the coordinates."""
+        return (len(self.coords), self.coords)
 
     def to_json_obj(self) -> list[int]:
         return list(self.coords)

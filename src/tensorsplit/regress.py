@@ -175,19 +175,23 @@ class FittedModel:
         return predict(self, x)
 
 
+def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """K[i, j] = kernel(X[i], Y[j]); batched when the kernel has ``gram``."""
+    if hasattr(kernel, "gram"):
+        return kernel.gram(X, Y)
+    K = np.empty((X.shape[0], Y.shape[0]))
+    for i in range(X.shape[0]):
+        for j in range(Y.shape[0]):
+            K[i, j] = kernel(X[i], Y[j])
+    return K
+
+
 def gram_matrix(kernel, xs) -> np.ndarray:
     """Kernel matrix over the sample points, validated for symmetry."""
     X = np.asarray(xs, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if hasattr(kernel, "gram"):
-        G = kernel.gram(X, X)
-    else:
-        n = X.shape[0]
-        G = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                G[i, j] = kernel(X[i], X[j])
+    G = _kernel_matrix(kernel, X, X)
     asym = float(np.max(np.abs(G - G.T))) if G.size else 0.0
     if asym > _SYM_TOL:
         raise KernelAsymmetric(f"max |G - G^T| = {asym:.3e}")
@@ -290,14 +294,7 @@ def predict(model: FittedModel, x) -> float | np.ndarray:
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    if hasattr(model.kernel, "gram"):
-        K = model.kernel.gram(X, model.train_inputs)
-    else:
-        K = np.empty((X.shape[0], model.train_inputs.shape[0]))
-        for i in range(X.shape[0]):
-            for j in range(model.train_inputs.shape[0]):
-                K[i, j] = model.kernel(X[i], model.train_inputs[j])
-    out = K @ model.coefficients
+    out = _kernel_matrix(model.kernel, X, model.train_inputs) @ model.coefficients
     if single:
         return float(out[0]) if out.ndim == 1 else out[0]
     return out

@@ -54,14 +54,10 @@ class SobolTable:
 
     def total(self, omega0: SupportSet) -> float:
         return math.fsum(
-            s for omega, s in sorted(self.per_omega.items(), key=_omega_key)
+            self.per_omega[omega]
+            for omega in sorted(self.per_omega, key=SupportSet.canonical_key)
             if omega.issuperset(omega0)
         )
-
-
-def _omega_key(item):
-    omega = item[0]
-    return (len(omega), omega.coords)
 
 
 def sobol_indices(
@@ -93,7 +89,7 @@ def sobol_indices(
                 )
             continue
         energies[t.omega] = t.mixed_norm_sq / gv
-    denominator = math.fsum(v for _, v in sorted(energies.items(), key=_omega_key))
+    denominator = math.fsum(energies[w] for w in sorted(energies, key=SupportSet.canonical_key))
     if denominator <= 0.0:
         raise DegenerateDenominator(
             "no component carries energy under the chosen convention"

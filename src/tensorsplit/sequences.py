@@ -21,7 +21,7 @@ import math
 
 from scipy.special import zeta as _hurwitz_zeta
 
-from .errors import TailUnavailable
+from .errors import ConfigInvalid, TailUnavailable, check_keys
 
 __all__ = [
     "CoordSeq",
@@ -450,32 +450,22 @@ def seq_from_json(obj) -> CoordSeq:
     Kinds: ``power`` (c, p), ``geometric`` (c, rho), ``finite`` (values),
     ``constant`` (value).
     """
-    from .errors import ConfigInvalid
-
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigInvalid(f"sequence spec must be an object with 'kind': {obj!r}")
     kind = obj["kind"]
     try:
         if kind == "power":
-            _require_keys(obj, {"kind", "c", "p"})
+            check_keys(obj, "sequence spec", {"kind", "c", "p"})
             return PowerSeq(obj["c"], obj["p"])
         if kind == "geometric":
-            _require_keys(obj, {"kind", "c", "rho"})
+            check_keys(obj, "sequence spec", {"kind", "c", "rho"})
             return GeometricSeq(obj["c"], obj["rho"])
         if kind == "finite":
-            _require_keys(obj, {"kind", "values"})
+            check_keys(obj, "sequence spec", {"kind", "values"})
             return FiniteSeq(obj["values"])
         if kind == "constant":
-            _require_keys(obj, {"kind", "value"})
+            check_keys(obj, "sequence spec", {"kind", "value"})
             return ConstantSeq(obj["value"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigInvalid(f"bad sequence spec {obj!r}: {exc}") from exc
     raise ConfigInvalid(f"unknown sequence kind {kind!r}")
-
-
-def _require_keys(obj: dict, allowed: set):
-    from .errors import ConfigInvalid
-
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigInvalid(f"unknown keys {sorted(unknown)} in {obj!r}")

@@ -32,6 +32,7 @@ from .errors import (
     NormDegenerate,
     OracleUnavailable,
     TailUnavailable,
+    check_keys,
 )
 from .gammas import GammaModel, ProductGamma, gamma_from_json
 from .indexing import IndexVector, SupportSet
@@ -638,6 +639,11 @@ def redundant_condition_bound(
     a search set is available, or None when the certified supremum diverges.
     Raises ``NormDegenerate`` when the inverse weights are not summable.
     """
+    if isinstance(model, ScaledWeights):
+        # a_j * tail(j) does not change under scaling, so the base's bound holds
+        if oracle is not None:
+            oracle = _ScaledOracle(oracle, 1.0 / model.factor)
+        return redundant_condition_bound(model.base, search, oracle)
     oracle = oracle or model.tail_oracle()
     total = oracle.total()
     if total == math.inf:
@@ -650,10 +656,6 @@ def redundant_condition_bound(
         # ratio a_j / ahat_j = prod over k outside the support of (1 + gamma_k),
         # maximized at the zero index where it equals the full total.
         return ConditionBound(total, certified=True)
-
-    if isinstance(model, ScaledWeights):
-        inner = redundant_condition_bound(model.base)
-        return inner
 
     if isinstance(model, TableWeights):
         best = 0.0
@@ -759,21 +761,21 @@ def weights_from_json(obj) -> WeightModel:
         raise ConfigInvalid(f"weight spec must be an object with 'type': {obj!r}")
     t = obj["type"]
     if t == "unit":
-        _require(obj, {"type"})
+        check_keys(obj, "weight spec", {"type"})
         return UnitWeights()
     if t == "product":
-        _require(obj, {"type", "gamma"})
+        check_keys(obj, "weight spec", {"type", "gamma"})
         return ProductWeights(seq_from_json(obj["gamma"]))
     if t == "spline":
-        _require(obj, {"type", "gamma", "s", "lam"})
+        check_keys(obj, "weight spec", {"type", "gamma"}, {"s", "lam"})
         return SplineWeights(
             gamma_from_json(obj["gamma"]), obj.get("s", 1.0), obj.get("lam", 1.0)
         )
     if t == "aniso":
-        _require(obj, {"type", "gamma", "s"})
+        check_keys(obj, "weight spec", {"type", "gamma"}, {"s"})
         return AnisotropicWeights(gamma_from_json(obj["gamma"]), obj.get("s", 1.0))
     if t == "table":
-        _require(obj, {"type", "entries", "assert_monotone"})
+        check_keys(obj, "weight spec", {"type", "entries"}, {"assert_monotone"})
         entries = {}
         for pair in obj["entries"]:
             if not (isinstance(pair, list) and len(pair) == 2):
@@ -781,12 +783,6 @@ def weights_from_json(obj) -> WeightModel:
             entries[IndexVector.from_json_obj(pair[0])] = float(pair[1])
         return TableWeights(entries, assert_monotone=bool(obj.get("assert_monotone", False)))
     if t == "scaled":
-        _require(obj, {"type", "base", "factor"})
+        check_keys(obj, "weight spec", {"type", "base", "factor"})
         return ScaledWeights(weights_from_json(obj["base"]), float(obj["factor"]))
     raise ConfigInvalid(f"unknown weight type {t!r}")
-
-
-def _require(obj: dict, allowed: set):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigInvalid(f"unknown keys {sorted(unknown)} in weight spec")

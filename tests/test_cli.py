@@ -121,6 +121,20 @@ class TestErrors:
         }))
         assert run_cli("epsdim", cfg, tmp_path / "out.csv") == 6
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("epsdim", {"a": {"type": "unit"}, "b": {"type": "unit"}}),
+        ("anova", {"function": {"dim": 1, "terms": [{"coef": 1.0}]}}),
+        ("regress", {"samples": {"inputs": [[0.2], [0.7]], "outputs": [0.1, 0.4]}}),
+        ("regress", {"samples": {"inputs": [[0.2], [0.7]]}, "lambda": 0.1}),
+        ("equiv", {"gamma": {"kind": "product"}}),
+        ("transform", {"a": {"type": "table"}, "indices": [{}]}),
+    ], ids=["epsdim-eps", "anova-gamma", "regress-lambda", "samples-outputs",
+            "product-gamma-seq", "table-weights-entries"])
+    def test_missing_required_key(self, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, path, tmp_path / "out") == 2
+
     def test_bad_anchor_flag(self, tmp_path):
         code = run_cli(
             "anova", CONFIG_DIR / "anova_example.json", tmp_path / "o.csv",

@@ -6,7 +6,6 @@ import pytest
 
 from corpus import corpus
 from tensorsplit.decomp import (
-    all_supports,
     anchored_contraction,
     anchored_kernel,
     anchored_representation,
@@ -257,5 +256,5 @@ class TestWeightedNorm:
 
 class TestSupportIteration:
     def test_all_supports_order(self):
-        sets = list(all_supports(2))
+        sets = list(S(1, 2).subsets())
         assert sets == [S(), S(1), S(2), S(1, 2)]

@@ -16,6 +16,7 @@ from tensorsplit.gammas import ProductGamma
 from tensorsplit.indexing import ZERO_INDEX, IndexSet, IndexVector
 from tensorsplit.sequences import ConstantSeq, FiniteSeq, GeometricSeq, PowerSeq
 from tensorsplit.weights import (
+    ConditionBound,
     CustomWeights,
     ProductWeights,
     ScaledWeights,
@@ -286,6 +287,18 @@ class TestConditionBound:
         m = ProductWeights(ConstantSeq(1.0))
         with pytest.raises(NormDegenerate):
             redundant_condition_bound(m)
+
+    def test_scaling_keeps_search_set_and_oracle(self):
+        # a_j * tail(j) is scale-invariant, so a scaled model has its base's bound
+        table = TableWeights({ZERO_INDEX: 1.0, IndexVector({1: 1}): 4.0})
+        search = list(table.support())
+        custom = CustomWeights(table.weight, table.tail_oracle())
+        base = redundant_condition_bound(custom, search)
+        assert base == ConditionBound(1.25, certified=False)  # zero index: 1 * (1 + 1/4)
+        assert redundant_condition_bound(ScaledWeights(custom, 2.0), search) == base
+        no_oracle = ScaledWeights(CustomWeights(table.weight), 2.0)
+        oracle = ScaledWeights(table, 2.0).tail_oracle()
+        assert redundant_condition_bound(no_oracle, search, oracle) == base
 
 
 class TestOptimalSplit:
