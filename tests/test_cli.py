@@ -10,9 +10,12 @@ from tensorsplit.cli import main
 
 CONFIG_DIR = Path(str(resources.files("tensorsplit") / "configs"))
 GOLDEN_DIR = Path(__file__).parent / "golden"
-#: bundled config stem -> expected exit code; the regress artifact is left
-#: out because its coefficients depend on the BLAS build in the last bits
+#: config stem -> expected exit code.  A stem names a bundled config or a
+#: config stored next to its artifact in GOLDEN_DIR; the regress artifact is
+#: left out because its coefficients depend on the BLAS build in the last bits
 GOLDEN_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
+#: extra flags of a golden run
+GOLDEN_FLAGS = {"epsdim_cap": ["--cap", "500"]}
 
 SUBCOMMANDS = [
     ("epsdim", "epsdim_example.json"),
@@ -157,8 +160,21 @@ class TestGolden:
     """Bundled configs reproduce the stored artifacts byte for byte."""
 
     @pytest.mark.parametrize("stem", sorted(GOLDEN_CODES))
-    def test_artifact_and_exit_code(self, tmp_path, stem):
+    def test_artifact_and_exit_code(self, tmp_path, capsys, stem):
+        """Same exit code, artifact (or none) and ``error:`` line."""
+        config = GOLDEN_DIR / f"{stem}.json"
+        if not config.exists():
+            config = CONFIG_DIR / f"{stem}.json"
         out = tmp_path / "artifact.out"
-        code = run_cli(stem.split("_")[0], CONFIG_DIR / f"{stem}.json", out)
+        code = run_cli(stem.split("_")[0], config, out, GOLDEN_FLAGS.get(stem, ()))
         assert code == GOLDEN_CODES[stem]
-        assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.out").read_bytes()
+        golden_out = GOLDEN_DIR / f"{stem}.out"
+        if golden_out.exists():
+            assert out.read_bytes() == golden_out.read_bytes()
+        else:
+            assert not out.exists()
+        golden_err = GOLDEN_DIR / f"{stem}.err"
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        expected = golden_err.read_text().splitlines() if golden_err.exists() else []
+        assert errors == expected
