@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .decomp import decompose, weighted_norm
-from .epsdim import (
-    DEFAULT_CAP,
-    dims_from_json,
-    eps_dimension,
-    eps_dimension_restricted,
-    stabilization_dim,
-)
+from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension
 from .equivalence import certify_equivalence
 from .errors import ConfigInvalid, NoCertificate, TensorsplitError, check_keys
 from .functions import function_from_json
@@ -116,6 +110,21 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+def _number(value, kind, name: str):
+    """A config number as ``kind`` (float or int); a wrong type is ConfigInvalid."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{name} must be a number, got {value!r}") from exc
+
+
+def _numbers(value, kind, name: str) -> list:
+    """A config list of numbers, each converted by ``_number``."""
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(v, kind, name) for v in value]
+
+
 def _index_json(j: IndexVector) -> str:
     return json.dumps(j.to_json_obj(), separators=(",", ":"), sort_keys=True)
 
@@ -133,15 +142,15 @@ def _cmd_epsdim(cfg: dict, args):
     a = weights_from_json(cfg["a"])
     b = weights_from_json(cfg["b"])
     dims = dims_from_json(cfg.get("dims", "all_one"))
-    eps_list = [float(e) for e in cfg["eps"]]
-    d_list = [int(d) for d in cfg.get("d", [])]
+    eps_list = _numbers(cfg["eps"], float, "eps")
+    d_list = _numbers(cfg.get("d", []), int, "d")
     rows = []
     for eps in eps_list:
-        full = eps_dimension(a, b, eps, dims, cap=args.cap, on_cap="truncate")
-        d0 = stabilization_dim(a, b, eps, dims, cap=args.cap)
+        full = eps_dimension(a, b, eps, dims, cap=args.cap)
+        d0 = full.index_set.max_coord
         rows.append([eps, "", full.n, len(full.index_set), d0, full.truncated])
         for d in d_list:
-            res = eps_dimension_restricted(a, b, eps, dims, d, cap=args.cap, on_cap="truncate")
+            res = full.restricted(d, dims)
             rows.append([eps, str(d), res.n, len(res.index_set), d0, res.truncated])
     _write_csv(args.out, ["eps", "d", "n", "set_size", "d0", "truncated"], rows)
 
@@ -182,7 +191,7 @@ def _cmd_decomp(cfg: dict, args):
 def _cmd_equiv(cfg: dict, args):
     check_keys(cfg, "config", {"gamma"}, {"q_tilde"})
     gamma = gamma_from_json(cfg["gamma"])
-    q_tilde = float(cfg.get("q_tilde", 1.0))
+    q_tilde = _number(cfg.get("q_tilde", 1.0), float, "q_tilde")
     cert = certify_equivalence(gamma, anchor=args.anchor, q_tilde=q_tilde)
     if cert is None:
         _write_json(args.out, {
@@ -222,7 +231,7 @@ def _cmd_truncate(cfg: dict, args):
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anchored")
-    m_list = [int(m) for m in cfg.get("m", range(f.dim + 1))]
+    m_list = _numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
     norm = weighted_norm(f, gamma, mode, anchor=args.anchor)
     rows = []
     for m in m_list:
@@ -242,10 +251,11 @@ def _cmd_regress(cfg: dict, args):
                                X.shape[1], args.anchor)
     lam = cfg["lambda"]
     if samples.outputs.ndim == 1:
-        model = fit(samples, kernel, float(lam))
+        model = fit(samples, kernel, _number(lam, float, "lambda"))
         coeffs = [float(c) for c in model.coefficients]
     else:
-        model = fit_map(samples, kernel, lam)
+        convert = _numbers if isinstance(lam, list) else _number
+        model = fit_map(samples, kernel, convert(lam, float, "lambda"))
         coeffs = [[float(c) for c in row] for row in model.coefficients]
     pred = predict(model, samples.inputs)
     rmse_train = float(np.sqrt(np.mean((pred - samples.outputs) ** 2)))
@@ -297,7 +307,7 @@ def _kernel_from_json(obj, dim: int, anchor: float):
         raise ConfigInvalid("kernel spec must be an object with 'type'")
     if obj["type"] == "anchored":
         check_keys(obj, "kernel spec", {"type"}, {"scales", "anchor"})
-        return AnchoredKernel(dim, anchor=float(obj.get("anchor", anchor)),
+        return AnchoredKernel(dim, anchor=_number(obj.get("anchor", anchor), float, "anchor"),
                               scales=obj.get("scales"))
     raise ConfigInvalid(f"unknown kernel type {obj['type']!r}")
 

@@ -117,6 +117,17 @@ class EpsDimResult:
     truncated: bool = False
     coarse_bound: int | None = None
 
+    def restricted(self, d: int, dims: DimensionModel) -> "EpsDimResult":
+        """The count over the members supported on coordinates <= d.
+
+        The d-restricted threshold set is this one filtered by max_coord.
+        """
+        if d < 0:
+            raise ConfigInvalid("restriction dimension must be nonnegative")
+        index_set = IndexSet(j for j in self.index_set.members if j.max_coord <= d)
+        n = sum(dims.subspace_dim(j) for j in index_set.members)
+        return EpsDimResult(n=n, eps=self.eps, index_set=index_set, truncated=self.truncated)
+
 
 # ---------------------------------------------------------------------------
 # decay certificates
@@ -158,7 +169,7 @@ class _BoostTable:
     def __init__(self, mult: CoordSeq):
         self.mult = mult
         k_last = mult.last_k_with_value_ge(math.nextafter(1.0, math.inf))
-        if k_last is math.inf or k_last == math.inf:
+        if k_last == math.inf:
             raise NotCompact(
                 "entry multipliers stay above 1 for arbitrarily large coordinates"
             )
@@ -173,6 +184,25 @@ class _BoostTable:
         if k0 >= self.k_last:
             return 1.0
         return self.suffix[k0 + 1]
+
+    def entry_coords(self, c: float, eps2: float, k: int):
+        """Coordinates k, k+1, ... with a positive multiplier, in order.
+
+        Stops after the first coordinate from which on no entry can lift a
+        ratio of c back to eps2, even with every later boost applied.
+        """
+        mult = self.mult
+        while True:
+            if mult.value(k) > 0.0:
+                yield k
+            if c * mult.tail_sup(k) * self.after(k) < eps2:
+                return
+            if (k >= mult.nonincreasing_from and k > self.k_last
+                    and not mult.decays_to_zero):
+                raise NotCompact("entry multipliers do not decay; the threshold set is unbounded")
+            k += 1
+            if k > 10_000_000:
+                raise EnumerationCap("coordinate scan exceeded the hard guard")
 
 
 def auto_certificate(a: WeightModel, b: WeightModel):
@@ -255,7 +285,6 @@ def enumerate_threshold_set(
     eps: float,
     certificate=None,
     cap: int = DEFAULT_CAP,
-    max_coordinate: int | None = None,
     on_cap: str = "raise",
 ) -> tuple[IndexSet, bool]:
     """Enumerate all indices with b_j / a_j >= eps**2 (boundary included).
@@ -271,24 +300,16 @@ def enumerate_threshold_set(
     eps2 = eps * eps
 
     if isinstance(certificate, FiniteUniverse):
-        members = [
-            j
-            for j in certificate.candidates
-            if (max_coordinate is None or j.max_coord <= max_coordinate)
-            and ratio(a, b, j) >= eps2
-        ]
+        members = [j for j in certificate.candidates if ratio(a, b, j) >= eps2]
         return IndexSet(members), False
 
     if isinstance(certificate, SupportDecay):
-        return _enumerate_by_support(
-            a, b, eps2, certificate.supports, cap, max_coordinate, on_cap
-        )
+        return _enumerate_by_support(a, b, eps2, certificate.supports, cap, on_cap)
 
     if not isinstance(certificate, ProductDecay):
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
 
-    mult = certificate.mult
-    boost = _BoostTable(mult)
+    boost = _BoostTable(certificate.mult)
     level_cap = _combined_level_cap(a, b)
 
     out: list[IndexVector] = []
@@ -319,27 +340,11 @@ def enumerate_threshold_set(
             if cc * boost.after(kmax) >= eps2:
                 stack.append((jj, cc))
 
-        k = kmax + 1
-        while max_coordinate is None or k <= max_coordinate:
-            if mult.value(k) > 0.0:
-                jj = j.bump(k)
-                cc = ratio(a, b, jj)
-                if cc * boost.after(k) >= eps2:
-                    stack.append((jj, cc))
-            msup = mult.tail_sup(k)
-            if cj * msup * boost.after(k) < eps2:
-                break
-            if (
-                k >= mult.nonincreasing_from
-                and k > boost.k_last
-                and not mult.decays_to_zero
-            ):
-                raise NotCompact(
-                    "entry multipliers do not decay; the threshold set is unbounded"
-                )
-            k += 1
-            if k > 10_000_000:
-                raise EnumerationCap("coordinate scan exceeded the hard guard")
+        for k in boost.entry_coords(cj, eps2, kmax + 1):
+            jj = j.bump(k)
+            cc = ratio(a, b, jj)
+            if cc * boost.after(k) >= eps2:
+                stack.append((jj, cc))
 
     return IndexSet(out), truncated
 
@@ -349,7 +354,7 @@ def _combined_level_cap(a: WeightModel, b: WeightModel) -> int | None:
     return min(caps) if caps else None
 
 
-def _enumerate_by_support(a, b, eps2, supports, cap, max_coordinate, on_cap):
+def _enumerate_by_support(a, b, eps2, supports, cap, on_cap):
     """Per-support level scan; the ratio must be nonincreasing in each level.
 
     Levels of a fixed support form a lattice; bumping coordinates in
@@ -357,10 +362,7 @@ def _enumerate_by_support(a, b, eps2, supports, cap, max_coordinate, on_cap):
     subthreshold vector prunes its whole upward cone.
     """
     out: list[IndexVector] = []
-    truncated = False
     for sigma in supports:
-        if max_coordinate is not None and sigma.max_coord > max_coordinate:
-            continue
         coords = list(sigma)
         start = IndexVector({k: 1 for k in coords})
         stack: list[tuple[IndexVector, int]] = [(start, 0)]
@@ -375,7 +377,7 @@ def _enumerate_by_support(a, b, eps2, supports, cap, max_coordinate, on_cap):
                 raise EnumerationCap(f"threshold set exceeds cap {cap}")
             for i in range(pos, len(coords)):
                 stack.append((j.bump(coords[i]), i))
-    return IndexSet(out), truncated
+    return IndexSet(out), False
 
 
 def eps_dimension(
@@ -385,12 +387,11 @@ def eps_dimension(
     dims: DimensionModel,
     certificate=None,
     cap: int = DEFAULT_CAP,
-    max_coordinate: int | None = None,
     on_cap: str = "raise",
 ) -> EpsDimResult:
     """Total dimension of the threshold set's subspaces."""
     index_set, truncated = enumerate_threshold_set(
-        a, b, eps, certificate=certificate, cap=cap, max_coordinate=max_coordinate, on_cap=on_cap
+        a, b, eps, certificate=certificate, cap=cap, on_cap=on_cap
     )
     n = sum(dims.subspace_dim(j) for j in index_set)
     return EpsDimResult(n=n, eps=eps, index_set=index_set, truncated=truncated)
@@ -406,12 +407,13 @@ def eps_dimension_restricted(
     cap: int = DEFAULT_CAP,
     on_cap: str = "raise",
 ) -> EpsDimResult:
-    """Same computation restricted to indices supported on coordinates <= d."""
-    if d < 0:
-        raise ConfigInvalid("restriction dimension must be nonnegative")
-    return eps_dimension(
-        a, b, eps, dims, certificate=certificate, cap=cap, max_coordinate=d, on_cap=on_cap
-    )
+    """Same computation restricted to indices supported on coordinates <= d.
+
+    The full threshold set is enumerated and filtered, so the cap and any
+    ``NotCompact`` apply to the full set.
+    """
+    full = eps_dimension(a, b, eps, dims, certificate=certificate, cap=cap, on_cap=on_cap)
+    return full.restricted(d, dims)
 
 
 def stabilization_dim(
@@ -479,7 +481,7 @@ def spline_eps_dimension(
     bound_acc = 0
     processed = 0
 
-    for omega in _viable_supports(model, eps2, omega_cap):
+    for omega in _viable_supports(model, eps2):
         processed += 1
         if processed > omega_cap:
             raise EnumerationCap(f"more than {omega_cap} supports enumerated")
@@ -494,7 +496,7 @@ def spline_eps_dimension(
                         coarse_bound=1 + 2 * bound_acc)
 
 
-def _viable_supports(model: SplineWeights, eps2: float, omega_cap: int):
+def _viable_supports(model: SplineWeights, eps2: float):
     """Nonempty supports whose level-(1,...,1) ratio could clear eps2.
 
     For enumerable gamma supports this is the stored list; for product
@@ -508,8 +510,7 @@ def _viable_supports(model: SplineWeights, eps2: float, omega_cap: int):
                 yield omega
         return
 
-    mult = model.multiplier_seq()
-    boost = _BoostTable(mult)
+    boost = _BoostTable(model.multiplier_seq())
 
     def c0(omega: SupportSet) -> float:
         aw = spline_weight_value(
@@ -520,30 +521,12 @@ def _viable_supports(model: SplineWeights, eps2: float, omega_cap: int):
         return 0.0 if math.isinf(aw) else 1.0 / aw
 
     stack: list[tuple[SupportSet, float]] = [(SupportSet(), 1.0)]
-    emitted = 0
     while stack:
         omega, comega = stack.pop()
         if len(omega) > 0:
-            emitted += 1
-            if emitted > omega_cap:
-                raise EnumerationCap(f"more than {omega_cap} supports enumerated")
             yield omega
-        k = omega.max_coord + 1
-        while True:
-            if mult.value(k) > 0.0:
-                oo = omega.add(k)
-                cc = c0(oo)
-                if cc * boost.after(k) >= eps2:
-                    stack.append((oo, cc))
-            msup = mult.tail_sup(k)
-            if comega * msup * boost.after(k) < eps2:
-                break
-            if (
-                k >= mult.nonincreasing_from
-                and k > boost.k_last
-                and not mult.decays_to_zero
-            ):
-                raise NotCompact("set weights do not decay; the count is unbounded")
-            k += 1
-            if k > 10_000_000:
-                raise EnumerationCap("support scan exceeded the hard guard")
+        for k in boost.entry_coords(comega, eps2, omega.max_coord + 1):
+            oo = omega.add(k)
+            cc = c0(oo)
+            if cc * boost.after(k) >= eps2:
+                stack.append((oo, cc))

@@ -26,7 +26,7 @@ from .decomp import (
     anova_contraction,
     decompose,
 )
-from .errors import DegenerateDenominator, GammaL1Violated, NormInfinite
+from .errors import DegenerateDenominator, GammaL1Violated, NormInfinite, OrderOutOfRange
 from .functions import SeparableFunction, Term, value_inner
 from .gammas import GammaModel
 from .indexing import SupportSet
@@ -104,13 +104,17 @@ def total_index(table: SobolTable, omega0: SupportSet) -> float:
     return table.total(omega0)
 
 
+def _check_order(m: int):
+    if m < 0:
+        raise OrderOutOfRange(f"truncation order must be nonnegative, got {m}")
+
+
 def truncate_order(
     f: SeparableFunction, m: int, mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> SeparableFunction:
     """The approximant keeping components with at most m active variables."""
     _check_mode(mode)
-    if m < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(m)
     terms: list[Term] = []
     for t in decompose(f, mode, anchor):
         if len(t.omega) <= m:
@@ -134,8 +138,7 @@ def truncation_bound(
     series to converge, else ``GammaL1Violated``.
     """
     _check_mode(mode)
-    if m < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(m)
     t = anchored_contraction(anchor) if mode == MODE_ANCHORED else anova_contraction()
     max_order = gamma.max_order()
     if max_order is not None:

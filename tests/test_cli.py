@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import tensorsplit.epsdim
 from tensorsplit.cli import main
 
 CONFIG_DIR = Path(str(resources.files("tensorsplit") / "configs"))
@@ -138,12 +139,55 @@ class TestErrors:
         path.write_text(json.dumps(cfg))
         assert run_cli(command, path, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("epsdim", {"a": {"type": "unit"}, "b": {"type": "unit"}, "eps": 0.5}),
+        ("epsdim", {"a": {"type": "unit"}, "b": {"type": "unit"}, "eps": ["x"]}),
+        ("epsdim", {"a": {"type": "unit"}, "b": {"type": "unit"}, "eps": [0.5], "d": 3}),
+        ("truncate", {"function": {"dim": 1, "terms": [{"coef": 1.0}]},
+                      "gamma": {"kind": "product", "seq": {"kind": "constant", "value": 1.0}},
+                      "m": 2}),
+        ("equiv", {"gamma": {"kind": "product", "seq": {"kind": "power", "c": 1.0, "p": 3.0}},
+                   "q_tilde": "big"}),
+        ("regress", {"samples": {"inputs": [[0.2], [0.7]], "outputs": [0.1, 0.4]},
+                     "lambda": "x"}),
+        ("regress", {"samples": {"inputs": [[0.2], [0.7]], "outputs": [0.1, 0.4]},
+                     "lambda": [0.1, 0.2]}),
+    ], ids=["eps-scalar", "eps-string", "d-scalar", "m-scalar", "q_tilde-string",
+            "lambda-string", "lambda-list"])
+    def test_wrong_type_rejected(self, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, path, tmp_path / "out") == 2
+
+    def test_negative_truncation_order(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "truncate_example.json").read_text())
+        cfg["m"] = [-1]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("truncate", path, tmp_path / "out.csv") == 8
+
     def test_bad_anchor_flag(self, tmp_path):
         code = run_cli(
             "anova", CONFIG_DIR / "anova_example.json", tmp_path / "o.csv",
             extra=["--anchor", "1.5"],
         )
         assert code == 2
+
+
+class TestEnumerationCount:
+    def test_one_enumeration_per_eps(self, tmp_path, monkeypatch):
+        """The full count, every d row and d0 come from one threshold set."""
+        calls = []
+        enumerate_threshold_set = tensorsplit.epsdim.enumerate_threshold_set
+
+        def counting(a, b, eps, *args, **kwargs):
+            calls.append(eps)
+            return enumerate_threshold_set(a, b, eps, *args, **kwargs)
+
+        monkeypatch.setattr(tensorsplit.epsdim, "enumerate_threshold_set", counting)
+        config = CONFIG_DIR / "epsdim_example.json"
+        assert run_cli("epsdim", config, tmp_path / "eps.csv") == 0
+        assert calls == json.loads(config.read_text())["eps"]
 
 
 class TestDeterminism:
@@ -157,7 +201,7 @@ class TestDeterminism:
 
 
 class TestGolden:
-    """Bundled configs reproduce the stored artifacts byte for byte."""
+    """Golden configs reproduce the stored artifacts byte for byte."""
 
     @pytest.mark.parametrize("stem", sorted(GOLDEN_CODES))
     def test_artifact_and_exit_code(self, tmp_path, capsys, stem):

@@ -139,6 +139,17 @@ class TestOracleEquivalence:
             assert got == expected, f"{name} at eps={eps}"
 
     @pytest.mark.parametrize("name,a,b", weight_configs(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_restriction_matches_brute_force(self, name, a, b):
+        ratios = box_ratios(a, b)
+        for eps in EPS_GRID:
+            expected = brute_force_set(ratios, eps)
+            for d in range(5):
+                got = eps_dimension_restricted(a, b, eps, AllOneDims(), d)
+                kept = IndexSet(j for j in expected.members if j.max_coord <= d)
+                assert got.index_set == kept, f"{name} at eps={eps}, d={d}"
+                assert got.n == len(kept)
+
+    @pytest.mark.parametrize("name,a,b", weight_configs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_dimension_counts(self, name, a, b):
         ratios = box_ratios(a, b)
         for eps in EPS_GRID:

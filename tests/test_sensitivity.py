@@ -8,7 +8,7 @@ import pytest
 from corpus import corpus
 from tensorsplit.decomp import weighted_norm
 from tensorsplit.equivalence import certify_equivalence
-from tensorsplit.errors import DegenerateDenominator, GammaL1Violated
+from tensorsplit.errors import DegenerateDenominator, GammaL1Violated, OrderOutOfRange
 from tensorsplit.functions import SeparableFunction, Term, UnivariateFactor as F
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
@@ -130,6 +130,15 @@ class TestTruncateOrder:
             lambda u: integrate_1d(lambda v: f.value([u, v]), rule), rule
         )
         assert s.value([0.123, 0.456]) == pytest.approx(mean, abs=1e-12)
+
+
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_negative_order_is_out_of_range(self, mode):
+        f = SeparableFunction(1, [Term(1.0, {1: F.monomial(1)})])
+        with pytest.raises(OrderOutOfRange):
+            truncate_order(f, -1, mode)
+        with pytest.raises(OrderOutOfRange):
+            truncation_bound(ProductGamma(PowerSeq(1.0, 4.0)), -1, mode)
 
 
 class TestL2Error:
