@@ -16,7 +16,11 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: left out because its coefficients depend on the BLAS build in the last bits
 GOLDEN_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
 #: extra flags of a golden run
-GOLDEN_FLAGS = {"epsdim_cap": ["--cap", "500"]}
+GOLDEN_FLAGS = {
+    "epsdim_cap": ["--cap", "500"],
+    "anchored_finite_order": ["--anchor", "0.3"],
+    "sobol_table_include_empty": ["--include-empty"],
+}
 
 SUBCOMMANDS = [
     ("epsdim", "epsdim_example.json"),
