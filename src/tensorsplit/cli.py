@@ -3,9 +3,10 @@
 Every subcommand reads a JSON config, writes one artifact file (CSV for
 tabular results, JSON for reports), and exits 0 on success or with the
 error's stable exit code otherwise.  Outputs are byte-identical across
-repeated runs of the same config: all summation and iteration orders are
-fixed, floats are printed with 17 significant digits, and nothing here
-consults a clock or an unseeded generator.
+repeated runs of the same config: rows come in canonical order, sums of
+terms and components go through ``math.fsum`` (correctly rounded, so
+independent of term order), floats are printed with 17 significant digits,
+and nothing here consults a clock or an unseeded generator.
 """
 
 from __future__ import annotations
@@ -298,7 +299,10 @@ def _load_samples(spec, config_dir: Path):
         return X, Y
     if isinstance(spec, dict):
         check_keys(spec, "samples", {"inputs", "outputs"})
-        return np.asarray(spec["inputs"], dtype=float), np.asarray(spec["outputs"], dtype=float)
+        try:
+            return np.asarray(spec["inputs"], dtype=float), np.asarray(spec["outputs"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"bad inline samples: {exc}") from exc
     raise ConfigInvalid("samples must be a CSV path or an inline object")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigInvalid, NormInfinite
-from .functions import SeparableFunction, Term, deriv_inner
+from .functions import SeparableFunction, Term, deriv_inner, pair_sum
 from .gammas import GammaModel
 from .indexing import SupportSet
 from .quadrature import QuadratureRule, gauss_legendre, integrate_piecewise
@@ -137,71 +137,44 @@ class DecompositionTerm:
 
     ``mixed_norm_sq`` is the squared L2 norm of the component's mixed first
     derivative in the active directions; for the empty set it is the square
-    of the constant component.  ``exact`` records whether every ingredient
-    was integrated exactly.
+    of the constant component.
     """
 
     omega: SupportSet
     func: SeparableFunction
     mixed_norm_sq: float
-    exact: bool = True
 
 
-def _project_terms(f: SeparableFunction, omega: SupportSet, replace) -> list[Term]:
-    """Project every product term: active factors centered, others collapsed.
+def _component(f: SeparableFunction, omega: SupportSet, center) -> DecompositionTerm:
+    """Component with active set omega of the projection ``center``.
 
-    ``replace(factor) -> (shifted_factor, collapse_value)`` where the
-    shifted factor is used on active coordinates and the collapse value on
-    inactive ones.
+    In every product term an active factor g becomes g - center(g) and an
+    inactive one multiplies the coefficient by center(g); a term that is
+    constant in an active coordinate vanishes.
     """
-    out = []
+    terms = []
     for t in f.terms:
-        coef = t.coef
-        factors = {}
-        dead = False
-        for k in range(1, f.dim + 1):
-            g = t.factors.get(k)
+        if any(t.factor(k).degree == 0 for k in omega):
+            continue
+        coef, factors = t.coef, {}
+        for k, g in sorted(t.factors.items()):
             if k in omega:
-                if g is None or g.degree == 0:
-                    dead = True  # centering a constant kills the product
-                    break
-                shifted, _ = replace(g)
-                factors[k] = shifted
-            elif g is not None:
-                _, collapse = replace(g)
-                coef *= collapse
-        if not dead and coef != 0.0:
-            out.append(Term(coef, factors))
-    return out
-
-
-def _mixed_norm_sq(terms: list[Term], omega: SupportSet) -> float:
-    if not omega:
-        return math.fsum(t.coef for t in terms) ** 2
-    pieces = []
-    for r, tr in enumerate(terms):
-        for ts in terms:
-            prod = tr.coef * ts.coef
-            for k in omega:
-                prod *= deriv_inner(tr.factor(k), ts.factor(k))
-            pieces.append(prod)
-    return math.fsum(pieces)
-
-
-def _terms_exact(terms: list[Term]) -> bool:
-    return all(
-        f.exact and f.degree is not None for t in terms for f in t.factors.values()
-    )
+                factors[k] = g.shifted(center(g))
+            else:
+                coef *= center(g)
+        if coef != 0.0:
+            terms.append(Term(coef, factors))
+    if omega:
+        energy = pair_sum(terms, deriv_inner)
+    else:
+        energy = math.fsum(t.coef for t in terms) ** 2
+    return DecompositionTerm(omega, SeparableFunction(f.dim, terms), energy)
 
 
 def anova_term(f: SeparableFunction, omega: SupportSet) -> DecompositionTerm:
     """Component with active set omega of the mean-projection decomposition."""
     _check_support(f, omega)
-    terms = _project_terms(f, omega, lambda g: (g.shifted(g.mean), g.mean))
-    return DecompositionTerm(
-        omega, SeparableFunction(f.dim, terms), _mixed_norm_sq(terms, omega),
-        exact=_terms_exact(terms),
-    )
+    return _component(f, omega, lambda g: g.mean)
 
 
 def anchored_term(
@@ -210,16 +183,7 @@ def anchored_term(
     """Component with active set omega of the anchor-evaluation decomposition."""
     anchor = _check_anchor(anchor)
     _check_support(f, omega)
-
-    def replace(g):
-        at_anchor = g.value(anchor)
-        return g.shifted(at_anchor), at_anchor
-
-    terms = _project_terms(f, omega, replace)
-    return DecompositionTerm(
-        omega, SeparableFunction(f.dim, terms), _mixed_norm_sq(terms, omega),
-        exact=_terms_exact(terms),
-    )
+    return _component(f, omega, lambda g: g.value(anchor))
 
 
 def _check_support(f: SeparableFunction, omega: SupportSet):
@@ -240,6 +204,24 @@ def decompose(
     return [anchored_term(f, omega, anchor) for omega in supports]
 
 
+def _weighted_energies(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> dict:
+    """``{omega: energy / gamma_omega}`` over the components with nonzero
+    weight; ``NormInfinite`` if a component with energy has zero weight."""
+    scale = max((t.mixed_norm_sq for t in terms), default=0.0)
+    tol = _ZERO_TOL * (1.0 + scale)
+    table = {}
+    for t in terms:
+        gv = gamma.value(t.omega)
+        if gv == 0.0:
+            if t.mixed_norm_sq > tol:
+                raise NormInfinite(
+                    f"component {t.omega!r} has energy {t.mixed_norm_sq} but zero weight"
+                )
+            continue
+        table[t.omega] = t.mixed_norm_sq / gv
+    return table
+
+
 def weighted_norm(
     f: SeparableFunction,
     gamma: GammaModel,
@@ -251,23 +233,10 @@ def weighted_norm(
     Raises ``NormInfinite`` when a component with nonzero energy meets a
     vanishing set weight: the function then lies outside the space.
     """
-    terms = decompose(f, mode, anchor)
-    scale = max((t.mixed_norm_sq for t in terms), default=0.0)
-    tol = _ZERO_TOL * (1.0 + scale)
-    pieces = []
-    for t in terms:
-        gv = gamma.value(t.omega)
-        if gv == 0.0:
-            if t.mixed_norm_sq > tol:
-                raise NormInfinite(
-                    f"component {t.omega!r} has energy {t.mixed_norm_sq} but zero weight"
-                )
-            continue
-        pieces.append(t.mixed_norm_sq / gv)
-    return math.sqrt(max(0.0, math.fsum(pieces)))
+    energies = _weighted_energies(decompose(f, mode, anchor), gamma)
+    return math.sqrt(max(0.0, math.fsum(energies.values())))
 
 
 def reconstruct(terms: Sequence[DecompositionTerm], x: Sequence[float]) -> float:
     """Sum of all components at a point; equals the original function."""
-    ordered = sorted(terms, key=lambda t: t.omega.canonical_key())
-    return math.fsum(t.func.value(x) for t in ordered)
+    return math.fsum(t.func.value(x) for t in terms)

@@ -2,12 +2,9 @@
 
 Every function handled by the decomposition machinery is a finite sum of
 products of univariate factors, each factor carrying its value, derivative,
-and exact mean over [0, 1].  This makes projections and mixed derivatives
+and mean over [0, 1].  This makes projections and mixed derivatives
 reducible to one-dimensional operations, which is what keeps the weighted
 norms computable: mixed derivatives of black-box functions would not be.
-
-Factors whose mean has to be estimated by quadrature (``exact=False``)
-propagate an ``approx`` tag into everything computed from them.
 """
 
 from __future__ import annotations
@@ -26,9 +23,9 @@ DEFAULT_MEAN_ORDER = 32
 
 
 class UnivariateFactor:
-    """A univariate building block with value, derivative, and exact mean."""
+    """A univariate building block with value, derivative, and mean."""
 
-    __slots__ = ("value", "deriv", "mean", "degree", "exact", "label")
+    __slots__ = ("value", "deriv", "mean", "degree", "label")
 
     def __init__(
         self,
@@ -36,7 +33,6 @@ class UnivariateFactor:
         deriv: Callable[[float], float],
         mean: float | None = None,
         degree: int | None = None,
-        exact: bool = True,
         label: str = "factor",
     ):
         self.value = value
@@ -45,10 +41,8 @@ class UnivariateFactor:
         self.label = label
         if mean is None:
             self.mean = integrate_1d(value, gauss_legendre(DEFAULT_MEAN_ORDER))
-            self.exact = degree is not None and 2 * DEFAULT_MEAN_ORDER - 1 >= degree
         else:
             self.mean = float(mean)
-            self.exact = exact
 
     def __repr__(self):
         return f"UnivariateFactor({self.label})"
@@ -136,7 +130,6 @@ class UnivariateFactor:
             self.deriv,
             mean=self.mean - c,
             degree=self.degree,
-            exact=self.exact,
             label=f"{self.label}-{c}",
         )
 
@@ -152,12 +145,12 @@ def _pair_rule(f: UnivariateFactor, g: UnivariateFactor):
 
 
 def value_inner(f: UnivariateFactor, g: UnivariateFactor) -> float:
-    """Integral over [0,1] of f * g; exact for polynomial pairs."""
+    """Integral over [0,1] of f * g; no quadrature error for polynomial pairs."""
     return integrate_1d(lambda x: f.value(x) * g.value(x), _pair_rule(f, g))
 
 
 def deriv_inner(f: UnivariateFactor, g: UnivariateFactor) -> float:
-    """Integral over [0,1] of f' * g'; exact for polynomial pairs."""
+    """Integral over [0,1] of f' * g'; no quadrature error for polynomial pairs."""
     return integrate_1d(lambda x: f.deriv(x) * g.deriv(x), _pair_rule(f, g))
 
 
@@ -180,9 +173,23 @@ class Term:
             v *= f.value(x[k - 1])
         return v
 
-    @property
-    def exact(self) -> bool:
-        return all(f.exact for f in self.factors.values())
+
+def pair_sum(terms: Sequence[Term], inner) -> float:
+    """fsum over term pairs (r, s) of c_r * c_s * prod_k inner(g_rk, g_sk).
+
+    Each unordered pair is visited once and counted twice: its product is
+    the same bit for bit in either order, doubling loses no bits and fsum is
+    correctly rounded, so the result equals the sum over ordered pairs.
+    """
+    pieces = []
+    for r, tr in enumerate(terms):
+        for s in range(r, len(terms)):
+            ts = terms[s]
+            prod = tr.coef * ts.coef
+            for k in sorted(tr.factors.keys() | ts.factors.keys()):
+                prod *= inner(tr.factor(k), ts.factor(k))
+            pieces.append(prod if s == r else 2.0 * prod)
+    return math.fsum(pieces)
 
 
 class SeparableFunction:
@@ -215,16 +222,6 @@ class SeparableFunction:
         return SeparableFunction(
             self.dim, [Term(c * t.coef, dict(t.factors)) for t in self.terms]
         )
-
-    @property
-    def exact(self) -> bool:
-        return all(t.exact for t in self.terms)
-
-    # convenience constructors -------------------------------------------
-
-    @classmethod
-    def from_products(cls, dim: int, products: Sequence[tuple[float, dict[int, UnivariateFactor]]]):
-        return cls(dim, [Term(c, dict(fs)) for c, fs in products])
 
     @classmethod
     def constant(cls, dim: int, c: float) -> "SeparableFunction":

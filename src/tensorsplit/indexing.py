@@ -91,8 +91,8 @@ class SupportSet:
                 yield SupportSet(combo)
 
     def canonical_key(self):
-        """Sort key fixing the global iteration (and summation) order:
-        cardinality, then lexicographic order of the coordinates."""
+        """Sort key fixing the global iteration order: cardinality, then
+        lexicographic order of the coordinates."""
         return (len(self.coords), self.coords)
 
     def to_json_obj(self) -> list[int]:
@@ -200,7 +200,7 @@ class IndexVector:
         return IndexVector(d)
 
     def canonical_key(self):
-        """Sort key fixing the global iteration (and summation) order."""
+        """Sort key fixing the global iteration order."""
         return (self.total_level, tuple(k for k, _ in self.entries),
                 tuple(j for _, j in self.entries))
 
@@ -224,7 +224,7 @@ class IndexSet:
     """A finite set of multi-indices with a cached monotonicity flag.
 
     Iteration follows the canonical order (total level, then support, then
-    levels), which pins down floating-point summation order downstream.
+    levels), so every listing of a set comes out in the same order.
     The set is immutable; the lazily cached monotonicity flag is pure, so a
     concurrent double computation is harmless.
     """

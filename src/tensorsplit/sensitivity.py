@@ -22,14 +22,15 @@ from .decomp import (
     DEFAULT_ANCHOR,
     MODE_ANCHORED,
     _check_mode,
+    _weighted_energies,
     anchored_contraction,
     anova_contraction,
     decompose,
 )
-from .errors import DegenerateDenominator, GammaL1Violated, NormInfinite, OrderOutOfRange
-from .functions import SeparableFunction, Term, value_inner
+from .errors import DegenerateDenominator, GammaL1Violated, OrderOutOfRange
+from .functions import SeparableFunction, Term, pair_sum, value_inner
 from .gammas import GammaModel
-from .indexing import SupportSet
+from .indexing import EMPTY_SUPPORT, SupportSet
 
 __all__ = [
     "SobolTable",
@@ -39,8 +40,6 @@ __all__ = [
     "truncation_bound",
     "l2_error",
 ]
-
-_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,7 @@ class SobolTable:
 
     def total(self, omega0: SupportSet) -> float:
         return math.fsum(
-            self.per_omega[omega]
-            for omega in sorted(self.per_omega, key=SupportSet.canonical_key)
-            if omega.issuperset(omega0)
+            v for omega, v in self.per_omega.items() if omega.issuperset(omega0)
         )
 
 
@@ -74,22 +71,10 @@ def sobol_indices(
     component with energy meets a zero weight.
     """
     _check_mode(mode)
-    terms = decompose(f, mode, anchor)
-    scale = max((t.mixed_norm_sq for t in terms), default=0.0)
-    tol = _ZERO_TOL * (1.0 + scale)
-    energies = {}
-    for t in terms:
-        if not include_empty and len(t.omega) == 0:
-            continue
-        gv = gamma.value(t.omega)
-        if gv == 0.0:
-            if t.mixed_norm_sq > tol:
-                raise NormInfinite(
-                    f"component {t.omega!r} has energy but zero weight"
-                )
-            continue
-        energies[t.omega] = t.mixed_norm_sq / gv
-    denominator = math.fsum(energies[w] for w in sorted(energies, key=SupportSet.canonical_key))
+    energies = _weighted_energies(decompose(f, mode, anchor), gamma)
+    if not include_empty:
+        energies.pop(EMPTY_SUPPORT, None)
+    denominator = math.fsum(energies.values())
     if denominator <= 0.0:
         raise DegenerateDenominator(
             "no component carries energy under the chosen convention"
@@ -165,11 +150,4 @@ def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
     if f.dim != g.dim:
         raise ValueError("functions must share the active dimension")
     diff = f.terms + [Term(-t.coef, dict(t.factors)) for t in g.terms]
-    pieces = []
-    for tr in diff:
-        for ts in diff:
-            prod = tr.coef * ts.coef
-            for k in sorted(set(tr.factors) | set(ts.factors)):
-                prod *= value_inner(tr.factor(k), ts.factor(k))
-            pieces.append(prod)
-    return math.sqrt(max(0.0, math.fsum(pieces)))
+    return math.sqrt(max(0.0, pair_sum(diff, value_inner)))

@@ -163,6 +163,24 @@ class TestErrors:
         path.write_text(json.dumps(cfg))
         assert run_cli(command, path, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("samples", [
+        {"inputs": [["x"], [0.7]], "outputs": [0.1, 0.4]},
+        {"inputs": [[0.2], [0.7]], "outputs": "abc"},
+        {"inputs": [[0.2, 0.3], [0.7]], "outputs": [0.1, 0.4]},
+    ], ids=["non-numeric-input", "string-outputs", "ragged-inputs"])
+    def test_bad_inline_samples_rejected(self, tmp_path, samples):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"samples": samples, "lambda": 0.1}))
+        assert run_cli("regress", path, tmp_path / "out.json") == 2
+
+    def test_sobol_zero_weight_reads_like_weighted_norm(self, tmp_path, capsys):
+        """Exit 9 with the same line as ``truncate`` on the same config."""
+        config = GOLDEN_DIR / "truncate_zero_weight.json"
+        assert run_cli("sobol", config, tmp_path / "out.csv") == 9
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == (GOLDEN_DIR / "truncate_zero_weight.err").read_text().splitlines()
+
     def test_negative_truncation_order(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "truncate_example.json").read_text())
         cfg["m"] = [-1]

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorsplit.errors as errors_mod
+from corpus import corpus
+from tensorsplit.decomp import decompose
+from tensorsplit.functions import Term, deriv_inner, pair_sum, value_inner
 from tensorsplit.indexing import IndexVector
+from tensorsplit.sensitivity import l2_error, truncate_order
 from tensorsplit.sequences import (
     ConstantSeq,
     FiniteSeq,
@@ -83,3 +87,50 @@ class TestIndexRoundTrips:
     def test_json_round_trip(self, levels):
         j = IndexVector(levels)
         assert IndexVector.from_json_obj(j.to_json_obj()) == j
+
+
+def ordered_pair_sum(terms, inner):
+    """Reference: fsum over every ordered pair (r, s) of the term list."""
+    pieces = []
+    for tr in terms:
+        for ts in terms:
+            prod = tr.coef * ts.coef
+            for k in sorted(set(tr.factors) | set(ts.factors)):
+                prod *= inner(tr.factor(k), ts.factor(k))
+            pieces.append(prod)
+    return math.fsum(pieces)
+
+
+FLOATS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+class TestPairSum:
+    """Unordered pairs counted twice give the ordered-pair sum bit for bit."""
+
+    @pytest.mark.parametrize("name,f", corpus())
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    @pytest.mark.parametrize("inner", [value_inner, deriv_inner], ids=["value", "deriv"])
+    def test_components_match_ordered_pairs(self, name, f, mode, inner):
+        for t in decompose(f, mode):
+            terms = t.func.terms
+            assert pair_sum(terms, inner) == ordered_pair_sum(terms, inner)
+            if t.omega and inner is deriv_inner:
+                assert t.mixed_norm_sq == ordered_pair_sum(terms, inner)
+
+    @pytest.mark.parametrize("name,f", corpus())
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_truncation_error_matches_ordered_pairs(self, name, f, mode):
+        for m in range(f.dim + 1):
+            g = truncate_order(f, m, mode)
+            diff = f.terms + [Term(-t.coef, dict(t.factors)) for t in g.terms]
+            expected = math.sqrt(max(0.0, ordered_pair_sum(diff, value_inner)))
+            assert l2_error(f, g) == expected
+
+    @given(st.lists(FLOATS, max_size=20), st.lists(FLOATS, max_size=20), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_fsum_ignores_order_and_doubling(self, rest, doubled, rnd):
+        pairs = rest + [q for p in doubled for q in (p, p)]
+        twice = rest + [2.0 * p for p in doubled]
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        assert math.fsum(shuffled) == math.fsum(pairs) == math.fsum(twice)
