@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomp import decompose, weighted_norm
+from .decomp import _weighted_norm, decompose
 from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension
 from .equivalence import certify_equivalence
 from .errors import ConfigInvalid, NoCertificate, TensorsplitError, check_keys
@@ -31,7 +31,7 @@ from .functions import function_from_json
 from .gammas import gamma_from_json
 from .indexing import IndexVector, SupportSet
 from .regress import AnchoredKernel, SampleSet, fit, fit_map, predict
-from .sensitivity import sobol_indices, truncate_order, truncation_bound, l2_error
+from .sensitivity import _truncated, l2_error, sobol_indices, truncation_bound
 from .weights import orthogonalized_weight, weights_from_json
 
 log = logging.getLogger("tensorsplit")
@@ -54,6 +54,10 @@ def _fmt(x) -> str:
     return format(xf, ".17g")
 
 
+#: JSON has no literal for non-finite floats: they are written as strings
+_NONFINITE = {t: json.dumps(t) for t in ("inf", "-inf", "nan")}
+
+
 def _json_render(obj, indent=0) -> str:
     """Deterministic JSON with floats printed via _fmt."""
     pad = "  " * indent
@@ -69,15 +73,18 @@ def _json_render(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        rows = [f"{inner}{_json_render(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        if all(type(v) is float for v in obj):
+            # what _fmt and the quoting below give a float, without a call each
+            texts = [_NONFINITE.get(t, t) for t in (format(v, ".17g") for v in obj)]
+        else:
+            texts = [_json_render(v, indent + 1) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     text = _fmt(obj)
-    # JSON has no literal for non-finite floats: write them as strings
-    return json.dumps(text) if text in ("inf", "-inf", "nan") else text
+    return _NONFINITE.get(text, text)
 
 
 def _write_text(path: str, text: str):
@@ -233,10 +240,11 @@ def _cmd_truncate(cfg: dict, args):
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anchored")
     m_list = _numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
-    norm = weighted_norm(f, gamma, mode, anchor=args.anchor)
+    components = decompose(f, mode, args.anchor)
+    norm = _weighted_norm(components, gamma)
     rows = []
     for m in m_list:
-        s_m = truncate_order(f, m, mode, anchor=args.anchor)
+        s_m = _truncated(f, components, m)
         err = l2_error(f, s_m)
         bound = truncation_bound(gamma, m, mode, anchor=args.anchor) * norm
         rows.append([m, err, bound, err / bound if bound > 0 else 0.0])
@@ -253,27 +261,35 @@ def _cmd_regress(cfg: dict, args):
     lam = cfg["lambda"]
     if samples.outputs.ndim == 1:
         model = fit(samples, kernel, _number(lam, float, "lambda"))
-        coeffs = [float(c) for c in model.coefficients]
     else:
         convert = _numbers if isinstance(lam, list) else _number
         model = fit_map(samples, kernel, convert(lam, float, "lambda"))
-        coeffs = [[float(c) for c in row] for row in model.coefficients]
-    pred = predict(model, samples.inputs)
-    rmse_train = float(np.sqrt(np.mean((pred - samples.outputs) ** 2)))
     report = {
         "n": samples.n,
         "outputs": samples.n_outputs,
         "lambda": lam,
-        "coefficients": coeffs,
+        "coefficients": model.coefficients.tolist(),
         "residual": model.residual,
         "jitter": model.jitter,
-        "rmse_train": rmse_train,
+        "rmse_train": _rmse(model.fitted, samples.outputs),
     }
     if "holdout" in cfg:
-        Xh, Yh = _load_samples(cfg["holdout"], config_dir)
-        pred_h = predict(model, Xh)
-        report["rmse_holdout"] = float(np.sqrt(np.mean((pred_h - Yh) ** 2)))
+        holdout = SampleSet(*_load_samples(cfg["holdout"], config_dir))
+        if holdout.inputs.shape[1] != samples.inputs.shape[1]:
+            raise ConfigInvalid(
+                f"holdout inputs have {holdout.inputs.shape[1]} columns, "
+                f"training inputs {samples.inputs.shape[1]}"
+            )
+        if holdout.outputs.shape[1:] != samples.outputs.shape[1:]:
+            raise ConfigInvalid(
+                f"holdout has {holdout.n_outputs} outputs, training {samples.n_outputs}"
+            )
+        report["rmse_holdout"] = _rmse(predict(model, holdout.inputs), holdout.outputs)
     _write_json(args.out, report)
+
+
+def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((pred - target) ** 2)))
 
 
 def _load_samples(spec, config_dir: Path):
@@ -285,15 +301,18 @@ def _load_samples(spec, config_dir: Path):
             with open(path, "r", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 header = next(reader)
-                rows = [[float(v) for v in row] for row in reader if row]
+                rows = [row for row in reader if row]
+            if any(len(row) != len(header) for row in rows):
+                raise ValueError(f"every row needs {len(header)} values")
+            data = np.array(rows, dtype=float).reshape(len(rows), len(header))
         except (OSError, StopIteration, ValueError) as exc:
             raise ConfigInvalid(f"cannot read sample CSV {path}: {exc}") from exc
         x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
         y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
         if not x_cols or not y_cols:
             raise ConfigInvalid("sample CSV needs x... and y... columns")
-        X = np.array([[row[i] for i in x_cols] for row in rows])
-        Y = np.array([[row[i] for i in y_cols] for row in rows])
+        X = data[:, x_cols]
+        Y = data[:, y_cols]
         if Y.shape[1] == 1:
             Y = Y[:, 0]
         return X, Y

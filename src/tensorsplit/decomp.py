@@ -233,7 +233,12 @@ def weighted_norm(
     Raises ``NormInfinite`` when a component with nonzero energy meets a
     vanishing set weight: the function then lies outside the space.
     """
-    energies = _weighted_energies(decompose(f, mode, anchor), gamma)
+    return _weighted_norm(decompose(f, mode, anchor), gamma)
+
+
+def _weighted_norm(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> float:
+    """``weighted_norm`` from the components of one decomposition."""
+    energies = _weighted_energies(terms, gamma)
     return math.sqrt(max(0.0, math.fsum(energies.values())))
 
 

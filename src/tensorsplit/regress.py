@@ -39,6 +39,9 @@ __all__ = [
 _SYM_TOL = 1e-10
 _JITTER_START = 1e-12
 _JITTER_LIMIT = 1e-6
+#: entries of one row block (256 KiB) in the Gram builder and the symmetry
+#: check: a block and its work buffers stay in cache across passes
+_GRAM_BLOCK = 1 << 15
 
 
 def anchored_overlap(x: float, y: float, anchor: float) -> float:
@@ -78,14 +81,36 @@ class AnchoredKernel:
         return v
 
     def gram(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        sx = X - self.anchor  # (n, d)
-        sy = Y - self.anchor  # (m, d)
-        G = np.ones((X.shape[0], Y.shape[0]))
-        for k in range(self.dim):
-            a = sx[:, k][:, None]
-            b = sy[:, k][None, :]
-            overlap = np.where(a * b > 0.0, np.minimum(np.abs(a), np.abs(b)), 0.0)
-            G *= 1.0 + self.scales[k] * overlap
+        """K[i, j] = self(X[i], Y[j]), built in place one row block at a time.
+
+        With a = x - anchor, the overlap on one coordinate is
+        min(a+, b+) + min(a-, b-): one of the two minima is an exact 0.0, so
+        the sum equals the same-side min(|a|, |b|) bit for bit.
+        """
+        sx = np.ascontiguousarray((X[:, : self.dim] - self.anchor).T)  # (d, n)
+        sy = np.ascontiguousarray((Y[:, : self.dim] - self.anchor).T)  # (d, m)
+        xp, xm = np.maximum(sx, 0.0), np.maximum(-sx, 0.0)
+        yp, ym = np.maximum(sy, 0.0), np.maximum(-sy, 0.0)
+        n, m = X.shape[0], Y.shape[0]
+        block = max(1, _GRAM_BLOCK // max(m, 1))
+        G = np.empty((n, m))
+        t_buf = np.empty((min(n, block), m))
+        u_buf = np.empty_like(t_buf)
+        for i0 in range(0, n, block):
+            rows = slice(i0, min(i0 + block, n))
+            g = G[rows]
+            t, u = t_buf[: len(g)], u_buf[: len(g)]
+            for k, scale in enumerate(self.scales):
+                # the first factor goes straight into g: 1.0 * t == t
+                tk = g if k == 0 else t
+                np.minimum(xp[k, rows, None], yp[k], out=tk)
+                np.minimum(xm[k, rows, None], ym[k], out=u)
+                tk += u
+                if scale != 1.0:  # t * 1.0 == t
+                    tk *= scale
+                tk += 1.0
+                if k:
+                    g *= tk
         return G
 
 
@@ -142,6 +167,9 @@ class SampleSet:
         Y = np.asarray(self.outputs, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ConfigInvalid("inputs must be a nonempty (n, d) array")
+        # NaN passes both cube comparisons below
+        if not np.all(np.isfinite(X)):
+            raise ConfigInvalid("inputs must be finite")
         if np.any(X < -1e-12) or np.any(X > 1.0 + 1e-12):
             raise ConfigInvalid("inputs must lie in the unit cube")
         if Y.shape[0] != X.shape[0]:
@@ -170,6 +198,8 @@ class FittedModel:
     train_inputs: np.ndarray
     residual: float = 0.0
     jitter: float = 0.0
+    #: values of the expansion at the training inputs, G @ coefficients
+    fitted: np.ndarray | None = None
 
     def predict(self, x) -> float | np.ndarray:
         return predict(self, x)
@@ -187,35 +217,82 @@ def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(kernel, xs) -> np.ndarray:
-    """Kernel matrix over the sample points, validated for symmetry."""
+    """Kernel matrix over the sample points, validated for symmetry.
+
+    An exactly symmetric matrix is returned as built (``0.5 * (G + G^T)``
+    would equal it bit for bit); any other is symmetrized.
+    """
     X = np.asarray(xs, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     G = _kernel_matrix(kernel, X, X)
-    asym = float(np.max(np.abs(G - G.T))) if G.size else 0.0
+    asym = _max_asymmetry(G)
     if asym > _SYM_TOL:
         raise KernelAsymmetric(f"max |G - G^T| = {asym:.3e}")
+    if asym == 0.0:
+        return G
     # enforce exact symmetry so the factorization sees one consistent matrix
     return 0.5 * (G + G.T)
 
 
-def _solve_regularized(G: np.ndarray, rhs: np.ndarray, shift: float):
-    """Cholesky solve of (G + shift*I) c = rhs with escalating jitter."""
+def _max_asymmetry(G: np.ndarray) -> float:
+    """max |G - G^T| over row blocks, in one block-sized buffer."""
+    n = G.shape[0]
+    if not n:
+        return 0.0
+    block = max(1, _GRAM_BLOCK // n)
+    buf = np.empty((min(n, block), n))
+    maxima = []
+    for i0 in range(0, n, block):
+        rows = slice(i0, min(i0 + block, n))
+        d = buf[: rows.stop - i0]
+        np.subtract(G[rows], G[:, rows].T, out=d)
+        np.abs(d, out=d)
+        maxima.append(d.max())
+    return float(np.max(maxima))  # NaN propagates, as in one global max
+
+
+def _shifted(G: np.ndarray, shift: float, out: np.ndarray | None = None) -> np.ndarray:
+    """G + shift*I, written into a copy of G (or into ``out``).
+
+    Off the diagonal this is G itself, as G + 0.0 would be.
+    """
+    if out is None:
+        out = G.copy()
+    else:
+        np.copyto(out, G)
+    out.flat[:: G.shape[0] + 1] += shift
+    return out
+
+
+def _solve_regularized(G: np.ndarray, shift: float, rhs: list, A: np.ndarray | None = None):
+    """Solve (G + shift*I) c = b for every b in ``rhs`` from one Cholesky
+    factor, escalating the jitter until the factorization succeeds.
+
+    Returns the solutions, the jitter and G + shift*I, the matrix of the
+    residual, written into ``A`` (a new array when None).
+    """
     n = G.shape[0]
     base = float(np.trace(G)) / n if n else 1.0
     if base <= 0.0:
         base = 1.0
     jitter = 0.0
     while True:
+        A = _shifted(G, shift + jitter, A)
         try:
-            factor = cho_factor(G + (shift + jitter) * np.eye(n), lower=True)
-            return cho_solve(factor, rhs), jitter
+            # G is exactly symmetric, so A.T is the same matrix in Fortran
+            # order, which LAPACK factors in place instead of in a copy
+            factor = cho_factor(A.T, lower=True, overwrite_a=True)
+            solutions = [cho_solve(factor, b) for b in rhs]
+            break
         except np.linalg.LinAlgError:
             jitter = _JITTER_START * base if jitter == 0.0 else jitter * 10.0
             if jitter > _JITTER_LIMIT * base * (1.0 + 1e-12):
                 raise SolveFailed(
                     f"factorization failed up to jitter {_JITTER_LIMIT:g} * trace/n"
                 ) from None
+    # the factor has taken A's place
+    return solutions, jitter, _shifted(G, shift, A)
 
 
 def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
@@ -225,25 +302,25 @@ def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
     if samples.outputs.ndim != 1:
         raise ConfigInvalid("fit expects scalar outputs; use fit_map")
     G = gram_matrix(kernel, samples.inputs)
-    n = samples.n
-    c, jitter = _solve_regularized(G, samples.outputs, n * lam)
-    residual = _relative_residual(G, n * lam, c, samples.outputs)
+    (c,), jitter, A = _solve_regularized(G, samples.n * lam, [samples.outputs])
     return FittedModel(
         coefficients=c,
         kernel=kernel,
         lam=np.asarray(lam, dtype=float),
         train_inputs=samples.inputs,
-        residual=residual,
+        residual=_relative_residual(A, c, samples.outputs),
         jitter=jitter,
+        fitted=G @ c,
     )
 
 
 def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
-    """Fit all output coordinates; one shared factorization when possible.
+    """Fit all output coordinates; one factorization per distinct weight.
 
     ``lambdas`` is a scalar or one positive value per output.  Outputs are
     fitted independently; with a common regularization weight all columns
-    reuse a single factorization.
+    are solved together, otherwise each distinct weight is factored once
+    and its columns are solved one by one.
     """
     Y = samples.outputs
     if Y.ndim == 1:
@@ -258,32 +335,36 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
         raise ConfigInvalid("regularization weights must be positive")
 
     G = gram_matrix(kernel, samples.inputs)
-    n = samples.n
+    shifts = samples.n * lam_arr
     if np.all(lam_arr == lam_arr[0]):
-        C, jitter = _solve_regularized(G, Y, n * lam_arr[0])
+        (C,), jitter, A = _solve_regularized(G, shifts[0], [Y])
+        residuals = [_relative_residual(A, C[:, l], Y[:, l]) for l in range(L)]
     else:
-        cols = []
+        C = np.empty(Y.shape)
+        residuals = [0.0] * L
         jitter = 0.0
-        for l in range(L):
-            c, jit = _solve_regularized(G, Y[:, l], n * lam_arr[l])
-            cols.append(c)
+        A = None
+        for shift in dict.fromkeys(shifts):  # distinct, in order of appearance
+            cols = [l for l in range(L) if shifts[l] == shift]
+            sols, jit, A = _solve_regularized(G, shift, [Y[:, l] for l in cols], A)
+            for l, c in zip(cols, sols):
+                C[:, l] = c
+                residuals[l] = _relative_residual(A, C[:, l], Y[:, l])
             jitter = max(jitter, jit)
-        C = np.column_stack(cols)
-    residual = max(
-        _relative_residual(G, n * lam_arr[l], C[:, l], Y[:, l]) for l in range(L)
-    )
     return FittedModel(
         coefficients=C,
         kernel=kernel,
         lam=lam_arr,
         train_inputs=samples.inputs,
-        residual=residual,
+        residual=max(residuals),
         jitter=jitter,
+        fitted=G @ C,
     )
 
 
-def _relative_residual(G, shift, c, y) -> float:
-    r = (G + shift * np.eye(G.shape[0])) @ c - y
+def _relative_residual(A, c, y) -> float:
+    """||A c - y|| / ||y|| (absolute when y = 0), with A = G + shift*I."""
+    r = A @ c - y
     ny = float(np.linalg.norm(y))
     return float(np.linalg.norm(r)) / ny if ny > 0 else float(np.linalg.norm(r))
 

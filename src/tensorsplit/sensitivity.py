@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .decomp import (
     DEFAULT_ANCHOR,
     MODE_ANCHORED,
+    DecompositionTerm,
     _check_mode,
     _weighted_energies,
     anchored_contraction,
@@ -99,9 +101,16 @@ def truncate_order(
 ) -> SeparableFunction:
     """The approximant keeping components with at most m active variables."""
     _check_mode(mode)
+    return _truncated(f, decompose(f, mode, anchor), m)
+
+
+def _truncated(
+    f: SeparableFunction, components: Sequence[DecompositionTerm], m: int
+) -> SeparableFunction:
+    """``truncate_order`` from the components of one decomposition of f."""
     _check_order(m)
     terms: list[Term] = []
-    for t in decompose(f, mode, anchor):
+    for t in components:
         if len(t.omega) <= m:
             terms.extend(t.func.terms)
     if not terms:

@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import tensorsplit.cli
+import tensorsplit.decomp
 import tensorsplit.epsdim
-from tensorsplit.cli import main
+import tensorsplit.sensitivity
+from tensorsplit.cli import _json_render, main
+from tensorsplit.regress import AnchoredKernel
 
 CONFIG_DIR = Path(str(resources.files("tensorsplit") / "configs"))
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -173,6 +177,39 @@ class TestErrors:
         path.write_text(json.dumps({"samples": samples, "lambda": 0.1}))
         assert run_cli("regress", path, tmp_path / "out.json") == 2
 
+    def test_non_finite_input_rejected(self, tmp_path):
+        """NaN passes the unit-cube comparisons; it must not reach the fit."""
+        (tmp_path / "s.csv").write_text("x1,y\n0.2,1.0\nnan,2.0\n0.7,0.5\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"samples": "s.csv", "lambda": 0.1}))
+        assert run_cli("regress", path, tmp_path / "out.json") == 2
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("rows", ["0.2,1.0\n0.5\n", "0.2,1.0,9\n0.5,2.0,9\n"],
+                             ids=["short-row", "long-rows"])
+    def test_csv_row_width_checked(self, tmp_path, rows):
+        """A row needs one value per header column (a short row used to crash
+        with an IndexError, extra values were dropped)."""
+        (tmp_path / "s.csv").write_text("x1,y\n" + rows)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"samples": "s.csv", "lambda": 0.1}))
+        assert run_cli("regress", path, tmp_path / "out.json") == 2
+
+    @pytest.mark.parametrize("holdout", [
+        {"inputs": [[0.3], [5.0]], "outputs": [0.1, 0.2]},
+        {"inputs": [[0.3, 0.4], [0.6, 0.1]], "outputs": [0.1, 0.2]},
+        {"inputs": [[0.3], [0.6]], "outputs": [0.1, float("nan")]},
+        {"inputs": [[0.3], [0.6]], "outputs": [[0.1, 0.2], [0.3, 0.4]]},
+    ], ids=["outside-cube", "wrong-dimension", "nan-output", "wrong-outputs"])
+    def test_bad_holdout_rejected(self, tmp_path, holdout):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "samples": {"inputs": [[0.2], [0.7], [0.4]], "outputs": [0.1, 0.4, 0.3]},
+            "lambda": 0.1, "holdout": holdout,
+        }))
+        assert run_cli("regress", path, tmp_path / "out.json") == 2
+        assert not (tmp_path / "out.json").exists()
+
     def test_sobol_zero_weight_reads_like_weighted_norm(self, tmp_path, capsys):
         """Exit 9 with the same line as ``truncate`` on the same config."""
         config = GOLDEN_DIR / "truncate_zero_weight.json"
@@ -210,6 +247,57 @@ class TestEnumerationCount:
         config = CONFIG_DIR / "epsdim_example.json"
         assert run_cli("epsdim", config, tmp_path / "eps.csv") == 0
         assert calls == json.loads(config.read_text())["eps"]
+
+
+class TestJsonRender:
+    def test_float_list_matches_per_element_rendering(self):
+        """Lists of floats take a direct path; it writes what the scalar path writes."""
+        values = [0.1, -0.0, 1e300, 5e-324, float("inf"), float("-inf"), float("nan")]
+        expected = "[\n" + ",\n".join("  " + _json_render(v, 1) for v in values) + "\n]"
+        assert _json_render(values) == expected
+        assert _json_render({"a": values}).endswith('"inf",\n    "-inf",\n    "nan"\n  ]\n}')
+
+
+class TestKernelCount:
+    @pytest.mark.parametrize("holdout,grams", [(False, 1), (True, 2)])
+    def test_one_gram_per_point_set(self, tmp_path, monkeypatch, holdout, grams):
+        """The training Gram serves the fit, the residual and rmse_train;
+        only a holdout needs a second kernel matrix."""
+        calls = []
+        gram = AnchoredKernel.gram
+
+        def counting(self, X, Y):
+            calls.append((X.shape[0], Y.shape[0]))
+            return gram(self, X, Y)
+
+        monkeypatch.setattr(AnchoredKernel, "gram", counting)
+        cfg = json.loads((CONFIG_DIR / "regress_example.json").read_text())
+        cfg["samples"] = str(CONFIG_DIR / cfg["samples"])
+        if not holdout:
+            del cfg["holdout"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("regress", path, tmp_path / "fit.json") == 0
+        assert len(calls) == grams
+
+
+class TestDecompositionCount:
+    def test_truncate_decomposes_once(self, tmp_path, monkeypatch):
+        """The norm and every order's truncation share one decomposition."""
+        calls = []
+        decompose = tensorsplit.decomp.decompose
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return decompose(*args, **kwargs)
+
+        for module in (tensorsplit.cli, tensorsplit.decomp, tensorsplit.sensitivity):
+            monkeypatch.setattr(module, "decompose", counting)
+        config = GOLDEN_DIR / "truncate_anova_all_orders.json"
+        out = tmp_path / "trunc.csv"
+        assert run_cli("truncate", config, out) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "truncate_anova_all_orders.out").read_bytes()
+        assert len(calls) == 1
 
 
 class TestDeterminism:

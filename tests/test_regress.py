@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from tensorsplit.errors import ConfigInvalid, KernelAsymmetric
+from tensorsplit.errors import ConfigInvalid, KernelAsymmetric, SolveFailed
 from tensorsplit.indexing import IndexVector, ZERO_INDEX
 from tensorsplit.regress import (
     AnchoredKernel,
@@ -71,6 +71,29 @@ class TestGramMatrix:
         for i in range(6):
             for j in range(6):
                 assert G[i, j] == pytest.approx(k(X[i], X[j]), abs=1e-15)
+
+    @pytest.mark.parametrize("anchor,scales", [
+        (0.5, None), (0.3, [1.0, 2.0, 0.5]), (0.0, [0.7, 1.0, 3.0]), (1.0, None),
+    ])
+    def test_batched_equals_pointwise_exactly(self, anchor, scales):
+        """Every entry of ``gram`` is the pointwise kernel bit for bit,
+        including points at the anchor, at 0 and 1 and on both sides."""
+        rng = np.random.default_rng(29)
+        k = AnchoredKernel(3, anchor=anchor, scales=scales)
+        special = [anchor, 0.0, 1.0, np.nextafter(anchor, 0.0), np.nextafter(anchor, 1.0)]
+        X = rng.uniform(0, 1, (300, 3))
+        X[: 5 * 3].flat[:] = np.repeat(special, 3)
+        X[15:20] = np.array(special)[:, None]
+        Y = rng.uniform(0, 1, (7, 3))
+        Y[0] = anchor
+        Y[1] = [0.0, 1.0, anchor]
+        for A, B in ((X, Y), (Y, X), (X[:40], X[:40])):
+            K = k.gram(A, B)
+            assert K.shape == (A.shape[0], B.shape[0])
+            for i in range(A.shape[0]):
+                for j in range(B.shape[0]):
+                    assert K[i, j] == k(A[i], B[j])
+        assert np.array_equal(gram_matrix(k, X[:40]), k.gram(X[:40], X[:40]))
 
 
 class TestFit:
@@ -214,6 +237,85 @@ class TestSampleValidation:
         with pytest.raises(ConfigInvalid):
             SampleSet(np.array([[1.5]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_inputs_must_be_finite(self, bad):
+        with pytest.raises(ConfigInvalid):
+            SampleSet(np.array([[0.5], [bad]]), np.array([1.0, 2.0]))
+
     def test_output_length_must_match(self):
         with pytest.raises(ConfigInvalid):
             SampleSet(np.array([[0.5]]), np.array([1.0, 2.0]))
+
+
+class TestFittedValues:
+    """``fitted`` and ``residual`` reuse the training Gram without changing a bit."""
+
+    def test_fitted_equals_predict(self):
+        rng = np.random.default_rng(31)
+        X = rng.uniform(0, 1, (300, 3))
+        k = AnchoredKernel(3, scales=[1.0, 0.5, 2.0])
+        single = fit(SampleSet(X, rng.normal(size=300)), k, 1e-3)
+        assert np.array_equal(single.fitted, predict(single, X))
+        for lam in (1e-3, [1e-3, 2e-3, 1e-3]):
+            mapped = fit_map(SampleSet(X, rng.normal(size=(300, 3))), k, lam)
+            assert np.array_equal(mapped.fitted, predict(mapped, X))
+
+    def test_residual_matches_identity_shift(self):
+        rng = np.random.default_rng(37)
+        n = 200
+        X = rng.uniform(0, 1, (n, 2))
+        k = AnchoredKernel(2)
+        G = gram_matrix(k, X)
+
+        def residual(C, Y, lams):
+            out = []
+            for l, lam in enumerate(lams):
+                r = (G + n * lam * np.eye(n)) @ C[:, l] - Y[:, l]
+                out.append(float(np.linalg.norm(r)) / float(np.linalg.norm(Y[:, l])))
+            return max(out)
+
+        y = rng.normal(size=n)
+        single = fit(SampleSet(X, y), k, 1e-4)
+        assert single.residual == residual(single.coefficients[:, None], y[:, None], [1e-4])
+        Y = rng.normal(size=(n, 3))
+        for lams in ([1e-4] * 3, [1e-4, 3e-4, 1e-4]):
+            mapped = fit_map(SampleSet(X, Y), k, lams)
+            assert mapped.residual == residual(mapped.coefficients, Y, lams)
+
+    def test_repeated_lambda_matches_separate_fits(self):
+        rng = np.random.default_rng(41)
+        X = rng.uniform(0, 1, (30, 2))
+        Y = rng.normal(size=(30, 3))
+        k = AnchoredKernel(2)
+        mapped = fit_map(SampleSet(X, Y), k, [0.1, 0.2, 0.1])
+        for l, lam in enumerate((0.1, 0.2, 0.1)):
+            alone = fit(SampleSet(X, Y[:, l]), k, lam)
+            assert np.array_equal(mapped.coefficients[:, l], alone.coefficients)
+
+
+class TestJitter:
+    """An indefinite Gram is factored with the smallest sufficient jitter."""
+
+    @staticmethod
+    def kernel(eps):
+        # Gram [[1, 1 + eps], [1 + eps, 1]] has eigenvalue -eps
+        return CustomKernel(1, lambda x, y: 1.0 if x[0] == y[0] else 1.0 + eps)
+
+    def test_escalates_until_it_factors(self):
+        X = np.array([[0.2], [0.7]])
+        y = np.array([1.0, 2.0])
+        model = fit(SampleSet(X, y), self.kernel(5e-9), 1e-12)
+        # 1e-12 * 10**4 is the first jitter that lifts the eigenvalue -5e-9
+        assert model.jitter == pytest.approx(1e-8, rel=1e-12)
+        G = np.array([[1.0, 1.0 + 5e-9], [1.0 + 5e-9, 1.0]])
+        shift = 2 * 1e-12
+        A = G + (shift + model.jitter) * np.eye(2)
+        assert np.linalg.norm(A @ model.coefficients - y) <= 1e-6 * np.linalg.norm(y)
+        # the residual is measured against the unjittered system
+        unjittered = (G + shift * np.eye(2)) @ model.coefficients - y
+        assert model.residual == np.linalg.norm(unjittered) / np.linalg.norm(y)
+
+    def test_gives_up_past_the_limit(self):
+        X = np.array([[0.2], [0.7]])
+        with pytest.raises(SolveFailed):
+            fit(SampleSet(X, np.array([1.0, 2.0])), self.kernel(1.0), 1e-3)
