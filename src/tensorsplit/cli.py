@@ -74,8 +74,8 @@ def _json_render(obj, indent=0) -> str:
         if not obj:
             return "[]"
         if all(type(v) is float for v in obj):
-            # what _fmt and the quoting below give a float, without a call each
-            texts = [_NONFINITE.get(t, t) for t in (format(v, ".17g") for v in obj)]
+            # a list of floats skips the per-element type dispatch below
+            texts = [_NONFINITE.get(t, t) for t in map(_fmt, obj)]
         else:
             texts = [_json_render(v, indent + 1) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
@@ -282,7 +282,9 @@ def _cmd_regress(cfg: dict, args):
             )
         if holdout.outputs.shape[1:] != samples.outputs.shape[1:]:
             raise ConfigInvalid(
-                f"holdout has {holdout.n_outputs} outputs, training {samples.n_outputs}"
+                f"holdout outputs have shape {holdout.outputs.shape}, "
+                f"training outputs {samples.outputs.shape}: need the same number "
+                "of output columns, both 1-D or both 2-D"
             )
         report["rmse_holdout"] = _rmse(predict(model, holdout.inputs), holdout.outputs)
     _write_json(args.out, report)

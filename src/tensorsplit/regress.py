@@ -39,8 +39,8 @@ __all__ = [
 _SYM_TOL = 1e-10
 _JITTER_START = 1e-12
 _JITTER_LIMIT = 1e-6
-#: entries of one row block (256 KiB) in the Gram builder and the symmetry
-#: check: a block and its work buffers stay in cache across passes
+#: entries of one row block (256 KiB) in the Gram builder: a block and its
+#: work buffers stay in cache across the coordinate passes
 _GRAM_BLOCK = 1 << 15
 
 
@@ -172,6 +172,8 @@ class SampleSet:
             raise ConfigInvalid("inputs must be finite")
         if np.any(X < -1e-12) or np.any(X > 1.0 + 1e-12):
             raise ConfigInvalid("inputs must lie in the unit cube")
+        if Y.ndim not in (1, 2) or Y.ndim == 2 and Y.shape[1] < 1:
+            raise ConfigInvalid("outputs must be an (n,) or (n, L) array with L >= 1")
         if Y.shape[0] != X.shape[0]:
             raise ConfigInvalid("one output row per input required")
         if not np.all(np.isfinite(Y)):
@@ -226,30 +228,13 @@ def gram_matrix(kernel, xs) -> np.ndarray:
     if X.ndim == 1:
         X = X[:, None]
     G = _kernel_matrix(kernel, X, X)
-    asym = _max_asymmetry(G)
+    if np.array_equal(G, G.T):
+        return G
+    asym = float(np.max(np.abs(G - G.T))) if G.size else 0.0
     if asym > _SYM_TOL:
         raise KernelAsymmetric(f"max |G - G^T| = {asym:.3e}")
-    if asym == 0.0:
-        return G
     # enforce exact symmetry so the factorization sees one consistent matrix
     return 0.5 * (G + G.T)
-
-
-def _max_asymmetry(G: np.ndarray) -> float:
-    """max |G - G^T| over row blocks, in one block-sized buffer."""
-    n = G.shape[0]
-    if not n:
-        return 0.0
-    block = max(1, _GRAM_BLOCK // n)
-    buf = np.empty((min(n, block), n))
-    maxima = []
-    for i0 in range(0, n, block):
-        rows = slice(i0, min(i0 + block, n))
-        d = buf[: rows.stop - i0]
-        np.subtract(G[rows], G[:, rows].T, out=d)
-        np.abs(d, out=d)
-        maxima.append(d.max())
-    return float(np.max(maxima))  # NaN propagates, as in one global max
 
 
 def _shifted(G: np.ndarray, shift: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -265,12 +250,11 @@ def _shifted(G: np.ndarray, shift: float, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def _solve_regularized(G: np.ndarray, shift: float, rhs: list, A: np.ndarray | None = None):
-    """Solve (G + shift*I) c = b for every b in ``rhs`` from one Cholesky
-    factor, escalating the jitter until the factorization succeeds.
+def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarray | None = None):
+    """Cholesky solve of (G + shift*I) c = rhs with escalating jitter.
 
-    Returns the solutions, the jitter and G + shift*I, the matrix of the
-    residual, written into ``A`` (a new array when None).
+    Returns c, the jitter and G + shift*I, the matrix of the residual,
+    written into ``A`` (a new array when None).
     """
     n = G.shape[0]
     base = float(np.trace(G)) / n if n else 1.0
@@ -282,8 +266,7 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: list, A: np.ndarray | N
         try:
             # G is exactly symmetric, so A.T is the same matrix in Fortran
             # order, which LAPACK factors in place instead of in a copy
-            factor = cho_factor(A.T, lower=True, overwrite_a=True)
-            solutions = [cho_solve(factor, b) for b in rhs]
+            c = cho_solve(cho_factor(A.T, lower=True, overwrite_a=True), rhs)
             break
         except np.linalg.LinAlgError:
             jitter = _JITTER_START * base if jitter == 0.0 else jitter * 10.0
@@ -292,7 +275,7 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: list, A: np.ndarray | N
                     f"factorization failed up to jitter {_JITTER_LIMIT:g} * trace/n"
                 ) from None
     # the factor has taken A's place
-    return solutions, jitter, _shifted(G, shift, A)
+    return c, jitter, _shifted(G, shift, A)
 
 
 def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
@@ -302,7 +285,7 @@ def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
     if samples.outputs.ndim != 1:
         raise ConfigInvalid("fit expects scalar outputs; use fit_map")
     G = gram_matrix(kernel, samples.inputs)
-    (c,), jitter, A = _solve_regularized(G, samples.n * lam, [samples.outputs])
+    c, jitter, A = _solve_regularized(G, samples.n * lam, samples.outputs)
     return FittedModel(
         coefficients=c,
         kernel=kernel,
@@ -315,12 +298,11 @@ def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
 
 
 def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
-    """Fit all output coordinates; one factorization per distinct weight.
+    """Fit all output coordinates; one shared factorization when possible.
 
     ``lambdas`` is a scalar or one positive value per output.  Outputs are
     fitted independently; with a common regularization weight all columns
-    are solved together, otherwise each distinct weight is factored once
-    and its columns are solved one by one.
+    reuse a single factorization.
     """
     Y = samples.outputs
     if Y.ndim == 1:
@@ -337,19 +319,17 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
     G = gram_matrix(kernel, samples.inputs)
     shifts = samples.n * lam_arr
     if np.all(lam_arr == lam_arr[0]):
-        (C,), jitter, A = _solve_regularized(G, shifts[0], [Y])
+        C, jitter, A = _solve_regularized(G, shifts[0], Y)
         residuals = [_relative_residual(A, C[:, l], Y[:, l]) for l in range(L)]
     else:
         C = np.empty(Y.shape)
-        residuals = [0.0] * L
+        residuals = []
         jitter = 0.0
-        A = None
-        for shift in dict.fromkeys(shifts):  # distinct, in order of appearance
-            cols = [l for l in range(L) if shifts[l] == shift]
-            sols, jit, A = _solve_regularized(G, shift, [Y[:, l] for l in cols], A)
-            for l, c in zip(cols, sols):
-                C[:, l] = c
-                residuals[l] = _relative_residual(A, C[:, l], Y[:, l])
+        A = None  # one n x n buffer serves every column's shifted matrix
+        for l in range(L):
+            c, jit, A = _solve_regularized(G, shifts[l], Y[:, l], A)
+            C[:, l] = c
+            residuals.append(_relative_residual(A, C[:, l], Y[:, l]))
             jitter = max(jitter, jit)
     return FittedModel(
         coefficients=C,

@@ -200,7 +200,10 @@ class TestErrors:
         {"inputs": [[0.3, 0.4], [0.6, 0.1]], "outputs": [0.1, 0.2]},
         {"inputs": [[0.3], [0.6]], "outputs": [0.1, float("nan")]},
         {"inputs": [[0.3], [0.6]], "outputs": [[0.1, 0.2], [0.3, 0.4]]},
-    ], ids=["outside-cube", "wrong-dimension", "nan-output", "wrong-outputs"])
+        {"inputs": [[0.3], [0.6]], "outputs": [[0.1], [0.2]]},
+        {"inputs": [[0.3]], "outputs": 0.5},
+    ], ids=["outside-cube", "wrong-dimension", "nan-output", "wrong-outputs",
+            "2d-against-1d-outputs", "scalar-outputs"])
     def test_bad_holdout_rejected(self, tmp_path, holdout):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -209,6 +212,18 @@ class TestErrors:
         }))
         assert run_cli("regress", path, tmp_path / "out.json") == 2
         assert not (tmp_path / "out.json").exists()
+
+    def test_holdout_output_shapes_named(self, tmp_path, capsys):
+        """A 2-D holdout against 1-D training outputs says which is which."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "samples": {"inputs": [[0.2], [0.7], [0.4]], "outputs": [0.1, 0.4, 0.3]},
+            "lambda": 0.1,
+            "holdout": {"inputs": [[0.3], [0.6]], "outputs": [[0.1], [0.2]]},
+        }))
+        assert run_cli("regress", path, tmp_path / "out.json") == 2
+        err = capsys.readouterr().err
+        assert "(2, 1)" in err and "(3,)" in err
 
     def test_sobol_zero_weight_reads_like_weighted_norm(self, tmp_path, capsys):
         """Exit 9 with the same line as ``truncate`` on the same config."""

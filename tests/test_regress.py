@@ -140,6 +140,12 @@ class TestFit:
         with pytest.raises(ConfigInvalid):
             fit(s, AnchoredKernel(1), 0.0)
 
+    @pytest.mark.parametrize("outputs", [0.5, np.zeros((1, 0)), np.zeros((1, 1, 1))],
+                             ids=["scalar", "no-columns", "3-d"])
+    def test_sample_outputs_must_be_vector_or_matrix(self, outputs):
+        with pytest.raises(ConfigInvalid):
+            SampleSet(np.array([[0.5]]), outputs)
+
 
 class TestObjectiveOptimality:
     def test_perturbations_never_improve(self):
