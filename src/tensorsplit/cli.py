@@ -15,9 +15,7 @@ import argparse
 import csv
 import io
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -26,18 +24,14 @@ import numpy as np
 from .decomp import _weighted_norm, decompose
 from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension
 from .equivalence import certify_equivalence
-from .errors import ConfigInvalid, NoCertificate, TensorsplitError, check_keys
+from .errors import (ConfigInvalid, NoCertificate, TensorsplitError, check_keys,
+                     config_number, config_numbers)
 from .functions import function_from_json
 from .gammas import gamma_from_json
 from .indexing import IndexVector, SupportSet
 from .regress import AnchoredKernel, SampleSet, fit, fit_map, predict
 from .sensitivity import _truncated, l2_error, sobol_indices, truncation_bound
 from .weights import orthogonalized_weight, weights_from_json
-
-log = logging.getLogger("tensorsplit")
-
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
 
 
 def _fmt(x) -> str:
@@ -118,21 +112,6 @@ def _load_config(path: str) -> dict:
     return obj
 
 
-def _number(value, kind, name: str):
-    """A config number as ``kind`` (float or int); a wrong type is ConfigInvalid."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{name} must be a number, got {value!r}") from exc
-
-
-def _numbers(value, kind, name: str) -> list:
-    """A config list of numbers, each converted by ``_number``."""
-    if not isinstance(value, list):
-        raise ConfigInvalid(f"{name} must be a list of numbers, got {value!r}")
-    return [_number(v, kind, name) for v in value]
-
-
 def _index_json(j: IndexVector) -> str:
     return json.dumps(j.to_json_obj(), separators=(",", ":"), sort_keys=True)
 
@@ -150,8 +129,8 @@ def _cmd_epsdim(cfg: dict, args):
     a = weights_from_json(cfg["a"])
     b = weights_from_json(cfg["b"])
     dims = dims_from_json(cfg.get("dims", "all_one"))
-    eps_list = _numbers(cfg["eps"], float, "eps")
-    d_list = _numbers(cfg.get("d", []), int, "d")
+    eps_list = config_numbers(cfg["eps"], float, "eps")
+    d_list = config_numbers(cfg.get("d", []), int, "d")
     rows = []
     for eps in eps_list:
         full = eps_dimension(a, b, eps, dims, cap=args.cap)
@@ -166,6 +145,8 @@ def _cmd_epsdim(cfg: dict, args):
 def _cmd_transform(cfg: dict, args):
     check_keys(cfg, "config", {"a", "indices"})
     a = weights_from_json(cfg["a"])
+    if not isinstance(cfg["indices"], list):
+        raise ConfigInvalid(f"indices must be a list of index objects, got {cfg['indices']!r}")
     indices = [IndexVector.from_json_obj(obj) for obj in cfg["indices"]]
     oracle = a.tail_oracle()
     rows = []
@@ -199,7 +180,7 @@ def _cmd_decomp(cfg: dict, args):
 def _cmd_equiv(cfg: dict, args):
     check_keys(cfg, "config", {"gamma"}, {"q_tilde"})
     gamma = gamma_from_json(cfg["gamma"])
-    q_tilde = _number(cfg.get("q_tilde", 1.0), float, "q_tilde")
+    q_tilde = config_number(cfg.get("q_tilde", 1.0), float, "q_tilde")
     cert = certify_equivalence(gamma, anchor=args.anchor, q_tilde=q_tilde)
     if cert is None:
         _write_json(args.out, {
@@ -239,7 +220,7 @@ def _cmd_truncate(cfg: dict, args):
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anchored")
-    m_list = _numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
+    m_list = config_numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
     components = decompose(f, mode, args.anchor)
     norm = _weighted_norm(components, gamma)
     rows = []
@@ -260,9 +241,9 @@ def _cmd_regress(cfg: dict, args):
                                X.shape[1], args.anchor)
     lam = cfg["lambda"]
     if samples.outputs.ndim == 1:
-        model = fit(samples, kernel, _number(lam, float, "lambda"))
+        model = fit(samples, kernel, config_number(lam, float, "lambda"))
     else:
-        convert = _numbers if isinstance(lam, list) else _number
+        convert = config_numbers if isinstance(lam, list) else config_number
         model = fit_map(samples, kernel, convert(lam, float, "lambda"))
     report = {
         "n": samples.n,
@@ -332,8 +313,8 @@ def _kernel_from_json(obj, dim: int, anchor: float):
         raise ConfigInvalid("kernel spec must be an object with 'type'")
     if obj["type"] == "anchored":
         check_keys(obj, "kernel spec", {"type"}, {"scales", "anchor"})
-        return AnchoredKernel(dim, anchor=_number(obj.get("anchor", anchor), float, "anchor"),
-                              scales=obj.get("scales"))
+        anchor = config_number(obj.get("anchor", anchor), float, "anchor")
+        return AnchoredKernel(dim, anchor=anchor, scales=obj.get("scales"))
     raise ConfigInvalid(f"unknown kernel type {obj['type']!r}")
 
 
@@ -384,14 +365,11 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = _LOG_LEVELS.get(os.environ.get("TENSORSPLIT_LOG", "warn"), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return run(args)
     except TensorsplitError as exc:
-        log.error("%s: %s", type(exc).__name__, exc)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
 

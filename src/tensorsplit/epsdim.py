@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
+#: most supports ``spline_eps_dimension`` scans before raising EnumerationCap
+SUPPORT_CAP = 1_000_000
 
 
 class DimensionModel:
@@ -168,6 +170,8 @@ class _BoostTable:
 
     def __init__(self, mult: CoordSeq):
         self.mult = mult
+        # read once: for a product of sequences it walks every factor
+        self.decays_to_zero = mult.decays_to_zero
         k_last = mult.last_k_with_value_ge(math.nextafter(1.0, math.inf))
         if k_last == math.inf:
             raise NotCompact(
@@ -198,7 +202,7 @@ class _BoostTable:
             if c * mult.tail_sup(k) * self.after(k) < eps2:
                 return
             if (k >= mult.nonincreasing_from and k > self.k_last
-                    and not mult.decays_to_zero):
+                    and not self.decays_to_zero):
                 raise NotCompact("entry multipliers do not decay; the threshold set is unbounded")
             k += 1
             if k > 10_000_000:
@@ -393,7 +397,7 @@ def eps_dimension(
     index_set, truncated = enumerate_threshold_set(
         a, b, eps, certificate=certificate, cap=cap, on_cap=on_cap
     )
-    n = sum(dims.subspace_dim(j) for j in index_set)
+    n = sum(dims.subspace_dim(j) for j in index_set.members)
     return EpsDimResult(n=n, eps=eps, index_set=index_set, truncated=truncated)
 
 
@@ -420,7 +424,6 @@ def stabilization_dim(
     a: WeightModel,
     b: WeightModel,
     eps: float,
-    dims: DimensionModel | None = None,
     certificate=None,
     cap: int = DEFAULT_CAP,
 ) -> int:
@@ -441,7 +444,6 @@ def spline_eps_dimension(
     s: float,
     lam: float,
     eps: float,
-    omega_cap: int = 1_000_000,
 ) -> EpsDimResult:
     """Count the dyadic-weight eps-dimension support by support.
 
@@ -483,8 +485,8 @@ def spline_eps_dimension(
 
     for omega in _viable_supports(model, eps2):
         processed += 1
-        if processed > omega_cap:
-            raise EnumerationCap(f"more than {omega_cap} supports enumerated")
+        if processed > SUPPORT_CAP:
+            raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
         m_omega = excess_cap(omega)
         if m_omega < 0:
             continue

@@ -4,6 +4,9 @@ Every error carries a distinct process exit code so the CLI can map
 failures to stable, scriptable statuses.
 """
 
+import math
+from contextlib import contextmanager, suppress
+
 
 class TensorsplitError(Exception):
     """Base class for all package errors."""
@@ -99,3 +102,40 @@ def check_keys(obj: dict, where: str, required: set, optional: set = frozenset()
     missing = required - set(obj)
     if missing:
         raise ConfigInvalid(f"missing keys {sorted(missing)} in {where}")
+
+
+def config_number(value, kind, name: str):
+    """A JSON number as ``kind`` (float or int); anything else is ``ConfigInvalid``.
+
+    A bool or a string is not a number. An int must be integral (2 or 2.0,
+    not 2.7), and a float must be in range.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            with suppress(OverflowError):  # an int beyond the float range
+                return float(value)
+        elif isinstance(value, int) or (math.isfinite(value) and value.is_integer()):
+            return int(value)
+    raise ConfigInvalid(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                        f"got {value!r}")
+
+
+def config_numbers(value, kind, name: str) -> list:
+    """A JSON list of numbers, each converted by ``config_number``."""
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{name} must be a list of numbers, got {value!r}")
+    return [config_number(v, kind, name) for v in value]
+
+
+@contextmanager
+def config_errors(where: str):
+    """Re-raise a conversion error inside the block as ``ConfigInvalid``.
+
+    Wraps the parsing of one spec, so a malformed value (``float("x")``,
+    ``int(1e400)``, a missing key, a list where an object belongs) exits 2
+    instead of 1.
+    """
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
+        raise ConfigInvalid(f"bad {where}: {exc}") from exc

@@ -13,13 +13,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import ConfigInvalid, check_keys
+from .errors import ConfigInvalid, check_keys, config_errors, config_number, config_numbers
 from .quadrature import gauss_legendre, integrate_1d
 
 __all__ = ["UnivariateFactor", "SeparableFunction", "Term", "function_from_json"]
 
 #: Gauss-Legendre points for means and inner products of non-polynomial factors
 DEFAULT_MEAN_ORDER = 32
+#: largest monomial power a function spec may ask for; each power is one
+#: stored coefficient, evaluated at every point
+MAX_MONOMIAL_POWER = 1000
 
 
 class UnivariateFactor:
@@ -238,8 +241,8 @@ def function_from_json(obj) -> SeparableFunction:
     if not isinstance(obj, dict):
         raise ConfigInvalid("function spec must be an object")
     check_keys(obj, "function spec", {"dim", "terms"})
-    try:
-        dim = int(obj["dim"])
+    with config_errors("function spec"):
+        dim = config_number(obj["dim"], int, "dim")
         terms = []
         for tobj in obj["terms"]:
             check_keys(tobj, "term spec", {"coef"}, {"factors"})
@@ -247,9 +250,7 @@ def function_from_json(obj) -> SeparableFunction:
                 int(k): _factor_from_json(fobj)
                 for k, fobj in tobj.get("factors", {}).items()
             }
-            terms.append(Term(float(tobj["coef"]), factors))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad function spec: {exc}") from exc
+            terms.append(Term(config_number(tobj["coef"], float, "coef"), factors))
     return SeparableFunction(dim, terms)
 
 
@@ -269,13 +270,18 @@ def _factor_from_json(obj) -> UnivariateFactor:
         raise ConfigInvalid(f"unknown factor kind {kind!r}")
     check_keys(obj, "factor spec", *keys[kind])
     if kind == "monomial":
-        return UnivariateFactor.monomial(int(obj["power"]))
+        power = config_number(obj["power"], int, "monomial power")
+        if not 0 <= power <= MAX_MONOMIAL_POWER:
+            raise ConfigInvalid(
+                f"monomial power must lie in [0, {MAX_MONOMIAL_POWER}], got {power}")
+        return UnivariateFactor.monomial(power)
     if kind == "polynomial":
-        return UnivariateFactor.polynomial(obj["coeffs"])
-    if kind == "sin":
-        return UnivariateFactor.sine(obj["freq"], obj.get("phase", 0.0))
-    if kind == "cos":
-        return UnivariateFactor.cosine(obj["freq"], obj.get("phase", 0.0))
+        return UnivariateFactor.polynomial(
+            config_numbers(obj["coeffs"], float, "polynomial coeffs"))
+    if kind in ("sin", "cos"):
+        make = UnivariateFactor.sine if kind == "sin" else UnivariateFactor.cosine
+        return make(config_number(obj["freq"], float, "freq"),
+                    config_number(obj.get("phase", 0.0), float, "phase"))
     if kind == "exp":
-        return UnivariateFactor.exponential(obj["rate"])
-    return UnivariateFactor.constant(obj["value"])
+        return UnivariateFactor.exponential(config_number(obj["rate"], float, "rate"))
+    return UnivariateFactor.constant(config_number(obj["value"], float, "value"))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .errors import ConfigInvalid, TailUnavailable, check_keys
+from .errors import ConfigInvalid, TailUnavailable, check_keys, config_errors
 from .indexing import EMPTY_SUPPORT, SupportSet
 from .sequences import CoordSeq, seq_from_json
 
@@ -214,18 +214,19 @@ def gamma_from_json(obj) -> GammaModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigInvalid(f"gamma spec must be an object with 'kind': {obj!r}")
     kind = obj["kind"]
-    if kind == "product":
-        check_keys(obj, "gamma spec", {"kind", "seq"})
-        return ProductGamma(seq_from_json(obj["seq"]))
-    if kind == "table":
-        check_keys(obj, "gamma spec", {"kind", "entries"}, {"assert_monotone"})
-        entries = {}
-        for pair in obj["entries"]:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigInvalid(f"table entry must be [support, value]: {pair!r}")
-            entries[SupportSet.from_json_obj(pair[0])] = float(pair[1])
-        return TableGamma(entries, assert_monotone=bool(obj.get("assert_monotone", False)))
-    if kind == "finite_order":
-        check_keys(obj, "gamma spec", {"kind", "base", "order"})
-        return FiniteOrderGamma(gamma_from_json(obj["base"]), int(obj["order"]))
+    with config_errors("gamma spec"):
+        if kind == "product":
+            check_keys(obj, "gamma spec", {"kind", "seq"})
+            return ProductGamma(seq_from_json(obj["seq"]))
+        if kind == "table":
+            check_keys(obj, "gamma spec", {"kind", "entries"}, {"assert_monotone"})
+            entries = {}
+            for pair in obj["entries"]:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ConfigInvalid(f"table entry must be [support, value]: {pair!r}")
+                entries[SupportSet.from_json_obj(pair[0])] = float(pair[1])
+            return TableGamma(entries, assert_monotone=bool(obj.get("assert_monotone", False)))
+        if kind == "finite_order":
+            check_keys(obj, "gamma spec", {"kind", "base", "order"})
+            return FiniteOrderGamma(gamma_from_json(obj["base"]), int(obj["order"]))
     raise ConfigInvalid(f"unknown gamma kind {kind!r}")

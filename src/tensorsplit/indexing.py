@@ -16,6 +16,8 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
+from .errors import config_errors
+
 __all__ = [
     "IndexVector",
     "SupportSet",
@@ -100,7 +102,8 @@ class SupportSet:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SupportSet":
-        return cls(int(k) for k in obj)
+        with config_errors(f"support {obj!r}"):
+            return cls(int(k) for k in obj)
 
 
 EMPTY_SUPPORT = SupportSet()
@@ -209,7 +212,8 @@ class IndexVector:
 
     @classmethod
     def from_json_obj(cls, obj) -> "IndexVector":
-        return cls({int(k): int(j) for k, j in obj.items()})
+        with config_errors(f"index {obj!r}"):
+            return cls({int(k): int(j) for k, j in obj.items()})
 
 
 ZERO_INDEX = IndexVector()

@@ -13,7 +13,7 @@ to the anchor (zero when the arguments lie on opposite sides).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,12 +133,13 @@ class TensorProductKernel:
         self.dim = int(dim)
         self.coefficients = dict(coefficients)
         self.univariate = univariate
+        # the nonzero terms in canonical index order, which fixes the sum
+        self._terms = sorted(((j, c) for j, c in self.coefficients.items() if c != 0.0),
+                             key=lambda term: term[0].canonical_key())
 
     def __call__(self, x: Sequence[float], y: Sequence[float]) -> float:
         total = 0.0
-        for j, c in sorted(self.coefficients.items(), key=lambda kv: kv[0].canonical_key()):
-            if c == 0.0:
-                continue
+        for j, c in self._terms:
             v = c
             for k, jk in j.entries:
                 v *= self.univariate(k, jk, x[k - 1], y[k - 1])
@@ -279,22 +280,17 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarr
 
 
 def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
-    """Minimize mean squared sample error plus lam times the squared norm."""
+    """Minimize mean squared sample error plus lam times the squared norm.
+
+    This is ``fit_map`` on the single output column.
+    """
     if lam <= 0:
         raise ConfigInvalid("the regularization weight must be positive")
     if samples.outputs.ndim != 1:
         raise ConfigInvalid("fit expects scalar outputs; use fit_map")
-    G = gram_matrix(kernel, samples.inputs)
-    c, jitter, A = _solve_regularized(G, samples.n * lam, samples.outputs)
-    return FittedModel(
-        coefficients=c,
-        kernel=kernel,
-        lam=np.asarray(lam, dtype=float),
-        train_inputs=samples.inputs,
-        residual=_relative_residual(A, c, samples.outputs),
-        jitter=jitter,
-        fitted=G @ c,
-    )
+    model = fit_map(samples, kernel, lam)
+    return replace(model, coefficients=model.coefficients[:, 0], fitted=model.fitted[:, 0],
+                   lam=np.asarray(lam, dtype=float))
 
 
 def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:

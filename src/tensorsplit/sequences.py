@@ -21,7 +21,7 @@ import math
 
 from scipy.special import zeta as _hurwitz_zeta
 
-from .errors import ConfigInvalid, TailUnavailable, check_keys
+from .errors import ConfigInvalid, TailUnavailable, check_keys, config_errors
 
 __all__ = [
     "CoordSeq",
@@ -453,7 +453,7 @@ def seq_from_json(obj) -> CoordSeq:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigInvalid(f"sequence spec must be an object with 'kind': {obj!r}")
     kind = obj["kind"]
-    try:
+    with config_errors(f"sequence spec {obj!r}"):
         if kind == "power":
             check_keys(obj, "sequence spec", {"kind", "c", "p"})
             return PowerSeq(obj["c"], obj["p"])
@@ -466,6 +466,4 @@ def seq_from_json(obj) -> CoordSeq:
         if kind == "constant":
             check_keys(obj, "sequence spec", {"kind", "value"})
             return ConstantSeq(obj["value"])
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigInvalid(f"bad sequence spec {obj!r}: {exc}") from exc
     raise ConfigInvalid(f"unknown sequence kind {kind!r}")

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable
 
 from .errors import (
     ConfigInvalid,
@@ -33,9 +34,10 @@ from .errors import (
     OracleUnavailable,
     TailUnavailable,
     check_keys,
+    config_errors,
 )
 from .gammas import GammaModel, ProductGamma, gamma_from_json
-from .indexing import IndexVector, SupportSet
+from .indexing import ZERO_INDEX, IndexVector, SupportSet
 from .sequences import (
     ConstantSeq,
     CoordSeq,
@@ -146,19 +148,12 @@ class CoordParam:
         return ConstantSeq(exp2(-2.0 * self.const))
 
 
-def _prod(values: Iterable[float]) -> float:
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
-
-
 class TailOracle:
     """Sums of inverse weights over upward-closed slices of the index set."""
 
     def total(self) -> float:
         """Sum of 1/a_j over the whole support (``inf`` when divergent)."""
-        raise NotImplementedError
+        return self.tail(ZERO_INDEX)
 
     def tail(self, j: IndexVector) -> float:
         """Sum of 1/a_i over all supported i >= j."""
@@ -189,9 +184,6 @@ class UnitWeights(WeightModel):
 
 
 class _DivergentOracle(TailOracle):
-    def total(self) -> float:
-        return math.inf
-
     def tail(self, j) -> float:
         return math.inf
 
@@ -217,9 +209,6 @@ class _ScaledOracle(TailOracle):
     def __init__(self, base: TailOracle, factor: float):
         self.base = base
         self.factor = factor
-
-    def total(self):
-        return self.base.total() / self.factor
 
     def tail(self, j):
         return self.base.tail(j) / self.factor
@@ -257,16 +246,10 @@ class ProductWeights(WeightModel):
 class _ProductOracle(TailOracle):
     def __init__(self, seq: CoordSeq):
         self.seq = seq
-        self._log_total = None
 
-    def _log_total_value(self) -> float:
-        if self._log_total is None:
-            self._log_total = self.seq.log1p_sum()
-        return self._log_total
-
-    def total(self) -> float:
-        lt = self._log_total_value()
-        return math.inf if lt == math.inf else math.exp(lt)
+    @cached_property
+    def _log_total(self) -> float:
+        return self.seq.log1p_sum()
 
     def tail(self, j: IndexVector) -> float:
         gw = 1.0
@@ -279,7 +262,7 @@ class _ProductOracle(TailOracle):
                 return 0.0
             gw *= v
             correction += math.log1p(v)
-        lt = self._log_total_value()
+        lt = self._log_total
         if lt == math.inf:
             return math.inf
         return gw * math.exp(lt - correction)
@@ -312,7 +295,7 @@ class SplineWeights(WeightModel):
         return f"SplineWeights({self.gamma!r})"
 
     def lam_product(self, omega: SupportSet) -> float:
-        return _prod(self.lam.value(k) for k in omega)
+        return math.prod(self.lam.value(k) for k in omega)
 
     def two_s_dot(self, j: IndexVector) -> float:
         if self.s.is_constant:
@@ -338,10 +321,6 @@ class SplineWeights(WeightModel):
         """Sum over levels >= level of lam_k^-1 * 2**(-2 s_k l)."""
         rho = self.level_decay(k)
         return rho**level / ((1.0 - rho) * self.lam.value(k))
-
-    def entry_tail(self, k: int) -> float:
-        """geometric_tail at level 1 (a fresh coordinate, all its levels)."""
-        return self.geometric_tail(k, 1)
 
     def multiplier_seq(self) -> CoordSeq:
         """Certified upper-bound sequence for coord_entry_factor (product gamma)."""
@@ -373,7 +352,6 @@ class _SplineOracle(TailOracle):
 
     def __init__(self, model: SplineWeights):
         self.model = model
-        self._log_total = None
         self._enumerable = model.gamma.is_finite_support or not isinstance(
             model.gamma, ProductGamma
         )
@@ -389,13 +367,12 @@ class _SplineOracle(TailOracle):
         rho_sup = m.s.dyadic_decay_seq().tail_sup(k0)
         return base.tail_sum(k0) / (1.0 - rho_sup)
 
-    def _log_total_product(self) -> float:
-        if self._log_total is not None:
-            return self._log_total
+    @cached_property
+    def _log_total(self) -> float:
+        """log prod_k (1 + t_k), for product gamma over infinitely many coordinates."""
         m = self.model
         if m.multiplier_seq().sum() == math.inf:
-            self._log_total = math.inf
-            return self._log_total
+            return math.inf
         if m.s.affine is None and m.lam.affine is None:
             # beyond the listed heads both parameters are constant, so the
             # entry terms are an exactly scaled copy of the gamma sequence
@@ -404,13 +381,11 @@ class _SplineOracle(TailOracle):
             base = m.gamma.seq.scaled(u_tail)
             total = base.log1p_sum()
             if total == math.inf:
-                self._log_total = math.inf
-                return self._log_total
+                return math.inf
             head_len = max(len(m.s.head), len(m.lam.head))
             for k in range(1, head_len + 1):
                 total += math.log1p(self._t(k)) - math.log1p(base.value(k))
-            self._log_total = total
-            return self._log_total
+            return total
         # affine smoothness: the terms decay geometrically, sum directly
         head = 0.0
         k = 1
@@ -418,27 +393,12 @@ class _SplineOracle(TailOracle):
             head += math.log1p(self._t(k))
             rem = self._t_tail_bound(k)
             if rem <= 1e-16 * (abs(head) + 1.0):
-                self._log_total = head + 0.5 * rem
-                return self._log_total
+                return head + 0.5 * rem
             if rem == math.inf:
-                self._log_total = math.inf
-                return self._log_total
+                return math.inf
             k += 1
             if k > 5_000_000:
                 raise TailUnavailable("spline tail summation did not converge")
-
-    def total(self) -> float:
-        m = self.model
-        if self._enumerable:
-            pieces = []
-            for omega in m.gamma.iter_support():
-                term = m.gamma.value(omega)
-                for k in omega:
-                    term *= m.entry_tail(k)
-                pieces.append(term)
-            return math.fsum(pieces)
-        lt = self._log_total_product()
-        return math.inf if lt == math.inf else math.exp(lt)
 
     def tail(self, j: IndexVector) -> float:
         m = self.model
@@ -452,10 +412,10 @@ class _SplineOracle(TailOracle):
                 for k, jk in j.entries:
                     term *= m.geometric_tail(k, jk)
                 for k in omega.minus(sigma):
-                    term *= m.entry_tail(k)
+                    term *= m.geometric_tail(k, 1)
                 pieces.append(term)
             return math.fsum(pieces)
-        lt = self._log_total_product()
+        lt = self._log_total
         if lt == math.inf:
             return math.inf
         head = 1.0
@@ -523,15 +483,8 @@ class _TableOracle(TailOracle):
     def __init__(self, model: TableWeights):
         self.model = model
 
-    def total(self) -> float:
-        return math.fsum(
-            1.0 / self.model.entries[j] for j in self.model.support()
-        )
-
     def tail(self, j: IndexVector) -> float:
-        return math.fsum(
-            1.0 / self.model.entries[i] for i in self.model.support() if j <= i
-        )
+        return math.fsum(1.0 / v for i, v in self.model.entries.items() if j <= i)
 
 
 class CustomWeights(WeightModel):
@@ -658,53 +611,33 @@ def redundant_condition_bound(
         return ConditionBound(total, certified=True)
 
     if isinstance(model, TableWeights):
-        best = 0.0
-        for j in model.support():
-            best = max(best, model.entries[j] * oracle.tail(j))
-        return ConditionBound(best, certified=True)
-
-    if isinstance(model, SplineWeights):
-        return _spline_condition_bound(model, oracle)
-
-    if search is not None:
-        best = 0.0
-        for j in search:
-            aw = model.weight(j)
-            if aw == 0.0 or math.isinf(aw):
-                continue
-            best = max(best, aw * oracle.tail(j))
-        return ConditionBound(best, certified=False)
-
-    raise TailUnavailable("no closed form and no search set supplied")
-
-
-def _spline_condition_bound(model: SplineWeights, oracle: TailOracle) -> ConditionBound | None:
-    # a_j * tail(j) depends on j only through its support sigma:
-    #   prod_{k in sigma} 1/(1 - rho_k) * sum_{omega >= sigma} ...
-    if model.gamma.is_finite_support or not isinstance(model.gamma, ProductGamma):
+        indices, certified = model.entries, True
+    elif isinstance(model, SplineWeights):
+        if isinstance(model.gamma, ProductGamma) and not model.gamma.is_finite_support:
+            return _spline_condition_bound(model)
+        # a_j * tail(j) depends on j only through its support, so one
+        # level-1 index per enumerable support covers every level vector
         try:
-            supports = list(model.gamma.iter_support())
+            indices = [IndexVector(dict.fromkeys(sigma, 1))
+                       for sigma in model.gamma.iter_support()]
         except TailUnavailable:
             return None
-        best = 0.0
-        for sigma in supports:
-            gv = model.gamma.value(sigma)
-            if gv == 0.0:
-                continue
-            inner = []
-            for omega in supports:
-                if not omega.issuperset(sigma):
-                    continue
-                term = model.gamma.value(omega) / gv
-                for k in omega.minus(sigma):
-                    term *= model.entry_tail(k)
-                inner.append(term)
-            ratio_val = math.fsum(inner)
-            for k in sigma:
-                ratio_val /= 1.0 - model.level_decay(k)
-            best = max(best, ratio_val)
-        return ConditionBound(best, certified=True)
+        certified = True
+    elif search is not None:
+        indices, certified = search, False
+    else:
+        raise TailUnavailable("no closed form and no search set supplied")
 
+    best = 0.0
+    for j in indices:
+        aw = model.weight(j)
+        if aw == 0.0 or math.isinf(aw):
+            continue
+        best = max(best, aw * oracle.tail(j))
+    return ConditionBound(best, certified)
+
+
+def _spline_condition_bound(model: SplineWeights) -> ConditionBound | None:
     # product gamma over infinitely many coordinates:
     #   sup over sigma = prod_k max(1/(1 - rho_k), 1 + t_k)
     rho_seq = model.s.dyadic_decay_seq()
@@ -760,29 +693,30 @@ def weights_from_json(obj) -> WeightModel:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigInvalid(f"weight spec must be an object with 'type': {obj!r}")
     t = obj["type"]
-    if t == "unit":
-        check_keys(obj, "weight spec", {"type"})
-        return UnitWeights()
-    if t == "product":
-        check_keys(obj, "weight spec", {"type", "gamma"})
-        return ProductWeights(seq_from_json(obj["gamma"]))
-    if t == "spline":
-        check_keys(obj, "weight spec", {"type", "gamma"}, {"s", "lam"})
-        return SplineWeights(
-            gamma_from_json(obj["gamma"]), obj.get("s", 1.0), obj.get("lam", 1.0)
-        )
-    if t == "aniso":
-        check_keys(obj, "weight spec", {"type", "gamma"}, {"s"})
-        return AnisotropicWeights(gamma_from_json(obj["gamma"]), obj.get("s", 1.0))
-    if t == "table":
-        check_keys(obj, "weight spec", {"type", "entries"}, {"assert_monotone"})
-        entries = {}
-        for pair in obj["entries"]:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigInvalid(f"table entry must be [index, value]: {pair!r}")
-            entries[IndexVector.from_json_obj(pair[0])] = float(pair[1])
-        return TableWeights(entries, assert_monotone=bool(obj.get("assert_monotone", False)))
-    if t == "scaled":
-        check_keys(obj, "weight spec", {"type", "base", "factor"})
-        return ScaledWeights(weights_from_json(obj["base"]), float(obj["factor"]))
+    with config_errors("weight spec"):
+        if t == "unit":
+            check_keys(obj, "weight spec", {"type"})
+            return UnitWeights()
+        if t == "product":
+            check_keys(obj, "weight spec", {"type", "gamma"})
+            return ProductWeights(seq_from_json(obj["gamma"]))
+        if t == "spline":
+            check_keys(obj, "weight spec", {"type", "gamma"}, {"s", "lam"})
+            return SplineWeights(
+                gamma_from_json(obj["gamma"]), obj.get("s", 1.0), obj.get("lam", 1.0)
+            )
+        if t == "aniso":
+            check_keys(obj, "weight spec", {"type", "gamma"}, {"s"})
+            return AnisotropicWeights(gamma_from_json(obj["gamma"]), obj.get("s", 1.0))
+        if t == "table":
+            check_keys(obj, "weight spec", {"type", "entries"}, {"assert_monotone"})
+            entries = {}
+            for pair in obj["entries"]:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ConfigInvalid(f"table entry must be [index, value]: {pair!r}")
+                entries[IndexVector.from_json_obj(pair[0])] = float(pair[1])
+            return TableWeights(entries, assert_monotone=bool(obj.get("assert_monotone", False)))
+        if t == "scaled":
+            check_keys(obj, "weight spec", {"type", "base", "factor"})
+            return ScaledWeights(weights_from_json(obj["base"]), float(obj["factor"]))
     raise ConfigInvalid(f"unknown weight type {t!r}")

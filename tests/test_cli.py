@@ -1,6 +1,9 @@
 """CLI subcommands: correctness of artifacts, error codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -36,6 +39,11 @@ SUBCOMMANDS = [
     ("truncate", "truncate_example.json"),
     ("regress", "regress_example.json"),
 ]
+
+
+_GEOMETRIC = {"kind": "geometric", "c": 0.5, "rho": 0.5}
+_GEOMETRIC_PRODUCT = {"type": "product", "gamma": _GEOMETRIC}
+_LINEAR = {"dim": 1, "terms": [{"coef": 1.0, "factors": {"1": {"kind": "monomial", "power": 1}}}]}
 
 
 def run_cli(command, config, out, extra=()):
@@ -224,6 +232,95 @@ class TestErrors:
         assert run_cli("regress", path, tmp_path / "out.json") == 2
         err = capsys.readouterr().err
         assert "(2, 1)" in err and "(3,)" in err
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("epsdim", {"a": {"type": "scaled", "base": {"type": "unit"}, "factor": "x"},
+                    "b": {"type": "unit"}, "eps": [0.5]}),
+        ("transform", {"a": {"type": "table", "entries": [[{"1": "x"}, 2.0]]},
+                       "indices": [{}]}),
+        ("transform", {"a": {"type": "table", "entries": [[{"1": 1}, "x"]]},
+                       "indices": [{}]}),
+        ("transform", {"a": {"type": "table", "entries": [[{"1": -1}, 2.0]]},
+                       "indices": [{}]}),
+        ("transform", {"a": _GEOMETRIC_PRODUCT, "indices": [[1]]}),
+        ("transform", {"a": _GEOMETRIC_PRODUCT, "indices": [{"0": 1}]}),
+        ("transform", {"a": _GEOMETRIC_PRODUCT, "indices": 5}),
+        ("anova", {"function": _LINEAR,
+                   "gamma": {"kind": "table", "entries": [[["x"], 1.0]]}}),
+        ("anova", {"function": _LINEAR,
+                   "gamma": {"kind": "finite_order", "order": "x",
+                             "base": {"kind": "product", "seq": _GEOMETRIC}}}),
+        ("epsdim", {"a": {"type": "spline", "gamma": {"kind": "product", "seq": _GEOMETRIC},
+                          "s": {"kind": "affine", "a": 1}},
+                    "b": {"type": "unit"}, "eps": [0.5]}),
+        ("transform", {"a": _GEOMETRIC_PRODUCT, "indices": [{"1": 1e400}]}),
+    ], ids=["scaled-factor", "table-coordinate", "table-value", "table-negative-level",
+            "index-not-object", "index-coordinate-zero", "indices-not-list",
+            "gamma-table-support",
+            "finite-order", "affine-missing-b", "index-level-overflow"])
+    def test_malformed_spec_value_rejected(self, tmp_path, capsys, command, cfg):
+        """A malformed value inside a spec exits 2 with one error line."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, path, tmp_path / "out") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ConfigInvalid: ")]
+        assert len(errors) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("factor", [
+        {"kind": "monomial", "power": -1},
+        {"kind": "monomial", "power": 2.7},
+        {"kind": "monomial", "power": "2"},
+        {"kind": "polynomial", "coeffs": "12"},
+        {"kind": "polynomial", "coeffs": [1.0, "2"]},
+        {"kind": "monomial", "power": 1e300},
+        {"kind": "monomial", "power": 1e400},
+        {"kind": "monomial", "power": 1001},
+    ], ids=["negative-power", "fractional-power", "string-power", "string-coeffs",
+            "string-coefficient", "huge-power", "infinite-power", "power-above-cap"])
+    def test_malformed_factor_rejected(self, tmp_path, factor):
+        """Each is rejected, not read as 1, x**2, x**2, 1 + 2x or 1 + 2x, and
+        no coefficient list is built for a huge power."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "function": {"dim": 1, "terms": [{"coef": 1.0, "factors": {"1": factor}}]},
+            "gamma": {"kind": "product", "seq": _GEOMETRIC},
+        }))
+        assert run_cli("anova", path, tmp_path / "out.csv") == 2
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("epsdim", {"a": {"type": "unit"}, "b": {"type": "unit"}, "eps": [True]}),
+        ("epsdim", {"a": {"type": "unit"}, "b": {"type": "unit"}, "eps": ["0.5"]}),
+        ("epsdim", {"a": {"type": "unit"}, "b": {"type": "unit"}, "eps": [0.5], "d": [2.7]}),
+        ("truncate", {"function": _LINEAR, "gamma": {"kind": "product", "seq": _GEOMETRIC},
+                      "m": [1.5]}),
+        ("regress", {"samples": {"inputs": [[0.2], [0.7]], "outputs": [0.1, 0.4]},
+                     "lambda": True}),
+    ], ids=["eps-bool", "eps-numeric-string", "d-fractional", "m-fractional", "lambda-bool"])
+    def test_non_number_config_value_rejected(self, tmp_path, command, cfg):
+        """Only a JSON number is a number, and an integer setting takes no fraction."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, path, tmp_path / "out") == 2
+
+    def test_error_printed_once(self, tmp_path):
+        """A failing run writes exactly one stderr line, the ``error:`` line.
+
+        It runs as a subprocess: pytest's log capture would hide a second,
+        logged copy of the line in process.
+        """
+        env = dict(os.environ)
+        src = str(Path(tensorsplit.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorsplit.cli", "equiv",
+             "--config", str(CONFIG_DIR / "equiv_uncertified.json"),
+             "--out", str(tmp_path / "out.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 16
+        assert proc.stderr.splitlines() == (GOLDEN_DIR / "equiv_uncertified.err").read_text().splitlines()
 
     def test_sobol_zero_weight_reads_like_weighted_norm(self, tmp_path, capsys):
         """Exit 9 with the same line as ``truncate`` on the same config."""

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from tensorsplit.errors import ConfigInvalid
-from tensorsplit.functions import function_from_json
+from tensorsplit.functions import UnivariateFactor, function_from_json
 from tensorsplit.gammas import gamma_from_json
 from tensorsplit.indexing import IndexVector, SupportSet, ZERO_INDEX
 from tensorsplit.sequences import seq_from_json
@@ -126,6 +127,22 @@ class TestFunctionSpecs:
         x = 0.37
         expected = math.sin(math.pi * x) + math.cos(math.pi * x) + math.exp(x)
         assert f.value([x]) == pytest.approx(expected, abs=1e-14)
+
+    @staticmethod
+    def _one_factor(factor):
+        return {"dim": 1, "terms": [{"coef": 1.0, "factors": {"1": factor}}]}
+
+    @pytest.mark.parametrize("power", [-1, 2.7, "2", True, float("inf"), 1e300, 1001])
+    def test_monomial_power_must_be_nonnegative_integer(self, power):
+        with pytest.raises(ConfigInvalid):
+            function_from_json(self._one_factor({"kind": "monomial", "power": power}))
+
+    def test_integral_float_power(self):
+        f = function_from_json(self._one_factor({"kind": "monomial", "power": 2.0}))
+        assert f.value([0.5]) == 0.25
+
+    def test_monomial_takes_numpy_integer(self):
+        assert UnivariateFactor.monomial(np.int64(2)).degree == 2
 
     def test_unknown_factor_kind(self):
         with pytest.raises(ConfigInvalid):

@@ -325,3 +325,29 @@ class TestJitter:
         X = np.array([[0.2], [0.7]])
         with pytest.raises(SolveFailed):
             fit(SampleSet(X, np.array([1.0, 2.0])), self.kernel(1.0), 1e-3)
+
+
+class TestFitIsFitMapColumn:
+    """``fit`` equals the single column of ``fit_map`` bit for bit."""
+
+    @staticmethod
+    def assert_same(samples, kernel, lam):
+        single = fit(samples, kernel, lam)
+        mapped = fit_map(samples, kernel, lam)
+        assert single.coefficients.shape == single.fitted.shape == (samples.n,)
+        assert np.array_equal(single.coefficients, mapped.coefficients[:, 0])
+        assert np.array_equal(single.fitted, mapped.fitted[:, 0])
+        assert single.residual == mapped.residual
+        assert single.jitter == mapped.jitter
+        assert single.lam.shape == () and single.lam == lam
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (7, 2), (64, 3), (400, 5)])
+    def test_random_instances(self, n, d):
+        samples, kernel, lam = random_instance(np.random.default_rng(n), n=n, d=d)
+        self.assert_same(samples, kernel, lam)
+
+    def test_jitter_path(self):
+        samples = SampleSet(np.array([[0.2], [0.7]]), np.array([1.0, 2.0]))
+        self.assert_same(samples, TestJitter.kernel(5e-9), 1e-12)
+        assert fit(samples, TestJitter.kernel(5e-9), 1e-12).jitter > 0.0
+

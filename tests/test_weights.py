@@ -1,5 +1,6 @@
 """Weight models, tail oracles, and the orthogonalizing transform."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from tensorsplit.errors import (
     NormDegenerate,
     OracleUnavailable,
 )
-from tensorsplit.gammas import ProductGamma
-from tensorsplit.indexing import ZERO_INDEX, IndexSet, IndexVector
+from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
+from tensorsplit.indexing import ZERO_INDEX, IndexSet, IndexVector, SupportSet
 from tensorsplit.sequences import ConstantSeq, FiniteSeq, GeometricSeq, PowerSeq
 from tensorsplit.weights import (
     ConditionBound,
@@ -299,6 +300,48 @@ class TestConditionBound:
         no_oracle = ScaledWeights(CustomWeights(table.weight), 2.0)
         oracle = ScaledWeights(table, 2.0).tail_oracle()
         assert redundant_condition_bound(no_oracle, search, oracle) == base
+
+
+def _tabled_gamma():
+    return TableGamma({
+        SupportSet.of(1): 1.0,
+        SupportSet.of(2): 0.5,
+        SupportSet.of(1, 2): 0.3,
+        SupportSet.of(3): 0.2,
+    })
+
+
+#: label -> spline model with an enumerable gamma
+SPLINE_MODELS = {
+    "finite-product": lambda: SplineWeights(
+        ProductGamma(FiniteSeq([1.0, 0.5, 0.25])), s=0.75, lam=1.3),
+    "table": lambda: SplineWeights(_tabled_gamma(), s=0.75, lam=1.1),
+    "finite-order": lambda: SplineWeights(
+        FiniteOrderGamma(ProductGamma(FiniteSeq([0.8, 0.6, 0.4])), 2), s=[0.6, 0.9], lam=0.7),
+}
+
+
+class TestEnumerableSplineConditionBound:
+    """a_j * tail(j) depends on j only through its support, so the bound
+    over one level-1 index per support is the supremum over all levels."""
+
+    @pytest.mark.parametrize("label", sorted(SPLINE_MODELS))
+    def test_is_the_brute_force_maximum(self, label):
+        model = SPLINE_MODELS[label]()
+        oracle = model.tail_oracle()
+        bound = redundant_condition_bound(model)
+        assert bound.certified
+        values = []
+        for sigma in model.gamma.iter_support():
+            for levels in itertools.product(range(1, 4), repeat=len(sigma)):
+                j = IndexVector(dict(zip(sigma, levels)))
+                w = model.weight(j)
+                if w == 0.0 or math.isinf(w):
+                    continue
+                values.append(w * oracle.tail(j))
+        assert len(values) > 10
+        assert max(values) <= bound.c_squared * (1 + 1e-14)
+        assert bound.c_squared == pytest.approx(max(values), rel=1e-14)
 
 
 class TestOptimalSplit:
