@@ -1,5 +1,6 @@
 """Gauss-Legendre rules: exactness, normalization, piecewise integration."""
 
+import hashlib
 import math
 
 import pytest
@@ -49,6 +50,16 @@ class TestRuleConstruction:
 
     def test_rules_are_cached_and_deterministic(self):
         assert gauss_legendre(17) is gauss_legendre(17)
+
+    def test_rules_match_reference_digest(self):
+        """Every rule, orders 1-64, bit for bit: the sha256 of the float.hex
+        of its nodes and weights, recorded from the numpy implementation."""
+        h = hashlib.sha256()
+        for n in range(1, 65):
+            r = gauss_legendre(n)
+            h.update((" ".join(x.hex() for x in r.nodes) + "|"
+                      + " ".join(w.hex() for w in r.weights) + "\n").encode())
+        assert h.hexdigest() == "9cc2f6054df7f1f0fca38620dee61192271c13346ea468c061a0562eb4a7c91f"
 
 
 class TestIntegrate:

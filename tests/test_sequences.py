@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorsplit.errors import TailUnavailable
 from tensorsplit.sequences import (
@@ -74,6 +76,50 @@ class TestFiniteAndConstant:
         s = ListTailSeq([4.0, 2.0], 0.0)
         assert s.value(1) == 4.0 and s.value(3) == 0.0
         assert s.sum() == 6.0
+
+
+_HEAD_VALUE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0)
+
+
+class TestHeadThenConstant:
+    """ListTailSeq, FiniteSeq (tail 0) and ConstantSeq (empty head) against
+    the definition: the listed values, then the tail value forever."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.lists(_HEAD_VALUE, max_size=6),
+           tail=st.just(0.0) | st.floats(1e-3, 10.0),
+           t=st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 12.0))
+    def test_matches_definition(self, head, tail, t):
+        seqs = [ListTailSeq(head, tail)]
+        if tail == 0.0:
+            seqs.append(FiniteSeq(head))
+        if not head:
+            seqs.append(ConstantSeq(tail))
+        nonzero = [k for k, v in enumerate(head, 1) if v > 0]
+        at_least_t = [k for k, v in enumerate(head, 1) if v >= t]
+        for s in seqs:
+            for k in range(1, len(head) + 3):
+                assert s.value(k) == (head[k - 1] if k <= len(head) else tail)
+            for k0 in range(len(head) + 2):
+                assert s.tail_sum(k0) == (math.fsum(head[k0:]) if tail == 0.0 else math.inf)
+                assert s.tail_sup(k0) == max(head[k0:] + [tail])
+            assert s.max_support == (max(nonzero, default=0) if tail == 0.0 else None)
+            assert s.decays_to_zero == (tail == 0.0)
+            expected = math.inf if tail >= t else max(at_least_t, default=0)
+            assert s.last_k_with_value_ge(t) == expected
+
+    @pytest.mark.parametrize("seq", [FiniteSeq([0.5, 0.0, 2.0]), ConstantSeq(3.0)],
+                             ids=["finite", "constant"])
+    def test_derived_sequences_keep_their_kind(self, seq):
+        assert type(seq.scaled(2.0)) is type(seq)
+        assert type(seq.powered(2)) is type(seq)
+        assert seq.scaled(2.0).value(3) == 2.0 * seq.value(3)
+        assert seq.powered(2).value(3) == seq.value(3) ** 2
+
+    def test_ratio_of_finite_by_constant_stays_finite(self):
+        r = seq_ratio(FiniteSeq([1.0, 0.5]), ConstantSeq(2.0))
+        assert type(r) is FiniteSeq
+        assert r.values == (0.5, 0.25)
 
 
 class TestProductOfSeqs:
