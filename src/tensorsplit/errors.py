@@ -127,6 +127,13 @@ def config_numbers(value, kind, name: str) -> list:
     return [config_number(v, kind, name) for v in value]
 
 
+def config_bool(value, name: str) -> bool:
+    """A JSON bool; anything else (``"no"``, 0, 1) is ``ConfigInvalid``."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigInvalid(f"{name} must be true or false, got {value!r}")
+
+
 @contextmanager
 def config_errors(where: str):
     """Re-raise a conversion error inside the block as ``ConfigInvalid``.

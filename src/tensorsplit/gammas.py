@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .errors import ConfigInvalid, TailUnavailable, check_keys, config_errors
+from .errors import (ConfigInvalid, TailUnavailable, check_keys, config_bool, config_errors,
+                     config_number)
 from .indexing import EMPTY_SUPPORT, SupportSet
 from .sequences import CoordSeq, seq_from_json
 
@@ -224,9 +225,12 @@ def gamma_from_json(obj) -> GammaModel:
             for pair in obj["entries"]:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise ConfigInvalid(f"table entry must be [support, value]: {pair!r}")
-                entries[SupportSet.from_json_obj(pair[0])] = float(pair[1])
-            return TableGamma(entries, assert_monotone=bool(obj.get("assert_monotone", False)))
+                entries[SupportSet.from_json_obj(pair[0])] = config_number(
+                    pair[1], float, "gamma table value")
+            monotone = config_bool(obj.get("assert_monotone", False), "assert_monotone")
+            return TableGamma(entries, assert_monotone=monotone)
         if kind == "finite_order":
             check_keys(obj, "gamma spec", {"kind", "base", "order"})
-            return FiniteOrderGamma(gamma_from_json(obj["base"]), int(obj["order"]))
+            return FiniteOrderGamma(gamma_from_json(obj["base"]),
+                                    config_number(obj["order"], int, "finite_order order"))
     raise ConfigInvalid(f"unknown gamma kind {kind!r}")

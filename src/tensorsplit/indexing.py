@@ -16,7 +16,7 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .errors import config_errors
+from .errors import config_errors, config_number, config_numbers
 
 __all__ = [
     "IndexVector",
@@ -103,7 +103,7 @@ class SupportSet:
     @classmethod
     def from_json_obj(cls, obj) -> "SupportSet":
         with config_errors(f"support {obj!r}"):
-            return cls(int(k) for k in obj)
+            return cls(config_numbers(obj, int, "support"))
 
 
 EMPTY_SUPPORT = SupportSet()
@@ -213,7 +213,7 @@ class IndexVector:
     @classmethod
     def from_json_obj(cls, obj) -> "IndexVector":
         with config_errors(f"index {obj!r}"):
-            return cls({int(k): int(j) for k, j in obj.items()})
+            return cls({int(k): config_number(j, int, "index level") for k, j in obj.items()})
 
 
 ZERO_INDEX = IndexVector()

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .errors import OrderOutOfRange
 
 __all__ = ["QuadratureRule", "gauss_legendre", "integrate_1d", "integrate_piecewise"]
@@ -43,33 +41,26 @@ def gauss_legendre(n: int) -> QuadratureRule:
     """Return the n-point Gauss-Legendre rule mapped from (-1,1) to (0,1)."""
     if not 1 <= n <= MAX_ORDER:
         raise OrderOutOfRange(f"order must lie in [1, {MAX_ORDER}], got {n}")
-    if n == 1:
-        return QuadratureRule((0.5,), (1.0,))
-
-    k = np.arange(n, dtype=np.float64)
-    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
+    x = [math.cos(math.pi * (k + 0.75) / (n + 0.5)) for k in range(n)]
     for _ in range(100):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
+        steps = [_legendre(n, xi)[0] for xi in x]
+        x = [xi - dx for xi, dx in zip(x, steps)]
+        if max(map(abs, steps)) < 1e-15:
             break
-    # final derivative evaluation at the converged nodes
-    p_prev = np.ones_like(x)
-    p = x.copy()
+    x.sort()
+    dps = [_legendre(n, xi)[1] for xi in x]
+    nodes = tuple(0.5 * (xi + 1.0) for xi in x)
+    weights = tuple(0.5 * (2.0 / ((1.0 - xi * xi) * dp * dp)) for xi, dp in zip(x, dps))
+    return QuadratureRule(nodes, weights)
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """The Newton step P_n(x) / P_n'(x) and the derivative P_n'(x)."""
+    p_prev, p = 1.0, x
     for j in range(2, n + 1):
         p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
     dp = n * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-
-    order = np.argsort(x)
-    nodes = tuple(float(0.5 * (xi + 1.0)) for xi in x[order])
-    weights = tuple(float(0.5 * wi) for wi in w[order])
-    return QuadratureRule(nodes, weights)
+    return p / dp, dp
 
 
 def integrate_1d(g: Callable[[float], float], rule: QuadratureRule) -> float:

@@ -6,9 +6,8 @@ rigorously bounded tail sums:
 
 * ``PowerSeq``      c * k**(-p), tails via the Hurwitz zeta function;
 * ``GeometricSeq``  c * rho**k, closed-form geometric tails;
-* ``FiniteSeq``     finitely many explicit values, zero beyond;
-* ``ConstantSeq``   c for every k (the canonical non-decaying example);
-* ``ListTailSeq``   explicit head values, constant tail;
+* ``ListTailSeq``   explicit head values, constant tail, with the cases
+                    ``FiniteSeq`` (tail 0) and ``ConstantSeq`` (no head);
 * ``ProductOfSeqs`` pointwise product, tail-bounded factorwise.
 
 Sums of non-summable sequences are reported as ``math.inf`` rather than
@@ -21,7 +20,8 @@ import math
 
 from scipy.special import zeta as _hurwitz_zeta
 
-from .errors import ConfigInvalid, TailUnavailable, check_keys, config_errors
+from .errors import (ConfigInvalid, TailUnavailable, check_keys, config_errors, config_number,
+                     config_numbers)
 
 __all__ = [
     "CoordSeq",
@@ -239,85 +239,6 @@ class GeometricSeq(CoordSeq):
         return GeometricSeq(self.c**i, self.rho**i)
 
 
-class FiniteSeq(CoordSeq):
-    """Explicit values for k = 1..len(values), zero beyond."""
-
-    def __init__(self, values):
-        self.values = tuple(float(v) for v in values)
-        if any(v < 0 for v in self.values):
-            raise ValueError("values must be nonnegative")
-        self.nonincreasing_from = len(self.values) + 1
-
-    def __repr__(self):
-        return f"FiniteSeq({list(self.values)})"
-
-    def value(self, k: int) -> float:
-        return self.values[k - 1] if 1 <= k <= len(self.values) else 0.0
-
-    def tail_sum(self, k0: int) -> float:
-        return math.fsum(self.values[k0:])
-
-    def tail_sup(self, k0: int) -> float:
-        return max(self.values[k0:], default=0.0)
-
-    @property
-    def decays_to_zero(self) -> bool:
-        return True
-
-    @property
-    def max_support(self):
-        for k in range(len(self.values), 0, -1):
-            if self.values[k - 1] > 0:
-                return k
-        return 0
-
-    def scaled(self, t):
-        return FiniteSeq(v * t for v in self.values)
-
-    def powered(self, i):
-        return FiniteSeq(v**i for v in self.values)
-
-
-class ConstantSeq(CoordSeq):
-    """The same value at every coordinate; decays only when zero."""
-
-    def __init__(self, c: float):
-        if c < 0:
-            raise ValueError("value must be nonnegative")
-        self.c = float(c)
-
-    def __repr__(self):
-        return f"ConstantSeq({self.c})"
-
-    def value(self, k: int) -> float:
-        return self.c
-
-    def tail_sum(self, k0: int) -> float:
-        return 0.0 if self.c == 0 else math.inf
-
-    def tail_sup(self, k0: int) -> float:
-        return self.c
-
-    @property
-    def decays_to_zero(self) -> bool:
-        return self.c == 0
-
-    @property
-    def max_support(self):
-        return 0 if self.c == 0 else None
-
-    def last_k_with_value_ge(self, t: float):
-        if self.c == 0:
-            return 0
-        return math.inf if self.c >= t else 0
-
-    def scaled(self, t):
-        return ConstantSeq(self.c * t)
-
-    def powered(self, i):
-        return ConstantSeq(self.c**i)
-
-
 class ListTailSeq(CoordSeq):
     """Explicit head values followed by a constant tail value."""
 
@@ -329,14 +250,13 @@ class ListTailSeq(CoordSeq):
         self.nonincreasing_from = len(self.head) + 1
 
     def value(self, k: int) -> float:
-        return self.head[k - 1] if 1 <= k <= len(self.head) else self.tail_value
+        return self.head[k - 1] if 0 < k <= len(self.head) else self.tail_value
 
     def tail_sum(self, k0: int) -> float:
-        head_part = math.fsum(self.head[k0:])
-        return head_part if self.tail_value == 0 else math.inf
+        return math.fsum(self.head[k0:]) if self.tail_value == 0 else math.inf
 
     def tail_sup(self, k0: int) -> float:
-        return max(list(self.head[k0:]) + [self.tail_value])
+        return max(self.head[k0:] + (self.tail_value,))
 
     @property
     def decays_to_zero(self) -> bool:
@@ -346,13 +266,52 @@ class ListTailSeq(CoordSeq):
     def max_support(self):
         if self.tail_value > 0:
             return None
-        return FiniteSeq(self.head).max_support
+        return max((k for k, v in enumerate(self.head, 1) if v > 0), default=0)
+
+    def _like(self, head, tail_value) -> "ListTailSeq":
+        """A sequence of this kind; ``scaled`` and ``powered`` keep the kind."""
+        return ListTailSeq(head, tail_value)
 
     def scaled(self, t):
-        return ListTailSeq([v * t for v in self.head], self.tail_value * t)
+        return self._like([v * t for v in self.head], self.tail_value * t)
 
     def powered(self, i):
-        return ListTailSeq([v**i for v in self.head], self.tail_value**i)
+        return self._like([v**i for v in self.head], self.tail_value**i)
+
+
+class FiniteSeq(ListTailSeq):
+    """Explicit values for k = 1..len(values), zero beyond."""
+
+    def __init__(self, values):
+        super().__init__(values, 0.0)
+        self.values = self.head
+
+    def __repr__(self):
+        return f"FiniteSeq({list(self.values)})"
+
+    def _like(self, head, tail_value):
+        return FiniteSeq(head)
+
+
+class ConstantSeq(ListTailSeq):
+    """The same value at every coordinate; decays only when zero."""
+
+    def __init__(self, c: float):
+        super().__init__((), c)
+        self.c = self.tail_value
+
+    def __repr__(self):
+        return f"ConstantSeq({self.c})"
+
+    # O(1): the spline entry multipliers call these for every coordinate
+    def value(self, k: int) -> float:
+        return self.c
+
+    def tail_sup(self, k0: int) -> float:
+        return self.c
+
+    def _like(self, head, tail_value):
+        return ConstantSeq(tail_value)
 
 
 class ProductOfSeqs(CoordSeq):
@@ -431,16 +390,10 @@ def seq_ratio(num: CoordSeq, den: CoordSeq) -> CoordSeq:
             return ConstantSeq(num.c / den.c)
         raise TailUnavailable("quotient sequence grows geometrically")
     if isinstance(num, FiniteSeq):
-        vals = []
-        for k in range(1, len(num.values) + 1):
-            nv, dv = num.value(k), den.value(k)
-            if nv == 0.0:
-                vals.append(0.0)
-            elif dv == 0.0:
-                raise TailUnavailable("denominator vanishes where numerator does not")
-            else:
-                vals.append(nv / dv)
-        return FiniteSeq(vals)
+        dens = [den.value(k) for k in range(1, len(num.values) + 1)]
+        if any(d == 0.0 != v for v, d in zip(num.values, dens)):
+            raise TailUnavailable("denominator vanishes where numerator does not")
+        return FiniteSeq(v / d if v != 0.0 else 0.0 for v, d in zip(num.values, dens))
     raise TailUnavailable(f"cannot divide {type(num).__name__} by {type(den).__name__}")
 
 
@@ -456,14 +409,16 @@ def seq_from_json(obj) -> CoordSeq:
     with config_errors(f"sequence spec {obj!r}"):
         if kind == "power":
             check_keys(obj, "sequence spec", {"kind", "c", "p"})
-            return PowerSeq(obj["c"], obj["p"])
+            return PowerSeq(config_number(obj["c"], float, "power c"),
+                            config_number(obj["p"], float, "power p"))
         if kind == "geometric":
             check_keys(obj, "sequence spec", {"kind", "c", "rho"})
-            return GeometricSeq(obj["c"], obj["rho"])
+            return GeometricSeq(config_number(obj["c"], float, "geometric c"),
+                                config_number(obj["rho"], float, "geometric rho"))
         if kind == "finite":
             check_keys(obj, "sequence spec", {"kind", "values"})
-            return FiniteSeq(obj["values"])
+            return FiniteSeq(config_numbers(obj["values"], float, "finite values"))
         if kind == "constant":
             check_keys(obj, "sequence spec", {"kind", "value"})
-            return ConstantSeq(obj["value"])
+            return ConstantSeq(config_number(obj["value"], float, "constant value"))
     raise ConfigInvalid(f"unknown sequence kind {kind!r}")

@@ -34,7 +34,10 @@ from .errors import (
     OracleUnavailable,
     TailUnavailable,
     check_keys,
+    config_bool,
     config_errors,
+    config_number,
+    config_numbers,
 )
 from .gammas import GammaModel, ProductGamma, gamma_from_json
 from .indexing import ZERO_INDEX, IndexVector, SupportSet
@@ -126,13 +129,9 @@ class CoordParam:
         """The sequence 1/value(k), for use in tail-sum bounds."""
         if self.affine is not None:
             a, b = self.affine
-            if b == 0:
-                return ConstantSeq(1.0 / a)
             # 1/(a+bk) is dominated by 1/(a+b); keep a safe constant bound
             return ConstantSeq(1.0 / (a + b))
-        if self.head:
-            return ListTailSeq([1.0 / v for v in self.head], 1.0 / self.const)
-        return ConstantSeq(1.0 / self.const)
+        return self._listed_seq(lambda v: 1.0 / v)
 
     def dyadic_decay_seq(self) -> CoordSeq:
         """The sequence 2**(-2 * value(k)), exact per kind."""
@@ -141,11 +140,14 @@ class CoordParam:
             if b == 0:
                 return ConstantSeq(exp2(-2.0 * a))
             return GeometricSeq(exp2(-2.0 * a), exp2(-2.0 * b))
-        if self.head:
-            return ListTailSeq(
-                [exp2(-2.0 * v) for v in self.head], exp2(-2.0 * self.const)
-            )
-        return ConstantSeq(exp2(-2.0 * self.const))
+        return self._listed_seq(lambda v: exp2(-2.0 * v))
+
+    def _listed_seq(self, f) -> ListTailSeq:
+        """f(value(k)) for a listed or constant parameter.  With no head it is
+        a ConstantSeq, whose O(1) value and tail_sup the spline multipliers use."""
+        if not self.head:
+            return ConstantSeq(f(self.const))
+        return ListTailSeq([f(v) for v in self.head], f(self.const))
 
 
 class TailOracle:
@@ -312,10 +314,11 @@ class SplineWeights(WeightModel):
         """2**(-2 s_k): the inverse-weight shrink factor per extra level."""
         return exp2(-2.0 * self.s.value(k))
 
-    def coord_entry_factor(self, k: int) -> float:
-        """Inverse-weight multiplier when coordinate k enters at level 1."""
-        gk = _product_coord_value(self.gamma, k)
-        return gk * self.level_decay(k) / self.lam.value(k)
+    def entry_sum(self, k: int) -> float:
+        """t_k = gamma_k * lam_k^-1 * rho_k / (1 - rho_k) with rho_k = 2**(-2 s_k):
+        the inverse-weight multiplier of coordinate k entering, summed over levels >= 1."""
+        rho = self.level_decay(k)
+        return _product_coord_value(self.gamma, k) * rho / ((1.0 - rho) * self.lam.value(k))
 
     def geometric_tail(self, k: int, level: int) -> float:
         """Sum over levels >= level of lam_k^-1 * 2**(-2 s_k l)."""
@@ -323,7 +326,8 @@ class SplineWeights(WeightModel):
         return rho**level / ((1.0 - rho) * self.lam.value(k))
 
     def multiplier_seq(self) -> CoordSeq:
-        """Certified upper-bound sequence for coord_entry_factor (product gamma)."""
+        """Certified upper bound on gamma_k * lam_k^-1 * 2**(-2 s_k), the
+        inverse-weight multiplier of coordinate k entering at level 1 (product gamma)."""
         if not isinstance(self.gamma, ProductGamma):
             raise TailUnavailable("multiplier sequence needs product gamma")
         return ProductOfSeqs(
@@ -356,22 +360,12 @@ class _SplineOracle(TailOracle):
             model.gamma, ProductGamma
         )
 
-    def _t(self, k: int) -> float:
-        m = self.model
-        rho = m.level_decay(k)
-        return _product_coord_value(m.gamma, k) * rho / ((1.0 - rho) * m.lam.value(k))
-
-    def _t_tail_bound(self, k0: int) -> float:
-        m = self.model
-        base = m.multiplier_seq()
-        rho_sup = m.s.dyadic_decay_seq().tail_sup(k0)
-        return base.tail_sum(k0) / (1.0 - rho_sup)
-
     @cached_property
     def _log_total(self) -> float:
         """log prod_k (1 + t_k), for product gamma over infinitely many coordinates."""
         m = self.model
-        if m.multiplier_seq().sum() == math.inf:
+        mult = m.multiplier_seq()
+        if mult.sum() == math.inf:
             return math.inf
         if m.s.affine is None and m.lam.affine is None:
             # beyond the listed heads both parameters are constant, so the
@@ -384,21 +378,12 @@ class _SplineOracle(TailOracle):
                 return math.inf
             head_len = max(len(m.s.head), len(m.lam.head))
             for k in range(1, head_len + 1):
-                total += math.log1p(self._t(k)) - math.log1p(base.value(k))
+                total += math.log1p(m.entry_sum(k)) - math.log1p(base.value(k))
             return total
         # affine smoothness: the terms decay geometrically, sum directly
-        head = 0.0
-        k = 1
-        while True:
-            head += math.log1p(self._t(k))
-            rem = self._t_tail_bound(k)
-            if rem <= 1e-16 * (abs(head) + 1.0):
-                return head + 0.5 * rem
-            if rem == math.inf:
-                return math.inf
-            k += 1
-            if k > 5_000_000:
-                raise TailUnavailable("spline tail summation did not converge")
+        rho_seq = m.s.dyadic_decay_seq()
+        return _certified_sum(lambda k: math.log1p(m.entry_sum(k)),
+                              lambda k: mult.tail_sum(k) / (1.0 - rho_seq.tail_sup(k)))
 
     def tail(self, j: IndexVector) -> float:
         m = self.model
@@ -425,7 +410,7 @@ class _SplineOracle(TailOracle):
             if gk == 0.0:
                 return 0.0
             head *= gk * m.geometric_tail(k, jk)
-            correction += math.log1p(self._t(k))
+            correction += math.log1p(m.entry_sum(k))
         return head * math.exp(lt - correction)
 
 
@@ -641,25 +626,30 @@ def _spline_condition_bound(model: SplineWeights) -> ConditionBound | None:
     # product gamma over infinitely many coordinates:
     #   sup over sigma = prod_k max(1/(1 - rho_k), 1 + t_k)
     rho_seq = model.s.dyadic_decay_seq()
-    if rho_seq.sum() == math.inf:
-        return None  # the per-level slack alone is unbounded across coordinates
     mult = model.multiplier_seq()
-    if mult.sum() == math.inf:
-        return None
-    log_acc = 0.0
-    k = 1
-    while True:
-        rho = model.level_decay(k)
-        t = model.coord_entry_factor(k) / (1.0 - rho)
-        log_acc += max(-math.log1p(-rho), math.log1p(t))
-        rem = rho_seq.tail_sum(k) / (1.0 - rho_seq.tail_sup(k)) + mult.tail_sum(k) / (
-            1.0 - rho_seq.tail_sup(k)
-        )
-        if rem <= 1e-16 * (abs(log_acc) + 1.0):
-            return ConditionBound(math.exp(log_acc + 0.5 * rem), certified=True)
-        k += 1
-        if k > 5_000_000:
-            raise TailUnavailable("condition-bound summation did not converge")
+    if rho_seq.sum() == math.inf or mult.sum() == math.inf:
+        return None  # the per-level slack or the entry multipliers are not summable
+    log_bound = _certified_sum(
+        lambda k: max(-math.log1p(-model.level_decay(k)), math.log1p(model.entry_sum(k))),
+        lambda k: (rho_seq.tail_sum(k) + mult.tail_sum(k)) / (1.0 - rho_seq.tail_sup(k)),
+    )
+    return ConditionBound(math.exp(log_bound), certified=True)
+
+
+def _certified_sum(term: Callable[[int], float], tail_bound: Callable[[int], float]) -> float:
+    """term(1) + term(2) + ... closed at the upper end of a certified remainder.
+
+    ``tail_bound(k)`` bounds the sum of the terms past k from above.  The
+    head grows until that bound is below 1e-16 of it; the bound is then added
+    in full, so the result stays an upper bound.
+    """
+    head = 0.0
+    for k in range(1, 5_000_001):
+        head += term(k)
+        rem = tail_bound(k)
+        if rem <= 1e-16 * (abs(head) + 1.0) or rem == math.inf:
+            return head + rem
+    raise TailUnavailable("spline product summation did not converge")
 
 
 def optimal_split_value(a_list, u_norm_sq: float, divergent: bool = False) -> float:
@@ -702,21 +692,35 @@ def weights_from_json(obj) -> WeightModel:
             return ProductWeights(seq_from_json(obj["gamma"]))
         if t == "spline":
             check_keys(obj, "weight spec", {"type", "gamma"}, {"s", "lam"})
-            return SplineWeights(
-                gamma_from_json(obj["gamma"]), obj.get("s", 1.0), obj.get("lam", 1.0)
-            )
+            return SplineWeights(gamma_from_json(obj["gamma"]),
+                                 _param_spec(obj.get("s", 1.0), "s"),
+                                 _param_spec(obj.get("lam", 1.0), "lam"))
         if t == "aniso":
             check_keys(obj, "weight spec", {"type", "gamma"}, {"s"})
-            return AnisotropicWeights(gamma_from_json(obj["gamma"]), obj.get("s", 1.0))
+            return AnisotropicWeights(gamma_from_json(obj["gamma"]),
+                                      _param_spec(obj.get("s", 1.0), "s"))
         if t == "table":
             check_keys(obj, "weight spec", {"type", "entries"}, {"assert_monotone"})
             entries = {}
             for pair in obj["entries"]:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise ConfigInvalid(f"table entry must be [index, value]: {pair!r}")
-                entries[IndexVector.from_json_obj(pair[0])] = float(pair[1])
-            return TableWeights(entries, assert_monotone=bool(obj.get("assert_monotone", False)))
+                entries[IndexVector.from_json_obj(pair[0])] = config_number(
+                    pair[1], float, "weight table value")
+            monotone = config_bool(obj.get("assert_monotone", False), "assert_monotone")
+            return TableWeights(entries, assert_monotone=monotone)
         if t == "scaled":
             check_keys(obj, "weight spec", {"type", "base", "factor"})
-            return ScaledWeights(weights_from_json(obj["base"]), float(obj["factor"]))
+            return ScaledWeights(weights_from_json(obj["base"]),
+                                 config_number(obj["factor"], float, "scale factor"))
     raise ConfigInvalid(f"unknown weight type {t!r}")
+
+
+def _param_spec(spec, name: str):
+    """A number, list or affine ``s``/``lam`` spec, its numbers read by ``config_number``."""
+    if isinstance(spec, dict) and spec.get("kind") == "affine":
+        return {"kind": "affine", "a": config_number(spec["a"], float, f"{name} a"),
+                "b": config_number(spec["b"], float, f"{name} b")}
+    if isinstance(spec, list):
+        return config_numbers(spec, float, name)
+    return config_number(spec, float, name)

@@ -268,6 +268,53 @@ class TestErrors:
         assert len(errors) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("transform", {"a": {"type": "product", "gamma": {"kind": "finite", "values": "12"}},
+                       "indices": [{}]}),
+        ("anova", {"function": _LINEAR,
+                   "gamma": {"kind": "table", "entries": [["12", 1.0]]}}),
+        ("anova", {"function": _LINEAR,
+                   "gamma": {"kind": "finite_order", "order": 2.7,
+                             "base": {"kind": "product", "seq": _GEOMETRIC}}}),
+        ("transform", {"a": _GEOMETRIC_PRODUCT, "indices": [{"1": 1.5}]}),
+        ("transform", {"a": {"type": "product", "gamma": {"kind": "power", "c": True, "p": 2.0}},
+                       "indices": [{}]}),
+        ("transform", {"a": {"type": "product", "gamma": {"kind": "power", "c": 1.0, "p": "2"}},
+                       "indices": [{}]}),
+        ("transform", {"a": {"type": "product",
+                             "gamma": {"kind": "geometric", "c": 0.5, "rho": False}},
+                       "indices": [{}]}),
+        ("transform", {"a": {"type": "spline", "gamma": {"kind": "product", "seq": _GEOMETRIC},
+                             "s": True}, "indices": [{}]}),
+        ("transform", {"a": {"type": "spline", "gamma": {"kind": "product", "seq": _GEOMETRIC},
+                             "lam": ["2"]}, "indices": [{}]}),
+        ("transform", {"a": {"type": "scaled", "base": _GEOMETRIC_PRODUCT, "factor": True},
+                       "indices": [{}]}),
+        ("transform", {"a": {"type": "scaled", "base": _GEOMETRIC_PRODUCT, "factor": "0.5"},
+                       "indices": [{}]}),
+        ("transform", {"a": {"type": "table", "entries": [[{}, 1.0], [{"1": 1}, "4"]]},
+                       "indices": [{}]}),
+        ("transform", {"a": {"type": "table", "entries": [[{}, 1.0], [{"1": 1}, 4.0]],
+                             "assert_monotone": "no"}, "indices": [{}]}),
+        ("anova", {"function": _LINEAR,
+                   "gamma": {"kind": "table", "entries": [[[1], 1.0]],
+                             "assert_monotone": "no"}}),
+    ], ids=["finite-values-string", "gamma-support-string", "finite-order-fraction",
+            "index-level-fraction", "power-c-bool", "power-p-string", "geometric-rho-bool",
+            "spline-s-bool", "spline-lam-string", "scaled-factor-bool",
+            "scaled-factor-string", "table-value-string", "table-monotone-string",
+            "gamma-table-monotone-string"])
+    def test_spec_value_not_a_number_rejected(self, tmp_path, capsys, command, cfg):
+        """Spec values go through the one number reader: none of these is
+        read as a number (``"12"`` as [1, 2], 2.7 as 2, true as 1), and
+        ``assert_monotone`` takes only a JSON bool."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, path, tmp_path / "out") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ConfigInvalid: ")]
+        assert len(errors) == 1
+
     @pytest.mark.parametrize("factor", [
         {"kind": "monomial", "power": -1},
         {"kind": "monomial", "power": 2.7},
