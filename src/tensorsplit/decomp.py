@@ -17,6 +17,7 @@ truncation bounds downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -145,27 +146,50 @@ class DecompositionTerm:
     mixed_norm_sq: float
 
 
-def _component(f: SeparableFunction, omega: SupportSet, center) -> DecompositionTerm:
-    """Component with active set omega of the projection ``center``.
+def _center(mode: str, anchor: float = DEFAULT_ANCHOR):
+    """The projection onto constants: the mean (ANOVA) or the anchor value."""
+    if mode == MODE_ANOVA:
+        return lambda g: g.mean
+    anchor = _check_anchor(anchor)
+    return lambda g: g.value(anchor)
+
+
+def _projections(f: SeparableFunction, center) -> list[dict]:
+    """Per term, ``{k: (center(g), g - center(g))}`` in coordinate order."""
+    projected = []
+    for t in f.terms:
+        parts = {}
+        for k, g in sorted(t.factors.items()):
+            c = center(g)
+            parts[k] = (c, g.shifted(c))
+        projected.append(parts)
+    return projected
+
+
+def _component(
+    f: SeparableFunction, omega: SupportSet, projected: list[dict], inner
+) -> DecompositionTerm:
+    """Component with active set omega, from ``_projections(f, center)``.
 
     In every product term an active factor g becomes g - center(g) and an
     inactive one multiplies the coefficient by center(g); a term that is
-    constant in an active coordinate vanishes.
+    constant in an active coordinate vanishes.  ``inner`` is ``deriv_inner``
+    or a memo of it.
     """
     terms = []
-    for t in f.terms:
+    for t, parts in zip(f.terms, projected):
         if any(t.factor(k).degree == 0 for k in omega):
             continue
         coef, factors = t.coef, {}
-        for k, g in sorted(t.factors.items()):
+        for k, (c, shifted) in parts.items():
             if k in omega:
-                factors[k] = g.shifted(center(g))
+                factors[k] = shifted
             else:
-                coef *= center(g)
+                coef *= c
         if coef != 0.0:
             terms.append(Term(coef, factors))
     if omega:
-        energy = pair_sum(terms, deriv_inner)
+        energy = pair_sum(terms, inner)
     else:
         energy = math.fsum(t.coef for t in terms) ** 2
     return DecompositionTerm(omega, SeparableFunction(f.dim, terms), energy)
@@ -174,16 +198,16 @@ def _component(f: SeparableFunction, omega: SupportSet, center) -> Decomposition
 def anova_term(f: SeparableFunction, omega: SupportSet) -> DecompositionTerm:
     """Component with active set omega of the mean-projection decomposition."""
     _check_support(f, omega)
-    return _component(f, omega, lambda g: g.mean)
+    return _component(f, omega, _projections(f, _center(MODE_ANOVA)), deriv_inner)
 
 
 def anchored_term(
     f: SeparableFunction, omega: SupportSet, anchor: float = DEFAULT_ANCHOR
 ) -> DecompositionTerm:
     """Component with active set omega of the anchor-evaluation decomposition."""
-    anchor = _check_anchor(anchor)
+    center = _center(MODE_ANCHORED, anchor)
     _check_support(f, omega)
-    return _component(f, omega, lambda g: g.value(anchor))
+    return _component(f, omega, _projections(f, center), deriv_inner)
 
 
 def _check_support(f: SeparableFunction, omega: SupportSet):
@@ -198,10 +222,11 @@ def decompose(
 ) -> list[DecompositionTerm]:
     """All components of the chosen decomposition, in canonical set order."""
     _check_mode(mode)
-    supports = SupportSet(range(1, f.dim + 1)).subsets()
-    if mode == MODE_ANOVA:
-        return [anova_term(f, omega) for omega in supports]
-    return [anchored_term(f, omega, anchor) for omega in supports]
+    # one shifted factor per (term, coordinate) and each 1-D integral once
+    projected = _projections(f, _center(mode, anchor))
+    inner = functools.cache(deriv_inner)
+    return [_component(f, omega, projected, inner)
+            for omega in SupportSet(range(1, f.dim + 1)).subsets()]
 
 
 def _weighted_energies(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> dict:

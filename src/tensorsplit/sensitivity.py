@@ -15,7 +15,9 @@ anchored decomposition and 1/6 for the ANOVA one.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,9 +56,41 @@ class SobolTable:
     include_empty: bool
 
     def total(self, omega0: SupportSet) -> float:
-        return math.fsum(
-            v for omega, v in self.per_omega.items() if omega.issuperset(omega0)
-        )
+        """Summed index over the table's supersets of ``omega0``.
+
+        With U the union of the table's N sets, this walks the supersets of
+        omega0 inside U, or scans the N entries where that is shorter:
+        min(2**|U - omega0|, N) dictionary steps, so the totals of every
+        set of a full table take O(3**|U|) steps together, not O(4**|U|).
+        ``math.fsum`` is correctly rounded, so the order of the walk does
+        not change a bit.
+        """
+        by_mask, union = self._by_mask
+        m0 = _mask(omega0)
+        if m0 & ~union:
+            return 0.0
+        free = union & ~m0
+        if 1 << free.bit_count() > len(by_mask):
+            return math.fsum(v for m, v in by_mask.items() if m & m0 == m0)
+        found, sub = [], free
+        while True:
+            v = by_mask.get(m0 | sub)
+            if v is not None:
+                found.append(v)
+            if not sub:
+                return math.fsum(found)
+            sub = (sub - 1) & free
+
+    @functools.cached_property
+    def _by_mask(self) -> tuple[dict, int]:
+        """``{mask(omega): index}`` and the union of the masks."""
+        by_mask = {_mask(omega): v for omega, v in self.per_omega.items()}
+        return by_mask, functools.reduce(operator.or_, by_mask, 0)
+
+
+def _mask(omega: SupportSet) -> int:
+    """The set as a bitmask: coordinate k is bit k - 1."""
+    return sum(1 << (k - 1) for k in omega)
 
 
 def sobol_indices(
@@ -159,4 +193,5 @@ def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
     if f.dim != g.dim:
         raise ValueError("functions must share the active dimension")
     diff = f.terms + [Term(-t.coef, dict(t.factors)) for t in g.terms]
-    return math.sqrt(max(0.0, pair_sum(diff, value_inner)))
+    # each distinct pair of factors is integrated once
+    return math.sqrt(max(0.0, pair_sum(diff, functools.cache(value_inner))))

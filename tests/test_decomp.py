@@ -1,9 +1,11 @@
 """Decomposition kernels, projections, weighted norms, reconstruction."""
 
+import collections
 
 import numpy as np
 import pytest
 
+import tensorsplit.decomp
 from corpus import corpus
 from tensorsplit.decomp import (
     anchored_contraction,
@@ -21,7 +23,8 @@ from tensorsplit.decomp import (
     weighted_norm,
 )
 from tensorsplit.errors import NormInfinite
-from tensorsplit.functions import SeparableFunction, Term, UnivariateFactor as F, value_inner
+from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as F, deriv_inner,
+                                  value_inner)
 from tensorsplit.gammas import ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
 from tensorsplit.quadrature import gauss_legendre, integrate_1d, integrate_piecewise
@@ -258,3 +261,47 @@ class TestSupportIteration:
     def test_all_supports_order(self):
         sets = list(S(1, 2).subsets())
         assert sets == [S(), S(1), S(2), S(1, 2)]
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_one_shifted_factor_per_term_and_coordinate(self, monkeypatch, mode):
+        made = []
+        shifted = F.shifted
+
+        def counting(g, c):
+            made.append(g)
+            return shifted(g, c)
+
+        monkeypatch.setattr(F, "shifted", counting)
+        for name, f in corpus():
+            made.clear()
+            decompose(f, mode)
+            assert len(made) <= sum(len(t.factors) for t in f.terms), name
+
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_each_derivative_pair_integrated_once(self, monkeypatch, mode):
+        """At most n_k**2 integrals on coordinate k, where n_k terms act on k."""
+        pairs = collections.Counter()
+
+        def counting(g, h):
+            pairs[g, h] += 1
+            return deriv_inner(g, h)
+
+        monkeypatch.setattr(tensorsplit.decomp, "deriv_inner", counting)
+        for name, f in corpus():
+            pairs.clear()
+            decompose(f, mode)
+            assert max(pairs.values(), default=0) <= 1, name
+            acting = collections.Counter(k for t in f.terms for k in t.factors)
+            assert len(pairs) <= sum(n * n for n in acting.values()), name
+
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_decompose_equals_single_components(self, mode):
+        """The shared factors and integrals change no bit of any component."""
+        x = RNG.random(4)
+        for name, f in corpus():
+            for t in decompose(f, mode, 0.3):
+                one = anova_term(f, t.omega) if mode == "anova" else anchored_term(f, t.omega, 0.3)
+                assert t.mixed_norm_sq == one.mixed_norm_sq, (name, t.omega)
+                assert t.func.value(x) == one.func.value(x), (name, t.omega)

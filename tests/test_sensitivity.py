@@ -1,15 +1,17 @@
 """Sensitivity indices, truncation, and a priori error bounds."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+import tensorsplit.sensitivity
 from corpus import corpus
 from tensorsplit.decomp import weighted_norm
 from tensorsplit.equivalence import certify_equivalence
 from tensorsplit.errors import DegenerateDenominator, GammaL1Violated, OrderOutOfRange
-from tensorsplit.functions import SeparableFunction, Term, UnivariateFactor as F
+from tensorsplit.functions import SeparableFunction, Term, UnivariateFactor as F, pair_sum, value_inner
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
 from tensorsplit.sensitivity import (
@@ -106,6 +108,47 @@ class TestTotalIndex:
                 assert 1.0 / c2 <= sa / san <= c2, f"{name} {omega0}: {sa/san}"
 
 
+def _five_variable_function():
+    """At most two variables interact, and coordinate 4 is inactive."""
+    return SeparableFunction(5, [
+        Term(1.0, {1: F.monomial(1), 2: F.sine(2.0, 0.3)}),
+        Term(-0.6, {3: F.exponential(0.7)}),
+        Term(0.4, {2: F.polynomial([0.5, -1.0, 2.0]), 5: F.cosine(1.5)}),
+    ])
+
+
+def scan_total(table, omega0):
+    """The definition: fsum of the indices of every superset in the table."""
+    return math.fsum(v for omega, v in table.per_omega.items() if omega.issuperset(omega0))
+
+
+SPARSE_GAMMAS = [
+    ("product", ProductGamma(PowerSeq(1.0, 2.0))),
+    ("finite_order", FiniteOrderGamma(ProductGamma(GeometricSeq(1.0, 0.7)), 2)),
+    ("table", TableGamma({S(1): 0.9, S(2): 0.6, S(3): 0.4, S(5): 0.3,
+                          S(1, 2): 0.2, S(2, 5): 0.1})),
+]
+
+
+class TestTotalAgainstScan:
+    @pytest.mark.parametrize("name,gamma", SPARSE_GAMMAS, ids=[n for n, _ in SPARSE_GAMMAS])
+    @pytest.mark.parametrize("include_empty", [False, True])
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_every_group_equals_scan(self, name, gamma, include_empty, mode):
+        """Every group of coordinates 1..d+1, inside the table's sets or not."""
+        f = _five_variable_function()
+        table = sobol_indices(f, gamma, mode, include_empty=include_empty)
+        for omega0 in SupportSet(range(1, f.dim + 2)).subsets():
+            assert table.total(omega0) == scan_total(table, omega0), omega0
+
+    def test_tables_are_sparse(self):
+        """The finite-order table skips sets; the table gamma also coordinate 4."""
+        f = _five_variable_function()
+        sizes = {name: len(sobol_indices(f, gamma, "anova").per_omega)
+                 for name, gamma in SPARSE_GAMMAS}
+        assert sizes == {"product": 31, "finite_order": 15, "table": 6}
+
+
 class TestTruncateOrder:
     @pytest.mark.parametrize("name,f", corpus(), ids=[n for n, _ in corpus()])
     @pytest.mark.parametrize("mode", ["anova", "anchored"])
@@ -155,6 +198,29 @@ class TestL2Error:
         f = SeparableFunction(2, [Term(1.0, {1: F.monomial(1), 2: F.monomial(1)})])
         s1 = truncate_order(f, 1, "anova")
         assert l2_error(f, s1) == pytest.approx(1.0 / 12.0, abs=1e-12)
+
+
+class TestL2ErrorReuse:
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_each_factor_pair_integrated_once(self, monkeypatch, mode):
+        """d(2R+1)**2 bounds the distinct pairs: per coordinate, R factors of
+        f, R shifted factors and the constant 1."""
+        pairs = collections.Counter()
+
+        def counting(g, h):
+            pairs[g, h] += 1
+            return value_inner(g, h)
+
+        monkeypatch.setattr(tensorsplit.sensitivity, "value_inner", counting)
+        f = _five_variable_function()
+        for m in range(f.dim + 1):
+            approx = truncate_order(f, m, mode)
+            pairs.clear()
+            err = l2_error(f, approx)
+            assert max(pairs.values()) == 1
+            assert len(pairs) <= f.dim * (2 * len(f.terms) + 1) ** 2
+            diff = f.terms + [Term(-t.coef, t.factors) for t in approx.terms]
+            assert err == math.sqrt(max(0.0, pair_sum(diff, value_inner)))
 
 
 class TestTruncationBound:
