@@ -108,16 +108,33 @@ def config_number(value, kind, name: str):
     """A JSON number as ``kind`` (float or int); anything else is ``ConfigInvalid``.
 
     A bool or a string is not a number. An int must be integral (2 or 2.0,
-    not 2.7), and a float must be in range.
+    not 2.7), and a float must be finite: Python's ``json`` reads the bare
+    tokens ``NaN`` and ``Infinity``, which are not numbers here.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if kind is float:
             with suppress(OverflowError):  # an int beyond the float range
-                return float(value)
+                x = float(value)
+                if math.isfinite(x):
+                    return x
         elif isinstance(value, int) or (math.isfinite(value) and value.is_integer()):
             return int(value)
     raise ConfigInvalid(f"{name} must be {'an integer' if kind is int else 'a number'}, "
                         f"got {value!r}")
+
+
+def config_coordinate(key, name: str) -> int:
+    """A coordinate key of a JSON object, in canonical decimal form.
+
+    ``"12"`` is 12; ``"012"``, ``"+1"``, ``" 2"`` and ``"1_0"``, which
+    ``int`` would also read, are ``ConfigInvalid``.
+    """
+    if isinstance(key, str):
+        with suppress(ValueError):  # not an integer, or too many digits
+            k = int(key)
+            if str(k) == key:
+                return k
+    raise ConfigInvalid(f"{name} must be a decimal integer key, got {key!r}")
 
 
 def config_numbers(value, kind, name: str) -> list:

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import ConfigInvalid, check_keys, config_errors, config_number, config_numbers
+from .errors import (ConfigInvalid, check_keys, config_coordinate, config_errors, config_number,
+                     config_numbers)
 from .quadrature import gauss_legendre, integrate_1d
 
 __all__ = ["UnivariateFactor", "SeparableFunction", "Term", "function_from_json"]
@@ -247,7 +248,7 @@ def function_from_json(obj) -> SeparableFunction:
         for tobj in obj["terms"]:
             check_keys(tobj, "term spec", {"coef"}, {"factors"})
             factors = {
-                int(k): _factor_from_json(fobj)
+                config_coordinate(k, "factor coordinate"): _factor_from_json(fobj)
                 for k, fobj in tobj.get("factors", {}).items()
             }
             terms.append(Term(config_number(tobj["coef"], float, "coef"), factors))

@@ -16,7 +16,7 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .errors import config_errors, config_number, config_numbers
+from .errors import config_coordinate, config_errors, config_number, config_numbers
 
 __all__ = [
     "IndexVector",
@@ -213,7 +213,8 @@ class IndexVector:
     @classmethod
     def from_json_obj(cls, obj) -> "IndexVector":
         with config_errors(f"index {obj!r}"):
-            return cls({int(k): config_number(j, int, "index level") for k, j in obj.items()})
+            return cls({config_coordinate(k, "index coordinate"): config_number(j, int, "index level")
+                        for k, j in obj.items()})
 
 
 ZERO_INDEX = IndexVector()

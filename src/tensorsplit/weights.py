@@ -719,6 +719,7 @@ def weights_from_json(obj) -> WeightModel:
 def _param_spec(spec, name: str):
     """A number, list or affine ``s``/``lam`` spec, its numbers read by ``config_number``."""
     if isinstance(spec, dict) and spec.get("kind") == "affine":
+        check_keys(spec, f"affine {name} spec", {"kind", "a", "b"})
         return {"kind": "affine", "a": config_number(spec["a"], float, f"{name} a"),
                 "b": config_number(spec["b"], float, f"{name} b")}
     if isinstance(spec, list):

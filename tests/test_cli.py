@@ -175,6 +175,31 @@ class TestErrors:
         path.write_text(json.dumps(cfg))
         assert run_cli(command, path, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("command", ["sobol", "truncate", "anova"])
+    def test_nan_coefficient_rejected(self, tmp_path, command):
+        """``NaN`` used to give ``nan`` sobol rows and a truncation error of 0."""
+        path = tmp_path / "cfg.json"
+        path.write_text('{"function": {"dim": 2, "terms": [{"coef": NaN, "factors": '
+                        '{"1": {"kind": "monomial", "power": 1}}}]}, '
+                        '"gamma": {"kind": "product", "seq": {"kind": "constant", "value": 1.0}}}')
+        assert run_cli(command, path, tmp_path / "out.csv") == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("anova", {"function": {"dim": 10, "terms": [
+            {"coef": 1.0, "factors": {"1_0": {"kind": "monomial", "power": 1}}}]},
+            "gamma": {"kind": "product", "seq": {"kind": "constant", "value": 1.0}}}),
+        ("transform", {"a": _GEOMETRIC_PRODUCT, "indices": [{"1_0": 1}]}),
+        ("transform", {"a": _GEOMETRIC_PRODUCT, "indices": [{" 2": 1}]}),
+        ("transform", {"a": {"type": "spline", "gamma": {"kind": "product", "seq": _GEOMETRIC},
+                             "s": {"kind": "affine", "a": 1.0, "b": 0.25, "c": 7}},
+                       "indices": [{}]}),
+    ], ids=["factor-key", "index-key-underscore", "index-key-space", "affine-unknown-key"])
+    def test_malformed_spec_rejected(self, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, path, tmp_path / "out") == 2
+
     @pytest.mark.parametrize("samples", [
         {"inputs": [["x"], [0.7]], "outputs": [0.1, 0.4]},
         {"inputs": [[0.2], [0.7]], "outputs": "abc"},

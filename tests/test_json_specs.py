@@ -1,5 +1,6 @@
 """JSON construction of sequences, gammas, weights, and functions."""
 
+import json
 import math
 
 import numpy as np
@@ -157,3 +158,81 @@ class TestFunctionSpecs:
                 "dim": 1,
                 "terms": [{"coef": 1.0, "factors": {"2": {"kind": "monomial", "power": 1}}}],
             })
+
+
+class TestNonFiniteNumbers:
+    """Python's ``json`` reads the bare tokens NaN and Infinity; no spec takes them."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("build,template", [
+        (function_from_json, '{"dim": 1, "terms": [{"coef": %s}]}'),
+        (function_from_json,
+         '{"dim": 1, "terms": [{"coef": 1.0, "factors": {"1": {"kind": "sin", "freq": %s}}}]}'),
+        (function_from_json, '{"dim": 1, "terms": [{"coef": 1.0, "factors": '
+                             '{"1": {"kind": "polynomial", "coeffs": [1.0, %s]}}}]}'),
+        (seq_from_json, '{"kind": "power", "c": %s, "p": 2.0}'),
+        (gamma_from_json, '{"kind": "table", "entries": [[[1], %s]]}'),
+        (weights_from_json, '{"type": "scaled", "base": {"type": "unit"}, "factor": %s}'),
+        (weights_from_json, '{"type": "spline", "gamma": {"kind": "product", '
+                            '"seq": {"kind": "constant", "value": 1.0}}, "s": %s}'),
+        (weights_from_json, '{"type": "table", "entries": [[{"1": 1}, %s]]}'),
+    ], ids=["coef", "freq", "coeffs", "power-c", "gamma-table", "scale-factor",
+            "spline-s", "weight-table"])
+    def test_rejected(self, build, template, token):
+        with pytest.raises(ConfigInvalid):
+            build(json.loads(template % token))
+
+    def test_finite_extremes_accepted(self):
+        f = function_from_json({"dim": 1, "terms": [{"coef": 1.7976931348623157e308}]})
+        assert f.terms[0].coef == 1.7976931348623157e308
+
+
+class TestCoordinateKeys:
+    """Coordinate keys are canonical decimals: ``int`` alone would read "1_0" as 10."""
+
+    NON_CANONICAL = ["1_0", " 2", "2 ", "01", "+1", "1.0", "x", "", "١"]
+
+    @pytest.mark.parametrize("key", NON_CANONICAL)
+    def test_function_spec_rejects(self, key):
+        with pytest.raises(ConfigInvalid):
+            function_from_json({
+                "dim": 10,
+                "terms": [{"coef": 1.0, "factors": {key: {"kind": "monomial", "power": 1}}}],
+            })
+
+    @pytest.mark.parametrize("key", NON_CANONICAL)
+    def test_index_spec_rejects(self, key):
+        with pytest.raises(ConfigInvalid):
+            IndexVector.from_json_obj({key: 1})
+
+    @pytest.mark.parametrize("key", ["0", "-1"])
+    def test_index_spec_rejects_nonpositive(self, key):
+        with pytest.raises(ConfigInvalid):
+            IndexVector.from_json_obj({key: 1})
+
+    def test_canonical_keys_accepted(self):
+        f = function_from_json({
+            "dim": 10,
+            "terms": [{"coef": 1.0, "factors": {"10": {"kind": "monomial", "power": 1}}}],
+        })
+        assert list(f.terms[0].factors) == [10]
+        assert IndexVector.from_json_obj({"10": 2, "3": 1}) == IndexVector({3: 1, 10: 2})
+
+
+class TestAffineParameterSpec:
+    @staticmethod
+    def _spline(s):
+        return {"type": "spline",
+                "gamma": {"kind": "product", "seq": {"kind": "constant", "value": 1.0}},
+                "s": s}
+
+    def test_accepted(self):
+        weights_from_json(self._spline({"kind": "affine", "a": 1.0, "b": 0.25}))
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "affine", "a": 1.0, "b": 0.25, "c": 7},
+        {"kind": "affine", "a": 1.0},
+    ], ids=["unknown-key", "missing-key"])
+    def test_rejected(self, spec):
+        with pytest.raises(ConfigInvalid):
+            weights_from_json(self._spline(spec))
