@@ -146,21 +146,16 @@ class DecompositionTerm:
     mixed_norm_sq: float
 
 
-def _center(mode: str, anchor: float = DEFAULT_ANCHOR):
-    """The projection onto constants: the mean (ANOVA) or the anchor value."""
-    if mode == MODE_ANOVA:
-        return lambda g: g.mean
-    anchor = _check_anchor(anchor)
-    return lambda g: g.value(anchor)
-
-
-def _projections(f: SeparableFunction, center) -> list[dict]:
-    """Per term, ``{k: (center(g), g - center(g))}`` in coordinate order."""
+def _projections(f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR) -> list[dict]:
+    """Per term, ``{k: (c, g - c)}`` in coordinate order, where c projects the
+    factor g onto constants: its mean (ANOVA) or its value at the anchor."""
+    if mode == MODE_ANCHORED:
+        anchor = _check_anchor(anchor)
     projected = []
     for t in f.terms:
         parts = {}
         for k, g in sorted(t.factors.items()):
-            c = center(g)
+            c = g.mean if mode == MODE_ANOVA else g.value(anchor)
             parts[k] = (c, g.shifted(c))
         projected.append(parts)
     return projected
@@ -169,12 +164,11 @@ def _projections(f: SeparableFunction, center) -> list[dict]:
 def _component(
     f: SeparableFunction, omega: SupportSet, projected: list[dict], inner
 ) -> DecompositionTerm:
-    """Component with active set omega, from ``_projections(f, center)``.
+    """Component with active set omega, from ``_projections(f, ...)``.
 
-    In every product term an active factor g becomes g - center(g) and an
-    inactive one multiplies the coefficient by center(g); a term that is
-    constant in an active coordinate vanishes.  ``inner`` is ``deriv_inner``
-    or a memo of it.
+    In every product term an active factor g becomes g - c and an inactive
+    one multiplies the coefficient by c; a term that is constant in an
+    active coordinate vanishes.  ``inner`` is ``deriv_inner`` or a memo of it.
     """
     terms = []
     for t, parts in zip(f.terms, projected):
@@ -198,16 +192,16 @@ def _component(
 def anova_term(f: SeparableFunction, omega: SupportSet) -> DecompositionTerm:
     """Component with active set omega of the mean-projection decomposition."""
     _check_support(f, omega)
-    return _component(f, omega, _projections(f, _center(MODE_ANOVA)), deriv_inner)
+    return _component(f, omega, _projections(f, MODE_ANOVA), deriv_inner)
 
 
 def anchored_term(
     f: SeparableFunction, omega: SupportSet, anchor: float = DEFAULT_ANCHOR
 ) -> DecompositionTerm:
     """Component with active set omega of the anchor-evaluation decomposition."""
-    center = _center(MODE_ANCHORED, anchor)
+    anchor = _check_anchor(anchor)
     _check_support(f, omega)
-    return _component(f, omega, _projections(f, center), deriv_inner)
+    return _component(f, omega, _projections(f, MODE_ANCHORED, anchor), deriv_inner)
 
 
 def _check_support(f: SeparableFunction, omega: SupportSet):
@@ -223,7 +217,7 @@ def decompose(
     """All components of the chosen decomposition, in canonical set order."""
     _check_mode(mode)
     # one shifted factor per (term, coordinate) and each 1-D integral once
-    projected = _projections(f, _center(mode, anchor))
+    projected = _projections(f, mode, anchor)
     inner = functools.cache(deriv_inner)
     return [_component(f, omega, projected, inner)
             for omega in SupportSet(range(1, f.dim + 1)).subsets()]
