@@ -205,11 +205,6 @@ class TestCoordinateKeys:
         with pytest.raises(ConfigInvalid):
             IndexVector.from_json_obj({key: 1})
 
-    @pytest.mark.parametrize("key", ["0", "-1"])
-    def test_index_spec_rejects_nonpositive(self, key):
-        with pytest.raises(ConfigInvalid):
-            IndexVector.from_json_obj({key: 1})
-
     def test_canonical_keys_accepted(self):
         f = function_from_json({
             "dim": 10,

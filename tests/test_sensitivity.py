@@ -122,7 +122,7 @@ def scan_total(table, omega0):
     return math.fsum(v for omega, v in table.per_omega.items() if omega.issuperset(omega0))
 
 
-SPARSE_GAMMAS = [
+TOTAL_GAMMAS = [
     ("product", ProductGamma(PowerSeq(1.0, 2.0))),
     ("finite_order", FiniteOrderGamma(ProductGamma(GeometricSeq(1.0, 0.7)), 2)),
     ("table", TableGamma({S(1): 0.9, S(2): 0.6, S(3): 0.4, S(5): 0.3,
@@ -131,7 +131,7 @@ SPARSE_GAMMAS = [
 
 
 class TestTotalAgainstScan:
-    @pytest.mark.parametrize("name,gamma", SPARSE_GAMMAS, ids=[n for n, _ in SPARSE_GAMMAS])
+    @pytest.mark.parametrize("name,gamma", TOTAL_GAMMAS, ids=[n for n, _ in TOTAL_GAMMAS])
     @pytest.mark.parametrize("include_empty", [False, True])
     @pytest.mark.parametrize("mode", ["anova", "anchored"])
     def test_every_group_equals_scan(self, name, gamma, include_empty, mode):
@@ -145,7 +145,7 @@ class TestTotalAgainstScan:
         """The finite-order table skips sets; the table gamma also coordinate 4."""
         f = _five_variable_function()
         sizes = {name: len(sobol_indices(f, gamma, "anova").per_omega)
-                 for name, gamma in SPARSE_GAMMAS}
+                 for name, gamma in TOTAL_GAMMAS}
         assert sizes == {"product": 31, "finite_order": 15, "table": 6}
 
 
