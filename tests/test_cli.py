@@ -25,6 +25,7 @@ GOLDEN_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
 #: extra flags of a golden run
 GOLDEN_FLAGS = {
     "epsdim_cap": ["--cap", "500"],
+    "epsdim_cap_ascending": ["--cap", "500"],
     "anchored_finite_order": ["--anchor", "0.3"],
     "sobol_table_include_empty": ["--include-empty"],
 }
