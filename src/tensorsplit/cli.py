@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -132,13 +133,26 @@ def _cmd_epsdim(cfg: dict, args):
     eps_list = config_numbers(cfg["eps"], float, "eps")
     d_list = config_numbers(cfg.get("d", []), int, "d")
     rows = []
-    for eps in eps_list:
-        full = eps_dimension(a, b, eps, dims, cap=args.cap)
-        d0 = full.index_set.max_coord
-        rows.append([eps, "", full.n, len(full.index_set), d0, full.truncated])
-        for d in d_list:
-            res = full.restricted(d, dims)
-            rows.append([eps, str(d), res.n, len(res.index_set), d0, res.truncated])
+    if eps_list:
+        # One enumeration at the smallest eps serves every row: threshold
+        # sets nest in eps, and so does the walk.  Errors keep the order of
+        # one walk per eps: a nonpositive eps where it stands, a negative d
+        # right after the first eps's walk, and a failed walk as the first
+        # failing eps meets it (a larger eps visits fewer indices, so it may
+        # hit the cap before a deeper walk meets a different error).
+        lead = list(itertools.takewhile(lambda eps: eps > 0, eps_list))
+        if not lead or any(d < 0 for d in d_list):
+            lead = eps_list[:1]
+        try:
+            walk = eps_dimension(a, b, min(lead), dims, cap=args.cap)
+        except TensorsplitError:
+            for eps in lead:
+                eps_dimension(a, b, eps, dims, cap=args.cap)
+            raise
+        d_keys = ["", *map(str, d_list)]
+        for eps, d0, counts in walk.table(eps_list, d_list, dims):
+            rows.extend([eps, d, n, size, d0, walk.truncated]
+                        for d, (n, size) in zip(d_keys, counts))
     _write_csv(args.out, ["eps", "d", "n", "set_size", "d0", "truncated"], rows)
 
 

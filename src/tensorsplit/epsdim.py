@@ -17,12 +17,15 @@ population is replaced by |support|**excess.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import ConfigInvalid, EnumerationCap, NotCompact, TailUnavailable
 from .gammas import GammaModel, ProductGamma
-from .indexing import ZERO_INDEX, IndexSet, IndexVector, SupportSet
+from .indexing import EMPTY_SUPPORT, IndexSet, IndexVector, SupportSet
 from .sequences import ConstantSeq, CoordSeq, ProductOfSeqs, seq_ratio
 from .weights import (
     AnisotropicWeights,
@@ -43,6 +46,7 @@ __all__ = [
     "SplineDims",
     "CustomDims",
     "EpsDimResult",
+    "ThresholdSet",
     "FiniteUniverse",
     "ProductDecay",
     "auto_certificate",
@@ -104,6 +108,26 @@ def dims_from_json(obj) -> DimensionModel:
     raise ConfigInvalid(f"unknown dimension model {obj!r}")
 
 
+def _threshold(eps: float) -> float:
+    """The ratio threshold eps**2 of a positive eps."""
+    if eps <= 0:
+        raise ConfigInvalid("eps must be positive")
+    return eps * eps
+
+
+def _check_restriction(d: int):
+    if d < 0:
+        raise ConfigInvalid("restriction dimension must be nonnegative")
+
+
+class ThresholdSet(IndexSet):
+    """A threshold set that keeps the comparison ratio of each member."""
+
+    def __init__(self, ratios: dict[IndexVector, float]):
+        super().__init__(ratios)
+        self.ratios = ratios
+
+
 @dataclass(frozen=True)
 class EpsDimResult:
     """Exact dimension count for one threshold level.
@@ -124,11 +148,39 @@ class EpsDimResult:
 
         The d-restricted threshold set is this one filtered by max_coord.
         """
-        if d < 0:
-            raise ConfigInvalid("restriction dimension must be nonnegative")
+        _check_restriction(d)
         index_set = IndexSet(j for j in self.index_set.members if j.max_coord <= d)
         n = sum(dims.subspace_dim(j) for j in index_set.members)
         return EpsDimResult(n=n, eps=self.eps, index_set=index_set, truncated=self.truncated)
+
+    def table(self, eps_list, ds, dims: DimensionModel):
+        """Counts at each eps of ``eps_list``, none below this result's eps,
+        read from the member ratios by the enumeration's own test.
+
+        Threshold sets nest in eps, and so does the walk that finds them,
+        so one enumeration at the smallest eps serves every larger one.
+        Yields ``(eps, d0, counts)`` in order, where ``counts`` holds the
+        ``(n, set size)`` of the full set and then of each d-restricted set
+        for d in ``ds``.  The members are sorted by max_coord once, and the
+        d rows are prefix sums of their dimensions.
+        """
+        members = sorted(((j.max_coord, dims.subspace_dim(j), c)
+                          for j, c in self.index_set.ratios.items()), key=lambda m: m[0])
+        for eps in eps_list:
+            eps2 = _threshold(eps)
+            if eps < self.eps:
+                raise ValueError(f"eps {eps} lies below the enumerated eps {self.eps}")
+            coords, n_upto = [], [0]
+            for k, n, c in members:
+                if c >= eps2:
+                    coords.append(k)
+                    n_upto.append(n_upto[-1] + n)
+            counts = [(n_upto[-1], len(coords))]
+            for d in ds:
+                _check_restriction(d)
+                size = bisect.bisect_right(coords, d)
+                counts.append((n_upto[size], size))
+            yield eps, (coords[-1] if coords else 0), counts
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +332,129 @@ def _param_ratio(num, den) -> CoordSeq:
 
 
 # ---------------------------------------------------------------------------
+# carried weights
+
+
+class _Carried(NamedTuple):
+    """One weight model's weights, carried down the index tree.
+
+    A state holds the running products a weight is built from.
+    ``on_support(sigma)`` is the state of the level-1 index on ``sigma``;
+    ``enter(state, k)`` the state after coordinate k enters at level 1
+    (None where the set weight is no running product); ``deepen(state, k)``
+    the state after the level at k rises by one.  ``weight(state, entries)``
+    is the model's weight of the index with those entries, bit-identical to
+    ``model.weight``: it is built from the very values that method computes,
+    multiplied in the same order.
+    """
+
+    on_support: Callable
+    enter: Callable | None
+    deepen: Callable
+    weight: Callable
+
+
+def _nothing(*args):
+    return None
+
+
+def _by_vector(model: WeightModel) -> _Carried:
+    """No carried state: ``model.weight`` of the index itself."""
+    to_vector = IndexVector._from_entries
+    return _Carried(_nothing, _nothing, _nothing,
+                    lambda state, entries: model.weight(to_vector(entries)))
+
+
+def _carried(model: WeightModel) -> _Carried:
+    # exact types: a subclass may define its own weight
+    kind = type(model)
+    if kind is UnitWeights:
+        return _Carried(_nothing, _nothing, _nothing, lambda state, entries: 1.0)
+    if kind is ScaledWeights:
+        base, factor = _carried(model.base), model.factor
+        base_weight = base.weight
+        return base._replace(weight=lambda state, entries: factor * base_weight(state, entries))
+    if kind is ProductWeights:
+        return _carried_product(model)
+    if kind is SplineWeights:
+        return _carried_spline(model)
+    return _by_vector(model)
+
+
+def _carried_product(model: ProductWeights) -> _Carried:
+    """State (gamma product, total level), multiplied as ``ProductWeights.weight`` does."""
+    gamma = ProductGamma(model.gamma_seq)
+    value = model.gamma_seq.value
+
+    def weight(state, entries):
+        gw, total = state
+        if total > len(entries):  # some level is 2 or more: outside the universe
+            return 0.0
+        return math.inf if gw == 0.0 else 1.0 / gw
+
+    return _Carried(
+        on_support=lambda sigma: (gamma.value(sigma), len(sigma)),
+        enter=lambda state, k: (state[0] * value(k), state[1] + 1),
+        deepen=lambda state, k: (state[0], state[1] + 1),
+        weight=weight,
+    )
+
+
+def _carried_spline(model: SplineWeights) -> _Carried:
+    """State (gamma value, lam product, total level).
+
+    The gamma value is multiplied in coordinate order from 1.0, as
+    ``ProductGamma.value`` does, and the lam product in ``math.prod``'s
+    order, so ``spline_weight_value`` gets the arguments ``weight`` passes.
+    """
+    gamma, lam = model.gamma, model.lam
+    if model.s.is_constant:
+        two_s = 2.0 * model.s.const
+
+        def two_s_dot(total, entries):
+            return two_s * total
+    else:
+        s_value = model.s.value
+
+        def two_s_dot(total, entries):
+            return math.fsum(2.0 * s_value(k) * jk for k, jk in entries)
+
+    def weight(state, entries):
+        gv, lam_prod, total = state
+        if total == 0:
+            return 1.0
+        return spline_weight_value(gv, lam_prod, two_s_dot(total, entries))
+
+    enter = None
+    if isinstance(gamma, ProductGamma):
+        gamma_value, lam_value = gamma.seq.value, lam.value
+
+        def enter(state, k):
+            gv, lam_prod, total = state
+            return gv * gamma_value(k), lam_prod * lam_value(k), total + 1
+
+    return _Carried(
+        on_support=lambda sigma: (gamma.value(sigma), model.lam_product(sigma), len(sigma)),
+        enter=enter,
+        deepen=lambda state, k: (state[0], state[1], state[2] + 1),
+        weight=weight,
+    )
+
+
+def _carried_ratio(ca: _Carried, cb: _Carried):
+    """``ratio``'s expression on the carried weights of a pair."""
+    weight_a, weight_b = ca.weight, cb.weight
+
+    def carried_ratio(sa, sb, entries):
+        aw = weight_a(sa, entries)
+        if aw == 0.0 or math.isinf(aw):
+            return 0.0
+        return weight_b(sb, entries) / aw
+
+    return carried_ratio
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -290,22 +465,20 @@ def enumerate_threshold_set(
     certificate=None,
     cap: int = DEFAULT_CAP,
     on_cap: str = "raise",
-) -> tuple[IndexSet, bool]:
+) -> tuple[ThresholdSet, bool]:
     """Enumerate all indices with b_j / a_j >= eps**2 (boundary included).
 
-    Returns ``(index_set, truncated)``.  With ``on_cap='raise'`` exceeding
-    the cap raises ``EnumerationCap``; with ``'truncate'`` a partial set is
-    returned and flagged.
+    Returns ``(index_set, truncated)``; the set keeps each member's ratio.
+    With ``on_cap='raise'`` exceeding the cap raises ``EnumerationCap``;
+    with ``'truncate'`` a partial set is returned and flagged.
     """
-    if eps <= 0:
-        raise ConfigInvalid("eps must be positive")
+    eps2 = _threshold(eps)
     if certificate is None:
         certificate = auto_certificate(a, b)
-    eps2 = eps * eps
 
     if isinstance(certificate, FiniteUniverse):
-        members = [j for j in certificate.candidates if ratio(a, b, j) >= eps2]
-        return IndexSet(members), False
+        members = {j: c for j in certificate.candidates if (c := ratio(a, b, j)) >= eps2}
+        return ThresholdSet(members), False
 
     if isinstance(certificate, SupportDecay):
         return _enumerate_by_support(a, b, eps2, certificate.supports, cap, on_cap)
@@ -315,14 +488,22 @@ def enumerate_threshold_set(
 
     boost = _BoostTable(certificate.mult)
     level_cap = _combined_level_cap(a, b)
+    # the walk only ever raises its last coordinate or enters a larger one
+    ca, cb = (c if c.enter is not None else _by_vector(m)
+              for m, c in ((a, _carried(a)), (b, _carried(b))))
+    enter_a, deepen_a, enter_b, deepen_b = ca.enter, ca.deepen, cb.enter, cb.deepen
+    carried_ratio = _carried_ratio(ca, cb)
+    to_vector = IndexVector._from_entries
 
-    out: list[IndexVector] = []
+    out: dict[IndexVector, float] = {}
     truncated = False
     visited = 0
-    stack: list[tuple[IndexVector, float]] = [(ZERO_INDEX, ratio(a, b, ZERO_INDEX))]
+    sa, sb = ca.on_support(EMPTY_SUPPORT), cb.on_support(EMPTY_SUPPORT)
+    # (entries, state of a, state of b, ratio)
+    stack = [((), sa, sb, carried_ratio(sa, sb, ()))]
 
     while stack:
-        j, cj = stack.pop()
+        entries, sa, sb, cj = stack.pop()
         visited += 1
         if visited > cap:
             if on_cap == "truncate":
@@ -330,27 +511,29 @@ def enumerate_threshold_set(
                 break
             raise EnumerationCap(f"visited more than {cap} candidate indices")
         if cj >= eps2:
-            out.append(j)
+            out[to_vector(entries)] = cj
             if len(out) > cap:
                 if on_cap == "truncate":
                     truncated = True
                     break
                 raise EnumerationCap(f"threshold set exceeds cap {cap}")
-        kmax = j.max_coord
+        kmax, level = entries[-1] if entries else (0, 0)
 
-        if kmax > 0 and (level_cap is None or j.level(kmax) < level_cap):
-            jj = j.bump(kmax)
-            cc = ratio(a, b, jj)
+        if kmax > 0 and (level_cap is None or level < level_cap):
+            child = entries[:-1] + ((kmax, level + 1),)
+            ca_, cb_ = deepen_a(sa, kmax), deepen_b(sb, kmax)
+            cc = carried_ratio(ca_, cb_, child)
             if cc * boost.after(kmax) >= eps2:
-                stack.append((jj, cc))
+                stack.append((child, ca_, cb_, cc))
 
         for k in boost.entry_coords(cj, eps2, kmax + 1):
-            jj = j.bump(k)
-            cc = ratio(a, b, jj)
+            child = entries + ((k, 1),)
+            ca_, cb_ = enter_a(sa, k), enter_b(sb, k)
+            cc = carried_ratio(ca_, cb_, child)
             if cc * boost.after(k) >= eps2:
-                stack.append((jj, cc))
+                stack.append((child, ca_, cb_, cc))
 
-    return IndexSet(out), truncated
+    return ThresholdSet(out), truncated
 
 
 def _combined_level_cap(a: WeightModel, b: WeightModel) -> int | None:
@@ -363,25 +546,32 @@ def _enumerate_by_support(a, b, eps2, supports, cap, on_cap):
 
     Levels of a fixed support form a lattice; bumping coordinates in
     nondecreasing position order visits each level vector once, and a
-    subthreshold vector prunes its whole upward cone.
+    subthreshold vector prunes its whole upward cone.  Each support's
+    carried state (for spline weights its gamma value and lam product) is
+    computed once; within the support only the total level changes.
     """
-    out: list[IndexVector] = []
+    ca, cb = _carried(a), _carried(b)
+    deepen_a, deepen_b = ca.deepen, cb.deepen
+    carried_ratio = _carried_ratio(ca, cb)
+    to_vector = IndexVector._from_entries
+    out: dict[IndexVector, float] = {}
     for sigma in supports:
-        coords = list(sigma)
-        start = IndexVector({k: 1 for k in coords})
-        stack: list[tuple[IndexVector, int]] = [(start, 0)]
+        stack = [(tuple((k, 1) for k in sigma), ca.on_support(sigma), cb.on_support(sigma), 0)]
         while stack:
-            j, pos = stack.pop()
-            if ratio(a, b, j) < eps2:
+            entries, sa, sb, pos = stack.pop()
+            c = carried_ratio(sa, sb, entries)
+            if c < eps2:
                 continue
-            out.append(j)
+            out[to_vector(entries)] = c
             if len(out) > cap:
                 if on_cap == "truncate":
-                    return IndexSet(out[:cap]), True
+                    return ThresholdSet(dict(itertools.islice(out.items(), cap))), True
                 raise EnumerationCap(f"threshold set exceeds cap {cap}")
-            for i in range(pos, len(coords)):
-                stack.append((j.bump(coords[i]), i))
-    return IndexSet(out), False
+            for i in range(pos, len(entries)):
+                k, level = entries[i]
+                stack.append((entries[:i] + ((k, level + 1),) + entries[i + 1:],
+                              deepen_a(sa, k), deepen_b(sb, k), i))
+    return ThresholdSet(out), False
 
 
 def eps_dimension(
@@ -454,14 +644,12 @@ def spline_eps_dimension(
     subspace dimension 2**m.  The coarser bound 1 + 2 * sum (2|support|)**m
     is reported alongside.
     """
-    if eps <= 0:
-        raise ConfigInvalid("eps must be positive")
+    eps2 = _threshold(eps)
     if not isinstance(s, (int, float)) or s <= 0:
         raise ConfigInvalid("common smoothness must be a positive number")
     if not isinstance(lam, (int, float)) or lam <= 0:
         raise ConfigInvalid("the scale constant must be a positive number")
     model = SplineWeights(gamma, float(s), float(lam))
-    eps2 = eps * eps
 
     def excess_cap(omega: SupportSet) -> int:
         """Largest m >= 0 whose ratio clears the threshold, -1 if none."""

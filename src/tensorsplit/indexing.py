@@ -140,6 +140,15 @@ class IndexVector:
         """Build from keyword coordinates, e.g. ``IndexVector.of(k1=2, k3=1)``."""
         return cls({int(name.lstrip("k")): j for name, j in levels.items()})
 
+    @classmethod
+    def _from_entries(cls, entries: tuple[tuple[int, int], ...]) -> "IndexVector":
+        """Trusted constructor: ``entries`` is already canonical, a tuple of
+        (coordinate, level) int pairs with increasing coordinates >= 1 and
+        levels >= 1.  Nothing is checked or copied."""
+        j = object.__new__(cls)
+        object.__setattr__(j, "entries", entries)
+        return j
+
     def level(self, k: int) -> int:
         for kk, j in self.entries:
             if kk == k:

@@ -410,6 +410,35 @@ class TestErrors:
         path.write_text(json.dumps(cfg))
         assert run_cli("truncate", path, tmp_path / "out.csv") == 8
 
+    @pytest.mark.parametrize("model,eps,d,cap,code,line", [
+        # the first eps hits the cap; the smallest one alone meets NotCompact first
+        ("deep", [0.3, 0.2], [], 2, 7, "EnumerationCap: visited more than 2 candidate indices"),
+        ("deep", [0.2, 0.3], [], 2, 6,
+         "NotCompact: entry multipliers do not decay; the threshold set is unbounded"),
+        # a negative d is met right after the first eps's walk
+        ("pinned", [0.2, 0.005], [1, -1], 500, 2,
+         "ConfigInvalid: restriction dimension must be nonnegative"),
+        ("pinned", [0.005, 0.2], [-1], 500, 7, "EnumerationCap: visited more than 500 candidate indices"),
+        # a nonpositive eps is met where it stands
+        ("pinned", [0.2, -1.0, 0.005], [], 500, 2, "ConfigInvalid: eps must be positive"),
+        ("pinned", [0.2, 0.005, -1.0], [], 500, 7, "EnumerationCap: visited more than 500 candidate indices"),
+    ])
+    def test_epsdim_errors_keep_per_eps_order(self, tmp_path, capsys, model, eps, d, cap, code, line):
+        """One enumeration serves every eps, but a failing request reports the
+        error that one walk per eps, in list order, meets first."""
+        a = json.loads((GOLDEN_DIR / "epsdim_cap.json").read_text())["a"]
+        if model == "deep":
+            # entry multipliers: 2.5 at coordinate 1, then 0.025 for ever
+            a = {"type": "spline", "gamma": {"kind": "product", "seq": {"kind": "constant", "value": 1.0}},
+                 "s": 1.0, "lam": [0.1, 10.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"a": a, "b": {"type": "unit"}, "eps": eps, "d": d}))
+        out = tmp_path / "out.csv"
+        assert run_cli("epsdim", path, out, ["--cap", str(cap)]) == code
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: {line}"]
+
     def test_bad_anchor_flag(self, tmp_path):
         code = run_cli(
             "anova", CONFIG_DIR / "anova_example.json", tmp_path / "o.csv",
@@ -419,8 +448,9 @@ class TestErrors:
 
 
 class TestEnumerationCount:
-    def test_one_enumeration_per_eps(self, tmp_path, monkeypatch):
-        """The full count, every d row and d0 come from one threshold set."""
+    def test_one_enumeration_per_request(self, tmp_path, monkeypatch):
+        """Every eps row, every d row and d0 come from one threshold set,
+        enumerated at the smallest eps."""
         calls = []
         enumerate_threshold_set = tensorsplit.epsdim.enumerate_threshold_set
 
@@ -430,8 +460,10 @@ class TestEnumerationCount:
 
         monkeypatch.setattr(tensorsplit.epsdim, "enumerate_threshold_set", counting)
         config = CONFIG_DIR / "epsdim_example.json"
-        assert run_cli("epsdim", config, tmp_path / "eps.csv") == 0
-        assert calls == json.loads(config.read_text())["eps"]
+        out = tmp_path / "eps.csv"
+        assert run_cli("epsdim", config, out) == 0
+        assert calls == [min(json.loads(config.read_text())["eps"])]
+        assert out.read_bytes() == (GOLDEN_DIR / "epsdim_example.out").read_bytes()
 
 
 class TestJsonRender:

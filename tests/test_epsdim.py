@@ -4,9 +4,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorsplit.epsdim import (
     AllOneDims,
+    ProductDecay,
     SplineDims,
     enumerate_threshold_set,
     eps_dimension,
@@ -405,3 +408,91 @@ class TestSplineCounting:
     def test_not_compact_gamma(self):
         with pytest.raises(NotCompact):
             spline_eps_dimension(ProductGamma(ConstantSeq(1.0)), 1.0, 1.0, 0.1)
+
+
+def carried_pairs():
+    """(name, a, b, eps): one pair per way the walk carries a weight."""
+    power = ProductGamma(PowerSeq(1.0, 2.0))
+
+    def spline(s=1.0, lam=1.0, gamma=power):
+        return SplineWeights(gamma, s=s, lam=lam)
+
+    return [
+        ("spline_const_s", spline(), UnitWeights(), 0.01),
+        ("spline_listed_s", spline(s=[1.5, 0.75, 1.25]), UnitWeights(), 0.02),
+        ("spline_affine_s", spline(s={"kind": "affine", "a": 0.5, "b": 0.25}), UnitWeights(), 0.02),
+        ("spline_listed_lam", spline(lam=[0.5, 2.0, 1.5]), UnitWeights(), 0.01),
+        ("scaled_both", ScaledWeights(spline(), 0.7), ScaledWeights(UnitWeights(), 1.3), 0.01),
+        ("product_unit", ProductWeights(PowerSeq(0.85, 2.0)), UnitWeights(), 0.03),
+        ("product_product", ProductWeights(PowerSeq(0.9, 3.0)), ProductWeights(PowerSeq(0.9, 1.5)), 0.1),
+        ("spline_spline", spline(s=2.0, gamma=ProductGamma(PowerSeq(1.0, 3.0))), spline(), 0.05),
+        ("support_table", spline(s=[1.0, 0.5], lam=[2.0, 1.0],
+                                 gamma=TableGamma({S(1): 1.0, S(2): 0.5, S(1, 2): 0.25})),
+         ScaledWeights(UnitWeights(), 2.0), 0.01),
+        ("support_product", spline(s=0.5, gamma=ProductGamma(FiniteSeq([0.9, 0.8, 0.7]))),
+         UnitWeights(), 0.05),
+        ("aniso_by_vector", AnisotropicWeights(power, s=1.0), UnitWeights(), 0.03),
+    ]
+
+
+class TestCarriedWalk:
+    """The walk carries running products instead of re-evaluating weights;
+    its ratios must be the ones ``ratio`` computes, bit for bit."""
+
+    @pytest.mark.parametrize("name,a,b,eps", carried_pairs(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_member_ratios_equal_ratio(self, name, a, b, eps):
+        got, truncated = enumerate_threshold_set(a, b, eps)
+        assert not truncated and len(got) > 5
+        for j, c in got.ratios.items():
+            assert c == ratio(a, b, j), f"{name}: {j!r}"
+            assert c >= eps * eps
+            # the trusted vectors are canonical
+            assert IndexVector(j.entries).entries == j.entries
+
+    @pytest.mark.parametrize("name,a,b,eps", carried_pairs(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_table_matches_one_enumeration_per_eps(self, name, a, b, eps):
+        """Counts read from the smallest eps's set equal those of a fresh
+        enumeration at each eps, and its d-restrictions."""
+        eps_list = [eps * 3.0, eps, eps * 1.7]
+        ds = [0, 1, 2, 4]
+        walk = eps_dimension(a, b, eps, SplineDims())
+        for eps_i, d0, counts in walk.table(eps_list, ds, SplineDims()):
+            full = eps_dimension(a, b, eps_i, SplineDims())
+            assert d0 == full.index_set.max_coord
+            expected = [(full.n, len(full.index_set))]
+            for d in ds:
+                res = full.restricted(d, SplineDims())
+                expected.append((res.n, len(res.index_set)))
+            assert counts == expected, f"{name} at eps={eps_i}"
+
+    def test_table_refuses_a_smaller_eps(self):
+        a = SplineWeights(ProductGamma(PowerSeq(1.0, 2.0)), s=1.0)
+        walk = eps_dimension(a, UnitWeights(), 0.1, AllOneDims())
+        with pytest.raises(ValueError):
+            list(walk.table([0.05], [], AllOneDims()))
+
+    @given(
+        values=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
+        s=st.one_of(
+            st.floats(0.5, 2.0),
+            st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3),
+            st.tuples(st.floats(0.5, 1.0), st.just(0.0) | st.floats(0.05, 0.5)).map(
+                lambda ab: {"kind": "affine", "a": ab[0], "b": ab[1]}),
+        ),
+        lam=st.one_of(st.floats(0.7, 2.0), st.lists(st.floats(0.7, 2.0), min_size=1, max_size=3)),
+        scale_a=st.sampled_from([None, 0.6, 1.7]),
+        scale_b=st.sampled_from([None, 0.8, 1.25]),
+        eps=st.floats(0.12, 0.9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_spline_models_against_brute_force(self, values, s, lam, scale_a, scale_b, eps):
+        """Both routes, the per-support scan (the automatic certificate for a
+        finite gamma) and the depth-first walk, against the box oracle."""
+        base = SplineWeights(ProductGamma(FiniteSeq(values)), s=s, lam=lam)
+        a = base if scale_a is None else ScaledWeights(base, scale_a)
+        b = UnitWeights() if scale_b is None else ScaledWeights(UnitWeights(), scale_b)
+        expected = brute_force_set(box_ratios(a, b, max_coord=3, max_level=10), eps, max_level=10)
+        for certificate in (None, ProductDecay(base.multiplier_seq())):
+            got, _ = enumerate_threshold_set(a, b, eps, certificate=certificate)
+            assert got == expected
+            assert all(c == ratio(a, b, j) for j, c in got.ratios.items())
