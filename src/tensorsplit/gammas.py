@@ -225,8 +225,10 @@ def gamma_from_json(obj) -> GammaModel:
             for pair in obj["entries"]:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise ConfigInvalid(f"table entry must be [support, value]: {pair!r}")
-                entries[SupportSet.from_json_obj(pair[0])] = config_number(
-                    pair[1], float, "gamma table value")
+                omega = SupportSet.from_json_obj(pair[0])
+                if omega in entries:
+                    raise ConfigInvalid(f"gamma table repeats support {pair[0]!r}")
+                entries[omega] = config_number(pair[1], float, "gamma table value")
             monotone = config_bool(obj.get("assert_monotone", False), "assert_monotone")
             return TableGamma(entries, assert_monotone=monotone)
         if kind == "finite_order":

@@ -103,7 +103,10 @@ class SupportSet:
     @classmethod
     def from_json_obj(cls, obj) -> "SupportSet":
         with config_errors(f"support {obj!r}"):
-            return cls(config_numbers(obj, int, "support"))
+            coords = config_numbers(obj, int, "support")
+            if len(set(coords)) != len(coords):
+                raise ValueError("a coordinate is repeated")
+            return cls(coords)
 
 
 EMPTY_SUPPORT = SupportSet()

@@ -705,8 +705,10 @@ def weights_from_json(obj) -> WeightModel:
             for pair in obj["entries"]:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise ConfigInvalid(f"table entry must be [index, value]: {pair!r}")
-                entries[IndexVector.from_json_obj(pair[0])] = config_number(
-                    pair[1], float, "weight table value")
+                j = IndexVector.from_json_obj(pair[0])
+                if j in entries:
+                    raise ConfigInvalid(f"weight table repeats index {pair[0]!r}")
+                entries[j] = config_number(pair[1], float, "weight table value")
             monotone = config_bool(obj.get("assert_monotone", False), "assert_monotone")
             return TableWeights(entries, assert_monotone=monotone)
         if t == "scaled":

@@ -439,6 +439,30 @@ class TestErrors:
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert errors == [f"error: {line}"]
 
+    @pytest.mark.parametrize("command,cfg,line", [
+        ("anova", {"function": _LINEAR, "gamma": {"kind": "table", "entries": [[[1], 0.5], [[1], 0.7]]}},
+         "error: ConfigInvalid: gamma table repeats support [1]"),
+        ("anova", {"function": _LINEAR, "gamma": {"kind": "table", "entries": [[[1, 2], 0.5], [[2, 1], 0.7]]}},
+         "error: ConfigInvalid: gamma table repeats support [2, 1]"),
+        ("anova", {"function": _LINEAR, "gamma": {"kind": "table", "entries": [[[2, 1, 1], 0.5]]}},
+         "error: ConfigInvalid: bad support [2, 1, 1]: a coordinate is repeated"),
+        ("epsdim", {"a": {"type": "table", "entries": [[{"1": 1}, 2.0], [{"1": 1}, 3.0]]},
+                    "b": {"type": "unit"}, "eps": [0.5]},
+         "error: ConfigInvalid: weight table repeats index {'1': 1}"),
+        ("epsdim", {"a": {"type": "table", "entries": [[{}, 1.0], [{"1": 0}, 3.0]]},
+                    "b": {"type": "unit"}, "eps": [0.5]},
+         "error: ConfigInvalid: weight table repeats index {'1': 0}"),
+    ], ids=["gamma-support", "gamma-support-reordered", "gamma-coordinate", "weight-index",
+            "weight-index-zero-level"])
+    def test_repeated_table_entry_rejected(self, tmp_path, capsys, command, cfg, line):
+        """A later entry does not silently replace an earlier one: exit 2."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, path, tmp_path / "out.csv") == 2
+        assert not (tmp_path / "out.csv").exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [line]
+
     def test_bad_anchor_flag(self, tmp_path):
         code = run_cli(
             "anova", CONFIG_DIR / "anova_example.json", tmp_path / "o.csv",
