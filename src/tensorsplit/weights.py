@@ -595,6 +595,7 @@ def redundant_condition_bound(
         # maximized at the zero index where it equals the full total.
         return ConditionBound(total, certified=True)
 
+    margin = 0.0
     if isinstance(model, TableWeights):
         indices, certified = model.entries, True
     elif isinstance(model, SplineWeights):
@@ -603,11 +604,12 @@ def redundant_condition_bound(
         # a_j * tail(j) depends on j only through its support, so one
         # level-1 index per enumerable support covers every level vector
         try:
-            indices = [IndexVector(dict.fromkeys(sigma, 1))
-                       for sigma in model.gamma.iter_support()]
+            supports = list(model.gamma.iter_support())
         except TailUnavailable:
             return None
+        indices = [IndexVector(dict.fromkeys(sigma, 1)) for sigma in supports]
         certified = True
+        margin = _level_one_error(model, supports)
     elif search is not None:
         indices, certified = search, False
     else:
@@ -619,7 +621,36 @@ def redundant_condition_bound(
         if aw == 0.0 or math.isinf(aw):
             continue
         best = max(best, aw * oracle.tail(j))
+    if margin:
+        best = math.nextafter(best * (1.0 + margin), math.inf)
     return ConditionBound(best, certified)
+
+
+def _level_one_error(model: SplineWeights, supports) -> float:
+    """Relative error bound of a_j * tail(j) computed at a level-1 index.
+
+    Rounding the computed value up by it gives an upper bound of the exact
+    level-independent value.  The count is first order, in units of
+    u = 2**-53, for supports of at most M coordinates, with x = 2 s M the
+    largest dyadic exponent and r the largest rho_k / (1 - rho_k):
+      * weight: gamma and lam products (2M), the rounded exponent 2 s T,
+        which moves 2**x by up to 2 ln 2 x < 1.4 x, the power (2, one ulp),
+        the product and the quotient (2);
+      * tail: the correctly rounded sum of positive pieces (1); per piece
+        the gamma value and the products (2M), and per coordinate a
+        geometric tail: the power rho (2), 1 - rho (1, plus 2r from the
+        error of rho), the scale and the quotient (2);
+      * the final product (1) and applying the margin (3).
+    """
+    coords = {k for sigma in supports for k in sigma}
+    if not coords:
+        return 0.0
+    size = max(len(sigma) for sigma in supports)
+    s_max = max(model.s.value(k) for k in coords)
+    r = max(rho / (1.0 - rho) for rho in map(model.level_decay, coords))
+    n = 2 * size + 1.4 * (2.0 * s_max * size) + 4 + 1 + size * (7 + 2 * r) + 4
+    eps = n * 2.0**-53
+    return eps / (1.0 - eps)
 
 
 def _spline_condition_bound(model: SplineWeights) -> ConditionBound | None:
