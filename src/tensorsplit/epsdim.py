@@ -426,7 +426,7 @@ def _carried_spline(model: SplineWeights) -> _Carried:
         return spline_weight_value(gv, lam_prod, two_s_dot(total, entries))
 
     enter = None
-    if isinstance(gamma, ProductGamma):
+    if type(gamma) is ProductGamma:
         gamma_value, lam_value = gamma.seq.value, lam.value
 
         def enter(state, k):
@@ -488,11 +488,16 @@ def enumerate_threshold_set(
 
     boost = _BoostTable(certificate.mult)
     level_cap = _combined_level_cap(a, b)
-    # the walk only ever raises its last coordinate or enters a larger one
-    ca, cb = (c if c.enter is not None else _by_vector(m)
-              for m, c in ((a, _carried(a)), (b, _carried(b))))
+    ca, cb = _carried(a), _carried(b)
+    # a set weight that is no running product is read from the index itself
+    if ca.enter is None:
+        ca = _by_vector(a)
+    if cb.enter is None:
+        cb = _by_vector(b)
     enter_a, deepen_a, enter_b, deepen_b = ca.enter, ca.deepen, cb.enter, cb.deepen
     carried_ratio = _carried_ratio(ca, cb)
+    # a child raises the last level or enters a larger coordinate, so every
+    # entry tuple is canonical and becomes a member without a check
     to_vector = IndexVector._from_entries
 
     out: dict[IndexVector, float] = {}
