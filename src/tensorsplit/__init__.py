@@ -29,7 +29,6 @@ from .decomp import (
 )
 from .epsdim import (
     AllOneDims,
-    CustomDims,
     EpsDimResult,
     FiniteUniverse,
     ProductDecay,

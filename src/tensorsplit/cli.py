@@ -100,10 +100,20 @@ def _write_json(path: str, report: dict):
     _write_text(path, _json_render(report) + "\n")
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` that refuses a repeated key instead of keeping the last."""
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ConfigInvalid(f"config repeats the key {k!r}")
+        obj[k] = v
+    return obj
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError as exc:
         raise ConfigInvalid(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -126,6 +136,8 @@ def _omega_json(omega) -> str:
 
 
 def _cmd_epsdim(cfg: dict, args):
+    if args.cap < 1:
+        raise ConfigInvalid("--cap must be positive")
     check_keys(cfg, "config", {"a", "b", "eps"}, {"dims", "d"})
     a = weights_from_json(cfg["a"])
     b = weights_from_json(cfg["b"])
@@ -360,8 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output artifact path")
         p.add_argument("--anchor", type=float, default=0.5,
                        help="anchor point in [0, 1]")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="enumeration size cap")
+        if name == "epsdim":
+            p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                           help="enumeration size cap")
         if name == "sobol":
             p.add_argument("--include-empty", action="store_true",
                            help="keep the constant component in the quotient")
@@ -371,8 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(args) -> int:
     if not 0.0 <= args.anchor <= 1.0:
         raise ConfigInvalid("--anchor must lie in [0, 1]")
-    if args.cap < 1:
-        raise ConfigInvalid("--cap must be positive")
     _, handler = _COMMANDS[args.command]
     handler(_load_config(args.config), args)
     return 0

@@ -21,7 +21,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from .errors import ConfigInvalid, EnumerationCap, NotCompact, TailUnavailable
 from .gammas import GammaModel, ProductGamma
@@ -35,16 +34,15 @@ from .weights import (
     TableWeights,
     UnitWeights,
     WeightModel,
+    carried_ratio,
     exp2,
     ratio,
-    spline_weight_value,
 )
 
 __all__ = [
     "DimensionModel",
     "AllOneDims",
     "SplineDims",
-    "CustomDims",
     "EpsDimResult",
     "ThresholdSet",
     "FiniteUniverse",
@@ -87,17 +85,6 @@ class SplineDims(DimensionModel):
 
     def coord_dim(self, j: int, k: int) -> int:
         return 1 if j == 0 else 2 ** (j - 1)
-
-
-class CustomDims(DimensionModel):
-    def __init__(self, fn):
-        self.fn = fn
-
-    def coord_dim(self, j: int, k: int) -> int:
-        d = int(self.fn(j, k))
-        if d < 1:
-            raise ConfigInvalid("subspace dimensions must be positive")
-        return d
 
 
 def dims_from_json(obj) -> DimensionModel:
@@ -332,129 +319,6 @@ def _param_ratio(num, den) -> CoordSeq:
 
 
 # ---------------------------------------------------------------------------
-# carried weights
-
-
-class _Carried(NamedTuple):
-    """One weight model's weights, carried down the index tree.
-
-    A state holds the running products a weight is built from.
-    ``on_support(sigma)`` is the state of the level-1 index on ``sigma``;
-    ``enter(state, k)`` the state after coordinate k enters at level 1
-    (None where the set weight is no running product); ``deepen(state, k)``
-    the state after the level at k rises by one.  ``weight(state, entries)``
-    is the model's weight of the index with those entries, bit-identical to
-    ``model.weight``: it is built from the very values that method computes,
-    multiplied in the same order.
-    """
-
-    on_support: Callable
-    enter: Callable | None
-    deepen: Callable
-    weight: Callable
-
-
-def _nothing(*args):
-    return None
-
-
-def _by_vector(model: WeightModel) -> _Carried:
-    """No carried state: ``model.weight`` of the index itself."""
-    to_vector = IndexVector._from_entries
-    return _Carried(_nothing, _nothing, _nothing,
-                    lambda state, entries: model.weight(to_vector(entries)))
-
-
-def _carried(model: WeightModel) -> _Carried:
-    # exact types: a subclass may define its own weight
-    kind = type(model)
-    if kind is UnitWeights:
-        return _Carried(_nothing, _nothing, _nothing, lambda state, entries: 1.0)
-    if kind is ScaledWeights:
-        base, factor = _carried(model.base), model.factor
-        base_weight = base.weight
-        return base._replace(weight=lambda state, entries: factor * base_weight(state, entries))
-    if kind is ProductWeights:
-        return _carried_product(model)
-    if kind is SplineWeights:
-        return _carried_spline(model)
-    return _by_vector(model)
-
-
-def _carried_product(model: ProductWeights) -> _Carried:
-    """State (gamma product, total level), multiplied as ``ProductWeights.weight`` does."""
-    gamma = ProductGamma(model.gamma_seq)
-    value = model.gamma_seq.value
-
-    def weight(state, entries):
-        gw, total = state
-        if total > len(entries):  # some level is 2 or more: outside the universe
-            return 0.0
-        return math.inf if gw == 0.0 else 1.0 / gw
-
-    return _Carried(
-        on_support=lambda sigma: (gamma.value(sigma), len(sigma)),
-        enter=lambda state, k: (state[0] * value(k), state[1] + 1),
-        deepen=lambda state, k: (state[0], state[1] + 1),
-        weight=weight,
-    )
-
-
-def _carried_spline(model: SplineWeights) -> _Carried:
-    """State (gamma value, lam product, total level).
-
-    The gamma value is multiplied in coordinate order from 1.0, as
-    ``ProductGamma.value`` does, and the lam product in ``math.prod``'s
-    order, so ``spline_weight_value`` gets the arguments ``weight`` passes.
-    """
-    gamma, lam = model.gamma, model.lam
-    if model.s.is_constant:
-        two_s = 2.0 * model.s.const
-
-        def two_s_dot(total, entries):
-            return two_s * total
-    else:
-        s_value = model.s.value
-
-        def two_s_dot(total, entries):
-            return math.fsum(2.0 * s_value(k) * jk for k, jk in entries)
-
-    def weight(state, entries):
-        gv, lam_prod, total = state
-        if total == 0:
-            return 1.0
-        return spline_weight_value(gv, lam_prod, two_s_dot(total, entries))
-
-    enter = None
-    if type(gamma) is ProductGamma:
-        gamma_value, lam_value = gamma.seq.value, lam.value
-
-        def enter(state, k):
-            gv, lam_prod, total = state
-            return gv * gamma_value(k), lam_prod * lam_value(k), total + 1
-
-    return _Carried(
-        on_support=lambda sigma: (gamma.value(sigma), model.lam_product(sigma), len(sigma)),
-        enter=enter,
-        deepen=lambda state, k: (state[0], state[1], state[2] + 1),
-        weight=weight,
-    )
-
-
-def _carried_ratio(ca: _Carried, cb: _Carried):
-    """``ratio``'s expression on the carried weights of a pair."""
-    weight_a, weight_b = ca.weight, cb.weight
-
-    def carried_ratio(sa, sb, entries):
-        aw = weight_a(sa, entries)
-        if aw == 0.0 or math.isinf(aw):
-            return 0.0
-        return weight_b(sb, entries) / aw
-
-    return carried_ratio
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -488,14 +352,7 @@ def enumerate_threshold_set(
 
     boost = _BoostTable(certificate.mult)
     level_cap = _combined_level_cap(a, b)
-    ca, cb = _carried(a), _carried(b)
-    # a set weight that is no running product is read from the index itself
-    if ca.enter is None:
-        ca = _by_vector(a)
-    if cb.enter is None:
-        cb = _by_vector(b)
-    enter_a, deepen_a, enter_b, deepen_b = ca.enter, ca.deepen, cb.enter, cb.deepen
-    carried_ratio = _carried_ratio(ca, cb)
+    enter_a, deepen_a, enter_b, deepen_b = a.enter, a.deepen, b.enter, b.deepen
     # a child raises the last level or enters a larger coordinate, so every
     # entry tuple is canonical and becomes a member without a check
     to_vector = IndexVector._from_entries
@@ -503,9 +360,9 @@ def enumerate_threshold_set(
     out: dict[IndexVector, float] = {}
     truncated = False
     visited = 0
-    sa, sb = ca.on_support(EMPTY_SUPPORT), cb.on_support(EMPTY_SUPPORT)
+    sa, sb = a.state(EMPTY_SUPPORT), b.state(EMPTY_SUPPORT)
     # (entries, state of a, state of b, ratio)
-    stack = [((), sa, sb, carried_ratio(sa, sb, ()))]
+    stack = [((), sa, sb, carried_ratio(a, b, sa, sb, ()))]
 
     while stack:
         entries, sa, sb, cj = stack.pop()
@@ -527,14 +384,14 @@ def enumerate_threshold_set(
         if kmax > 0 and (level_cap is None or level < level_cap):
             child = entries[:-1] + ((kmax, level + 1),)
             ca_, cb_ = deepen_a(sa, kmax), deepen_b(sb, kmax)
-            cc = carried_ratio(ca_, cb_, child)
+            cc = carried_ratio(a, b, ca_, cb_, child)
             if cc * boost.after(kmax) >= eps2:
                 stack.append((child, ca_, cb_, cc))
 
         for k in boost.entry_coords(cj, eps2, kmax + 1):
             child = entries + ((k, 1),)
             ca_, cb_ = enter_a(sa, k), enter_b(sb, k)
-            cc = carried_ratio(ca_, cb_, child)
+            cc = carried_ratio(a, b, ca_, cb_, child)
             if cc * boost.after(k) >= eps2:
                 stack.append((child, ca_, cb_, cc))
 
@@ -555,16 +412,14 @@ def _enumerate_by_support(a, b, eps2, supports, cap, on_cap):
     carried state (for spline weights its gamma value and lam product) is
     computed once; within the support only the total level changes.
     """
-    ca, cb = _carried(a), _carried(b)
-    deepen_a, deepen_b = ca.deepen, cb.deepen
-    carried_ratio = _carried_ratio(ca, cb)
+    deepen_a, deepen_b = a.deepen, b.deepen
     to_vector = IndexVector._from_entries
     out: dict[IndexVector, float] = {}
     for sigma in supports:
-        stack = [(tuple((k, 1) for k in sigma), ca.on_support(sigma), cb.on_support(sigma), 0)]
+        stack = [(tuple((k, 1) for k in sigma), a.state(sigma), b.state(sigma), 0)]
         while stack:
             entries, sa, sb, pos = stack.pop()
-            c = carried_ratio(sa, sb, entries)
+            c = carried_ratio(a, b, sa, sb, entries)
             if c < eps2:
                 continue
             out[to_vector(entries)] = c
@@ -655,35 +510,36 @@ def spline_eps_dimension(
     if not isinstance(lam, (int, float)) or lam <= 0:
         raise ConfigInvalid("the scale constant must be a positive number")
     model = SplineWeights(gamma, float(s), float(lam))
+    unit = UnitWeights()
 
-    def excess_cap(omega: SupportSet) -> int:
-        """Largest m >= 0 whose ratio clears the threshold, -1 if none."""
-        gv = gamma.value(omega)
-        if gv == 0.0:
-            return -1
-        lam_prod = model.lam_product(omega)
+    def excess_cap(entries, state) -> int:
+        """Largest excess m >= 0 whose ratio clears the threshold, -1 if none.
+
+        Every index on a support with one total level has the same ratio;
+        the scan raises the level of the first coordinate.
+        """
+        (k, _), rest = entries[0], entries[1:]
         m = -1
-        while True:
-            aw = spline_weight_value(gv, lam_prod, 2.0 * float(s) * (m + 1 + len(omega)))
-            if 1.0 / aw >= eps2:
-                m += 1
-            else:
-                return m
+        while carried_ratio(model, unit, state, None, entries) >= eps2:
+            m += 1
             if m > 10_000_000:
                 raise EnumerationCap("excess-level scan exceeded the hard guard")
+            state = model.deepen(state, k)
+            entries = ((k, m + 2),) + rest
+        return m
 
     n = 1  # the zero index always contributes its one-dimensional subspace
     bound_acc = 0
     processed = 0
 
-    for omega in _viable_supports(model, eps2):
+    for entries, state in _viable_supports(model, unit, eps2):
         processed += 1
         if processed > SUPPORT_CAP:
             raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
-        m_omega = excess_cap(omega)
+        m_omega = excess_cap(entries, state)
         if m_omega < 0:
             continue
-        size = len(omega)
+        size = len(entries)
         n += sum(math.comb(m + size - 1, size - 1) * 2**m for m in range(m_omega + 1))
         bound_acc += (2 * size) ** m_omega
 
@@ -691,37 +547,29 @@ def spline_eps_dimension(
                         coarse_bound=1 + 2 * bound_acc)
 
 
-def _viable_supports(model: SplineWeights, eps2: float):
+def _viable_supports(model: SplineWeights, unit: UnitWeights, eps2: float):
     """Nonempty supports whose level-(1,...,1) ratio could clear eps2.
 
-    For enumerable gamma supports this is the stored list; for product
-    gammas a depth-first scan over supports with the same boost pruning as
-    the index enumerator.
+    Yields the entries and the carried state of each support's level-1
+    index.  For enumerable gamma supports this is the stored list; for
+    product gammas a depth-first scan over supports with the same boost
+    pruning as the index enumerator.
     """
     gamma = model.gamma
     if gamma.is_finite_support or not isinstance(gamma, ProductGamma):
         for omega in gamma.iter_support():
             if len(omega) > 0:
-                yield omega
+                yield tuple((k, 1) for k in omega), model.state(omega)
         return
 
     boost = _BoostTable(model.multiplier_seq())
-
-    def c0(omega: SupportSet) -> float:
-        aw = spline_weight_value(
-            gamma.value(omega),
-            model.lam_product(omega),
-            2.0 * model.s.const * len(omega),
-        )
-        return 0.0 if math.isinf(aw) else 1.0 / aw
-
-    stack: list[tuple[SupportSet, float]] = [(SupportSet(), 1.0)]
+    stack = [((), model.state(EMPTY_SUPPORT), 1.0)]
     while stack:
-        omega, comega = stack.pop()
-        if len(omega) > 0:
-            yield omega
-        for k in boost.entry_coords(comega, eps2, omega.max_coord + 1):
-            oo = omega.add(k)
-            cc = c0(oo)
+        entries, state, c = stack.pop()
+        if entries:
+            yield entries, state
+        for k in boost.entry_coords(c, eps2, entries[-1][0] + 1 if entries else 1):
+            child, child_state = entries + ((k, 1),), model.enter(state, k)
+            cc = carried_ratio(model, unit, child_state, None, child)
             if cc * boost.after(k) >= eps2:
-                stack.append((oo, cc))
+                stack.append((child, child_state, cc))

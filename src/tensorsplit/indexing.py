@@ -71,9 +71,6 @@ class SupportSet:
         """Largest active coordinate, 0 for the empty set."""
         return self.coords[-1] if self.coords else 0
 
-    def union(self, other: "SupportSet") -> "SupportSet":
-        return SupportSet(self.coords + other.coords)
-
     def add(self, k: int) -> "SupportSet":
         return SupportSet(self.coords + (k,))
 
@@ -199,12 +196,6 @@ class IndexVector:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}:{j}" for k, j in self.entries)
         return "IndexVector({" + body + "})"
-
-    def bump(self, k: int) -> "IndexVector":
-        """Return a copy with the level at coordinate ``k`` raised by one."""
-        d = dict(self.entries)
-        d[k] = d.get(k, 0) + 1
-        return IndexVector(d)
 
     def with_level(self, k: int, j: int) -> "IndexVector":
         d = dict(self.entries)

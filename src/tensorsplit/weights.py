@@ -18,6 +18,12 @@ Product and spline models ship closed-form tail oracles (geometric series
 per coordinate, products across coordinates), so the infinite sums behind
 the norm-definiteness test and the orthogonalizing transform come with
 convergence evidence instead of hope.
+
+Every model also carries its weights down the index tree for the
+threshold-set walks (``state``, ``enter``, ``deepen`` and ``carried``; see
+``WeightModel``).  Product and spline models keep running products and
+compute ``weight`` itself through ``carried``, so each weight formula is
+written once; ``carried_ratio`` is ``ratio`` on carried weights.
 """
 
 from __future__ import annotations
@@ -134,12 +140,17 @@ class CoordParam:
         return self._listed_seq(lambda v: 1.0 / v)
 
     def dyadic_decay_seq(self) -> CoordSeq:
-        """The sequence 2**(-2 * value(k)), exact per kind."""
+        """The sequence 2**(-2 * value(k)), exact per kind.
+
+        An affine slope b so small that 2**(-2b) rounds to 1 gives the
+        constant 2**(-2a), which bounds every term from above.
+        """
         if self.affine is not None:
             a, b = self.affine
-            if b == 0:
+            rate = exp2(-2.0 * b)
+            if rate == 1.0:
                 return ConstantSeq(exp2(-2.0 * a))
-            return GeometricSeq(exp2(-2.0 * a), exp2(-2.0 * b))
+            return GeometricSeq(exp2(-2.0 * a), rate)
         return self._listed_seq(lambda v: exp2(-2.0 * v))
 
     def _listed_seq(self, f) -> ListTailSeq:
@@ -163,13 +174,35 @@ class TailOracle:
 
 
 class WeightModel:
-    """Base class: a deterministic evaluator of index weights."""
+    """Base class: a deterministic evaluator of index weights.
+
+    Besides ``weight``, a model carries its weights down the index tree for
+    the threshold-set walks.  A state holds the running products a weight
+    is built from: ``state(sigma)`` is the state of the level-1 index on
+    ``sigma``, ``enter(state, k)`` the state after coordinate k enters at
+    level 1 and ``deepen(state, k)`` the state after the level at k rises by
+    one.  ``carried(state, entries)`` is the weight of the index with those
+    ``(coordinate, level)`` entries, equal to ``weight`` of that index.  By
+    default there is no state and ``carried`` evaluates the index.
+    """
 
     #: per-coordinate level cap (None = unbounded levels)
     max_level: int | None = None
 
     def weight(self, j: IndexVector) -> float:
         raise NotImplementedError
+
+    def state(self, sigma: SupportSet):
+        return None
+
+    def enter(self, state, k: int):
+        return None
+
+    def deepen(self, state, k: int):
+        return None
+
+    def carried(self, state, entries: tuple[tuple[int, int], ...]) -> float:
+        return self.weight(IndexVector._from_entries(entries))
 
     def tail_oracle(self) -> TailOracle:
         raise OracleUnavailable(f"{type(self).__name__} has no tail-sum oracle")
@@ -179,6 +212,9 @@ class UnitWeights(WeightModel):
     """a_j = 1 for every index; the support is all of the index universe."""
 
     def weight(self, j: IndexVector) -> float:
+        return 1.0
+
+    def carried(self, state, entries) -> float:
         return 1.0
 
     def tail_oracle(self) -> TailOracle:
@@ -203,6 +239,18 @@ class ScaledWeights(WeightModel):
     def weight(self, j: IndexVector) -> float:
         return self.factor * self.base.weight(j)
 
+    def state(self, sigma: SupportSet):
+        return self.base.state(sigma)
+
+    def enter(self, state, k: int):
+        return self.base.enter(state, k)
+
+    def deepen(self, state, k: int):
+        return self.base.deepen(state, k)
+
+    def carried(self, state, entries) -> float:
+        return self.factor * self.base.carried(state, entries)
+
     def tail_oracle(self) -> TailOracle:
         return _ScaledOracle(self.base.tail_oracle(), self.factor)
 
@@ -223,6 +271,7 @@ class ProductWeights(WeightModel):
     of the per-coordinate values on omega; indices with any level >= 2 lie
     outside the universe and evaluate to 0.  A vanishing coordinate value
     sends the weight to infinity (the component is suppressed entirely).
+    The carried state is (gamma product, total level).
     """
 
     max_level = 1
@@ -234,11 +283,27 @@ class ProductWeights(WeightModel):
         return f"ProductWeights({self.gamma_seq!r})"
 
     def weight(self, j: IndexVector) -> float:
+        gw, _ = self.state(j.support)
+        return self.carried((gw, j.total_level), j.entries)
+
+    def state(self, sigma: SupportSet):
         gw = 1.0
-        for k, jk in j.entries:
-            if jk > 1:
-                return 0.0
+        for k in sigma:
             gw *= self.gamma_seq.value(k)
+        return gw, len(sigma)
+
+    def enter(self, state, k: int):
+        gw, total = state
+        return gw * self.gamma_seq.value(k), total + 1
+
+    def deepen(self, state, k: int):
+        gw, total = state
+        return gw, total + 1
+
+    def carried(self, state, entries) -> float:
+        gw, total = state
+        if total > len(entries):  # some level is 2 or more: outside the universe
+            return 0.0
         return math.inf if gw == 0.0 else 1.0 / gw
 
     def tail_oracle(self) -> TailOracle:
@@ -270,19 +335,16 @@ class _ProductOracle(TailOracle):
         return gw * math.exp(lt - correction)
 
 
-def spline_weight_value(gamma_val: float, lam_prod: float, two_s_dot: float) -> float:
-    """Canonical spline weight: lam_prod * 2**two_s_dot / gamma_val.
-
-    Shared between pointwise evaluation and the closed-form dimension
-    counter so that both sides make bit-identical boundary decisions.
-    """
-    if gamma_val == 0.0:
-        return math.inf
-    return lam_prod * exp2(two_s_dot) / gamma_val
-
-
 class SplineWeights(WeightModel):
-    """Dyadic mixed-smoothness weights with set-dependent scaling."""
+    """Dyadic mixed-smoothness weights with set-dependent scaling.
+
+    The carried state is (gamma value, lam product, total level).  The
+    gamma value is carried into a new coordinate only for a gamma of exact
+    type ``ProductGamma``, multiplied in coordinate order from 1.0 as its
+    ``value`` does; for any other gamma ``enter`` leaves it None and
+    ``carried`` reads it from the support of the entries.  The lam product
+    is multiplied in ``math.prod``'s order.
+    """
 
     def __init__(self, gamma: GammaModel, s, lam=1.0):
         self.gamma = gamma
@@ -299,16 +361,41 @@ class SplineWeights(WeightModel):
     def lam_product(self, omega: SupportSet) -> float:
         return math.prod(self.lam.value(k) for k in omega)
 
-    def two_s_dot(self, j: IndexVector) -> float:
-        if self.s.is_constant:
-            return 2.0 * self.s.const * j.total_level
-        return math.fsum(2.0 * self.s.value(k) * jk for k, jk in j.entries)
-
     def weight(self, j: IndexVector) -> float:
-        if j.is_zero():
+        sigma = j.support
+        return self.carried((self.gamma.value(sigma), self.lam_product(sigma), j.total_level),
+                            j.entries)
+
+    def state(self, sigma: SupportSet):
+        return self.gamma.value(sigma), self.lam_product(sigma), len(sigma)
+
+    def enter(self, state, k: int):
+        gv, lam_prod, total = state
+        # exact type: a subclass may define its own value
+        if type(self.gamma) is ProductGamma:
+            gv *= self.gamma.seq.value(k)
+        else:
+            gv = None
+        return gv, lam_prod * self.lam.value(k), total + 1
+
+    def deepen(self, state, k: int):
+        gv, lam_prod, total = state
+        return gv, lam_prod, total + 1
+
+    def carried(self, state, entries) -> float:
+        """lam_prod * 2**(2 sum_k s_k j_k) / gamma value, 1 at the zero index."""
+        gv, lam_prod, total = state
+        if total == 0:
             return 1.0
-        gv = self.gamma.value(j.support)
-        return spline_weight_value(gv, self.lam_product(j.support), self.two_s_dot(j))
+        if gv is None:
+            gv = self.gamma.value(SupportSet(k for k, _ in entries))
+        if gv == 0.0:
+            return math.inf
+        if self.s.is_constant:
+            two_s_dot = 2.0 * self.s.const * total
+        else:
+            two_s_dot = math.fsum(2.0 * self.s.value(k) * jk for k, jk in entries)
+        return lam_prod * exp2(two_s_dot) / gv
 
     def level_decay(self, k: int) -> float:
         """2**(-2 s_k): the inverse-weight shrink factor per extra level."""
@@ -500,6 +587,14 @@ def ratio(a: WeightModel, b: WeightModel, j: IndexVector) -> float:
     if aw == 0.0 or math.isinf(aw):
         return 0.0
     return b.weight(j) / aw
+
+
+def carried_ratio(a: WeightModel, b: WeightModel, sa, sb, entries) -> float:
+    """``ratio`` of the index with these entries, from carried states of a and b."""
+    aw = a.carried(sa, entries)
+    if aw == 0.0 or math.isinf(aw):
+        return 0.0
+    return b.carried(sb, entries) / aw
 
 
 def check_embedding(a: WeightModel, b: WeightModel, search) -> float | None:

@@ -470,6 +470,40 @@ class TestErrors:
         )
         assert code == 2
 
+    def test_cap_flag_only_on_epsdim(self, tmp_path):
+        assert run_cli("epsdim", CONFIG_DIR / "epsdim_example.json", tmp_path / "o.csv",
+                       extra=["--cap", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("transform", CONFIG_DIR / "transform_example.json", tmp_path / "o.csv",
+                    extra=["--cap", "500"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command,text,key", [
+        ("transform", '{"a": {"type": "unit"}, "indices": [], "a": {"type": "unit"}}', "a"),
+        ("transform", '{"a": {"type": "product", "gamma": {"kind": "geometric", "c": 0.5, "rho": 0.5}},'
+                      ' "indices": [{"1": 1, "1": 2}]}', "1"),
+    ], ids=["top-level", "index"])
+    def test_repeated_json_key_rejected(self, tmp_path, capsys, command, text, key):
+        """A later key does not silently replace an earlier one: exit 2."""
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run_cli(command, path, tmp_path / "out.csv") == 2
+        assert not (tmp_path / "out.csv").exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: ConfigInvalid: config repeats the key {key!r}"]
+
+    def test_affine_s_with_tiny_slope(self, tmp_path):
+        """A slope whose 2**(-2b) rounds to 1 reads like b = 0."""
+        outs = []
+        for s in ({"kind": "affine", "a": 1.0, "b": 1e-300}, 1.0):
+            a = {"type": "spline", "gamma": {"kind": "product", "seq": {"kind": "power", "c": 1.0, "p": 2.0}},
+                 "s": s}
+            path, out = tmp_path / "cfg.json", tmp_path / f"out{len(outs)}.csv"
+            path.write_text(json.dumps({"a": a, "b": {"type": "unit"}, "eps": [0.1, 0.02], "d": [1, 3]}))
+            assert run_cli("epsdim", path, out) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestEnumerationCount:
     def test_one_enumeration_per_request(self, tmp_path, monkeypatch):

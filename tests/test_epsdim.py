@@ -409,6 +409,14 @@ class TestSplineCounting:
         with pytest.raises(NotCompact):
             spline_eps_dimension(ProductGamma(ConstantSeq(1.0)), 1.0, 1.0, 0.1)
 
+    def test_underflowing_weight_counts_like_enumeration(self):
+        # the lam product of a two-coordinate support underflows to 0, a
+        # weight the enumerator maps to ratio 0
+        gamma = ProductGamma(FiniteSeq([1.0, 1.0]))
+        counted = spline_eps_dimension(gamma, 1.0, 1e-200, 0.5)
+        enumerated = eps_dimension(SplineWeights(gamma, 1.0, 1e-200), UnitWeights(), 0.5, SplineDims())
+        assert counted.n == enumerated.n
+
 
 def carried_pairs():
     """(name, a, b, eps): one pair per way the walk carries a weight."""
@@ -464,6 +472,21 @@ class TestCarriedWalk:
                 res = full.restricted(d, SplineDims())
                 expected.append((res.n, len(res.index_set)))
             assert counts == expected, f"{name} at eps={eps_i}"
+
+    @pytest.mark.parametrize("s,lam", [(1.0, 1.0), ([0.75, 1.25], [2.0, 0.5])])
+    def test_non_product_gamma_walk(self, s, lam):
+        """A gamma that is no product is read from each node's support; the
+        walk is driven by the base product gamma's multipliers."""
+        values = FiniteSeq([1.0, 0.5, 0.25])
+        a = SplineWeights(FiniteOrderGamma(ProductGamma(values), 2), s=s, lam=lam)
+        b = UnitWeights()
+        certificate = ProductDecay(SplineWeights(ProductGamma(values), s=s, lam=lam).multiplier_seq())
+        ratios = box_ratios(a, b, max_coord=3)
+        for eps in EPS_GRID:
+            got, truncated = enumerate_threshold_set(a, b, eps, certificate=certificate)
+            assert not truncated
+            assert all(c == ratio(a, b, j) for j, c in got.ratios.items())
+            assert got == brute_force_set(ratios, eps), f"eps={eps}"
 
     def test_table_refuses_a_smaller_eps(self):
         a = SplineWeights(ProductGamma(PowerSeq(1.0, 2.0)), s=1.0)
