@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -123,12 +124,17 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+# Compact JSON cells built by hand: a json.dumps call per row was a tenth of
+# a decomp request.  Keys and values are ints or digit strings, which need
+# no escaping.
+
 def _index_json(j: IndexVector) -> str:
-    return json.dumps(j.to_json_obj(), separators=(",", ":"), sort_keys=True)
+    """``{"k": level, ...}`` with keys sorted as strings, as ``sort_keys`` does."""
+    return "{" + ",".join(f'"{k}":{level}' for k, level in sorted(j.to_json_obj().items())) + "}"
 
 
 def _omega_json(omega) -> str:
-    return json.dumps(list(omega), separators=(",", ":"))
+    return "[" + ",".join(map(str, omega)) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +168,7 @@ def _cmd_epsdim(cfg: dict, args):
                 eps_dimension(a, b, eps, dims, cap=args.cap)
             raise
         d_keys = ["", *map(str, d_list)]
-        for eps, d0, counts in walk.table(eps_list, d_list, dims):
+        for eps, d0, counts in walk.table(eps_list, d_list):
             rows.extend([eps, d, n, size, d0, walk.truncated]
                         for d, (n, size) in zip(d_keys, counts))
     _write_csv(args.out, ["eps", "d", "n", "set_size", "d0", "truncated"], rows)
@@ -360,7 +366,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    of ``main`` in the same process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="tensorsplit",
         description="Weighted tensor-product space computations",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigInvalid, EnumerationCap, NotCompact, TailUnavailable
 from .gammas import GammaModel, ProductGamma
@@ -121,7 +121,10 @@ class EpsDimResult:
 
     ``index_set`` is materialized for enumerative computations and None for
     the counting route; ``coarse_bound`` carries the coarser closed-form
-    upper bound where available.
+    upper bound where available.  ``members`` holds the
+    ``(max_coord, subspace dimension, ratio)`` of each member of an
+    enumerated set, sorted by max_coord: ``n`` is the sum of its dimensions
+    and ``table`` reads it.
     """
 
     n: int
@@ -129,6 +132,7 @@ class EpsDimResult:
     index_set: IndexSet | None = None
     truncated: bool = False
     coarse_bound: int | None = None
+    members: list = field(default_factory=list, compare=False, repr=False)
 
     def restricted(self, d: int, dims: DimensionModel) -> "EpsDimResult":
         """The count over the members supported on coordinates <= d.
@@ -138,9 +142,10 @@ class EpsDimResult:
         _check_restriction(d)
         index_set = IndexSet(j for j in self.index_set.members if j.max_coord <= d)
         n = sum(dims.subspace_dim(j) for j in index_set.members)
-        return EpsDimResult(n=n, eps=self.eps, index_set=index_set, truncated=self.truncated)
+        return EpsDimResult(n=n, eps=self.eps, index_set=index_set, truncated=self.truncated,
+                            members=[m for m in self.members if m[0] <= d])
 
-    def table(self, eps_list, ds, dims: DimensionModel):
+    def table(self, eps_list, ds):
         """Counts at each eps of ``eps_list``, none below this result's eps,
         read from the member ratios by the enumeration's own test.
 
@@ -148,17 +153,15 @@ class EpsDimResult:
         so one enumeration at the smallest eps serves every larger one.
         Yields ``(eps, d0, counts)`` in order, where ``counts`` holds the
         ``(n, set size)`` of the full set and then of each d-restricted set
-        for d in ``ds``.  The members are sorted by max_coord once, and the
-        d rows are prefix sums of their dimensions.
+        for d in ``ds``.  The d rows are prefix sums of the dimensions of
+        the members, which are sorted by max_coord.
         """
-        members = sorted(((j.max_coord, dims.subspace_dim(j), c)
-                          for j, c in self.index_set.ratios.items()), key=lambda m: m[0])
         for eps in eps_list:
             eps2 = _threshold(eps)
             if eps < self.eps:
                 raise ValueError(f"eps {eps} lies below the enumerated eps {self.eps}")
             coords, n_upto = [], [0]
-            for k, n, c in members:
+            for k, n, c in self.members:
                 if c >= eps2:
                     coords.append(k)
                     n_upto.append(n_upto[-1] + n)
@@ -205,12 +208,19 @@ class ProductDecay:
 
 
 class _BoostTable:
-    """Cached suffix products of multipliers exceeding one."""
+    """Cached suffix products of multipliers exceeding one, and a
+    per-coordinate table of what the entry scan reads.
+
+    For each coordinate k the scan has reached, ``positive[k]`` is
+    ``mult.value(k) > 0.0``, ``sup[k]`` is ``mult.tail_sup(k)`` and
+    ``after[k]`` bounds the boost that coordinates past k can still give.
+    The lists grow one coordinate at a time as scans reach it, so a product
+    of sequences walks its factors once per coordinate, not once per node.
+    Slot 0 is a placeholder: coordinates start at 1.
+    """
 
     def __init__(self, mult: CoordSeq):
         self.mult = mult
-        # read once: for a product of sequences it walks every factor
-        self.decays_to_zero = mult.decays_to_zero
         k_last = mult.last_k_with_value_ge(math.nextafter(1.0, math.inf))
         if k_last == math.inf:
             raise NotCompact(
@@ -222,11 +232,18 @@ class _BoostTable:
         for k in range(self.k_last, 0, -1):
             suffix[k] = suffix[k + 1] * max(1.0, mult.value(k))
         self.suffix = suffix
+        # from here on the multipliers neither decay nor boost: a scan that
+        # gets past this coordinate without stopping would never stop
+        self.k_unbounded = (math.inf if mult.decays_to_zero
+                            else max(mult.nonincreasing_from, self.k_last + 1))
+        self.positive, self.sup, self.after = [False], [0.0], [1.0]
 
-    def after(self, k0: int) -> float:
-        if k0 >= self.k_last:
-            return 1.0
-        return self.suffix[k0 + 1]
+    def _grow(self):
+        """Add the table entries of the next coordinate."""
+        k = len(self.sup)
+        self.positive.append(self.mult.value(k) > 0.0)
+        self.sup.append(self.mult.tail_sup(k))
+        self.after.append(1.0 if k >= self.k_last else self.suffix[k + 1])
 
     def entry_coords(self, c: float, eps2: float, k: int):
         """Coordinates k, k+1, ... with a positive multiplier, in order.
@@ -234,14 +251,15 @@ class _BoostTable:
         Stops after the first coordinate from which on no entry can lift a
         ratio of c back to eps2, even with every later boost applied.
         """
-        mult = self.mult
+        positive, sup, after = self.positive, self.sup, self.after
         while True:
-            if mult.value(k) > 0.0:
+            while k >= len(sup):
+                self._grow()
+            if positive[k]:
                 yield k
-            if c * mult.tail_sup(k) * self.after(k) < eps2:
+            if c * sup[k] * after[k] < eps2:
                 return
-            if (k >= mult.nonincreasing_from and k > self.k_last
-                    and not self.decays_to_zero):
+            if k >= self.k_unbounded:
                 raise NotCompact("entry multipliers do not decay; the threshold set is unbounded")
             k += 1
             if k > 10_000_000:
@@ -351,6 +369,7 @@ def enumerate_threshold_set(
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
 
     boost = _BoostTable(certificate.mult)
+    after = boost.after
     level_cap = _combined_level_cap(a, b)
     enter_a, deepen_a, enter_b, deepen_b = a.enter, a.deepen, b.enter, b.deepen
     # a child raises the last level or enters a larger coordinate, so every
@@ -385,14 +404,14 @@ def enumerate_threshold_set(
             child = entries[:-1] + ((kmax, level + 1),)
             ca_, cb_ = deepen_a(sa, kmax), deepen_b(sb, kmax)
             cc = carried_ratio(a, b, ca_, cb_, child)
-            if cc * boost.after(kmax) >= eps2:
+            if cc * after[kmax] >= eps2:
                 stack.append((child, ca_, cb_, cc))
 
         for k in boost.entry_coords(cj, eps2, kmax + 1):
             child = entries + ((k, 1),)
             ca_, cb_ = enter_a(sa, k), enter_b(sb, k)
             cc = carried_ratio(a, b, ca_, cb_, child)
-            if cc * boost.after(k) >= eps2:
+            if cc * after[k] >= eps2:
                 stack.append((child, ca_, cb_, cc))
 
     return ThresholdSet(out), truncated
@@ -447,8 +466,10 @@ def eps_dimension(
     index_set, truncated = enumerate_threshold_set(
         a, b, eps, certificate=certificate, cap=cap, on_cap=on_cap
     )
-    n = sum(dims.subspace_dim(j) for j in index_set.members)
-    return EpsDimResult(n=n, eps=eps, index_set=index_set, truncated=truncated)
+    members = sorted(((j.max_coord, dims.subspace_dim(j), c)
+                      for j, c in index_set.ratios.items()), key=lambda m: m[0])
+    return EpsDimResult(n=sum(m[1] for m in members), eps=eps, index_set=index_set,
+                        truncated=truncated, members=members)
 
 
 def eps_dimension_restricted(
@@ -571,5 +592,5 @@ def _viable_supports(model: SplineWeights, unit: UnitWeights, eps2: float):
         for k in boost.entry_coords(c, eps2, entries[-1][0] + 1 if entries else 1):
             child, child_state = entries + ((k, 1),), model.enter(state, k)
             cc = carried_ratio(model, unit, child_state, None, child)
-            if cc * boost.after(k) >= eps2:
+            if cc * boost.after[k] >= eps2:
                 stack.append((child, child_state, cc))

@@ -260,9 +260,6 @@ class IndexSet:
     def __repr__(self) -> str:
         return f"IndexSet({sorted(self.members, key=IndexVector.canonical_key)!r})"
 
-    def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self.members | other.members)
-
     @property
     def max_coord(self) -> int:
         """Largest coordinate active anywhere in the set (0 if none)."""

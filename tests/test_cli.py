@@ -13,7 +13,9 @@ import tensorsplit.cli
 import tensorsplit.decomp
 import tensorsplit.epsdim
 import tensorsplit.sensitivity
-from tensorsplit.cli import _json_render, main
+from tensorsplit.cli import _build_parser, _index_json, _json_render, _omega_json, main
+from tensorsplit.epsdim import DEFAULT_CAP
+from tensorsplit.indexing import IndexVector, SupportSet
 from tensorsplit.regress import AnchoredKernel
 
 CONFIG_DIR = Path(str(resources.files("tensorsplit") / "configs"))
@@ -531,6 +533,79 @@ class TestJsonRender:
         expected = "[\n" + ",\n".join("  " + _json_render(v, 1) for v in values) + "\n]"
         assert _json_render(values) == expected
         assert _json_render({"a": values}).endswith('"inf",\n    "-inf",\n    "nan"\n  ]\n}')
+
+
+class TestRowRendering:
+    """Index and support cells are built without json.dumps; they must read
+    exactly as the compact json.dumps rendering does."""
+
+    def test_index_json_matches_json_dumps(self):
+        indices = [IndexVector(), IndexVector({1: 2}), IndexVector({2: 1, 10: 3}),
+                   IndexVector({3: 12, 1: 1, 100: 7, 2: 5, 11: 2, 10: 1, 20: 4})]
+        for j in indices:
+            assert _index_json(j) == json.dumps(j.to_json_obj(), separators=(",", ":"), sort_keys=True)
+        # keys sort as strings, as sort_keys sorts them
+        assert _index_json(IndexVector({2: 1, 10: 3})) == '{"10":3,"2":1}'
+
+    def test_omega_json_matches_json_dumps(self):
+        for omega in [SupportSet(), SupportSet.of(1), SupportSet.of(2, 10, 11), SupportSet(range(1, 13))]:
+            assert _omega_json(omega) == json.dumps(list(omega), separators=(",", ":"))
+
+
+class TestParserCache:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def _record_args(self, monkeypatch):
+        seen = []
+        run = tensorsplit.cli.run
+
+        def recording(args):
+            seen.append(vars(args).copy())
+            return run(args)
+
+        monkeypatch.setattr(tensorsplit.cli, "run", recording)
+        return seen
+
+    def test_include_empty_does_not_leak(self, tmp_path, monkeypatch):
+        seen = self._record_args(monkeypatch)
+        config = GOLDEN_DIR / "sobol_table_include_empty.json"
+        outs = []
+        for i, extra in enumerate([["--include-empty"], [], ["--include-empty"], []]):
+            out = tmp_path / f"sobol{i}.csv"
+            assert run_cli("sobol", config, out, extra) == 0
+            outs.append(out.read_bytes())
+        assert [args["include_empty"] for args in seen] == [True, False, True, False]
+        assert outs[0] == outs[2] == (GOLDEN_DIR / "sobol_table_include_empty.out").read_bytes()
+        assert outs[1] == outs[3] != outs[0]
+
+    def test_cap_does_not_leak(self, tmp_path, monkeypatch):
+        seen = self._record_args(monkeypatch)
+        config = CONFIG_DIR / "epsdim_example.json"
+        codes = []
+        for i, extra in enumerate([["--cap", "2"], [], ["--cap", "2"], []]):
+            out = tmp_path / f"eps{i}.csv"
+            codes.append(run_cli("epsdim", config, out, extra))
+            if codes[-1] == 0:
+                assert out.read_bytes() == (GOLDEN_DIR / "epsdim_example.out").read_bytes()
+        assert [args["cap"] for args in seen] == [2, DEFAULT_CAP, 2, DEFAULT_CAP]
+        assert codes == [7, 0, 7, 0]
+
+    @pytest.mark.parametrize("argv", [
+        ["nosuch", "--config", "c.json", "--out", "o.csv"],
+        ["epsdim", "--out", "o.csv"],
+    ], ids=["unknown-subcommand", "missing-config"])
+    def test_usage_errors_exit_2_on_every_call(self, capsys, argv):
+        _build_parser.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] and "error:" in messages[0]
 
 
 class TestKernelCount:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensorsplit.epsdim
 from tensorsplit.epsdim import (
     AllOneDims,
     ProductDecay,
@@ -20,7 +21,8 @@ from tensorsplit.epsdim import (
 from tensorsplit.errors import EnumerationCap, NotCompact
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import ZERO_INDEX, IndexSet, IndexVector, SupportSet
-from tensorsplit.sequences import ConstantSeq, FiniteSeq, GeometricSeq, PowerSeq
+from tensorsplit.sequences import (ConstantSeq, FiniteSeq, GeometricSeq, ListTailSeq, PowerSeq,
+                                   ProductOfSeqs)
 from tensorsplit.weights import (
     AnisotropicWeights,
     ProductWeights,
@@ -464,7 +466,7 @@ class TestCarriedWalk:
         eps_list = [eps * 3.0, eps, eps * 1.7]
         ds = [0, 1, 2, 4]
         walk = eps_dimension(a, b, eps, SplineDims())
-        for eps_i, d0, counts in walk.table(eps_list, ds, SplineDims()):
+        for eps_i, d0, counts in walk.table(eps_list, ds):
             full = eps_dimension(a, b, eps_i, SplineDims())
             assert d0 == full.index_set.max_coord
             expected = [(full.n, len(full.index_set))]
@@ -492,7 +494,7 @@ class TestCarriedWalk:
         a = SplineWeights(ProductGamma(PowerSeq(1.0, 2.0)), s=1.0)
         walk = eps_dimension(a, UnitWeights(), 0.1, AllOneDims())
         with pytest.raises(ValueError):
-            list(walk.table([0.05], [], AllOneDims()))
+            list(walk.table([0.05], []))
 
     @given(
         values=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
@@ -519,3 +521,129 @@ class TestCarriedWalk:
             got, _ = enumerate_threshold_set(a, b, eps, certificate=certificate)
             assert got == expected
             assert all(c == ratio(a, b, j) for j, c in got.ratios.items())
+
+
+def sparse_box(max_coord, max_active, max_level):
+    """Every index with coordinates <= max_coord, at most max_active of them
+    active, and levels <= max_level."""
+    for size in range(max_active + 1):
+        for support in itertools.combinations(range(1, max_coord + 1), size):
+            for levels in itertools.product(range(1, max_level + 1), repeat=size):
+                yield IndexVector(zip(support, levels))
+
+
+def box_threshold_ratios(a, b, eps, box):
+    """``{j: ratio}`` of the box members at or above eps**2, checking that
+    none touches the box's edge (the threshold set is downward closed, so
+    then the box holds all of it)."""
+    max_coord, max_active, max_level = box
+    out = {j: c for j in sparse_box(*box) if (c := ratio(a, b, j)) >= eps * eps}
+    for j in out:
+        assert j.max_coord < max_coord and len(j.entries) < max_active, "box too small"
+        assert all(level < max_level for _, level in j.entries), "box too small"
+    return out
+
+
+def reference_entry_scan(mult, c, eps2, k):
+    """The entry scan evaluated on the sequence at every coordinate.
+
+    Returns the coordinates it yields and the message of the NotCompact it
+    ends with (None when it stops), plus the last coordinate it scanned.
+    """
+    k_last = int(mult.last_k_with_value_ge(math.nextafter(1.0, math.inf)))
+
+    def after(k0):
+        boost = 1.0
+        for i in range(k_last, k0, -1):
+            boost *= max(1.0, mult.value(i))
+        return boost
+
+    yielded = []
+    while True:
+        if mult.value(k) > 0.0:
+            yielded.append(k)
+        if c * mult.tail_sup(k) * after(k) < eps2:
+            return yielded, None, k
+        if k >= mult.nonincreasing_from and k > k_last and not mult.decays_to_zero:
+            return yielded, "entry multipliers do not decay; the threshold set is unbounded", k
+        k += 1
+
+
+class _RecordingTable(tensorsplit.epsdim._BoostTable):
+    """Keeps every table a walk builds and the coordinates its scans yield."""
+
+    made = []
+
+    def __init__(self, mult):
+        super().__init__(mult)
+        self.yielded = [0]
+        _RecordingTable.made.append(self)
+
+    def entry_coords(self, c, eps2, k):
+        for k in super().entry_coords(c, eps2, k):
+            self.yielded.append(k)
+            yield k
+
+
+class TestEntryScanTable:
+    """The entry scan reads a per-coordinate table grown as scans reach new
+    coordinates; it must scan, yield, stop and raise exactly as evaluating
+    the multiplier sequence at every step does."""
+
+    power = ProductGamma(PowerSeq(1.0, 2.0))
+
+    @pytest.mark.parametrize("a,b,eps,box", [
+        (ProductWeights(PowerSeq(0.85, 2.0)), UnitWeights(), 0.1, (11, 4, 2)),
+        (ProductWeights(PowerSeq(0.85, 2.0)), UnitWeights(), 0.07, (15, 4, 2)),
+        (SplineWeights(power, s=1.0, lam=1.5), UnitWeights(), 0.05, (10, 3, 5)),
+        (SplineWeights(ProductGamma(PowerSeq(0.9, 2.0)), s=0.75), UnitWeights(), 0.07, (10, 3, 6)),
+        # {1} lies below the threshold and only the boost of coordinate 2 lifts {1, 2} above it
+        (ProductWeights(PowerSeq(5.0, 2.0)), ScaledWeights(UnitWeights(), 0.01), 0.235, (5, 3, 2)),
+    ], ids=["product_unit_0.1", "product_unit_0.07", "spline_unit_lam", "spline_unit_s",
+            "product_unit_boost"])
+    def test_ratios_equal_box_brute_force(self, monkeypatch, a, b, eps, box):
+        monkeypatch.setattr(_RecordingTable, "made", [])
+        monkeypatch.setattr(tensorsplit.epsdim, "_BoostTable", _RecordingTable)
+        got, truncated = enumerate_threshold_set(a, b, eps)
+        assert not truncated
+        assert got.ratios == box_threshold_ratios(a, b, eps, box)
+        (table,) = _RecordingTable.made
+        # every multiplier here is positive, so every scanned coordinate is yielded
+        assert 1 < len(table.sup) <= max(table.yielded) + 1
+        assert len(table.positive) == len(table.sup) == len(table.after)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    def test_spline_counting_equals_box_brute_force(self, monkeypatch, eps):
+        monkeypatch.setattr(_RecordingTable, "made", [])
+        monkeypatch.setattr(tensorsplit.epsdim, "_BoostTable", _RecordingTable)
+        counted = spline_eps_dimension(self.power, 1.0, 1.0, eps)
+        members = box_threshold_ratios(SplineWeights(self.power, s=1.0), UnitWeights(), eps, (11, 3, 5))
+        assert counted.n == sum(SplineDims().subspace_dim(j) for j in members)
+        (table,) = _RecordingTable.made
+        assert 1 < len(table.sup) <= max(table.yielded) + 1
+
+    @pytest.mark.parametrize("mult", [
+        ProductOfSeqs([PowerSeq(2.0, 1.5), ConstantSeq(0.8), ConstantSeq(1.1)]),
+        FiniteSeq([0.5, 0.0, 1.5, 0.0, 0.25]),
+        ListTailSeq([1.2, 0.9], 0.5),
+        GeometricSeq(3.0, 0.5),
+    ], ids=["product_boost", "finite_zeros", "list_tail_not_compact", "geometric"])
+    def test_scans_match_direct_evaluation(self, mult):
+        """Scans of one table, from several ratios and start coordinates, in
+        an order that makes later scans read entries earlier ones added."""
+        table = tensorsplit.epsdim._BoostTable(mult)
+        eps2 = 0.01
+        scanned = 0
+        # on finite_zeros the last two scans go on only by the boost of coordinate 3
+        for c, k in [(0.05, 2), (1.0, 1), (0.3, 4), (1e-3, 1), (1.0, 7), (0.2, 3), (0.005, 1), (0.0045, 2)]:
+            yielded, error, last = reference_entry_scan(mult, c, eps2, k)
+            got = []
+            if error is None:
+                got.extend(table.entry_coords(c, eps2, k))
+            else:
+                with pytest.raises(NotCompact, match=error):
+                    for k_got in table.entry_coords(c, eps2, k):
+                        got.append(k_got)
+            assert got == yielded, (c, k)
+            scanned = max(scanned, last)
+            assert len(table.positive) == len(table.sup) == len(table.after) == scanned + 1
