@@ -36,9 +36,7 @@ from .epsdim import (
     auto_certificate,
     enumerate_threshold_set,
     eps_dimension,
-    eps_dimension_restricted,
     spline_eps_dimension,
-    stabilization_dim,
 )
 from .equivalence import (
     EquivalenceCertificate,
@@ -74,8 +72,6 @@ from .indexing import (
     IndexVector,
     SupportSet,
     componentwise_leq,
-    downward_closure,
-    is_monotone,
 )
 from .quadrature import QuadratureRule, gauss_legendre, integrate_1d, integrate_piecewise
 from .regress import (
@@ -93,7 +89,6 @@ from .sensitivity import (
     SobolTable,
     l2_error,
     sobol_indices,
-    total_index,
     truncate_order,
     truncation_bound,
 )

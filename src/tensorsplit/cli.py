@@ -169,7 +169,7 @@ def _cmd_epsdim(cfg: dict, args):
             raise
         d_keys = ["", *map(str, d_list)]
         for eps, d0, counts in walk.table(eps_list, d_list):
-            rows.extend([eps, d, n, size, d0, walk.truncated]
+            rows.extend([eps, d, n, size, d0, False]
                         for d, (n, size) in zip(d_keys, counts))
     _write_csv(args.out, ["eps", "d", "n", "set_size", "d0", "truncated"], rows)
 

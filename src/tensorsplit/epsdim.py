@@ -18,7 +18,6 @@ population is replaced by |support|**excess.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,8 +49,6 @@ __all__ = [
     "auto_certificate",
     "enumerate_threshold_set",
     "eps_dimension",
-    "eps_dimension_restricted",
-    "stabilization_dim",
     "spline_eps_dimension",
 ]
 
@@ -97,7 +94,7 @@ def dims_from_json(obj) -> DimensionModel:
 
 def _threshold(eps: float) -> float:
     """The ratio threshold eps**2 of a positive eps."""
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigInvalid("eps must be positive")
     return eps * eps
 
@@ -124,26 +121,15 @@ class EpsDimResult:
     upper bound where available.  ``members`` holds the
     ``(max_coord, subspace dimension, ratio)`` of each member of an
     enumerated set, sorted by max_coord: ``n`` is the sum of its dimensions
-    and ``table`` reads it.
+    and ``table`` reads it, including the counts over the coordinates <= d
+    and the coordinate d0 where they stabilize (``index_set.max_coord``).
     """
 
     n: int
     eps: float
     index_set: IndexSet | None = None
-    truncated: bool = False
     coarse_bound: int | None = None
     members: list = field(default_factory=list, compare=False, repr=False)
-
-    def restricted(self, d: int, dims: DimensionModel) -> "EpsDimResult":
-        """The count over the members supported on coordinates <= d.
-
-        The d-restricted threshold set is this one filtered by max_coord.
-        """
-        _check_restriction(d)
-        index_set = IndexSet(j for j in self.index_set.members if j.max_coord <= d)
-        n = sum(dims.subspace_dim(j) for j in index_set.members)
-        return EpsDimResult(n=n, eps=self.eps, index_set=index_set, truncated=self.truncated,
-                            members=[m for m in self.members if m[0] <= d])
 
     def table(self, eps_list, ds):
         """Counts at each eps of ``eps_list``, none below this result's eps,
@@ -152,9 +138,11 @@ class EpsDimResult:
         Threshold sets nest in eps, and so does the walk that finds them,
         so one enumeration at the smallest eps serves every larger one.
         Yields ``(eps, d0, counts)`` in order, where ``counts`` holds the
-        ``(n, set size)`` of the full set and then of each d-restricted set
-        for d in ``ds``.  The d rows are prefix sums of the dimensions of
-        the members, which are sorted by max_coord.
+        ``(n, set size)`` of the full set and then of its members on the
+        coordinates <= d for each d in ``ds``; d0, the set's largest
+        coordinate, is the smallest d whose row equals the full one.  The d
+        rows are prefix sums of the dimensions of the members, which are
+        sorted by max_coord.
         """
         for eps in eps_list:
             eps2 = _threshold(eps)
@@ -346,13 +334,13 @@ def enumerate_threshold_set(
     eps: float,
     certificate=None,
     cap: int = DEFAULT_CAP,
-    on_cap: str = "raise",
 ) -> tuple[ThresholdSet, bool]:
     """Enumerate all indices with b_j / a_j >= eps**2 (boundary included).
 
-    Returns ``(index_set, truncated)``; the set keeps each member's ratio.
-    With ``on_cap='raise'`` exceeding the cap raises ``EnumerationCap``;
-    with ``'truncate'`` a partial set is returned and flagged.
+    Returns ``(index_set, False)``; the set keeps each member's ratio.
+    Visiting more than ``cap`` candidates (on the support route: finding
+    more than ``cap`` members) raises ``EnumerationCap``.  The second value
+    is always False and is kept for callers that read ``result[0]``.
     """
     eps2 = _threshold(eps)
     if certificate is None:
@@ -363,7 +351,7 @@ def enumerate_threshold_set(
         return ThresholdSet(members), False
 
     if isinstance(certificate, SupportDecay):
-        return _enumerate_by_support(a, b, eps2, certificate.supports, cap, on_cap)
+        return _enumerate_by_support(a, b, eps2, certificate.supports, cap)
 
     if not isinstance(certificate, ProductDecay):
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
@@ -377,7 +365,6 @@ def enumerate_threshold_set(
     to_vector = IndexVector._from_entries
 
     out: dict[IndexVector, float] = {}
-    truncated = False
     visited = 0
     sa, sb = a.state(EMPTY_SUPPORT), b.state(EMPTY_SUPPORT)
     # (entries, state of a, state of b, ratio)
@@ -387,17 +374,9 @@ def enumerate_threshold_set(
         entries, sa, sb, cj = stack.pop()
         visited += 1
         if visited > cap:
-            if on_cap == "truncate":
-                truncated = True
-                break
             raise EnumerationCap(f"visited more than {cap} candidate indices")
         if cj >= eps2:
             out[to_vector(entries)] = cj
-            if len(out) > cap:
-                if on_cap == "truncate":
-                    truncated = True
-                    break
-                raise EnumerationCap(f"threshold set exceeds cap {cap}")
         kmax, level = entries[-1] if entries else (0, 0)
 
         if kmax > 0 and (level_cap is None or level < level_cap):
@@ -414,7 +393,7 @@ def enumerate_threshold_set(
             if cc * after[k] >= eps2:
                 stack.append((child, ca_, cb_, cc))
 
-    return ThresholdSet(out), truncated
+    return ThresholdSet(out), False
 
 
 def _combined_level_cap(a: WeightModel, b: WeightModel) -> int | None:
@@ -422,7 +401,7 @@ def _combined_level_cap(a: WeightModel, b: WeightModel) -> int | None:
     return min(caps) if caps else None
 
 
-def _enumerate_by_support(a, b, eps2, supports, cap, on_cap):
+def _enumerate_by_support(a, b, eps2, supports, cap):
     """Per-support level scan; the ratio must be nonincreasing in each level.
 
     Levels of a fixed support form a lattice; bumping coordinates in
@@ -443,8 +422,6 @@ def _enumerate_by_support(a, b, eps2, supports, cap, on_cap):
                 continue
             out[to_vector(entries)] = c
             if len(out) > cap:
-                if on_cap == "truncate":
-                    return ThresholdSet(dict(itertools.islice(out.items(), cap))), True
                 raise EnumerationCap(f"threshold set exceeds cap {cap}")
             for i in range(pos, len(entries)):
                 k, level = entries[i]
@@ -460,50 +437,13 @@ def eps_dimension(
     dims: DimensionModel,
     certificate=None,
     cap: int = DEFAULT_CAP,
-    on_cap: str = "raise",
 ) -> EpsDimResult:
     """Total dimension of the threshold set's subspaces."""
-    index_set, truncated = enumerate_threshold_set(
-        a, b, eps, certificate=certificate, cap=cap, on_cap=on_cap
-    )
+    index_set, _ = enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)
     members = sorted(((j.max_coord, dims.subspace_dim(j), c)
                       for j, c in index_set.ratios.items()), key=lambda m: m[0])
     return EpsDimResult(n=sum(m[1] for m in members), eps=eps, index_set=index_set,
-                        truncated=truncated, members=members)
-
-
-def eps_dimension_restricted(
-    a: WeightModel,
-    b: WeightModel,
-    eps: float,
-    dims: DimensionModel,
-    d: int,
-    certificate=None,
-    cap: int = DEFAULT_CAP,
-    on_cap: str = "raise",
-) -> EpsDimResult:
-    """Same computation restricted to indices supported on coordinates <= d.
-
-    The full threshold set is enumerated and filtered, so the cap and any
-    ``NotCompact`` apply to the full set.
-    """
-    full = eps_dimension(a, b, eps, dims, certificate=certificate, cap=cap, on_cap=on_cap)
-    return full.restricted(d, dims)
-
-
-def stabilization_dim(
-    a: WeightModel,
-    b: WeightModel,
-    eps: float,
-    certificate=None,
-    cap: int = DEFAULT_CAP,
-) -> int:
-    """Smallest d from which on the d-restricted count equals the full one.
-
-    Equals the largest coordinate active anywhere in the threshold set.
-    """
-    index_set, _ = enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)
-    return index_set.max_coord
+                        members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +466,9 @@ def spline_eps_dimension(
     is reported alongside.
     """
     eps2 = _threshold(eps)
-    if not isinstance(s, (int, float)) or s <= 0:
+    if isinstance(s, bool) or not isinstance(s, (int, float)) or not s > 0:
         raise ConfigInvalid("common smoothness must be a positive number")
-    if not isinstance(lam, (int, float)) or lam <= 0:
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not lam > 0:
         raise ConfigInvalid("the scale constant must be a positive number")
     model = SplineWeights(gamma, float(s), float(lam))
     unit = UnitWeights()
@@ -564,8 +504,7 @@ def spline_eps_dimension(
         n += sum(math.comb(m + size - 1, size - 1) * 2**m for m in range(m_omega + 1))
         bound_acc += (2 * size) ** m_omega
 
-    return EpsDimResult(n=n, eps=eps, index_set=None, truncated=False,
-                        coarse_bound=1 + 2 * bound_acc)
+    return EpsDimResult(n=n, eps=eps, index_set=None, coarse_bound=1 + 2 * bound_acc)
 
 
 def _viable_supports(model: SplineWeights, unit: UnitWeights, eps2: float):

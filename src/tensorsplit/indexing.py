@@ -24,8 +24,6 @@ __all__ = [
     "IndexSet",
     "ZERO_INDEX",
     "EMPTY_SUPPORT",
-    "downward_closure",
-    "is_monotone",
     "componentwise_leq",
 ]
 
@@ -292,11 +290,3 @@ class IndexSet:
         if not self.members:
             return IndexSet((), known_monotone=True)
         return IndexSet(closed, known_monotone=True)
-
-
-def downward_closure(s: IndexSet) -> IndexSet:
-    return s.downward_closure()
-
-
-def is_monotone(s: IndexSet) -> bool:
-    return s.is_monotone

@@ -39,7 +39,6 @@ from .indexing import EMPTY_SUPPORT, SupportSet
 __all__ = [
     "SobolTable",
     "sobol_indices",
-    "total_index",
     "truncate_order",
     "truncation_bound",
     "l2_error",
@@ -118,11 +117,6 @@ def sobol_indices(
     per_omega = {omega: v / denominator for omega, v in energies.items()}
     return SobolTable(mode=mode, per_omega=per_omega, denominator=denominator,
                       include_empty=include_empty)
-
-
-def total_index(table: SobolTable, omega0: SupportSet) -> float:
-    """Summed index over all supersets of the variable group."""
-    return table.total(omega0)
 
 
 def _check_order(m: int):

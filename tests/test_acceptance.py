@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from corpus import corpus
-from test_epsdim import EPS_GRID, box_ratios, brute_force_set, weight_configs
+from test_epsdim import EPS_GRID, brute_force_set, config_ratios, filtered_counts, weight_configs
 from tensorsplit.cli import main as cli_main
 from tensorsplit.decomp import (
     anchored_contraction,
@@ -30,9 +30,7 @@ from tensorsplit.epsdim import (
     AllOneDims,
     SplineDims,
     eps_dimension,
-    eps_dimension_restricted,
     spline_eps_dimension,
-    stabilization_dim,
 )
 from tensorsplit.equivalence import certify_equivalence, product_weight_equivalence
 from tensorsplit.errors import NormDegenerate
@@ -44,7 +42,6 @@ from tensorsplit.regress import AnchoredKernel, SampleSet, fit, fit_map, objecti
 from tensorsplit.sensitivity import (
     l2_error,
     sobol_indices,
-    total_index,
     truncate_order,
     truncation_bound,
 )
@@ -157,7 +154,7 @@ def test_criterion_02_univariate_identities():
 @criterion(3, "epsdim-oracle", budget_seconds=30.0)
 def test_criterion_03_epsdim_oracle_equivalence():
     for name, a, b in weight_configs():
-        ratios = box_ratios(a, b)
+        ratios = config_ratios(name)
         for eps in EPS_GRID:
             expected = brute_force_set(ratios, eps)
             res = eps_dimension(a, b, eps, AllOneDims())
@@ -177,17 +174,21 @@ def test_criterion_03_epsdim_oracle_equivalence():
 
 @criterion(4, "restriction-stabilization")
 def test_criterion_04_restriction_stabilization():
+    ds = range(0, 6)
     for name, a, b in weight_configs():
+        ratios = config_ratios(name)
         for eps in EPS_GRID:
+            expected = brute_force_set(ratios, eps)
             full = eps_dimension(a, b, eps, AllOneDims())
-            d0 = stabilization_dim(a, b, eps)
+            ((_, d0, (whole, *rows)),) = full.table([eps], ds)
+            assert d0 == expected.max_coord, f"{name} eps={eps}"
+            assert [whole, *rows] == filtered_counts(expected, ds, AllOneDims()), f"{name} eps={eps}"
             previous = -1
-            for d in range(0, 6):
-                res = eps_dimension_restricted(a, b, eps, AllOneDims(), d)
-                assert res.n >= previous, f"{name} eps={eps} d={d}"
-                previous = res.n
+            for d, (n, _) in zip(ds, rows):
+                assert n >= previous, f"{name} eps={eps} d={d}"
+                previous = n
                 if d >= d0:
-                    assert res.n == full.n, f"{name} eps={eps} d={d}"
+                    assert n == full.n, f"{name} eps={eps} d={d}"
 
 
 def _random_monotone_table(rng):
@@ -319,8 +320,8 @@ def test_criterion_08_sobol_ratio_bounds():
         tab_a = sobol_indices(f, gamma, "anova", anchor, include_empty=True)
         tab_an = sobol_indices(f, gamma, "anchored", anchor, include_empty=True)
         for omega0 in set(tab_a.per_omega) | set(tab_an.per_omega):
-            sa = total_index(tab_a, omega0)
-            san = total_index(tab_an, omega0)
+            sa = tab_a.total(omega0)
+            san = tab_an.total(omega0)
             if sa <= 1e-13 and san <= 1e-13:
                 continue
             assert san > 0.0 and sa > 0.0, f"{name} {omega0}"

@@ -1,11 +1,14 @@
 """Cross-cutting consistency properties: tails, codes, round trips."""
 
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensorsplit
 import tensorsplit.errors as errors_mod
 from corpus import corpus
 from tensorsplit.decomp import decompose
@@ -134,3 +137,12 @@ class TestPairSum:
         shuffled = list(pairs)
         rnd.shuffle(shuffled)
         assert math.fsum(shuffled) == math.fsum(pairs) == math.fsum(twice)
+
+
+class TestExports:
+    @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(tensorsplit.__path__)))
+    def test_all_names_exist(self, name):
+        """Every name in a submodule's ``__all__`` exists, so a star import works."""
+        mod = importlib.import_module(f"tensorsplit.{name}")
+        assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+        exec(f"from tensorsplit.{name} import *", {})

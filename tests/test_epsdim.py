@@ -1,5 +1,6 @@
 """Threshold-set enumeration against a brute-force box oracle."""
 
+import functools
 import itertools
 import math
 
@@ -14,11 +15,9 @@ from tensorsplit.epsdim import (
     SplineDims,
     enumerate_threshold_set,
     eps_dimension,
-    eps_dimension_restricted,
     spline_eps_dimension,
-    stabilization_dim,
 )
-from tensorsplit.errors import EnumerationCap, NotCompact
+from tensorsplit.errors import ConfigInvalid, EnumerationCap, NotCompact
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import ZERO_INDEX, IndexSet, IndexVector, SupportSet
 from tensorsplit.sequences import (ConstantSeq, FiniteSeq, GeometricSeq, ListTailSeq, PowerSeq,
@@ -123,6 +122,14 @@ def box_ratios(a, b, max_coord=4, max_level=12):
     return out
 
 
+@functools.cache
+def config_ratios(name):
+    """``box_ratios`` of the ``weight_configs`` pair of that name, computed
+    once per test run."""
+    a, b = next((a, b) for n, a, b in weight_configs() if n == name)
+    return box_ratios(a, b)
+
+
 def brute_force_set(ratios, eps, max_level=12):
     eps2 = eps * eps
     members = []
@@ -133,10 +140,17 @@ def brute_force_set(ratios, eps, max_level=12):
     return IndexSet(members)
 
 
+def filtered_counts(members, ds, dims):
+    """``(n, set size)`` of a set and then of its members on the coordinates
+    <= d for each d in ``ds``, filtered and summed member by member."""
+    subsets = [list(members)] + [[j for j in members if j.max_coord <= d] for d in ds]
+    return [(sum(dims.subspace_dim(j) for j in kept), len(kept)) for kept in subsets]
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("name,a,b", weight_configs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_enumeration_matches_brute_force(self, name, a, b):
-        ratios = box_ratios(a, b)
+        ratios = config_ratios(name)
         for eps in EPS_GRID:
             expected = brute_force_set(ratios, eps)
             got, truncated = enumerate_threshold_set(a, b, eps)
@@ -145,18 +159,22 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("name,a,b", weight_configs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_restriction_matches_brute_force(self, name, a, b):
-        ratios = box_ratios(a, b)
-        for eps in EPS_GRID:
-            expected = brute_force_set(ratios, eps)
-            for d in range(5):
-                got = eps_dimension_restricted(a, b, eps, AllOneDims(), d)
-                kept = IndexSet(j for j in expected.members if j.max_coord <= d)
-                assert got.index_set == kept, f"{name} at eps={eps}, d={d}"
-                assert got.n == len(kept)
+        """Every row of ``table`` counts the brute-force set filtered by
+        max_coord, and its d0 is the set's largest coordinate."""
+        ratios = config_ratios(name)
+        ds = range(5)
+        for dims in (AllOneDims(), SplineDims()):
+            for eps in EPS_GRID:
+                expected = brute_force_set(ratios, eps)
+                res = eps_dimension(a, b, eps, dims)
+                assert res.index_set == expected
+                ((_, d0, counts),) = res.table([eps], ds)
+                assert d0 == expected.max_coord
+                assert counts == filtered_counts(expected, ds, dims), f"{name} at eps={eps}"
 
     @pytest.mark.parametrize("name,a,b", weight_configs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_dimension_counts(self, name, a, b):
-        ratios = box_ratios(a, b)
+        ratios = config_ratios(name)
         for eps in EPS_GRID:
             expected = brute_force_set(ratios, eps)
             res_flat = eps_dimension(a, b, eps, AllOneDims())
@@ -197,10 +215,6 @@ class TestExamples:
         a = SplineWeights(ProductGamma(FiniteSeq([1.0, 1.0])), s=0.25, lam=1.0)
         with pytest.raises(EnumerationCap):
             enumerate_threshold_set(a, UnitWeights(), 0.001, cap=10)
-        got, truncated = enumerate_threshold_set(
-            a, UnitWeights(), 0.001, cap=10, on_cap="truncate"
-        )
-        assert truncated
 
     def test_custom_pair_needs_explicit_certificate(self):
         from tensorsplit.epsdim import ProductDecay
@@ -223,45 +237,56 @@ class TestExamples:
 
 
 class TestRestriction:
+    """The d rows of ``table``: counts over the coordinates <= d, and d0,
+    the coordinate from which on they equal the full count."""
+
     @pytest.mark.parametrize("name,a,b", weight_configs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_restriction_monotone_and_stabilizes(self, name, a, b):
+        ratios = config_ratios(name)
+        ds = range(5)
         for eps in EPS_GRID[::2]:
+            expected = brute_force_set(ratios, eps)
             full = eps_dimension(a, b, eps, AllOneDims())
-            d0 = stabilization_dim(a, b, eps)
+            ((_, d0, (whole, *rows)),) = full.table([eps], ds)
+            assert d0 == full.index_set.max_coord == expected.max_coord
+            assert [whole, *rows] == filtered_counts(expected, ds, AllOneDims())
+            assert whole[0] == full.n
             previous = -1
-            for d in range(0, 5):
-                res = eps_dimension_restricted(a, b, eps, AllOneDims(), d)
-                assert res.n >= previous
-                previous = res.n
+            for d, (n, _) in zip(ds, rows):
+                assert n >= previous
+                previous = n
                 if d >= d0:
-                    assert res.n == full.n
+                    assert n == full.n
                 else:
-                    assert res.n <= full.n
-            # minimality: below d0 the restricted count is strictly smaller
+                    assert n <= full.n
+            # minimality: below d0 the count is strictly smaller
             if d0 > 0:
-                assert (
-                    eps_dimension_restricted(a, b, eps, AllOneDims(), d0 - 1).n < full.n
-                )
+                assert rows[d0 - 1][0] < full.n
 
     def test_zero_dimensional_restriction(self):
         a = SplineWeights(ProductGamma(FiniteSeq([1.0])), s=1.0, lam=1.0)
-        res = eps_dimension_restricted(a, UnitWeights(), 0.5, AllOneDims(), 0)
-        assert res.n == 1  # the constants survive at eps <= 1
-        gone = eps_dimension_restricted(a, UnitWeights(), 1.5, AllOneDims(), 0)
-        assert gone.n == 0  # ... and drop out once eps**2 exceeds their ratio
+        res = eps_dimension(a, UnitWeights(), 0.5, AllOneDims())
+        (_, _, kept), (_, _, gone) = res.table([0.5, 1.5], [0])
+        assert kept[1] == (1, 1)  # the constants survive at eps <= 1
+        assert gone[1] == (0, 0)  # ... and drop out once eps**2 exceeds their ratio
 
     def test_stabilization_examples(self):
         only_zero = TableWeights({ZERO_INDEX: 1.0})
-        assert stabilization_dim(only_zero, UnitWeights(), 0.5) == 0
+        res = eps_dimension(only_zero, UnitWeights(), 0.5, AllOneDims())
+        assert res.index_set.max_coord == 0
+        assert [d0 for _, d0, _ in res.table([0.5], [])] == [0]
         with_coord3 = TableWeights({ZERO_INDEX: 1.0, IndexVector({3: 1}): 1.0})
-        assert stabilization_dim(with_coord3, UnitWeights(), 0.5) == 3
+        res = eps_dimension(with_coord3, UnitWeights(), 0.5, AllOneDims())
+        assert res.index_set.max_coord == 3
+        assert [d0 for _, d0, _ in res.table([0.5], [])] == [3]
 
     def test_inactive_higher_coordinate(self):
         # only coordinate 1 carries weight: d = 1 and d = 2 agree
         a = ProductWeights(FiniteSeq([0.8]))
-        r1 = eps_dimension_restricted(a, UnitWeights(), 0.3, AllOneDims(), 1)
-        r2 = eps_dimension_restricted(a, UnitWeights(), 0.3, AllOneDims(), 2)
-        assert r1.n == r2.n
+        ((_, _, (_, r1, r2)),) = eps_dimension(a, UnitWeights(), 0.3, AllOneDims()).table([0.3], [1, 2])
+        assert r1 == r2
+        expected = brute_force_set(box_ratios(a, UnitWeights(), max_coord=2), 0.3)
+        assert r2 == filtered_counts(expected, [2], AllOneDims())[1]
 
 
 class TestNonUnitTargets:
@@ -420,6 +445,33 @@ class TestSplineCounting:
         assert counted.n == enumerated.n
 
 
+class TestRejectedArguments:
+    """A NaN eps fails every ``c >= eps**2`` test, so a scan for it would
+    never stop; it is refused before any scan, as a bool given for a spline
+    parameter is."""
+
+    gamma = ProductGamma(PowerSeq(1.0, 2.0))
+
+    def test_nan_eps_enumeration(self):
+        a = SplineWeights(self.gamma, s=1, lam=1)
+        with pytest.raises(ConfigInvalid, match="eps"):
+            eps_dimension(a, UnitWeights(), math.nan, AllOneDims())
+
+    def test_nan_eps_counting(self):
+        with pytest.raises(ConfigInvalid, match="eps"):
+            spline_eps_dimension(self.gamma, 1.0, 1.0, math.nan)
+
+    def test_nan_eps_table(self):
+        walk = eps_dimension(SplineWeights(self.gamma, s=1.0), UnitWeights(), 0.1, AllOneDims())
+        with pytest.raises(ConfigInvalid, match="eps"):
+            list(walk.table([0.2, math.nan], []))
+
+    @pytest.mark.parametrize("s,lam", [(True, 1.0), (1.0, True)], ids=["s", "lam"])
+    def test_bool_spline_parameter(self, s, lam):
+        with pytest.raises(ConfigInvalid):
+            spline_eps_dimension(self.gamma, s, lam, 0.1)
+
+
 def carried_pairs():
     """(name, a, b, eps): one pair per way the walk carries a weight."""
     power = ProductGamma(PowerSeq(1.0, 2.0))
@@ -462,18 +514,14 @@ class TestCarriedWalk:
     @pytest.mark.parametrize("name,a,b,eps", carried_pairs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_table_matches_one_enumeration_per_eps(self, name, a, b, eps):
         """Counts read from the smallest eps's set equal those of a fresh
-        enumeration at each eps, and its d-restrictions."""
+        enumeration at each eps, filtered by max_coord member by member."""
         eps_list = [eps * 3.0, eps, eps * 1.7]
         ds = [0, 1, 2, 4]
         walk = eps_dimension(a, b, eps, SplineDims())
         for eps_i, d0, counts in walk.table(eps_list, ds):
-            full = eps_dimension(a, b, eps_i, SplineDims())
-            assert d0 == full.index_set.max_coord
-            expected = [(full.n, len(full.index_set))]
-            for d in ds:
-                res = full.restricted(d, SplineDims())
-                expected.append((res.n, len(res.index_set)))
-            assert counts == expected, f"{name} at eps={eps_i}"
+            fresh, _ = enumerate_threshold_set(a, b, eps_i)
+            assert d0 == fresh.max_coord
+            assert counts == filtered_counts(fresh, ds, SplineDims()), f"{name} at eps={eps_i}"
 
     @pytest.mark.parametrize("s,lam", [(1.0, 1.0), ([0.75, 1.25], [2.0, 0.5])])
     def test_non_product_gamma_walk(self, s, lam):

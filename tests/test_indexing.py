@@ -13,8 +13,6 @@ from tensorsplit.indexing import (
     IndexVector,
     SupportSet,
     componentwise_leq,
-    downward_closure,
-    is_monotone,
 )
 
 small_indices = st.dictionaries(
@@ -104,15 +102,15 @@ class TestPartialOrder:
 class TestDownwardClosure:
     def test_chain_below_single_index(self):
         s = IndexSet([IndexVector({1: 2})])
-        closed = downward_closure(s)
+        closed = s.downward_closure()
         assert closed == IndexSet([ZERO_INDEX, IndexVector({1: 1}), IndexVector({1: 2})])
 
     def test_empty_set(self):
-        assert downward_closure(IndexSet()) == IndexSet()
+        assert IndexSet().downward_closure() == IndexSet()
 
     def test_two_coordinate_box(self):
         j = IndexVector({1: 1, 2: 1})
-        closed = downward_closure(IndexSet([j]))
+        closed = IndexSet([j]).downward_closure()
         # oracle: brute-force enumeration of all i <= j
         expected = set()
         for l1, l2 in itertools.product(range(2), range(2)):
@@ -123,14 +121,14 @@ class TestDownwardClosure:
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, members):
         s = IndexSet(members)
-        once = downward_closure(s)
-        assert downward_closure(once) == once
+        once = s.downward_closure()
+        assert once.downward_closure() == once
 
     @given(st.sets(small_indices, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_closure_is_superset_and_complete(self, members):
         s = IndexSet(members)
-        closed = downward_closure(s)
+        closed = s.downward_closure()
         assert s.members <= closed.members
         for j in closed:
             for k, jk in j.entries:
@@ -139,14 +137,14 @@ class TestDownwardClosure:
 
 class TestMonotonicity:
     def test_zero_alone_is_monotone(self):
-        assert is_monotone(IndexSet([ZERO_INDEX]))
+        assert IndexSet([ZERO_INDEX]).is_monotone
 
     def test_missing_zero_breaks_monotonicity(self):
-        assert not is_monotone(IndexSet([IndexVector({1: 1})]))
+        assert not IndexSet([IndexVector({1: 1})]).is_monotone
 
     def test_closure_output_is_monotone(self):
         s = IndexSet([IndexVector({1: 2, 2: 1}), IndexVector({3: 1})])
-        assert is_monotone(downward_closure(s))
+        assert s.downward_closure().is_monotone
 
     def test_canonical_iteration_order(self):
         s = IndexSet([IndexVector({2: 1}), IndexVector({1: 1}), ZERO_INDEX,

@@ -17,7 +17,6 @@ from tensorsplit.indexing import SupportSet
 from tensorsplit.sensitivity import (
     l2_error,
     sobol_indices,
-    total_index,
     truncate_order,
     truncation_bound,
 )
@@ -74,7 +73,7 @@ class TestTotalIndex:
             Term(1.0, {2: F.monomial(1)}),
         ])
         table = sobol_indices(f, UNIT_GAMMA, "anova")
-        assert total_index(table, S()) == pytest.approx(1.0, abs=1e-12)
+        assert table.total(S()) == pytest.approx(1.0, abs=1e-12)
 
     def test_additive_function_group(self):
         f = SeparableFunction(2, [
@@ -82,13 +81,13 @@ class TestTotalIndex:
             Term(1.0, {2: F.monomial(1)}),
         ])
         table = sobol_indices(f, UNIT_GAMMA, "anova")
-        assert total_index(table, S(1)) == pytest.approx(0.5, abs=1e-12)
+        assert table.total(S(1)) == pytest.approx(0.5, abs=1e-12)
 
     def test_interaction_included(self):
         f = SeparableFunction(2, [Term(1.0, {1: F.monomial(1), 2: F.monomial(1)})])
         table = sobol_indices(f, UNIT_GAMMA, "anova")
         # components: {1}: 1/4... energies ||d f_omega||^2: {1}: 1/4, {2}: 1/4, {1,2}: 1
-        assert total_index(table, S(1)) == pytest.approx((0.25 + 1.0) / 1.5, abs=1e-12)
+        assert table.total(S(1)) == pytest.approx((0.25 + 1.0) / 1.5, abs=1e-12)
 
     def test_comparability_under_certificate(self):
         gamma = ProductGamma(PowerSeq(1.0, 4.0))
@@ -100,8 +99,8 @@ class TestTotalIndex:
             tab_an = sobol_indices(f, gamma, "anchored", anchor, include_empty=True)
             groups = set(tab_a.per_omega) | set(tab_an.per_omega)
             for omega0 in groups:
-                sa = total_index(tab_a, omega0)
-                san = total_index(tab_an, omega0)
+                sa = tab_a.total(omega0)
+                san = tab_an.total(omega0)
                 if sa <= 1e-13 and san <= 1e-13:
                     continue
                 assert san > 0 and sa > 0, f"{name} {omega0}"
