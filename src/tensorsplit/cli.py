@@ -32,22 +32,18 @@ from .functions import function_from_json
 from .gammas import gamma_from_json
 from .indexing import IndexVector, SupportSet
 from .regress import AnchoredKernel, SampleSet, fit, fit_map, predict
-from .sensitivity import _truncated, l2_error, sobol_indices, truncation_bound
+from .sensitivity import _l2_errors, _truncated, sobol_indices, truncation_bound
 from .weights import orthogonalized_weight, weights_from_json
 
 
 def _fmt(x) -> str:
-    """17-significant-digit decimal rendering, round-trip faithful."""
+    """17-significant-digit decimal rendering, round-trip faithful; infinities
+    and NaNs (of either sign) come out as ``inf``, ``-inf`` and ``nan``."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    xf = float(x)
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    if math.isnan(xf):
-        return "nan"
-    return format(xf, ".17g")
+    return format(float(x), ".17g")
 
 
 #: JSON has no literal for non-finite floats: they are written as strings
@@ -255,10 +251,9 @@ def _cmd_truncate(cfg: dict, args):
     m_list = config_numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
     components = decompose(f, mode, args.anchor)
     norm = _weighted_norm(components, gamma)
+    errors = _l2_errors(f, [_truncated(f, components, m) for m in m_list])
     rows = []
-    for m in m_list:
-        s_m = _truncated(f, components, m)
-        err = l2_error(f, s_m)
+    for m, err in zip(m_list, errors):
         bound = truncation_bound(gamma, m, mode, anchor=args.anchor) * norm
         rows.append([m, err, bound, err / bound if bound > 0 else 0.0])
     _write_csv(args.out, ["m", "error", "bound", "bound_ratio"], rows)

@@ -17,13 +17,12 @@ truncation bounds downstream.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigInvalid, NormInfinite
-from .functions import SeparableFunction, Term, deriv_inner, pair_sum
+from .functions import SeparableFunction, Term, deriv_inner, table_pair_sum
 from .gammas import GammaModel
 from .indexing import SupportSet
 from .quadrature import QuadratureRule, gauss_legendre, integrate_piecewise
@@ -55,6 +54,8 @@ MODE_ANCHORED = "anchored"
 DEFAULT_ANCHOR = 0.5
 
 _ZERO_TOL = 1e-12
+#: largest function dimension ``decompose`` accepts: it lists 2**dim components
+MAX_DECOMP_DIM = 20
 
 
 def _check_anchor(anchor: float) -> float:
@@ -146,53 +147,68 @@ class DecompositionTerm:
     mixed_norm_sq: float
 
 
-def _projections(f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR) -> list[dict]:
-    """Per term, ``{k: (c, g - c)}`` in coordinate order, where c projects the
-    factor g onto constants: its mean (ANOVA) or its value at the anchor."""
+def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
+    """A function of omega giving the component with active set omega, for
+    omega inside ``coords``.
+
+    Per term and coordinate, c projects the factor g onto constants: its
+    mean (ANOVA) or its value at the anchor.  In every product term an
+    active factor g becomes g - c and an inactive one multiplies the
+    coefficient by c; a term that is constant in an active coordinate
+    vanishes.  ``deriv_inner`` of the shifted factors is taken once per
+    unordered pair of terms and coordinate of ``coords``, and every
+    component's energy is read from those tables.
+    """
     if mode == MODE_ANCHORED:
         anchor = _check_anchor(anchor)
-    projected = []
+    # per term: (bit of k, c) per factor in coordinate order, the shifted
+    # factors, and the coordinates where it is not constant as a bitmask
+    consts, shifted, live = [], [], []
     for t in f.terms:
-        parts = {}
-        for k, g in sorted(t.factors.items()):
-            c = g.mean if mode == MODE_ANOVA else g.value(anchor)
-            parts[k] = (c, g.shifted(c))
-        projected.append(parts)
-    return projected
+        factors = sorted(t.factors.items())
+        cs = [g.mean if mode == MODE_ANOVA else g.value(anchor) for _, g in factors]
+        consts.append([(1 << k, c) for (k, _), c in zip(factors, cs)])
+        shifted.append({k: g.shifted(c) for (k, g), c in zip(factors, cs)})
+        live.append(sum(1 << k for k, g in factors if g.degree != 0))
+    tables = {}
+    for k in coords:
+        # entries of terms that are constant at k are never read
+        table = tables[k] = [[0.0] * len(live) for _ in live]
+        rows = [r for r, bits in enumerate(live) if bits >> k & 1]
+        for i, r in enumerate(rows):
+            for s in rows[i:]:
+                table[r][s] = table[s][r] = deriv_inner(shifted[r][k], shifted[s][k])
 
+    def component(omega: SupportSet) -> DecompositionTerm:
+        active = omega.coords
+        mask = sum(1 << k for k in active)
+        rows, coefs, terms = [], [], []
+        for r, t in enumerate(f.terms):
+            if mask & ~live[r]:
+                continue
+            coef = t.coef
+            for bit, c in consts[r]:
+                if not mask & bit:
+                    coef *= c
+            if coef != 0.0:
+                rows.append(r)
+                coefs.append(coef)
+                terms.append(Term(coef, {k: shifted[r][k] for k in active}))
+        if not coefs:
+            energy = 0.0
+        elif active:
+            energy = table_pair_sum(coefs, [(tables[k], rows) for k in active])
+        else:
+            energy = math.fsum(coefs) ** 2
+        return DecompositionTerm(omega, SeparableFunction(f.dim, terms), energy)
 
-def _component(
-    f: SeparableFunction, omega: SupportSet, projected: list[dict], inner
-) -> DecompositionTerm:
-    """Component with active set omega, from ``_projections(f, ...)``.
-
-    In every product term an active factor g becomes g - c and an inactive
-    one multiplies the coefficient by c; a term that is constant in an
-    active coordinate vanishes.  ``inner`` is ``deriv_inner`` or a memo of it.
-    """
-    terms = []
-    for t, parts in zip(f.terms, projected):
-        if any(t.factor(k).degree == 0 for k in omega):
-            continue
-        coef, factors = t.coef, {}
-        for k, (c, shifted) in parts.items():
-            if k in omega:
-                factors[k] = shifted
-            else:
-                coef *= c
-        if coef != 0.0:
-            terms.append(Term(coef, factors))
-    if omega:
-        energy = pair_sum(terms, inner)
-    else:
-        energy = math.fsum(t.coef for t in terms) ** 2
-    return DecompositionTerm(omega, SeparableFunction(f.dim, terms), energy)
+    return component
 
 
 def anova_term(f: SeparableFunction, omega: SupportSet) -> DecompositionTerm:
     """Component with active set omega of the mean-projection decomposition."""
     _check_support(f, omega)
-    return _component(f, omega, _projections(f, MODE_ANOVA), deriv_inner)
+    return _component_builder(f, MODE_ANOVA, DEFAULT_ANCHOR, omega)(omega)
 
 
 def anchored_term(
@@ -201,7 +217,7 @@ def anchored_term(
     """Component with active set omega of the anchor-evaluation decomposition."""
     anchor = _check_anchor(anchor)
     _check_support(f, omega)
-    return _component(f, omega, _projections(f, MODE_ANCHORED, anchor), deriv_inner)
+    return _component_builder(f, MODE_ANCHORED, anchor, omega)(omega)
 
 
 def _check_support(f: SeparableFunction, omega: SupportSet):
@@ -214,13 +230,19 @@ def _check_support(f: SeparableFunction, omega: SupportSet):
 def decompose(
     f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> list[DecompositionTerm]:
-    """All components of the chosen decomposition, in canonical set order."""
+    """All components of the chosen decomposition, in canonical set order.
+
+    There are 2**dim of them, so a dimension above ``MAX_DECOMP_DIM`` is
+    rejected with ``ConfigInvalid``.
+    """
     _check_mode(mode)
-    # one shifted factor per (term, coordinate) and each 1-D integral once
-    projected = _projections(f, mode, anchor)
-    inner = functools.cache(deriv_inner)
-    return [_component(f, omega, projected, inner)
-            for omega in SupportSet(range(1, f.dim + 1)).subsets()]
+    if f.dim > MAX_DECOMP_DIM:
+        raise ConfigInvalid(
+            f"a decomposition lists all 2**dim components; dim {f.dim} exceeds "
+            f"{MAX_DECOMP_DIM}")
+    everything = SupportSet(range(1, f.dim + 1))
+    component = _component_builder(f, mode, anchor, everything)
+    return [component(omega) for omega in everything.subsets()]
 
 
 def _weighted_energies(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> dict:

@@ -181,18 +181,44 @@ class Term:
 def pair_sum(terms: Sequence[Term], inner) -> float:
     """fsum over term pairs (r, s) of c_r * c_s * prod_k inner(g_rk, g_sk).
 
+    Per coordinate, ``inner`` is taken once per unordered pair of the
+    distinct factor objects there, an absent factor reading as
+    ``ONE_FACTOR``, and mirrored; where both factors are absent the table
+    holds 1.0.  Each piece is then the same IEEE products in the same
+    coordinate order as a per-pair loop, up to exact multiplies by 1.0;
+    mirroring relies on ``inner(f, g) == inner(g, f)`` bit for bit.
+    """
+    columns = []
+    for k in sorted(set().union(*(t.factors for t in terms))):
+        slot: dict = {}
+        at = [slot.setdefault(t.factors.get(k), len(slot)) for t in terms]
+        keys = list(slot)  # None stands for an absent factor
+        factors = [ONE_FACTOR if g is None else g for g in keys]
+        table = [[1.0] * len(keys) for _ in keys]
+        for i in range(len(keys)):
+            for j in range(i, len(keys)):
+                if keys[i] is not None or keys[j] is not None:
+                    table[i][j] = table[j][i] = inner(factors[i], factors[j])
+        columns.append((table, at))
+    return table_pair_sum([t.coef for t in terms], columns)
+
+
+def table_pair_sum(coefs: Sequence[float], columns) -> float:
+    """fsum over i <= j of c_i * c_j * prod over ``(table, at)`` in
+    ``columns`` of ``table[at[i]][at[j]]``, the off-diagonal pieces doubled.
+
     Each unordered pair is visited once and counted twice: its product is
     the same bit for bit in either order, doubling loses no bits and fsum is
     correctly rounded, so the result equals the sum over ordered pairs.
     """
     pieces = []
-    for r, tr in enumerate(terms):
-        for s in range(r, len(terms)):
-            ts = terms[s]
-            prod = tr.coef * ts.coef
-            for k in sorted(tr.factors.keys() | ts.factors.keys()):
-                prod *= inner(tr.factor(k), ts.factor(k))
-            pieces.append(prod if s == r else 2.0 * prod)
+    for i, c in enumerate(coefs):
+        row = [c * d for d in coefs[i:]]
+        for table, at in columns:
+            entries = table[at[i]]
+            row = [p * entries[a] for p, a in zip(row, at[i:])]
+        pieces.append(row[0])
+        pieces.extend([2.0 * p for p in row[1:]])
     return math.fsum(pieces)
 
 

@@ -46,6 +46,14 @@ class SupportSet:
     def of(cls, *coords: int) -> "SupportSet":
         return cls(coords)
 
+    @classmethod
+    def _from_coords(cls, coords: tuple[int, ...]) -> "SupportSet":
+        """Trusted constructor: ``coords`` is already canonical, a tuple of
+        increasing int coordinates >= 1.  Nothing is checked or copied."""
+        omega = object.__new__(cls)
+        object.__setattr__(omega, "coords", coords)
+        return omega
+
     def __len__(self) -> int:
         return len(self.coords)
 
@@ -85,7 +93,7 @@ class SupportSet:
         """All subsets, in canonical order."""
         for size in range(len(self.coords) + 1):
             for combo in itertools.combinations(self.coords, size):
-                yield SupportSet(combo)
+                yield SupportSet._from_coords(combo)
 
     def canonical_key(self):
         """Sort key fixing the global iteration order: cardinality, then

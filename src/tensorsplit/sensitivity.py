@@ -184,8 +184,17 @@ def truncation_bound(
 
 def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
     """L2([0,1]**d) distance between two separable functions."""
-    if f.dim != g.dim:
-        raise ValueError("functions must share the active dimension")
-    diff = f.terms + [Term(-t.coef, dict(t.factors)) for t in g.terms]
-    # each distinct pair of factors is integrated once
-    return math.sqrt(max(0.0, pair_sum(diff, functools.cache(value_inner))))
+    return _l2_errors(f, [g])[0]
+
+
+def _l2_errors(f: SeparableFunction, approximants: Sequence[SeparableFunction]) -> list[float]:
+    """``l2_error(f, g)`` for each g, integrating each distinct pair of
+    factors once over the whole list."""
+    inner = functools.cache(value_inner)
+    errors = []
+    for g in approximants:
+        if f.dim != g.dim:
+            raise ValueError("functions must share the active dimension")
+        diff = f.terms + [Term(-t.coef, dict(t.factors)) for t in g.terms]
+        errors.append(math.sqrt(max(0.0, pair_sum(diff, inner))))
+    return errors

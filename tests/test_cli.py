@@ -7,16 +7,20 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tensorsplit.cli
 import tensorsplit.decomp
 import tensorsplit.epsdim
 import tensorsplit.sensitivity
-from tensorsplit.cli import _build_parser, _index_json, _json_render, _omega_json, main
+from tensorsplit.cli import _build_parser, _fmt, _index_json, _json_render, _omega_json, main
+from tensorsplit.decomp import MAX_DECOMP_DIM, decompose
 from tensorsplit.epsdim import DEFAULT_CAP
+from tensorsplit.functions import function_from_json
 from tensorsplit.indexing import IndexVector, SupportSet
 from tensorsplit.regress import AnchoredKernel
+from tensorsplit.sensitivity import _truncated
 
 CONFIG_DIR = Path(str(resources.files("tensorsplit") / "configs"))
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -465,6 +469,22 @@ class TestErrors:
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert errors == [line]
 
+    @pytest.mark.parametrize("command", ["anova", "anchored", "sobol", "truncate"])
+    @pytest.mark.parametrize("dim", [MAX_DECOMP_DIM + 1, 40])
+    def test_decomposition_dim_limited(self, tmp_path, capsys, command, dim):
+        """Every subcommand that lists all 2**dim components refuses a
+        dimension above the limit at once, with exit 2."""
+        f = {"dim": dim, "terms": [{"coef": 1.0, "factors": {
+            "1": {"kind": "monomial", "power": 1}}}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"function": f, "gamma": {"kind": "product", "seq": _GEOMETRIC}}))
+        out = tmp_path / "out.csv"
+        assert run_cli(command, path, out) == 2
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: ConfigInvalid: a decomposition lists all 2**dim components; "
+                          f"dim {dim} exceeds {MAX_DECOMP_DIM}"]
+
     def test_bad_anchor_flag(self, tmp_path):
         code = run_cli(
             "anova", CONFIG_DIR / "anova_example.json", tmp_path / "o.csv",
@@ -648,6 +668,59 @@ class TestDecompositionCount:
         assert run_cli("truncate", config, out) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "truncate_anova_all_orders.out").read_bytes()
         assert len(calls) == 1
+
+
+class TestFactorPairCount:
+    @pytest.mark.parametrize("stem", ["truncate_anova_all_orders", "truncate_anchored_transcendental"])
+    def test_truncate_integrates_each_factor_pair_once(self, tmp_path, monkeypatch, stem):
+        """Over every order m = 0..d of one request, each unordered pair of
+        factors that meet at a coordinate is integrated once."""
+        calls = []
+        value_inner = tensorsplit.sensitivity.value_inner
+
+        def counting(f, g):
+            calls.append((f, g))  # holding the factors keeps their ids distinct
+            return value_inner(f, g)
+
+        monkeypatch.setattr(tensorsplit.sensitivity, "value_inner", counting)
+        config = GOLDEN_DIR / f"{stem}.json"
+        out = tmp_path / "trunc.csv"
+        assert run_cli("truncate", config, out) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.out").read_bytes()
+
+        cfg = json.loads(config.read_text())
+        f = function_from_json(cfg["function"])
+        components = decompose(f, cfg["mode"])
+        pairs = set()
+        for m in range(f.dim + 1):
+            terms = f.terms + _truncated(f, components, m).terms
+            for tr in terms:
+                for ts in terms:
+                    for k in tr.factors.keys() | ts.factors.keys():
+                        pairs.add(frozenset((id(tr.factor(k)), id(ts.factor(k)))))
+        assert len({frozenset((id(f), id(g))) for f, g in calls}) == len(calls) == len(pairs)
+
+
+class TestFmt:
+    @pytest.mark.parametrize("value,text", [
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (float("nan"), "nan"),
+        (-float("nan"), "nan"),
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(-np.inf), "-inf"),
+        (-np.float64("nan"), "nan"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.int64(-7), "-7"),
+        (3, "3"),
+        (True, "true"),
+        (False, "false"),
+    ])
+    def test_pinned_renderings(self, value, text):
+        assert _fmt(value) == text
 
 
 class TestDeterminism:

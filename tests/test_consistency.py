@@ -1,8 +1,10 @@
 """Cross-cutting consistency properties: tails, codes, round trips."""
 
+import functools
 import importlib
 import math
 import pkgutil
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ import tensorsplit
 import tensorsplit.errors as errors_mod
 from corpus import corpus
 from tensorsplit.decomp import decompose
-from tensorsplit.functions import Term, deriv_inner, pair_sum, value_inner
+from tensorsplit.functions import ONE_FACTOR, Term, UnivariateFactor as F, deriv_inner, pair_sum, value_inner
 from tensorsplit.indexing import IndexVector
 from tensorsplit.sensitivity import l2_error, truncate_order
 from tensorsplit.sequences import (
@@ -106,6 +108,23 @@ def ordered_pair_sum(terms, inner):
 
 FLOATS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
+#: factors drawn into random terms: equal but distinct objects, explicit
+#: constants (one of them the shared ONE_FACTOR) and sin/exp factors
+FACTOR_POOL = [
+    F.monomial(1), F.monomial(1), F.monomial(3), F.polynomial([0.5, -1.25, 0.75]),
+    F.constant(1.0), F.constant(-0.3), ONE_FACTOR,
+    F.sine(2.0, 0.25), F.cosine(1.5), F.exponential(-0.7), F.exponential(1.3),
+]
+TERMS = st.lists(st.builds(
+    Term,
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(min_value=-4.0, max_value=4.0)),
+    st.dictionaries(st.integers(min_value=1, max_value=5), st.sampled_from(FACTOR_POOL), max_size=5),
+), max_size=12)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
 
 class TestPairSum:
     """Unordered pairs counted twice give the ordered-pair sum bit for bit."""
@@ -128,6 +147,22 @@ class TestPairSum:
             diff = f.terms + [Term(-t.coef, dict(t.factors)) for t in g.terms]
             expected = math.sqrt(max(0.0, ordered_pair_sum(diff, value_inner)))
             assert l2_error(f, g) == expected
+
+    @pytest.mark.parametrize("inner", [value_inner, deriv_inner], ids=["value", "deriv"])
+    @given(terms=TERMS)
+    @settings(max_examples=150, deadline=None)
+    def test_random_terms_match_ordered_pairs(self, inner, terms):
+        """Shared and absent factors, constants and zero coefficients of
+        either sign: the table sum equals the ordered-pair sum bit for bit."""
+        memo = functools.cache(inner)  # keyed by ordered pair: both orders are computed
+        assert bits(pair_sum(terms, memo)) == bits(ordered_pair_sum(terms, memo))
+
+    @pytest.mark.parametrize("inner", [value_inner, deriv_inner], ids=["value", "deriv"])
+    def test_inner_is_symmetric(self, inner):
+        """The premise of mirroring table entries."""
+        for f in FACTOR_POOL:
+            for g in FACTOR_POOL:
+                assert bits(inner(f, g)) == bits(inner(g, f)), (f, g)
 
     @given(st.lists(FLOATS, max_size=20), st.lists(FLOATS, max_size=20), st.randoms())
     @settings(max_examples=200, deadline=None)

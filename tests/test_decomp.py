@@ -17,12 +17,13 @@ from tensorsplit.decomp import (
     anova_term,
     averaged_anchored_kernel,
     averaged_kernel_energy,
+    MAX_DECOMP_DIM,
     decompose,
     mean_representation,
     reconstruct,
     weighted_norm,
 )
-from tensorsplit.errors import NormInfinite
+from tensorsplit.errors import ConfigInvalid, NormInfinite
 from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as F, deriv_inner,
                                   value_inner)
 from tensorsplit.gammas import ProductGamma, TableGamma
@@ -261,6 +262,16 @@ class TestSupportIteration:
     def test_all_supports_order(self):
         sets = list(S(1, 2).subsets())
         assert sets == [S(), S(1), S(2), S(1, 2)]
+
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_dimension_limit(self, mode):
+        """2**dim components are listed only up to MAX_DECOMP_DIM; a single
+        component of a larger function is still available."""
+        f = SeparableFunction(MAX_DECOMP_DIM + 1, [Term(1.0, {1: F.monomial(1)})])
+        with pytest.raises(ConfigInvalid, match="exceeds 20"):
+            decompose(f, mode)
+        one = anova_term(f, S(1)) if mode == "anova" else anchored_term(f, S(1))
+        assert one.mixed_norm_sq == pytest.approx(1.0)
 
 
 class TestFactorReuse:

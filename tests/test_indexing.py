@@ -63,6 +63,21 @@ class TestIndexVector:
         assert SupportSet.from_json_obj([1, 3]) == s
 
 
+class TestSupportSubsets:
+    @given(st.sets(st.integers(min_value=1, max_value=40), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_subsets_are_canonical_support_sets(self, coords):
+        """The trusted subsets read as checked ones, in canonical order."""
+        omega = SupportSet(coords)
+        subsets = list(omega.subsets())
+        expected = [SupportSet(combo) for size in range(len(coords) + 1)
+                    for combo in itertools.combinations(sorted(coords), size)]
+        assert subsets == expected
+        assert [hash(u) for u in subsets] == [hash(u) for u in expected]
+        assert subsets == sorted(subsets, key=SupportSet.canonical_key)
+        assert len(set(subsets)) == 2 ** len(coords)
+
+
 class TestPartialOrder:
     def test_zero_is_minimum(self):
         assert componentwise_leq(ZERO_INDEX, IndexVector({1: 3}))

@@ -15,7 +15,7 @@ def _load(path: Path, name: str):
     return module
 
 
-def test_artifact_digests_lists_every_epsdim_request(capsys, monkeypatch):
+def _check_every_request_listed(workload, capsys, monkeypatch):
     """One line per request of seed 1, each with the exit code the
     benchmark expects of that request."""
     # the tool prepends to sys.path, sets the BLAS thread variables and
@@ -27,8 +27,8 @@ def test_artifact_digests_lists_every_epsdim_request(capsys, monkeypatch):
                    if name not in sys.modules]
     tool = _load(ROOT / "tools" / "artifact_digests.py", "artifact_digests")
     try:
-        assert tool.main(["epsdim", "--seeds", "1"]) == 0
-        reqs = sys.modules["workloads"].WORKLOADS["epsdim"](1)
+        assert tool.main([workload, "--seeds", "1"]) == 0
+        reqs = sys.modules["workloads"].WORKLOADS[workload](1)
     finally:
         for name in new_modules:
             sys.modules.pop(name, None)
@@ -37,6 +37,14 @@ def test_artifact_digests_lists_every_epsdim_request(capsys, monkeypatch):
     assert len(lines) == len(reqs)
     for i, (line, req) in enumerate(zip(lines, reqs)):
         fields = line.split()
-        assert fields[:4] == ["epsdim", "1", str(i), req.label]
+        assert fields[:4] == [workload, "1", str(i), req.label]
         assert fields[4] == f"rc={req.expect_rc}", line
         assert fields[5].startswith("sha256=")
+
+
+def test_artifact_digests_lists_every_epsdim_request(capsys, monkeypatch):
+    _check_every_request_listed("epsdim", capsys, monkeypatch)
+
+
+def test_artifact_digests_lists_every_decomp_request(capsys, monkeypatch):
+    _check_every_request_listed("decomp", capsys, monkeypatch)
