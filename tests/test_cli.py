@@ -698,7 +698,7 @@ class TestFactorPairCount:
                 for ts in terms:
                     for k in tr.factors.keys() | ts.factors.keys():
                         pairs.add(frozenset((id(tr.factor(k)), id(ts.factor(k)))))
-        assert len({frozenset((id(f), id(g))) for f, g in calls}) == len(calls) == len(pairs)
+        assert len({frozenset((id(a), id(b))) for a, b in calls}) == len(calls) == len(pairs)
 
 
 class TestFmt:

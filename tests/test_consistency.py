@@ -14,7 +14,8 @@ import tensorsplit
 import tensorsplit.errors as errors_mod
 from corpus import corpus
 from tensorsplit.decomp import decompose
-from tensorsplit.functions import ONE_FACTOR, Term, UnivariateFactor as F, deriv_inner, pair_sum, value_inner
+from tensorsplit.functions import (ONE_FACTOR, Term, UnivariateFactor as F, deriv_inner, pair_sum,
+                                  value_inner)
 from tensorsplit.indexing import IndexVector
 from tensorsplit.sensitivity import l2_error, truncate_order
 from tensorsplit.sequences import (
