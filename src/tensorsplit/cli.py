@@ -341,7 +341,10 @@ def _kernel_from_json(obj, dim: int, anchor: float):
     if obj["type"] == "anchored":
         check_keys(obj, "kernel spec", {"type"}, {"scales", "anchor"})
         anchor = config_number(obj.get("anchor", anchor), float, "anchor")
-        return AnchoredKernel(dim, anchor=anchor, scales=obj.get("scales"))
+        scales = obj.get("scales")
+        if scales is not None:
+            scales = config_numbers(scales, float, "kernel scales")
+        return AnchoredKernel(dim, anchor=anchor, scales=scales)
     raise ConfigInvalid(f"unknown kernel type {obj['type']!r}")
 
 

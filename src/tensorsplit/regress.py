@@ -9,6 +9,9 @@ The default kernel tensorizes the univariate kernel of the anchored
 first-order Sobolev inner product f(a) g(a) + int f' g': on one coordinate
 it is 1 plus the overlap length of the two intervals joining each argument
 to the anchor (zero when the arguments lie on opposite sides).
+
+scipy is imported by the solve alone, so importing this module (and the
+CLI) loads numpy but not scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .decomp import DEFAULT_ANCHOR
 from .errors import ConfigInvalid, KernelAsymmetric, SolveFailed
@@ -42,6 +44,9 @@ _JITTER_LIMIT = 1e-6
 #: entries of one row block (256 KiB) in the Gram builder: a block and its
 #: work buffers stay in cache across the coordinate passes
 _GRAM_BLOCK = 1 << 15
+#: side of the square tiles of the symmetry check (512 KiB each): a tile and
+#: its mirror stay in cache while they are compared
+_SYM_TILE = 256
 
 
 def anchored_overlap(x: float, y: float, anchor: float) -> float:
@@ -57,7 +62,9 @@ class AnchoredKernel:
     """Tensor product of univariate anchored Sobolev kernels.
 
     Per coordinate the kernel is 1 + scale_k * overlap(x_k, y_k); the
-    optional scales play the role of per-coordinate weights.
+    optional scales play the role of per-coordinate weights.  A scale is
+    nonnegative (zero drops the coordinate's overlap term), which keeps the
+    kernel positive semidefinite.
     """
 
     def __init__(self, dim: int, anchor: float = DEFAULT_ANCHOR, scales=None):
@@ -73,6 +80,8 @@ class AnchoredKernel:
             self.scales = tuple(float(s) for s in scales)
             if len(self.scales) != self.dim:
                 raise ConfigInvalid("need one scale per coordinate")
+            if not all(s >= 0.0 for s in self.scales):
+                raise ConfigInvalid(f"kernel scales must be nonnegative, got {list(self.scales)}")
 
     def __call__(self, x: Sequence[float], y: Sequence[float]) -> float:
         v = 1.0
@@ -219,6 +228,23 @@ def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return K
 
 
+def _exactly_symmetric(G: np.ndarray) -> bool:
+    """``np.array_equal(G, G.T)`` for a square G, one tile pair at a time.
+
+    Each tile on or above the diagonal is compared with the transpose of
+    its mirror tile, so every entry is still compared, but no n x n
+    temporary is made and both tiles are read from cache.
+    """
+    n = G.shape[0]
+    for a in range(0, n, _SYM_TILE):
+        rows = slice(a, a + _SYM_TILE)
+        for c in range(a, n, _SYM_TILE):
+            cols = slice(c, c + _SYM_TILE)
+            if not np.array_equal(G[rows, cols], G[cols, rows].T):
+                return False
+    return True
+
+
 def gram_matrix(kernel, xs) -> np.ndarray:
     """Kernel matrix over the sample points, validated for symmetry.
 
@@ -229,7 +255,7 @@ def gram_matrix(kernel, xs) -> np.ndarray:
     if X.ndim == 1:
         X = X[:, None]
     G = _kernel_matrix(kernel, X, X)
-    if np.array_equal(G, G.T):
+    if _exactly_symmetric(G):
         return G
     asym = float(np.max(np.abs(G - G.T))) if G.size else 0.0
     if asym > _SYM_TOL:
@@ -257,6 +283,10 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarr
     Returns c, the jitter and G + shift*I, the matrix of the residual,
     written into ``A`` (a new array when None).
     """
+    # the one scipy use in the package, imported here so that only a
+    # regression loads scipy
+    from scipy.linalg import cho_factor, cho_solve
+
     n = G.shape[0]
     base = float(np.trace(G)) / n if n else 1.0
     if base <= 0.0:

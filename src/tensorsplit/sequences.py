@@ -4,7 +4,10 @@ Weight models quantify over infinitely many coordinates, so convergence
 evidence has to be explicit.  Every sequence kind here knows its exact or
 rigorously bounded tail sums:
 
-* ``PowerSeq``      c * k**(-p), tails via the Hurwitz zeta function;
+* ``PowerSeq``      c * k**(-p), tails via the Hurwitz zeta function
+                    (``_hurwitz_zeta``, a pure-Python port of Cephes'
+                    Euler--Maclaurin ``zeta`` that ``scipy.special.zeta``
+                    evaluates, bit for bit the same);
 * ``GeometricSeq``  c * rho**k, closed-form geometric tails;
 * ``ListTailSeq``   explicit head values, constant tail, with the cases
                     ``FiniteSeq`` (tail 0) and ``ConstantSeq`` (no head);
@@ -17,8 +20,6 @@ raising, so callers can branch on finiteness.
 from __future__ import annotations
 
 import math
-
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (ConfigInvalid, TailUnavailable, check_keys, config_errors, config_number,
                      config_numbers)
@@ -36,6 +37,60 @@ __all__ = [
 
 # log1p terms below this relative size are folded into a certified remainder
 _REL_TOL = 1e-16
+
+#: Cephes' MACHEP, the stopping tolerance of ``_hurwitz_zeta``
+_MACHEP = 2.0**-53
+#: Cephes' Euler--Maclaurin denominators, (2j)! / B_2j for j = 1..12
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Sum over n >= 0 of (n + q)**-x, for x > 1 and q >= 1.
+
+    Cephes' ``zeta(x, q)`` operation for operation: q**-x plus direct terms
+    (n + q)**-x, stopping at the first below MACHEP of the sum.  When none
+    is by the ninth term and n + q > 9, the Euler--Maclaurin remainder at
+    w = n + q closes the sum, with up to twelve Bernoulli corrections.  Past
+    q = 1e8 it is the asymptotic (1/(x-1) + 1/(2q)) q**(1-x).  Python's
+    ``**`` is C's ``pow``, so the result is the one ``scipy.special.zeta``
+    returns.
+    """
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q**-x
+    if s == 0.0:
+        # every later term underflows too; C carries 0/0 = NaN through the
+        # stopping tests and returns this 0.0, where Python would raise
+        return 0.0
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for denom in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / denom
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 class CoordSeq:
@@ -154,7 +209,7 @@ class PowerSeq(CoordSeq):
             return 0.0
         if self.p <= 1:
             return math.inf
-        return self.c * float(_hurwitz_zeta(self.p, k0 + 1))
+        return self.c * _hurwitz_zeta(self.p, float(k0 + 1))
 
     def tail_sup(self, k0: int) -> float:
         return self.value(k0 + 1) if self.p >= 0 else math.inf

@@ -207,6 +207,32 @@ class TestErrors:
         path.write_text(json.dumps(cfg))
         assert run_cli(command, path, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("scales", [["a", 1], 1.5, [True, 1], ["1.5", 1], [-1, 1]],
+                             ids=["string-scale", "scalar-scales", "bool-scale",
+                                  "numeric-string-scale", "negative-scale"])
+    def test_bad_kernel_scales_rejected(self, tmp_path, capsys, scales):
+        """Each exits 2 with one error line: the first two used to crash with
+        a traceback, the next two were read as 1.0 and 1.5, and a negative
+        scale made the kernel indefinite and the solve fail."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "samples": {"inputs": [[0.2, 0.3], [0.7, 0.9]], "outputs": [0.1, 0.4]},
+            "kernel": {"type": "anchored", "scales": scales}, "lambda": 0.1,
+        }))
+        assert run_cli("regress", path, tmp_path / "out.json") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ConfigInvalid: ")]
+        assert len(errors) == 1
+        assert not (tmp_path / "out.json").exists()
+
+    def test_zero_kernel_scale_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "samples": {"inputs": [[0.2, 0.3], [0.7, 0.9]], "outputs": [0.1, 0.4]},
+            "kernel": {"type": "anchored", "scales": [0, 1.5]}, "lambda": 0.1,
+        }))
+        assert run_cli("regress", path, tmp_path / "out.json") == 0
+
     @pytest.mark.parametrize("samples", [
         {"inputs": [["x"], [0.7]], "outputs": [0.1, 0.4]},
         {"inputs": [[0.2], [0.7]], "outputs": "abc"},
@@ -755,3 +781,39 @@ class TestGolden:
                   if line.startswith("error:")]
         expected = golden_err.read_text().splitlines() if golden_err.exists() else []
         assert errors == expected
+
+
+class TestImports:
+    def test_only_regress_loads_scipy(self, tmp_path):
+        """A fresh interpreter runs every non-regress bundled config without
+        importing scipy; a regress run after them loads scipy.linalg and
+        writes the bytes an in-process run writes."""
+        stems = sorted(path.stem for path in CONFIG_DIR.glob("*.json")
+                       if not path.stem.startswith("regress"))
+        script = (
+            "import json, sys\n"
+            "import tensorsplit.cli\n"
+            "config_dir, out_dir, stems = sys.argv[1], sys.argv[2], sys.argv[3:]\n"
+            "codes = {stem: tensorsplit.cli.main([stem.split('_')[0], '--config',\n"
+            "         f'{config_dir}/{stem}.json', '--out', f'{out_dir}/{stem}.out'])\n"
+            "         for stem in stems}\n"
+            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "codes['regress_example'] = tensorsplit.cli.main(['regress', '--config',\n"
+            "    f'{config_dir}/regress_example.json', '--out', f'{out_dir}/regress.json'])\n"
+            "print(json.dumps({'codes': codes, 'scipy_before': before,\n"
+            "                  'linalg_after': 'scipy.linalg' in sys.modules}))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(tensorsplit.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR), str(tmp_path),
+                               *stems], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["scipy_before"] == []
+        assert result["linalg_after"]
+        assert result["codes"] == {**{stem: GOLDEN_CODES[stem] for stem in stems},
+                                   "regress_example": 0}
+        expected = tmp_path / "in_process.json"
+        assert run_cli("regress", CONFIG_DIR / "regress_example.json", expected) == 0
+        assert (tmp_path / "regress.json").read_bytes() == expected.read_bytes()

@@ -11,6 +11,7 @@ from tensorsplit.regress import (
     CustomKernel,
     SampleSet,
     TensorProductKernel,
+    _SYM_TILE,
     anchored_overlap,
     fit,
     fit_map,
@@ -58,6 +59,27 @@ class TestGramMatrix:
         k = CustomKernel(1, lambda x, y: float(x[0] - y[0]))
         with pytest.raises(KernelAsymmetric):
             gram_matrix(k, np.array([[0.1], [0.9]]))
+
+    @pytest.mark.parametrize("delta,asymmetric", [(1e-3, True), (1e-13, False)])
+    def test_asymmetry_in_off_diagonal_tile(self, delta, asymmetric):
+        """The tiled symmetry check sees an entry far from the diagonal tiles:
+        above the tolerance it is an error, below it G is symmetrized."""
+        n = _SYM_TILE + 10
+        X = np.random.default_rng(31).uniform(0, 1, (n, 2))
+        G = AnchoredKernel(2).gram(X, X)
+        G[3, n - 2] += delta
+
+        class Fixed:
+            def gram(self, X, Y):
+                return G.copy()
+
+        if asymmetric:
+            with pytest.raises(KernelAsymmetric):
+                gram_matrix(Fixed(), X)
+        else:
+            S = gram_matrix(Fixed(), X)
+            assert np.array_equal(S, S.T)
+            assert S[3, n - 2] == 0.5 * (G[3, n - 2] + G[n - 2, 3])
 
     def test_anchored_gram_is_psd(self):
         X = RNG.uniform(0, 1, (40, 3))
@@ -239,6 +261,14 @@ class TestTensorProductKernel:
 
 
 class TestSampleValidation:
+    @pytest.mark.parametrize("scales", [[-1.0, 1.0], [1.0, np.nan]], ids=["negative", "nan"])
+    def test_kernel_scales_must_be_nonnegative(self, scales):
+        with pytest.raises(ConfigInvalid):
+            AnchoredKernel(2, scales=scales)
+
+    def test_zero_kernel_scale_drops_the_overlap(self):
+        assert AnchoredKernel(2, scales=[0.0, 1.0])([0.9, 0.9], [0.8, 0.2]) == 1.0
+
     def test_inputs_must_be_in_cube(self):
         with pytest.raises(ConfigInvalid):
             SampleSet(np.array([[1.5]]), np.array([1.0]))

@@ -1,6 +1,8 @@
 """Certified tail sums of the coordinate-sequence kinds."""
 
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from tensorsplit.sequences import (
     ListTailSeq,
     PowerSeq,
     ProductOfSeqs,
+    _hurwitz_zeta,
     seq_ratio,
 )
 
@@ -43,6 +46,56 @@ class TestPowerSeq:
         s = PowerSeq(1.0, 2.0)
         # prod (1 + k^-2) = sinh(pi)/pi
         assert math.exp(s.log1p_sum()) == pytest.approx(math.sinh(math.pi) / math.pi, rel=1e-13)
+
+
+def _zeta_grid():
+    """(p, q) pairs through every branch of ``_hurwitz_zeta``, plus seeded draws.
+
+    p = 60 leaves in the direct sum; p = 1.001 and p = 2 at q = 1 need the
+    Bernoulli corrections; q > 1e8 takes the asymptotic branch; p = 400 at
+    q = 10 underflows q**-p to 0.0.
+    """
+    ps = [1.001, 1.01, 1.5, 2.0, 3.7, 10.0, 60.0, 400.0]
+    qs = [1.0, 2.0, 7.0, 10.0, 11.0, 1e3, 123456.0, 1e8, 1e8 + 1.0, 1e12]
+    pairs = [(p, q) for p in ps for q in qs]
+    rng = random.Random(20160719)
+    for _ in range(2000):
+        p = 1.0 + 10.0 ** rng.uniform(-4.0, 2.5)
+        q = float(rng.choice([rng.randint(1, 20), rng.randint(1, 10**6),
+                              int(10.0 ** rng.uniform(6.0, 12.0))]))
+        pairs.append((p, q))
+    return pairs
+
+
+class TestHurwitzZeta:
+    """The pure-Python port against scipy's Cephes ``zeta`` and mpmath."""
+
+    def test_bit_identical_to_scipy(self):
+        from scipy.special import zeta
+
+        pairs = _zeta_grid()
+        assert [_hurwitz_zeta(p, q) for p, q in pairs] == [float(zeta(p, q)) for p, q in pairs]
+
+    def test_underflow_reads_zero(self):
+        """q**-p underflows: C's 0/0 stopping tests give 0.0, Python's would raise."""
+        assert _hurwitz_zeta(400.0, 10.0) == 0.0
+        assert PowerSeq(1.0, 400.0).tail_sum(9) == 0.0
+
+    def test_matches_mpmath(self):
+        """Relative error at most 1e-14 wherever the value is a normal float.
+
+        mpmath stops its own Euler--Maclaurin sum on an absolute tolerance,
+        so at a fixed 40 digits it is wrong for tiny values (zeta(60, 1000)
+        ~ 1.7e-179 in the 10th digit).  The value is at least q**-p, so
+        p * log10(q) more digits give it 40 significant ones.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        for p, q in _zeta_grid()[::5]:
+            if q**-p < sys.float_info.min:
+                continue
+            with mpmath.workdps(40 + math.ceil(p * math.log10(q))):
+                exact = mpmath.zeta(p, q)
+            assert abs(_hurwitz_zeta(p, q) - exact) <= 1e-14 * exact, (p, q)
 
 
 class TestGeometricSeq:
