@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomp import _weighted_norm, decompose
+from .decomp import _all_components, _live_components, _weighted_norm
 from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension
 from .equivalence import certify_equivalence
 from .errors import (ConfigInvalid, NoCertificate, TensorsplitError, check_keys,
@@ -191,14 +191,18 @@ def _cmd_decomp(cfg: dict, args):
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
     rows = []
-    for term in decompose(f, args.command, args.anchor):
+    for coords, term in _all_components(f.dim, _live_components(f, args.command, args.anchor)):
+        if term is None:
+            # energy 0.0: both cells read 0 whatever the weight
+            rows.append([_omega_json(coords), "0", "0"])
+            continue
         gv = gamma.value(term.omega)
         if gv > 0.0:
             contribution = term.mixed_norm_sq / gv
         else:
             contribution = 0.0 if term.mixed_norm_sq == 0.0 else math.inf
         rows.append([
-            _omega_json(term.omega),
+            _omega_json(coords),
             math.sqrt(max(0.0, term.mixed_norm_sq)),
             contribution,
         ])
@@ -249,7 +253,7 @@ def _cmd_truncate(cfg: dict, args):
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anchored")
     m_list = config_numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
-    components = decompose(f, mode, args.anchor)
+    components = _live_components(f, mode, args.anchor)
     norm = _weighted_norm(components, gamma)
     errors = _l2_errors(f, [_truncated(f, components, m) for m in m_list])
     rows = []

@@ -17,9 +17,10 @@ truncation bounds downstream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ConfigInvalid, NormInfinite
 from .functions import SeparableFunction, Term, deriv_inner, table_pair_sum
@@ -147,6 +148,12 @@ class DecompositionTerm:
     mixed_norm_sq: float
 
 
+def _live_mask(t: Term) -> int:
+    """The coordinates where the term is not constant, as a bitmask (bit k
+    for coordinate k)."""
+    return sum(1 << k for k, g in t.factors.items() if g.degree != 0)
+
+
 def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
     """A function of omega giving the component with active set omega, for
     omega inside ``coords``.
@@ -155,29 +162,37 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
     mean (ANOVA) or its value at the anchor.  In every product term an
     active factor g becomes g - c and an inactive one multiplies the
     coefficient by c; a term that is constant in an active coordinate
-    vanishes.  ``deriv_inner`` of the shifted factors is taken once per
-    unordered pair of terms and coordinate of ``coords``, and every
-    component's energy is read from those tables.
+    vanishes, so omega is built from the terms whose live mask holds it.
+    ``deriv_inner`` of the shifted factors is taken once per unordered pair
+    of terms and coordinate of ``coords``, and every component's energy is
+    read from those tables.  A 1-D integral or an energy whose sum overflows
+    the float range is ``ConfigInvalid`` naming the coordinate or the
+    component; an ``inf`` that no sum trips over is returned as it is.
     """
     if mode == MODE_ANCHORED:
         anchor = _check_anchor(anchor)
-    # per term: (bit of k, c) per factor in coordinate order, the shifted
-    # factors, and the coordinates where it is not constant as a bitmask
-    consts, shifted, live = [], [], []
+    # per term: (bit of k, c) per factor in coordinate order, and the
+    # shifted factors
+    consts, shifted = [], []
     for t in f.terms:
         factors = sorted(t.factors.items())
         cs = [g.mean if mode == MODE_ANOVA else g.value(anchor) for _, g in factors]
         consts.append([(1 << k, c) for (k, _), c in zip(factors, cs)])
         shifted.append({k: g.shifted(c) for (k, g), c in zip(factors, cs)})
-        live.append(sum(1 << k for k, g in factors if g.degree != 0))
+    live = [_live_mask(t) for t in f.terms]
     tables = {}
     for k in coords:
         # entries of terms that are constant at k are never read
         table = tables[k] = [[0.0] * len(live) for _ in live]
         rows = [r for r, bits in enumerate(live) if bits >> k & 1]
-        for i, r in enumerate(rows):
-            for s in rows[i:]:
-                table[r][s] = table[s][r] = deriv_inner(shifted[r][k], shifted[s][k])
+        try:
+            for i, r in enumerate(rows):
+                for s in rows[i:]:
+                    table[r][s] = table[s][r] = deriv_inner(shifted[r][k], shifted[s][k])
+        except (OverflowError, ValueError) as exc:  # fsum past the float range
+            raise ConfigInvalid(
+                f"a derivative inner product at coordinate {k} overflows the float range"
+            ) from exc
 
     def component(omega: SupportSet) -> DecompositionTerm:
         active = omega.coords
@@ -194,12 +209,16 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
                 rows.append(r)
                 coefs.append(coef)
                 terms.append(Term(coef, {k: shifted[r][k] for k in active}))
-        if not coefs:
-            energy = 0.0
-        elif active:
-            energy = table_pair_sum(coefs, [(tables[k], rows) for k in active])
-        else:
-            energy = math.fsum(coefs) ** 2
+        try:
+            if not coefs:
+                energy = 0.0
+            elif active:
+                energy = table_pair_sum(coefs, [(tables[k], rows) for k in active])
+            else:
+                energy = math.fsum(coefs) ** 2
+        except (OverflowError, ValueError) as exc:  # ** or fsum past the float range
+            raise ConfigInvalid(
+                f"the energy of component {omega!r} overflows the float range") from exc
         return DecompositionTerm(omega, SeparableFunction(f.dim, terms), energy)
 
     return component
@@ -227,27 +246,77 @@ def _check_support(f: SeparableFunction, omega: SupportSet):
         )
 
 
-def decompose(
+def _live_components(
     f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> list[DecompositionTerm]:
-    """All components of the chosen decomposition, in canonical set order.
+    """The components some term of f can reach, in canonical set order.
 
-    There are 2**dim of them, so a dimension above ``MAX_DECOMP_DIM`` is
-    rejected with ``ConfigInvalid``.
+    The component with active set omega is zero unless omega lies inside
+    the live mask of some term, so only the subsets of the terms' live
+    masks, and always the empty set, are built.  Every other component
+    has energy 0.0 and a function without terms.
     """
     _check_mode(mode)
     if f.dim > MAX_DECOMP_DIM:
         raise ConfigInvalid(
             f"a decomposition lists all 2**dim components; dim {f.dim} exceeds "
             f"{MAX_DECOMP_DIM}")
-    everything = SupportSet(range(1, f.dim + 1))
-    component = _component_builder(f, mode, anchor, everything)
-    return [component(omega) for omega in everything.subsets()]
+    masks = {_live_mask(t) for t in f.terms}
+    reach = {()}
+    for bits in masks:
+        if any(bits != other and bits & other == bits for other in masks):
+            continue  # its subsets are those of a larger mask
+        coords = [k for k in range(1, f.dim + 1) if bits >> k & 1]
+        for size in range(1, len(coords) + 1):
+            reach.update(itertools.combinations(coords, size))
+    union = sorted({k for coords in reach for k in coords})
+    component = _component_builder(f, mode, anchor, union)
+    return [component(SupportSet._from_coords(coords))
+            for coords in sorted(reach, key=lambda c: (len(c), c))]
+
+
+def _all_components(
+    dim: int, live: Sequence[DecompositionTerm]
+) -> Iterator[tuple[tuple[int, ...], DecompositionTerm | None]]:
+    """``(coords, component)`` for every subset of 1..dim in canonical
+    order, as a tuple of coordinates: the component from ``live``, or None
+    where it is zero."""
+    live = iter(live)
+    nxt = next(live, None)
+    for size in range(dim + 1):
+        for coords in itertools.combinations(range(1, dim + 1), size):
+            if nxt is not None and nxt.omega.coords == coords:
+                yield coords, nxt
+                nxt = next(live, None)
+            else:
+                yield coords, None
+
+
+def decompose(
+    f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR
+) -> list[DecompositionTerm]:
+    """All components of the chosen decomposition, in canonical set order.
+
+    There are 2**dim of them, so a dimension above ``MAX_DECOMP_DIM`` is
+    rejected with ``ConfigInvalid``.  Only the components some term can
+    reach are computed (``_live_components``); every other one is listed
+    with energy 0.0 and a function without terms.
+    """
+    return [
+        t if t is not None else
+        DecompositionTerm(SupportSet._from_coords(coords), SeparableFunction(f.dim, []), 0.0)
+        for coords, t in _all_components(f.dim, _live_components(f, mode, anchor))
+    ]
 
 
 def _weighted_energies(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> dict:
     """``{omega: energy / gamma_omega}`` over the components with nonzero
-    weight; ``NormInfinite`` if a component with energy has zero weight."""
+    weight; ``NormInfinite`` if a component with energy has zero weight.
+
+    The zero components that ``_live_components`` leaves out change nothing
+    here: their energy 0.0 never exceeds the tolerance, and it would raise
+    the scale only where every energy is negative, so that none exceeds it.
+    """
     scale = max((t.mixed_norm_sq for t in terms), default=0.0)
     tol = _ZERO_TOL * (1.0 + scale)
     table = {}
@@ -274,13 +343,22 @@ def weighted_norm(
     Raises ``NormInfinite`` when a component with nonzero energy meets a
     vanishing set weight: the function then lies outside the space.
     """
-    return _weighted_norm(decompose(f, mode, anchor), gamma)
+    return _weighted_norm(_live_components(f, mode, anchor), gamma)
 
 
 def _weighted_norm(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> float:
-    """``weighted_norm`` from the components of one decomposition."""
-    energies = _weighted_energies(terms, gamma)
-    return math.sqrt(max(0.0, math.fsum(energies.values())))
+    """``weighted_norm`` from the components of one decomposition, all of
+    them or only the live ones."""
+    return math.sqrt(max(0.0, _energy_sum(_weighted_energies(terms, gamma).values())))
+
+
+def _energy_sum(energies) -> float:
+    """``math.fsum`` of weighted energies; a sum past the float range is
+    ``ConfigInvalid`` (an ``inf`` energy sums to ``inf`` as before)."""
+    try:
+        return math.fsum(energies)
+    except OverflowError as exc:
+        raise ConfigInvalid("the weighted energies sum past the float range") from exc
 
 
 def reconstruct(terms: Sequence[DecompositionTerm], x: Sequence[float]) -> float:

@@ -25,13 +25,15 @@ from .decomp import (
     DEFAULT_ANCHOR,
     MODE_ANCHORED,
     DecompositionTerm,
+    _all_components,
     _check_mode,
+    _energy_sum,
+    _live_components,
     _weighted_energies,
     anchored_contraction,
     anova_contraction,
-    decompose,
 )
-from .errors import DegenerateDenominator, GammaL1Violated, OrderOutOfRange
+from .errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
 from .functions import SeparableFunction, Term, pair_sum, value_inner
 from .gammas import GammaModel
 from .indexing import EMPTY_SUPPORT, SupportSet
@@ -57,12 +59,14 @@ class SobolTable:
     def total(self, omega0: SupportSet) -> float:
         """Summed index over the table's supersets of ``omega0``.
 
-        With U the union of the table's N sets, this walks the supersets of
-        omega0 inside U, or scans the N entries where that is shorter:
-        min(2**|U - omega0|, N) dictionary steps, so the totals of every
-        set of a full table take O(3**|U|) steps together, not O(4**|U|).
-        ``math.fsum`` is correctly rounded, so the order of the walk does
-        not change a bit.
+        Entries equal to 0.0 add nothing to the sum, so only the N nonzero
+        entries are kept.  With U the union of their sets, this walks the
+        supersets of omega0 inside U, or scans the N entries where that is
+        shorter: min(2**|U - omega0|, N) dictionary steps, so the totals of
+        every set of a full table take O(3**|U|) steps together, not
+        O(4**|U|).  ``math.fsum`` is correctly rounded and never returns
+        -0.0, so neither the order of the walk nor the skipped zeros change
+        a bit.
         """
         by_mask, union = self._by_mask
         m0 = _mask(omega0)
@@ -82,8 +86,9 @@ class SobolTable:
 
     @functools.cached_property
     def _by_mask(self) -> tuple[dict, int]:
-        """``{mask(omega): index}`` and the union of the masks."""
-        by_mask = {_mask(omega): v for omega, v in self.per_omega.items()}
+        """``{mask(omega): index}`` over the nonzero indices, and the union
+        of their masks."""
+        by_mask = {_mask(omega): v for omega, v in self.per_omega.items() if v != 0.0}
         return by_mask, functools.reduce(operator.or_, by_mask, 0)
 
 
@@ -106,10 +111,22 @@ def sobol_indices(
     component with energy meets a zero weight.
     """
     _check_mode(mode)
-    energies = _weighted_energies(decompose(f, mode, anchor), gamma)
+    live = _live_components(f, mode, anchor)
+    live_energies = _weighted_energies(live, gamma)
+    energies = {}
+    for coords, t in _all_components(f.dim, live):
+        if t is None:
+            # a zero component is listed where its weight is nonzero, which
+            # takes the product: it may underflow to 0
+            omega = SupportSet._from_coords(coords)
+            gv = gamma.value(omega)
+            if gv != 0.0:
+                energies[omega] = 0.0 / gv
+        elif t.omega in live_energies:
+            energies[t.omega] = live_energies[t.omega]
     if not include_empty:
         energies.pop(EMPTY_SUPPORT, None)
-    denominator = math.fsum(energies.values())
+    denominator = _energy_sum(energies.values())
     if denominator <= 0.0:
         raise DegenerateDenominator(
             "no component carries energy under the chosen convention"
@@ -129,13 +146,14 @@ def truncate_order(
 ) -> SeparableFunction:
     """The approximant keeping components with at most m active variables."""
     _check_mode(mode)
-    return _truncated(f, decompose(f, mode, anchor), m)
+    return _truncated(f, _live_components(f, mode, anchor), m)
 
 
 def _truncated(
     f: SeparableFunction, components: Sequence[DecompositionTerm], m: int
 ) -> SeparableFunction:
-    """``truncate_order`` from the components of one decomposition of f."""
+    """``truncate_order`` from the components of one decomposition of f,
+    all of them or only the live ones: a zero component has no terms."""
     _check_order(m)
     terms: list[Term] = []
     for t in components:
@@ -189,12 +207,17 @@ def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
 
 def _l2_errors(f: SeparableFunction, approximants: Sequence[SeparableFunction]) -> list[float]:
     """``l2_error(f, g)`` for each g, integrating each distinct pair of
-    factors once over the whole list."""
+    factors once over the whole list.  A squared error that overflows the
+    float range is ``ConfigInvalid`` naming the position of g."""
     inner = functools.cache(value_inner)
     errors = []
-    for g in approximants:
+    for i, g in enumerate(approximants):
         if f.dim != g.dim:
             raise ValueError("functions must share the active dimension")
         diff = f.terms + [Term(-t.coef, dict(t.factors)) for t in g.terms]
-        errors.append(math.sqrt(max(0.0, pair_sum(diff, inner))))
+        try:
+            errors.append(math.sqrt(max(0.0, pair_sum(diff, inner))))
+        except (OverflowError, ValueError) as exc:  # fsum past the float range
+            raise ConfigInvalid(
+                f"the L2 error of approximant {i} overflows the float range") from exc
     return errors

@@ -50,6 +50,7 @@ SUBCOMMANDS = [
 
 _GEOMETRIC = {"kind": "geometric", "c": 0.5, "rho": 0.5}
 _GEOMETRIC_PRODUCT = {"type": "product", "gamma": _GEOMETRIC}
+_POWER = {"kind": "power", "c": 1.0, "p": 2.0}
 _LINEAR = {"dim": 1, "terms": [{"coef": 1.0, "factors": {"1": {"kind": "monomial", "power": 1}}}]}
 
 
@@ -511,6 +512,73 @@ class TestErrors:
         assert errors == [f"error: ConfigInvalid: a decomposition lists all 2**dim components; "
                           f"dim {dim} exceeds {MAX_DECOMP_DIM}"]
 
+    @pytest.mark.parametrize("command", ["anova", "anchored", "sobol", "truncate"])
+    @pytest.mark.parametrize("terms,line", [
+        # the constant component is (1e160 * c)**2 in both modes
+        ([{"coef": 1e160, "factors": {"1": {"kind": "monomial", "power": 1}}},
+          {"coef": -1e160, "factors": {"1": {"kind": "monomial", "power": 2}}}],
+         "the energy of component SupportSet([]) overflows the float range"),
+        ([{"coef": 1.0, "factors": {"1": {"kind": "polynomial", "coeffs": [1e200, 1e200]}}}],
+         "the energy of component SupportSet([]) overflows the float range"),
+        # f' * g' of the two terms is +inf and -inf at the nodes
+        ([{"coef": 1.0, "factors": {"1": {"kind": "sin", "freq": 1e300}}},
+          {"coef": 1.0, "factors": {"1": {"kind": "cos", "freq": 1e300}}}],
+         "a derivative inner product at coordinate 1 overflows the float range"),
+    ], ids=["constant-component", "polynomial-coeffs", "derivative-inner"])
+    def test_overflowing_energy_rejected(self, tmp_path, capsys, command, terms, line):
+        """An energy past the float range is one error line and exit 2,
+        not a traceback."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"function": {"dim": 2, "terms": terms},
+                                    "gamma": {"kind": "product", "seq": _POWER}}))
+        assert run_cli(command, path, tmp_path / "out.csv") == 2
+        assert not (tmp_path / "out.csv").exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: ConfigInvalid: {line}"]
+
+    @pytest.mark.parametrize("command", ["anova", "sobol", "truncate"])
+    def test_overflowing_component_energy_rejected(self, tmp_path, capsys, command):
+        """Both terms have mean 0, so the constant ANOVA component is 0; the
+        component [1] sums +inf and -inf pieces."""
+        terms = [{"coef": 1e160, "factors": {"1": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}},
+                 {"coef": -1e160, "factors": {"1": {"kind": "polynomial",
+                                                     "coeffs": [-0.5, 0.0, 1.5]}}}]
+        path = tmp_path / "cfg.json"
+        cfg = {"function": {"dim": 2, "terms": terms}, "gamma": {"kind": "product", "seq": _POWER}}
+        if command != "anova":
+            cfg["mode"] = "anova"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, path, tmp_path / "out.csv") == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the energy of component SupportSet([1]) "
+                          "overflows the float range"]
+
+    @pytest.mark.parametrize("command", ["sobol", "truncate"])
+    def test_overflowing_energy_sum_rejected(self, tmp_path, capsys, command):
+        """Two weighted energies of 1e308 each, whose sum is not finite."""
+        terms = [{"coef": 1e154, "factors": {k: {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}
+                 for k in ("1", "2")]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"function": {"dim": 2, "terms": terms}, "gamma": {
+            "kind": "product", "seq": {"kind": "power", "c": 1.0, "p": 0.0}}}))
+        assert run_cli(command, path, tmp_path / "out.csv") == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the weighted energies sum past the float range"]
+
+    def test_overflowing_truncation_error_rejected(self, tmp_path, capsys):
+        """The energies are inf without tripping a sum, as before; the L2
+        error of the order-1 truncation sums +inf and -inf pieces."""
+        terms = [{"coef": 1e160, "factors": {"1": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"function": {"dim": 2, "terms": terms},
+                                    "gamma": {"kind": "product", "seq": _POWER}}))
+        assert run_cli("anova", path, tmp_path / "anova.csv") == 0
+        assert "[1],inf,inf" in (tmp_path / "anova.csv").read_text()
+        assert run_cli("truncate", path, tmp_path / "out.csv") == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
+                          "overflows the float range"]
+
     def test_bad_anchor_flag(self, tmp_path):
         code = run_cli(
             "anova", CONFIG_DIR / "anova_example.json", tmp_path / "o.csv",
@@ -681,14 +749,14 @@ class TestDecompositionCount:
     def test_truncate_decomposes_once(self, tmp_path, monkeypatch):
         """The norm and every order's truncation share one decomposition."""
         calls = []
-        decompose = tensorsplit.decomp.decompose
+        live_components = tensorsplit.decomp._live_components
 
         def counting(*args, **kwargs):
             calls.append(args[1:])
-            return decompose(*args, **kwargs)
+            return live_components(*args, **kwargs)
 
         for module in (tensorsplit.cli, tensorsplit.decomp, tensorsplit.sensitivity):
-            monkeypatch.setattr(module, "decompose", counting)
+            monkeypatch.setattr(module, "_live_components", counting)
         config = GOLDEN_DIR / "truncate_anova_all_orders.json"
         out = tmp_path / "trunc.csv"
         assert run_cli("truncate", config, out) == 0

@@ -1,14 +1,23 @@
 """Decomposition kernels, projections, weighted norms, reconstruction."""
 
 import collections
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tensorsplit.decomp
 from corpus import corpus
 from tensorsplit.decomp import (
     MAX_DECOMP_DIM,
+    DecompositionTerm,
+    _component_builder,
+    _live_components,
+    _weighted_energies,
+    _weighted_norm,
     anchored_contraction,
     anchored_kernel,
     anchored_representation,
@@ -23,13 +32,14 @@ from tensorsplit.decomp import (
     reconstruct,
     weighted_norm,
 )
-from tensorsplit.errors import ConfigInvalid, NormInfinite
+from tensorsplit.errors import ConfigInvalid, DegenerateDenominator, NormInfinite, TensorsplitError
 from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as F, deriv_inner,
                                   value_inner)
-from tensorsplit.gammas import ProductGamma, TableGamma
+from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
 from tensorsplit.quadrature import gauss_legendre, integrate_1d, integrate_piecewise
-from tensorsplit.sequences import ConstantSeq, PowerSeq
+from tensorsplit.sensitivity import sobol_indices, truncate_order
+from tensorsplit.sequences import ConstantSeq, FiniteSeq, PowerSeq
 
 S = SupportSet.of
 RNG = np.random.default_rng(20240811)
@@ -316,3 +326,171 @@ class TestFactorReuse:
                 one = anova_term(f, t.omega) if mode == "anova" else anchored_term(f, t.omega, 0.3)
                 assert t.mixed_norm_sq == one.mixed_norm_sq, (name, t.omega)
                 assert t.func.value(x) == one.func.value(x), (name, t.omega)
+
+
+# ---------------------------------------------------------------------------
+# the live components against a dense oracle that builds all 2**dim of them
+
+
+def dense_components(f, mode, anchor):
+    """Oracle: every component, each built by ``_component_builder``."""
+    everything = SupportSet(range(1, f.dim + 1))
+    component = _component_builder(f, mode, anchor, everything)
+    return [component(omega) for omega in everything.subsets()]
+
+
+def dense_energies(components, gamma):
+    """Oracle: the weighted energies of every component."""
+    scale = max(t.mixed_norm_sq for t in components)
+    tol = tensorsplit.decomp._ZERO_TOL * (1.0 + scale)
+    table = {}
+    for t in components:
+        gv = gamma.value(t.omega)
+        if gv == 0.0:
+            if t.mixed_norm_sq > tol:
+                raise NormInfinite(
+                    f"component {t.omega!r} has energy {t.mixed_norm_sq} but zero weight")
+            continue
+        table[t.omega] = t.mixed_norm_sq / gv
+    return table
+
+
+def dense_sobol(components, gamma, include_empty):
+    """Oracle: ``(per_omega, denominator)`` from every component's energy."""
+    energies = dense_energies(components, gamma)
+    if not include_empty:
+        energies.pop(SupportSet(), None)
+    denominator = math.fsum(energies.values())
+    if denominator <= 0.0:
+        raise DegenerateDenominator("no component carries energy under the chosen convention")
+    return {omega: v / denominator for omega, v in energies.items()}, denominator
+
+
+def outcome(fn):
+    """The value of ``fn()``, or the type and message of its library error."""
+    try:
+        return "value", fn()
+    except TensorsplitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def function_key(g: SeparableFunction):
+    """Terms with their coefficient bits and factor labels, and a value."""
+    terms = [(bits(t.coef), sorted((k, h.label) for k, h in t.factors.items()))
+             for t in g.terms]
+    return g.dim, terms, bits(g.value([0.3, 0.7, 0.1, 0.9, 0.45, 0.6]))
+
+
+#: constants (ONE among them, and 0), polynomials and transcendental factors
+ORACLE_FACTORS = [
+    F.monomial(1), F.monomial(2), F.polynomial([0.5, -1.25, 0.75]), F.constant(1.0),
+    F.constant(-0.3), F.constant(0.0), F.sine(2.0, 0.25), F.exponential(-0.7),
+]
+
+
+@st.composite
+def oracle_functions(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    terms = draw(st.lists(st.builds(
+        Term,
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(min_value=-4.0, max_value=4.0)),
+        st.dictionaries(st.integers(min_value=1, max_value=dim), st.sampled_from(ORACLE_FACTORS),
+                        max_size=dim),
+    ), min_size=1, max_size=5))
+    return SeparableFunction(dim, terms)
+
+
+#: per-coordinate weights with zeros, and 1e-200, whose products underflow to 0
+ORACLE_SEQS = st.one_of(
+    st.builds(PowerSeq, st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.sampled_from([0.0, 1.0, 2.5])),
+    st.builds(FiniteSeq, st.lists(st.sampled_from([0.0, 1e-200, 0.5, 1.0, 3.0]), max_size=7)),
+)
+
+
+@st.composite
+def oracle_gammas(draw, dim):
+    kind = draw(st.sampled_from(["product", "table", "finite_order"]))
+    if kind == "table":
+        sets = st.frozensets(st.integers(min_value=1, max_value=dim), min_size=1).map(SupportSet)
+        return TableGamma(draw(st.dictionaries(sets, st.sampled_from([0.0, 0.25, 1.0, 2.0]))))
+    gamma = ProductGamma(draw(ORACLE_SEQS))
+    if kind == "finite_order":
+        gamma = FiniteOrderGamma(gamma, draw(st.integers(min_value=0, max_value=dim)))
+    return gamma
+
+
+class TestLiveComponents:
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle(self, mode, data):
+        """decompose, the weighted norm, the Sobol table with every total,
+        and every truncation agree bit for bit with the dense oracle, and a
+        NormInfinite carries the same message."""
+        f = data.draw(oracle_functions())
+        gamma = data.draw(oracle_gammas(f.dim))
+        anchor = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        dense = dense_components(f, mode, anchor)
+        live = _live_components(f, mode, anchor)
+
+        got = decompose(f, mode, anchor)
+        assert [t.omega for t in got] == [t.omega for t in dense]
+        for t, d in zip(got, dense):
+            assert bits(t.mixed_norm_sq) == bits(d.mixed_norm_sq), t.omega
+            assert function_key(t.func) == function_key(d.func), t.omega
+        reached = {t.omega for t in live}
+        assert [t.omega for t in live] == [t.omega for t in dense if t.omega in reached]
+        assert all(bits(t.mixed_norm_sq) == bits(0.0) and not t.func.terms
+                   for t in dense if t.omega not in reached)
+
+        def dense_norm():
+            return math.sqrt(max(0.0, math.fsum(dense_energies(dense, gamma).values())))
+
+        expect = outcome(dense_norm)
+        assert outcome(lambda: _weighted_norm(live, gamma)) == expect
+        assert outcome(lambda: weighted_norm(f, gamma, mode, anchor)) == expect
+
+        for include_empty in (False, True):
+            expect = outcome(lambda: dense_sobol(dense, gamma, include_empty))
+            table = outcome(lambda: sobol_indices(f, gamma, mode, anchor, include_empty))
+            if expect[0] != "value":
+                assert table == expect
+                continue
+            per_omega, denominator = expect[1]
+            table = table[1]
+            assert [(omega, bits(v)) for omega, v in table.per_omega.items()] == \
+                [(omega, bits(v)) for omega, v in per_omega.items()]
+            assert bits(table.denominator) == bits(denominator)
+            for omega in SupportSet(range(1, f.dim + 1)).subsets():
+                total = math.fsum(v for w, v in per_omega.items() if w.issuperset(omega))
+                assert bits(table.total(omega)) == bits(total), omega
+
+        for m in range(f.dim + 1):
+            kept = [t for d in dense if len(d.omega) <= m for t in d.func.terms]
+            expect = SeparableFunction(f.dim, kept) if kept else SeparableFunction.constant(f.dim, 0.0)
+            assert function_key(truncate_order(f, m, mode, anchor)) == function_key(expect), m
+
+    def test_builds_only_reachable_components(self, monkeypatch):
+        """A sum of univariate terms and a constant: the empty set and the
+        singletons are built, and the other 2**10 - 11 components are zero."""
+        f = SeparableFunction(10, [Term(1.0, {k: F.monomial(k)}) for k in range(1, 11)]
+                              + [Term(2.0, {3: F.constant(5.0)})])
+        assert [t.omega for t in _live_components(f, "anova")] == \
+            [S()] + [S(k) for k in range(1, 11)]
+        got = decompose(f, "anova")
+        assert len(got) == 2**10
+        assert all(t.mixed_norm_sq == 0.0 and not t.func.terms for t in got if len(t.omega) > 1)
+
+    def test_zero_components_leave_the_zero_weight_check(self):
+        """Energies rounded below zero put the scale below 0.0: listing the
+        zero component [1, 2] raises it to 0.0, and no outcome changes."""
+        empty = SeparableFunction(2, [])
+        live = [DecompositionTerm(S(), empty, -3.0), DecompositionTerm(S(1), empty, -1e-13),
+                DecompositionTerm(S(2), empty, -3.0)]
+        gamma = TableGamma({S(2): 1.0})
+        assert dense_energies(live + [DecompositionTerm(S(1, 2), empty, 0.0)], gamma) == \
+            _weighted_energies(live, gamma) == {S(): -3.0, S(2): -3.0}

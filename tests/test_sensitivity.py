@@ -140,6 +140,15 @@ class TestTotalAgainstScan:
         for omega0 in SupportSet(range(1, f.dim + 2)).subsets():
             assert table.total(omega0) == scan_total(table, omega0), omega0
 
+    def test_signed_and_zero_entries(self):
+        """Zero entries of either sign are skipped and a negative one (an
+        energy rounded below zero) is kept: every total equals the scan."""
+        per_omega = {S(): 0.5, S(1): -1e-17, S(2): 0.0, S(1, 2): -0.0, S(3): 0.25,
+                     S(1, 3): 0.0, S(2, 3): 0.125}
+        table = tensorsplit.sensitivity.SobolTable("anova", per_omega, 1.0, True)
+        for omega0 in SupportSet(range(1, 5)).subsets():
+            assert str(table.total(omega0)) == str(scan_total(table, omega0)), omega0
+
     def test_tables_are_sparse(self):
         """The finite-order table skips sets; the table gamma also coordinate 4."""
         f = _five_variable_function()

@@ -6,6 +6,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: ``tools/artifact_digests.py epsdim decomp --seeds 1`` as written by the
+#: commit that added it; regress is left out, its last bits depend on BLAS
+GOLDEN_DIGESTS = ROOT / "tests" / "golden" / "digests_seed1.txt"
 
 
 def _load(path: Path, name: str):
@@ -17,7 +20,8 @@ def _load(path: Path, name: str):
 
 def _check_every_request_listed(workload, capsys, monkeypatch):
     """One line per request of seed 1, each with the exit code the
-    benchmark expects of that request."""
+    benchmark expects of that request, and every line as pinned in
+    ``GOLDEN_DIGESTS``: the same artifact bytes and error lines."""
     # the tool prepends to sys.path, sets the BLAS thread variables and
     # imports the benchmark's modules; all of that is undone afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -40,6 +44,9 @@ def _check_every_request_listed(workload, capsys, monkeypatch):
         assert fields[:4] == [workload, "1", str(i), req.label]
         assert fields[4] == f"rc={req.expect_rc}", line
         assert fields[5].startswith("sha256=")
+    golden = [line for line in GOLDEN_DIGESTS.read_text().splitlines()
+              if line.split()[0] == workload]
+    assert lines == golden
 
 
 def test_artifact_digests_lists_every_epsdim_request(capsys, monkeypatch):
