@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 from .errors import ConfigInvalid, NormInfinite
 from .functions import SeparableFunction, Term, deriv_inner, table_pair_sum
 from .gammas import GammaModel
-from .indexing import SupportSet
+from .indexing import EMPTY_SUPPORT, SupportSet
 from .quadrature import QuadratureRule, gauss_legendre, integrate_piecewise
 
 __all__ = [
@@ -262,25 +262,22 @@ def _live_components(
             f"a decomposition lists all 2**dim components; dim {f.dim} exceeds "
             f"{MAX_DECOMP_DIM}")
     masks = {_live_mask(t) for t in f.terms}
-    reach = {()}
+    reach = {EMPTY_SUPPORT}
     for bits in masks:
         if any(bits != other and bits & other == bits for other in masks):
             continue  # its subsets are those of a larger mask
-        coords = [k for k in range(1, f.dim + 1) if bits >> k & 1]
-        for size in range(1, len(coords) + 1):
-            reach.update(itertools.combinations(coords, size))
-    union = sorted({k for coords in reach for k in coords})
-    component = _component_builder(f, mode, anchor, union)
-    return [component(SupportSet._from_coords(coords))
-            for coords in sorted(reach, key=lambda c: (len(c), c))]
+        reach.update(SupportSet(k for k in range(1, f.dim + 1) if bits >> k & 1).subsets())
+    component = _component_builder(f, mode, anchor, sorted({k for omega in reach for k in omega}))
+    return [component(omega) for omega in sorted(reach, key=SupportSet.canonical_key)]
 
 
 def _all_components(
     dim: int, live: Sequence[DecompositionTerm]
 ) -> Iterator[tuple[tuple[int, ...], DecompositionTerm | None]]:
     """``(coords, component)`` for every subset of 1..dim in canonical
-    order, as a tuple of coordinates: the component from ``live``, or None
-    where it is zero."""
+    order: the component from ``live``, or None where it is zero.  The
+    subset is a tuple of coordinates, because most of them are zero rows
+    that need no ``SupportSet``."""
     live = iter(live)
     nxt = next(live, None)
     for size in range(dim + 1):

@@ -474,7 +474,7 @@ class TestLiveComponents:
             expect = SeparableFunction(f.dim, kept) if kept else SeparableFunction.constant(f.dim, 0.0)
             assert function_key(truncate_order(f, m, mode, anchor)) == function_key(expect), m
 
-    def test_builds_only_reachable_components(self, monkeypatch):
+    def test_builds_only_reachable_components(self):
         """A sum of univariate terms and a constant: the empty set and the
         singletons are built, and the other 2**10 - 11 components are zero."""
         f = SeparableFunction(10, [Term(1.0, {k: F.monomial(k)}) for k in range(1, 11)]
