@@ -350,8 +350,9 @@ def _weighted_norm(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> flo
 
 
 def _energy_sum(energies) -> float:
-    """``math.fsum`` of weighted energies; a sum past the float range is
-    ``ConfigInvalid`` (an ``inf`` energy sums to ``inf`` as before)."""
+    """``math.fsum`` of weighted energies; ``ConfigInvalid`` where the sum
+    of the finite ones leaves the float range (fsum raises there even
+    beside an ``inf``, which alone sums to ``inf``)."""
     try:
         return math.fsum(energies)
     except OverflowError as exc:
