@@ -23,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomp import _all_components, _live_components, _weighted_norm
+from .decomp import _all_components, _weighted_norm, decompose
 from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension
 from .equivalence import certify_equivalence
 from .errors import (ConfigInvalid, NoCertificate, TensorsplitError, check_keys,
                      config_number, config_numbers)
 from .functions import function_from_json
 from .gammas import gamma_from_json
-from .indexing import IndexVector, SupportSet
+from .indexing import IndexVector
 from .regress import AnchoredKernel, SampleSet, fit, fit_map, predict
 from .sensitivity import _l2_errors, _truncated, sobol_indices, truncation_bound
 from .weights import orthogonalized_weight, weights_from_json
@@ -191,7 +191,7 @@ def _cmd_decomp(cfg: dict, args):
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
     rows = []
-    for coords, term in _all_components(f.dim, _live_components(f, args.command, args.anchor)):
+    for coords, term in _all_components(f.dim, decompose(f, args.command, args.anchor)):
         if term is None:
             # energy 0.0: both cells read 0 whatever the weight
             rows.append([_omega_json(coords), "0", "0"])
@@ -242,8 +242,8 @@ def _cmd_sobol(cfg: dict, args):
         f, gamma, mode, anchor=args.anchor, include_empty=args.include_empty
     )
     rows = []
-    for omega in sorted(table.per_omega, key=SupportSet.canonical_key):
-        rows.append([_omega_json(omega), table.per_omega[omega], table.total(omega)])
+    for omega, index in table.per_omega.items():
+        rows.append([_omega_json(omega), index, table.total(omega)])
     _write_csv(args.out, ["omega", "index", "total"], rows)
 
 
@@ -253,7 +253,7 @@ def _cmd_truncate(cfg: dict, args):
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anchored")
     m_list = config_numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
-    components = _live_components(f, mode, args.anchor)
+    components = decompose(f, mode, args.anchor)
     norm = _weighted_norm(components, gamma)
     errors = _l2_errors(f, [_truncated(f, components, m) for m in m_list])
     rows = []

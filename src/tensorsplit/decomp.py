@@ -55,7 +55,8 @@ MODE_ANCHORED = "anchored"
 DEFAULT_ANCHOR = 0.5
 
 _ZERO_TOL = 1e-12
-#: largest function dimension ``decompose`` accepts: it lists 2**dim components
+#: largest function dimension ``decompose`` accepts: the ``anova``, ``anchored``
+#: and ``sobol`` outputs write a row for each of its 2**dim supports
 MAX_DECOMP_DIM = 20
 
 
@@ -246,15 +247,34 @@ def _check_support(f: SeparableFunction, omega: SupportSet):
         )
 
 
-def _live_components(
+def _all_components(
+    dim: int, live: Sequence[DecompositionTerm]
+) -> Iterator[tuple[tuple[int, ...], DecompositionTerm | None]]:
+    """``(coords, component)`` for every subset of 1..dim in canonical
+    order: the component from ``live`` (a ``decompose`` list), or None where
+    it is zero.  The subset is a tuple of coordinates, because most of them
+    are zero rows that need no ``SupportSet``."""
+    live = iter(live)
+    nxt = next(live, None)
+    for size in range(dim + 1):
+        for coords in itertools.combinations(range(1, dim + 1), size):
+            if nxt is not None and nxt.omega.coords == coords:
+                yield coords, nxt
+                nxt = next(live, None)
+            else:
+                yield coords, None
+
+
+def decompose(
     f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> list[DecompositionTerm]:
     """The components some term of f can reach, in canonical set order.
 
     The component with active set omega is zero unless omega lies inside
     the live mask of some term, so only the subsets of the terms' live
-    masks, and always the empty set, are built.  Every other component
-    has energy 0.0 and a function without terms.
+    masks, and always the empty set, are built and listed.  Every other
+    component is zero: energy 0.0 and a function without terms.  A
+    dimension above ``MAX_DECOMP_DIM`` is rejected with ``ConfigInvalid``.
     """
     _check_mode(mode)
     if f.dim > MAX_DECOMP_DIM:
@@ -271,46 +291,11 @@ def _live_components(
     return [component(omega) for omega in sorted(reach, key=SupportSet.canonical_key)]
 
 
-def _all_components(
-    dim: int, live: Sequence[DecompositionTerm]
-) -> Iterator[tuple[tuple[int, ...], DecompositionTerm | None]]:
-    """``(coords, component)`` for every subset of 1..dim in canonical
-    order: the component from ``live``, or None where it is zero.  The
-    subset is a tuple of coordinates, because most of them are zero rows
-    that need no ``SupportSet``."""
-    live = iter(live)
-    nxt = next(live, None)
-    for size in range(dim + 1):
-        for coords in itertools.combinations(range(1, dim + 1), size):
-            if nxt is not None and nxt.omega.coords == coords:
-                yield coords, nxt
-                nxt = next(live, None)
-            else:
-                yield coords, None
-
-
-def decompose(
-    f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR
-) -> list[DecompositionTerm]:
-    """All components of the chosen decomposition, in canonical set order.
-
-    There are 2**dim of them, so a dimension above ``MAX_DECOMP_DIM`` is
-    rejected with ``ConfigInvalid``.  Only the components some term can
-    reach are computed (``_live_components``); every other one is listed
-    with energy 0.0 and a function without terms.
-    """
-    return [
-        t if t is not None else
-        DecompositionTerm(SupportSet._from_coords(coords), SeparableFunction(f.dim, []), 0.0)
-        for coords, t in _all_components(f.dim, _live_components(f, mode, anchor))
-    ]
-
-
 def _weighted_energies(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> dict:
     """``{omega: energy / gamma_omega}`` over the components with nonzero
     weight; ``NormInfinite`` if a component with energy has zero weight.
 
-    The zero components that ``_live_components`` leaves out change nothing
+    The zero components that ``decompose`` leaves out would change nothing
     here: their energy 0.0 never exceeds the tolerance, and it would raise
     the scale only where every energy is negative, so that none exceeds it.
     """
@@ -340,12 +325,11 @@ def weighted_norm(
     Raises ``NormInfinite`` when a component with nonzero energy meets a
     vanishing set weight: the function then lies outside the space.
     """
-    return _weighted_norm(_live_components(f, mode, anchor), gamma)
+    return _weighted_norm(decompose(f, mode, anchor), gamma)
 
 
 def _weighted_norm(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> float:
-    """``weighted_norm`` from the components of one decomposition, all of
-    them or only the live ones."""
+    """``weighted_norm`` from a ``decompose`` list."""
     return math.sqrt(max(0.0, _energy_sum(_weighted_energies(terms, gamma).values())))
 
 

@@ -68,6 +68,8 @@ class ProductGamma(GammaModel):
         v = 1.0
         for k in omega:
             v *= self.seq.value(k)
+        if math.isnan(v):  # inf * 0: the product met a zero weight
+            return 0.0
         return v
 
     @property

@@ -28,10 +28,10 @@ from .decomp import (
     _all_components,
     _check_mode,
     _energy_sum,
-    _live_components,
     _weighted_energies,
     anchored_contraction,
     anova_contraction,
+    decompose,
 )
 from .errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
 from .functions import SeparableFunction, Term, pair_sum, value_inner
@@ -110,8 +110,7 @@ def sobol_indices(
     function under the default convention) and ``NormInfinite`` when a
     component with energy meets a zero weight.
     """
-    _check_mode(mode)
-    live = _live_components(f, mode, anchor)
+    live = decompose(f, mode, anchor)
     live_energies = _weighted_energies(live, gamma)
     energies = {}
     for coords, t in _all_components(f.dim, live):
@@ -145,15 +144,14 @@ def truncate_order(
     f: SeparableFunction, m: int, mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> SeparableFunction:
     """The approximant keeping components with at most m active variables."""
-    _check_mode(mode)
-    return _truncated(f, _live_components(f, mode, anchor), m)
+    return _truncated(f, decompose(f, mode, anchor), m)
 
 
 def _truncated(
     f: SeparableFunction, components: Sequence[DecompositionTerm], m: int
 ) -> SeparableFunction:
-    """``truncate_order`` from the components of one decomposition of f,
-    all of them or only the live ones: a zero component has no terms."""
+    """``truncate_order`` from the ``decompose`` list of f: the components
+    it leaves out have no terms."""
     _check_order(m)
     terms: list[Term] = []
     for t in components:
@@ -181,22 +179,21 @@ def truncation_bound(
     _check_order(m)
     t = anchored_contraction(anchor) if mode == MODE_ANCHORED else anova_contraction()
     max_order = gamma.max_order()
-    if max_order is not None:
-        # bounded order: sum the surviving layers directly (no cancellation)
-        if m >= max_order:
-            return 0.0
-        by_order, total = gamma.order_sums(t, max_order)
+    if max_order is not None and m >= max_order:
+        return 0.0
+    try:
+        by_order, total = gamma.order_sums(t, m if max_order is None else max_order)
         if total == math.inf:
             raise GammaL1Violated(
                 "contraction-scaled set weights are not summable; no truncation bound"
             )
-        return math.sqrt(max(0.0, math.fsum(by_order[m + 1 :])))
-    by_order, total = gamma.order_sums(t, m)
-    if total == math.inf:
-        raise GammaL1Violated(
-            "contraction-scaled set weights are not summable; no truncation bound"
-        )
-    tail = total - math.fsum(by_order)
+        if max_order is not None:
+            # bounded order: sum the surviving layers directly (no cancellation)
+            return math.sqrt(max(0.0, math.fsum(by_order[m + 1 :])))
+        tail = total - math.fsum(by_order)
+    except (OverflowError, ValueError) as exc:  # **, exp or fsum past the float range
+        raise ConfigInvalid(
+            "the order sums of the set weights overflow the float range") from exc
     return math.sqrt(max(0.0, tail))
 
 

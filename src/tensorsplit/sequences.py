@@ -190,7 +190,11 @@ class CoordSeq:
 
 
 class PowerSeq(CoordSeq):
-    """c * k**(-p) with c >= 0, p >= 0."""
+    """c * k**(-p) with c >= 0.
+
+    A config gives p >= 0 (``seq_from_json``); a negative p is a growing
+    quotient built by ``seq_ratio``, whose tails are infinite.
+    """
 
     def __init__(self, c: float, p: float):
         if c < 0:
@@ -464,8 +468,11 @@ def seq_from_json(obj) -> CoordSeq:
     with config_errors(f"sequence spec {obj!r}"):
         if kind == "power":
             check_keys(obj, "sequence spec", {"kind", "c", "p"})
-            return PowerSeq(config_number(obj["c"], float, "power c"),
-                            config_number(obj["p"], float, "power p"))
+            seq = PowerSeq(config_number(obj["c"], float, "power c"),
+                           config_number(obj["p"], float, "power p"))
+            if seq.p < 0:
+                raise ValueError("exponent must be nonnegative")
+            return seq
         if kind == "geometric":
             check_keys(obj, "sequence spec", {"kind", "c", "rho"})
             return GeometricSeq(config_number(obj["c"], float, "geometric c"),

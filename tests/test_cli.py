@@ -579,6 +579,61 @@ class TestErrors:
         assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
                           "overflows the float range"]
 
+    @pytest.mark.parametrize("command", ["anova", "anchored", "sobol", "truncate"])
+    def test_negative_power_exponent_rejected(self, tmp_path, capsys, command):
+        """A config's power sequence decays: p < 0 is exit 2, not a weight
+        that overflows on [11]."""
+        seq = {"kind": "power", "c": 1, "p": -300}
+        f = {"dim": 12, "terms": [{"coef": 1.0, "factors": {
+            "1": {"kind": "monomial", "power": 1}}}]}
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"function": f, "gamma": {"kind": "product", "seq": seq}}))
+        assert run_cli(command, path, out) == 2
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: ConfigInvalid: bad sequence spec {seq!r}: "
+                          "exponent must be nonnegative"]
+
+    def test_growing_weight_quotient_not_compact(self, tmp_path):
+        """The quotient k**2 of two power weights grows: still NotCompact,
+        whose negative exponent no config may give."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "a": {"type": "product", "gamma": {"kind": "power", "c": 1.0, "p": 2.0}},
+            "b": {"type": "product", "gamma": {"kind": "power", "c": 1.0, "p": 4.0}},
+            "eps": [0.5],
+        }))
+        assert run_cli("epsdim", cfg, tmp_path / "out.csv") == 6
+
+    def test_zero_weight_after_an_infinite_product(self, tmp_path):
+        """Weights 1e300, 1e300, 0: the product on [1, 2, 3] is 0, not
+        inf * 0 = nan, so that set has no index and the others are finite."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"function": _LINEAR | {"dim": 3}, "gamma": {
+            "kind": "product", "seq": {"kind": "finite", "values": [1e300, 1e300, 0]}}}))
+        assert run_cli("sobol", path, out) == 0
+        assert out.read_text() == 'omega,index,total\n[1],1,1\n[2],0,0\n"[1,2]",0,0\n'
+
+    @pytest.mark.parametrize("seq", [
+        {"kind": "finite", "values": [1e300, 1e300, 0]},
+        {"kind": "power", "c": 1e6, "p": 2.0},
+        None,
+    ], ids=["power-sum", "product", "table-sum"])
+    def test_overflowing_order_sums_rejected(self, tmp_path, capsys, seq):
+        """Order sums past the float range (v**2 of a weight, the product
+        of 1 + v, or the sum of table weights) are one error line and
+        exit 2, not a traceback."""
+        gamma = ({"kind": "table", "entries": [[[k], 1.7e308] for k in range(1, 30)]}
+                 if seq is None else {"kind": "product", "seq": seq})
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"function": _LINEAR | {"dim": 3}, "gamma": gamma,
+                                    "mode": "anova"}))
+        assert run_cli("truncate", path, out) == 2
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the order sums of the set weights "
+                          "overflow the float range"]
+
     def test_bad_anchor_flag(self, tmp_path):
         code = run_cli(
             "anova", CONFIG_DIR / "anova_example.json", tmp_path / "o.csv",
@@ -749,14 +804,13 @@ class TestDecompositionCount:
     def test_truncate_decomposes_once(self, tmp_path, monkeypatch):
         """The norm and every order's truncation share one decomposition."""
         calls = []
-        live_components = tensorsplit.decomp._live_components
 
         def counting(*args, **kwargs):
             calls.append(args[1:])
-            return live_components(*args, **kwargs)
+            return decompose(*args, **kwargs)
 
         for module in (tensorsplit.cli, tensorsplit.decomp, tensorsplit.sensitivity):
-            monkeypatch.setattr(module, "_live_components", counting)
+            monkeypatch.setattr(module, "decompose", counting)
         config = GOLDEN_DIR / "truncate_anova_all_orders.json"
         out = tmp_path / "trunc.csv"
         assert run_cli("truncate", config, out) == 0

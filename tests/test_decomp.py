@@ -15,7 +15,6 @@ from tensorsplit.decomp import (
     MAX_DECOMP_DIM,
     DecompositionTerm,
     _component_builder,
-    _live_components,
     _weighted_energies,
     _weighted_norm,
     anchored_contraction,
@@ -435,17 +434,16 @@ class TestLiveComponents:
         gamma = data.draw(oracle_gammas(f.dim))
         anchor = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
         dense = dense_components(f, mode, anchor)
-        live = _live_components(f, mode, anchor)
 
-        got = decompose(f, mode, anchor)
-        assert [t.omega for t in got] == [t.omega for t in dense]
-        for t, d in zip(got, dense):
+        live = decompose(f, mode, anchor)
+        reached = {t.omega for t in live}
+        kept = [d for d in dense if d.omega in reached]
+        assert [t.omega for t in live] == [d.omega for d in kept]
+        for t, d in zip(live, kept):
             assert bits(t.mixed_norm_sq) == bits(d.mixed_norm_sq), t.omega
             assert function_key(t.func) == function_key(d.func), t.omega
-        reached = {t.omega for t in live}
-        assert [t.omega for t in live] == [t.omega for t in dense if t.omega in reached]
-        assert all(bits(t.mixed_norm_sq) == bits(0.0) and not t.func.terms
-                   for t in dense if t.omega not in reached)
+        assert all(bits(d.mixed_norm_sq) == bits(0.0) and not d.func.terms
+                   for d in dense if d.omega not in reached)
 
         def dense_norm():
             return math.sqrt(max(0.0, math.fsum(dense_energies(dense, gamma).values())))
@@ -476,14 +474,34 @@ class TestLiveComponents:
 
     def test_builds_only_reachable_components(self):
         """A sum of univariate terms and a constant: the empty set and the
-        singletons are built, and the other 2**10 - 11 components are zero."""
+        singletons are listed, and the other 2**10 - 11 components are zero."""
         f = SeparableFunction(10, [Term(1.0, {k: F.monomial(k)}) for k in range(1, 11)]
                               + [Term(2.0, {3: F.constant(5.0)})])
-        assert [t.omega for t in _live_components(f, "anova")] == \
-            [S()] + [S(k) for k in range(1, 11)]
         got = decompose(f, "anova")
-        assert len(got) == 2**10
-        assert all(t.mixed_norm_sq == 0.0 and not t.func.terms for t in got if len(t.omega) > 1)
+        assert len(got) == 11
+        assert [t.omega for t in got] == [S()] + [S(k) for k in range(1, 11)]
+        dense = {d.omega: d for d in dense_components(f, "anova", 0.5)}
+        assert all(bits(t.mixed_norm_sq) == bits(dense[t.omega].mixed_norm_sq) for t in got)
+        reached = {t.omega for t in got}
+        assert all(d.mixed_norm_sq == 0.0 and not d.func.terms
+                   for omega, d in dense.items() if omega not in reached)
+
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_sparse_function_at_the_dimension_limit(self, mode):
+        """Three terms in dim 20 reach 8 + 1 + 3 of the 2**20 supports."""
+        f = SeparableFunction(MAX_DECOMP_DIM, [
+            Term(1.0, {1: F.monomial(1), 2: F.monomial(2), 3: F.sine(2.0, 0.25)}),
+            Term(-0.5, {10: F.exponential(-0.7)}),
+            Term(2.0, {19: F.monomial(1), 20: F.polynomial([0.5, -1.25, 0.75])}),
+        ])
+        got = decompose(f, mode, 0.3)
+        assert len(got) == 12
+        assert [t.omega for t in got] == [
+            S(), S(1), S(2), S(3), S(10), S(19), S(20),
+            S(1, 2), S(1, 3), S(2, 3), S(19, 20), S(1, 2, 3)]
+        for t in got:
+            one = anova_term(f, t.omega) if mode == "anova" else anchored_term(f, t.omega, 0.3)
+            assert bits(t.mixed_norm_sq) == bits(one.mixed_norm_sq), t.omega
 
     def test_zero_components_leave_the_zero_weight_check(self):
         """Energies rounded below zero put the scale below 0.0: listing the

@@ -1,14 +1,23 @@
-"""Smoke test of tools/artifact_digests.py, run in this process."""
+"""Smoke tests of tools/artifact_digests.py and of the benchmark's tracer,
+run in this process."""
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
 
+import pytest
+
+from tensorsplit.cli import main
+from tensorsplit.decomp import decompose
+from tensorsplit.functions import function_from_json
+
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
 #: ``tools/artifact_digests.py epsdim decomp --seeds 1`` as written by the
 #: commit that added it; regress is left out, its last bits depend on BLAS
-GOLDEN_DIGESTS = ROOT / "tests" / "golden" / "digests_seed1.txt"
+GOLDEN_DIGESTS = GOLDEN_DIR / "digests_seed1.txt"
 
 
 def _load(path: Path, name: str):
@@ -55,3 +64,28 @@ def test_artifact_digests_lists_every_epsdim_request(capsys, monkeypatch):
 
 def test_artifact_digests_lists_every_decomp_request(capsys, monkeypatch):
     _check_every_request_listed("decomp", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("command,stem", [("anova", "anova_mixed_factors"),
+                                          ("truncate", "truncate_anova_all_orders")])
+def test_tracer_sees_the_decomposition(tmp_path, monkeypatch, command, stem):
+    """A traced request records one ``decomp.decompose`` span and counts the
+    components ``decompose`` lists, so a rename that hides the decomposition
+    from the benchmark's tracer fails here."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    config, out = GOLDEN_DIR / f"{stem}.json", tmp_path / "out.csv"
+    try:
+        tracer = _load(ROOT / "perfbench" / "tracer.py", "tracer").Tracer()
+        with tracer.installed():
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    finally:
+        for name in set(sys.modules) - before:
+            sys.modules.pop(name)
+    assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.out").read_bytes()
+
+    cfg = json.loads(config.read_text())
+    f = function_from_json(cfg["function"])
+    reached = len(decompose(f, cfg.get("mode", command)))
+    assert [span[0] for span in tracer.spans].count("decomp.decompose") == 1
+    assert tracer.counts["decomp.supports"] == reached
