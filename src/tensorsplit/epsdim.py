@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
+#: last coordinate any coordinate scan reaches before raising EnumerationCap
+COORD_GUARD = 10_000_000
+_GUARD_HIT = "coordinate scan exceeded the hard guard"
+_ABOVE_ONE = "entry multipliers stay above 1 for arbitrarily large coordinates"
 #: most supports ``spline_eps_dimension`` scans before raising EnumerationCap
 SUPPORT_CAP = 1_000_000
 
@@ -199,6 +203,14 @@ class _BoostTable:
     """Cached suffix products of multipliers exceeding one, and a
     per-coordinate table of what the entry scan reads.
 
+    ``k_last`` is the last coordinate whose multiplier is at least
+    1 + 2**-52.  The constructor finds it with one scan of
+    ``mult.value``, stopping where the sequence's own facts allow:
+    ``nonincreasing_from``, ``max_support`` and ``decays_to_zero``.  Before
+    it, one value past ``COORD_GUARD`` settles the sequences whose
+    multipliers stay above one there: ``NotCompact`` if they do not decay,
+    ``EnumerationCap`` if they do.
+
     For each coordinate k the scan has reached, ``positive[k]`` is
     ``mult.value(k) > 0.0``, ``sup[k]`` is ``mult.tail_sup(k)`` and
     ``after[k]`` bounds the boost that coordinates past k can still give.
@@ -209,21 +221,45 @@ class _BoostTable:
 
     def __init__(self, mult: CoordSeq):
         self.mult = mult
-        k_last = mult.last_k_with_value_ge(math.nextafter(1.0, math.inf))
-        if k_last == math.inf:
-            raise NotCompact(
-                "entry multipliers stay above 1 for arbitrarily large coordinates"
-            )
-        self.k_last = int(k_last)
-        # suffix[i] = prod over k in (i, k_last] of max(1, M_k)
-        suffix = [1.0] * (self.k_last + 2)
-        for k in range(self.k_last, 0, -1):
-            suffix[k] = suffix[k + 1] * max(1.0, mult.value(k))
+        boosting = math.nextafter(1.0, math.inf)
+        settled = mult.nonincreasing_from
+        support = mult.max_support
+        decays = mult.decays_to_zero
+        if support is None:
+            try:
+                far = mult.value(COORD_GUARD + 1)
+            except OverflowError:  # a growing power quotient leaves the float range
+                far = math.inf
+            if far >= boosting:
+                # the values do not increase past nonincreasing_from (a growing
+                # quotient only grows), so they stay above one past the guard
+                raise NotCompact(_ABOVE_ONE) if not decays else EnumerationCap(_GUARD_HIT)
+        # the kept max(1, M_k), turned in place into
+        # suffix[k] = prod over i in [k, k_last] of max(1, M_i)
+        suffix = [1.0]
+        k_last = 0
+        for k in range(1, COORD_GUARD + 1):
+            v = mult.value(k)
+            if v >= boosting:
+                k_last = k
+            elif k >= settled:
+                break
+            suffix.append(max(1.0, v))
+            if support is not None and k >= support:
+                break
+            if k >= settled and not decays:
+                raise NotCompact(_ABOVE_ONE)
+        else:
+            raise EnumerationCap(_GUARD_HIT)
+        del suffix[k_last + 1:]
+        suffix.append(1.0)
+        for k in range(k_last, 0, -1):
+            suffix[k] *= suffix[k + 1]
+        self.k_last = k_last
         self.suffix = suffix
         # from here on the multipliers neither decay nor boost: a scan that
         # gets past this coordinate without stopping would never stop
-        self.k_unbounded = (math.inf if mult.decays_to_zero
-                            else max(mult.nonincreasing_from, self.k_last + 1))
+        self.k_unbounded = math.inf if decays else max(settled, k_last + 1)
         self.positive, self.sup, self.after = [False], [0.0], [1.0]
 
     def _grow(self):
@@ -250,8 +286,8 @@ class _BoostTable:
             if k >= self.k_unbounded:
                 raise NotCompact("entry multipliers do not decay; the threshold set is unbounded")
             k += 1
-            if k > 10_000_000:
-                raise EnumerationCap("coordinate scan exceeded the hard guard")
+            if k > COORD_GUARD:
+                raise EnumerationCap(_GUARD_HIT)
 
 
 def auto_certificate(a: WeightModel, b: WeightModel):
@@ -261,8 +297,8 @@ def auto_certificate(a: WeightModel, b: WeightModel):
     if isinstance(b, TableWeights):
         return FiniteUniverse(tuple(b.support()))
 
-    a_base, _ = _strip_scale(a)
-    b_base, _ = _strip_scale(b)
+    a_base = _strip_scale(a)
+    b_base = _strip_scale(b)
 
     if isinstance(b_base, UnitWeights):
         if (
@@ -280,12 +316,11 @@ def auto_certificate(a: WeightModel, b: WeightModel):
     )
 
 
-def _strip_scale(m: WeightModel):
-    factor = 1.0
+def _strip_scale(m: WeightModel) -> WeightModel:
+    """The base model under any ScaledWeights wrappers."""
     while isinstance(m, ScaledWeights):
-        factor *= m.factor
         m = m.base
-    return m, factor
+    return m
 
 
 def _inverse_growth_seq(model: WeightModel) -> CoordSeq:

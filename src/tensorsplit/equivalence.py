@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .decomp import DEFAULT_ANCHOR, averaged_kernel_energy
-from .errors import QTildeOutOfRange, TailUnavailable
+from .errors import ConfigInvalid, QTildeOutOfRange, TailUnavailable
 from .gammas import GammaModel, ProductGamma
 from .indexing import SupportSet
 from .sequences import CoordSeq, seq_ratio
@@ -129,6 +129,8 @@ def _finite_conditions(gamma: GammaModel, alpha: GammaModel, q: float):
     for omega in supports:
         a_omega = alpha.value(omega)
         g_omega = gamma.value(omega)
+        if g_omega == math.inf:
+            raise ConfigInvalid(f"the set weight of {list(omega.coords)} overflows the float range")
         if a_omega <= 0.0:
             raise TailUnavailable(f"alpha must be positive on the support, zero at {omega!r}")
         over = math.fsum(

@@ -99,7 +99,9 @@ class CoordSeq:
     Subclasses provide exact values plus certified tail machinery.  The
     ``nonincreasing_from`` attribute names an index from which on the values
     never increase; scans past it may stop at the first value under a
-    threshold.
+    threshold.  A growing ``PowerSeq`` quotient (p < 0) keeps the default 1,
+    which does not hold for it: ``epsdim._BoostTable`` reads one value far
+    out before its scan, and that value settles such a sequence.
     """
 
     nonincreasing_from = 1
@@ -127,26 +129,6 @@ class CoordSeq:
     def max_support(self) -> int | None:
         """Last coordinate with a nonzero value, or None if unbounded."""
         return None
-
-    def last_k_with_value_ge(self, t: float) -> int | float:
-        """Largest k with value >= t; 0 if none, ``inf`` if unbounded."""
-        if t <= 0:
-            return 0 if self.max_support == 0 else (self.max_support or math.inf)
-        last = 0
-        k = 1
-        while True:
-            v = self.value(k)
-            if v >= t:
-                last = k
-            elif k >= self.nonincreasing_from:
-                return last
-            if self.max_support is not None and k >= self.max_support:
-                return last
-            if k >= self.nonincreasing_from and not self.decays_to_zero and v >= t:
-                return math.inf
-            k += 1
-            if k > 10_000_000:
-                raise TailUnavailable("sequence scan did not terminate")
 
     def log1p_sum(self) -> float:
         """Sum of log(1 + value(k)) over all k, i.e. log of prod(1 + v_k).
@@ -226,17 +208,6 @@ class PowerSeq(CoordSeq):
     def max_support(self):
         return 0 if self.c == 0 else None
 
-    def last_k_with_value_ge(self, t: float):
-        if self.c == 0:
-            return 0
-        if t <= 0 or self.p < 0:
-            return math.inf
-        if self.p == 0:
-            return math.inf if self.c >= t else 0
-        if self.c < t:
-            return 0
-        return int(math.floor((self.c / t) ** (1.0 / self.p) + 1e-12))
-
     def scaled(self, t):
         return PowerSeq(self.c * t, self.p)
 
@@ -276,20 +247,6 @@ class GeometricSeq(CoordSeq):
     @property
     def max_support(self):
         return 0 if self.c == 0 or self.rho == 0 else None
-
-    def last_k_with_value_ge(self, t: float):
-        if self.c == 0 or t <= 0:
-            return 0 if self.c == 0 else (self.max_support or math.inf)
-        if self.rho == 0:
-            return 0
-        if self.value(1) < t:
-            return 0
-        k = int(math.floor(math.log(t / self.c) / math.log(self.rho) + 1e-12))
-        while self.value(k + 1) >= t:
-            k += 1
-        while k >= 1 and self.value(k) < t:
-            k -= 1
-        return k
 
     def scaled(self, t):
         return GeometricSeq(self.c * t, self.rho)

@@ -594,7 +594,7 @@ class TestErrors:
         assert errors == [f"error: ConfigInvalid: bad sequence spec {seq!r}: "
                           "exponent must be nonnegative"]
 
-    def test_growing_weight_quotient_not_compact(self, tmp_path):
+    def test_growing_weight_quotient_not_compact(self, tmp_path, capsys):
         """The quotient k**2 of two power weights grows: still NotCompact,
         whose negative exponent no config may give."""
         cfg = tmp_path / "cfg.json"
@@ -604,6 +604,43 @@ class TestErrors:
             "eps": [0.5],
         }))
         assert run_cli("epsdim", cfg, tmp_path / "out.csv") == 6
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NotCompact: entry multipliers stay above 1 for arbitrarily large coordinates"]
+
+    @pytest.mark.parametrize("a,b", [
+        # the quotient k**400 leaves the float range long before the guard
+        ({"type": "product", "gamma": {"kind": "power", "c": 1.0, "p": 0.0}},
+         {"type": "product", "gamma": {"kind": "power", "c": 1.0, "p": 400.0}}),
+        # entry multipliers 0.025 at coordinate 1, then 2.5 for ever
+        ({"type": "spline", "gamma": {"kind": "product", "seq": {"kind": "constant", "value": 1.0}},
+          "s": 1.0, "lam": [10.0, 0.1]}, {"type": "unit"}),
+        ({"type": "product", "gamma": {"kind": "constant", "value": 5.0}}, {"type": "unit"}),
+    ], ids=["overflowing_quotient", "constant_tail", "constant"])
+    def test_multipliers_above_one_for_ever(self, tmp_path, capsys, a, b):
+        """Exit 6 with the line of the growing quotient above."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": a, "b": b, "eps": [0.5]}))
+        assert run_cli("epsdim", cfg, tmp_path / "out.csv") == 6
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NotCompact: entry multipliers stay above 1 for arbitrarily large coordinates"]
+
+    @pytest.mark.parametrize("a,b", [
+        ({"type": "product", "gamma": {"kind": "power", "c": 1e6, "p": 2.5}},
+         {"type": "product", "gamma": {"kind": "power", "c": 1.0, "p": 2.0}}),
+        ({"type": "product", "gamma": {"kind": "geometric", "c": 4.0, "rho": 0.9999998}},
+         {"type": "product", "gamma": {"kind": "geometric", "c": 1.0, "rho": 0.9999999}}),
+        ({"type": "spline", "gamma": {"kind": "product", "seq": {"kind": "power", "c": 1e6, "p": 0.5}}},
+         {"type": "unit"}),
+    ], ids=["power_quotient", "geometric_quotient", "spline_unit"])
+    def test_multipliers_above_one_past_the_guard(self, tmp_path, capsys, a, b):
+        """Multipliers that decay but stay above 1 past coordinate 10**7
+        exit 7 with one line, without scanning up to it or building a
+        table that long."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": a, "b": b, "eps": [0.5]}))
+        assert run_cli("epsdim", cfg, tmp_path / "out.csv") == 7
+        assert capsys.readouterr().err.splitlines() == [
+            "error: EnumerationCap: coordinate scan exceeded the hard guard"]
 
     def test_zero_weight_after_an_infinite_product(self, tmp_path):
         """Weights 1e300, 1e300, 0: the product on [1, 2, 3] is 0, not
@@ -613,6 +650,17 @@ class TestErrors:
             "kind": "product", "seq": {"kind": "finite", "values": [1e300, 1e300, 0]}}}))
         assert run_cli("sobol", path, out) == 0
         assert out.read_text() == 'omega,index,total\n[1],1,1\n[2],0,0\n"[1,2]",0,0\n'
+
+    def test_equiv_overflowing_set_weight_rejected(self, tmp_path, capsys):
+        """gamma on {1, 2} is 1e300 * 1e300 = inf: exit 2 with one line that
+        names the set, not a division by alpha / gamma = 0."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"gamma": {"kind": "product", "seq": {
+            "kind": "finite", "values": [1e300, 1e300, 0]}}}))
+        assert run_cli("equiv", path, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigInvalid: the set weight of [1, 2] overflows the float range"]
 
     @pytest.mark.parametrize("seq", [
         {"kind": "finite", "values": [1e300, 1e300, 0]},

@@ -14,6 +14,7 @@ import tensorsplit
 import tensorsplit.errors as errors_mod
 from corpus import corpus
 from tensorsplit.decomp import decompose
+from tensorsplit.epsdim import _BoostTable
 from tensorsplit.functions import (ONE_FACTOR, Term, UnivariateFactor as F, deriv_inner, pair_sum,
                                   value_inner)
 from tensorsplit.indexing import IndexVector
@@ -51,20 +52,22 @@ class TestTailConsistency:
 
     @pytest.mark.parametrize("seq", SEQS, ids=lambda s: type(s).__name__ + repr(s.value(1)))
     def test_last_k_threshold(self, seq):
+        """The boost table's last coordinate at or above 1 + 2**-52, on the
+        sequence scaled by 1/t so that the threshold cuts it in several places."""
+        boosting = math.nextafter(1.0, math.inf)
         for t in (2.0, 0.5, 0.11, 0.01):
-            last = seq.last_k_with_value_ge(t)
-            assert last != math.inf
-            last = int(last)
+            mult = seq.scaled(1.0 / t)
+            last = _BoostTable(mult).k_last
             if last > 0:
-                assert seq.value(last) >= t
+                assert mult.value(last) >= boosting
             for k in range(last + 1, last + 30):
-                assert seq.value(k) < t
+                assert mult.value(k) < boosting
 
     def test_degenerate_geometric_has_empty_support(self):
         seq = GeometricSeq(3.0, 0.0)
         assert seq.max_support == 0
         assert seq.sum() == 0.0
-        assert seq.last_k_with_value_ge(1e-9) == 0
+        assert _BoostTable(seq).k_last == 0
 
 
 class TestErrorCodes:

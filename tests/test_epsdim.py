@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import tensorsplit.epsdim
 from tensorsplit.epsdim import (
+    COORD_GUARD,
     AllOneDims,
     ProductDecay,
     SplineDims,
+    _BoostTable,
     enumerate_threshold_set,
     eps_dimension,
     spline_eps_dimension,
@@ -592,25 +594,39 @@ def box_threshold_ratios(a, b, eps, box):
     return out
 
 
+#: the smallest multiplier that boosts a ratio: 1 + 2**-52
+BOOSTING = math.nextafter(1.0, math.inf)
+
+
+def brute_k_last(mult, window=1000):
+    """The last coordinate up to ``window`` whose multiplier boosts, by
+    evaluating every one; none may lie in the window's second half, so a
+    window too small for the sequence fails instead of cutting it short."""
+    ks = [k for k in range(1, window + 1) if mult.value(k) >= BOOSTING]
+    assert not ks or ks[-1] < window // 2, "window too small"
+    return ks[-1] if ks else 0
+
+
+def brute_after(mult, k_last, k0):
+    """Product of max(1, M_i) over k0 < i <= k_last, from k_last down."""
+    boost = 1.0
+    for i in range(k_last, k0, -1):
+        boost *= max(1.0, mult.value(i))
+    return boost
+
+
 def reference_entry_scan(mult, c, eps2, k):
     """The entry scan evaluated on the sequence at every coordinate.
 
     Returns the coordinates it yields and the message of the NotCompact it
     ends with (None when it stops), plus the last coordinate it scanned.
     """
-    k_last = int(mult.last_k_with_value_ge(math.nextafter(1.0, math.inf)))
-
-    def after(k0):
-        boost = 1.0
-        for i in range(k_last, k0, -1):
-            boost *= max(1.0, mult.value(i))
-        return boost
-
+    k_last = brute_k_last(mult)
     yielded = []
     while True:
         if mult.value(k) > 0.0:
             yielded.append(k)
-        if c * mult.tail_sup(k) * after(k) < eps2:
+        if c * mult.tail_sup(k) * brute_after(mult, k_last, k) < eps2:
             return yielded, None, k
         if k >= mult.nonincreasing_from and k > k_last and not mult.decays_to_zero:
             return yielded, "entry multipliers do not decay; the threshold set is unbounded", k
@@ -695,3 +711,83 @@ class TestEntryScanTable:
             assert got == yielded, (c, k)
             scanned = max(scanned, last)
             assert len(table.positive) == len(table.sup) == len(table.after) == scanned + 1
+
+
+class TestLastBoostingCoordinate:
+    """``_BoostTable.k_last``, the last coordinate whose multiplier is at
+    least 1 + 2**-52, and the suffix products built on it, against
+    evaluating the sequence at every coordinate."""
+
+    @pytest.mark.parametrize("mult,k_last", [
+        # value(2135) is 1 + 2**-52: a closed form floor((c/t)**(1/p) + 1e-12) gave 2134
+        (PowerSeq(98649.93854534326, 1.5), 2135),
+        (PowerSeq(100.5, 2.0), 10),
+        (PowerSeq(0.0, 2.0), 0),
+        (PowerSeq(1.0, 0.0), 0),
+        (GeometricSeq(4.5, 0.5), 2),
+        (GeometricSeq(1.5, 0.999), 405),
+        (GeometricSeq(3.0, 0.0), 0),
+        (FiniteSeq([0.5, 0.0, 1.5, 0.0, 0.25]), 3),
+        (FiniteSeq([2.0, 1.0, 3.0, 1.0]), 3),
+        (ConstantSeq(1.0), 0),
+        (ConstantSeq(0.3), 0),
+        (ListTailSeq([1.2, 0.9, BOOSTING], 0.5), 3),
+        (ProductOfSeqs([PowerSeq(2.0, 1.5), ConstantSeq(0.8), ConstantSeq(1.1)]), 1),
+        (ProductOfSeqs([GeometricSeq(8.0, 0.5), FiniteSeq([1.0] * 5)]), 2),
+        # the values rise through the head: the scan may not stop before coordinate 4
+        (ProductOfSeqs([ListTailSeq([0.1, 0.5, 3.0], 0.2), ConstantSeq(1.0)]), 3),
+    ], ids=["power_2135", "power", "power_zero", "power_flat", "geometric", "geometric_slow",
+            "geometric_zero", "finite_zeros", "finite_one", "constant_one", "constant",
+            "list_tail", "product_boost", "product_finite", "product_rising_head"])
+    def test_equals_brute_force(self, mult, k_last):
+        table = _BoostTable(mult)
+        assert table.k_last == brute_k_last(mult, 5000) == k_last
+        # slot 0 is a placeholder, and suffix[k] multiplies k too
+        assert len(table.suffix) == k_last + 2
+        for k in {1, k_last // 2 + 1, k_last, k_last + 1} - {0}:
+            assert table.suffix[k] == brute_after(mult, k_last, k - 1)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0])
+    def test_power_at_the_threshold(self, p):
+        """c the smallest float that puts value(k) at or above 1 + 2**-52:
+        the last boosting coordinate is the brute-force one, at least k."""
+        for k in range(1, 3001, 149):
+            c = BOOSTING * float(k) ** p
+            while PowerSeq(c, p).value(k) >= BOOSTING:
+                c = math.nextafter(c, 0.0)
+            while PowerSeq(c, p).value(k) < BOOSTING:
+                c = math.nextafter(c, math.inf)
+            seq = PowerSeq(c, p)
+            k_last = _BoostTable(seq).k_last
+            assert k_last >= k
+            assert k_last == brute_k_last(seq, 4 * k + 10), (c, p)
+
+    @pytest.mark.parametrize("mult", [
+        PowerSeq(1.0, -2.0),  # the growing quotient of power weights p 2 over p 4
+        PowerSeq(1.0, -400.0),  # value(COORD_GUARD + 1) leaves the float range
+        ListTailSeq([0.1], 5.0),
+        ConstantSeq(BOOSTING),
+        ProductOfSeqs([ConstantSeq(1.0), ListTailSeq([0.1], 10.0), ConstantSeq(0.25)]),
+    ], ids=["power_quotient", "power_quotient_overflow", "list_tail", "constant",
+            "spline_listed_lam"])
+    def test_multipliers_above_one_for_ever(self, mult):
+        with pytest.raises(NotCompact, match="^entry multipliers stay above 1 for arbitrarily "
+                                             "large coordinates$"):
+            _BoostTable(mult)
+
+    @pytest.mark.parametrize("mult", [
+        PowerSeq(1e6, 0.5),
+        GeometricSeq(4.0, 0.9999998 / 0.9999999),
+        ProductOfSeqs([PowerSeq(1e6, 0.5), ConstantSeq(1.0), ConstantSeq(0.25)]),
+    ], ids=["power_quotient", "geometric_quotient", "spline_unit"])
+    def test_multipliers_above_one_past_the_guard(self, mult):
+        """Decaying multipliers still above 1 at COORD_GUARD + 1: one value
+        there decides, with no scan and no table."""
+        assert mult.value(COORD_GUARD + 1) >= BOOSTING
+        with pytest.raises(EnumerationCap, match="^coordinate scan exceeded the hard guard$"):
+            _BoostTable(mult)
+
+    def test_finite_support_past_the_guard_is_scanned(self):
+        """A finite support needs no far value: its scan stops at its end."""
+        mult = ProductOfSeqs([PowerSeq(1.0, -2.0), FiniteSeq([0.5, 0.5, 0.2])])
+        assert _BoostTable(mult).k_last == 3 == brute_k_last(mult, 10)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsplit.errors import TailUnavailable
+from tensorsplit.epsdim import _BoostTable
+from tensorsplit.errors import NotCompact, TailUnavailable
 from tensorsplit.sequences import (
     ConstantSeq,
     FiniteSeq,
@@ -39,8 +40,10 @@ class TestPowerSeq:
         assert PowerSeq(1.0, 0.5).sum() == math.inf
 
     def test_last_k(self):
-        s = PowerSeq(1.0, 2.0)  # k^-2 >= 0.01 iff k <= 10
-        assert s.last_k_with_value_ge(0.01) == 10
+        """The last boosting coordinate: 100.5 k^-2 >= 1 + 2**-52 iff k <= 10."""
+        assert _BoostTable(PowerSeq(100.5, 2.0)).k_last == 10
+        assert _BoostTable(PowerSeq(100.0, 2.0)).k_last == 9  # value(10) is 1.0
+        assert _BoostTable(PowerSeq(0.5, 2.0)).k_last == 0
 
     def test_log1p_sum_matches_product(self):
         s = PowerSeq(1.0, 2.0)
@@ -105,10 +108,10 @@ class TestGeometricSeq:
         assert s.tail_sum(2) == pytest.approx(3.0 * 0.125 / 0.5, rel=1e-15)
 
     def test_last_k(self):
-        s = GeometricSeq(1.0, 0.5)
-        assert s.last_k_with_value_ge(0.25) == 2
-        assert s.last_k_with_value_ge(0.2) == 2
-        assert s.last_k_with_value_ge(2.0) == 0
+        """The last boosting coordinate, at least 1 + 2**-52."""
+        assert _BoostTable(GeometricSeq(4.0, 0.5)).k_last == 1  # value(2) is 1.0
+        assert _BoostTable(GeometricSeq(5.0, 0.5)).k_last == 2
+        assert _BoostTable(GeometricSeq(1.0, 0.5)).k_last == 0
 
 
 class TestFiniteAndConstant:
@@ -117,13 +120,11 @@ class TestFiniteAndConstant:
         assert s.sum() == 0.75
         assert s.tail_sum(1) == 0.25
         assert s.max_support == 2
-        assert s.last_k_with_value_ge(0.3) == 1
 
     def test_constant_diverges(self):
         s = ConstantSeq(1.0)
         assert s.sum() == math.inf
         assert not s.decays_to_zero
-        assert s.last_k_with_value_ge(0.5) == math.inf
 
     def test_list_tail(self):
         s = ListTailSeq([4.0, 2.0], 0.0)
@@ -131,7 +132,9 @@ class TestFiniteAndConstant:
         assert s.sum() == 6.0
 
 
-_HEAD_VALUE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0)
+#: the smallest multiplier that boosts a ratio: 1 + 2**-52
+BOOSTING = math.nextafter(1.0, math.inf)
+_HEAD_VALUE = st.sampled_from([0.0, 0.5, 1.0, BOOSTING]) | st.floats(0.0, 10.0)
 
 
 class TestHeadThenConstant:
@@ -140,16 +143,15 @@ class TestHeadThenConstant:
 
     @settings(max_examples=200, deadline=None)
     @given(head=st.lists(_HEAD_VALUE, max_size=6),
-           tail=st.just(0.0) | st.floats(1e-3, 10.0),
-           t=st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 12.0))
-    def test_matches_definition(self, head, tail, t):
+           tail=st.just(0.0) | st.sampled_from([1.0, BOOSTING]) | st.floats(1e-3, 10.0))
+    def test_matches_definition(self, head, tail):
         seqs = [ListTailSeq(head, tail)]
         if tail == 0.0:
             seqs.append(FiniteSeq(head))
         if not head:
             seqs.append(ConstantSeq(tail))
         nonzero = [k for k, v in enumerate(head, 1) if v > 0]
-        at_least_t = [k for k, v in enumerate(head, 1) if v >= t]
+        boosting_ks = [k for k, v in enumerate(head, 1) if v >= BOOSTING]
         for s in seqs:
             for k in range(1, len(head) + 3):
                 assert s.value(k) == (head[k - 1] if k <= len(head) else tail)
@@ -158,8 +160,12 @@ class TestHeadThenConstant:
                 assert s.tail_sup(k0) == max(head[k0:] + [tail])
             assert s.max_support == (max(nonzero, default=0) if tail == 0.0 else None)
             assert s.decays_to_zero == (tail == 0.0)
-            expected = math.inf if tail >= t else max(at_least_t, default=0)
-            assert s.last_k_with_value_ge(t) == expected
+            # the last boosting coordinate; a tail that boosts does for ever
+            if tail >= BOOSTING:
+                with pytest.raises(NotCompact):
+                    _BoostTable(s)
+            else:
+                assert _BoostTable(s).k_last == max(boosting_ks, default=0)
 
     @pytest.mark.parametrize("seq", [FiniteSeq([0.5, 0.0, 2.0]), ConstantSeq(3.0)],
                              ids=["finite", "constant"])
