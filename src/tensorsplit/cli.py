@@ -66,8 +66,10 @@ def _json_render(obj, indent=0) -> str:
         if not obj:
             return "[]"
         if all(type(v) is float for v in obj):
-            # a list of floats skips the per-element type dispatch below
-            texts = [_NONFINITE.get(t, t) for t in map(_fmt, obj)]
+            # a list of floats (a coefficient row too) skips the type
+            # dispatch of _fmt: each element is written as _fmt writes it
+            texts = [format(v, ".17g") for v in obj]
+            texts = [_NONFINITE.get(t, t) for t in texts]
         else:
             texts = [_json_render(v, indent + 1) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
@@ -313,14 +315,18 @@ def _load_samples(spec, config_dir: Path):
             path = config_dir / path
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                rows = [row for row in reader if row]
-            if any(len(row) != len(header) for row in rows):
+                header = next(csv.reader(fh))
+                body = fh.read()
+            # loadtxt warns on a body without rows; that is zero samples
+            data = (np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None,
+                               quotechar='"')
+                    if body.strip() else np.empty((0, len(header))))
+            if data.shape[1] != len(header):
                 raise ValueError(f"every row needs {len(header)} values")
-            data = np.array(rows, dtype=float).reshape(len(rows), len(header))
         except (OSError, StopIteration, ValueError) as exc:
-            raise ConfigInvalid(f"cannot read sample CSV {path}: {exc}") from exc
+            # loadtxt's advice on a ragged row names one of its own arguments
+            reason = str(exc).partition("; use `usecols`")[0]
+            raise ConfigInvalid(f"cannot read sample CSV {path}: {reason}") from exc
         x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
         y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
         if not x_cols or not y_cols:

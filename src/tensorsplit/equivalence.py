@@ -153,12 +153,20 @@ def _product_conditions(gamma_seq: CoordSeq, alpha_seq: CoordSeq, q: float):
     first = alpha_seq.scaled(q)
     if first.sum() == math.inf:
         return None
-    c_prime = math.exp(first.log1p_sum())
+    c_prime = _exp_constant(first.log1p_sum(), "c_prime")
     second = seq_ratio(gamma_seq, alpha_seq)
     if second.sum() == math.inf:
         return None
-    c_dprime = math.exp(second.log1p_sum())
+    c_dprime = _exp_constant(second.log1p_sum(), "c_dprime")
     return c_prime, c_dprime
+
+
+def _exp_constant(log_value: float, name: str) -> float:
+    """exp of a constant's log; past the float range it is ``ConfigInvalid``."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ConfigInvalid(f"the equivalence constant {name} overflows the float range") from None
 
 
 def certify_halving_condition(gamma: GammaModel) -> tuple[float, float] | None:

@@ -16,6 +16,7 @@ CLI) loads numpy but not scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -42,8 +43,11 @@ _SYM_TOL = 1e-10
 _JITTER_START = 1e-12
 _JITTER_LIMIT = 1e-6
 #: entries of one row block (256 KiB) in the Gram builder: a block and its
-#: work buffers stay in cache across the coordinate passes
+#: work buffer stay in cache across the coordinate passes
 _GRAM_BLOCK = 1 << 15
+#: side of the square tiles of the symmetric Gram builder (288 KiB each): a
+#: tile and its work buffer stay in cache across the coordinate passes
+_GRAM_TILE = 192
 #: side of the square tiles of the symmetry check (512 KiB each): a tile and
 #: its mirror stay in cache while they are compared
 _SYM_TILE = 256
@@ -63,8 +67,8 @@ class AnchoredKernel:
 
     Per coordinate the kernel is 1 + scale_k * overlap(x_k, y_k); the
     optional scales play the role of per-coordinate weights.  A scale is
-    nonnegative (zero drops the coordinate's overlap term), which keeps the
-    kernel positive semidefinite.
+    finite and nonnegative (zero drops the coordinate's overlap term), which
+    keeps the kernel positive semidefinite.
     """
 
     def __init__(self, dim: int, anchor: float = DEFAULT_ANCHOR, scales=None):
@@ -80,8 +84,9 @@ class AnchoredKernel:
             self.scales = tuple(float(s) for s in scales)
             if len(self.scales) != self.dim:
                 raise ConfigInvalid("need one scale per coordinate")
-            if not all(s >= 0.0 for s in self.scales):
-                raise ConfigInvalid(f"kernel scales must be nonnegative, got {list(self.scales)}")
+            if not all(0.0 <= s < math.inf for s in self.scales):
+                raise ConfigInvalid(
+                    f"kernel scales must be finite and nonnegative, got {list(self.scales)}")
 
     def __call__(self, x: Sequence[float], y: Sequence[float]) -> float:
         v = 1.0
@@ -90,37 +95,79 @@ class AnchoredKernel:
         return v
 
     def gram(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """K[i, j] = self(X[i], Y[j]), built in place one row block at a time.
+        """K[i, j] = self(X[i], Y[j]), equal to the pointwise kernel bit for bit.
 
-        With a = x - anchor, the overlap on one coordinate is
-        min(a+, b+) + min(a-, b-): one of the two minima is an exact 0.0, so
-        the sum equals the same-side min(|a|, |b|) bit for bit.
+        ``gram(X, X)`` (Y is X) builds the tiles on and below the diagonal
+        in a cached buffer and stores each one twice, as itself and as its
+        transpose; ``min`` is commutative, so the mirror has the same bits.
+        Any other Y is built in place one row block at a time.
         """
-        sx = np.ascontiguousarray((X[:, : self.dim] - self.anchor).T)  # (d, n)
-        sy = np.ascontiguousarray((Y[:, : self.dim] - self.anchor).T)  # (d, m)
-        xp, xm = np.maximum(sx, 0.0), np.maximum(-sx, 0.0)
-        yp, ym = np.maximum(sy, 0.0), np.maximum(-sy, 0.0)
-        n, m = X.shape[0], Y.shape[0]
-        block = max(1, _GRAM_BLOCK // max(m, 1))
-        G = np.empty((n, m))
-        t_buf = np.empty((min(n, block), m))
-        u_buf = np.empty_like(t_buf)
-        for i0 in range(0, n, block):
-            rows = slice(i0, min(i0 + block, n))
-            g = G[rows]
-            t, u = t_buf[: len(g)], u_buf[: len(g)]
-            for k, scale in enumerate(self.scales):
-                # the first factor goes straight into g: 1.0 * t == t
-                tk = g if k == 0 else t
-                np.minimum(xp[k, rows, None], yp[k], out=tk)
-                np.minimum(xm[k, rows, None], ym[k], out=u)
-                tk += u
-                if scale != 1.0:  # t * 1.0 == t
-                    tk *= scale
-                tk += 1.0
-                if k:
-                    g *= tk
-        return G
+        xp, xm = self._half_lines(X)
+        # a product past the float range is inf, as in the pointwise kernel
+        with np.errstate(over="ignore"):
+            if Y is X:
+                return _symmetric_gram(xp, xm)
+            return _row_block_gram(xp, xm, *self._half_lines(Y))
+
+    def _half_lines(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d, n) arrays 1 + s_k * max(a, 0) and 1 + s_k * max(-a, 0), a = x_k - anchor.
+
+        Rounding is monotone, so 1 + s * min(|a|, |b|) for a, b on one side
+        is the min of the two points' values on that side, bit for bit; on
+        the other side both values, and so their min, are an exact 1.0.
+        """
+        a = np.ascontiguousarray((X[:, : self.dim] - self.anchor).T)
+        s = np.array(self.scales)[:, None]
+        return 1.0 + s * np.maximum(a, 0.0), 1.0 + s * np.maximum(-a, 0.0)
+
+
+def _fill_block(out, xp, xm, yp, ym, t):
+    """out[i, j] = prod over k of min(xp[k, i], yp[k, j]) * min(xm[k, i], ym[k, j]).
+
+    One of the two minima of a coordinate is an exact 1.0, so multiplying
+    both in applies the factor 1 + s_k * overlap with one rounding, in
+    coordinate order, as the pointwise kernel does.  ``t`` is a work
+    buffer of out's shape.
+    """
+    for k in range(len(xp)):
+        np.minimum(xp[k, :, None], yp[k], out=t if k else out)
+        if k:
+            out *= t
+        np.minimum(xm[k, :, None], ym[k], out=t)
+        out *= t
+
+
+def _row_block_gram(xp, xm, yp, ym) -> np.ndarray:
+    """The kernel matrix of two point sets from their half-line arrays."""
+    n, m = xp.shape[1], yp.shape[1]
+    block = max(1, _GRAM_BLOCK // max(m, 1))
+    G = np.empty((n, m))
+    t_buf = np.empty((min(n, block), m))
+    for i0 in range(0, n, block):
+        rows = slice(i0, min(i0 + block, n))
+        g = G[rows]
+        _fill_block(g, xp[:, rows], xm[:, rows], yp, ym, t_buf[: len(g)])
+    return G
+
+
+def _symmetric_gram(xp, xm) -> np.ndarray:
+    """The kernel matrix of one point set from its half-line arrays."""
+    n = xp.shape[1]
+    G = np.empty((n, n))
+    side = min(n, _GRAM_TILE)
+    tile_buf, t_buf = np.empty((2, side, side))
+    for i0 in range(0, n, _GRAM_TILE):
+        rows = slice(i0, min(i0 + _GRAM_TILE, n))
+        for j0 in range(0, i0 + 1, _GRAM_TILE):
+            cols = slice(j0, min(j0 + _GRAM_TILE, n))
+            shape = (rows.stop - i0, cols.stop - j0)
+            tile = tile_buf[: shape[0], : shape[1]]
+            _fill_block(tile, xp[:, rows], xm[:, rows], xp[:, cols], xm[:, cols],
+                        t_buf[: shape[0], : shape[1]])
+            G[rows, cols] = tile
+            if j0 < i0:
+                G[cols, rows] = tile.T
+    return G
 
 
 class TensorProductKernel:
@@ -273,15 +320,19 @@ def _shifted(G: np.ndarray, shift: float, out: np.ndarray | None = None) -> np.n
         out = G.copy()
     else:
         np.copyto(out, G)
-    out.flat[:: G.shape[0] + 1] += shift
+    with np.errstate(over="ignore"):  # _solve_regularized checks the diagonal
+        out.flat[:: G.shape[0] + 1] += shift
     return out
 
 
 def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarray | None = None):
     """Cholesky solve of (G + shift*I) c = rhs with escalating jitter.
 
-    Returns c, the jitter and G + shift*I, the matrix of the residual,
-    written into ``A`` (a new array when None).
+    G and rhs must be finite (``fit_map`` and ``SampleSet`` check them), so
+    scipy's own scans are skipped; only the diagonal, which the shift and
+    the jitter change, is checked here.  Returns c, the jitter and
+    G + shift*I, the matrix of the residual, written into ``A`` (a new
+    array when None).
     """
     # the one scipy use in the package, imported here so that only a
     # regression loads scipy
@@ -294,10 +345,14 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarr
     jitter = 0.0
     while True:
         A = _shifted(G, shift + jitter, A)
+        if not np.isfinite(A.diagonal()).all():
+            raise ConfigInvalid("the kernel matrix plus the shift n * lambda "
+                                "overflows the float range")
         try:
             # G is exactly symmetric, so A.T is the same matrix in Fortran
             # order, which LAPACK factors in place instead of in a copy
-            c = cho_solve(cho_factor(A.T, lower=True, overwrite_a=True), rhs)
+            factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+            c = cho_solve(factor, rhs, check_finite=False)
             break
         except np.linalg.LinAlgError:
             jitter = _JITTER_START * base if jitter == 0.0 else jitter * 10.0
@@ -343,7 +398,13 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
         raise ConfigInvalid("regularization weights must be positive")
 
     G = gram_matrix(kernel, samples.inputs)
-    shifts = samples.n * lam_arr
+    # the one finiteness scan of G: the solves skip scipy's scans
+    if not np.isfinite(G).all():
+        raise ConfigInvalid("the kernel matrix has non-finite entries")
+    with np.errstate(over="ignore"):
+        shifts = samples.n * lam_arr
+    if not np.isfinite(shifts).all():
+        raise ConfigInvalid("the shift n * lambda overflows the float range")
     if np.all(lam_arr == lam_arr[0]):
         C, jitter, A = _solve_regularized(G, shifts[0], Y)
         residuals = [_relative_residual(A, C[:, l], Y[:, l]) for l in range(L)]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -261,6 +262,93 @@ class TestErrors:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"samples": "s.csv", "lambda": 0.1}))
         assert run_cli("regress", path, tmp_path / "out.json") == 2
+
+    @pytest.mark.parametrize("body", [
+        '"0.2","1.0"\n0.7,"0.5"\n0.4,0.3\n',
+        "\n0.2,1.0\n\n0.7,0.5\n0.4,0.3\n\n",
+        " 0.2 , 1.0\n0.7,\t0.5 \n0.4 ,0.3\n",
+    ], ids=["quoted-cells", "blank-lines", "spaces-around-cells"])
+    def test_csv_layouts_accepted(self, tmp_path, body):
+        """Quoted cells, blank lines and spaces around cells read as the
+        plain file does."""
+        outs = []
+        for i, text in enumerate(["0.2,1.0\n0.7,0.5\n0.4,0.3\n", body]):
+            (tmp_path / f"s{i}.csv").write_text("x1,y\n" + text)
+            path, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}.json"
+            path.write_text(json.dumps({"samples": f"s{i}.csv", "lambda": 0.1}))
+            assert run_cli("regress", path, out) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("body", ["0.2,1.0\n# a comment\n", "0.1_5,1.0\n", "\uff10.5,1.0\n"],
+                             ids=["comment-line", "digit-underscore", "fullwidth-digit"])
+    def test_csv_cells_rejected(self, tmp_path, capsys, body):
+        """A cell is a plain decimal or quoted one: no comments, and none of
+        the digit underscores or non-ASCII digits that float() reads."""
+        (tmp_path / "s.csv").write_text("x1,y\n" + body, encoding="utf-8")
+        path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"samples": "s.csv", "lambda": 0.1}))
+        assert run_cli("regress", path, out) == 2
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: ConfigInvalid: cannot read sample CSV")
+
+    def test_csv_ragged_row_named(self, tmp_path, capsys):
+        """The error line names the row, and no argument of numpy's reader."""
+        (tmp_path / "s.csv").write_text("x1,y\n0.2,1.0\n0.5\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"samples": "s.csv", "lambda": 0.1}))
+        assert run_cli("regress", path, tmp_path / "out.json") == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].endswith("s.csv: the number of columns changed from 2 to 1 at row 2")
+
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-lines-only"])
+    def test_csv_without_rows_rejected(self, tmp_path, capsys, body):
+        """No sample rows is one error line, and no reader warning."""
+        (tmp_path / "s.csv").write_text("x1,y\n" + body)
+        path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"samples": "s.csv", "lambda": 0.1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("regress", path, out) == 2
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: inputs must be a nonempty (n, d) array"]
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"kernel": {"type": "anchored", "scales": [1e308, 1e308]}},
+         "the kernel matrix has non-finite entries"),
+        ({"lambda": 1e307}, "the shift n * lambda overflows the float range"),
+        ({"lambda": [1e-3, 1e307], "outputs": 2}, "the shift n * lambda overflows the float range"),
+    ], ids=["kernel-matrix", "shift", "per-output-shift"])
+    def test_regress_overflow_rejected(self, tmp_path, capsys, extra, message):
+        """A kernel matrix or a shift n * lambda past the float range is one
+        error line and exit 2, not scipy's finiteness traceback."""
+        rng = np.random.default_rng(5)
+        outputs = extra.pop("outputs", 1)
+        y = rng.normal(size=(20, outputs)) if outputs > 1 else rng.normal(size=20)
+        cfg = {"samples": {"inputs": rng.uniform(0, 1, (20, 2)).tolist(), "outputs": y.tolist()},
+               "lambda": 1e-3} | extra
+        path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("regress", path, out) == 2
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: ConfigInvalid: {message}"]
+
+    def test_regress_shifted_diagonal_overflow_rejected(self, tmp_path, capsys):
+        """Kernel diagonal 5e307 and shift 1.78e308 are finite; their sum is not."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        path.write_text(json.dumps({
+            "samples": {"inputs": [[0.0], [1.0]], "outputs": [0.1, 0.4]},
+            "kernel": {"type": "anchored", "scales": [1e308]}, "lambda": 8.9e307,
+        }))
+        assert run_cli("regress", path, out) == 2
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the kernel matrix plus the shift n * lambda "
+                          "overflows the float range"]
 
     @pytest.mark.parametrize("holdout", [
         {"inputs": [[0.3], [5.0]], "outputs": [0.1, 0.2]},
@@ -661,6 +749,17 @@ class TestErrors:
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == [
             "error: ConfigInvalid: the set weight of [1, 2] overflows the float range"]
+
+    def test_equiv_overflowing_constant_rejected(self, tmp_path, capsys):
+        """The product of 1 + q * alpha_k over k is past the float range:
+        exit 2 with one line that names the constant, not a traceback."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"gamma": {"kind": "product", "seq": {
+            "kind": "geometric", "c": 1e300, "rho": 0.5}}}))
+        assert run_cli("equiv", path, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigInvalid: the equivalence constant c_prime overflows the float range"]
 
     @pytest.mark.parametrize("seq", [
         {"kind": "finite", "values": [1e300, 1e300, 0]},

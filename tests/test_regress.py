@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+import tensorsplit.regress
 from tensorsplit.errors import ConfigInvalid, KernelAsymmetric, SolveFailed
 from tensorsplit.indexing import IndexVector, ZERO_INDEX
 from tensorsplit.regress import (
@@ -11,6 +12,7 @@ from tensorsplit.regress import (
     CustomKernel,
     SampleSet,
     TensorProductKernel,
+    _GRAM_TILE,
     _SYM_TILE,
     anchored_overlap,
     fit,
@@ -116,6 +118,34 @@ class TestGramMatrix:
                 for j in range(B.shape[0]):
                     assert K[i, j] == k(A[i], B[j])
         assert np.array_equal(gram_matrix(k, X[:40]), k.gram(X[:40], X[:40]))
+
+    @pytest.mark.parametrize("anchor,scales", [
+        (0.5, [0.0, 1.0, 2.7]), (0.3, [1.0, 0.35, 0.0]), (1.0, [1e-3, 0.0, 1.0]),
+    ])
+    def test_symmetric_tiles_equal_row_blocks_and_pointwise(self, monkeypatch, anchor, scales):
+        """gram(X, X) builds half the tiles and mirrors them; gram(X, X.copy())
+        builds row blocks.  Both equal the pointwise kernel entry for entry,
+        over partial tiles and points at the anchor, at 0, at 1 and next to
+        the anchor."""
+        rng = np.random.default_rng(31)
+        k = AnchoredKernel(3, anchor=anchor, scales=scales)
+        n = 2 * _GRAM_TILE + 37
+        special = [anchor, 0.0, 1.0, np.nextafter(anchor, 0.0), np.nextafter(anchor, 1.0)]
+        X = rng.uniform(0, 1, (n, 3))
+        X[: 5 * 3].flat[:] = np.repeat(special, 3)
+        X[-5:] = np.array(special)[:, None]
+        X[-10:-5] = rng.permutation(np.repeat(special, 3)).reshape(5, 3)
+        built = []
+        symmetric = tensorsplit.regress._symmetric_gram
+        monkeypatch.setattr(tensorsplit.regress, "_symmetric_gram",
+                            lambda *a: built.append(a) or symmetric(*a))
+        tiles = k.gram(X, X)
+        assert len(built) == 1
+        rows = k.gram(X, X.copy())
+        assert len(built) == 1
+        pointwise = np.array([[k(x, y) for y in X] for x in X])
+        assert (tiles == rows).all()
+        assert (tiles == pointwise).all()
 
 
 class TestFit:
@@ -261,7 +291,8 @@ class TestTensorProductKernel:
 
 
 class TestSampleValidation:
-    @pytest.mark.parametrize("scales", [[-1.0, 1.0], [1.0, np.nan]], ids=["negative", "nan"])
+    @pytest.mark.parametrize("scales", [[-1.0, 1.0], [1.0, np.nan], [np.inf, 1.0]],
+                             ids=["negative", "nan", "inf"])
     def test_kernel_scales_must_be_nonnegative(self, scales):
         with pytest.raises(ConfigInvalid):
             AnchoredKernel(2, scales=scales)
