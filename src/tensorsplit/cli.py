@@ -65,14 +65,20 @@ def _json_render(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        sep = ",\n" + inner
         if all(type(v) is float for v in obj):
             # a list of floats (a coefficient row too) skips the type
-            # dispatch of _fmt: each element is written as _fmt writes it
-            texts = [format(v, ".17g") for v in obj]
-            texts = [_NONFINITE.get(t, t) for t in texts]
+            # dispatch of _fmt: each element is written as _fmt writes it.
+            # A finite sum means every element is finite, and then one
+            # "%.17g" format writes the whole list
+            if math.isfinite(sum(obj)):
+                body = sep.join(("%.17g",) * len(obj)) % tuple(obj)
+            else:
+                texts = [format(v, ".17g") for v in obj]
+                body = sep.join([_NONFINITE.get(t, t) for t in texts])
         else:
-            texts = [_json_render(v, indent + 1) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+            body = sep.join([_json_render(v, indent + 1) for v in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
     if obj is None:
         return "null"
     if isinstance(obj, str):

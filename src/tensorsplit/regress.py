@@ -12,11 +12,19 @@ to the anchor (zero when the arguments lie on opposite sides).
 
 scipy is imported by the solve alone, so importing this module (and the
 CLI) loads numpy but not scipy.
+
+The Gram tiles, the holdout row blocks, the symmetry check and the
+per-output solves are split across the CPUs this process may run on
+(``_split``).  Each piece is computed exactly as in a serial loop, so the
+results have the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -51,6 +59,58 @@ _GRAM_TILE = 192
 #: side of the square tiles of the symmetry check (512 KiB each): a tile and
 #: its mirror stay in cache while they are compared
 _SYM_TILE = 256
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _split(run, tasks: Sequence, scratch=lambda: None) -> None:
+    """``run(task, buf)`` for every task, the tasks dealt round-robin to the CPUs.
+
+    The calling thread takes tasks 0, w, 2w, ... and one thread for each
+    further CPU this process may run on takes the others, with w workers,
+    never more than there are tasks.  Each worker makes one ``buf =
+    scratch()`` for all its tasks.  With one worker this is a plain loop
+    that starts no thread.  The tasks must be independent, so that every
+    split gives the loop's result.
+
+    Workers run in copies of the caller's context, which holds numpy's
+    error state.  Every thread is joined before this returns, also on an
+    error, and the error of the lowest-numbered failing task is raised:
+    the one the plain loop would raise.
+    """
+    workers = min(_cpus(), len(tasks))
+    if workers <= 1:
+        buf = scratch()
+        for task in tasks:
+            run(task, buf)
+        return
+    errors = {}
+
+    def work(w):
+        i = w
+        try:
+            buf = scratch()
+            for i in range(w, len(tasks), workers):
+                run(tasks[i], buf)
+        except BaseException as exc:  # re-raised by the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, w))
+               for w in range(1, workers)]
+    started = []
+    try:
+        for t in threads:
+            t.start()
+            started.append(t)
+        work(0)
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def anchored_overlap(x: float, y: float, anchor: float) -> float:
@@ -142,11 +202,13 @@ def _row_block_gram(xp, xm, yp, ym) -> np.ndarray:
     n, m = xp.shape[1], yp.shape[1]
     block = max(1, _GRAM_BLOCK // max(m, 1))
     G = np.empty((n, m))
-    t_buf = np.empty((min(n, block), m))
-    for i0 in range(0, n, block):
+
+    def fill(i0, t_buf):
         rows = slice(i0, min(i0 + block, n))
         g = G[rows]
         _fill_block(g, xp[:, rows], xm[:, rows], yp, ym, t_buf[: len(g)])
+
+    _split(fill, range(0, n, block), lambda: np.empty((min(n, block), m)))
     return G
 
 
@@ -155,18 +217,21 @@ def _symmetric_gram(xp, xm) -> np.ndarray:
     n = xp.shape[1]
     G = np.empty((n, n))
     side = min(n, _GRAM_TILE)
-    tile_buf, t_buf = np.empty((2, side, side))
-    for i0 in range(0, n, _GRAM_TILE):
+
+    def fill(corner, bufs):
+        i0, j0 = corner
         rows = slice(i0, min(i0 + _GRAM_TILE, n))
-        for j0 in range(0, i0 + 1, _GRAM_TILE):
-            cols = slice(j0, min(j0 + _GRAM_TILE, n))
-            shape = (rows.stop - i0, cols.stop - j0)
-            tile = tile_buf[: shape[0], : shape[1]]
-            _fill_block(tile, xp[:, rows], xm[:, rows], xp[:, cols], xm[:, cols],
-                        t_buf[: shape[0], : shape[1]])
-            G[rows, cols] = tile
-            if j0 < i0:
-                G[cols, rows] = tile.T
+        cols = slice(j0, min(j0 + _GRAM_TILE, n))
+        shape = (rows.stop - i0, cols.stop - j0)
+        tile = bufs[0, : shape[0], : shape[1]]
+        _fill_block(tile, xp[:, rows], xm[:, rows], xp[:, cols], xm[:, cols],
+                    bufs[1, : shape[0], : shape[1]])
+        G[rows, cols] = tile
+        if j0 < i0:
+            G[cols, rows] = tile.T
+
+    corners = [(i0, j0) for i0 in range(0, n, _GRAM_TILE) for j0 in range(0, i0 + 1, _GRAM_TILE)]
+    _split(fill, corners, lambda: np.empty((2, side, side)))
     return G
 
 
@@ -283,13 +348,17 @@ def _exactly_symmetric(G: np.ndarray) -> bool:
     temporary is made and both tiles are read from cache.
     """
     n = G.shape[0]
-    for a in range(0, n, _SYM_TILE):
-        rows = slice(a, a + _SYM_TILE)
-        for c in range(a, n, _SYM_TILE):
-            cols = slice(c, c + _SYM_TILE)
+    symmetric = [True]
+
+    def compare(corner, _):
+        # once a pair differs the verdict is known; the flag only goes False
+        if symmetric[0]:
+            rows, cols = (slice(a, a + _SYM_TILE) for a in corner)
             if not np.array_equal(G[rows, cols], G[cols, rows].T):
-                return False
-    return True
+                symmetric[0] = False
+
+    _split(compare, [(a, c) for a in range(0, n, _SYM_TILE) for c in range(a, n, _SYM_TILE)])
+    return symmetric[0]
 
 
 def gram_matrix(kernel, xs) -> np.ndarray:
@@ -311,28 +380,14 @@ def gram_matrix(kernel, xs) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def _shifted(G: np.ndarray, shift: float, out: np.ndarray | None = None) -> np.ndarray:
-    """G + shift*I, written into a copy of G (or into ``out``).
-
-    Off the diagonal this is G itself, as G + 0.0 would be.
-    """
-    if out is None:
-        out = G.copy()
-    else:
-        np.copyto(out, G)
-    with np.errstate(over="ignore"):  # _solve_regularized checks the diagonal
-        out.flat[:: G.shape[0] + 1] += shift
-    return out
-
-
-def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarray | None = None):
+def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarray):
     """Cholesky solve of (G + shift*I) c = rhs with escalating jitter.
 
     G and rhs must be finite (``fit_map`` and ``SampleSet`` check them), so
     scipy's own scans are skipped; only the diagonal, which the shift and
-    the jitter change, is checked here.  Returns c, the jitter and
-    G + shift*I, the matrix of the residual, written into ``A`` (a new
-    array when None).
+    the jitter change, is checked here.  ``A`` is an n x n work buffer that
+    receives G + (shift + jitter)*I and then its factor; G is only read.
+    Returns c and the jitter.
     """
     # the one scipy use in the package, imported here so that only a
     # regression loads scipy
@@ -344,7 +399,10 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarr
         base = 1.0
     jitter = 0.0
     while True:
-        A = _shifted(G, shift + jitter, A)
+        # off the diagonal A is G itself, as G + 0.0 would be
+        np.copyto(A, G)
+        with np.errstate(over="ignore"):  # checked on the next line
+            A.flat[:: n + 1] += shift + jitter
         if not np.isfinite(A.diagonal()).all():
             raise ConfigInvalid("the kernel matrix plus the shift n * lambda "
                                 "overflows the float range")
@@ -352,16 +410,13 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarr
             # G is exactly symmetric, so A.T is the same matrix in Fortran
             # order, which LAPACK factors in place instead of in a copy
             factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
-            c = cho_solve(factor, rhs, check_finite=False)
-            break
+            return cho_solve(factor, rhs, check_finite=False), jitter
         except np.linalg.LinAlgError:
             jitter = _JITTER_START * base if jitter == 0.0 else jitter * 10.0
             if jitter > _JITTER_LIMIT * base * (1.0 + 1e-12):
                 raise SolveFailed(
                     f"factorization failed up to jitter {_JITTER_LIMIT:g} * trace/n"
                 ) from None
-    # the factor has taken A's place
-    return c, jitter, _shifted(G, shift, A)
 
 
 def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
@@ -383,7 +438,8 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
 
     ``lambdas`` is a scalar or one positive value per output.  Outputs are
     fitted independently; with a common regularization weight all columns
-    reuse a single factorization.
+    reuse a single factorization, and otherwise the per-output solves are
+    split across the CPUs.
     """
     Y = samples.outputs
     if Y.ndim == 1:
@@ -406,18 +462,19 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
     if not np.isfinite(shifts).all():
         raise ConfigInvalid("the shift n * lambda overflows the float range")
     if np.all(lam_arr == lam_arr[0]):
-        C, jitter, A = _solve_regularized(G, shifts[0], Y)
-        residuals = [_relative_residual(A, C[:, l], Y[:, l]) for l in range(L)]
+        C, jitter = _solve_regularized(G, shifts[0], Y, np.empty(G.shape))
     else:
         C = np.empty(Y.shape)
-        residuals = []
-        jitter = 0.0
-        A = None  # one n x n buffer serves every column's shifted matrix
-        for l in range(L):
-            c, jit, A = _solve_regularized(G, shifts[l], Y[:, l], A)
-            C[:, l] = c
-            residuals.append(_relative_residual(A, C[:, l], Y[:, l]))
-            jitter = max(jitter, jit)
+        jitters = [0.0] * L
+
+        def solve(l, A):
+            C[:, l], jitters[l] = _solve_regularized(G, shifts[l], Y[:, l], A)
+
+        # one n x n buffer per worker serves its outputs' shifted matrices
+        _split(solve, range(L), lambda: np.empty(G.shape))
+        jitter = max(jitters)
+    # every solve has returned, so G's diagonal may now be shifted in place
+    residuals = _relative_residuals(G, shifts, C, Y)
     return FittedModel(
         coefficients=C,
         kernel=kernel,
@@ -429,11 +486,24 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
     )
 
 
-def _relative_residual(A, c, y) -> float:
-    """||A c - y|| / ||y|| (absolute when y = 0), with A = G + shift*I."""
-    r = A @ c - y
-    ny = float(np.linalg.norm(y))
-    return float(np.linalg.norm(r)) / ny if ny > 0 else float(np.linalg.norm(r))
+def _relative_residuals(G, shifts, C, Y) -> list[float]:
+    """||A c_l - y_l|| / ||y_l|| per output l (absolute when y_l = 0), A = G + shifts[l]*I.
+
+    A is G with its diagonal shifted in place, which is restored afterwards,
+    so A has the entries and layout of a shifted copy without the copy.
+    """
+    diag = G.diagonal().copy()
+    step = G.shape[0] + 1
+    residuals = []
+    try:
+        for l in range(C.shape[1]):
+            G.flat[::step] = diag + shifts[l]
+            r = G @ C[:, l] - Y[:, l]
+            ny = float(np.linalg.norm(Y[:, l]))
+            residuals.append(float(np.linalg.norm(r)) / ny if ny > 0 else float(np.linalg.norm(r)))
+    finally:
+        G.flat[::step] = diag
+    return residuals
 
 
 def predict(model: FittedModel, x) -> float | np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 import tensorsplit.cli
 import tensorsplit.decomp
 import tensorsplit.epsdim
+import tensorsplit.regress
 import tensorsplit.sensitivity
 from tensorsplit.cli import _build_parser, _fmt, _index_json, _json_render, _omega_json, main
 from tensorsplit.decomp import MAX_DECOMP_DIM, decompose
@@ -319,23 +320,36 @@ class TestErrors:
     @pytest.mark.parametrize("extra,message", [
         ({"kernel": {"type": "anchored", "scales": [1e308, 1e308]}},
          "the kernel matrix has non-finite entries"),
+        ({"kernel": {"type": "anchored", "scales": [1e308, 1e308]}, "n": 500},
+         "the kernel matrix has non-finite entries"),
+        ({"kernel": {"type": "anchored", "scales": [1e308, 1e308]}, "n": 500, "holdout": 2000},
+         "the kernel matrix has non-finite entries"),
         ({"lambda": 1e307}, "the shift n * lambda overflows the float range"),
         ({"lambda": [1e-3, 1e307], "outputs": 2}, "the shift n * lambda overflows the float range"),
-    ], ids=["kernel-matrix", "shift", "per-output-shift"])
-    def test_regress_overflow_rejected(self, tmp_path, capsys, extra, message):
+    ], ids=["kernel-matrix", "kernel-matrix-3-tile-rows", "kernel-matrix-2000-holdout",
+            "shift", "per-output-shift"])
+    def test_regress_overflow_rejected(self, tmp_path, capsys, monkeypatch, extra, message):
         """A kernel matrix or a shift n * lambda past the float range is one
-        error line and exit 2, not scipy's finiteness traceback."""
+        error line and exit 2, not scipy's finiteness traceback, and no
+        RuntimeWarning, also with the Gram split over two workers."""
+        monkeypatch.setattr(tensorsplit.regress, "_cpus", lambda: 2)
         rng = np.random.default_rng(5)
-        outputs = extra.pop("outputs", 1)
-        y = rng.normal(size=(20, outputs)) if outputs > 1 else rng.normal(size=20)
-        cfg = {"samples": {"inputs": rng.uniform(0, 1, (20, 2)).tolist(), "outputs": y.tolist()},
+        extra = dict(extra)
+        outputs, n = extra.pop("outputs", 1), extra.pop("n", 20)
+        y = rng.normal(size=(n, outputs)) if outputs > 1 else rng.normal(size=n)
+        cfg = {"samples": {"inputs": rng.uniform(0, 1, (n, 2)).tolist(), "outputs": y.tolist()},
                "lambda": 1e-3} | extra
+        if "holdout" in extra:
+            m = extra["holdout"]
+            cfg["holdout"] = {"inputs": rng.uniform(0, 1, (m, 2)).tolist(),
+                              "outputs": rng.normal(size=m).tolist()}
         path, out = tmp_path / "cfg.json", tmp_path / "out.json"
         path.write_text(json.dumps(cfg))
-        assert run_cli("regress", path, out) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("regress", path, out) == 2
         assert not out.exists()
-        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-        assert errors == [f"error: ConfigInvalid: {message}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: ConfigInvalid: {message}"]
 
     def test_regress_shifted_diagonal_overflow_rejected(self, tmp_path, capsys):
         """Kernel diagonal 5e307 and shift 1.78e308 are finite; their sum is not."""
@@ -850,6 +864,26 @@ class TestJsonRender:
         assert _json_render(values) == expected
         assert _json_render({"a": values}).endswith('"inf",\n    "-inf",\n    "nan"\n  ]\n}')
 
+    def test_float_rows_match_format(self):
+        """Rows of floats, written in one format call when every element is
+        finite, read as ``format(v, ".17g")`` element by element."""
+        rng = np.random.default_rng(59)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                    -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 2.0 ** 53 + 1.0]
+        rows = [specials, [1e308, 1e308], [0.5, float("nan")], [float("inf"), -1.0],
+                [float("-inf")], [-0.0], (rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)).tolist()]
+        rows += rng.normal(size=(20, 3)).tolist()
+
+        def cell(v):
+            text = format(v, ".17g")
+            return json.dumps(text) if text in ("inf", "-inf", "nan") else text
+
+        expected = "{\n  \"c\": [\n" + ",\n".join(
+            "    [\n" + ",\n".join("      " + cell(v) for v in row) + "\n    ]" for row in rows
+        ) + "\n  ]\n}"
+        assert _json_render({"c": rows}) == expected
+        assert _json_render(specials) == "[\n" + ",\n".join("  " + cell(v) for v in specials) + "\n]"
+
 
 class TestRowRendering:
     """Index and support cells are built without json.dumps; they must read
@@ -1026,6 +1060,49 @@ class TestDeterminism:
         assert run_cli(command, CONFIG_DIR / config, out1) == 0
         assert run_cli(command, CONFIG_DIR / config, out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_regress_same_bytes_on_one_cpu(self, tmp_path):
+        """A regress run over several Gram tiles, holdout row blocks and
+        per-output solves writes the same bytes in a process pinned to one
+        CPU, in an unpinned one and in one made to use two workers.  BLAS
+        runs one thread in each, as in the benchmark: its own thread count
+        changes the last bits of the factorization."""
+        rng = np.random.default_rng(53)
+        n = 2 * 192 + 37
+        cfg = {"samples": {"inputs": rng.uniform(0, 1, (n, 3)).tolist(),
+                           "outputs": rng.normal(size=(n, 3)).tolist()},
+               "holdout": {"inputs": rng.uniform(0, 1, (300, 3)).tolist(),
+                           "outputs": rng.normal(size=(300, 3)).tolist()},
+               "kernel": {"type": "anchored", "scales": [1.0, 0.35, 2.7]},
+               "lambda": [1e-3, 0.2, 1e-5]}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        script = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'pinned':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import tensorsplit.regress\n"
+            "from tensorsplit.cli import main\n"
+            "if sys.argv[1] == 'two':\n"
+            "    tensorsplit.regress._cpus = lambda: 2\n"
+            "print(tensorsplit.regress._cpus())\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(tensorsplit.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        workers, artifacts = {}, {}
+        for mode in ("pinned", "unpinned", "two"):
+            out = tmp_path / f"{mode}.json"
+            proc = subprocess.run([sys.executable, "-c", script, mode, "regress", "--config",
+                                   str(config), "--out", str(out)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            workers[mode], artifacts[mode] = int(proc.stdout), out.read_bytes()
+        assert workers["pinned"] == 1 and workers["two"] == 2
+        assert artifacts["pinned"] == artifacts["unpinned"] == artifacts["two"]
 
 
 class TestGolden:

@@ -1,5 +1,9 @@
 """Kernel least-squares: Gram matrices, fits, maps, optimality."""
 
+import itertools
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -412,3 +416,149 @@ class TestFitIsFitMapColumn:
         self.assert_same(samples, TestJitter.kernel(5e-9), 1e-12)
         assert fit(samples, TestJitter.kernel(5e-9), 1e-12).jitter > 0.0
 
+
+
+class TestSplitAcrossCPUs:
+    """The Gram tiles, the holdout row blocks, the symmetry check and the
+    per-output solves give the same bits on any number of workers."""
+
+    @staticmethod
+    def workers(monkeypatch, count):
+        monkeypatch.setattr(tensorsplit.regress, "_cpus", lambda: count)
+
+    @staticmethod
+    def run_all(X, H, Y, lambdas):
+        k = AnchoredKernel(3, anchor=0.4, scales=[1.0, 0.35, 2.7])
+        G = k.gram(X, X)
+        bent = G.copy()
+        bent[-1, 3] = np.nextafter(bent[-1, 3], 2.0)
+        model = fit_map(SampleSet(X, Y), k, lambdas)
+        return {
+            "gram": G,
+            "holdout": k.gram(H, X),
+            "verdicts": (tensorsplit.regress._exactly_symmetric(G),
+                         tensorsplit.regress._exactly_symmetric(bent)),
+            "coefficients": model.coefficients,
+            "fitted": model.fitted,
+            "residual": model.residual,
+            "jitter": model.jitter,
+            "predict": predict(model, H),
+        }
+
+    def test_same_bits_on_one_and_more_workers(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        n = 2 * _GRAM_TILE + 37
+        X = rng.uniform(0, 1, (n, 3))
+        H = rng.uniform(0, 1, (300, 3))
+        Y = rng.normal(size=(n, 3))
+        lambdas = [1e-3, 0.2, 1e-5]
+        threads = set()
+        fill = tensorsplit.regress._fill_block
+        monkeypatch.setattr(tensorsplit.regress, "_fill_block",
+                            lambda *a: threads.add(threading.current_thread().name) or fill(*a))
+        results = {}
+        old_interval = sys.getswitchinterval()
+        try:
+            # a short switch interval and more workers than CPUs interleave the workers often
+            sys.setswitchinterval(1e-5)
+            for count in (1, 2, 5):
+                self.workers(monkeypatch, count)
+                threads.clear()
+                results[count] = self.run_all(X, H, Y, lambdas)
+                # the six tiles of the training Gram alone use min(count, 6) workers
+                assert len(threads) >= count and (count > 1) == (len(threads) > 1)
+        finally:
+            sys.setswitchinterval(old_interval)
+        one = results[1]
+        assert one["verdicts"] == (True, False)
+        assert one["jitter"] == 0.0
+        assert np.array_equal(one["fitted"], one["gram"] @ one["coefficients"])
+        for count in (2, 5):
+            other = results[count]
+            assert other.keys() == one.keys()
+            for key, value in one.items():
+                if isinstance(value, np.ndarray):
+                    assert value.shape == other[key].shape, key
+                    assert (value == other[key]).all(), key
+                else:
+                    assert value == other[key], key
+
+    def test_jitter_same_on_one_and_two_workers(self, monkeypatch):
+        samples = SampleSet(np.array([[0.2], [0.7]]), np.array([[1.0, 2.0], [2.0, -1.0]]))
+        models = []
+        for count in (1, 2):
+            self.workers(monkeypatch, count)
+            models.append(fit_map(samples, TestJitter.kernel(5e-9), [1e-12, 2e-12]))
+        assert models[0].jitter > 0.0
+        assert models[0].jitter == models[1].jitter
+        assert models[0].residual == models[1].residual
+        assert np.array_equal(models[0].coefficients, models[1].coefficients)
+
+    #: Gram [[5e307, 6e307], [6e307, 5e307]] on two points: lambda 1e307 fits;
+    #: 7.5e307 makes the shifted diagonal overflow; 1.0 leaves the matrix
+    #: indefinite up to the largest jitter
+    LAMBDAS = {"ok": 1e307, "overflow": 7.5e307, "indefinite": 1.0}
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(LAMBDAS)),
+                             ids=lambda order: "-".join(order))
+    def test_lowest_failing_output_raises(self, monkeypatch, order):
+        """Two outputs fail with different errors; every worker count raises
+        the error of the first failing output, as one worker does, and
+        leaves no thread behind."""
+        kernel = CustomKernel(1, lambda x, y: 5e307 if x[0] == y[0] else 6e307)
+        samples = SampleSet(np.array([[0.2], [0.7]]), np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]))
+        lambdas = [self.LAMBDAS[name] for name in order]
+        expected = {"overflow": ConfigInvalid, "indefinite": SolveFailed}[
+            next(name for name in order if name != "ok")]
+        raised = []
+        for count in (1, 2, 3):
+            self.workers(monkeypatch, count)
+            before = threading.active_count()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises((ConfigInvalid, SolveFailed)) as info:
+                    fit_map(samples, kernel, lambdas)
+            assert threading.active_count() == before
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0][0] is expected
+        assert raised[1] == raised[0] and raised[2] == raised[0]
+
+    def test_no_thread_left_behind(self, monkeypatch):
+        """gram, fit_map and predict join their workers, also when one raises."""
+        self.workers(monkeypatch, 2)
+        rng = np.random.default_rng(43)
+        X = rng.uniform(0, 1, (2 * _GRAM_TILE + 37, 2))
+        samples = SampleSet(X, rng.normal(size=(len(X), 2)))
+        k = AnchoredKernel(2)
+        before = threading.active_count()
+        model = fit_map(samples, k, [1e-3, 1e-2])
+        predict(model, rng.uniform(0, 1, (500, 2)))
+        k.gram(X, X)
+        assert threading.active_count() == before
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return fill(*args)
+
+        fill = tensorsplit.regress._fill_block
+        monkeypatch.setattr(tensorsplit.regress, "_fill_block", failing)
+        for call in (lambda: k.gram(X, X), lambda: fit_map(samples, k, [1e-3, 1e-2]),
+                     lambda: predict(model, X[_GRAM_TILE:])):
+            with pytest.raises(RuntimeError, match="worker failed"):
+                call()
+            assert threading.active_count() == before
+
+    def test_overflow_on_several_tiles(self, monkeypatch):
+        """Overflowing kernel entries over three tile rows and a 2000-row
+        holdout matrix are inf on two workers, without a RuntimeWarning."""
+        self.workers(monkeypatch, 2)
+        rng = np.random.default_rng(47)
+        X = rng.uniform(0, 1, (500, 2))
+        k = AnchoredKernel(2, scales=[1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigInvalid, match="non-finite entries"):
+                fit_map(SampleSet(X, rng.normal(size=500)), k, 1e-3)
+            holdout = k.gram(rng.uniform(0, 1, (2000, 2)), X)
+        assert np.isinf(holdout).any()
