@@ -146,8 +146,11 @@ class EpsDimResult:
         coordinates <= d for each d in ``ds``; d0, the set's largest
         coordinate, is the smallest d whose row equals the full one.  The d
         rows are prefix sums of the dimensions of the members, which are
-        sorted by max_coord.
+        sorted by max_coord.  A counted result (no ``index_set``) has no
+        members to read, so it raises ``ValueError``.
         """
+        if self.index_set is None:
+            raise ValueError("a counted result lists no members; enumerate the set for a table")
         for eps in eps_list:
             eps2 = _threshold(eps)
             if eps < self.eps:

@@ -13,10 +13,12 @@ to the anchor (zero when the arguments lie on opposite sides).
 scipy is imported by the solve alone, so importing this module (and the
 CLI) loads numpy but not scipy.
 
-The Gram tiles, the holdout row blocks, the symmetry check and the
-per-output solves are split across the CPUs this process may run on
-(``_split``).  Each piece is computed exactly as in a serial loop, so the
-results have the same bits on any number of CPUs.
+The tiles of the training Gram and the row blocks of any other kernel
+matrix are filled on all the CPUs this process may run on (``_split``),
+each exactly as in a serial loop, so the results have the same bits on any
+number of CPUs.  The symmetry check and the solves run on the calling
+thread: scipy's LAPACK wrappers hold the GIL, so solves in threads would
+gain nothing and cost one n x n buffer per thread.
 """
 
 from __future__ import annotations
@@ -53,12 +55,10 @@ _JITTER_LIMIT = 1e-6
 #: entries of one row block (256 KiB) in the Gram builder: a block and its
 #: work buffer stay in cache across the coordinate passes
 _GRAM_BLOCK = 1 << 15
-#: side of the square tiles of the symmetric Gram builder (288 KiB each): a
-#: tile and its work buffer stay in cache across the coordinate passes
+#: side of the square tiles of the symmetric Gram builder and the symmetry
+#: check (288 KiB each): a tile and its work buffer, or its mirror, stay in
+#: cache
 _GRAM_TILE = 192
-#: side of the square tiles of the symmetry check (512 KiB each): a tile and
-#: its mirror stay in cache while they are compared
-_SYM_TILE = 256
 
 
 def _cpus() -> int:
@@ -66,15 +66,15 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _split(run, tasks: Sequence, scratch=lambda: None) -> None:
+def _split(run, tasks: Sequence, scratch) -> None:
     """``run(task, buf)`` for every task, the tasks dealt round-robin to the CPUs.
 
-    The calling thread takes tasks 0, w, 2w, ... and one thread for each
-    further CPU this process may run on takes the others, with w workers,
-    never more than there are tasks.  Each worker makes one ``buf =
-    scratch()`` for all its tasks.  With one worker this is a plain loop
-    that starts no thread.  The tasks must be independent, so that every
-    split gives the loop's result.
+    Only the two Gram fills call this.  The calling thread takes tasks 0,
+    w, 2w, ... and one thread for each further CPU this process may run on
+    takes the others, with w workers, never more than there are tasks.
+    Each worker makes one ``buf = scratch()`` for all its tasks.  With one
+    worker this is a plain loop that starts no thread.  The tasks must be
+    independent, so that every split gives the loop's result.
 
     Workers run in copies of the caller's context, which holds numpy's
     error state.  Every thread is joined before this returns, also on an
@@ -330,7 +330,14 @@ class FittedModel:
 
 
 def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """K[i, j] = kernel(X[i], Y[j]); batched when the kernel has ``gram``."""
+    """K[i, j] = kernel(X[i], Y[j]); batched when the kernel has ``gram``.
+
+    Every point must have exactly ``kernel.dim`` coordinates.
+    """
+    for P in (X, Y):
+        if P.shape[1] != kernel.dim:
+            raise ConfigInvalid(f"points have {P.shape[1]} coordinates, "
+                                f"the kernel {kernel.dim}")
     if hasattr(kernel, "gram"):
         return kernel.gram(X, Y)
     K = np.empty((X.shape[0], Y.shape[0]))
@@ -344,21 +351,12 @@ def _exactly_symmetric(G: np.ndarray) -> bool:
     """``np.array_equal(G, G.T)`` for a square G, one tile pair at a time.
 
     Each tile on or above the diagonal is compared with the transpose of
-    its mirror tile, so every entry is still compared, but no n x n
-    temporary is made and both tiles are read from cache.
+    its mirror tile, so no n x n temporary is made and both tiles are read
+    from cache; the check stops at the first pair that differs.
     """
-    n = G.shape[0]
-    symmetric = [True]
-
-    def compare(corner, _):
-        # once a pair differs the verdict is known; the flag only goes False
-        if symmetric[0]:
-            rows, cols = (slice(a, a + _SYM_TILE) for a in corner)
-            if not np.array_equal(G[rows, cols], G[cols, rows].T):
-                symmetric[0] = False
-
-    _split(compare, [(a, c) for a in range(0, n, _SYM_TILE) for c in range(a, n, _SYM_TILE)])
-    return symmetric[0]
+    n, t = G.shape[0], _GRAM_TILE
+    return all(np.array_equal(G[a:a + t, c:c + t], G[c:c + t, a:a + t].T)
+               for a in range(0, n, t) for c in range(a, n, t))
 
 
 def gram_matrix(kernel, xs) -> np.ndarray:
@@ -438,8 +436,8 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
 
     ``lambdas`` is a scalar or one positive value per output.  Outputs are
     fitted independently; with a common regularization weight all columns
-    reuse a single factorization, and otherwise the per-output solves are
-    split across the CPUs.
+    reuse a single factorization, and otherwise the outputs are solved one
+    after the other on the calling thread, in one n x n buffer.
     """
     Y = samples.outputs
     if Y.ndim == 1:
@@ -464,14 +462,9 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
     if np.all(lam_arr == lam_arr[0]):
         C, jitter = _solve_regularized(G, shifts[0], Y, np.empty(G.shape))
     else:
-        C = np.empty(Y.shape)
-        jitters = [0.0] * L
-
-        def solve(l, A):
+        A, C, jitters = np.empty(G.shape), np.empty(Y.shape), [0.0] * L
+        for l in range(L):
             C[:, l], jitters[l] = _solve_regularized(G, shifts[l], Y[:, l], A)
-
-        # one n x n buffer per worker serves its outputs' shifted matrices
-        _split(solve, range(L), lambda: np.empty(G.shape))
         jitter = max(jitters)
     # every solve has returned, so G's diagonal may now be shifted in place
     residuals = _relative_residuals(G, shifts, C, Y)
@@ -521,14 +514,7 @@ def predict(model: FittedModel, x) -> float | np.ndarray:
 def objective(model: FittedModel, samples: SampleSet, coefficients=None) -> float:
     """The penalized sample error at given (default: fitted) coefficients."""
     c = model.coefficients if coefficients is None else np.asarray(coefficients)
-    G = gram_matrix(model.kernel, samples.inputs)
-    Y = samples.outputs
-    if c.ndim == 1:
-        fit_vals = G @ c
-        data = float(np.sum((Y - fit_vals) ** 2)) / samples.n
-        smooth = float(model.lam) * float(c @ G @ c)
-        return data + smooth
-    fit_vals = G @ c
-    data = float(np.sum((Y - fit_vals) ** 2)) / samples.n
-    smooth = float(np.sum(model.lam * np.einsum("il,il->l", c, G @ c)))
-    return data + smooth
+    Gc = gram_matrix(model.kernel, samples.inputs) @ c
+    data = float(np.sum((samples.outputs - Gc) ** 2)) / samples.n
+    # c_l . (G c_l) per output column, or one number for a vector c
+    return data + float(np.sum(model.lam * np.einsum("i...,i...->...", c, Gc)))

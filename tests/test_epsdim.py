@@ -446,6 +446,14 @@ class TestSplineCounting:
         enumerated = eps_dimension(SplineWeights(gamma, 1.0, 1e-200), UnitWeights(), 0.5, SplineDims())
         assert counted.n == enumerated.n
 
+    def test_counted_result_has_no_table(self):
+        """The counting route lists no members, so its table would read
+        n = 0 and d0 = 0 on every row; it is refused instead."""
+        counted = spline_eps_dimension(ProductGamma(PowerSeq(1, 2)), 1.0, 1.0, 0.05)
+        assert counted.n == 41 and counted.index_set is None
+        with pytest.raises(ValueError, match="counted result"):
+            next(counted.table([0.05], [1, 2]))
+
 
 class TestRejectedArguments:
     """A NaN eps fails every ``c >= eps**2`` test, so a scan for it would

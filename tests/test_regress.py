@@ -17,7 +17,6 @@ from tensorsplit.regress import (
     SampleSet,
     TensorProductKernel,
     _GRAM_TILE,
-    _SYM_TILE,
     anchored_overlap,
     fit,
     fit_map,
@@ -70,12 +69,14 @@ class TestGramMatrix:
     def test_asymmetry_in_off_diagonal_tile(self, delta, asymmetric):
         """The tiled symmetry check sees an entry far from the diagonal tiles:
         above the tolerance it is an error, below it G is symmetrized."""
-        n = _SYM_TILE + 10
+        n = _GRAM_TILE + 10
         X = np.random.default_rng(31).uniform(0, 1, (n, 2))
         G = AnchoredKernel(2).gram(X, X)
         G[3, n - 2] += delta
 
         class Fixed:
+            dim = 2
+
             def gram(self, X, Y):
                 return G.copy()
 
@@ -318,6 +319,31 @@ class TestSampleValidation:
             SampleSet(np.array([[0.5]]), np.array([1.0, 2.0]))
 
 
+class TestPointDimension:
+    """Points with more or fewer coordinates than the kernel are refused,
+    not cut to the kernel's coordinates or left to numpy's broadcasting."""
+
+    @staticmethod
+    def model():
+        X = np.random.default_rng(53).uniform(0, 1, (8, 3))
+        return fit(SampleSet(X, X.sum(axis=1)), AnchoredKernel(3), 0.1)
+
+    @pytest.mark.parametrize("point", [[0.5, 0.5], [0.5, 0.5, 0.5, -7.0]], ids=["2", "4"])
+    def test_predict(self, point):
+        model = self.model()
+        with pytest.raises(ConfigInvalid, match=f"points have {len(point)} coordinates, "
+                                                "the kernel 3"):
+            predict(model, point)
+        with pytest.raises(ConfigInvalid, match=f"have {len(point)} coordinates"):
+            predict(model, [point, point])
+        assert isinstance(predict(model, [0.5, 0.5, 0.5]), float)
+
+    def test_fit_on_extra_column(self):
+        X = np.random.default_rng(59).uniform(0, 1, (8, 4))
+        with pytest.raises(ConfigInvalid, match="points have 4 coordinates, the kernel 3"):
+            fit(SampleSet(X, X.sum(axis=1)), AnchoredKernel(3), 0.1)
+
+
 class TestFittedValues:
     """``fitted`` and ``residual`` reuse the training Gram without changing a bit."""
 
@@ -419,8 +445,9 @@ class TestFitIsFitMapColumn:
 
 
 class TestSplitAcrossCPUs:
-    """The Gram tiles, the holdout row blocks, the symmetry check and the
-    per-output solves give the same bits on any number of workers."""
+    """The Gram tiles and the holdout row blocks are filled on all workers,
+    the symmetry check and the per-output solves on the calling thread; the
+    bits are the same on any number of workers."""
 
     @staticmethod
     def workers(monkeypatch, count):
@@ -548,6 +575,36 @@ class TestSplitAcrossCPUs:
             with pytest.raises(RuntimeError, match="worker failed"):
                 call()
             assert threading.active_count() == before
+
+    def test_per_output_solves_on_the_calling_thread(self, monkeypatch):
+        """With two CPUs, per-output lambdas still solve every output on the
+        calling thread, one after the other."""
+        self.workers(monkeypatch, 2)
+        solve = tensorsplit.regress._solve_regularized
+        callers = []
+        monkeypatch.setattr(tensorsplit.regress, "_solve_regularized",
+                            lambda *a: callers.append(threading.get_ident()) or solve(*a))
+        rng = np.random.default_rng(61)
+        X = rng.uniform(0, 1, (40, 2))
+        fit_map(SampleSet(X, rng.normal(size=(40, 3))), AnchoredKernel(2), [1e-3, 0.2, 1e-5])
+        assert callers == [threading.get_ident()] * 3
+
+    def test_symmetry_check_starts_no_thread(self, monkeypatch):
+        """With two CPUs, the check of a matrix over several tiles runs on
+        the calling thread."""
+        self.workers(monkeypatch, 2)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: started.append(t) or start(t))
+        n = _GRAM_TILE + 100
+        G = np.arange(n * n, dtype=float).reshape(n, n)
+        G = G + G.T
+        bent = G.copy()
+        bent[n - 1, 3] += 1.0
+        assert tensorsplit.regress._exactly_symmetric(G)
+        assert not tensorsplit.regress._exactly_symmetric(bent)
+        assert started == []
 
     def test_overflow_on_several_tiles(self, monkeypatch):
         """Overflowing kernel entries over three tile rows and a 2000-row

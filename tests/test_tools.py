@@ -1,5 +1,5 @@
-"""Smoke tests of tools/artifact_digests.py and of the benchmark's tracer,
-run in this process."""
+"""Smoke tests of tools/artifact_digests.py, tools/bench_summary.py and the
+benchmark's tracer, run in this process."""
 
 import importlib.util
 import json
@@ -89,3 +89,60 @@ def test_tracer_sees_the_decomposition(tmp_path, monkeypatch, command, stem):
     reached = len(decompose(f, cfg.get("mode", command)))
     assert [span[0] for span in tracer.spans].count("decomp.decompose") == 1
     assert tracer.counts["decomp.supports"] == reached
+
+
+def _report(path: Path, workload: str, seed: int, src_loc: int, rate: float, trace: int = 0):
+    meta = {"workload": workload, "seed": seed, "seconds": 30, "trace": trace, "src_loc": src_loc}
+    path.write_text(json.dumps({"meta": meta, "metrics": {"req_per_s": rate, "ok_frac": 1.0}}))
+    return path
+
+
+def test_bench_summary_on_synthetic_reports(tmp_path):
+    """Per workload and side: seeds, src_loc, median, quartiles and every
+    run in seed order; pairs count the seeds both sides ran."""
+    tool = _load(ROOT / "tools" / "bench_summary.py", "bench_summary")
+    parent = [_report(tmp_path / f"p{s}.json", "regress", s, 500, rate)
+              for s, rate in [(3, 30.0), (1, 10.0), (2, 20.0), (4, 40.0)]]
+    parent.append(_report(tmp_path / "pe.json", "epsdim", 1, 500, 7.0))
+    change = [_report(tmp_path / f"c{s}.json", "regress", s, 480, 11.0 * s) for s in (1, 2, 5)]
+    change.append(_report(tmp_path / "ce.json", "epsdim", 1, 480, 8.0))
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["--parent", *map(str, parent), "--change", *map(str, change),
+                      "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+
+    assert list(summary) == ["epsdim", "regress"]
+    regress = summary["regress"]
+    assert regress["pairs"] == 2
+    assert regress["parent"]["seeds"] == [1, 2, 3, 4]
+    assert regress["parent"]["src_loc"] == 500 and regress["change"]["src_loc"] == 480
+    assert regress["parent"]["metrics"]["req_per_s"] == {
+        "median": 25.0, "q1": 17.5, "q3": 32.5, "runs": [10.0, 20.0, 30.0, 40.0]}
+    assert regress["change"]["metrics"]["req_per_s"]["median"] == 22.0
+    assert regress["change"]["metrics"]["ok_frac"]["runs"] == [1.0] * 3
+    assert summary["epsdim"]["pairs"] == 1
+    assert summary["epsdim"]["change"]["metrics"]["req_per_s"] == {
+        "median": 8.0, "q1": 8.0, "q3": 8.0, "runs": [8.0]}
+
+
+@pytest.mark.parametrize("bad,message", [("traced", "a traced report"),
+                                         ("two src_loc", "disagree on src_loc"),
+                                         ("repeated seed", "a second change decomp report"),
+                                         ("one side", "no parent reports of regress")])
+def test_bench_summary_refuses(tmp_path, capsys, bad, message):
+    tool = _load(ROOT / "tools" / "bench_summary.py", "bench_summary")
+    parent = [_report(tmp_path / "p1.json", "decomp", 1, 500, 1.0)]
+    change = [_report(tmp_path / "c1.json", "decomp", 1, 480, 1.0)]
+    extra = _report(tmp_path / "x.json", *{"traced": ("decomp", 2, 480, 1.0, 1),
+                                           "two src_loc": ("decomp", 2, 481, 1.0),
+                                           "repeated seed": ("decomp", 1, 480, 1.0),
+                                           "one side": ("regress", 1, 480, 1.0)}[bad])
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["--parent", *map(str, parent), "--change", str(change[0]), str(extra),
+                      "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bench_summary: ") and message in err
+    assert not out.exists()
+    # the same reports without the bad one are summarized
+    assert tool.main(["--parent", *map(str, parent), "--change", str(change[0]),
+                      "--out", str(out)]) == 0

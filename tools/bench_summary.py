@@ -1,0 +1,97 @@
+"""Summarize parent and change benchmark runs into one ``BENCH_<n>.json``.
+
+Usage, from the root of a checkout::
+
+    python3 tools/bench_summary.py --parent p/*.json --change c/*.json --out BENCH_<n>.json
+
+Each input is a report file that ``perfbench/run.py --trace 0`` writes to
+``perfbench/out/<workload>_seed<seed>_trace0.json``; copy it away after each
+run, since the next run of the same workload and seed overwrites it.  The
+``--parent`` reports come from the commit before the change and the
+``--change`` reports from the change.  Per workload and side the output
+holds the seeds, the ``src_loc`` of that checkout, and for each end-to-end
+metric the median, the quartiles and every run's value in seed order.
+``pairs`` counts the seeds that both sides ran.  Only untraced reports are
+read: a traced run reports per-layer metrics from half the time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def _parse(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    for side in SIDES:
+        p.add_argument(f"--{side}", type=Path, nargs="+", required=True,
+                       help=f"report files of the {side} runs")
+    p.add_argument("--out", type=Path, required=True)
+    return p.parse_args(argv)
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _side(reports: list[dict]) -> dict:
+    """The summary of one side's reports of one workload, in seed order."""
+    reports = sorted(reports, key=lambda r: r["meta"]["seed"])
+    locs = {r["meta"]["src_loc"] for r in reports}
+    if len(locs) != 1:
+        raise ValueError(f"reports of one side disagree on src_loc: {sorted(locs)}")
+    names = list(reports[0]["metrics"])
+    if any(list(r["metrics"]) != names for r in reports):
+        raise ValueError("reports of one side list different metrics")
+    metrics = {}
+    for name in names:
+        runs = [r["metrics"][name] for r in reports]
+        metrics[name] = {**_quartiles(runs), "runs": runs}
+    return {"seeds": [r["meta"]["seed"] for r in reports], "src_loc": locs.pop(),
+            "metrics": metrics}
+
+
+def summarize(paths: dict[str, list[Path]]) -> dict:
+    """{workload: {"pairs", "parent", "change"}} from each side's report files."""
+    by_workload: dict = {}
+    for side, files in paths.items():
+        for path in files:
+            report = json.loads(path.read_text(encoding="utf-8"))
+            meta = report["meta"]
+            if meta["trace"]:
+                raise ValueError(f"{path}: a traced report; summarize --trace 0 runs")
+            runs = by_workload.setdefault(meta["workload"], {s: {} for s in SIDES})[side]
+            if meta["seed"] in runs:
+                raise ValueError(f"{path}: a second {side} {meta['workload']} report "
+                                 f"of seed {meta['seed']}")
+            runs[meta["seed"]] = report
+    summary = {}
+    for workload, sides in sorted(by_workload.items()):
+        missing = [side for side in SIDES if not sides[side]]
+        if missing:
+            raise ValueError(f"no {' or '.join(missing)} reports of {workload}")
+        summary[workload] = {"pairs": len(sides["parent"].keys() & sides["change"].keys()),
+                             **{side: _side(list(sides[side].values())) for side in SIDES}}
+    return summary
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    try:
+        summary = summarize({side: getattr(args, side) for side in SIDES})
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"bench_summary: {exc}", file=sys.stderr)
+        return 2
+    args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
