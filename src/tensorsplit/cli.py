@@ -76,6 +76,13 @@ def _json_render(obj, indent=0) -> str:
             else:
                 texts = [format(v, ".17g") for v in obj]
                 body = sep.join([_NONFINITE.get(t, t) for t in texts])
+        elif (type(obj[0]) is list and obj[0]
+              and all(type(r) is list and len(r) == len(obj[0]) for r in obj)
+              and all(type(v) is float for r in obj for v in r) and math.isfinite(sum(map(sum, obj)))):
+            # rows of one length of finite floats (a coefficient matrix):
+            # one "%.17g" template writes them all as the row path would
+            row = "[\n" + inner + "  " + (sep + "  ").join(("%.17g",) * len(obj[0])) + "\n" + inner + "]"
+            body = sep.join((row,) * len(obj)) % tuple(v for r in obj for v in r)
         else:
             body = sep.join([_json_render(v, indent + 1) for v in obj])
         return "[\n" + inner + body + "\n" + pad + "]"

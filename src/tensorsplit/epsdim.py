@@ -7,19 +7,22 @@ over the index tree prunes branches with a certified bound on how much the
 ratio can still grow when new coordinates enter, so the returned set is the
 full threshold set, not a heuristic approximation.
 
-For dyadic mixed-smoothness weights with a common smoothness exponent the
-set can instead be counted support by support: all indices sharing a support
-and an excess level total carry the same ratio, and their number is a
-binomial coefficient.  ``spline_eps_dimension`` does this counting and also
-reports the coarser closed-form bound in which the per-(support, excess)
-population is replaced by |support|**excess.
+For level-graded pairs (unit weights and common-smoothness spline weights,
+scaled or not) the set is instead counted in groups: all indices sharing a
+support and a total level carry the same ratio and meet the same tests, and
+their number is a binomial coefficient.  ``eps_dimension`` walks these
+groups for such pairs, and ``spline_eps_dimension`` counts with the same
+walk and also reports the coarser closed-form bound in which the
+per-(support, excess) population is replaced by |support|**excess.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigInvalid, EnumerationCap, NotCompact, TailUnavailable
 from .gammas import GammaModel, ProductGamma
@@ -57,7 +60,8 @@ DEFAULT_CAP = 10_000_000
 COORD_GUARD = 10_000_000
 _GUARD_HIT = "coordinate scan exceeded the hard guard"
 _ABOVE_ONE = "entry multipliers stay above 1 for arbitrarily large coordinates"
-#: most supports ``spline_eps_dimension`` scans before raising EnumerationCap
+#: most supports (the empty one too) a grouped walk reaches before raising
+#: EnumerationCap
 SUPPORT_CAP = 1_000_000
 
 
@@ -88,6 +92,11 @@ class SplineDims(DimensionModel):
         return 1 if j == 0 else 2 ** (j - 1)
 
 
+#: subspace dimension of every index with ``size`` active coordinates and
+#: total level ``total``, for the dimension models where it depends on no more
+_GROUP_DIM = {AllOneDims: lambda size, total: 1, SplineDims: lambda size, total: 2 ** (total - size)}
+
+
 def dims_from_json(obj) -> DimensionModel:
     if obj == "all_one":
         return AllOneDims()
@@ -109,24 +118,37 @@ def _check_restriction(d: int):
 
 
 class ThresholdSet(IndexSet):
-    """A threshold set that keeps the comparison ratio of each member."""
+    """A threshold set that keeps the comparison ratio of each member.
 
-    def __init__(self, ratios: dict[IndexVector, float]):
-        super().__init__(ratios)
-        self.ratios = ratios
+    ``ratios`` is that dict, or a function returning it, called when the
+    set is first read.
+    """
+
+    def __init__(self, ratios):
+        self._ratios = ratios
+
+    @cached_property
+    def ratios(self) -> dict[IndexVector, float]:
+        return self._ratios() if callable(self._ratios) else self._ratios
+
+    @cached_property
+    def members(self):
+        return frozenset(self.ratios)
 
 
 @dataclass(frozen=True)
 class EpsDimResult:
     """Exact dimension count for one threshold level.
 
-    ``index_set`` is materialized for enumerative computations and None for
-    the counting route; ``coarse_bound`` carries the coarser closed-form
-    upper bound where available.  ``members`` holds the
-    ``(max_coord, subspace dimension, ratio)`` of each member of an
-    enumerated set, sorted by max_coord: ``n`` is the sum of its dimensions
-    and ``table`` reads it, including the counts over the coordinates <= d
-    and the coordinate d0 where they stabilize (``index_set.max_coord``).
+    ``index_set`` is the threshold set (on the grouped route built when
+    first read) and None for ``spline_eps_dimension``; ``coarse_bound``
+    carries the coarser closed-form upper bound where available.
+    ``members`` holds member groups ``(max_coord, dimension sum, count,
+    ratio)`` sorted by max_coord: one per (support, total level) group on
+    the grouped route, one per index with count 1 otherwise.  ``n`` is the
+    sum of the dimensions and ``table`` reads the groups, including the
+    counts over the coordinates <= d and the coordinate d0 where they
+    stabilize (``index_set.max_coord``).
     """
 
     n: int
@@ -145,26 +167,24 @@ class EpsDimResult:
         ``(n, set size)`` of the full set and then of its members on the
         coordinates <= d for each d in ``ds``; d0, the set's largest
         coordinate, is the smallest d whose row equals the full one.  The d
-        rows are prefix sums of the dimensions of the members, which are
-        sorted by max_coord.  A counted result (no ``index_set``) has no
-        members to read, so it raises ``ValueError``.
+        rows are prefix sums of the dimensions and counts of the member
+        groups, which are sorted by max_coord.
         """
-        if self.index_set is None:
-            raise ValueError("a counted result lists no members; enumerate the set for a table")
         for eps in eps_list:
             eps2 = _threshold(eps)
             if eps < self.eps:
                 raise ValueError(f"eps {eps} lies below the enumerated eps {self.eps}")
-            coords, n_upto = [], [0]
-            for k, n, c in self.members:
+            coords, n_upto, size_upto = [], [0], [0]
+            for k, n, size, c in self.members:
                 if c >= eps2:
                     coords.append(k)
                     n_upto.append(n_upto[-1] + n)
-            counts = [(n_upto[-1], len(coords))]
+                    size_upto.append(size_upto[-1] + size)
+            counts = [(n_upto[-1], size_upto[-1])]
             for d in ds:
                 _check_restriction(d)
-                size = bisect.bisect_right(coords, d)
-                counts.append((n_upto[size], size))
+                i = bisect.bisect_right(coords, d)
+                counts.append((n_upto[i], size_upto[i]))
             yield eps, (coords[-1] if coords else 0), counts
 
 
@@ -468,6 +488,124 @@ def _enumerate_by_support(a, b, eps2, supports, cap):
     return ThresholdSet(out), False
 
 
+def _level_graded(m: WeightModel) -> bool:
+    """Unit or constant-smoothness spline weights of exact type, scaled or
+    not: weights set by the support and the total level, with no level cap."""
+    m = _strip_scale(m)
+    return type(m) is UnitWeights or (type(m) is SplineWeights and m.s.is_constant)
+
+
+def _graded_groups(a, b, eps2, certificate, cap):
+    """Member groups ``(support, total level, count, ratio)`` of a
+    level-graded pair, the support a tuple of coordinates.
+
+    The indices with one support and one total level share their ratio,
+    push tests and entry scan, so the walk visits these groups level by
+    level; ``count`` is how many of a group's vectors the vector walk
+    visits, so ``cap`` trips where it does.  More than ``SUPPORT_CAP``
+    supports, or a total level past the hard guard, raise EnumerationCap.
+    """
+    if certificate is None:
+        certificate = auto_certificate(a, b)
+    if isinstance(certificate, SupportDecay):
+        return _count_by_support(a, b, eps2, certificate.supports, cap)
+    if not isinstance(certificate, ProductDecay):
+        raise ConfigInvalid(f"no grouped walk for certificate {certificate!r}")
+    boost = _BoostTable(certificate.mult)
+    after = boost.after
+    enter_a, deepen_a, enter_b, deepen_b = a.enter, a.deepen, b.enter, b.deepen
+    entry_coords = boost.entry_coords
+    sa, sb = a.state(EMPTY_SUPPORT), b.state(EMPTY_SUPPORT)
+    # support -> [count, level-one entries, state of a, state of b, ratio],
+    # or None when the group fails its push test
+    level = {(): [1, (), sa, sb, carried_ratio(a, b, sa, sb, ())]}
+    groups, visited, supports, total = [], 0, 0, 0
+    while level:
+        if total > COORD_GUARD:
+            raise EnumerationCap("level scan exceeded the hard guard")
+        below, level = level, {}
+        get = level.get
+        for sigma, group in below.items():
+            if group is None:
+                continue
+            count, ones, sa, sb, c = group
+            visited += count
+            if visited > cap:
+                raise EnumerationCap(f"visited more than {cap} candidate indices")
+            supports += total == len(sigma)  # a support's first group is its level-one one
+            if supports > SUPPORT_CAP:
+                raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
+            if c >= eps2:
+                groups.append((sigma, total, count, c))
+            # the children of each vector: its last level raised, which keeps
+            # the support, and each coordinate the entry scan yields entered
+            kmax = sigma[-1] if sigma else 0
+            if kmax:
+                if (pushed := get(sigma, False)) is False:
+                    ca, cb = deepen_a(sa, kmax), deepen_b(sb, kmax)
+                    cc = carried_ratio(a, b, ca, cb, ones)
+                    pushed = level[sigma] = [0, ones, ca, cb, cc] if cc * after[kmax] >= eps2 else None
+                if pushed is not None:
+                    pushed[0] += count
+            for k in entry_coords(c, eps2, kmax + 1):
+                child = sigma + (k,)
+                if (pushed := get(child, False)) is False:
+                    child_ones, ca, cb = ones + ((k, 1),), enter_a(sa, k), enter_b(sb, k)
+                    cc = carried_ratio(a, b, ca, cb, child_ones)
+                    pushed = level[child] = [0, child_ones, ca, cb, cc] if cc * after[k] >= eps2 else None
+                if pushed is not None:
+                    pushed[0] += count
+        total += 1
+    return groups
+
+
+def _count_by_support(a, b, eps2, supports, cap):
+    """The support route for a level-graded pair: each support has
+    comb(T - 1, |support| - 1) members at each total level T from |support|
+    up to the last whose ratio clears eps2, and the cap counts members."""
+    if len(supports) > SUPPORT_CAP:
+        raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
+    groups, members = [], 0
+    for sigma in supports:
+        coords, ones = sigma.coords, tuple((k, 1) for k in sigma)
+        sa, sb, total = a.state(sigma), b.state(sigma), len(coords)
+        while (c := carried_ratio(a, b, sa, sb, ones)) >= eps2:
+            count = math.comb(total - 1, len(coords) - 1) if coords else 1
+            members += count
+            if members > cap:
+                raise EnumerationCap(f"threshold set exceeds cap {cap}")
+            groups.append((coords, total, count, c))
+            if not coords:
+                break
+            if total > COORD_GUARD:
+                raise EnumerationCap("level scan exceeded the hard guard")
+            sa, sb, total = a.deepen(sa, coords[-1]), b.deepen(sb, coords[-1]), total + 1
+    return groups
+
+
+def _expand(groups, vector_walk) -> dict[IndexVector, float]:
+    """The member ratios of member groups: each group stands for the level
+    vectors on its support with its total level.  A group visited only in
+    part (a rounding tie between an entry scan and a push test) sends the
+    expansion to ``vector_walk``, which returns the vector walk's set."""
+    if any(sigma and count != math.comb(total - 1, len(sigma) - 1) for sigma, total, count, _ in groups):
+        return vector_walk().ratios
+    out, to_vector = {}, IndexVector._from_entries
+    for sigma, total, _, c in groups:
+        for cuts in itertools.combinations(range(1, total), len(sigma) - 1) if sigma else [()]:
+            bounds = (0, *cuts, total)
+            out[to_vector(tuple((k, hi - lo) for k, lo, hi in zip(sigma, bounds, bounds[1:])))] = c
+    return out
+
+
+def _group_result(groups, dims: DimensionModel, eps: float, **fields) -> EpsDimResult:
+    """The result whose ``members`` are these member groups."""
+    group_dim = _GROUP_DIM[type(dims)]
+    members = sorted((sigma[-1] if sigma else 0, count * group_dim(len(sigma), total), count, c)
+                     for sigma, total, count, c in groups)
+    return EpsDimResult(n=sum(m[1] for m in members), eps=eps, members=members, **fields)
+
+
 def eps_dimension(
     a: WeightModel,
     b: WeightModel,
@@ -476,16 +614,29 @@ def eps_dimension(
     certificate=None,
     cap: int = DEFAULT_CAP,
 ) -> EpsDimResult:
-    """Total dimension of the threshold set's subspaces."""
+    """Total dimension of the threshold set's subspaces.
+
+    Level-graded pairs with all-one or spline dimensions take the grouped
+    walk, and their ``index_set`` is built when first read.  If that walk
+    raises, the vector walk runs and raises its own first error.
+    """
+    if _level_graded(a) and _level_graded(b) and type(dims) in _GROUP_DIM:
+        try:
+            groups = _graded_groups(a, b, _threshold(eps), certificate, cap)
+        except Exception:  # the vector walk below meets its own first error
+            pass
+        else:
+            return _group_result(groups, dims, eps, index_set=ThresholdSet(lambda: _expand(
+                groups, lambda: enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)[0])))
     index_set, _ = enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)
-    members = sorted(((j.max_coord, dims.subspace_dim(j), c)
+    members = sorted(((j.max_coord, dims.subspace_dim(j), 1, c)
                       for j, c in index_set.ratios.items()), key=lambda m: m[0])
     return EpsDimResult(n=sum(m[1] for m in members), eps=eps, index_set=index_set,
                         members=members)
 
 
 # ---------------------------------------------------------------------------
-# closed-form counting for common-smoothness spline weights
+# counting for common-smoothness spline weights
 
 
 def spline_eps_dimension(
@@ -494,14 +645,16 @@ def spline_eps_dimension(
     lam: float,
     eps: float,
 ) -> EpsDimResult:
-    """Count the dyadic-weight eps-dimension support by support.
+    """Count the dyadic-weight eps-dimension group by group.
 
-    For every support with positive set weight, the largest admissible
-    excess level total m is found by the same floating-point comparison the
-    enumerator makes, and the indices are counted in closed form: there are
-    comb(m + |support| - 1, |support| - 1) of them for each m, each carrying
-    subspace dimension 2**m.  The coarser bound 1 + 2 * sum (2|support|)**m
-    is reported alongside.
+    This is the grouped walk of ``eps_dimension`` on
+    (SplineWeights(gamma, s, lam), UnitWeights()) with spline dimensions:
+    the comb(T - 1, |support| - 1) indices with one support and one total
+    level T share a ratio, and each has subspace dimension
+    2**(T - |support|).  No index set is kept (``index_set`` is None), but
+    ``table`` reads the member groups.  The coarser bound 1 + 2 * sum (2|support|)**m,
+    with m the largest admissible excess T - |support| of each support, is
+    reported alongside.
     """
     eps2 = _threshold(eps)
     if isinstance(s, bool) or not isinstance(s, (int, float)) or not s > 0:
@@ -509,65 +662,8 @@ def spline_eps_dimension(
     if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not lam > 0:
         raise ConfigInvalid("the scale constant must be a positive number")
     model = SplineWeights(gamma, float(s), float(lam))
-    unit = UnitWeights()
-
-    def excess_cap(entries, state) -> int:
-        """Largest excess m >= 0 whose ratio clears the threshold, -1 if none.
-
-        Every index on a support with one total level has the same ratio;
-        the scan raises the level of the first coordinate.
-        """
-        (k, _), rest = entries[0], entries[1:]
-        m = -1
-        while carried_ratio(model, unit, state, None, entries) >= eps2:
-            m += 1
-            if m > 10_000_000:
-                raise EnumerationCap("excess-level scan exceeded the hard guard")
-            state = model.deepen(state, k)
-            entries = ((k, m + 2),) + rest
-        return m
-
-    n = 1  # the zero index always contributes its one-dimensional subspace
-    bound_acc = 0
-    processed = 0
-
-    for entries, state in _viable_supports(model, unit, eps2):
-        processed += 1
-        if processed > SUPPORT_CAP:
-            raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
-        m_omega = excess_cap(entries, state)
-        if m_omega < 0:
-            continue
-        size = len(entries)
-        n += sum(math.comb(m + size - 1, size - 1) * 2**m for m in range(m_omega + 1))
-        bound_acc += (2 * size) ** m_omega
-
-    return EpsDimResult(n=n, eps=eps, index_set=None, coarse_bound=1 + 2 * bound_acc)
-
-
-def _viable_supports(model: SplineWeights, unit: UnitWeights, eps2: float):
-    """Nonempty supports whose level-(1,...,1) ratio could clear eps2.
-
-    Yields the entries and the carried state of each support's level-1
-    index.  For enumerable gamma supports this is the stored list; for
-    product gammas a depth-first scan over supports with the same boost
-    pruning as the index enumerator.
-    """
-    gamma = model.gamma
-    if gamma.is_finite_support or not isinstance(gamma, ProductGamma):
-        for omega in gamma.iter_support():
-            if len(omega) > 0:
-                yield tuple((k, 1) for k in omega), model.state(omega)
-        return
-
-    boost = _BoostTable(model.multiplier_seq())
-    stack = [((), model.state(EMPTY_SUPPORT), 1.0)]
-    while stack:
-        entries, state, c = stack.pop()
-        if entries:
-            yield entries, state
-        for k in boost.entry_coords(c, eps2, entries[-1][0] + 1 if entries else 1):
-            child, child_state = entries + ((k, 1),), model.enter(state, k)
-            cc = carried_ratio(model, unit, child_state, None, child)
-            if cc * boost.after[k] >= eps2:
-                stack.append((child, child_state, cc))
+    groups = _graded_groups(model, UnitWeights(), eps2, None, math.inf)
+    # groups come in increasing total level per support: the last one wins
+    excess = {sigma: total - len(sigma) for sigma, total, _, _ in groups if sigma}
+    return _group_result(groups, SplineDims(), eps,
+                         coarse_bound=1 + 2 * sum((2 * len(w)) ** m for w, m in excess.items()))

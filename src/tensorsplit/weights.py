@@ -97,6 +97,7 @@ class CoordParam:
             if const is None:
                 const = self.head[-1] if self.head else 1.0
             self.const = float(const)
+        self.is_constant = self.affine is None and not self.head
 
     @classmethod
     def make(cls, spec) -> "CoordParam":
@@ -112,10 +113,6 @@ class CoordParam:
         if isinstance(spec, dict) and spec.get("kind") == "affine":
             return cls(affine=(spec["a"], spec["b"]))
         raise ConfigInvalid(f"bad per-coordinate parameter {spec!r}")
-
-    @property
-    def is_constant(self) -> bool:
-        return self.affine is None and not self.head
 
     def value(self, k: int) -> float:
         if self.affine is not None:

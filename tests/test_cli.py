@@ -839,21 +839,30 @@ class TestErrors:
 
 class TestEnumerationCount:
     def test_one_enumeration_per_request(self, tmp_path, monkeypatch):
-        """Every eps row, every d row and d0 come from one threshold set,
-        enumerated at the smallest eps."""
+        """Every eps row, every d row and d0 come from one walk over the
+        threshold set, grouped (a level-graded pair) or vector by vector,
+        at the smallest eps."""
         calls = []
-        enumerate_threshold_set = tensorsplit.epsdim.enumerate_threshold_set
 
-        def counting(a, b, eps, *args, **kwargs):
-            calls.append(eps)
-            return enumerate_threshold_set(a, b, eps, *args, **kwargs)
+        def counting(name):
+            run = getattr(tensorsplit.epsdim, name)
 
-        monkeypatch.setattr(tensorsplit.epsdim, "enumerate_threshold_set", counting)
-        config = CONFIG_DIR / "epsdim_example.json"
-        out = tmp_path / "eps.csv"
-        assert run_cli("epsdim", config, out) == 0
-        assert calls == [min(json.loads(config.read_text())["eps"])]
-        assert out.read_bytes() == (GOLDEN_DIR / "epsdim_example.out").read_bytes()
+            def recorded(a, b, eps, *args, **kwargs):
+                calls.append((name, eps))
+                return run(a, b, eps, *args, **kwargs)
+            return recorded
+
+        for name in ("enumerate_threshold_set", "_graded_groups"):
+            monkeypatch.setattr(tensorsplit.epsdim, name, counting(name))
+        for config, walk in [(CONFIG_DIR / "epsdim_example.json", "_graded_groups"),
+                             (GOLDEN_DIR / "epsdim_spline_listed.json", "enumerate_threshold_set")]:
+            calls.clear()
+            out = tmp_path / "eps.csv"
+            assert run_cli("epsdim", config, out) == 0
+            eps = min(json.loads(config.read_text())["eps"])
+            # the grouped walk takes the threshold eps**2
+            assert calls == [(walk, eps if walk == "enumerate_threshold_set" else eps * eps)]
+            assert out.read_bytes() == (GOLDEN_DIR / config.name.replace(".json", ".out")).read_bytes()
 
 
 class TestJsonRender:
@@ -883,6 +892,25 @@ class TestJsonRender:
         ) + "\n  ]\n}"
         assert _json_render({"c": rows}) == expected
         assert _json_render(specials) == "[\n" + ",\n".join("  " + cell(v) for v in specials) + "\n]"
+
+        def nested(obj, indent=0):
+            """The reference layout: lists of lists, floats read as ``cell``."""
+            if not isinstance(obj, list):
+                return cell(obj) if type(obj) is float else str(obj)
+            inner = "  " * (indent + 1)
+            return ("[\n" + ",\n".join(inner + nested(v, indent + 1) for v in obj)
+                    + "\n" + "  " * indent + "]")
+
+        # matrices of rows of one length take one format call only when every
+        # element is a finite float and the sum stays finite
+        square = rng.normal(size=(40, 3)).tolist()
+        matrices = [square, [row[:] for row in square[:5]] + [[0.5, float("inf"), 1.0]],
+                    [[1e308, 1e308], [1e308, 1.0]], [[0.1, float("nan")], [2.0, 3.0]],
+                    [[0.25, 0.5], [0.75]], [[0.5, 1], [2.0, 3.0]], [[-0.0], [5e-324]],
+                    [square[:3], square[3:6]]]
+        for matrix in matrices:
+            for indent in (0, 2):
+                assert _json_render(matrix, indent) == nested(matrix, indent), matrix
 
 
 class TestRowRendering:

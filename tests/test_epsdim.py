@@ -5,21 +5,24 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tensorsplit.epsdim
 from tensorsplit.epsdim import (
     COORD_GUARD,
     AllOneDims,
+    DimensionModel,
     ProductDecay,
     SplineDims,
     _BoostTable,
+    _expand,
+    _graded_groups,
     enumerate_threshold_set,
     eps_dimension,
     spline_eps_dimension,
 )
-from tensorsplit.errors import ConfigInvalid, EnumerationCap, NotCompact
+from tensorsplit.errors import ConfigInvalid, EnumerationCap, NotCompact, TensorsplitError
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import ZERO_INDEX, IndexSet, IndexVector, SupportSet
 from tensorsplit.sequences import (ConstantSeq, FiniteSeq, GeometricSeq, ListTailSeq, PowerSeq,
@@ -140,6 +143,17 @@ def brute_force_set(ratios, eps, max_level=12):
             assert top < max_level, "bounding box too small for this configuration"
             members.append(j)
     return IndexSet(members)
+
+
+class VectorDims(DimensionModel):
+    """``dims`` under a type the grouped walk does not know, so that
+    ``eps_dimension`` takes the vector walk: the grouped walk's oracle."""
+
+    def __init__(self, dims):
+        self.dims = dims
+
+    def coord_dim(self, j, k):
+        return self.dims.coord_dim(j, k)
 
 
 def filtered_counts(members, ds, dims):
@@ -410,7 +424,7 @@ class TestSplineCounting:
         a = SplineWeights(gamma, s=s, lam=lam)
         for eps in EPS_GRID:
             counted = spline_eps_dimension(gamma, s, lam, eps)
-            enumerated = eps_dimension(a, UnitWeights(), eps, SplineDims())
+            enumerated = eps_dimension(a, UnitWeights(), eps, VectorDims(SplineDims()))
             assert counted.n == enumerated.n, f"s={s} lam={lam} eps={eps}"
             assert counted.coarse_bound >= counted.n - 1
 
@@ -443,16 +457,27 @@ class TestSplineCounting:
         # weight the enumerator maps to ratio 0
         gamma = ProductGamma(FiniteSeq([1.0, 1.0]))
         counted = spline_eps_dimension(gamma, 1.0, 1e-200, 0.5)
-        enumerated = eps_dimension(SplineWeights(gamma, 1.0, 1e-200), UnitWeights(), 0.5, SplineDims())
+        enumerated = eps_dimension(SplineWeights(gamma, 1.0, 1e-200), UnitWeights(), 0.5,
+                                   VectorDims(SplineDims()))
         assert counted.n == enumerated.n
 
-    def test_counted_result_has_no_table(self):
-        """The counting route lists no members, so its table would read
-        n = 0 and d0 = 0 on every row; it is refused instead."""
-        counted = spline_eps_dimension(ProductGamma(PowerSeq(1, 2)), 1.0, 1.0, 0.05)
-        assert counted.n == 41 and counted.index_set is None
-        with pytest.raises(ValueError, match="counted result"):
-            next(counted.table([0.05], [1, 2]))
+    @pytest.mark.parametrize("gamma", [
+        ProductGamma(PowerSeq(1, 2)),
+        ProductGamma(FiniteSeq([0.9, 0.3])),
+        TableGamma({S(1): 1.0, S(2): 0.5, S(1, 2): 0.25, S(3): 0.125}),
+    ], ids=["power", "finite", "table"])
+    def test_counted_table_equals_vector_walk(self, gamma):
+        """The counting route keeps no index set, but its table reads its
+        member groups: every row equals the vector walk's."""
+        counted = spline_eps_dimension(gamma, 1.0, 1.0, 0.05)
+        assert counted.index_set is None
+        vector = eps_dimension(SplineWeights(gamma, s=1.0), UnitWeights(), 0.05, VectorDims(SplineDims()))
+        assert counted.n == vector.n
+        eps_list, ds = [0.05, 0.08, 0.3, 0.9], [0, 1, 2, 4]
+        assert list(counted.table(eps_list, ds)) == list(vector.table(eps_list, ds))
+
+    def test_counted_pinned_example(self):
+        assert spline_eps_dimension(ProductGamma(PowerSeq(1, 2)), 1.0, 1.0, 0.05).n == 41
 
 
 class TestRejectedArguments:
@@ -799,3 +824,133 @@ class TestLastBoostingCoordinate:
         """A finite support needs no far value: its scan stops at its end."""
         mult = ProductOfSeqs([PowerSeq(1.0, -2.0), FiniteSeq([0.5, 0.5, 0.2])])
         assert _BoostTable(mult).k_last == 3 == brute_k_last(mult, 10)
+
+
+#: the cap of the grouped-walk comparisons, small enough to keep each example quick
+WALK_CAP = 3_000
+
+
+def _gamma(draw, kinds):
+    """A product or table gamma of one of ``kinds``."""
+    kind, c = draw(st.sampled_from(kinds)), draw(st.floats(0.3, 3.0))
+    if kind == "power":
+        return ProductGamma(PowerSeq(c, draw(st.floats(2.0, 4.0))))
+    if kind == "geometric":
+        return ProductGamma(GeometricSeq(c, draw(st.floats(0.1, 0.6))))
+    if kind == "constant":  # entry multipliers that never decay: NotCompact or the cap
+        return ProductGamma(ConstantSeq(draw(st.floats(0.05, 1.0))))
+    if kind == "list_tail":  # a boosting head, then constant: the cap races NotCompact
+        return ProductGamma(ListTailSeq(draw(st.lists(st.sampled_from([0.05, 0.3, 3.0, 8.0]), min_size=1,
+                                                      max_size=4)), draw(st.floats(0.05, 0.6))))
+    values = draw(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3))
+    if kind == "finite":
+        return ProductGamma(FiniteSeq(values))
+    return TableGamma({S(*w): values[i % len(values)] for i, w in enumerate([(1,), (2,), (1, 2), (3,)])})
+
+
+@st.composite
+def graded_pairs(draw):
+    """(a, b, dims, eps, cap): spline weights over unit weights or over
+    spline weights smoother by a margin with a gamma of the same kind, with
+    constant or listed lam, each side perhaps scaled; a small cap now and
+    then, to race the cap against NotCompact."""
+    s_a = draw(st.floats(0.4, 1.2))
+    if draw(st.booleans()):
+        lam = draw(st.floats(0.3, 2.0) | st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3))
+        a = SplineWeights(_gamma(draw, ["power", "power", "geometric", "constant", "list_tail", "finite", "table"]), s_a, lam)
+        b = UnitWeights()
+    else:
+        # the gamma quotient must decay, and fast enough to keep the scans short
+        c_a, c_b = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+        if draw(st.booleans()):
+            p_b = draw(st.floats(1.0, 3.0))
+            seq_a, seq_b = PowerSeq(c_a, p_b + draw(st.floats(2.0, 3.0))), PowerSeq(c_b, p_b)
+        else:
+            rho_b = draw(st.floats(0.3, 0.9))
+            seq_a, seq_b = GeometricSeq(c_a, rho_b * draw(st.floats(0.1, 0.7))), GeometricSeq(c_b, rho_b)
+        a = SplineWeights(ProductGamma(seq_a), s_a + draw(st.floats(0.15, 0.4)), draw(st.floats(0.3, 2.0)))
+        b = SplineWeights(ProductGamma(seq_b), s_a, draw(st.floats(0.3, 2.0)))
+    a, b = (m if (f := draw(st.sampled_from([None, 0.5, 2.0]))) is None else ScaledWeights(m, f)
+            for m in (a, b))
+    return (a, b, draw(st.sampled_from([AllOneDims(), SplineDims()])), draw(st.floats(0.01, 0.06) | st.floats(0.06, 0.3)),
+            draw(st.sampled_from([WALK_CAP] * 4 + [2, 5, 30])))
+
+
+def outcome(run):
+    """``run()``, or the type and message of the package error it raises."""
+    try:
+        return run()
+    except TensorsplitError as exc:
+        return type(exc), str(exc)
+
+
+#: the ``carried_pairs`` whose weights depend only on support and total level
+GRADED = {"spline_const_s", "spline_listed_lam", "scaled_both", "spline_spline", "support_product"}
+
+
+class TestGroupedWalk:
+    """Level-graded pairs walk (support, total level) groups; everything the
+    vector walk gives, they must give too, bit for bit."""
+
+    @given(pair=graded_pairs())
+    # boosting head, then constant multipliers: the grouped walk's own scans
+    # meet NotCompact before its cap trips, the vector walk its cap first
+    @example(pair=(SplineWeights(ProductGamma(ListTailSeq([8.0, 3.0, 0.05, 3.0], 0.05)), 0.5), UnitWeights(),
+                   AllOneDims(), 0.2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_vector_walk(self, pair):
+        a, b, dims, eps, cap = pair
+        grouped = outcome(lambda: eps_dimension(a, b, eps, dims, cap=cap))
+        vector = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=cap))
+        if isinstance(vector, tuple):
+            assert grouped == vector
+            return
+        assert "ratios" not in vars(grouped.index_set)  # built when first read
+        assert grouped.n == vector.n
+        assert grouped.index_set.ratios == vector.index_set.ratios
+        assert grouped.index_set == vector.index_set
+        eps_list, ds = [eps, eps * 1.3, eps * 2.5], [0, 1, 2, 3, 5]
+        assert list(grouped.table(eps_list, ds)) == list(vector.table(eps_list, ds))
+        # the smallest cap the grouped walk passes is the vector walk's
+        lo, hi = 0, cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _graded_groups(a, b, eps * eps, None, mid)
+                hi = mid
+            except EnumerationCap:
+                lo = mid
+        assert eps_dimension(a, b, eps, VectorDims(dims), cap=hi).n == vector.n
+        short = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=lo))
+        assert short[0] is EnumerationCap
+        assert outcome(lambda: eps_dimension(a, b, eps, dims, cap=lo)) == short
+
+    @pytest.mark.parametrize("name,a,b,eps", carried_pairs(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_route(self, monkeypatch, name, a, b, eps):
+        """Only level-graded pairs walk groups; listed or affine s,
+        anisotropic and product weights walk vectors."""
+        walks = []
+        for walk in ("enumerate_threshold_set", "_graded_groups"):
+            run = getattr(tensorsplit.epsdim, walk)
+            monkeypatch.setattr(tensorsplit.epsdim, walk,
+                                lambda *args, run=run, walk=walk, **kwargs: walks.append(walk) or run(*args, **kwargs))
+        res = eps_dimension(a, b, eps, SplineDims())
+        counts = {count for _, _, count, _ in res.members}
+        if name in GRADED:
+            assert walks == ["_graded_groups"] and max(counts) > 1
+        else:
+            assert walks == ["enumerate_threshold_set"] and counts == {1}
+        assert eps_dimension(a, b, eps, VectorDims(SplineDims())).n == res.n
+
+    def test_expansion_of_groups(self):
+        """Each full group expands into the level vectors on its support with
+        its total level; a group visited only in part takes the vector
+        walk's set instead."""
+        groups = [((), 0, 1, 1.0), ((2,), 3, 1, 0.5), ((1, 4), 4, 3, 0.25)]
+        expected = {ZERO_INDEX: 1.0, IndexVector({2: 3}): 0.5, IndexVector({1: 1, 4: 3}): 0.25,
+                    IndexVector({1: 2, 4: 2}): 0.25, IndexVector({1: 3, 4: 1}): 0.25}
+        assert _expand(groups, lambda: pytest.fail("every group is full")) == expected
+        vector_set = enumerate_threshold_set(SplineWeights(ProductGamma(FiniteSeq([1.0])), s=1.0),
+                                             UnitWeights(), 0.1)[0]
+        partial = groups[:2] + [((1, 4), 4, 2, 0.25)]
+        assert _expand(partial, lambda: vector_set) == vector_set.ratios
