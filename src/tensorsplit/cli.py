@@ -32,7 +32,7 @@ from .functions import function_from_json
 from .gammas import gamma_from_json
 from .indexing import IndexVector
 from .regress import AnchoredKernel, SampleSet, fit, fit_map, predict
-from .sensitivity import _l2_errors, _truncated, sobol_indices, truncation_bound
+from .sensitivity import _truncation_errors, sobol_indices, truncation_bound
 from .weights import orthogonalized_weight, weights_from_json
 
 
@@ -270,7 +270,7 @@ def _cmd_truncate(cfg: dict, args):
     m_list = config_numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
     components = decompose(f, mode, args.anchor)
     norm = _weighted_norm(components, gamma)
-    errors = _l2_errors(f, [_truncated(f, components, m) for m in m_list])
+    errors = _truncation_errors(f, components, m_list, mode)
     rows = []
     for m, err in zip(m_list, errors):
         bound = truncation_bound(gamma, m, mode, anchor=args.anchor) * norm

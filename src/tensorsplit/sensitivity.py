@@ -10,12 +10,15 @@ which index ratios inherit the norm-equivalence constant.
 m-variate truncation keeps the components with at most m active variables.
 Its L2 error is bounded a priori by the tail sum of contraction-scaled set
 weights; the contraction factor per coordinate is anchor-dependent for the
-anchored decomposition and 1/6 for the ANOVA one.
+anchored decomposition and 1/6 for the ANOVA one.  The error itself is the
+energy of the ANOVA components left out, which are L2-orthogonal, or the
+pair sum of f minus its anchored approximant.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,6 +27,7 @@ from typing import Sequence
 from .decomp import (
     DEFAULT_ANCHOR,
     MODE_ANCHORED,
+    MODE_ANOVA,
     DecompositionTerm,
     _all_components,
     _check_mode,
@@ -34,7 +38,7 @@ from .decomp import (
     decompose,
 )
 from .errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
-from .functions import SeparableFunction, Term, pair_sum, value_inner
+from .functions import SeparableFunction, Term, pair_pieces, value_inner
 from .gammas import GammaModel
 from .indexing import EMPTY_SUPPORT, SupportSet
 
@@ -144,22 +148,17 @@ def truncate_order(
     f: SeparableFunction, m: int, mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> SeparableFunction:
     """The approximant keeping components with at most m active variables."""
-    return _truncated(f, decompose(f, mode, anchor), m)
-
-
-def _truncated(
-    f: SeparableFunction, components: Sequence[DecompositionTerm], m: int
-) -> SeparableFunction:
-    """``truncate_order`` from the ``decompose`` list of f: the components
-    it leaves out have no terms."""
+    components = decompose(f, mode, anchor)
     _check_order(m)
-    terms: list[Term] = []
-    for t in components:
-        if len(t.omega) <= m:
-            terms.extend(t.func.terms)
-    if not terms:
-        return SeparableFunction.constant(f.dim, 0.0)
-    return SeparableFunction(f.dim, terms)
+    terms = _kept_terms(components, m)
+    return SeparableFunction(f.dim, terms) if terms else SeparableFunction.constant(f.dim, 0.0)
+
+
+def _kept_terms(components: Sequence[DecompositionTerm], m: int) -> list[Term]:
+    """The terms of the components of at most m active variables, in the
+    canonical order of the components: cardinality first, so the kept
+    terms of a smaller m are a prefix of those of a larger one."""
+    return [term for t in components if len(t.omega) <= m for term in t.func.terms]
 
 
 def truncation_bound(
@@ -199,22 +198,104 @@ def truncation_bound(
 
 def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
     """L2([0,1]**d) distance between two separable functions."""
-    return _l2_errors(f, [g])[0]
+    if f.dim != g.dim:
+        raise ValueError("functions must share the active dimension")
+    diff = f.terms + _negated(g.terms)
+    return _prefix_l2_errors([(diff, len(diff))], functools.cache(value_inner))[0]
 
 
-def _l2_errors(f: SeparableFunction, approximants: Sequence[SeparableFunction]) -> list[float]:
-    """``l2_error(f, g)`` for each g, integrating each distinct pair of
-    factors once over the whole list.  A squared error that overflows the
-    float range is ``ConfigInvalid`` naming the position of g."""
+def _negated(terms: Sequence[Term]) -> list[Term]:
+    return [Term(-t.coef, dict(t.factors)) for t in terms]
+
+
+def _truncation_errors(
+    f: SeparableFunction, components: Sequence[DecompositionTerm], m_list: Sequence[int],
+    mode: str,
+) -> list[float]:
+    """``l2_error(f, truncate_order(f, m, mode))`` for each m of ``m_list``,
+    from the ``decompose`` list of f in that mode.
+
+    Every m is checked first, in list order.  Each distinct pair of
+    factors is integrated once over the whole list.  A squared error that
+    overflows the float range is ``ConfigInvalid`` naming the position of
+    the first such m.
+
+    ANOVA components are L2-orthogonal, so the squared error is the sum of
+    the squared L2 norms of the components above m: one fsum of their pair
+    pieces, exactly 0.0 where no component lies above m, and without the
+    cancellation of summing f against its approximant.  Anchored
+    components are not orthogonal, so the pair sum of f - S_m f stays; the
+    terms of S_m are a prefix of those of the largest S_M asked for, so
+    the pieces of f - S_M f are built once and each m sums its prefix,
+    bit for bit what ``l2_error`` gives.
+    """
+    for m in m_list:
+        _check_order(m)
     inner = functools.cache(value_inner)
-    errors = []
-    for i, g in enumerate(approximants):
-        if f.dim != g.dim:
-            raise ValueError("functions must share the active dimension")
-        diff = f.terms + [Term(-t.coef, dict(t.factors)) for t in g.terms]
+    if mode == MODE_ANOVA:
+        return _anova_errors(components, m_list, inner)
+    top = max(m_list, default=0)
+    diff = f.terms + _negated(_kept_terms(components, top))
+    # an empty approximant is the constant 0.0, whose negated term is -0.0
+    empty = f.terms + [Term(-0.0, {})]
+    approximants = []
+    for m in m_list:
+        n = len(f.terms) + len(_kept_terms(components, m))
+        approximants.append((diff, n) if n > len(f.terms) else (empty, len(empty)))
+    return _prefix_l2_errors(approximants, inner)
+
+
+def _anova_errors(
+    components: Sequence[DecompositionTerm], m_list: Sequence[int], inner
+) -> list[float]:
+    """The ANOVA route of ``_truncation_errors``: per cardinality above the
+    smallest m, the pair pieces of its components."""
+    low = min(m_list, default=0)
+    by_order: dict[int, list[float]] = {}
+    broken = -1  # the largest cardinality whose 1-D integrals overflow
+    for t in components:
+        order = len(t.omega)
+        if order <= low:
+            continue
         try:
-            errors.append(math.sqrt(max(0.0, pair_sum(diff, inner))))
+            by_order.setdefault(order, []).extend(pair_pieces(t.func.terms, inner))
+        except (OverflowError, ValueError):  # a 1-D integral past the float range
+            broken = order
+    errors = []
+    for i, m in enumerate(m_list):
+        if m < broken:
+            raise _overflow(i)
+        try:
+            square = math.fsum(p for order, pieces in by_order.items() if order > m for p in pieces)
         except (OverflowError, ValueError) as exc:  # fsum past the float range
-            raise ConfigInvalid(
-                f"the L2 error of approximant {i} overflows the float range") from exc
+            raise _overflow(i) from exc
+        errors.append(math.sqrt(max(0.0, square)))
     return errors
+
+
+def _prefix_l2_errors(approximants: Sequence[tuple[list[Term], int]], inner) -> list[float]:
+    """sqrt(max(0, pair_sum(terms[:n]))) for each ``(terms, n)``; entries
+    that share a term list share its pair pieces.  A list some of whose
+    1-D integrals overflow is integrated again, prefix by prefix, so the
+    ``ConfigInvalid`` names the first entry whose own pairs overflow."""
+    pieces_of: dict = {}  # id of a term list -> its pieces, None where an integral overflows
+    errors = []
+    for i, (terms, n) in enumerate(approximants):
+        if id(terms) not in pieces_of:
+            try:
+                pieces_of[id(terms)] = pair_pieces(terms, inner)
+            except (OverflowError, ValueError):  # a 1-D integral past the float range
+                pieces_of[id(terms)] = None
+        try:
+            pieces = pieces_of[id(terms)]
+            if pieces is None:  # the integral may belong to later terms only
+                pieces = pair_pieces(terms[:n], inner)
+            square = math.fsum(itertools.islice(pieces, n * (n + 1) // 2))
+        except (OverflowError, ValueError) as exc:  # an integral or fsum past the float range
+            raise _overflow(i) from exc
+        errors.append(math.sqrt(max(0.0, square)))
+    return errors
+
+
+def _overflow(i: int) -> ConfigInvalid:
+    return ConfigInvalid(f"the L2 error of approximant {i} overflows the float range")

@@ -19,10 +19,11 @@ import tensorsplit.sensitivity
 from tensorsplit.cli import _build_parser, _fmt, _index_json, _json_render, _omega_json, main
 from tensorsplit.decomp import MAX_DECOMP_DIM, decompose
 from tensorsplit.epsdim import DEFAULT_CAP
+from tensorsplit.errors import ConfigInvalid
 from tensorsplit.functions import function_from_json
 from tensorsplit.indexing import IndexVector, SupportSet
 from tensorsplit.regress import AnchoredKernel
-from tensorsplit.sensitivity import _truncated
+from tensorsplit.sensitivity import l2_error, truncate_order
 
 CONFIG_DIR = Path(str(resources.files("tensorsplit") / "configs"))
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -681,6 +682,56 @@ class TestErrors:
         assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
                           "overflows the float range"]
 
+    def test_overflowing_anova_component_written(self, tmp_path, capsys):
+        """The same function in ANOVA: S_1 f = f, so the errors are the
+        component energies above m, +inf at m = 0 and 0 beyond, written as
+        they are with exit 0 (summing f against S_1 f met +inf and -inf
+        pieces and exited 2)."""
+        terms = [{"coef": 1e160, "factors": {"1": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"function": {"dim": 2, "terms": terms},
+                                    "gamma": {"kind": "product", "seq": _POWER}, "mode": "anova"}))
+        assert run_cli("truncate", path, out) == 0
+        assert out.read_text() == "m,error,bound,bound_ratio\n0,inf,inf,nan\n1,0,inf,0\n2,0,inf,0\n"
+
+    def test_overflowing_anova_component_error_rejected(self, tmp_path, capsys):
+        """Two centered terms on x1 whose derivative pieces are all +inf
+        (their derivatives correlate positively) but whose value pieces are
+        +inf and -inf (their values correlate negatively): the energies
+        stay inf, and the L2 error of the component [1] is exit 2."""
+        terms = [{"coef": 1e160, "factors": {"1": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}},
+                 {"coef": 1e160, "factors": {"1": {"kind": "polynomial",
+                                                    "coeffs": [0.225, -0.95, 0.0, 1.0]}}}]
+        cfg = {"function": {"dim": 2, "terms": terms}, "gamma": {"kind": "product", "seq": _POWER}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("anova", path, tmp_path / "anova.csv") == 0
+        assert "[1],inf,inf" in (tmp_path / "anova.csv").read_text()
+        path.write_text(json.dumps({**cfg, "mode": "anova", "m": [1, 0]}))
+        assert run_cli("truncate", path, tmp_path / "out.csv") == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
+                          "overflows the float range"]
+
+    def test_overflowing_anova_integral_rejected(self, tmp_path, capsys):
+        """1e200 * (x1 - 1/2) and 1e200 * (x1**5 - 1/6) rise together, so
+        their derivative pieces are +inf, but the 1-D integral of their
+        values meets +inf and -inf: the component [1] has no L2 error, and
+        every m below 1 is exit 2, naming the first one."""
+        terms = [{"coef": 1.0, "factors": {"1": {"kind": "polynomial", "coeffs": [-5e199, 1e200]}}},
+                 {"coef": 1.0, "factors": {"1": {"kind": "polynomial",
+                                                  "coeffs": [-1e200 / 6, 0, 0, 0, 0, 1e200]}}}]
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg = {"function": {"dim": 2, "terms": terms}, "gamma": {"kind": "product", "seq": _POWER},
+               "mode": "anova"}
+        path.write_text(json.dumps({**cfg, "m": [2, 1]}))
+        assert run_cli("truncate", path, out) == 0
+        path.write_text(json.dumps({**cfg, "m": [1, 0]}))
+        assert run_cli("truncate", path, out) == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
+                          "overflows the float range"]
+
     @pytest.mark.parametrize("command", ["anova", "anchored", "sobol", "truncate"])
     def test_negative_power_exponent_rejected(self, tmp_path, capsys, command):
         """A config's power sequence decays: p < 0 is exit 2, not a weight
@@ -1009,6 +1060,83 @@ class TestKernelCount:
         assert len(calls) == grams
 
 
+#: (x1 - 1/2) * x2 vanishes at the anchor 1/2 with every component that
+#: leaves x1 out, so its approximant of order 0 is empty
+_ZERO_AT_ANCHOR = {"dim": 2, "terms": [{"coef": 1.0, "factors": {
+    "1": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}, "2": {"kind": "monomial", "power": 1}}}]}
+
+
+class TestNestedTruncation:
+    """Anchored errors come from one sweep over f - S_M f for the largest m
+    asked for, each m summing a prefix: every row equals ``l2_error`` of f
+    and its own approximant, bit for bit."""
+
+    @staticmethod
+    def _configs():
+        example = json.loads((CONFIG_DIR / "truncate_example.json").read_text())
+        transcendental = json.loads((GOLDEN_DIR / "truncate_anchored_transcendental.json").read_text())
+        zero = {"function": _ZERO_AT_ANCHOR, "gamma": {"kind": "product", "seq": _POWER}}
+        return {"example": example, "transcendental": transcendental, "zero_at_anchor": zero}
+
+    @pytest.mark.parametrize("name", ["example", "transcendental", "zero_at_anchor"])
+    @pytest.mark.parametrize("m_list", ["all", [3, 0, 3, 1], "beyond", [2, 0, 1]])
+    def test_rows_equal_l2_error(self, tmp_path, name, m_list):
+        cfg = {**self._configs()[name], "mode": "anchored"}
+        f = function_from_json(cfg["function"])
+        if m_list == "all":
+            m_list = list(range(f.dim + 1))
+        elif m_list == "beyond":
+            m_list = [f.dim + 2]
+        cfg["m"] = m_list
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("truncate", path, out) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == m_list
+        want = [l2_error(f, truncate_order(f, m, "anchored")) for m in m_list]
+        assert [float(row[1]).hex() for row in rows] == [w.hex() for w in want]
+        if name == "zero_at_anchor":
+            assert truncate_order(f, 0, "anchored").terms[0].coef == 0.0
+
+    def test_empty_approximant_is_the_constant_zero(self, tmp_path):
+        """S_0 is empty, and f - S_0 f carries the term -0.0 of the constant
+        0.0: against the +inf integral of the x1 factor its pieces are nan,
+        and the error reads 0 as ``l2_error`` has it (+inf without that
+        term)."""
+        spec = {"dim": 2, "terms": [{"coef": 1.0, "factors": {
+            "1": {"kind": "polynomial", "coeffs": [1e308, 0.0, 1.7e308]},
+            "2": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]}
+        f = function_from_json(spec)
+        assert l2_error(f, truncate_order(f, 0, "anchored")) == 0.0
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"function": spec, "gamma": {"kind": "product", "seq": _POWER},
+                                    "m": [0]}))
+        assert run_cli("truncate", path, out) == 0
+        assert out.read_text().splitlines()[1].split(",")[:2] == ["0", "0"]
+
+    @pytest.mark.parametrize("m_list", [[0, 1, 2], [2, 0], [0, 0, 2], [1]])
+    def test_overflow_names_first_failing_approximant(self, tmp_path, capsys, m_list):
+        """1e160 * (x1 - 1/2): S_0 is empty and its error is +inf; from m = 1
+        on, f - S_m f sums +inf and -inf pieces.  The error line names the
+        first m of the list whose own ``l2_error`` overflows."""
+        spec = {"dim": 2, "terms": [{"coef": 1e160, "factors": {
+            "1": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]}
+        f = function_from_json(spec)
+        failing = []
+        for i, m in enumerate(m_list):
+            try:
+                l2_error(f, truncate_order(f, m, "anchored"))
+            except ConfigInvalid:
+                failing.append(i)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"function": spec, "gamma": {"kind": "product", "seq": _POWER},
+                                    "m": m_list}))
+        assert run_cli("truncate", path, tmp_path / "out.csv") == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: ConfigInvalid: the L2 error of approximant {failing[0]} "
+                          "overflows the float range"]
+
+
 class TestDecompositionCount:
     def test_truncate_decomposes_once(self, tmp_path, monkeypatch):
         """The norm and every order's truncation share one decomposition."""
@@ -1031,31 +1159,41 @@ class TestFactorPairCount:
     @pytest.mark.parametrize("stem", ["truncate_anova_all_orders", "truncate_anchored_transcendental"])
     def test_truncate_integrates_each_factor_pair_once(self, tmp_path, monkeypatch, stem):
         """Over every order m = 0..d of one request, each unordered pair of
-        factors that meet at a coordinate is integrated once."""
-        calls = []
+        factors that the error needs is integrated once, and no other pair:
+        the pairs within each nonconstant component (ANOVA), or those of
+        f - S_d f at each coordinate where one of the two terms has a factor
+        (anchored)."""
+        calls, decomposed = [], []
         value_inner = tensorsplit.sensitivity.value_inner
 
         def counting(f, g):
             calls.append((f, g))  # holding the factors keeps their ids distinct
             return value_inner(f, g)
 
+        def recording(f, *args):
+            decomposed.append((f, decompose(f, *args)))
+            return decomposed[-1][1]
+
         monkeypatch.setattr(tensorsplit.sensitivity, "value_inner", counting)
+        monkeypatch.setattr(tensorsplit.cli, "decompose", recording)
         config = GOLDEN_DIR / f"{stem}.json"
         out = tmp_path / "trunc.csv"
         assert run_cli("truncate", config, out) == 0
         assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.out").read_bytes()
 
-        cfg = json.loads(config.read_text())
-        f = function_from_json(cfg["function"])
-        components = decompose(f, cfg["mode"])
+        [(f, components)] = decomposed
+        if json.loads(config.read_text())["mode"] == "anova":
+            groups = [t.func.terms for t in components if t.omega]
+        else:
+            groups = [f.terms + [term for t in components for term in t.func.terms]]
         pairs = set()
-        for m in range(f.dim + 1):
-            terms = f.terms + _truncated(f, components, m).terms
+        for terms in groups:
             for tr in terms:
                 for ts in terms:
                     for k in tr.factors.keys() | ts.factors.keys():
                         pairs.add(frozenset((id(tr.factor(k)), id(ts.factor(k)))))
-        assert len({frozenset((id(a), id(b))) for a, b in calls}) == len(calls) == len(pairs)
+        assert {frozenset((id(a), id(b))) for a, b in calls} == pairs
+        assert len(calls) == len(pairs)
 
 
 class TestFmt:

@@ -1,20 +1,29 @@
 """Sensitivity indices, truncation, and a priori error bounds."""
 
 import collections
+import json
 import math
+import random
+from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import tensorsplit.sensitivity
 from corpus import corpus
-from tensorsplit.decomp import weighted_norm
+from tensorsplit.cli import main
+from tensorsplit.decomp import decompose, weighted_norm
 from tensorsplit.equivalence import certify_equivalence
-from tensorsplit.errors import DegenerateDenominator, GammaL1Violated, OrderOutOfRange
-from tensorsplit.functions import SeparableFunction, Term, UnivariateFactor as F, pair_sum, value_inner
+from tensorsplit.errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
+from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as F, function_from_json,
+                                   pair_sum, value_inner)
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
 from tensorsplit.sensitivity import (
+    _prefix_l2_errors,
+    _truncation_errors,
     l2_error,
     sobol_indices,
     truncate_order,
@@ -23,6 +32,7 @@ from tensorsplit.sensitivity import (
 from tensorsplit.sequences import ConstantSeq, FiniteSeq, GeometricSeq, PowerSeq
 
 S = SupportSet.of
+GOLDEN_DIR = Path(__file__).parent / "golden"
 RNG = np.random.default_rng(4242)
 UNIT_GAMMA = ProductGamma(ConstantSeq(1.0))
 
@@ -231,6 +241,20 @@ class TestL2ErrorReuse:
             assert err == math.sqrt(max(0.0, pair_sum(diff, value_inner)))
 
 
+class TestPrefixSweep:
+    @pytest.mark.parametrize("cuts,index", [([1, 2], 1), ([2, 1], 0), ([1, 1, 2], 2)])
+    def test_overflowing_integral_names_its_first_prefix(self, cuts, index):
+        """A 1-D integral of +inf and -inf products, needed only by the
+        longer prefix, is ``ConfigInvalid`` naming the first entry that
+        needs it; the shorter prefix alone still sums."""
+        flat = F.constant(1e200)
+        ramp = F.polynomial([-1e200, 0.0, 4e200])  # changes sign: flat * ramp is -inf, then +inf
+        terms = [Term(1.0, {1: flat}), Term(1.0, {1: ramp})]
+        assert l2_error(SeparableFunction(1, terms[:1]), SeparableFunction.constant(1, 0.0)) == math.inf
+        with pytest.raises(ConfigInvalid, match=f"approximant {index} overflows"):
+            _prefix_l2_errors([(terms, n) for n in cuts], value_inner)
+
+
 class TestTruncationBound:
     def test_empty_support_gives_zero(self):
         gamma = TableGamma({})
@@ -280,3 +304,205 @@ class TestTruncationBound:
             den = truncation_bound(gamma, m, "anova", 0.5)
             expected = (3.0 / 4.0) ** ((m + 1) / 2.0)
             assert num / den == pytest.approx(expected, rel=0.01)
+
+
+
+# ---------------------------------------------------------------------------
+# an exact oracle for ANOVA truncation errors
+
+
+def _mp(x):
+    """A Fraction or an mpf as an mpf at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+
+
+class _ExactAnova:
+    """||f - S_m f||^2 of the ANOVA decomposition of a function spec, from the
+    spec alone: exact (``fractions.Fraction``) when every factor is a
+    polynomial, else to 40 digits (mpmath) for ``exp`` factors.  Per pair of
+    terms (r, s), the z-coefficients of prod_k (mu_rk mu_sk + z <g~_rk, g~_sk>)
+    are the pair's share of the energy of each order."""
+
+    ONE = ("poly", (Fraction(1),))
+
+    def __init__(self, spec: dict):
+        self.dim = spec["dim"]
+        self.terms = [(Fraction(t["coef"]),
+                       {int(k): self._factor(g) for k, g in t.get("factors", {}).items()})
+                      for t in spec["terms"]]
+        exact = all(g[0] == "poly" for _, fs in self.terms for g in fs.values())
+        self.num = (lambda x: x) if exact else _mp
+
+    @staticmethod
+    def _factor(spec):
+        if spec["kind"] == "monomial":
+            return ("poly", (Fraction(0),) * spec["power"] + (Fraction(1),))
+        if spec["kind"] == "polynomial":
+            return ("poly", tuple(map(Fraction, spec["coeffs"])))
+        assert spec["kind"] == "exp"
+        return ("exp", Fraction(spec["rate"]))
+
+    @staticmethod
+    def _mean(g):
+        kind, p = g
+        if kind == "poly":
+            return sum(c / (i + 1) for i, c in enumerate(p))
+        return mpmath.expm1(_mp(p)) / _mp(p)
+
+    @staticmethod
+    def _integral(g, h):
+        """The integral of g * h over [0, 1]."""
+        if g[0] == h[0] == "poly":
+            return sum(a * b / (i + j + 1) for i, a in enumerate(g[1]) for j, b in enumerate(h[1]))
+        if g[0] == h[0] == "exp":
+            rate = _mp(g[1] + h[1])
+            return mpmath.expm1(rate) / rate
+        (_, rate), (_, coeffs) = sorted((g, h))  # the exp factor first
+        return mpmath.quad(lambda x: mpmath.exp(_mp(rate) * x)
+                           * mpmath.polyval([_mp(c) for c in reversed(coeffs)], x), [0, 1])
+
+    def errors_sq(self) -> list:
+        """||f - S_m f||^2 for m = 0..dim."""
+        num = self.num
+        by_order = [num(Fraction(0))] * (self.dim + 1)
+        for cr, fr in self.terms:
+            for cs, fs in self.terms:
+                poly = [num(cr * cs)]
+                for k in range(1, self.dim + 1):
+                    g, h = fr.get(k, self.ONE), fs.get(k, self.ONE)
+                    a = num(self._mean(g)) * num(self._mean(h))
+                    v = num(self._integral(g, h)) - a
+                    poly = [a * p + v * q for p, q in zip(poly + [0], [0] + poly)]
+                by_order = [e + p for e, p in zip(by_order, poly)]
+        return [sum(by_order[m + 1:], num(Fraction(0))) for m in range(self.dim + 1)]
+
+    def l2_norm_sq(self):
+        """||f||^2 over [0, 1]**dim."""
+        total = self.num(Fraction(0))
+        for cr, fr in self.terms:
+            for cs, fs in self.terms:
+                piece = self.num(cr * cs)
+                for k in range(1, self.dim + 1):
+                    piece *= self.num(self._integral(fr.get(k, self.ONE), fs.get(k, self.ONE)))
+                total += piece
+        return total
+
+
+def _poly_spec(dim, terms):
+    return {"dim": dim, "terms": [{"coef": c, "factors": {str(k): {"kind": "polynomial", "coeffs": cs}
+                                                        for k, cs in fs.items()}}
+                                  for c, fs in terms]}
+
+
+def _cli_errors(tmp_path, spec, gamma, m_list=None):
+    cfg = {"function": spec, "gamma": gamma, "mode": "anova"}
+    if m_list is not None:
+        cfg["m"] = m_list
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(cfg))
+    assert main(["truncate", "--config", str(path), "--out", str(out)]) == 0
+    return [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+
+
+def _assert_matches_truth(errors, truths_sq, scale=None):
+    """Each error within 1e-13 of its truth, relative (or of ``scale`` when
+    given), and exactly 0.0 where the truth is 0."""
+    with mpmath.workdps(40):
+        for m, (err, truth_sq) in enumerate(zip(errors, truths_sq)):
+            if truth_sq == 0:
+                assert err == 0.0, f"m={m}: {err!r} where the truth is 0"
+                continue
+            truth = mpmath.sqrt(_mp(truth_sq))
+            tol = 1e-13 * (truth if scale is None else scale)
+            assert abs(mpmath.mpf(err) - truth) <= tol, f"m={m}: {err!r} vs {mpmath.nstr(truth, 17)}"
+
+
+class TestAnovaErrorOracle:
+    """ANOVA truncation errors against an exact oracle.  Summing f against
+    its approximant (the route before the orthogonal component sum) is off
+    by 2.5e-13 relative at m = 5 of the eight-variable product, and reads
+    2.41126543210551e-4 for 2.4112654320987654e-4, 4.8225308645e-5 for
+    12**-4 and 5.7e-10 for 0 at m = 6, 7, 8."""
+
+    def test_golden_config(self, tmp_path):
+        cfg = json.loads((GOLDEN_DIR / "truncate_anova_all_orders.json").read_text())
+        with mpmath.workdps(40):
+            truths = _ExactAnova(cfg["function"]).errors_sq()
+        assert truths[-1] == 0
+        _assert_matches_truth(_cli_errors(tmp_path, cfg["function"], cfg["gamma"]), truths)
+
+    def test_product_of_eight_variables(self, tmp_path):
+        spec = _poly_spec(8, [(1.0, {k: [0.0, 1.0] for k in range(1, 9)})])
+        truths = _ExactAnova(spec).errors_sq()
+        assert truths[7] == Fraction(1, 12**8) and truths[8] == 0
+        gamma = {"kind": "product", "seq": {"kind": "power", "c": 1.0, "p": 4.0}}
+        _assert_matches_truth(_cli_errors(tmp_path, spec, gamma, list(range(9))), truths)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_polynomial_corpus(self, seed):
+        """Within 1e-13 * ||f||_L2 of the truth, and exactly 0.0 where the
+        truth is 0, for every m and one more than the dimension."""
+        rnd = random.Random(seed)
+        dim = rnd.randint(1, 6)
+        terms = []
+        for _ in range(rnd.randint(1, 5)):
+            coords = rnd.sample(range(1, dim + 1), rnd.randint(0, dim))
+            terms.append((rnd.uniform(-2.0, 2.0), {
+                k: [rnd.uniform(-1.0, 1.0) for _ in range(rnd.randint(1, 4))] for k in coords}))
+        spec = _poly_spec(dim, terms)
+        f = function_from_json(spec)
+        m_list = list(range(dim + 2))
+        errors = _truncation_errors(f, decompose(f, "anova"), m_list, "anova")
+        oracle = _ExactAnova(spec)
+        truths = oracle.errors_sq() + [Fraction(0)]
+        with mpmath.workdps(40):
+            norm = mpmath.sqrt(_mp(oracle.l2_norm_sq()))
+        _assert_matches_truth(errors, truths, scale=norm)
+
+
+# ---------------------------------------------------------------------------
+# a sharp lower bound that every truncation bound must meet
+
+#: name -> (product weight sequence, gamma_k to 40 digits)
+_SHARP_SEQS = {
+    "power4": (PowerSeq(1.0, 4.0), lambda k: mpmath.mpf(k) ** -4),
+    "power2.5": (PowerSeq(1.0, 2.5), lambda k: mpmath.mpf(k) ** mpmath.mpf(-2.5)),
+    "geometric": (GeometricSeq(1.0, 0.5), lambda k: mpmath.mpf(0.5) ** k),
+}
+#: (sequence, mode) -> the smallest m at which the bound cancels below the
+#: sharp value (ROADMAP item 1a)
+_CANCELS_FROM = {("power4", "anova"): 6, ("power4", "anchored"): 5, ("power2.5", "anova"): 8,
+                 ("power2.5", "anchored"): 7, ("geometric", "anova"): 7}
+
+
+def _sharp_cases():
+    for name in _SHARP_SEQS:
+        for mode in ("anova", "anchored"):
+            for m in range(13):
+                marks = ()
+                if m >= _CANCELS_FROM.get((name, mode), math.inf):
+                    marks = pytest.mark.xfail(strict=True, reason=(
+                        "ROADMAP item 1a: truncation_bound's total - head cancels"))
+                yield pytest.param(name, mode, m, marks=marks, id=f"{name}-{mode}-{m}")
+
+
+class TestSharpLowerBound:
+    @pytest.mark.parametrize("name,mode,m", _sharp_cases())
+    def test_bound_meets_largest_omitted_term(self, name, mode, m):
+        """For a product gamma, truncation_bound**2 sums c**|u| * gamma_u over
+        the sets u above m with c = 1/6 (ANOVA) or max(a, 1-a)**2 / 2
+        (anchored), so it is at least the term of u = {1..m+1} with the
+        smaller 1-D constant pi**-2 or 4 * max(a, 1-a)**2 / pi**2, the sharp
+        one: c**(m+1) * prod_{k<=m+1} gamma_k, here rounded down."""
+        seq, gamma_k = _SHARP_SEQS[name]
+        anchor = 0.5
+        with mpmath.workdps(40):
+            c = 1 / mpmath.pi ** 2
+            if mode == "anchored":
+                c *= 4 * mpmath.mpf(max(anchor, 1.0 - anchor)) ** 2
+            sharp = c ** (m + 1) * mpmath.fprod(gamma_k(k) for k in range(1, m + 2))
+            low = float(sharp)
+            if mpmath.mpf(low) > sharp:
+                low = math.nextafter(low, 0.0)
+        assert low > 0.0
+        assert truncation_bound(ProductGamma(seq), m, mode, anchor) ** 2 >= low
