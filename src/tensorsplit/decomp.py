@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ConfigInvalid, NormInfinite
-from .functions import SeparableFunction, Term, deriv_inner, table_pair_sum
+from .functions import SeparableFunction, Term, deriv_inner, table_pair_pieces
 from .gammas import GammaModel
 from .indexing import EMPTY_SUPPORT, SupportSet
 from .quadrature import QuadratureRule, gauss_legendre, integrate_piecewise
@@ -214,7 +214,7 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
             if not coefs:
                 energy = 0.0
             elif active:
-                energy = table_pair_sum(coefs, [(tables[k], rows) for k in active])
+                energy = math.fsum(table_pair_pieces(coefs, [(tables[k], rows) for k in active]))
             else:
                 energy = math.fsum(coefs) ** 2
         except (OverflowError, ValueError) as exc:  # ** or fsum past the float range

@@ -210,20 +210,16 @@ def pair_pieces(terms: Sequence[Term], inner) -> list[float]:
     return table_pair_pieces([t.coef for t in terms], columns)
 
 
-def table_pair_sum(coefs: Sequence[float], columns) -> float:
-    """fsum over i <= j of c_i * c_j * prod over ``(table, at)`` in
-    ``columns`` of ``table[at[i]][at[j]]``, the off-diagonal pieces doubled."""
-    return math.fsum(table_pair_pieces(coefs, columns))
-
-
 def table_pair_pieces(coefs: Sequence[float], columns) -> list[float]:
-    """The pieces of ``table_pair_sum``, pair (i, j) with i <= j placed
-    after every pair of a smaller j: the first L*(L+1)/2 pieces are those
-    of the first L coefficients.
+    """c_i * c_j * prod over ``(table, at)`` in ``columns`` of
+    ``table[at[i]][at[j]]`` for i <= j, the off-diagonal pieces doubled;
+    pair (i, j) comes after every pair of a smaller j, so the first
+    L*(L+1)/2 pieces are those of the first L coefficients.
 
     Each unordered pair is visited once and counted twice: its product is
     the same bit for bit in either order, doubling loses no bits and fsum is
-    correctly rounded, so the fsum equals the sum over ordered pairs.
+    correctly rounded, so the fsum of the pieces equals the sum over
+    ordered pairs.
     """
     pieces = []
     for j, c in enumerate(coefs):

@@ -212,8 +212,8 @@ def _truncation_errors(
     f: SeparableFunction, components: Sequence[DecompositionTerm], m_list: Sequence[int],
     mode: str,
 ) -> list[float]:
-    """``l2_error(f, truncate_order(f, m, mode))`` for each m of ``m_list``,
-    from the ``decompose`` list of f in that mode.
+    """The L2 error of ``truncate_order(f, m, mode)`` for each m of
+    ``m_list``, from the ``decompose`` list of f in that mode.
 
     Every m is checked first, in list order.  Each distinct pair of
     factors is integrated once over the whole list.  A squared error that
