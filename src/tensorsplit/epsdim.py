@@ -2,24 +2,23 @@
 
 The eps-dimension of a weighted-space pair (a, b) is the total dimension of
 the subspaces whose comparison ratio c_j = b_j / a_j stays at or above
-eps**2 (the boundary is included).  Enumeration is exact: a depth-first scan
-over the index tree prunes branches with a certified bound on how much the
-ratio can still grow when new coordinates enter, so the returned set is the
-full threshold set, not a heuristic approximation.
+eps**2 (the boundary is included).  Enumeration is exact: a breadth-first
+walk over the index tree, level by level, prunes branches with a certified
+bound on how much the ratio can still grow when new coordinates enter, so
+the returned set is the full threshold set, not a heuristic approximation.
 
 For level-graded pairs (unit weights and common-smoothness spline weights,
-scaled or not) the set is instead counted in groups: all indices sharing a
-support and a total level carry the same ratio and meet the same tests, and
-their number is a binomial coefficient.  ``eps_dimension`` walks these
-groups for such pairs, and ``spline_eps_dimension`` counts with the same
-walk and also reports the coarser closed-form bound in which the
+scaled or not) the walk visits groups instead of single indices: all
+indices sharing a support and a total level carry the same ratio and meet
+the same tests, and their number is a binomial coefficient.  Both
+``eps_dimension`` and ``spline_eps_dimension`` count these groups for such
+pairs; the latter also reports the coarser closed-form bound in which the
 per-(support, excess) population is replaced by |support|**excess.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,8 +59,8 @@ DEFAULT_CAP = 10_000_000
 COORD_GUARD = 10_000_000
 _GUARD_HIT = "coordinate scan exceeded the hard guard"
 _ABOVE_ONE = "entry multipliers stay above 1 for arbitrarily large coordinates"
-#: most supports (the empty one too) a grouped walk reaches before raising
-#: EnumerationCap
+#: most supports (the empty one too) a walk with an unbounded cap reaches
+#: before raising EnumerationCap
 SUPPORT_CAP = 1_000_000
 
 
@@ -396,9 +395,10 @@ def enumerate_threshold_set(
     """Enumerate all indices with b_j / a_j >= eps**2 (boundary included).
 
     Returns ``(index_set, False)``; the set keeps each member's ratio.
-    Visiting more than ``cap`` candidates (on the support route: finding
-    more than ``cap`` members) raises ``EnumerationCap``.  The second value
-    is always False and is kept for callers that read ``result[0]``.
+    Finding more than ``cap`` candidates in ``_walk`` (on the support
+    route: more than ``cap`` members) raises ``EnumerationCap``.
+    The second value is always False and is kept for callers that read
+    ``result[0]``.
     """
     eps2 = _threshold(eps)
     if certificate is None:
@@ -414,49 +414,9 @@ def enumerate_threshold_set(
     if not isinstance(certificate, ProductDecay):
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
 
-    boost = _BoostTable(certificate.mult)
-    after = boost.after
-    level_cap = _combined_level_cap(a, b)
-    enter_a, deepen_a, enter_b, deepen_b = a.enter, a.deepen, b.enter, b.deepen
-    # a child raises the last level or enters a larger coordinate, so every
-    # entry tuple is canonical and becomes a member without a check
     to_vector = IndexVector._from_entries
-
-    out: dict[IndexVector, float] = {}
-    visited = 0
-    sa, sb = a.state(EMPTY_SUPPORT), b.state(EMPTY_SUPPORT)
-    # (entries, state of a, state of b, ratio)
-    stack = [((), sa, sb, carried_ratio(a, b, sa, sb, ()))]
-
-    while stack:
-        entries, sa, sb, cj = stack.pop()
-        visited += 1
-        if visited > cap:
-            raise EnumerationCap(f"visited more than {cap} candidate indices")
-        if cj >= eps2:
-            out[to_vector(entries)] = cj
-        kmax, level = entries[-1] if entries else (0, 0)
-
-        if kmax > 0 and (level_cap is None or level < level_cap):
-            child = entries[:-1] + ((kmax, level + 1),)
-            ca_, cb_ = deepen_a(sa, kmax), deepen_b(sb, kmax)
-            cc = carried_ratio(a, b, ca_, cb_, child)
-            if cc * after[kmax] >= eps2:
-                stack.append((child, ca_, cb_, cc))
-
-        for k in boost.entry_coords(cj, eps2, kmax + 1):
-            child = entries + ((k, 1),)
-            ca_, cb_ = enter_a(sa, k), enter_b(sb, k)
-            cc = carried_ratio(a, b, ca_, cb_, child)
-            if cc * after[k] >= eps2:
-                stack.append((child, ca_, cb_, cc))
-
-    return ThresholdSet(out), False
-
-
-def _combined_level_cap(a: WeightModel, b: WeightModel) -> int | None:
-    caps = [m.max_level for m in (a, b) if m.max_level is not None]
-    return min(caps) if caps else None
+    members = _walk(a, b, eps2, certificate.mult, cap, graded=False)
+    return ThresholdSet({to_vector(entries): c for entries, _, _, c in members}), False
 
 
 def _enumerate_by_support(a, b, eps2, supports, cap):
@@ -496,74 +456,93 @@ def _level_graded(m: WeightModel) -> bool:
 
 
 def _graded_groups(a, b, eps2, certificate, cap):
-    """Member groups ``(support, total level, count, ratio)`` of a
-    level-graded pair, the support a tuple of coordinates.
-
-    The indices with one support and one total level share their ratio,
-    push tests and entry scan, so the walk visits these groups level by
-    level; ``count`` is how many of a group's vectors the vector walk
-    visits, so ``cap`` trips where it does.  More than ``SUPPORT_CAP``
-    supports, or a total level past the hard guard, raise EnumerationCap.
-    """
+    """Member groups ``(support, total level, count, ratio)`` of a level-graded
+    pair, the support a tuple of coordinates: ``_walk``'s, or the support route's."""
     if certificate is None:
         certificate = auto_certificate(a, b)
     if isinstance(certificate, SupportDecay):
         return _count_by_support(a, b, eps2, certificate.supports, cap)
     if not isinstance(certificate, ProductDecay):
-        raise ConfigInvalid(f"no grouped walk for certificate {certificate!r}")
-    boost = _BoostTable(certificate.mult)
-    after = boost.after
+        raise ConfigInvalid(f"unknown certificate {certificate!r}")
+    return _walk(a, b, eps2, certificate.mult, cap, graded=True)
+
+
+def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
+    """Members ``(key, total level, count, ratio)`` of a breadth-first walk
+    over the index tree, one total level at a time.
+
+    An index's children are the index with its last level raised (up to
+    the level cap) and with each coordinate of its entry scan entered; push
+    tests prune.  A ``graded`` pair's node is the group of indices with one
+    support and total level, keyed by the support; ``count`` is how many of
+    them the walk visits.  Any other node is one index, keyed by its entries.
+
+    ``cap`` bounds the candidates found (visited or built for the next
+    level), ``SUPPORT_CAP`` the supports when ``cap`` is unbounded.  Past
+    either, the level's other nodes run their scans but build no children,
+    and EnumerationCap comes when the level is done: a scan's error on that
+    level wins over it in any node order.
+    """
+    boost = _BoostTable(mult)
+    after, entry_coords = boost.after, boost.entry_coords
+    level_cap = min((m.max_level for m in (a, b) if m.max_level is not None), default=None)
     enter_a, deepen_a, enter_b, deepen_b = a.enter, a.deepen, b.enter, b.deepen
-    entry_coords = boost.entry_coords
+    support_cap = SUPPORT_CAP if cap == math.inf else math.inf
     sa, sb = a.state(EMPTY_SUPPORT), b.state(EMPTY_SUPPORT)
-    # support -> [count, level-one entries, state of a, state of b, ratio],
-    # or None when the group fails its push test
+    # key -> [count, entries, state of a, state of b, ratio] of the nodes that
+    # pass their push test; a group's entries hold its support at level 1.  A
+    # group may have two parents, an index has one: only groups are looked up
     level = {(): [1, (), sa, sb, carried_ratio(a, b, sa, sb, ())]}
-    groups, visited, supports, total = [], 0, 0, 0
+    members, found, supports, total = [], 1, 0, 0
     while level:
         if total > COORD_GUARD:
             raise EnumerationCap("level scan exceeded the hard guard")
         below, level = level, {}
         get = level.get
-        for sigma, group in below.items():
-            if group is None:
-                continue
-            count, ones, sa, sb, c = group
-            visited += count
-            if visited > cap:
-                raise EnumerationCap(f"visited more than {cap} candidate indices")
-            supports += total == len(sigma)  # a support's first group is its level-one one
-            if supports > SUPPORT_CAP:
-                raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
+        for key, (count, entries, sa, sb, c) in below.items():
+            supports += total == len(entries)  # a support's first node has every level 1
             if c >= eps2:
-                groups.append((sigma, total, count, c))
-            # the children of each vector: its last level raised, which keeps
-            # the support, and each coordinate the entry scan yields entered
-            kmax = sigma[-1] if sigma else 0
-            if kmax:
-                if (pushed := get(sigma, False)) is False:
+                members.append((key, total, count, c))
+            kmax, top = entries[-1] if entries else (0, 0)
+            scan = entry_coords(c, eps2, kmax + 1)
+            if found > cap or supports > support_cap:
+                for _ in scan:
+                    pass
+                continue
+            if kmax and (level_cap is None or top < level_cap):
+                child = key if graded else entries[:-1] + ((kmax, top + 1),)
+                if not (pushed := graded and get(child)):
                     ca, cb = deepen_a(sa, kmax), deepen_b(sb, kmax)
-                    cc = carried_ratio(a, b, ca, cb, ones)
-                    pushed = level[sigma] = [0, ones, ca, cb, cc] if cc * after[kmax] >= eps2 else None
-                if pushed is not None:
+                    child_entries = entries if graded else child
+                    cc = carried_ratio(a, b, ca, cb, child_entries)
+                    if cc * after[kmax] >= eps2:
+                        pushed = level[child] = [0, child_entries, ca, cb, cc]
+                if pushed:
                     pushed[0] += count
-            for k in entry_coords(c, eps2, kmax + 1):
-                child = sigma + (k,)
-                if (pushed := get(child, False)) is False:
-                    child_ones, ca, cb = ones + ((k, 1),), enter_a(sa, k), enter_b(sb, k)
-                    cc = carried_ratio(a, b, ca, cb, child_ones)
-                    pushed = level[child] = [0, child_ones, ca, cb, cc] if cc * after[k] >= eps2 else None
-                if pushed is not None:
+                    found += count
+            for k in scan:
+                child = key + (k,) if graded else entries + ((k, 1),)
+                if not (pushed := graded and get(child)):
+                    ca, cb = enter_a(sa, k), enter_b(sb, k)
+                    child_entries = entries + ((k, 1),) if graded else child
+                    cc = carried_ratio(a, b, ca, cb, child_entries)
+                    if cc * after[k] >= eps2:
+                        pushed = level[child] = [0, child_entries, ca, cb, cc]
+                if pushed:
                     pushed[0] += count
+                    found += count
+        if found > cap or supports > support_cap:
+            raise EnumerationCap(f"visited more than {cap} candidate indices" if found > cap
+                                 else f"more than {SUPPORT_CAP} supports enumerated")
         total += 1
-    return groups
+    return members
 
 
 def _count_by_support(a, b, eps2, supports, cap):
     """The support route for a level-graded pair: each support has
     comb(T - 1, |support| - 1) members at each total level T from |support|
     up to the last whose ratio clears eps2, and the cap counts members."""
-    if len(supports) > SUPPORT_CAP:
+    if cap == math.inf and len(supports) > SUPPORT_CAP:
         raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
     groups, members = [], 0
     for sigma in supports:
@@ -581,21 +560,6 @@ def _count_by_support(a, b, eps2, supports, cap):
                 raise EnumerationCap("level scan exceeded the hard guard")
             sa, sb, total = a.deepen(sa, coords[-1]), b.deepen(sb, coords[-1]), total + 1
     return groups
-
-
-def _expand(groups, vector_walk) -> dict[IndexVector, float]:
-    """The member ratios of member groups: each group stands for the level
-    vectors on its support with its total level.  A group visited only in
-    part (a rounding tie between an entry scan and a push test) sends the
-    expansion to ``vector_walk``, which returns the vector walk's set."""
-    if any(sigma and count != math.comb(total - 1, len(sigma) - 1) for sigma, total, count, _ in groups):
-        return vector_walk().ratios
-    out, to_vector = {}, IndexVector._from_entries
-    for sigma, total, _, c in groups:
-        for cuts in itertools.combinations(range(1, total), len(sigma) - 1) if sigma else [()]:
-            bounds = (0, *cuts, total)
-            out[to_vector(tuple((k, hi - lo) for k, lo, hi in zip(sigma, bounds, bounds[1:])))] = c
-    return out
 
 
 def _group_result(groups, dims: DimensionModel, eps: float, **fields) -> EpsDimResult:
@@ -616,18 +580,15 @@ def eps_dimension(
 ) -> EpsDimResult:
     """Total dimension of the threshold set's subspaces.
 
-    Level-graded pairs with all-one or spline dimensions take the grouped
-    walk, and their ``index_set`` is built when first read.  If that walk
-    raises, the vector walk runs and raises its own first error.
+    Level-graded pairs with all-one or spline dimensions walk groups
+    (``_graded_groups``) unless the certificate lists the candidates; their
+    ``index_set`` is the vector walk's, run when first read.
     """
-    if _level_graded(a) and _level_graded(b) and type(dims) in _GROUP_DIM:
-        try:
-            groups = _graded_groups(a, b, _threshold(eps), certificate, cap)
-        except Exception:  # the vector walk below meets its own first error
-            pass
-        else:
-            return _group_result(groups, dims, eps, index_set=ThresholdSet(lambda: _expand(
-                groups, lambda: enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)[0])))
+    if (_level_graded(a) and _level_graded(b) and type(dims) in _GROUP_DIM
+            and not isinstance(certificate, FiniteUniverse)):
+        groups = _graded_groups(a, b, _threshold(eps), certificate, cap)
+        return _group_result(groups, dims, eps, index_set=ThresholdSet(
+            lambda: enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)[0].ratios))
     index_set, _ = enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)
     members = sorted(((j.max_coord, dims.subspace_dim(j), 1, c)
                       for j, c in index_set.ratios.items()), key=lambda m: m[0])

@@ -422,7 +422,7 @@ def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
 
     This is ``fit_map`` on the single output column.
     """
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise ConfigInvalid("the regularization weight must be positive")
     if samples.outputs.ndim != 1:
         raise ConfigInvalid("fit expects scalar outputs; use fit_map")
@@ -448,7 +448,7 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
         lam_arr = np.full(L, float(lam_arr))
     if lam_arr.shape != (L,):
         raise ConfigInvalid(f"need one regularization weight per output, got {lam_arr.shape}")
-    if np.any(lam_arr <= 0):
+    if not np.all(lam_arr > 0):  # NaN too
         raise ConfigInvalid("regularization weights must be positive")
 
     G = gram_matrix(kernel, samples.inputs)

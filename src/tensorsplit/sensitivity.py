@@ -217,8 +217,8 @@ def _truncation_errors(
 
     Every m is checked first, in list order.  Each distinct pair of
     factors is integrated once over the whole list.  A squared error that
-    overflows the float range is ``ConfigInvalid`` naming the position of
-    the first such m.
+    overflows the float range, or is nan, is ``ConfigInvalid`` naming the
+    position of the first such m.
 
     ANOVA components are L2-orthogonal, so the squared error is the sum of
     the squared L2 norms of the components above m: one fsum of their pair
@@ -269,12 +269,12 @@ def _anova_errors(
             square = math.fsum(p for order, pieces in by_order.items() if order > m for p in pieces)
         except (OverflowError, ValueError) as exc:  # fsum past the float range
             raise _overflow(i) from exc
-        errors.append(math.sqrt(max(0.0, square)))
+        errors.append(_root(square, i))
     return errors
 
 
 def _prefix_l2_errors(approximants: Sequence[tuple[list[Term], int]], inner) -> list[float]:
-    """sqrt(max(0, pair_sum(terms[:n]))) for each ``(terms, n)``; entries
+    """``_root`` of pair_sum(terms[:n]) for each ``(terms, n)``; entries
     that share a term list share its pair pieces.  A list some of whose
     1-D integrals overflow is integrated again, prefix by prefix, so the
     ``ConfigInvalid`` names the first entry whose own pairs overflow."""
@@ -293,8 +293,17 @@ def _prefix_l2_errors(approximants: Sequence[tuple[list[Term], int]], inner) -> 
             square = math.fsum(itertools.islice(pieces, n * (n + 1) // 2))
         except (OverflowError, ValueError) as exc:  # an integral or fsum past the float range
             raise _overflow(i) from exc
-        errors.append(math.sqrt(max(0.0, square)))
+        errors.append(_root(square, i))
     return errors
+
+
+def _root(square: float, i: int) -> float:
+    """The error of approximant i from its squared error, a rounding below 0
+    read as 0; a nan square (0 times an overflowing integral) is
+    ``ConfigInvalid``, as an overflow is."""
+    if math.isnan(square):
+        raise _overflow(i)
+    return math.sqrt(max(0.0, square))
 
 
 def _overflow(i: int) -> ConfigInvalid:

@@ -575,6 +575,26 @@ class TestErrors:
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert errors == [f"error: {line}"]
 
+    @pytest.mark.parametrize("cap,code,line", [
+        (2, 7, "EnumerationCap: visited more than 2 candidate indices"),
+        (3, 7, "EnumerationCap: visited more than 3 candidate indices"),
+        *((cap, 6, "NotCompact: entry multipliers do not decay; the threshold set is unbounded")
+          for cap in (4, 5, 8)),
+    ])
+    def test_epsdim_cap_races_not_compact(self, tmp_path, capsys, cap, code, line):
+        """Entry multipliers 4, 1.5, 0.025, 1.5, then 0.025 for ever: the
+        root and total level 1 are 4 candidates, and the entry scan of
+        coordinate 1 meets NotCompact.  A cap below 4 trips while level 1 is
+        built; from 4 on, the scan's error wins over the cap (exit 6, where
+        the depth-first walk this replaced exited 7 up to cap 8)."""
+        a = {"type": "spline", "gamma": {"kind": "product", "seq": {"kind": "constant", "value": 0.05}},
+             "s": 0.5, "lam": [0.00625, 0.05 / 3, 1.0, 0.05 / 3, 1.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"a": a, "b": {"type": "unit"}, "eps": [0.2]}))
+        assert run_cli("epsdim", path, tmp_path / "out.csv", ["--cap", str(cap)]) == code
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: {line}"]
+
     @pytest.mark.parametrize("command,cfg,line", [
         ("anova", {"function": _LINEAR, "gamma": {"kind": "table", "entries": [[[1], 0.5], [[1], 0.7]]}},
          "error: ConfigInvalid: gamma table repeats support [1]"),
@@ -728,6 +748,23 @@ class TestErrors:
         assert run_cli("truncate", path, out) == 0
         path.write_text(json.dumps({**cfg, "m": [1, 0]}))
         assert run_cli("truncate", path, out) == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
+                          "overflows the float range"]
+
+    def test_nan_anova_error_rejected(self, tmp_path, capsys):
+        """1.7e308 * (x1 - 1/2) times (x2 - 1/2) and times the orthogonal
+        x2**2 - x2 + 1/6: the component [1, 2] has infinite energy, and its
+        cross piece is +inf * 0 = nan.  m = 2 reads 0; m = 0 is exit 2, not
+        the error 0 that a nan square clamped to 0 would write."""
+        x1 = {"kind": "polynomial", "coeffs": [-0.85e308, 1.7e308]}
+        terms = [{"coef": 1.0, "factors": {"1": x1, "2": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}},
+                 {"coef": 1.0, "factors": {"1": x1, "2": {"kind": "polynomial",
+                                                          "coeffs": [1 / 6, -1.0, 1.0]}}}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"function": {"dim": 2, "terms": terms}, "mode": "anova",
+                                    "gamma": {"kind": "product", "seq": _POWER}, "m": [2, 0]}))
+        assert run_cli("truncate", path, tmp_path / "out.csv") == 2
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
                           "overflows the float range"]
@@ -1098,21 +1135,25 @@ class TestNestedTruncation:
         if name == "zero_at_anchor":
             assert truncate_order(f, 0, "anchored").terms[0].coef == 0.0
 
-    def test_empty_approximant_is_the_constant_zero(self, tmp_path):
+    def test_empty_approximant_is_the_constant_zero(self, tmp_path, capsys):
         """S_0 is empty, and f - S_0 f carries the term -0.0 of the constant
-        0.0: against the +inf integral of the x1 factor its pieces are nan,
-        and the error reads 0 as ``l2_error`` has it (+inf without that
-        term)."""
+        0.0: against the +inf integral of the x1 factor its pieces are nan.
+        The truth is +inf, so a nan square is refused as an overflow is,
+        in ``l2_error`` and in the CLI, not written as 0."""
         spec = {"dim": 2, "terms": [{"coef": 1.0, "factors": {
             "1": {"kind": "polynomial", "coeffs": [1e308, 0.0, 1.7e308]},
             "2": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]}
         f = function_from_json(spec)
-        assert l2_error(f, truncate_order(f, 0, "anchored")) == 0.0
+        message = "the L2 error of approximant 0 overflows the float range"
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+            l2_error(f, truncate_order(f, 0, "anchored"))
         path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         path.write_text(json.dumps({"function": spec, "gamma": {"kind": "product", "seq": _POWER},
                                     "m": [0]}))
-        assert run_cli("truncate", path, out) == 0
-        assert out.read_text().splitlines()[1].split(",")[:2] == ["0", "0"]
+        assert run_cli("truncate", path, out) == 2
+        assert not out.exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: ConfigInvalid: {message}"]
 
     @pytest.mark.parametrize("m_list", [[0, 1, 2], [2, 0], [0, 0, 2], [1]])
     def test_overflow_names_first_failing_approximant(self, tmp_path, capsys, m_list):

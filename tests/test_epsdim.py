@@ -13,11 +13,12 @@ from tensorsplit.epsdim import (
     COORD_GUARD,
     AllOneDims,
     DimensionModel,
+    FiniteUniverse,
     ProductDecay,
     SplineDims,
     _BoostTable,
-    _expand,
     _graded_groups,
+    auto_certificate,
     enumerate_threshold_set,
     eps_dimension,
     spline_eps_dimension,
@@ -147,7 +148,9 @@ def brute_force_set(ratios, eps, max_level=12):
 
 class VectorDims(DimensionModel):
     """``dims`` under a type the grouped walk does not know, so that
-    ``eps_dimension`` takes the vector walk: the grouped walk's oracle."""
+    ``eps_dimension`` walks single indices: the same breadth-first walk
+    keyed by entries, whose set, counts and errors the grouped walk must
+    reproduce."""
 
     def __init__(self, dims):
         self.dims = dims
@@ -893,8 +896,8 @@ class TestGroupedWalk:
     vector walk gives, they must give too, bit for bit."""
 
     @given(pair=graded_pairs())
-    # boosting head, then constant multipliers: the grouped walk's own scans
-    # meet NotCompact before its cap trips, the vector walk its cap first
+    # boosting head, then constant multipliers: the cap races NotCompact, and
+    # both walks meet NotCompact on the level where the count passes the cap
     @example(pair=(SplineWeights(ProductGamma(ListTailSeq([8.0, 3.0, 0.05, 3.0], 0.05)), 0.5), UnitWeights(),
                    AllOneDims(), 0.2, 4))
     @settings(max_examples=100, deadline=None)
@@ -942,15 +945,56 @@ class TestGroupedWalk:
             assert walks == ["enumerate_threshold_set"] and counts == {1}
         assert eps_dimension(a, b, eps, VectorDims(SplineDims())).n == res.n
 
-    def test_expansion_of_groups(self):
-        """Each full group expands into the level vectors on its support with
-        its total level; a group visited only in part takes the vector
-        walk's set instead."""
-        groups = [((), 0, 1, 1.0), ((2,), 3, 1, 0.5), ((1, 4), 4, 3, 0.25)]
-        expected = {ZERO_INDEX: 1.0, IndexVector({2: 3}): 0.5, IndexVector({1: 1, 4: 3}): 0.25,
-                    IndexVector({1: 2, 4: 2}): 0.25, IndexVector({1: 3, 4: 1}): 0.25}
-        assert _expand(groups, lambda: pytest.fail("every group is full")) == expected
-        vector_set = enumerate_threshold_set(SplineWeights(ProductGamma(FiniteSeq([1.0])), s=1.0),
-                                             UnitWeights(), 0.1)[0]
-        partial = groups[:2] + [((1, 4), 4, 2, 0.25)]
-        assert _expand(partial, lambda: vector_set) == vector_set.ratios
+    def test_finite_universe_on_graded_pair(self):
+        """A listed candidate set takes the vector route, level-graded pair
+        or not: ratios 1, 1/4, 1/16, 1/64 and 1/256 against eps**2 = 0.01."""
+        a = SplineWeights(ProductGamma(PowerSeq(1, 2)), 1)
+        candidates = (ZERO_INDEX, *(IndexVector({1: l}) for l in range(1, 5)))
+        res = eps_dimension(a, UnitWeights(), 0.1, SplineDims(), certificate=FiniteUniverse(candidates))
+        assert res.n == 8 and [m[2] for m in res.members] == [1, 1, 1, 1]
+        assert res.index_set == IndexSet(candidates[:4])
+
+    @pytest.mark.parametrize("dims", [AllOneDims(), SplineDims(), VectorDims(SplineDims())],
+                             ids=["all_one", "spline", "vector"])
+    @pytest.mark.parametrize("cap,error", [(2, EnumerationCap), (3, EnumerationCap), (4, NotCompact),
+                                           (5, NotCompact), (8, NotCompact)])
+    def test_cap_races_not_compact(self, dims, cap, error):
+        """Entry multipliers 4, 1.5, 0.025, 1.5, then 0.025 for ever: the
+        root and total level 1 (coordinates 1, 2 and 4) are 4 candidates,
+        and the entry scan of coordinate 1 meets NotCompact.  A cap below 4
+        trips while level 1 is built, before its scans; from 4 on, that
+        scan's error wins over the cap that level 2 passes, in both walks.
+        (The depth-first walk this replaced raised EnumerationCap up to cap
+        8.)"""
+        a = SplineWeights(ProductGamma(ListTailSeq([8.0, 3.0, 0.05, 3.0], 0.05)), 0.5)
+        with pytest.raises(error, match="^entry multipliers do not decay|^visited more than"):
+            eps_dimension(a, UnitWeights(), 0.2, dims, cap=cap)
+
+    @pytest.mark.parametrize("dims", [AllOneDims(), SplineDims(), VectorDims(SplineDims())],
+                             ids=["all_one", "spline", "vector"])
+    def test_scans_run_past_the_cap(self, dims):
+        """Entry multipliers 0.15, 1.5, 10, then 0.01 for ever, at eps**2 =
+        0.09: total level 1 holds coordinates 1, 2 and 3, and the children
+        of 1 and 2 pass the cap of 7.  Coordinate 3 comes after them and
+        builds no children, but its entry scan still runs and meets
+        NotCompact, which wins over the cap."""
+        a = SplineWeights(ProductGamma(ListTailSeq([0.3, 3.0, 20.0], 0.02)), 0.5)
+        with pytest.raises(NotCompact):
+            eps_dimension(a, UnitWeights(), 0.3, dims, cap=7)
+
+    @pytest.mark.parametrize("a", [ProductWeights(PowerSeq(1.0, 1.5)),
+                                   SplineWeights(ProductGamma(PowerSeq(1.0, 1.5)), 0.2)],
+                             ids=["vector", "grouped"])
+    def test_cap_bounds_the_nodes_built(self, monkeypatch, a):
+        """The root's entry scan yields thousands of coordinates, so the
+        cap of 50 trips while total level 1 is built: the walk computes the
+        ratio of the root and of each of its children, and of no node of
+        level 2, before EnumerationCap."""
+        ratios = []
+        carried = tensorsplit.epsdim.carried_ratio
+        monkeypatch.setattr(tensorsplit.epsdim, "carried_ratio",
+                            lambda *args: ratios.append(args) or carried(*args))
+        with pytest.raises(EnumerationCap, match="^visited more than 50 candidate indices$"):
+            eps_dimension(a, UnitWeights(), 1e-3, AllOneDims(), cap=50)
+        children = list(_BoostTable(auto_certificate(a, UnitWeights()).mult).entry_coords(1.0, 1e-6, 1))
+        assert len(children) > 1000 and len(ratios) == 1 + len(children)

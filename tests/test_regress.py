@@ -1,6 +1,7 @@
 """Kernel least-squares: Gram matrices, fits, maps, optimality."""
 
 import itertools
+import math
 import sys
 import threading
 import warnings
@@ -196,6 +197,19 @@ class TestFit:
         s = SampleSet(np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ConfigInvalid):
             fit(s, AnchoredKernel(1), 0.0)
+
+    @pytest.mark.parametrize("call,lam,message", [
+        ("fit", math.nan, "the regularization weight must be positive"),
+        ("fit_map", math.nan, "regularization weights must be positive"),
+        ("fit_map", [0.1, math.nan], "regularization weights must be positive"),
+    ], ids=["fit", "fit_map-scalar", "fit_map-list"])
+    def test_rejects_nan_lambda(self, call, lam, message):
+        """A NaN weight fails every comparison: it is refused as not
+        positive, before the Gram matrix or the shift n * lambda."""
+        outputs = np.array([1.0]) if call == "fit" else np.array([[1.0, 2.0]])
+        s = SampleSet(np.array([[0.5]]), outputs)
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+            {"fit": fit, "fit_map": fit_map}[call](s, AnchoredKernel(1), lam)
 
     @pytest.mark.parametrize("outputs", [0.5, np.zeros((1, 0)), np.zeros((1, 1, 1))],
                              ids=["scalar", "no-columns", "3-d"])
