@@ -585,8 +585,8 @@ class TestErrors:
         """Entry multipliers 4, 1.5, 0.025, 1.5, then 0.025 for ever: the
         root and total level 1 are 4 candidates, and the entry scan of
         coordinate 1 meets NotCompact.  A cap below 4 trips while level 1 is
-        built; from 4 on, the scan's error wins over the cap (exit 6, where
-        the depth-first walk this replaced exited 7 up to cap 8)."""
+        built (exit 7); from 4 on, the scan's error wins over the cap (exit
+        6)."""
         a = {"type": "spline", "gamma": {"kind": "product", "seq": {"kind": "constant", "value": 0.05}},
              "s": 0.5, "lam": [0.00625, 0.05 / 3, 1.0, 0.05 / 3, 1.0]}
         path = tmp_path / "cfg.json"

@@ -956,31 +956,24 @@ class TestGroupedWalk:
 
     @pytest.mark.parametrize("dims", [AllOneDims(), SplineDims(), VectorDims(SplineDims())],
                              ids=["all_one", "spline", "vector"])
-    @pytest.mark.parametrize("cap,error", [(2, EnumerationCap), (3, EnumerationCap), (4, NotCompact),
-                                           (5, NotCompact), (8, NotCompact)])
-    def test_cap_races_not_compact(self, dims, cap, error):
-        """Entry multipliers 4, 1.5, 0.025, 1.5, then 0.025 for ever: the
-        root and total level 1 (coordinates 1, 2 and 4) are 4 candidates,
-        and the entry scan of coordinate 1 meets NotCompact.  A cap below 4
-        trips while level 1 is built, before its scans; from 4 on, that
-        scan's error wins over the cap that level 2 passes, in both walks.
-        (The depth-first walk this replaced raised EnumerationCap up to cap
-        8.)"""
-        a = SplineWeights(ProductGamma(ListTailSeq([8.0, 3.0, 0.05, 3.0], 0.05)), 0.5)
+    @pytest.mark.parametrize("head,tail,eps,cap,error", [
+        # multipliers 4, 1.5, 0.025, 1.5, then 0.025 for ever: the root and
+        # total level 1 (coordinates 1, 2 and 4) are 4 candidates, so a cap
+        # below 4 trips before level 1's scans; from 4 on, the scan of
+        # coordinate 1 meets NotCompact first
+        *(([8.0, 3.0, 0.05, 3.0], 0.05, 0.2, cap, EnumerationCap) for cap in (2, 3)),
+        *(([8.0, 3.0, 0.05, 3.0], 0.05, 0.2, cap, NotCompact) for cap in (4, 5, 8)),
+        # multipliers 0.15, 1.5, 10, then 0.01 at eps**2 = 0.09: the children
+        # of coordinates 1 and 2 pass the cap; coordinate 3 comes after them
+        # and builds no children, but its scan still runs and meets NotCompact
+        ([0.3, 3.0, 20.0], 0.02, 0.3, 7, NotCompact),
+    ])
+    def test_cap_races_not_compact(self, dims, head, tail, eps, cap, error):
+        """An entry scan's error on the level that passes the cap wins over
+        the cap, in both walks and in any node order."""
+        a = SplineWeights(ProductGamma(ListTailSeq(head, tail)), 0.5)
         with pytest.raises(error, match="^entry multipliers do not decay|^visited more than"):
-            eps_dimension(a, UnitWeights(), 0.2, dims, cap=cap)
-
-    @pytest.mark.parametrize("dims", [AllOneDims(), SplineDims(), VectorDims(SplineDims())],
-                             ids=["all_one", "spline", "vector"])
-    def test_scans_run_past_the_cap(self, dims):
-        """Entry multipliers 0.15, 1.5, 10, then 0.01 for ever, at eps**2 =
-        0.09: total level 1 holds coordinates 1, 2 and 3, and the children
-        of 1 and 2 pass the cap of 7.  Coordinate 3 comes after them and
-        builds no children, but its entry scan still runs and meets
-        NotCompact, which wins over the cap."""
-        a = SplineWeights(ProductGamma(ListTailSeq([0.3, 3.0, 20.0], 0.02)), 0.5)
-        with pytest.raises(NotCompact):
-            eps_dimension(a, UnitWeights(), 0.3, dims, cap=7)
+            eps_dimension(a, UnitWeights(), eps, dims, cap=cap)
 
     @pytest.mark.parametrize("a", [ProductWeights(PowerSeq(1.0, 1.5)),
                                    SplineWeights(ProductGamma(PowerSeq(1.0, 1.5)), 0.2)],
