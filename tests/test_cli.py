@@ -1155,6 +1155,20 @@ class TestNestedTruncation:
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert errors == [f"error: ConfigInvalid: {message}"]
 
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_zero_term_is_the_zero_function(self, tmp_path, mode):
+        """0 * (1e308 + 1.7e308 x1^2)(x2 - 1/2) is the zero function: its
+        error is 0 at every m in both modes, although the square of its x1
+        factor integrates to inf and 0 times that is nan."""
+        spec = {"dim": 2, "terms": [{"coef": 0.0, "factors": {
+            "1": {"kind": "polynomial", "coeffs": [1e308, 0.0, 1.7e308]},
+            "2": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]}
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"function": spec, "gamma": {
+            "kind": "product", "seq": {"kind": "power", "c": 1.0, "p": 4.0}}, "mode": mode}))
+        assert run_cli("truncate", path, out) == 0
+        assert out.read_text() == "m,error,bound,bound_ratio\n0,0,0,0\n1,0,0,0\n2,0,0,0\n"
+
     @pytest.mark.parametrize("m_list", [[0, 1, 2], [2, 0], [0, 0, 2], [1]])
     def test_overflow_names_first_failing_approximant(self, tmp_path, capsys, m_list):
         """1e160 * (x1 - 1/2): S_0 is empty and its error is +inf; from m = 1
