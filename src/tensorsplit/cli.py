@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomp import _all_components, _weighted_norm, decompose
+from .decomp import _weighted_norm, decompose
 from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension
 from .equivalence import certify_equivalence
 from .errors import (ConfigInvalid, NoCertificate, TensorsplitError, check_keys,
@@ -32,7 +32,7 @@ from .functions import function_from_json
 from .gammas import gamma_from_json
 from .indexing import IndexVector
 from .regress import AnchoredKernel, SampleSet, fit, fit_map, predict
-from .sensitivity import _truncation_errors, sobol_indices, truncation_bound
+from .sensitivity import _truncation_bounds, _truncation_errors, sobol_indices
 from .weights import orthogonalized_weight, weights_from_json
 
 
@@ -99,13 +99,23 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
-    _write_text(path, buf.getvalue())
+def _write_csv(path: str, header: list[str], lines: list[str]):
+    """The header, then each line: every one ends in LF."""
+    _write_text(path, "\n".join([",".join(header), *lines]) + "\n")
+
+
+def _csv_line(row: list) -> str:
+    """A row as ``csv.writer`` writes it, without the LF: text holding a
+    comma or a quote is quoted, with its quotes doubled (no cell the CLI
+    writes holds a line break), and any other value goes through _fmt."""
+    cells = []
+    for v in row:
+        if not isinstance(v, str):
+            v = _fmt(v)
+        elif "," in v or '"' in v:
+            v = '"' + v.replace('"', '""') + '"'
+        cells.append(v)
+    return ",".join(cells)
 
 
 def _write_json(path: str, report: dict):
@@ -148,6 +158,22 @@ def _omega_json(omega) -> str:
     return "[" + ",".join(map(str, omega)) + "]"
 
 
+def _support_cells(dim: int):
+    """``(coords, mask, cell)`` for every subset of 1..dim in canonical
+    order (size, then lexicographic): its coordinates, its bitmask as
+    ``SobolTable`` reads it (coordinate k is bit k - 1), and its omega cell,
+    ``_omega_json(coords)`` as ``csv.writer`` writes it."""
+    ks = range(1, dim + 1)
+    bits = [1 << (k - 1) for k in ks]
+    names = [str(k) for k in ks]
+    for size in range(dim + 1):
+        template = '"[%s]"' if size > 1 else "[%s]"
+        for coords, chosen, text in zip(itertools.combinations(ks, size),
+                                        itertools.combinations(bits, size),
+                                        itertools.combinations(names, size)):
+            yield coords, sum(chosen), template % ",".join(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each takes (config, args) and writes the artifact to args.out
 
@@ -180,7 +206,7 @@ def _cmd_epsdim(cfg: dict, args):
             raise
         d_keys = ["", *map(str, d_list)]
         for eps, d0, counts in walk.table(eps_list, d_list):
-            rows.extend([eps, d, n, size, d0, False]
+            rows.extend(_csv_line([eps, d, n, size, d0, False])
                         for d, (n, size) in zip(d_keys, counts))
     _write_csv(args.out, ["eps", "d", "n", "set_size", "d0", "truncated"], rows)
 
@@ -196,7 +222,7 @@ def _cmd_transform(cfg: dict, args):
     for j in sorted(indices, key=IndexVector.canonical_key):
         w = a.weight(j)
         w_hat = orthogonalized_weight(a, j, oracle)
-        rows.append([_index_json(j), w, w_hat, w_hat / w if w > 0 else math.inf])
+        rows.append(_csv_line([_index_json(j), w, w_hat, w_hat / w if w > 0 else math.inf]))
     _write_csv(args.out, ["index", "weight", "orthogonalized", "ratio"], rows)
 
 
@@ -205,23 +231,19 @@ def _cmd_decomp(cfg: dict, args):
     check_keys(cfg, "config", {"function", "gamma"})
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
-    rows = []
-    for coords, term in _all_components(f.dim, decompose(f, args.command, args.anchor)):
-        if term is None:
-            # energy 0.0: both cells read 0 whatever the weight
-            rows.append([_omega_json(coords), "0", "0"])
-            continue
+    listed = {}
+    for term in decompose(f, args.command, args.anchor):
         gv = gamma.value(term.omega)
         if gv > 0.0:
             contribution = term.mixed_norm_sq / gv
         else:
             contribution = 0.0 if term.mixed_norm_sq == 0.0 else math.inf
-        rows.append([
-            _omega_json(coords),
-            math.sqrt(max(0.0, term.mixed_norm_sq)),
-            contribution,
-        ])
-    _write_csv(args.out, ["omega", "term_norm", "weighted_contribution"], rows)
+        listed[term.omega.coords] = ",%.17g,%.17g" % (
+            math.sqrt(max(0.0, term.mixed_norm_sq)), contribution)
+    # a component decompose leaves out has energy 0.0: both cells read 0
+    # whatever the weight
+    _write_csv(args.out, ["omega", "term_norm", "weighted_contribution"],
+               [cell + listed.get(coords, ",0,0") for coords, _, cell in _support_cells(f.dim)])
 
 
 def _cmd_equiv(cfg: dict, args):
@@ -256,10 +278,15 @@ def _cmd_sobol(cfg: dict, args):
     table = sobol_indices(
         f, gamma, mode, anchor=args.anchor, include_empty=args.include_empty
     )
-    rows = []
-    for omega, index in table.per_omega.items():
-        rows.append([_omega_json(omega), index, table.total(omega)])
-    _write_csv(args.out, ["omega", "index", "total"], rows)
+    # per_omega lists some of the sets, in the walk's canonical order
+    rows = iter(table.per_omega.items())
+    omega, index = next(rows, (None, None))
+    lines = []
+    for coords, mask, cell in _support_cells(f.dim):
+        if omega is not None and omega.coords == coords:
+            lines.append(cell + ",%.17g,%.17g" % (index, table._total(mask)))
+            omega, index = next(rows, (None, None))
+    _write_csv(args.out, ["omega", "index", "total"], lines)
 
 
 def _cmd_truncate(cfg: dict, args):
@@ -271,10 +298,11 @@ def _cmd_truncate(cfg: dict, args):
     components = decompose(f, mode, args.anchor)
     norm = _weighted_norm(components, gamma)
     errors = _truncation_errors(f, components, m_list, mode)
+    bounds = _truncation_bounds(gamma, m_list, mode, args.anchor)
     rows = []
-    for m, err in zip(m_list, errors):
-        bound = truncation_bound(gamma, m, mode, anchor=args.anchor) * norm
-        rows.append([m, err, bound, err / bound if bound > 0 else 0.0])
+    for m, err, bound in zip(m_list, errors, bounds):
+        bound *= norm
+        rows.append(_csv_line([m, err, bound, err / bound if bound > 0 else 0.0]))
     _write_csv(args.out, ["m", "error", "bound", "bound_ratio"], rows)
 
 

@@ -17,10 +17,9 @@ truncation bounds downstream.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ConfigInvalid, NormInfinite
 from .functions import SeparableFunction, Term, deriv_inner, table_pair_pieces
@@ -245,24 +244,6 @@ def _check_support(f: SeparableFunction, omega: SupportSet):
         raise ConfigInvalid(
             f"active set {omega!r} exceeds the function dimension {f.dim}"
         )
-
-
-def _all_components(
-    dim: int, live: Sequence[DecompositionTerm]
-) -> Iterator[tuple[tuple[int, ...], DecompositionTerm | None]]:
-    """``(coords, component)`` for every subset of 1..dim in canonical
-    order: the component from ``live`` (a ``decompose`` list), or None where
-    it is zero.  The subset is a tuple of coordinates, because most of them
-    are zero rows that need no ``SupportSet``."""
-    live = iter(live)
-    nxt = next(live, None)
-    for size in range(dim + 1):
-        for coords in itertools.combinations(range(1, dim + 1), size):
-            if nxt is not None and nxt.omega.coords == coords:
-                yield coords, nxt
-                nxt = next(live, None)
-            else:
-                yield coords, None
 
 
 def decompose(

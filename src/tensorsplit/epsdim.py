@@ -236,6 +236,10 @@ class _BoostTable:
     For each coordinate k the scan has reached, ``positive[k]`` is
     ``mult.value(k) > 0.0``, ``sup[k]`` is ``mult.tail_sup(k)`` and
     ``after[k]`` bounds the boost that coordinates past k can still give.
+    Neither increases with k, and ``after`` is 1.0 from ``k_last`` on, so
+    where the multipliers decay a scan passes every coordinate up to
+    ``COORD_GUARD`` exactly when it does not stop there: ``guard_sup``,
+    ``mult.tail_sup(COORD_GUARD)``, settles that at the start of the scan.
     The lists grow one coordinate at a time as scans reach it, so a product
     of sequences walks its factors once per coordinate, not once per node.
     Slot 0 is a placeholder: coordinates start at 1.
@@ -282,6 +286,7 @@ class _BoostTable:
         # from here on the multipliers neither decay nor boost: a scan that
         # gets past this coordinate without stopping would never stop
         self.k_unbounded = math.inf if decays else max(settled, k_last + 1)
+        self.guard_sup = mult.tail_sup(COORD_GUARD) if decays else None
         self.positive, self.sup, self.after = [False], [0.0], [1.0]
 
     def _grow(self):
@@ -295,8 +300,12 @@ class _BoostTable:
         """Coordinates k, k+1, ... with a positive multiplier, in order.
 
         Stops after the first coordinate from which on no entry can lift a
-        ratio of c back to eps2, even with every later boost applied.
+        ratio of c back to eps2, even with every later boost applied.  A
+        scan that would only stop past ``COORD_GUARD`` raises before it
+        yields anything.
         """
+        if self.guard_sup is not None and k <= COORD_GUARD and not c * self.guard_sup < eps2:
+            raise EnumerationCap(_GUARD_HIT)
         positive, sup, after = self.positive, self.sup, self.after
         while True:
             while k >= len(sup):

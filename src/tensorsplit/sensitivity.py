@@ -29,7 +29,6 @@ from .decomp import (
     MODE_ANCHORED,
     MODE_ANOVA,
     DecompositionTerm,
-    _all_components,
     _check_mode,
     _energy_sum,
     _weighted_energies,
@@ -61,19 +60,22 @@ class SobolTable:
     include_empty: bool
 
     def total(self, omega0: SupportSet) -> float:
-        """Summed index over the table's supersets of ``omega0``.
+        """Summed index over the table's supersets of ``omega0``."""
+        return self._total(_mask(omega0))
+
+    def _total(self, m0: int) -> float:
+        """``total`` of the set with bitmask ``m0`` (see ``_mask``).
 
         Entries equal to 0.0 add nothing to the sum, so only the N nonzero
         entries are kept.  With U the union of their sets, this walks the
-        supersets of omega0 inside U, or scans the N entries where that is
-        shorter: min(2**|U - omega0|, N) dictionary steps, so the totals of
+        supersets of m0 inside U, or scans the N entries where that is
+        shorter: min(2**|U - m0|, N) dictionary steps, so the totals of
         every set of a full table take O(3**|U|) steps together, not
         O(4**|U|).  ``math.fsum`` is correctly rounded and never returns
         -0.0, so neither the order of the walk nor the skipped zeros change
         a bit.
         """
         by_mask, union = self._by_mask
-        m0 = _mask(omega0)
         if m0 & ~union:
             return 0.0
         free = union & ~m0
@@ -116,17 +118,20 @@ def sobol_indices(
     """
     live = decompose(f, mode, anchor)
     live_energies = _weighted_energies(live, gamma)
+    listed = {t.omega.coords: t.omega for t in live}
     energies = {}
-    for coords, t in _all_components(f.dim, live):
-        if t is None:
-            # a zero component is listed where its weight is nonzero, which
-            # takes the product: it may underflow to 0
-            omega = SupportSet._from_coords(coords)
-            gv = gamma.value(omega)
-            if gv != 0.0:
-                energies[omega] = 0.0 / gv
-        elif t.omega in live_energies:
-            energies[t.omega] = live_energies[t.omega]
+    for size in range(f.dim + 1):
+        for coords in itertools.combinations(range(1, f.dim + 1), size):
+            omega = listed.get(coords)
+            if omega is None:
+                # a zero component is listed where its weight is nonzero,
+                # which takes the product: it may underflow to 0
+                omega = SupportSet._from_coords(coords)
+                gv = gamma.value(omega)
+                if gv != 0.0:
+                    energies[omega] = 0.0 / gv
+            elif omega in live_energies:
+                energies[omega] = live_energies[omega]
     if not include_empty:
         energies.pop(EMPTY_SUPPORT, None)
     denominator = _energy_sum(energies.values())
@@ -174,26 +179,54 @@ def truncation_bound(
     function is the caller's business.  Requires the full contraction-scaled
     series to converge, else ``GammaL1Violated``.
     """
+    return _truncation_bounds(gamma, [m], mode, anchor)[0]
+
+
+def _truncation_bounds(
+    gamma: GammaModel, m_list: Sequence[int], mode: str, anchor: float = DEFAULT_ANCHOR
+) -> list[float]:
+    """``truncation_bound`` for each m of ``m_list``, from one
+    ``order_sums`` call.
+
+    Every m is checked first, in list order.  A gamma with a largest set
+    size takes the sums up to it for every m.  Any other gamma takes them
+    up to the largest m: Newton's e_l depends only on p_1..p_l, so a
+    smaller m's sums are a bitwise prefix.  The one exception is a power
+    sum p_i that is infinite where p_1 is not: Newton then writes every e_l
+    as inf, and an m below the largest takes its own call.
+    """
     _check_mode(mode)
-    _check_order(m)
+    for m in m_list:
+        _check_order(m)
     t = anchored_contraction(anchor) if mode == MODE_ANCHORED else anova_contraction()
     max_order = gamma.max_order()
-    if max_order is not None and m >= max_order:
-        return 0.0
-    try:
-        by_order, total = gamma.order_sums(t, m if max_order is None else max_order)
-        if total == math.inf:
-            raise GammaL1Violated(
-                "contraction-scaled set weights are not summable; no truncation bound"
-            )
-        if max_order is not None:
-            # bounded order: sum the surviving layers directly (no cancellation)
-            return math.sqrt(max(0.0, math.fsum(by_order[m + 1 :])))
-        tail = total - math.fsum(by_order)
-    except (OverflowError, ValueError) as exc:  # **, exp or fsum past the float range
-        raise ConfigInvalid(
-            "the order sums of the set weights overflow the float range") from exc
-    return math.sqrt(max(0.0, tail))
+    top = max(m_list, default=0) if max_order is None else max_order
+    shared = None
+    bounds = []
+    for m in m_list:
+        if max_order is not None and m >= max_order:
+            bounds.append(0.0)
+            continue
+        try:
+            if shared is None:
+                shared = gamma.order_sums(t, top)
+            by_order, total = shared
+            if max_order is None and m < top and total != math.inf and by_order[1] == math.inf:
+                by_order, total = gamma.order_sums(t, m)
+            if total == math.inf:
+                raise GammaL1Violated(
+                    "contraction-scaled set weights are not summable; no truncation bound"
+                )
+            if max_order is not None:
+                # bounded order: sum the surviving layers directly (no cancellation)
+                bounds.append(math.sqrt(max(0.0, math.fsum(by_order[m + 1 :]))))
+                continue
+            tail = total - math.fsum(by_order[: m + 1])
+        except (OverflowError, ValueError) as exc:  # **, exp or fsum past the float range
+            raise ConfigInvalid(
+                "the order sums of the set weights overflow the float range") from exc
+        bounds.append(math.sqrt(max(0.0, tail)))
+    return bounds
 
 
 def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
@@ -227,7 +260,9 @@ def _truncation_errors(
     components are not orthogonal, so the pair sum of f - S_m f stays; the
     terms of S_m are a prefix of those of the largest S_M asked for, so
     the pieces of f - S_M f are built once and each m sums its prefix,
-    bit for bit what ``l2_error`` gives.
+    bit for bit what ``l2_error`` gives for f without its terms of
+    coefficient 0.  Those are left out: each is the zero function, and
+    against a factor whose square integrates to inf its pieces would be nan.
     """
     for m in m_list:
         _check_order(m)
@@ -235,13 +270,14 @@ def _truncation_errors(
     if mode == MODE_ANOVA:
         return _anova_errors(components, m_list, inner)
     top = max(m_list, default=0)
-    diff = f.terms + _negated(_kept_terms(components, top))
+    terms = [t for t in f.terms if t.coef != 0.0]
+    diff = terms + _negated(_kept_terms(components, top))
     # an empty approximant is the constant 0.0, whose negated term is -0.0
-    empty = f.terms + [Term(-0.0, {})]
+    empty = terms + [Term(-0.0, {})]
     approximants = []
     for m in m_list:
-        n = len(f.terms) + len(_kept_terms(components, m))
-        approximants.append((diff, n) if n > len(f.terms) else (empty, len(empty)))
+        n = len(terms) + len(_kept_terms(components, m))
+        approximants.append((diff, n) if n > len(terms) else (empty, len(empty)))
     return _prefix_l2_errors(approximants, inner)
 
 

@@ -1,7 +1,12 @@
 """CLI subcommands: correctness of artifacts, error codes, determinism."""
 
+import csv
+import io
+import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -16,14 +21,16 @@ import tensorsplit.decomp
 import tensorsplit.epsdim
 import tensorsplit.regress
 import tensorsplit.sensitivity
-from tensorsplit.cli import _build_parser, _fmt, _index_json, _json_render, _omega_json, main
+from tensorsplit.cli import (_build_parser, _csv_line, _fmt, _index_json, _json_render, _omega_json,
+                             _write_csv, main)
 from tensorsplit.decomp import MAX_DECOMP_DIM, decompose
 from tensorsplit.epsdim import DEFAULT_CAP
-from tensorsplit.errors import ConfigInvalid
+from tensorsplit.errors import ConfigInvalid, TensorsplitError
 from tensorsplit.functions import function_from_json
+from tensorsplit.gammas import gamma_from_json
 from tensorsplit.indexing import IndexVector, SupportSet
 from tensorsplit.regress import AnchoredKernel
-from tensorsplit.sensitivity import l2_error, truncate_order
+from tensorsplit.sensitivity import l2_error, sobol_indices, truncate_order
 
 CONFIG_DIR = Path(str(resources.files("tensorsplit") / "configs"))
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -1016,6 +1023,143 @@ class TestRowRendering:
     def test_omega_json_matches_json_dumps(self):
         for omega in [SupportSet(), SupportSet.of(1), SupportSet.of(2, 10, 11), SupportSet(range(1, 13))]:
             assert _omega_json(omega) == json.dumps(list(omega), separators=(",", ":"))
+
+
+def _csv_writer_text(header, rows) -> str:
+    """The oracle of the CLI's CSV text: ``csv.writer`` over the row cells,
+    text as it is and any other value through ``_fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _random_function(rng: random.Random, d: int, most: int) -> dict:
+    """One to four terms of at most ``most`` factors over coordinates 1..d;
+    the first is not constant."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        coords = rng.sample(range(1, d + 1), rng.randint(0 if terms else 1, min(most, d)))
+        factors = {str(k): rng.choice([
+            {"kind": "monomial", "power": rng.randint(1, 3)},
+            {"kind": "polynomial", "coeffs": [round(rng.uniform(-1.0, 1.0), 3), 1.0]},
+            {"kind": "exp", "rate": round(rng.uniform(-1.0, 1.0), 3)}]) for k in coords}
+        terms.append({"coef": round(rng.uniform(-2.0, 2.0), 4), "factors": factors})
+    return {"dim": d, "terms": terms}
+
+
+def _random_gamma(rng: random.Random, kind: str, d: int, keep: int) -> dict:
+    """A product gamma, or finite order 2, or a table of every set of at
+    most ``keep`` coordinates and some of up to three: those two weigh
+    larger sets 0."""
+    seq = {"kind": "power", "c": round(rng.uniform(0.5, 1.5), 3), "p": 2.0}
+    if kind == "product":
+        return {"kind": "product", "seq": seq}
+    if kind == "finite_order":
+        return {"kind": "finite_order", "order": 2, "base": {"kind": "product", "seq": seq}}
+    sets = [c for size in (1, 2, 3) for c in itertools.combinations(range(1, d + 1), size)]
+    chosen = [c for c in sets if len(c) <= keep or rng.random() < 0.7]
+    return {"kind": "table", "entries": [[list(c), round(rng.uniform(0.1, 1.0), 3)] for c in chosen]}
+
+
+def _decomp_rows(f, gamma, mode) -> list:
+    """The anova/anchored table row by row: a zero component where
+    ``decompose`` lists none, else its norm and weighted contribution."""
+    listed = {t.omega: t for t in decompose(f, mode)}
+    rows = []
+    for omega in SupportSet(range(1, f.dim + 1)).subsets():
+        t = listed.get(omega)
+        if t is None:
+            rows.append([_omega_json(omega), "0", "0"])
+            continue
+        gv = gamma.value(omega)
+        if gv > 0.0:
+            contribution = t.mixed_norm_sq / gv
+        else:
+            contribution = 0.0 if t.mixed_norm_sq == 0.0 else math.inf
+        rows.append([_omega_json(omega), math.sqrt(max(0.0, t.mixed_norm_sq)), contribution])
+    return rows
+
+
+class TestCsvText:
+    """Every CSV artifact is written as text in one pass; it must read
+    exactly as ``csv.writer`` over ``_omega_json``/``_fmt`` cells does."""
+
+    def test_rows_of_mixed_cells(self, tmp_path):
+        rng = random.Random(7)
+        pool = ["", "0", "a,b", '{"1":2}', '"', '""x', "[1,2]", "plain", 0.1, -0.0, math.inf,
+                -math.inf, math.nan, 5e-324, 3, -7, True, False, np.float64(0.3), np.int64(12)]
+        header = ["c0", "c1", "c2", "c3"]
+        rows = [[rng.choice(pool) for _ in header] for _ in range(400)]
+        path = tmp_path / "out.csv"
+        _write_csv(str(path), header, [_csv_line(row) for row in rows])
+        assert path.read_bytes() == _csv_writer_text(header, rows).encode()
+
+    @pytest.mark.parametrize("gkind", ["product", "finite_order", "table"])
+    @pytest.mark.parametrize("command", ["anova", "anchored", "sobol", "sobol_empty"])
+    def test_decomposition_tables(self, tmp_path, gkind, command):
+        """d = 1..12: every 2**d row of anova and anchored (a table gamma
+        missing a reached set gives an inf contribution), and the Sobol rows
+        with or without the empty set, left out where gamma is 0."""
+        rng = random.Random(f"{gkind} {command}")
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        sobol = command.startswith("sobol")
+        compared = infinite = left_out = 0
+        for d in range(1, 13):
+            # Sobol components with energy need a nonzero weight, so its
+            # terms have at most two factors and its tables every set of two
+            spec = _random_function(rng, d, 2 if sobol else 3)
+            gspec = _random_gamma(rng, gkind, d, 2 if sobol else 0)
+            cfg = {"function": spec, "gamma": gspec}
+            if sobol:
+                mode = cfg["mode"] = rng.choice(["anova", "anchored"])
+            else:
+                mode = command
+            path.write_text(json.dumps(cfg))
+            f, gamma = function_from_json(spec), gamma_from_json(gspec)
+            extra = ["--include-empty"] if command == "sobol_empty" else []
+            try:
+                if sobol:
+                    table = sobol_indices(f, gamma, mode, include_empty=bool(extra))
+                    rows = [[_omega_json(omega), v, table.total(omega)]
+                            for omega, v in table.per_omega.items()]
+                    header = ["omega", "index", "total"]
+                    left_out += 2 ** d - len(rows)
+                else:
+                    rows = _decomp_rows(f, gamma, mode)
+                    header = ["omega", "term_norm", "weighted_contribution"]
+                    infinite += sum(row[2] == math.inf for row in rows)
+            except TensorsplitError as exc:
+                pytest.fail(f"d = {d}: {exc!r}")
+            assert run_cli(command.partition("_")[0], path, out, extra) == 0
+            assert out.read_bytes() == _csv_writer_text(header, rows).encode(), d
+            compared += 1
+        assert compared == 12
+        if sobol and gkind != "product":
+            assert left_out > 0
+        if gkind == "table" and not sobol:
+            assert infinite > 0
+
+    @pytest.mark.parametrize("stem,extra", [("epsdim_example", {}),
+                                            ("epsdim_example", {"d": [3, 0, 1]}),
+                                            ("transform_example", {})])
+    def test_small_tables(self, tmp_path, stem, extra):
+        """epsdim rows (the empty d cell of the row over every coordinate)
+        and transform's quoted index cells: the text is what csv.writer
+        writes for the cells it holds."""
+        cfg = {**json.loads((CONFIG_DIR / f"{stem}.json").read_text()), **extra}
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(stem.partition("_")[0], path, out) == 0
+        text = out.read_text()
+        header, *rows = csv.reader(io.StringIO(text))
+        assert text == _csv_writer_text(header, rows)
+        if stem == "transform_example":
+            assert [row[0] for row in rows] == ["{}", '{"1":1}', '{"1":2}', '{"1":3}']
+        else:
+            assert "" in {row[1] for row in rows}
 
 
 class TestParserCache:

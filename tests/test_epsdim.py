@@ -749,6 +749,23 @@ class TestEntryScanTable:
             assert len(table.positive) == len(table.sup) == len(table.after) == scanned + 1
 
 
+    def test_scan_that_would_reach_the_guard_raises_at_once(self):
+        """ProductWeights(PowerSeq(1, 1.1)) over unit at eps 1e-4: the
+        root's scan keeps c * sup * after at or above eps**2 up to
+        COORD_GUARD, so it could only end at the guard.  Its first step
+        raises, before it yields coordinate 1 or builds any table entry."""
+        mult = auto_certificate(ProductWeights(PowerSeq(1.0, 1.1)), UnitWeights()).mult
+        table = _BoostTable(mult)
+        assert table.k_unbounded == math.inf
+        assert 1.0 * mult.tail_sup(COORD_GUARD) >= 1e-4 ** 2
+        with pytest.raises(EnumerationCap, match="^coordinate scan exceeded the hard guard$"):
+            next(table.entry_coords(1.0, 1e-4 ** 2, 1))
+        assert len(table.sup) == 1
+        # one ulp of eps**2 above the guard value, the scan starts
+        above = math.nextafter(mult.tail_sup(COORD_GUARD), math.inf)
+        assert next(table.entry_coords(1.0, above, 1)) == 1
+
+
 class TestLastBoostingCoordinate:
     """``_BoostTable.k_last``, the last coordinate whose multiplier is at
     least 1 + 2**-52, and the suffix products built on it, against

@@ -23,6 +23,7 @@ from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
 from tensorsplit.sensitivity import (
     _prefix_l2_errors,
+    _truncation_bounds,
     _truncation_errors,
     l2_error,
     sobol_indices,
@@ -306,6 +307,81 @@ class TestTruncationBound:
             assert num / den == pytest.approx(expected, rel=0.01)
 
 
+
+
+class _InfiniteCubes(GeometricSeq):
+    """A geometric sequence whose power sums from the third on read inf
+    while the first two are finite: Newton's identities then write every
+    e_l of an order sum above 2 as inf, and the sums of a smaller order are
+    no prefix of them."""
+
+    def scaled(self, t):
+        return _InfiniteCubes(self.c * t, self.rho)
+
+    def powered(self, i):
+        return ConstantSeq(1.0) if i >= 3 else super().powered(i)
+
+
+BOUND_GAMMAS = [
+    ("power4", ProductGamma(PowerSeq(1.0, 4.0))),
+    ("power2.5", ProductGamma(PowerSeq(0.8, 2.5))),
+    ("geometric", ProductGamma(GeometricSeq(1.0, 0.5))),
+    ("finite_order", FiniteOrderGamma(ProductGamma(PowerSeq(1.0, 2.0)), 3)),
+    ("table", TableGamma({S(1): 0.9, S(2): 0.6, S(1, 2): 0.2, S(2, 5): 0.1, S(1, 3, 4): 0.05})),
+    ("finite_product", ProductGamma(FiniteSeq([0.9, 0.5, 0.0, 0.25, 0.125]))),
+    ("infinite_cubes", ProductGamma(_InfiniteCubes(2.0, 0.5))),
+]
+
+
+class TestTruncationBounds:
+    """``_truncation_bounds`` serves an m list from one ``order_sums`` call;
+    each entry is ``truncation_bound`` of its m alone, bit for bit, and a
+    failing list raises what checking every m and then taking each bound
+    in list order raises."""
+
+    @pytest.mark.parametrize("name,gamma", BOUND_GAMMAS, ids=[n for n, _ in BOUND_GAMMAS])
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    @pytest.mark.parametrize("m_list", [[3, 0, 3, 1], [5, 2, 7, 2, 0], [1], [], [12, 0, 12, 4]],
+                             ids=["3031", "52720", "1", "none", "12_0_12_4"])
+    def test_entries_equal_single_bounds(self, monkeypatch, name, gamma, mode, m_list):
+        want = [truncation_bound(gamma, m, mode, 0.3) for m in m_list]
+        calls = []
+        order_sums = gamma.order_sums
+        monkeypatch.setattr(gamma, "order_sums", lambda t, m: calls.append(m) or order_sums(t, m))
+        got = _truncation_bounds(gamma, m_list, mode, 0.3)
+        assert [b.hex() for b in got] == [w.hex() for w in want]
+        if name != "infinite_cubes":
+            assert len(calls) == (0 < len(m_list) and min(m_list) < (gamma.max_order() or math.inf))
+
+    def test_an_infinite_power_sum_sends_smaller_orders_to_their_own_sums(self):
+        gamma = ProductGamma(_InfiniteCubes(2.0, 0.5))
+        by_order, total = gamma.order_sums(1 / 6, 3)
+        assert by_order[1:] == [math.inf] * 3 and total < math.inf
+        bounds = _truncation_bounds(gamma, [3, 1, 2], "anova")
+        assert bounds[0] == 0.0 and bounds[1] > bounds[2] > 0.0
+
+    @pytest.mark.parametrize("gamma,m_list,error", [
+        (ProductGamma(FiniteSeq([1e300, 1e300])), [1, 0], ConfigInvalid),
+        (ProductGamma(GeometricSeq(1e300, 0.5)), [0, 3, 1], ConfigInvalid),
+        (ProductGamma(ConstantSeq(1.0)), [2, 0, 1], GammaL1Violated),
+        (ProductGamma(PowerSeq(1.0, 0.5)), [0], GammaL1Violated),
+        (ProductGamma(PowerSeq(1.0, 4.0)), [2, -1, 0, -3], OrderOutOfRange),
+        (ProductGamma(ConstantSeq(1.0)), [0, 4, -2], OrderOutOfRange),
+    ], ids=["finite_squares", "geometric_exp", "constant", "power_slow", "negative",
+            "negative_after_divergent"])
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_errors_equal_per_m_loop(self, gamma, m_list, error, mode):
+        def per_m_loop():
+            for m in m_list:
+                if m < 0:
+                    truncation_bound(gamma, m, mode)
+            return [truncation_bound(gamma, m, mode) for m in m_list]
+
+        with pytest.raises(error) as want:
+            per_m_loop()
+        with pytest.raises(error) as got:
+            _truncation_bounds(gamma, m_list, mode)
+        assert str(got.value) == str(want.value)
 
 # ---------------------------------------------------------------------------
 # an exact oracle for ANOVA truncation errors

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsplit.epsdim import _BoostTable
+from tensorsplit.epsdim import COORD_GUARD, _BoostTable
 from tensorsplit.errors import NotCompact, TailUnavailable
 from tensorsplit.sequences import (
     ConstantSeq,
@@ -192,6 +192,22 @@ class TestProductOfSeqs:
     def test_decay_flags(self):
         assert ProductOfSeqs([ConstantSeq(2.0), GeometricSeq(1.0, 0.5)]).decays_to_zero
         assert not ProductOfSeqs([ConstantSeq(2.0), ConstantSeq(1.0)]).decays_to_zero
+
+
+@pytest.mark.parametrize("seq", [
+    PowerSeq(1.0, 1.1), PowerSeq(7.0, 1e-12), PowerSeq(0.3, 0.0), PowerSeq(1.0, 50.0),
+    GeometricSeq(1.0, 0.5), GeometricSeq(3.0, math.nextafter(1.0, 0.0)), GeometricSeq(2.0, 0.0),
+    FiniteSeq([0.5, 0.0, 1.5, 0.25]), ListTailSeq([0.1, 2.0, 0.3], 0.2), ConstantSeq(0.7),
+    ProductOfSeqs([PowerSeq(2.0, 1.5), ListTailSeq([0.1, 0.5, 3.0], 0.2), GeometricSeq(1.0, 0.9)]),
+], ids=repr)
+def test_tail_sup_does_not_increase(seq):
+    """``epsdim._BoostTable.entry_coords`` settles a scan that could only
+    end at ``COORD_GUARD`` with one comparison there, which needs
+    tail_sup(k) >= tail_sup(k + 1) in floating point: checked from k = 0 and
+    up to the guard."""
+    for ks in (range(0, 3000), range(COORD_GUARD - 3000, COORD_GUARD + 2)):
+        sups = [seq.tail_sup(k) for k in ks]
+        assert all(a >= b for a, b in zip(sups, sups[1:])), seq
 
 
 class TestSeqRatio:

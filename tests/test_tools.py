@@ -93,7 +93,8 @@ def test_tracer_sees_the_decomposition(tmp_path, monkeypatch, command, stem):
 
 def _report(path: Path, workload: str, seed: int, src_loc: int, rate: float, trace: int = 0):
     meta = {"workload": workload, "seed": seed, "seconds": 30, "trace": trace, "src_loc": src_loc}
-    path.write_text(json.dumps({"meta": meta, "metrics": {"req_per_s": rate, "ok_frac": 1.0}}))
+    metrics = {"req_per_s": rate, "req_p50_ms": 100.0 / rate, "ok_frac": 1.0, "rate_x2": 2 * rate}
+    path.write_text(json.dumps({"meta": meta, "metrics": metrics}))
     return path
 
 
@@ -123,6 +124,20 @@ def test_bench_summary_on_synthetic_reports(tmp_path):
     assert summary["epsdim"]["pairs"] == 1
     assert summary["epsdim"]["change"]["metrics"]["req_per_s"] == {
         "median": 8.0, "q1": 8.0, "q3": 8.0, "runs": [8.0]}
+    # the change's median over the parent's, and the pairs (seeds 1 and 2)
+    # the change won by each metric's direction in BENCHMARK.json: ties
+    # count for neither side, and a metric the file does not list gets none
+    versus = regress["change_vs_parent"]
+    assert versus["req_per_s"] == {"ratio": 22.0 / 25.0, "won": 2}
+    assert versus["req_p50_ms"]["won"] == 2
+    assert versus["ok_frac"] == {"ratio": 1.0, "won": 0}
+    assert versus["rate_x2"] == {"ratio": 44.0 / 50.0, "won": None}
+    assert summary["epsdim"]["change_vs_parent"]["req_per_s"] == {"ratio": 8.0 / 7.0, "won": 1}
+    slower = [_report(tmp_path / f"s{s}.json", "regress", s, 480, 9.0 * s) for s in (1, 2)]
+    assert tool.main(["--parent", *map(str, parent[:4]), "--change", *map(str, slower),
+                      "--out", str(out)]) == 0
+    versus = json.loads(out.read_text())["regress"]["change_vs_parent"]
+    assert versus["req_per_s"]["won"] == 0 and versus["req_p50_ms"]["won"] == 0
 
 
 @pytest.mark.parametrize("bad,message", [("traced", "a traced report"),

@@ -11,8 +11,13 @@ run, since the next run of the same workload and seed overwrites it.  The
 ``--change`` reports from the change.  Per workload and side the output
 holds the seeds, the ``src_loc`` of that checkout, and for each end-to-end
 metric the median, the quartiles and every run's value in seed order.
-``pairs`` counts the seeds that both sides ran.  Only untraced reports are
-read: a traced run reports per-layer metrics from half the time.
+``pairs`` counts the seeds that both sides ran.  Per metric, ``change_vs_parent``
+gives ``ratio``, the change's median over the parent's (null where the
+parent's is 0), and ``won``, the number of those pairs in which the change's
+run is better by the metric's ``better`` field in ``BENCHMARK.json``; a tie
+counts for neither side, and ``won`` is null for a metric that file does
+not list.  Only untraced reports are read: a traced run reports per-layer
+metrics from half the time.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _parse(argv):
@@ -58,8 +64,31 @@ def _side(reports: list[dict]) -> dict:
             "metrics": metrics}
 
 
+def _better() -> dict:
+    """{metric: "higher" or "lower"} of the end-to-end metrics in BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def _versus(parent: dict, change: dict, better: dict) -> dict:
+    """Per metric, the ratio of the two sides' medians and the number of
+    seeds both ran on which the change's run is the better one."""
+    out = {}
+    for name, p in parent["metrics"].items():
+        c = change["metrics"][name]
+        p_runs = dict(zip(parent["seeds"], p["runs"]))
+        c_runs = dict(zip(change["seeds"], c["runs"]))
+        won = None
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            won = sum(sign * (c_runs[s] - p_runs[s]) > 0 for s in p_runs.keys() & c_runs.keys())
+        out[name] = {"ratio": c["median"] / p["median"] if p["median"] else None, "won": won}
+    return out
+
+
 def summarize(paths: dict[str, list[Path]]) -> dict:
-    """{workload: {"pairs", "parent", "change"}} from each side's report files."""
+    """{workload: {"pairs", "parent", "change", "change_vs_parent"}} from
+    each side's report files."""
     by_workload: dict = {}
     for side, files in paths.items():
         for path in files:
@@ -73,12 +102,15 @@ def summarize(paths: dict[str, list[Path]]) -> dict:
                                  f"of seed {meta['seed']}")
             runs[meta["seed"]] = report
     summary = {}
+    better = _better()
     for workload, sides in sorted(by_workload.items()):
         missing = [side for side in SIDES if not sides[side]]
         if missing:
             raise ValueError(f"no {' or '.join(missing)} reports of {workload}")
+        parent, change = (_side(list(sides[side].values())) for side in SIDES)
         summary[workload] = {"pairs": len(sides["parent"].keys() & sides["change"].keys()),
-                             **{side: _side(list(sides[side].values())) for side in SIDES}}
+                             "parent": parent, "change": change,
+                             "change_vs_parent": _versus(parent, change, better)}
     return summary
 
 
