@@ -25,7 +25,7 @@ from tensorsplit.cli import (_build_parser, _csv_line, _fmt, _index_json, _json_
                              _write_csv, main)
 from tensorsplit.decomp import MAX_DECOMP_DIM, decompose
 from tensorsplit.epsdim import DEFAULT_CAP
-from tensorsplit.errors import ConfigInvalid, TensorsplitError
+from tensorsplit.errors import ConfigInvalid
 from tensorsplit.functions import function_from_json
 from tensorsplit.gammas import gamma_from_json
 from tensorsplit.indexing import IndexVector, SupportSet
@@ -1106,7 +1106,7 @@ class TestCsvText:
         rng = random.Random(f"{gkind} {command}")
         path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         sobol = command.startswith("sobol")
-        compared = infinite = left_out = 0
+        infinite = left_out = 0
         for d in range(1, 13):
             # Sobol components with energy need a nonzero weight, so its
             # terms have at most two factors and its tables every set of two
@@ -1120,23 +1120,18 @@ class TestCsvText:
             path.write_text(json.dumps(cfg))
             f, gamma = function_from_json(spec), gamma_from_json(gspec)
             extra = ["--include-empty"] if command == "sobol_empty" else []
-            try:
-                if sobol:
-                    table = sobol_indices(f, gamma, mode, include_empty=bool(extra))
-                    rows = [[_omega_json(omega), v, table.total(omega)]
-                            for omega, v in table.per_omega.items()]
-                    header = ["omega", "index", "total"]
-                    left_out += 2 ** d - len(rows)
-                else:
-                    rows = _decomp_rows(f, gamma, mode)
-                    header = ["omega", "term_norm", "weighted_contribution"]
-                    infinite += sum(row[2] == math.inf for row in rows)
-            except TensorsplitError as exc:
-                pytest.fail(f"d = {d}: {exc!r}")
+            if sobol:
+                table = sobol_indices(f, gamma, mode, include_empty=bool(extra))
+                rows = [[_omega_json(omega), v, table.total(omega)]
+                        for omega, v in table.per_omega.items()]
+                header = ["omega", "index", "total"]
+                left_out += 2 ** d - len(rows)
+            else:
+                rows = _decomp_rows(f, gamma, mode)
+                header = ["omega", "term_norm", "weighted_contribution"]
+                infinite += sum(row[2] == math.inf for row in rows)
             assert run_cli(command.partition("_")[0], path, out, extra) == 0
             assert out.read_bytes() == _csv_writer_text(header, rows).encode(), d
-            compared += 1
-        assert compared == 12
         if sobol and gkind != "product":
             assert left_out > 0
         if gkind == "table" and not sobol:
