@@ -18,7 +18,12 @@ matrix are filled on all the CPUs this process may run on (``_split``),
 each exactly as in a serial loop, so the results have the same bits on any
 number of CPUs.  The symmetry check and the solves run on the calling
 thread: scipy's LAPACK wrappers hold the GIL, so solves in threads would
-gain nothing and cost one n x n buffer per thread.
+gain nothing and each need a copy of G, which a solve factors in place.
+
+A fit holds one n x n array, the Gram G.  Each solve shifts G's diagonal
+and factors G in its own buffer: the factor overwrites the diagonal and
+the upper triangle, and G is restored bit for bit from its untouched
+strict lower triangle and a saved copy of the diagonal.
 """
 
 from __future__ import annotations
@@ -55,9 +60,9 @@ _JITTER_LIMIT = 1e-6
 #: entries of one row block (256 KiB) in the Gram builder: a block and its
 #: work buffer stay in cache across the coordinate passes
 _GRAM_BLOCK = 1 << 15
-#: side of the square tiles of the symmetric Gram builder and the symmetry
-#: check (288 KiB each): a tile and its work buffer, or its mirror, stay in
-#: cache
+#: side of the square tiles of the symmetric Gram builder, the symmetry
+#: check and the restore after a solve (288 KiB each): a tile and its work
+#: buffer, or its mirror, stay in cache; also the rows of a finiteness strip
 _GRAM_TILE = 192
 
 
@@ -378,14 +383,17 @@ def gram_matrix(kernel, xs) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarray):
-    """Cholesky solve of (G + shift*I) c = rhs with escalating jitter.
+def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray):
+    """Cholesky solve of (G + shift*I) c = rhs with escalating jitter, in G's buffer.
 
-    G and rhs must be finite (``fit_map`` and ``SampleSet`` check them), so
-    scipy's own scans are skipped; only the diagonal, which the shift and
-    the jitter change, is checked here.  ``A`` is an n x n work buffer that
-    receives G + (shift + jitter)*I and then its factor; G is only read.
-    Returns c and the jitter.
+    G must be exactly symmetric, C-contiguous and finite, and rhs finite
+    (``fit_map`` and ``SampleSet`` check them), so scipy's own scans are
+    skipped; only the diagonal, which the shift and the jitter change, is
+    checked here.  Each attempt writes G's diagonal plus shift + jitter
+    into G and factors G in place.  The factor covers the diagonal and the
+    upper triangle only, so after a solve, before each retry and on every
+    raise G is restored bit for bit by ``_restore_upper`` from its strict
+    lower triangle and the saved diagonal.  Returns c and the jitter.
     """
     # the one scipy use in the package, imported here so that only a
     # regression loads scipy
@@ -395,19 +403,22 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarr
     base = float(np.trace(G)) / n if n else 1.0
     if base <= 0.0:
         base = 1.0
+    diag = G.diagonal().copy()
     jitter = 0.0
     while True:
-        # off the diagonal A is G itself, as G + 0.0 would be
-        np.copyto(A, G)
+        # the entries G + (shift + jitter) * I would have, as one rounding each
         with np.errstate(over="ignore"):  # checked on the next line
-            A.flat[:: n + 1] += shift + jitter
-        if not np.isfinite(A.diagonal()).all():
+            shifted = diag + (shift + jitter)
+        if not np.isfinite(shifted).all():
             raise ConfigInvalid("the kernel matrix plus the shift n * lambda "
                                 "overflows the float range")
+        G.flat[:: n + 1] = shifted
         try:
-            # G is exactly symmetric, so A.T is the same matrix in Fortran
-            # order, which LAPACK factors in place instead of in a copy
-            factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+            # G is exactly symmetric, so G.T is the same matrix in Fortran
+            # order, whose lower triangle (G's upper one) LAPACK overwrites
+            # with the factor; G's strict lower triangle is neither read
+            # nor written
+            factor = cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
             return cho_solve(factor, rhs, check_finite=False), jitter
         except np.linalg.LinAlgError:
             jitter = _JITTER_START * base if jitter == 0.0 else jitter * 10.0
@@ -415,6 +426,21 @@ def _solve_regularized(G: np.ndarray, shift: float, rhs: np.ndarray, A: np.ndarr
                 raise SolveFailed(
                     f"factorization failed up to jitter {_JITTER_LIMIT:g} * trace/n"
                 ) from None
+        finally:
+            _restore_upper(G, diag)
+
+
+def _restore_upper(G: np.ndarray, diag: np.ndarray) -> None:
+    """Copy G's strict lower triangle onto its upper one and ``diag`` onto
+    its diagonal, one tile pair at a time, so no n x n temporary is made."""
+    n, t = G.shape[0], _GRAM_TILE
+    upper = np.triu(np.ones((min(n, t),) * 2, dtype=bool), 1)
+    for a in range(0, n, t):
+        tile = G[a:a + t, a:a + t]
+        np.copyto(tile, tile.T, where=upper[: len(tile), : len(tile)])
+        for c in range(a + t, n, t):
+            G[a:a + t, c:c + t] = G[c:c + t, a:a + t].T
+    G.flat[:: n + 1] = diag
 
 
 def fit(samples: SampleSet, kernel, lam: float) -> FittedModel:
@@ -437,7 +463,8 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
     ``lambdas`` is a scalar or one positive value per output.  Outputs are
     fitted independently; with a common regularization weight all columns
     reuse a single factorization, and otherwise the outputs are solved one
-    after the other on the calling thread, in one n x n buffer.
+    after the other on the calling thread.  Each solve factors in the
+    Gram's own buffer and restores it, so a fit holds one n x n array.
     """
     Y = samples.outputs
     if Y.ndim == 1:
@@ -452,19 +479,20 @@ def fit_map(samples: SampleSet, kernel, lambdas) -> FittedModel:
         raise ConfigInvalid("regularization weights must be positive")
 
     G = gram_matrix(kernel, samples.inputs)
-    # the one finiteness scan of G: the solves skip scipy's scans
-    if not np.isfinite(G).all():
+    # the one finiteness scan of G, a row strip at a time so that no n x n
+    # temporary is made: the solves skip scipy's scans
+    if not all(np.isfinite(G[i:i + _GRAM_TILE]).all() for i in range(0, len(G), _GRAM_TILE)):
         raise ConfigInvalid("the kernel matrix has non-finite entries")
     with np.errstate(over="ignore"):
         shifts = samples.n * lam_arr
     if not np.isfinite(shifts).all():
         raise ConfigInvalid("the shift n * lambda overflows the float range")
     if np.all(lam_arr == lam_arr[0]):
-        C, jitter = _solve_regularized(G, shifts[0], Y, np.empty(G.shape))
+        C, jitter = _solve_regularized(G, shifts[0], Y)
     else:
-        A, C, jitters = np.empty(G.shape), np.empty(Y.shape), [0.0] * L
+        C, jitters = np.empty(Y.shape), [0.0] * L
         for l in range(L):
-            C[:, l], jitters[l] = _solve_regularized(G, shifts[l], Y[:, l], A)
+            C[:, l], jitters[l] = _solve_regularized(G, shifts[l], Y[:, l])
         jitter = max(jitters)
     # every solve has returned, so G's diagonal may now be shifted in place
     residuals = _relative_residuals(G, shifts, C, Y)

@@ -230,10 +230,16 @@ def _truncation_bounds(
 
 
 def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
-    """L2([0,1]**d) distance between two separable functions."""
+    """L2([0,1]**d) distance between two separable functions.
+
+    f's terms of coefficient 0 are left out, as ``_truncation_errors``
+    leaves them out: each is the zero function, and against a factor whose
+    integrals overflow its pieces would be nan.  g's terms all stay, so an
+    empty approximant, the constant 0.0, meets f as it does in ``truncate``.
+    """
     if f.dim != g.dim:
         raise ValueError("functions must share the active dimension")
-    diff = f.terms + _negated(g.terms)
+    diff = [t for t in f.terms if t.coef != 0.0] + _negated(g.terms)
     return _prefix_l2_errors([(diff, len(diff))], functools.cache(value_inner))[0]
 
 
@@ -260,8 +266,8 @@ def _truncation_errors(
     components are not orthogonal, so the pair sum of f - S_m f stays; the
     terms of S_m are a prefix of those of the largest S_M asked for, so
     the pieces of f - S_M f are built once and each m sums its prefix,
-    bit for bit what ``l2_error`` gives for f without its terms of
-    coefficient 0.  Those are left out: each is the zero function, and
+    bit for bit what ``l2_error`` gives for f and S_m f.  f's terms of
+    coefficient 0 are left out, as there: each is the zero function, and
     against a factor whose square integrates to inf its pieces would be nan.
     """
     for m in m_list:

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from tensorsplit.regress import (
     SampleSet,
     TensorProductKernel,
     _GRAM_TILE,
+    _solve_regularized,
     anchored_overlap,
     fit,
     fit_map,
@@ -393,10 +395,13 @@ class TestFittedValues:
             mapped = fit_map(SampleSet(X, Y), k, lams)
             assert mapped.residual == residual(mapped.coefficients, Y, lams)
 
-    def test_repeated_lambda_matches_separate_fits(self):
+    @pytest.mark.parametrize("n", [30, 2 * _GRAM_TILE + 37])
+    def test_repeated_lambda_matches_separate_fits(self, n):
+        """Each output's solve gets the Gram back bit for bit, so it factors
+        the bits its own one-output fit factors."""
         rng = np.random.default_rng(41)
-        X = rng.uniform(0, 1, (30, 2))
-        Y = rng.normal(size=(30, 3))
+        X = rng.uniform(0, 1, (n, 2))
+        Y = rng.normal(size=(n, 3))
         k = AnchoredKernel(2)
         mapped = fit_map(SampleSet(X, Y), k, [0.1, 0.2, 0.1])
         for l, lam in enumerate((0.1, 0.2, 0.1)):
@@ -633,3 +638,70 @@ class TestSplitAcrossCPUs:
                 fit_map(SampleSet(X, rng.normal(size=500)), k, 1e-3)
             holdout = k.gram(rng.uniform(0, 1, (2000, 2)), X)
         assert np.isinf(holdout).any()
+
+
+class TestSolveInGramBuffer:
+    """Each solve factors in the Gram's own buffer and gives the Gram back
+    bit for bit on every exit, so a fit holds one n x n array."""
+
+    N = 2 * _GRAM_TILE + 37  # three tile rows, the last one partial
+
+    @staticmethod
+    def flat_gram(n, eps):
+        """(1 + eps) off the diagonal, 1 on it: eigenvalue -eps, n - 1 times;
+        at n = 2 the Gram of ``TestJitter.kernel(eps)``."""
+        G = np.full((n, n), 1.0 + eps)
+        np.fill_diagonal(G, 1.0)
+        return G
+
+    @staticmethod
+    def solve_keeps_bits(G, shift, rhs):
+        before = G.tobytes()
+        try:
+            return _solve_regularized(G, shift, rhs)
+        finally:
+            assert G.tobytes() == before
+
+    def test_solved_at_jitter_zero(self):
+        rng = np.random.default_rng(71)
+        X = rng.uniform(0, 1, (self.N, 3))
+        G = gram_matrix(AnchoredKernel(3, scales=[1.0, 0.5, 2.0]), X)
+        Y = rng.normal(size=(self.N, 2))
+        C, jitter = self.solve_keeps_bits(G, self.N * 1e-3, Y)
+        assert jitter == 0.0
+        A = G + self.N * 1e-3 * np.eye(self.N)
+        assert np.linalg.norm(A @ C - Y) <= 1e-10 * np.linalg.norm(Y)
+
+    @pytest.mark.parametrize("n", [2, N])
+    def test_solved_after_jitter(self, n):
+        _, jitter = self.solve_keeps_bits(self.flat_gram(n, 5e-9), 2e-12, np.arange(1.0, n + 1.0))
+        assert jitter > 0.0
+
+    @pytest.mark.parametrize("n", [2, N])
+    def test_solve_failed(self, n):
+        with pytest.raises(SolveFailed):
+            self.solve_keeps_bits(self.flat_gram(n, 1.0), 2e-3, np.ones(n))
+
+    def test_overflowing_shifted_diagonal(self):
+        G = np.array([[5e307, 6e307], [6e307, 5e307]])
+        with pytest.raises(ConfigInvalid, match="plus the shift n \\* lambda overflows"):
+            self.solve_keeps_bits(G, 2 * 7.5e307, np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("lambdas", [1e-3, [1e-3, 2e-3, 5e-4]], ids=["common", "per_output"])
+    def test_traced_peak_below_one_and_a_quarter_grams(self, lambdas):
+        """numpy reports its buffers to tracemalloc: one fit at n = 1000
+        peaks below 1.25 Gram sizes (a copy of G, by the fit or by scipy,
+        would make it 2)."""
+        n = 1000
+        rng = np.random.default_rng(79)
+        samples = SampleSet(rng.uniform(0, 1, (n, 3)), rng.normal(size=(n, 3)))
+        k = AnchoredKernel(3)
+        fit_map(samples, k, lambdas)  # warm-up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_map(samples, k, lambdas)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * n

@@ -218,6 +218,15 @@ class TestL2Error:
         s1 = truncate_order(f, 1, "anova")
         assert l2_error(f, s1) == pytest.approx(1.0 / 12.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_zero_term_of_f_is_the_zero_function(self, m):
+        """0 * (1e308 + 1.7e308 x1^2)(x2 - 1/2) is the zero function: its
+        anchored truncation error is 0 at every m, as ``truncate`` writes,
+        although its x1 factor's integrals overflow and 0 times them is nan."""
+        f = SeparableFunction(2, [Term(0.0, {1: F.polynomial([1e308, 0.0, 1.7e308]),
+                                             2: F.polynomial([-0.5, 1.0])})])
+        assert l2_error(f, truncate_order(f, m, "anchored")) == 0.0
+
 
 class TestL2ErrorReuse:
     @pytest.mark.parametrize("mode", ["anova", "anchored"])
