@@ -41,7 +41,6 @@ from .epsdim import (
 from .equivalence import (
     EquivalenceCertificate,
     certify_equivalence,
-    certify_halving_condition,
     default_alpha,
     product_weight_equivalence,
 )
@@ -50,7 +49,6 @@ from .errors import (
     DegenerateDenominator,
     EnumerationCap,
     GammaL1Violated,
-    InclusionViolated,
     KernelAsymmetric,
     NoCertificate,
     NormDegenerate,
@@ -76,10 +74,8 @@ from .indexing import (
 from .quadrature import QuadratureRule, gauss_legendre, integrate_1d, integrate_piecewise
 from .regress import (
     AnchoredKernel,
-    CustomKernel,
     FittedModel,
     SampleSet,
-    TensorProductKernel,
     fit,
     fit_map,
     gram_matrix,
@@ -103,18 +99,14 @@ from .sequences import (
 from .weights import (
     AnisotropicWeights,
     ConditionBound,
-    CustomWeights,
     ProductWeights,
     ScaledWeights,
     SplineWeights,
     TableWeights,
     UnitWeights,
     WeightModel,
-    check_embedding,
-    optimal_split_value,
     orthogonalized_weight,
     redundant_condition_bound,
-    redundant_norm_defined,
 )
 
 __version__ = "0.1.0"

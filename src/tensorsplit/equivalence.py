@@ -30,7 +30,6 @@ __all__ = [
     "EquivalenceCertificate",
     "default_alpha",
     "certify_equivalence",
-    "certify_halving_condition",
     "product_weight_equivalence",
 ]
 
@@ -84,27 +83,25 @@ def default_alpha(gamma: GammaModel, q_tilde: float = 1.0) -> GammaModel:
 
 def certify_equivalence(
     gamma: GammaModel,
-    alpha: GammaModel | None = None,
     q: float | None = None,
     anchor: float = DEFAULT_ANCHOR,
     q_tilde: float = 1.0,
 ) -> EquivalenceCertificate | None:
     """Check the two domination conditions and return the constants.
 
-    Returns None when a certified supremum diverges (no equivalence
-    certificate; not a disproof).  Raises ``TailUnavailable`` when the
-    weight shape admits no certified computation.
+    The auxiliary sequence is ``default_alpha(gamma, q_tilde)``, and q is
+    the kernel energy of ``anchor`` unless given.  Returns None when a
+    certified supremum diverges (no equivalence certificate; not a
+    disproof).  Raises ``TailUnavailable`` when the weight shape admits no
+    certified computation.
     """
     if q is None:
         q = averaged_kernel_energy(anchor)
-    alpha_label = "custom alpha"
-    if alpha is None:
-        alpha = default_alpha(gamma, q_tilde)
-        alpha_label = f"q_tilde**|set| * sqrt(gamma), q_tilde={q_tilde}"
+    alpha = default_alpha(gamma, q_tilde)
 
     if gamma.is_finite_support:
         pair = _finite_conditions(gamma, alpha, q)
-    elif isinstance(gamma, ProductGamma) and isinstance(alpha, ProductGamma):
+    elif isinstance(gamma, ProductGamma):  # then alpha is a ProductGamma too
         pair = _product_conditions(gamma.seq, alpha.seq, q)
     else:
         raise TailUnavailable(
@@ -117,20 +114,25 @@ def certify_equivalence(
         c_prime=c_prime,
         c_dprime=c_dprime,
         c=math.sqrt(c_prime * c_dprime),
-        alpha_spec=alpha_label,
+        alpha_spec=f"q_tilde**|set| * sqrt(gamma), q_tilde={q_tilde}",
         q=q,
     )
 
 
 def _finite_conditions(gamma: GammaModel, alpha: GammaModel, q: float):
     supports = list(gamma.iter_support())
+    # every set of the support has a positive weight, so a weight of inf or
+    # 0.0 is a product past the float range
+    for omega in supports:
+        g_omega = gamma.value(omega)
+        if g_omega == math.inf or g_omega == 0.0:
+            raise ConfigInvalid(f"the set weight of {list(omega.coords)} "
+                                f"{'overflows' if g_omega else 'underflows'} the float range")
     c_prime = 0.0
     c_dprime = 0.0
     for omega in supports:
         a_omega = alpha.value(omega)
         g_omega = gamma.value(omega)
-        if g_omega == math.inf:
-            raise ConfigInvalid(f"the set weight of {list(omega.coords)} overflows the float range")
         if a_omega <= 0.0:
             raise TailUnavailable(f"alpha must be positive on the support, zero at {omega!r}")
         over = math.fsum(
@@ -167,20 +169,6 @@ def _exp_constant(log_value: float, name: str) -> float:
         return math.exp(log_value)
     except OverflowError:
         raise ConfigInvalid(f"the equivalence constant {name} overflows the float range") from None
-
-
-def certify_halving_condition(gamma: GammaModel) -> tuple[float, float] | None:
-    """The stricter condition with per-coordinate factor 1/2 and alpha=sqrt(gamma).
-
-    Success here implies the general conditions succeed with the default
-    alpha for any scale in [1, 3/2] and kernel energy up to 1/3.
-    """
-    cert = certify_equivalence(
-        gamma, alpha=default_alpha(gamma, 1.0), q=0.5
-    )
-    if cert is None:
-        return None
-    return cert.c_prime, cert.c_dprime
 
 
 def product_weight_equivalence(gamma_seq: CoordSeq) -> bool:

@@ -18,12 +18,6 @@ class ConfigInvalid(TensorsplitError):
     exit_code = 2
 
 
-class InclusionViolated(TensorsplitError):
-    """Embedding constant does not exist on the inspected index set."""
-
-    exit_code = 3
-
-
 class OracleUnavailable(TensorsplitError):
     """An infinite sum was requested from a model that cannot certify it."""
 

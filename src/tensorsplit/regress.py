@@ -5,7 +5,9 @@ cube; the penalized least-squares minimizer is a finite kernel expansion
 over the sample points, so fitting reduces to one symmetric positive
 definite solve of (G + n * lambda * I) c = y per output.
 
-The default kernel tensorizes the univariate kernel of the anchored
+A kernel is an object with ``dim``, the number of coordinates of a point,
+and ``gram(X, Y)``, the matrix of its values at two point sets.
+``AnchoredKernel`` tensorizes the univariate kernel of the anchored
 first-order Sobolev inner product f(a) g(a) + int f' g': on one coordinate
 it is 1 plus the overlap length of the two intervals joining each argument
 to the anchor (zero when the arguments lie on opposite sides).
@@ -33,18 +35,15 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .decomp import DEFAULT_ANCHOR
 from .errors import ConfigInvalid, KernelAsymmetric, SolveFailed
-from .indexing import IndexVector
 
 __all__ = [
     "AnchoredKernel",
-    "TensorProductKernel",
-    "CustomKernel",
     "SampleSet",
     "FittedModel",
     "anchored_overlap",
@@ -240,48 +239,6 @@ def _symmetric_gram(xp, xm) -> np.ndarray:
     return G
 
 
-class TensorProductKernel:
-    """Weighted sum of tensorized univariate kernels over a finite index set.
-
-    ``coefficients`` maps each active index to the inverse of its space
-    weight; the zero index contributes the constant part.  ``univariate``
-    evaluates the level-j kernel on coordinate k.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        coefficients: dict[IndexVector, float],
-        univariate: Callable[[int, int, float, float], float],
-    ):
-        if dim < 1:
-            raise ConfigInvalid("kernel dimension must be positive")
-        self.dim = int(dim)
-        self.coefficients = dict(coefficients)
-        self.univariate = univariate
-        # the nonzero terms in canonical index order, which fixes the sum
-        self._terms = sorted(((j, c) for j, c in self.coefficients.items() if c != 0.0),
-                             key=lambda term: term[0].canonical_key())
-
-    def __call__(self, x: Sequence[float], y: Sequence[float]) -> float:
-        total = 0.0
-        for j, c in self._terms:
-            v = c
-            for k, jk in j.entries:
-                v *= self.univariate(k, jk, x[k - 1], y[k - 1])
-            total += v
-        return total
-
-
-class CustomKernel:
-    def __init__(self, dim: int, fn: Callable):
-        self.dim = int(dim)
-        self.fn = fn
-
-    def __call__(self, x, y) -> float:
-        return float(self.fn(x, y))
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Training inputs in the unit cube with scalar or vector outputs."""
@@ -330,12 +287,9 @@ class FittedModel:
     #: values of the expansion at the training inputs, G @ coefficients
     fitted: np.ndarray | None = None
 
-    def predict(self, x) -> float | np.ndarray:
-        return predict(self, x)
-
 
 def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """K[i, j] = kernel(X[i], Y[j]); batched when the kernel has ``gram``.
+    """``kernel.gram(X, Y)``, K[i, j] = k(X[i], Y[j]).
 
     Every point must have exactly ``kernel.dim`` coordinates.
     """
@@ -343,13 +297,7 @@ def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         if P.shape[1] != kernel.dim:
             raise ConfigInvalid(f"points have {P.shape[1]} coordinates, "
                                 f"the kernel {kernel.dim}")
-    if hasattr(kernel, "gram"):
-        return kernel.gram(X, Y)
-    K = np.empty((X.shape[0], Y.shape[0]))
-    for i in range(X.shape[0]):
-        for j in range(Y.shape[0]):
-            K[i, j] = kernel(X[i], Y[j])
-    return K
+    return kernel.gram(X, Y)
 
 
 def _exactly_symmetric(G: np.ndarray) -> bool:

@@ -32,6 +32,7 @@ __all__ = [
     "ConstantSeq",
     "ListTailSeq",
     "ProductOfSeqs",
+    "seq_ratio",
     "seq_from_json",
 ]
 
@@ -136,11 +137,11 @@ class CoordSeq:
         Exact head summation plus a second-order tail correction: past the
         head, log1p(v) = v - v**2/2 up to an error below v**3/3, so the
         remainder is tail_sum - tail_sum_of_squares/2 with a certified error
-        bound.  Returns ``inf`` when the sequence is not summable.
+        bound.  Returns ``inf`` when the sequence is not summable, and
+        raises ``ConfigInvalid`` when the squares past the head overflow.
         """
         if self.sum() == math.inf:
             return math.inf
-        squares = self.powered(2)
         head = 0.0
         k = 0
         target = 16
@@ -152,9 +153,14 @@ class CoordSeq:
             if t1 == 0.0:
                 return head
             sup = self.tail_sup(k)
+            if sup * sup == math.inf:
+                raise ConfigInvalid(f"the squares of the terms of {self!r} past coordinate {k} "
+                                    "overflow the float range")
             err = sup * sup * t1 / 3.0
             if err <= _REL_TOL * (abs(head) + 1.0):
-                return head + t1 - 0.5 * squares.tail_sum(k)
+                # the squares are built only here: a sequence whose tail is
+                # 0 never needs them, and squaring its head may overflow
+                return head + t1 - 0.5 * self.powered(2).tail_sum(k)
             target *= 2
             if target > 2**22:
                 raise TailUnavailable("log1p summation did not converge")

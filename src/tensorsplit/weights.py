@@ -11,12 +11,11 @@ component that no admissible function may carry.  The variants:
 * ``AnisotropicWeights``  the same with the product replaced by a sum;
 * ``TableWeights``        explicit finite table;
 * ``UnitWeights``         a_j = 1 everywhere (the plain L2 target);
-* ``ScaledWeights``       a constant multiple of another model;
-* ``CustomWeights``       an opaque evaluator.
+* ``ScaledWeights``       a constant multiple of another model.
 
 Product and spline models ship closed-form tail oracles (geometric series
 per coordinate, products across coordinates), so the infinite sums behind
-the norm-definiteness test and the orthogonalizing transform come with
+the orthogonalizing transform and the condition bounds come with
 convergence evidence instead of hope.
 
 Every model also carries its weights down the index tree for the
@@ -35,7 +34,6 @@ from typing import Callable
 
 from .errors import (
     ConfigInvalid,
-    InclusionViolated,
     NormDegenerate,
     OracleUnavailable,
     TailUnavailable,
@@ -65,22 +63,34 @@ __all__ = [
     "TableWeights",
     "UnitWeights",
     "ScaledWeights",
-    "CustomWeights",
     "TailOracle",
     "ConditionBound",
-    "check_embedding",
-    "redundant_norm_defined",
     "orthogonalized_weight",
     "redundant_condition_bound",
-    "optimal_split_value",
     "ratio",
     "weights_from_json",
 ]
 
 
 def exp2(x: float) -> float:
-    """Base-2 exponential; one shared definition keeps comparisons bitwise stable."""
-    return 2.0**x
+    """Base-2 exponential; one shared definition keeps comparisons bitwise stable.
+
+    A power past the float range is ``ConfigInvalid``: read as ``inf``, a
+    dyadic weight would drop indices whose true ratio still clears a bound.
+    """
+    try:
+        return 2.0**x
+    except OverflowError:
+        raise ConfigInvalid(f"the dyadic weight 2**{x:.17g} overflows the float range") from None
+
+
+def _exp_tail(head: float, log_rest: float) -> float:
+    """head * exp(log_rest), a tail sum of inverse weights; an exp past the
+    float range is ``ConfigInvalid``."""
+    try:
+        return head * math.exp(log_rest)
+    except OverflowError:
+        raise ConfigInvalid("a tail sum of inverse weights overflows the float range") from None
 
 
 class CoordParam:
@@ -329,7 +339,7 @@ class _ProductOracle(TailOracle):
         lt = self._log_total
         if lt == math.inf:
             return math.inf
-        return gw * math.exp(lt - correction)
+        return _exp_tail(gw, lt - correction)
 
 
 class SplineWeights(WeightModel):
@@ -495,7 +505,7 @@ class _SplineOracle(TailOracle):
                 return 0.0
             head *= gk * m.geometric_tail(k, jk)
             correction += math.log1p(m.entry_sum(k))
-        return head * math.exp(lt - correction)
+        return _exp_tail(head, lt - correction)
 
 
 class AnisotropicWeights(WeightModel):
@@ -556,24 +566,6 @@ class _TableOracle(TailOracle):
         return math.fsum(1.0 / v for i, v in self.model.entries.items() if j <= i)
 
 
-class CustomWeights(WeightModel):
-    """Opaque pure evaluator; tail sums require a caller-supplied oracle."""
-
-    def __init__(self, fn: Callable[[IndexVector], float], oracle: TailOracle | None = None,
-                 max_level: int | None = None):
-        self.fn = fn
-        self.oracle = oracle
-        self.max_level = max_level
-
-    def weight(self, j: IndexVector) -> float:
-        return float(self.fn(j))
-
-    def tail_oracle(self) -> TailOracle:
-        if self.oracle is None:
-            raise OracleUnavailable("custom weights need an explicit tail oracle")
-        return self.oracle
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -592,39 +584,6 @@ def carried_ratio(a: WeightModel, b: WeightModel, sa, sb, entries) -> float:
     if aw == 0.0 or math.isinf(aw):
         return 0.0
     return b.carried(sb, entries) / aw
-
-
-def check_embedding(a: WeightModel, b: WeightModel, search) -> float | None:
-    """Smallest C with b_j <= C**2 * a_j across the finite search set.
-
-    Raises ``InclusionViolated`` when some searched index has a_j = 0 but
-    b_j > 0, since no finite constant can absorb it.  Returns None when the
-    search set contributes no comparable index.
-    """
-    sup = None
-    for j in search:
-        aw = a.weight(j)
-        bw = b.weight(j)
-        if aw == 0.0:
-            if bw > 0.0:
-                raise InclusionViolated(f"index {j!r} has zero a-weight but b-weight {bw}")
-            continue
-        if math.isinf(aw):
-            continue
-        q = bw / aw
-        sup = q if sup is None else max(sup, q)
-    return None if sup is None else math.sqrt(sup)
-
-
-def redundant_norm_defined(model: WeightModel, oracle: TailOracle | None = None) -> bool:
-    """True iff the inverse weights are summable over the support.
-
-    This is exactly the condition under which the redundant-splitting
-    seminorm separates points; when it fails, the constant function 1 has
-    seminorm 0.
-    """
-    oracle = oracle or model.tail_oracle()
-    return oracle.total() < math.inf
 
 
 def orthogonalized_weight(
@@ -773,23 +732,6 @@ def _certified_sum(term: Callable[[int], float], tail_bound: Callable[[int], flo
         if rem <= 1e-16 * (abs(head) + 1.0) or rem == math.inf:
             return head + rem
     raise TailUnavailable("spline product summation did not converge")
-
-
-def optimal_split_value(a_list, u_norm_sq: float, divergent: bool = False) -> float:
-    """Minimal weighted energy of a split of one vector across spaces.
-
-    For positive weights a_1..a_n the minimum of sum a_i * ||u_i||**2 over
-    all decompositions u = sum u_i equals (sum 1/a_i)**-1 * ||u||**2; a
-    divergent infinite family is flagged by the caller and yields 0.
-    """
-    if divergent:
-        return 0.0
-    a_list = list(a_list)
-    if not a_list:
-        raise ConfigInvalid("need at least one weight")
-    if any(a <= 0 for a in a_list):
-        raise ConfigInvalid("weights must be positive")
-    return u_norm_sq / math.fsum(1.0 / a for a in a_list)
 
 
 # ---------------------------------------------------------------------------

@@ -848,16 +848,64 @@ class TestErrors:
         assert run_cli("sobol", path, out) == 0
         assert out.read_text() == 'omega,index,total\n[1],1,1\n[2],0,0\n"[1,2]",0,0\n'
 
-    def test_equiv_overflowing_set_weight_rejected(self, tmp_path, capsys):
-        """gamma on {1, 2} is 1e300 * 1e300 = inf: exit 2 with one line that
-        names the set, not a division by alpha / gamma = 0."""
+    @pytest.mark.parametrize("values,verb", [([1e300, 1e300, 0], "overflows"),
+                                             ([1e-300, 1e-300], "underflows")],
+                             ids=["overflow", "underflow"])
+    def test_equiv_set_weight_past_float_range_rejected(self, tmp_path, capsys, values, verb):
+        """gamma on {1, 2} is 1e300 * 1e300 = inf or 1e-300 * 1e-300 = 0:
+        exit 2 with one line that names the set, not a division by zero in
+        alpha / gamma."""
         path, out = tmp_path / "cfg.json", tmp_path / "out.json"
         path.write_text(json.dumps({"gamma": {"kind": "product", "seq": {
-            "kind": "finite", "values": [1e300, 1e300, 0]}}}))
+            "kind": "finite", "values": values}}}))
         assert run_cli("equiv", path, out) == 2
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == [
-            "error: ConfigInvalid: the set weight of [1, 2] overflows the float range"]
+            f"error: ConfigInvalid: the set weight of [1, 2] {verb} the float range"]
+
+    def test_transform_finite_weight_near_float_max(self, tmp_path, capsys):
+        """A finite sequence has tail 0, so the squares of its terms, which
+        overflow here, are never needed: the transform is written."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": {"type": "product", "gamma": {
+            "kind": "finite", "values": [1e300]}}, "indices": [{}]}))
+        assert run_cli("transform", path, out) == 0
+        assert capsys.readouterr().err == ""
+        # 1 / exp(log1p(1e300)): the exp carries the rounding of the log
+        assert out.read_text() == ("index,weight,orthogonalized,ratio\n"
+                                   "{},1,1.0000000000000237e-300,1.0000000000000237e-300\n")
+
+    @pytest.mark.parametrize("a,line", [
+        ({"type": "spline", "s": 0.5, "gamma": {"kind": "product", "seq": {
+            "kind": "geometric", "c": 1e150, "rho": 0.5}}},
+         "a tail sum of inverse weights overflows the float range"),
+        ({"type": "product", "gamma": {"kind": "geometric", "c": 1e150, "rho": 0.5}},
+         "a tail sum of inverse weights overflows the float range"),
+        ({"type": "spline", "s": 0.5, "lam": 1e-300, "gamma": {"kind": "product", "seq": {
+            "kind": "geometric", "c": 2, "rho": 0.999999}}},
+         "the squares of the terms of GeometricSeq(c=1.9999999999999998e+300, rho=0.999999) "
+         "past coordinate 16 overflow the float range"),
+    ], ids=["spline-tail", "product-tail", "spline-squares"])
+    def test_transform_overflow_rejected(self, tmp_path, capsys, a, line):
+        """A product of 1 + t_k past the float range, or squares of t_k
+        that the log1p remainder needs past it, exit 2 with one line."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": a, "indices": [{}]}))
+        assert run_cli("transform", path, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [f"error: ConfigInvalid: {line}"]
+
+    @pytest.mark.parametrize("kind", ["spline", "aniso"])
+    def test_epsdim_dyadic_overflow_rejected(self, tmp_path, capsys, kind):
+        """eps**2 = 1e-320 admits weights past the float range, so a weight
+        2**1024 is an error, not an inf that would drop members."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": {"type": kind, "s": 1.0, "gamma": {
+            "kind": "table", "entries": [[[1], 1.0]]}}, "b": {"type": "unit"}, "eps": [1e-160]}))
+        assert run_cli("epsdim", path, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigInvalid: the dyadic weight 2**1024 overflows the float range"]
 
     def test_equiv_overflowing_constant_rejected(self, tmp_path, capsys):
         """The product of 1 + q * alpha_k over k is past the float range:

@@ -1,10 +1,12 @@
 """Cross-cutting consistency properties: tails, codes, round trips."""
 
+import ast
 import functools
 import importlib
 import math
 import pkgutil
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -185,3 +187,15 @@ class TestExports:
         mod = importlib.import_module(f"tensorsplit.{name}")
         assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
         exec(f"from tensorsplit.{name} import *", {})
+
+    @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(tensorsplit.__path__)))
+    def test_reexports_are_public(self, name):
+        """Every name the package re-exports from a submodule with an
+        ``__all__`` is in that ``__all__``, so no stale re-export survives."""
+        tree = ast.parse(Path(tensorsplit.__file__).read_text(encoding="utf-8"))
+        reexported = [alias.name for node in tree.body
+                      if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == name
+                      for alias in node.names]
+        public = getattr(importlib.import_module(f"tensorsplit.{name}"), "__all__", None)
+        if public is not None:
+            assert [n for n in reexported if n not in public] == []

@@ -238,12 +238,15 @@ class TestExamples:
     def test_custom_pair_needs_explicit_certificate(self):
         from tensorsplit.epsdim import ProductDecay
         from tensorsplit.errors import TailUnavailable
-        from tensorsplit.weights import CustomWeights
+        from tensorsplit.weights import WeightModel
 
-        def evaluator(j):
-            return 3.0**j.total_level if j.max_coord <= 1 else math.inf
+        class Opaque(WeightModel):
+            """Weights 3**level on coordinate 1, with no certificate of their own."""
 
-        a = CustomWeights(evaluator)
+            def weight(self, j):
+                return 3.0**j.total_level if j.max_coord <= 1 else math.inf
+
+        a = Opaque()
         with pytest.raises(TailUnavailable):
             enumerate_threshold_set(a, UnitWeights(), 0.1)
         cert = ProductDecay(FiniteSeq([1.0 / 3.0]))

@@ -9,7 +9,6 @@ from corpus import corpus
 from tensorsplit.decomp import weighted_norm
 from tensorsplit.equivalence import (
     certify_equivalence,
-    certify_halving_condition,
     default_alpha,
     product_weight_equivalence,
 )
@@ -91,19 +90,10 @@ class TestCertify:
 
 
 class TestHalvingCondition:
-    def test_empty_support(self):
-        pair = certify_halving_condition(TableGamma({}))
-        assert pair == (pytest.approx(1.0), pytest.approx(1.0))
-
-    def test_quartic_product(self):
-        pair = certify_halving_condition(ProductGamma(PowerSeq(1.0, 4.0)))
-        assert pair is not None
-        c1, c2 = pair
-        assert math.isfinite(c1) and math.isfinite(c2)
-
     def test_implies_general_conditions(self):
-        # wherever the halving condition certifies, the general conditions
-        # with the default alpha and kernel energy up to 1/3 certify as well
+        # wherever the stricter halving condition (kernel energy 1/2, alpha =
+        # sqrt(gamma)) certifies, the general conditions with the default
+        # alpha for any scale in [1, 3/2] and kernel energy 1/3 certify as well
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             entries = {}
@@ -111,12 +101,10 @@ class TestHalvingCondition:
                 if rng.uniform() < 0.8:
                     entries[omega] = float(rng.uniform(0.05, 3.0))
             gamma = TableGamma(entries)
-            if certify_halving_condition(gamma) is None:
+            if certify_equivalence(gamma, q=0.5) is None:
                 continue
             for q_tilde in (1.0, 1.25, 1.5):
-                cert = certify_equivalence(
-                    gamma, alpha=default_alpha(gamma, q_tilde), q=1.0 / 3.0
-                )
+                cert = certify_equivalence(gamma, q=1.0 / 3.0, q_tilde=q_tilde)
                 assert cert is not None and math.isfinite(cert.c)
 
 

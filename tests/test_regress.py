@@ -12,12 +12,9 @@ import pytest
 
 import tensorsplit.regress
 from tensorsplit.errors import ConfigInvalid, KernelAsymmetric, SolveFailed
-from tensorsplit.indexing import IndexVector, ZERO_INDEX
 from tensorsplit.regress import (
     AnchoredKernel,
-    CustomKernel,
     SampleSet,
-    TensorProductKernel,
     _GRAM_TILE,
     _solve_regularized,
     anchored_overlap,
@@ -29,6 +26,18 @@ from tensorsplit.regress import (
 )
 
 RNG = np.random.default_rng(13)
+
+
+class PointwiseKernel:
+    """A kernel given by its value ``fn(x, y)`` at two points: ``gram``
+    evaluates it at every pair."""
+
+    def __init__(self, dim, fn):
+        self.dim = dim
+        self.fn = fn
+
+    def gram(self, X, Y):
+        return np.array([[self.fn(x, y) for y in Y] for x in X], dtype=float)
 
 
 def random_instance(rng, n=None, d=None):
@@ -59,12 +68,12 @@ class TestGramMatrix:
         assert G[0, 0] == pytest.approx(k([0.75], [0.75]))
 
     def test_constant_kernel_gives_ones(self):
-        k = CustomKernel(2, lambda x, y: 1.0)
+        k = PointwiseKernel(2, lambda x, y: 1.0)
         G = gram_matrix(k, RNG.uniform(0, 1, (5, 2)))
         assert np.allclose(G, 1.0)
 
     def test_asymmetric_kernel_rejected(self):
-        k = CustomKernel(1, lambda x, y: float(x[0] - y[0]))
+        k = PointwiseKernel(1, lambda x, y: float(x[0] - y[0]))
         with pytest.raises(KernelAsymmetric):
             gram_matrix(k, np.array([[0.1], [0.9]]))
 
@@ -284,33 +293,6 @@ class TestFitMap:
         assert np.allclose(mapped.coefficients[:, 1], c1, atol=1e-14)
 
 
-class TestTensorProductKernel:
-    def test_matches_manual_sum(self):
-        coeffs = {
-            ZERO_INDEX: 1.0,
-            IndexVector({1: 1}): 0.5,
-            IndexVector({1: 1, 2: 1}): 0.25,
-        }
-
-        def uni(k, j, x, y):
-            return anchored_overlap(x, y, 0.5)
-
-        kernel = TensorProductKernel(2, coeffs, uni)
-        x, y = [0.7, 0.9], [0.8, 0.6]
-        r1 = anchored_overlap(0.7, 0.8, 0.5)
-        r2 = anchored_overlap(0.9, 0.6, 0.5)
-        assert kernel(x, y) == pytest.approx(1.0 + 0.5 * r1 + 0.25 * r1 * r2)
-
-    def test_usable_in_fit(self):
-        coeffs = {ZERO_INDEX: 1.0, IndexVector({1: 1}): 1.0}
-        kernel = TensorProductKernel(
-            1, coeffs, lambda k, j, x, y: anchored_overlap(x, y, 0.0)
-        )
-        X = np.array([[0.2], [0.7]])
-        model = fit(SampleSet(X, np.array([1.0, 2.0])), kernel, 0.01)
-        assert model.residual <= 1e-10
-
-
 class TestSampleValidation:
     @pytest.mark.parametrize("scales", [[-1.0, 1.0], [1.0, np.nan], [np.inf, 1.0]],
                              ids=["negative", "nan", "inf"])
@@ -415,7 +397,7 @@ class TestJitter:
     @staticmethod
     def kernel(eps):
         # Gram [[1, 1 + eps], [1 + eps, 1]] has eigenvalue -eps
-        return CustomKernel(1, lambda x, y: 1.0 if x[0] == y[0] else 1.0 + eps)
+        return PointwiseKernel(1, lambda x, y: 1.0 if x[0] == y[0] else 1.0 + eps)
 
     def test_escalates_until_it_factors(self):
         X = np.array([[0.2], [0.7]])
@@ -551,7 +533,7 @@ class TestSplitAcrossCPUs:
         """Two outputs fail with different errors; every worker count raises
         the error of the first failing output, as one worker does, and
         leaves no thread behind."""
-        kernel = CustomKernel(1, lambda x, y: 5e307 if x[0] == y[0] else 6e307)
+        kernel = PointwiseKernel(1, lambda x, y: 5e307 if x[0] == y[0] else 6e307)
         samples = SampleSet(np.array([[0.2], [0.7]]), np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]))
         lambdas = [self.LAMBDAS[name] for name in order]
         expected = {"overflow": ConfigInvalid, "indefinite": SolveFailed}[

@@ -8,27 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsplit.errors import (
-    InclusionViolated,
-    NormDegenerate,
-    OracleUnavailable,
-)
+from tensorsplit.errors import NormDegenerate, OracleUnavailable
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import ZERO_INDEX, IndexSet, IndexVector, SupportSet
 from tensorsplit.sequences import ConstantSeq, FiniteSeq, GeometricSeq, PowerSeq
 from tensorsplit.weights import (
     ConditionBound,
-    CustomWeights,
     ProductWeights,
     ScaledWeights,
     SplineWeights,
     TableWeights,
     UnitWeights,
-    check_embedding,
-    optimal_split_value,
+    WeightModel,
     orthogonalized_weight,
     redundant_condition_bound,
-    redundant_norm_defined,
 )
 
 
@@ -85,47 +78,43 @@ class TestWeightEvaluation:
         assert orthogonalized_weight(doubled, ZERO_INDEX) == pytest.approx(1.0)
 
 
-class TestCheckEmbedding:
-    def test_identity_embedding(self):
-        a = TableWeights({ZERO_INDEX: 1.0, IndexVector({1: 1}): 2.0})
-        search = IndexSet(a.support())
-        assert check_embedding(a, a, search) == pytest.approx(1.0)
+class TabledWeights(WeightModel):
+    """``table``'s weights in a model with no closed-form condition bound,
+    and with ``table``'s tail oracle only when ``with_oracle``."""
 
-    def test_scaling_by_four_gives_two(self):
-        a = SplineWeights(ProductGamma(FiniteSeq([1.0, 0.5])), s=1.0, lam=1.0)
-        b = ScaledWeights(a, 4.0)
-        search = IndexSet([ZERO_INDEX, IndexVector({1: 1}), IndexVector({1: 1, 2: 2})])
-        assert check_embedding(a, b, search) == pytest.approx(2.0)
+    def __init__(self, table, with_oracle=True):
+        self.table = table
+        self.with_oracle = with_oracle
 
-    def test_support_violation(self):
-        jstar = IndexVector({1: 1})
-        a = TableWeights({ZERO_INDEX: 1.0})
-        b = TableWeights({ZERO_INDEX: 1.0, jstar: 1.0})
-        with pytest.raises(InclusionViolated):
-            check_embedding(a, b, IndexSet([ZERO_INDEX, jstar]))
+    def weight(self, j):
+        return self.table.weight(j)
+
+    def tail_oracle(self):
+        return self.table.tail_oracle() if self.with_oracle else super().tail_oracle()
 
 
 class TestNormDefiniteness:
+    """The redundant seminorm is a norm iff the inverse weights are summable."""
+
     def test_geometric_series_is_summable(self):
         m = geometric_single_coordinate(0.5)  # weights 2**j, inverse sum = 2
-        assert redundant_norm_defined(m)
         assert m.tail_oracle().total() == pytest.approx(2.0, rel=1e-14)
 
     def test_unit_weights_on_infinite_support_fail(self):
         m = ProductWeights(ConstantSeq(1.0))
-        assert not redundant_norm_defined(m)
+        assert m.tail_oracle().total() == math.inf
         with pytest.raises(NormDegenerate) as err:
             orthogonalized_weight(m, ZERO_INDEX)
         assert err.value.unit_seminorm == 0.0
 
     def test_finite_table_always_summable(self):
         m = TableWeights({ZERO_INDEX: 0.01, IndexVector({1: 1}): 5.0})
-        assert redundant_norm_defined(m)
+        assert m.tail_oracle().total() == pytest.approx(100.2, rel=1e-14)
 
-    def test_custom_without_oracle(self):
-        m = CustomWeights(lambda j: 1.0)
+    def test_model_without_oracle(self):
+        m = TabledWeights(TableWeights({ZERO_INDEX: 1.0}), with_oracle=False)
         with pytest.raises(OracleUnavailable):
-            redundant_norm_defined(m)
+            m.tail_oracle()
 
 
 class TestOrthogonalizedWeight:
@@ -293,11 +282,11 @@ class TestConditionBound:
         # a_j * tail(j) is scale-invariant, so a scaled model has its base's bound
         table = TableWeights({ZERO_INDEX: 1.0, IndexVector({1: 1}): 4.0})
         search = list(table.support())
-        custom = CustomWeights(table.weight, table.tail_oracle())
-        base = redundant_condition_bound(custom, search)
+        opaque = TabledWeights(table)
+        base = redundant_condition_bound(opaque, search)
         assert base == ConditionBound(1.25, certified=False)  # zero index: 1 * (1 + 1/4)
-        assert redundant_condition_bound(ScaledWeights(custom, 2.0), search) == base
-        no_oracle = ScaledWeights(CustomWeights(table.weight), 2.0)
+        assert redundant_condition_bound(ScaledWeights(opaque, 2.0), search) == base
+        no_oracle = ScaledWeights(TabledWeights(table, with_oracle=False), 2.0)
         oracle = ScaledWeights(table, 2.0).tail_oracle()
         assert redundant_condition_bound(no_oracle, search, oracle) == base
 
@@ -342,32 +331,3 @@ class TestEnumerableSplineConditionBound:
         assert len(values) > 10
         assert max(values) <= bound.c_squared
         assert bound.c_squared == pytest.approx(max(values), rel=1e-14)
-
-
-class TestOptimalSplit:
-    def test_symmetric_two_way(self):
-        assert optimal_split_value([1.0, 1.0], 1.0) == pytest.approx(0.5)
-
-    def test_single_space(self):
-        assert optimal_split_value([1.0], 3.0) == pytest.approx(3.0)
-
-    def test_three_way(self):
-        assert optimal_split_value([1.0, 2.0, 4.0], 1.0) == pytest.approx(4.0 / 7.0)
-
-    def test_divergent_family(self):
-        assert optimal_split_value([1.0], 5.0, divergent=True) == 0.0
-
-    def test_matches_projected_gradient_minimization(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
-            a = rng.uniform(0.2, 5.0, size=n)
-            u = float(rng.normal())
-            # minimize sum a_i x_i^2 subject to sum x_i = u by projected gradient
-            x = np.full(n, u / n)
-            for _ in range(20000):
-                g = 2.0 * a * x
-                g -= g.mean()  # project the gradient onto the constraint plane
-                x -= 0.05 / a.max() * g
-            direct = float(np.sum(a * x * x))
-            assert optimal_split_value(list(a), u * u) == pytest.approx(direct, abs=1e-8)
