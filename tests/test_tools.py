@@ -18,6 +18,9 @@ GOLDEN_DIR = ROOT / "tests" / "golden"
 #: ``tools/artifact_digests.py epsdim decomp --seeds 1`` as written by the
 #: commit that added it; regress is left out, its last bits depend on BLAS
 GOLDEN_DIGESTS = GOLDEN_DIR / "digests_seed1.txt"
+#: the same for ``epsdim --seeds 2 3``: other eps draws give a ratio that
+#: flips at the threshold more chances to show
+GOLDEN_EPSDIM_DIGESTS = GOLDEN_DIR / "digests_epsdim_seeds2_3.txt"
 
 
 def _load(path: Path, name: str):
@@ -27,10 +30,10 @@ def _load(path: Path, name: str):
     return module
 
 
-def _check_every_request_listed(workload, capsys, monkeypatch):
-    """One line per request of seed 1, each with the exit code the
+def _check_every_request_listed(workload, capsys, monkeypatch, seeds=(1,), golden=GOLDEN_DIGESTS):
+    """One line per request of each seed, each with the exit code the
     benchmark expects of that request, and every line as pinned in
-    ``GOLDEN_DIGESTS``: the same artifact bytes and error lines."""
+    ``golden``: the same artifact bytes and error lines."""
     # the tool prepends to sys.path, sets the BLAS thread variables and
     # imports the benchmark's modules; all of that is undone afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -40,26 +43,30 @@ def _check_every_request_listed(workload, capsys, monkeypatch):
                    if name not in sys.modules]
     tool = _load(ROOT / "tools" / "artifact_digests.py", "artifact_digests")
     try:
-        assert tool.main([workload, "--seeds", "1"]) == 0
-        reqs = sys.modules["workloads"].WORKLOADS[workload](1)
+        assert tool.main([workload, "--seeds", *map(str, seeds)]) == 0
+        reqs = [(seed, i, req) for seed in seeds
+                for i, req in enumerate(sys.modules["workloads"].WORKLOADS[workload](seed))]
     finally:
         for name in new_modules:
             sys.modules.pop(name, None)
     lines = capsys.readouterr().out.splitlines()
 
     assert len(lines) == len(reqs)
-    for i, (line, req) in enumerate(zip(lines, reqs)):
+    for line, (seed, i, req) in zip(lines, reqs):
         fields = line.split()
-        assert fields[:4] == [workload, "1", str(i), req.label]
+        assert fields[:4] == [workload, str(seed), str(i), req.label]
         assert fields[4] == f"rc={req.expect_rc}", line
         assert fields[5].startswith("sha256=")
-    golden = [line for line in GOLDEN_DIGESTS.read_text().splitlines()
-              if line.split()[0] == workload]
-    assert lines == golden
+    pinned = [line for line in golden.read_text().splitlines() if line.split()[0] == workload]
+    assert lines == pinned
 
 
 def test_artifact_digests_lists_every_epsdim_request(capsys, monkeypatch):
     _check_every_request_listed("epsdim", capsys, monkeypatch)
+
+
+def test_artifact_digests_pins_epsdim_seeds_2_and_3(capsys, monkeypatch):
+    _check_every_request_listed("epsdim", capsys, monkeypatch, (2, 3), GOLDEN_EPSDIM_DIGESTS)
 
 
 def test_artifact_digests_lists_every_decomp_request(capsys, monkeypatch):
