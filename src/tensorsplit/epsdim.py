@@ -22,6 +22,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import ConfigInvalid, EnumerationCap, NotCompact, TailUnavailable
 from .gammas import GammaModel, ProductGamma
@@ -223,7 +224,7 @@ class ProductDecay:
 
 class _BoostTable:
     """Cached suffix products of multipliers exceeding one, and a
-    per-coordinate table of what the entry scan reads.
+    per-coordinate table of what the entry scan (``scan_end``) reads.
 
     ``k_last`` is the last coordinate whose multiplier is at least
     1 + 2**-52.  The constructor finds it with one scan of
@@ -241,8 +242,9 @@ class _BoostTable:
     ``COORD_GUARD`` exactly when it does not stop there: ``guard_sup``,
     ``mult.tail_sup(COORD_GUARD)``, settles that at the start of the scan.
     The lists grow one coordinate at a time as scans reach it, so a product
-    of sequences walks its factors once per coordinate, not once per node.
-    Slot 0 is a placeholder: coordinates start at 1.
+    of sequences walks its factors once per coordinate, not once per node;
+    a walk reads ``positive`` and ``after`` directly over the coordinates a
+    scan covered.  Slot 0 is a placeholder: coordinates start at 1.
     """
 
     def __init__(self, mult: CoordSeq):
@@ -296,25 +298,26 @@ class _BoostTable:
         self.sup.append(self.mult.tail_sup(k))
         self.after.append(1.0 if k >= self.k_last else self.suffix[k + 1])
 
-    def entry_coords(self, c: float, eps2: float, k: int):
-        """Coordinates k, k+1, ... with a positive multiplier, in order.
+    def scan_end(self, c: float, eps2: float, k: int) -> int:
+        """The last coordinate of the entry scan of a ratio c from k.
 
-        Stops after the first coordinate from which on no entry can lift a
-        ratio of c back to eps2, even with every later boost applied.  A
-        scan that would only stop past ``COORD_GUARD`` raises before it
-        yields anything.
+        The scan covers k, k+1, ... and stops at the first coordinate from
+        which on no entry can lift a ratio of c back to eps2, even with
+        every later boost applied; the coordinates it covers with a
+        positive multiplier are the ones that may enter.  A scan that would
+        only stop past ``COORD_GUARD`` raises at its start.
         """
         if self.guard_sup is not None and k <= COORD_GUARD and not c * self.guard_sup < eps2:
             raise EnumerationCap(_GUARD_HIT)
-        positive, sup, after = self.positive, self.sup, self.after
+        sup, after, k_unbounded = self.sup, self.after, self.k_unbounded
         while True:
-            while k >= len(sup):
+            try:
+                if c * sup[k] * after[k] < eps2:
+                    return k
+            except IndexError:  # the scan reached a coordinate past the table
                 self._grow()
-            if positive[k]:
-                yield k
-            if c * sup[k] * after[k] < eps2:
-                return
-            if k >= self.k_unbounded:
+                continue
+            if k >= k_unbounded:
                 raise NotCompact("entry multipliers do not decay; the threshold set is unbounded")
             k += 1
             if k > COORD_GUARD:
@@ -425,7 +428,7 @@ def enumerate_threshold_set(
 
     to_vector = IndexVector._from_entries
     members = _walk(a, b, eps2, certificate.mult, cap, graded=False)
-    return ThresholdSet({to_vector(entries): c for entries, _, _, c in members}), False
+    return ThresholdSet({to_vector(key): c for key, _, _, c in members}), False
 
 
 def _enumerate_by_support(a, b, eps2, supports, cap):
@@ -483,8 +486,13 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
     An index's children are the index with its last level raised (up to
     the level cap) and with each coordinate of its entry scan entered; push
     tests prune.  A ``graded`` pair's node is the group of indices with one
-    support and total level, keyed by the support; ``count`` is how many of
-    them the walk visits.  Any other node is one index, keyed by its entries.
+    support and total level, keyed by the support's coordinates; ``count``
+    is how many of them the walk visits.  Any other node is one index,
+    keyed by its entries.  A node is ``[count, state of a, state of b,
+    ratio]``.  Each node makes one ``scan_end`` call.  Each child costs a's
+    ``enter`` (or ``deepen``) and ``carried``, which multiply floats the
+    model keeps in tables, and b's too unless b's weight is ``uniform``,
+    plus a lookup of its key for a group.
 
     ``cap`` bounds the candidates found (visited or built for the next
     level), ``SUPPORT_CAP`` the supports when ``cap`` is unbounded.  Past
@@ -493,53 +501,57 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
     level wins over it in any node order.
     """
     boost = _BoostTable(mult)
-    after, entry_coords = boost.after, boost.entry_coords
+    positive, after, scan_end = boost.positive, boost.after, boost.scan_end
     level_cap = min((m.max_level for m in (a, b) if m.max_level is not None), default=None)
-    enter_a, deepen_a, enter_b, deepen_b = a.enter, a.deepen, b.enter, b.deepen
-    support_cap = SUPPORT_CAP if cap == math.inf else math.inf
+    enter_a, deepen_a, carried_a = a.enter, a.deepen, a.carried
+    enter_b, deepen_b, carried_b = b.enter, b.deepen, b.carried
+    # None, or the weight of every index of a unit b, scaled or not, which
+    # is positive: b's states are then skipped
+    bw = b.uniform
+    inf = math.inf
+    support_cap = SUPPORT_CAP if cap == inf else inf
     sa, sb = a.state(EMPTY_SUPPORT), b.state(EMPTY_SUPPORT)
-    # key -> [count, entries, state of a, state of b, ratio] of the nodes that
-    # pass their push test; a group's entries hold its support at level 1.  A
-    # group may have two parents, an index has one: only groups are looked up
-    level = {(): [1, (), sa, sb, carried_ratio(a, b, sa, sb, ())]}
+    # key -> node, for the nodes that pass their push test.  A group may
+    # have two parents, an index has one: only groups are looked up
+    level = {(): [1, sa, sb, carried_ratio(a, b, sa, sb, ())]}
     members, found, supports, total = [], 1, 0, 0
     while level:
         if total > COORD_GUARD:
             raise EnumerationCap("level scan exceeded the hard guard")
         below, level = level, {}
         get = level.get
-        for key, (count, entries, sa, sb, c) in below.items():
-            supports += total == len(entries)  # a support's first node has every level 1
+        for key, (count, sa, sb, c) in below.items():
+            supports += total == len(key)  # a support's first node has every level 1
             if c >= eps2:
                 members.append((key, total, count, c))
-            kmax, top = entries[-1] if entries else (0, 0)
-            scan = entry_coords(c, eps2, kmax + 1)
+            kmax = (key[-1] if graded else key[-1][0]) if key else 0
             if found > cap or supports > support_cap:
-                for _ in scan:
-                    pass
+                scan_end(c, eps2, kmax + 1)
                 continue
-            if kmax and (level_cap is None or top < level_cap):
-                child = key if graded else entries[:-1] + ((kmax, top + 1),)
+            if kmax and (level_cap is None or key[-1][1] < level_cap):
+                child = key if graded else key[:-1] + ((kmax, key[-1][1] + 1),)
                 if not (pushed := graded and get(child)):
-                    ca, cb = deepen_a(sa, kmax), deepen_b(sb, kmax)
-                    child_entries = entries if graded else child
-                    cc = carried_ratio(a, b, ca, cb, child_entries)
+                    ca, cb = deepen_a(sa, kmax), (sb if bw else deepen_b(sb, kmax))
+                    aw = carried_a(ca, child)
+                    cc = 0.0 if aw == 0.0 or aw == inf else (bw or carried_b(cb, child)) / aw
                     if cc * after[kmax] >= eps2:
-                        pushed = level[child] = [0, child_entries, ca, cb, cc]
+                        pushed = level[child] = [0, ca, cb, cc]
                 if pushed:
                     pushed[0] += count
                     found += count
-            for k in scan:
-                child = key + (k,) if graded else entries + ((k, 1),)
+            for k in range(kmax + 1, scan_end(c, eps2, kmax + 1) + 1):
+                if not positive[k]:
+                    continue
+                child = key + (k,) if graded else key + ((k, 1),)
                 if not (pushed := graded and get(child)):
-                    ca, cb = enter_a(sa, k), enter_b(sb, k)
-                    child_entries = entries + ((k, 1),) if graded else child
-                    cc = carried_ratio(a, b, ca, cb, child_entries)
-                    if cc * after[k] >= eps2:
-                        pushed = level[child] = [0, child_entries, ca, cb, cc]
-                if pushed:
-                    pushed[0] += count
-                    found += count
+                    ca, cb = enter_a(sa, k), (sb if bw else enter_b(sb, k))
+                    aw = carried_a(ca, child)
+                    cc = 0.0 if aw == 0.0 or aw == inf else (bw or carried_b(cb, child)) / aw
+                    if cc * after[k] < eps2:
+                        continue
+                    pushed = level[child] = [0, ca, cb, cc]
+                pushed[0] += count
+                found += count
         if found > cap or supports > support_cap:
             raise EnumerationCap(f"visited more than {cap} candidate indices" if found > cap
                                  else f"more than {SUPPORT_CAP} supports enumerated")
@@ -555,9 +567,9 @@ def _count_by_support(a, b, eps2, supports, cap):
         raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
     groups, members = [], 0
     for sigma in supports:
-        coords, ones = sigma.coords, tuple((k, 1) for k in sigma)
+        coords = sigma.coords
         sa, sb, total = a.state(sigma), b.state(sigma), len(coords)
-        while (c := carried_ratio(a, b, sa, sb, ones)) >= eps2:
+        while (c := carried_ratio(a, b, sa, sb, coords)) >= eps2:
             count = math.comb(total - 1, len(coords) - 1) if coords else 1
             members += count
             if members > cap:
@@ -574,8 +586,9 @@ def _count_by_support(a, b, eps2, supports, cap):
 def _group_result(groups, dims: DimensionModel, eps: float, **fields) -> EpsDimResult:
     """The result whose ``members`` are these member groups."""
     group_dim = _GROUP_DIM[type(dims)]
-    members = sorted((sigma[-1] if sigma else 0, count * group_dim(len(sigma), total), count, c)
-                     for sigma, total, count, c in groups)
+    members = [(sigma[-1] if sigma else 0, count * group_dim(len(sigma), total), count, c)
+               for sigma, total, count, c in groups]
+    members.sort(key=itemgetter(0))  # ties in max_coord need no order: ``table`` sums them
     return EpsDimResult(n=sum(m[1] for m in members), eps=eps, members=members, **fields)
 
 
@@ -600,7 +613,7 @@ def eps_dimension(
             lambda: enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)[0].ratios))
     index_set, _ = enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)
     members = sorted(((j.max_coord, dims.subspace_dim(j), 1, c)
-                      for j, c in index_set.ratios.items()), key=lambda m: m[0])
+                      for j, c in index_set.ratios.items()), key=itemgetter(0))
     return EpsDimResult(n=sum(m[1] for m in members), eps=eps, index_set=index_set,
                         members=members)
 

@@ -22,7 +22,10 @@ Every model also carries its weights down the index tree for the
 threshold-set walks (``state``, ``enter``, ``deepen`` and ``carried``; see
 ``WeightModel``).  Product and spline models keep running products and
 compute ``weight`` itself through ``carried``, so each weight formula is
-written once; ``carried_ratio`` is ``ratio`` on carried weights.
+written once; ``carried_ratio`` is ``ratio`` on carried weights.  They read
+each coordinate's parameters, and a constant-smoothness spline model the
+dyadic factor of each total level, once per model object, from tables
+filled as the walks reach them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     config_numbers,
 )
 from .gammas import GammaModel, ProductGamma, gamma_from_json
-from .indexing import ZERO_INDEX, IndexVector, SupportSet
+from .indexing import EMPTY_SUPPORT, ZERO_INDEX, IndexVector, SupportSet
 from .sequences import (
     ConstantSeq,
     CoordSeq,
@@ -84,13 +87,30 @@ def exp2(x: float) -> float:
         raise ConfigInvalid(f"the dyadic weight 2**{x:.17g} overflows the float range") from None
 
 
+_TAIL_OVERFLOW = "a tail sum of inverse weights overflows the float range"
+
+
 def _exp_tail(head: float, log_rest: float) -> float:
     """head * exp(log_rest), a tail sum of inverse weights; an exp past the
     float range is ``ConfigInvalid``."""
     try:
         return head * math.exp(log_rest)
     except OverflowError:
-        raise ConfigInvalid("a tail sum of inverse weights overflows the float range") from None
+        raise ConfigInvalid(_TAIL_OVERFLOW) from None
+
+
+class _Table(dict):
+    """``f(key)`` of every key read so far, each evaluated once; an
+    evaluation that raises is not kept."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
 
 
 class CoordParam:
@@ -188,13 +208,19 @@ class WeightModel:
     is built from: ``state(sigma)`` is the state of the level-1 index on
     ``sigma``, ``enter(state, k)`` the state after coordinate k enters at
     level 1 and ``deepen(state, k)`` the state after the level at k rises by
-    one.  ``carried(state, entries)`` is the weight of the index with those
-    ``(coordinate, level)`` entries, equal to ``weight`` of that index.  By
-    default there is no state and ``carried`` evaluates the index.
+    one.  ``carried(state, key)`` is the weight of the index whose state it
+    is, equal to ``weight`` of that index.  ``key`` is the index's
+    ``(coordinate, level)`` entries; a model whose weights depend only on
+    the support and the total level (unit weights, constant-smoothness
+    spline weights) also accepts the support's coordinates.  By default
+    there is no state and ``carried`` evaluates the index.
     """
 
     #: per-coordinate level cap (None = unbounded levels)
     max_level: int | None = None
+    #: ``carried`` of every state, for a model whose weight is the same at
+    #: every index; a walk then skips its states (None = it varies)
+    uniform: float | None = None
 
     def weight(self, j: IndexVector) -> float:
         raise NotImplementedError
@@ -208,8 +234,8 @@ class WeightModel:
     def deepen(self, state, k: int):
         return None
 
-    def carried(self, state, entries: tuple[tuple[int, int], ...]) -> float:
-        return self.weight(IndexVector._from_entries(entries))
+    def carried(self, state, key: tuple[tuple[int, int], ...]) -> float:
+        return self.weight(IndexVector._from_entries(key))
 
     def tail_oracle(self) -> TailOracle:
         raise OracleUnavailable(f"{type(self).__name__} has no tail-sum oracle")
@@ -218,10 +244,12 @@ class WeightModel:
 class UnitWeights(WeightModel):
     """a_j = 1 for every index; the support is all of the index universe."""
 
+    uniform = 1.0
+
     def weight(self, j: IndexVector) -> float:
         return 1.0
 
-    def carried(self, state, entries) -> float:
+    def carried(self, state, key) -> float:
         return 1.0
 
     def tail_oracle(self) -> TailOracle:
@@ -242,6 +270,7 @@ class ScaledWeights(WeightModel):
         self.base = base
         self.factor = float(factor)
         self.max_level = base.max_level
+        self.uniform = None if base.uniform is None else self.factor * base.uniform
 
     def weight(self, j: IndexVector) -> float:
         return self.factor * self.base.weight(j)
@@ -255,8 +284,8 @@ class ScaledWeights(WeightModel):
     def deepen(self, state, k: int):
         return self.base.deepen(state, k)
 
-    def carried(self, state, entries) -> float:
-        return self.factor * self.base.carried(state, entries)
+    def carried(self, state, key) -> float:
+        return self.factor * self.base.carried(state, key)
 
     def tail_oracle(self) -> TailOracle:
         return _ScaledOracle(self.base.tail_oracle(), self.factor)
@@ -268,7 +297,11 @@ class _ScaledOracle(TailOracle):
         self.factor = factor
 
     def tail(self, j):
-        return self.base.tail(j) / self.factor
+        t = self.base.tail(j)
+        scaled = t / self.factor
+        if scaled == math.inf and t != math.inf:  # a factor below 1 lifted it past the range
+            raise ConfigInvalid(_TAIL_OVERFLOW)
+        return scaled
 
 
 class ProductWeights(WeightModel):
@@ -278,13 +311,15 @@ class ProductWeights(WeightModel):
     of the per-coordinate values on omega; indices with any level >= 2 lie
     outside the universe and evaluate to 0.  A vanishing coordinate value
     sends the weight to infinity (the component is suppressed entirely).
-    The carried state is (gamma product, total level).
+    The carried state is (gamma product, total level), the product taken
+    over a table of the coordinate values.
     """
 
     max_level = 1
 
     def __init__(self, gamma_seq: CoordSeq):
         self.gamma_seq = gamma_seq
+        self._gamma = _Table(gamma_seq.value)
 
     def __repr__(self):
         return f"ProductWeights({self.gamma_seq!r})"
@@ -294,22 +329,22 @@ class ProductWeights(WeightModel):
         return self.carried((gw, j.total_level), j.entries)
 
     def state(self, sigma: SupportSet):
-        gw = 1.0
+        state = 1.0, 0
         for k in sigma:
-            gw *= self.gamma_seq.value(k)
-        return gw, len(sigma)
+            state = self.enter(state, k)
+        return state
 
     def enter(self, state, k: int):
         gw, total = state
-        return gw * self.gamma_seq.value(k), total + 1
+        return gw * self._gamma[k], total + 1
 
     def deepen(self, state, k: int):
         gw, total = state
         return gw, total + 1
 
-    def carried(self, state, entries) -> float:
+    def carried(self, state, key) -> float:
         gw, total = state
-        if total > len(entries):  # some level is 2 or more: outside the universe
+        if total > len(key):  # some level is 2 or more: outside the universe
             return 0.0
         return math.inf if gw == 0.0 else 1.0 / gw
 
@@ -348,9 +383,13 @@ class SplineWeights(WeightModel):
     The carried state is (gamma value, lam product, total level).  The
     gamma value is carried into a new coordinate only for a gamma of exact
     type ``ProductGamma``, multiplied in coordinate order from 1.0 as its
-    ``value`` does; for any other gamma ``enter`` leaves it None and
-    ``carried`` reads it from the support of the entries.  The lam product
-    is multiplied in ``math.prod``'s order.
+    ``value`` does; for any other gamma the state holds the support in its
+    place and ``carried`` reads the gamma value there.  The lam product is
+    multiplied in the same order from 1.  ``state`` enters the coordinates
+    one by one, and the factors come from tables of gamma_k and lam_k by
+    coordinate and, with constant smoothness, of the dyadic factor by total
+    level, so ``weight`` and the walks multiply the same floats in the same
+    order.
     """
 
     def __init__(self, gamma: GammaModel, s, lam=1.0):
@@ -361,47 +400,49 @@ class SplineWeights(WeightModel):
             raise ConfigInvalid("smoothness must be positive in every coordinate")
         if not self.lam.values_positive():
             raise ConfigInvalid("scale constants must be positive")
+        # exact type: a subclass may define its own value
+        self._gamma = _Table(gamma.seq.value) if type(gamma) is ProductGamma else None
+        self._lam = _Table(self.lam.value)
+        if self.s.is_constant:
+            two_s = 2.0 * self.s.const
+            self._dyadic = _Table(lambda total: exp2(two_s * total))
+        else:
+            self._dyadic = None
 
     def __repr__(self):
         return f"SplineWeights({self.gamma!r})"
 
-    def lam_product(self, omega: SupportSet) -> float:
-        return math.prod(self.lam.value(k) for k in omega)
-
     def weight(self, j: IndexVector) -> float:
-        sigma = j.support
-        return self.carried((self.gamma.value(sigma), self.lam_product(sigma), j.total_level),
-                            j.entries)
+        gv, lam_prod, _ = self.state(j.support)
+        return self.carried((gv, lam_prod, j.total_level), j.entries)
 
     def state(self, sigma: SupportSet):
-        return self.gamma.value(sigma), self.lam_product(sigma), len(sigma)
+        state = (EMPTY_SUPPORT if self._gamma is None else 1.0), 1, 0
+        for k in sigma:
+            state = self.enter(state, k)
+        return state
 
     def enter(self, state, k: int):
         gv, lam_prod, total = state
-        # exact type: a subclass may define its own value
-        if type(self.gamma) is ProductGamma:
-            gv *= self.gamma.seq.value(k)
-        else:
-            gv = None
-        return gv, lam_prod * self.lam.value(k), total + 1
+        gamma = self._gamma
+        return (gv.add(k) if gamma is None else gv * gamma[k]), lam_prod * self._lam[k], total + 1
 
     def deepen(self, state, k: int):
         gv, lam_prod, total = state
         return gv, lam_prod, total + 1
 
-    def carried(self, state, entries) -> float:
+    def carried(self, state, key) -> float:
         """lam_prod * 2**(2 sum_k s_k j_k) / gamma value, 1 at the zero index."""
         gv, lam_prod, total = state
         if total == 0:
             return 1.0
-        if gv is None:
-            gv = self.gamma.value(SupportSet(k for k, _ in entries))
-        if gv == 0.0:
+        if self._gamma is None:
+            gv = self.gamma.value(gv)
+        if not gv > 0.0:  # 0, or inf * 0, which ProductGamma.value reads as 0
             return math.inf
-        if self.s.is_constant:
-            two_s_dot = 2.0 * self.s.const * total
-        else:
-            two_s_dot = math.fsum(2.0 * self.s.value(k) * jk for k, jk in entries)
+        if self._dyadic is not None:
+            return lam_prod * self._dyadic[total] / gv
+        two_s_dot = math.fsum(2.0 * self.s.value(k) * jk for k, jk in key)
         return lam_prod * exp2(two_s_dot) / gv
 
     def level_decay(self, k: int) -> float:
@@ -563,7 +604,14 @@ class _TableOracle(TailOracle):
         self.model = model
 
     def tail(self, j: IndexVector) -> float:
-        return math.fsum(1.0 / v for i, v in self.model.entries.items() if j <= i)
+        # the weights are positive and finite: an inf is past the float range
+        try:
+            t = math.fsum(1.0 / v for i, v in self.model.entries.items() if j <= i)
+        except OverflowError:  # finite inverses whose sum overflows
+            raise ConfigInvalid(_TAIL_OVERFLOW) from None
+        if t == math.inf:
+            raise ConfigInvalid(_TAIL_OVERFLOW)
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +626,12 @@ def ratio(a: WeightModel, b: WeightModel, j: IndexVector) -> float:
     return b.weight(j) / aw
 
 
-def carried_ratio(a: WeightModel, b: WeightModel, sa, sb, entries) -> float:
-    """``ratio`` of the index with these entries, from carried states of a and b."""
-    aw = a.carried(sa, entries)
+def carried_ratio(a: WeightModel, b: WeightModel, sa, sb, key) -> float:
+    """``ratio`` of the index with this key, from carried states of a and b."""
+    aw = a.carried(sa, key)
     if aw == 0.0 or math.isinf(aw):
         return 0.0
-    return b.carried(sb, entries) / aw
+    return b.carried(sb, key) / aw
 
 
 def orthogonalized_weight(
@@ -600,8 +648,24 @@ def orthogonalized_weight(
             "inverse weights are not summable; the redundant seminorm vanishes on 1",
             unit_seminorm=0.0,
         )
+    _check_set_weight(model, j)
     t = oracle.tail(j)
     return math.inf if t == 0.0 else 1.0 / t
+
+
+def _check_set_weight(model: WeightModel, j: IndexVector):
+    """Refuse an index whose weight reads inf, a suppressed component,
+    because its set weight, a product of positive values, underflowed to 0."""
+    while isinstance(model, ScaledWeights):
+        model = model.base
+    gamma = getattr(model, "gamma", None)  # spline and anisotropic weights
+    seq = model.gamma_seq if isinstance(model, ProductWeights) else getattr(gamma, "seq", None)
+    if seq is None or model.weight(j) != math.inf:
+        return
+    values = [seq.value(k) for k in j.support]
+    if 0.0 not in values and math.prod(values) == 0.0:
+        raise ConfigInvalid(f"the set weight of {list(j.support.coords)} "
+                            "underflows the float range")
 
 
 @dataclass(frozen=True)

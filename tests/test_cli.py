@@ -895,6 +895,50 @@ class TestErrors:
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == [f"error: ConfigInvalid: {line}"]
 
+    @pytest.mark.parametrize("a", [
+        {"type": "table", "entries": [[{}, 1e-320], [{"1": 1}, 1.0]]},
+        {"type": "scaled", "factor": 1e-320, "base": _GEOMETRIC_PRODUCT},
+        # finite inverses 1e308 whose sum overflows inside fsum
+        {"type": "table", "entries": [[{}, 1e-308], [{"1": 1}, 1e-308]]},
+    ], ids=["table-inverse", "scaled-factor", "table-sum"])
+    def test_transform_overflowing_inverse_weights_rejected(self, tmp_path, capsys, a):
+        """1 / 1e-320 and a finite tail over a factor of 1e-320 lie past
+        the float range: exit 2 with one overflow line, not NormDegenerate's
+        "not summable" (the tails are finite sums) or a traceback."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": a, "indices": [{}, {"1": 1}]}))
+        assert run_cli("transform", path, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigInvalid: a tail sum of inverse weights overflows the float range"]
+
+    @pytest.mark.parametrize("a", [
+        {"type": "spline", "gamma": {"kind": "product", "seq": {"kind": "power", "c": 1e-300, "p": 2}}},
+        {"type": "scaled", "factor": 2.0, "base": {"type": "spline", "gamma": {
+            "kind": "product", "seq": {"kind": "finite", "values": [1e-300, 1e-300]}}}},
+    ], ids=["spline-power", "scaled-spline-finite"])
+    def test_transform_underflowing_set_weight_rejected(self, tmp_path, capsys, a):
+        """gamma_1 * gamma_2 underflows to 0 although both are positive, so
+        the weight reads inf: exit 2 naming the set, not inf / inf = nan
+        (the product-weight case is the golden
+        ``transform_underflowing_set_weight``)."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": a, "indices": [{}, {"1": 1, "2": 1}]}))
+        assert run_cli("transform", path, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigInvalid: the set weight of [1, 2] underflows the float range"]
+
+    def test_transform_suppressed_component_kept(self, tmp_path, capsys):
+        """A coordinate value of 0 suppresses its components on purpose:
+        weight inf, still written, and no underflow error."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": {"type": "product", "gamma": {
+            "kind": "finite", "values": [0.5, 0.0]}}, "indices": [{"1": 1}, {"2": 1}]}))
+        assert run_cli("transform", path, out) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[2].startswith('"{""2"":1}",inf,inf,')
+
     @pytest.mark.parametrize("kind", ["spline", "aniso"])
     def test_epsdim_dyadic_overflow_rejected(self, tmp_path, capsys, kind):
         """eps**2 = 1e-320 admits weights past the float range, so a weight

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from tensorsplit.epsdim import (
     SplineDims,
     _BoostTable,
     _graded_groups,
+    _walk,
     auto_certificate,
     enumerate_threshold_set,
     eps_dimension,
@@ -612,6 +614,100 @@ class TestCarriedWalk:
             assert all(c == ratio(a, b, j) for j, c in got.ratios.items())
 
 
+class CountingSeq(PowerSeq):
+    """A power sequence that counts its evaluations by coordinate."""
+
+    def __init__(self, c, p):
+        super().__init__(c, p)
+        self.calls = {}
+
+    def value(self, k):
+        self.calls[k] = self.calls.get(k, 0) + 1
+        return super().value(k)
+
+
+class TestCoordinateTables:
+    """The models read gamma_k, lam_k and the dyadic factor of each total
+    level from tables that live as long as the model object; walks and
+    ``weight`` must read the same floats as fresh models compute."""
+
+    @pytest.mark.parametrize("name,a,b,eps", carried_pairs(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_used_models_equal_fresh_ones(self, name, a, b, eps):
+        """Walks at several eps in shuffled order on one model pair, then
+        ``weight`` on it: every ratio is ``ratio`` on fresh models, and the
+        grouped walk's ratios are the vector walk's."""
+        fresh_a, fresh_b = next((fa, fb) for n, fa, fb, _ in carried_pairs() if n == name)
+        eps_list = [eps * 2.5, eps, eps * 1.6, eps * 4.0]
+        random.Random(name).shuffle(eps_list)
+        members = {}
+        for eps_i in eps_list:
+            res = eps_dimension(a, b, eps_i, SplineDims())
+            ratios = res.index_set.ratios
+            assert {m[3] for m in res.members} == set(ratios.values()), f"{name} at eps={eps_i}"
+            for j, c in ratios.items():
+                assert c == ratio(fresh_a, fresh_b, j), f"{name}: {j!r} at eps={eps_i}"
+            members.update(ratios)
+        assert len(members) > 5
+        for j, c in members.items():
+            assert ratio(a, b, j) == c
+
+    @pytest.mark.parametrize("model", [
+        lambda seq: SplineWeights(ProductGamma(seq), s=1.0, lam=[2.0, 0.5]),
+        lambda seq: ScaledWeights(SplineWeights(ProductGamma(seq), s=[1.0, 0.75]), 0.5),
+        lambda seq: ProductWeights(seq),
+    ], ids=["spline_graded", "spline_vector", "product"])
+    def test_each_gamma_read_once_per_model(self, model):
+        """One pair of model objects serves walks at three eps, their
+        tables and threshold sets and a ``weight`` call per member: each
+        gamma_k is evaluated once.  The certificate comes from a plain
+        copy, so the entry scans do not read the counting sequence."""
+        counting = CountingSeq(0.85, 2.0)
+        a, plain = model(counting), model(PowerSeq(0.85, 2.0))
+        certificate = auto_certificate(plain, UnitWeights())
+        for eps in (0.02, 0.01, 0.015):
+            res = eps_dimension(a, UnitWeights(), eps, SplineDims(), certificate=certificate)
+            list(res.table([eps, 2 * eps], [1, 3]))
+            for j in res.index_set:
+                a.weight(j)
+        assert max(counting.calls) > 5
+        assert set(counting.calls.values()) == {1}
+
+
+_PINNED = SplineWeights(ProductGamma(PowerSeq(1.0, 2.0)), s=1.0, lam=1.0)
+#: (name, a, eps, graded): the pinned spline/unit pair in both walks and a
+#: product/unit pair in the vector walk
+BOUNDARY_CASES = [
+    ("pinned_grouped", _PINNED, 0.005, True),
+    ("pinned_vector", _PINNED, 0.005, False),
+    ("product_unit", ProductWeights(PowerSeq(0.85, 2.0)), 0.01, False),
+]
+
+
+class TestExactBoundary:
+    """eps**2 equal to a member's carried ratio keeps that member, and one
+    ulp above it drops it, in the grouped and in the vector walk: the
+    push test and the member test compare the same floats."""
+
+    @pytest.mark.parametrize("name,a,eps,graded", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
+    def test_member_ratio_as_threshold(self, name, a, eps, graded):
+        b = UnitWeights()
+        mult = auto_certificate(a, b).mult
+
+        def walk(eps2):
+            if graded:
+                return set(_graded_groups(a, b, eps2, None, math.inf))
+            return set(_walk(a, b, eps2, mult, math.inf, graded=False))
+
+        members = walk(eps * eps)
+        ratios = sorted({m[3] for m in members})
+        # the smallest, a middle and the largest but one distinct ratio
+        for c in {ratios[0], ratios[len(ratios) // 2], ratios[-2]}:
+            kept = walk(c)
+            assert kept == {m for m in members if m[3] >= c}
+            assert any(m[3] == c for m in kept)
+            assert walk(math.nextafter(c, math.inf)) == {m for m in members if m[3] > c}
+
+
 def sparse_box(max_coord, max_active, max_level):
     """Every index with coordinates <= max_coord, at most max_active of them
     active, and levels <= max_level."""
@@ -672,8 +768,15 @@ def reference_entry_scan(mult, c, eps2, k):
         k += 1
 
 
+def scanned_coords(table, c, eps2, k):
+    """The coordinates with a positive multiplier that the entry scan of
+    ``table`` from k covers, read from the table as the walk reads them."""
+    return [i for i in range(k, table.scan_end(c, eps2, k) + 1) if table.positive[i]]
+
+
 class _RecordingTable(tensorsplit.epsdim._BoostTable):
-    """Keeps every table a walk builds and the coordinates its scans yield."""
+    """Keeps every table a walk builds and the coordinates its scans cover
+    with a positive multiplier."""
 
     made = []
 
@@ -682,16 +785,17 @@ class _RecordingTable(tensorsplit.epsdim._BoostTable):
         self.yielded = [0]
         _RecordingTable.made.append(self)
 
-    def entry_coords(self, c, eps2, k):
-        for k in super().entry_coords(c, eps2, k):
-            self.yielded.append(k)
-            yield k
+    def scan_end(self, c, eps2, k):
+        last = super().scan_end(c, eps2, k)
+        self.yielded.extend(i for i in range(k, last + 1) if self.positive[i])
+        return last
 
 
 class TestEntryScanTable:
     """The entry scan reads a per-coordinate table grown as scans reach new
-    coordinates; it must scan, yield, stop and raise exactly as evaluating
-    the multiplier sequence at every step does."""
+    coordinates; it must scan, stop and raise exactly as evaluating the
+    multiplier sequence at every step does, and cover the coordinates that
+    evaluation yields."""
 
     power = ProductGamma(PowerSeq(1.0, 2.0))
 
@@ -740,33 +844,37 @@ class TestEntryScanTable:
         # on finite_zeros the last two scans go on only by the boost of coordinate 3
         for c, k in [(0.05, 2), (1.0, 1), (0.3, 4), (1e-3, 1), (1.0, 7), (0.2, 3), (0.005, 1), (0.0045, 2)]:
             yielded, error, last = reference_entry_scan(mult, c, eps2, k)
-            got = []
             if error is None:
-                got.extend(table.entry_coords(c, eps2, k))
+                got = scanned_coords(table, c, eps2, k)
             else:
                 with pytest.raises(NotCompact, match=error):
-                    for k_got in table.entry_coords(c, eps2, k):
-                        got.append(k_got)
+                    table.scan_end(c, eps2, k)
+                # the raising scan grew the table up to its last coordinate
+                got = [i for i in range(k, last + 1) if table.positive[i]]
             assert got == yielded, (c, k)
             scanned = max(scanned, last)
             assert len(table.positive) == len(table.sup) == len(table.after) == scanned + 1
 
 
-    def test_scan_that_would_reach_the_guard_raises_at_once(self):
+    def test_scan_that_would_reach_the_guard_raises_at_once(self, monkeypatch):
         """ProductWeights(PowerSeq(1, 1.1)) over unit at eps 1e-4: the
         root's scan keeps c * sup * after at or above eps**2 up to
         COORD_GUARD, so it could only end at the guard.  Its first step
-        raises, before it yields coordinate 1 or builds any table entry."""
+        raises, before it covers coordinate 1 or builds any table entry."""
         mult = auto_certificate(ProductWeights(PowerSeq(1.0, 1.1)), UnitWeights()).mult
         table = _BoostTable(mult)
         assert table.k_unbounded == math.inf
         assert 1.0 * mult.tail_sup(COORD_GUARD) >= 1e-4 ** 2
         with pytest.raises(EnumerationCap, match="^coordinate scan exceeded the hard guard$"):
-            next(table.entry_coords(1.0, 1e-4 ** 2, 1))
+            table.scan_end(1.0, 1e-4 ** 2, 1)
         assert len(table.sup) == 1
-        # one ulp of eps**2 above the guard value, the scan starts
-        above = math.nextafter(mult.tail_sup(COORD_GUARD), math.inf)
-        assert next(table.entry_coords(1.0, above, 1)) == 1
+        # one ulp of eps**2 above the guard value, the scan starts and ends
+        # at the guard itself; a guard of 2000 keeps that scan short
+        monkeypatch.setattr(tensorsplit.epsdim, "COORD_GUARD", 2000)
+        table = _BoostTable(mult)
+        above = math.nextafter(mult.tail_sup(2000), math.inf)
+        assert table.scan_end(1.0, above, 1) == 2000
+        assert scanned_coords(table, 1.0, above, 1)[0] == 1
 
 
 class TestLastBoostingCoordinate:
@@ -999,15 +1107,15 @@ class TestGroupedWalk:
                                    SplineWeights(ProductGamma(PowerSeq(1.0, 1.5)), 0.2)],
                              ids=["vector", "grouped"])
     def test_cap_bounds_the_nodes_built(self, monkeypatch, a):
-        """The root's entry scan yields thousands of coordinates, so the
+        """The root's entry scan covers thousands of coordinates, so the
         cap of 50 trips while total level 1 is built: the walk computes the
         ratio of the root and of each of its children, and of no node of
-        level 2, before EnumerationCap."""
+        level 2, before EnumerationCap.  Each ratio reads a's carried
+        weight once."""
         ratios = []
-        carried = tensorsplit.epsdim.carried_ratio
-        monkeypatch.setattr(tensorsplit.epsdim, "carried_ratio",
-                            lambda *args: ratios.append(args) or carried(*args))
+        carried = a.carried
+        monkeypatch.setattr(a, "carried", lambda *args: ratios.append(args) or carried(*args))
         with pytest.raises(EnumerationCap, match="^visited more than 50 candidate indices$"):
             eps_dimension(a, UnitWeights(), 1e-3, AllOneDims(), cap=50)
-        children = list(_BoostTable(auto_certificate(a, UnitWeights()).mult).entry_coords(1.0, 1e-6, 1))
+        children = scanned_coords(_BoostTable(auto_certificate(a, UnitWeights()).mult), 1.0, 1e-6, 1)
         assert len(children) > 1000 and len(ratios) == 1 + len(children)
