@@ -22,10 +22,7 @@ Every model also carries its weights down the index tree for the
 threshold-set walks (``state``, ``enter``, ``deepen`` and ``carried``; see
 ``WeightModel``).  Product and spline models keep running products and
 compute ``weight`` itself through ``carried``, so each weight formula is
-written once; ``carried_ratio`` is ``ratio`` on carried weights.  They read
-each coordinate's parameters, and a constant-smoothness spline model the
-dyadic factor of each total level, once per model object, from tables
-filled as the walks reach them.
+written once; ``carried_ratio`` is ``ratio`` on carried weights.
 """
 
 from __future__ import annotations
