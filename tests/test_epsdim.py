@@ -708,6 +708,71 @@ class TestExactBoundary:
             assert walk(math.nextafter(c, math.inf)) == {m for m in members if m[3] > c}
 
 
+def downward_search(a, b, eps2):
+    """``{j: ratio}`` of the indices with ratio(a, b, j) >= eps2, by a search
+    that tests each index's own ``ratio`` and prunes below a failing one.
+    Valid when every entry multiplier is below 1 and does not increase with
+    the coordinate: a child's ratio is then at most its parent's, and an
+    entry that fails at k fails at every larger coordinate."""
+    out, stack = {}, [()]
+    while stack:
+        entries = stack.pop()
+        c = ratio(a, b, IndexVector._from_entries(entries))
+        if c < eps2:
+            continue
+        out[IndexVector._from_entries(entries)] = c
+        if entries:
+            stack.append(entries[:-1] + ((entries[-1][0], entries[-1][1] + 1),))
+        k = entries[-1][0] + 1 if entries else 1
+        while ratio(a, b, IndexVector._from_entries(entries + ((k, 1),))) >= eps2:
+            stack.append(entries + ((k, 1),))
+            k += 1
+    return out
+
+
+#: dyadic cases (gamma, lam, n) at eps**2 = 2**-n: with s = 0.4 the dyadic
+#: factor 2**(0.8 T) is a power of two at every fifth total level, so some
+#: member ratios are exactly eps**2
+DYADIC_GAMMAS = {**{f"power{p}": ProductGamma(PowerSeq(1.0, p)) for p in (1.5, 2.0, 2.5, 3.0, 4.0)},
+                 **{f"geometric{r}": ProductGamma(GeometricSeq(1.0, r)) for r in (0.25, 0.5, 0.75)}}
+DYADIC_CASES = [(g, lam, n) for g in DYADIC_GAMMAS for lam in (1.0, 2.0) for n in range(6, 13)]
+#: the cases whose walks dropped members before the pruning margin
+_UNDERCOUNTED = {
+    ("power1.5", 1.0, 7), ("power1.5", 1.0, 10), ("power1.5", 1.0, 11), ("power1.5", 2.0, 9),
+    ("power1.5", 2.0, 12), ("power2.0", 1.0, 8), ("power2.0", 1.0, 10), ("power2.0", 1.0, 12),
+    ("power2.0", 2.0, 10), ("power2.0", 2.0, 12), ("power2.5", 1.0, 9), ("power2.5", 2.0, 11),
+    ("power3.0", 1.0, 10), ("power3.0", 2.0, 12), ("power4.0", 1.0, 12), ("geometric0.25", 1.0, 12),
+    ("geometric0.5", 1.0, 8), ("geometric0.5", 1.0, 9), ("geometric0.5", 1.0, 10),
+    ("geometric0.5", 1.0, 11), ("geometric0.5", 1.0, 12), ("geometric0.5", 2.0, 10),
+    ("geometric0.5", 2.0, 11), ("geometric0.5", 2.0, 12),
+}
+
+
+class TestBoundaryMembersKept:
+    """Members whose ratio is exactly eps**2 lie below an ancestor's pruning
+    bound computed in other floats; both walks must keep them."""
+
+    @pytest.mark.xfail(strict=True, reason="the pruning tests drop members at exactly eps**2")
+    def test_pinned_dyadic_pair(self):
+        """341 members, 25 of them with ratio exactly 2**-10."""
+        a, b, eps = SplineWeights(ProductGamma(PowerSeq(1, 2)), s=0.4), UnitWeights(), 2.0 ** -5
+        expected = downward_search(a, b, eps * eps)
+        assert len(expected) == 341 and sum(c == eps * eps for c in expected.values()) == 25
+        assert eps_dimension(a, b, eps, AllOneDims()).n == 341
+        assert enumerate_threshold_set(a, b, eps)[0].ratios == expected
+
+    @pytest.mark.parametrize("gamma,lam,n", [
+        pytest.param(*case, marks=pytest.mark.xfail(strict=True)) if case in _UNDERCOUNTED else case
+        for case in DYADIC_CASES])
+    def test_dyadic_cases_match_the_search(self, gamma, lam, n):
+        """eps**2 = 2**-n, passed as it is: for odd n no float eps squares to it."""
+        a, b, eps2 = SplineWeights(DYADIC_GAMMAS[gamma], s=0.4, lam=lam), UnitWeights(), 2.0 ** -n
+        expected = downward_search(a, b, eps2)
+        assert sum(group[2] for group in _graded_groups(a, b, eps2, None, math.inf)) == len(expected)
+        vector = _walk(a, b, eps2, auto_certificate(a, b).mult, math.inf, graded=False)
+        assert {IndexVector._from_entries(key): c for key, _, _, c in vector} == expected
+
+
 def sparse_box(max_coord, max_active, max_level):
     """Every index with coordinates <= max_coord, at most max_active of them
     active, and levels <= max_level."""
