@@ -63,6 +63,10 @@ _ABOVE_ONE = "entry multipliers stay above 1 for arbitrarily large coordinates"
 #: most supports (the empty one too) a walk with an unbounded cap reaches
 #: before raising EnumerationCap
 SUPPORT_CAP = 1_000_000
+#: ``_walk``'s scans and push tests compare with eps2 * _PRUNE_FLOOR.  A bound (a node's
+#: ratio times boost-table floats) and a ratio below it round apart by about 11 u (u = 2**-53)
+#: per support coordinate, 360 u per dyadic factor 2**(2 s T) (four): < 2**13 u up to 600 coordinates
+_PRUNE_FLOOR = 1.0 - 2.0**-40
 
 
 class DimensionModel:
@@ -426,9 +430,8 @@ def enumerate_threshold_set(
     if not isinstance(certificate, ProductDecay):
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
 
-    to_vector = IndexVector._from_entries
     members = _walk(a, b, eps2, certificate.mult, cap, graded=False)
-    return ThresholdSet({to_vector(key): c for key, _, _, c in members}), False
+    return ThresholdSet({IndexVector._from_entries(key): c for key, _, _, c in members}), False
 
 
 def _enumerate_by_support(a, b, eps2, supports, cap):
@@ -485,14 +488,16 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
 
     An index's children are the index with its last level raised (up to
     the level cap) and with each coordinate of its entry scan entered; push
-    tests prune.  A ``graded`` pair's node is the group of indices with one
-    support and total level, keyed by the support's coordinates; ``count``
-    is how many of them the walk visits.  Any other node is one index,
-    keyed by its entries.  A node is ``[count, state of a, state of b,
-    ratio]``.  Each node makes one ``scan_end`` call.  Each child costs a's
-    ``enter`` (or ``deepen``) and ``carried``, which multiply floats the
-    model keeps in tables, and b's too unless b's weight is ``uniform``,
-    plus a lookup of its key for a group.
+    tests prune.  A node is ``(key, count, state of a, state of b, ratio)``
+    with one parent: one index keyed by its entries, or for a ``graded``
+    pair the comb(T - 1, |σ| - 1) indices with support σ and total level T,
+    keyed by σ's coordinates.  The ratio does not rise with the level and a
+    scan from a smaller ratio stops no later, so the pushed groups of σ run
+    up from its first (T = |σ|, every level 1): only that group scans (one
+    ``scan_end`` call) and enters coordinates, a deeper one only deepens.
+    Each child costs a's ``enter`` (or ``deepen``) and ``carried``, which
+    multiply floats the model keeps in tables, and b's too unless b's
+    weight is ``uniform``.
 
     ``cap`` bounds the candidates found (visited or built for the next
     level), ``SUPPORT_CAP`` the supports when ``cap`` is unbounded.  Past
@@ -508,50 +513,45 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
     # None, or the weight of every index of a unit b, scaled or not, which
     # is positive: b's states are then skipped
     bw = b.uniform
-    inf = math.inf
+    inf, comb, floor = math.inf, math.comb, eps2 * _PRUNE_FLOOR
     support_cap = SUPPORT_CAP if cap == inf else inf
     sa, sb = a.state(EMPTY_SUPPORT), b.state(EMPTY_SUPPORT)
-    # key -> node, for the nodes that pass their push test.  A group may
-    # have two parents, an index has one: only groups are looked up
-    level = {(): [1, sa, sb, carried_ratio(a, b, sa, sb, ())]}
+    level = [((), 1, sa, sb, carried_ratio(a, b, sa, sb, ()))]
     members, found, supports, total = [], 1, 0, 0
     while level:
         if total > COORD_GUARD:
             raise EnumerationCap("level scan exceeded the hard guard")
-        below, level = level, {}
-        get = level.get
-        for key, (count, sa, sb, c) in below.items():
-            supports += total == len(key)  # a support's first node has every level 1
+        below, level = level, []
+        for key, count, sa, sb, c in below:
+            supports += (first := total == len(key))  # a support's first node has every level 1
             if c >= eps2:
                 members.append((key, total, count, c))
             kmax = (key[-1] if graded else key[-1][0]) if key else 0
             if found > cap or supports > support_cap:
-                scan_end(c, eps2, kmax + 1)
+                if first or not graded:
+                    scan_end(c, floor, kmax + 1)
                 continue
             if kmax and (level_cap is None or key[-1][1] < level_cap):
                 child = key if graded else key[:-1] + ((kmax, key[-1][1] + 1),)
-                if not (pushed := graded and get(child)):
-                    ca, cb = deepen_a(sa, kmax), (sb if bw else deepen_b(sb, kmax))
-                    aw = carried_a(ca, child)
-                    cc = 0.0 if aw == 0.0 or aw == inf else (bw or carried_b(cb, child)) / aw
-                    if cc * after[kmax] >= eps2:
-                        pushed = level[child] = [0, ca, cb, cc]
-                if pushed:
-                    pushed[0] += count
+                ca, cb = deepen_a(sa, kmax), (sb if bw else deepen_b(sb, kmax))
+                aw = carried_a(ca, child)
+                cc = 0.0 if aw == 0.0 or aw == inf else (bw or carried_b(cb, child)) / aw
+                if cc * after[kmax] >= floor:
+                    count = comb(total, len(key) - 1) if graded else 1
+                    level.append((child, count, ca, cb, cc))
                     found += count
-            for k in range(kmax + 1, scan_end(c, eps2, kmax + 1) + 1):
+            if graded and not first:
+                continue
+            for k in range(kmax + 1, scan_end(c, floor, kmax + 1) + 1):
                 if not positive[k]:
                     continue
                 child = key + (k,) if graded else key + ((k, 1),)
-                if not (pushed := graded and get(child)):
-                    ca, cb = enter_a(sa, k), (sb if bw else enter_b(sb, k))
-                    aw = carried_a(ca, child)
-                    cc = 0.0 if aw == 0.0 or aw == inf else (bw or carried_b(cb, child)) / aw
-                    if cc * after[k] < eps2:
-                        continue
-                    pushed = level[child] = [0, ca, cb, cc]
-                pushed[0] += count
-                found += count
+                ca, cb = enter_a(sa, k), (sb if bw else enter_b(sb, k))
+                aw = carried_a(ca, child)
+                cc = 0.0 if aw == 0.0 or aw == inf else (bw or carried_b(cb, child)) / aw
+                if cc * after[k] >= floor:
+                    level.append((child, 1, ca, cb, cc))
+                    found += 1
         if found > cap or supports > support_cap:
             raise EnumerationCap(f"visited more than {cap} candidate indices" if found > cap
                                  else f"more than {SUPPORT_CAP} supports enumerated")

@@ -736,23 +736,12 @@ def downward_search(a, b, eps2):
 DYADIC_GAMMAS = {**{f"power{p}": ProductGamma(PowerSeq(1.0, p)) for p in (1.5, 2.0, 2.5, 3.0, 4.0)},
                  **{f"geometric{r}": ProductGamma(GeometricSeq(1.0, r)) for r in (0.25, 0.5, 0.75)}}
 DYADIC_CASES = [(g, lam, n) for g in DYADIC_GAMMAS for lam in (1.0, 2.0) for n in range(6, 13)]
-#: the cases whose walks dropped members before the pruning margin
-_UNDERCOUNTED = {
-    ("power1.5", 1.0, 7), ("power1.5", 1.0, 10), ("power1.5", 1.0, 11), ("power1.5", 2.0, 9),
-    ("power1.5", 2.0, 12), ("power2.0", 1.0, 8), ("power2.0", 1.0, 10), ("power2.0", 1.0, 12),
-    ("power2.0", 2.0, 10), ("power2.0", 2.0, 12), ("power2.5", 1.0, 9), ("power2.5", 2.0, 11),
-    ("power3.0", 1.0, 10), ("power3.0", 2.0, 12), ("power4.0", 1.0, 12), ("geometric0.25", 1.0, 12),
-    ("geometric0.5", 1.0, 8), ("geometric0.5", 1.0, 9), ("geometric0.5", 1.0, 10),
-    ("geometric0.5", 1.0, 11), ("geometric0.5", 1.0, 12), ("geometric0.5", 2.0, 10),
-    ("geometric0.5", 2.0, 11), ("geometric0.5", 2.0, 12),
-}
 
 
 class TestBoundaryMembersKept:
     """Members whose ratio is exactly eps**2 lie below an ancestor's pruning
     bound computed in other floats; both walks must keep them."""
 
-    @pytest.mark.xfail(strict=True, reason="the pruning tests drop members at exactly eps**2")
     def test_pinned_dyadic_pair(self):
         """341 members, 25 of them with ratio exactly 2**-10."""
         a, b, eps = SplineWeights(ProductGamma(PowerSeq(1, 2)), s=0.4), UnitWeights(), 2.0 ** -5
@@ -761,9 +750,7 @@ class TestBoundaryMembersKept:
         assert eps_dimension(a, b, eps, AllOneDims()).n == 341
         assert enumerate_threshold_set(a, b, eps)[0].ratios == expected
 
-    @pytest.mark.parametrize("gamma,lam,n", [
-        pytest.param(*case, marks=pytest.mark.xfail(strict=True)) if case in _UNDERCOUNTED else case
-        for case in DYADIC_CASES])
+    @pytest.mark.parametrize("gamma,lam,n", DYADIC_CASES)
     def test_dyadic_cases_match_the_search(self, gamma, lam, n):
         """eps**2 = 2**-n, passed as it is: for odd n no float eps squares to it."""
         a, b, eps2 = SplineWeights(DYADIC_GAMMAS[gamma], s=0.4, lam=lam), UnitWeights(), 2.0 ** -n
@@ -1093,6 +1080,10 @@ class TestGroupedWalk:
     # both walks meet NotCompact on the level where the count passes the cap
     @example(pair=(SplineWeights(ProductGamma(ListTailSeq([8.0, 3.0, 0.05, 3.0], 0.05)), 0.5), UnitWeights(),
                    AllOneDims(), 0.2, 4))
+    # 25 of the 341 members have ratio exactly eps**2: walks whose pruning
+    # tests compare with eps**2 itself keep 336 of them
+    @example(pair=(SplineWeights(ProductGamma(PowerSeq(1, 2)), 0.4), UnitWeights(), AllOneDims(), 2.0 ** -5,
+                   WALK_CAP))
     @settings(max_examples=100, deadline=None)
     def test_equals_vector_walk(self, pair):
         a, b, dims, eps, cap = pair
@@ -1120,6 +1111,28 @@ class TestGroupedWalk:
         short = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=lo))
         assert short[0] is EnumerationCap
         assert outcome(lambda: eps_dimension(a, b, eps, dims, cap=lo)) == short
+
+    @given(
+        values=st.lists(st.floats(0.05, 1.5) | st.sampled_from([1.0, 0.5, 0.25]), min_size=1, max_size=4),
+        s=st.floats(0.3, 1.5) | st.just(0.4),
+        lam=st.floats(0.5, 2.0) | st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3),
+        scale_a=st.sampled_from([None, 0.6, 1.7]),
+        scale_b=st.sampled_from([None, 0.8, 1.25]),
+        n=st.integers(2, 14),
+    )
+    # dyadic: ratios 2**-(0.8 T) / (product of 1, 1/2, 1/4), some exactly eps**2
+    @example(values=[1.0, 0.5, 0.25], s=0.4, lam=1.0, scale_a=None, scale_b=None, n=8)
+    @settings(max_examples=60, deadline=None)
+    def test_walk_equals_support_route(self, values, s, lam, scale_a, scale_b, n):
+        """Over a finite product gamma the walk, driven by the multiplier
+        sequence, gives exactly the support route's groups, each (support,
+        total level) with its binomial count and its ratio, at eps**2 = 2**-n."""
+        base = SplineWeights(ProductGamma(FiniteSeq(values)), s=s, lam=lam)
+        a = base if scale_a is None else ScaledWeights(base, scale_a)
+        b = UnitWeights() if scale_b is None else ScaledWeights(UnitWeights(), scale_b)
+        eps2 = 2.0 ** -n
+        walked = _graded_groups(a, b, eps2, ProductDecay(base.multiplier_seq()), math.inf)
+        assert sorted(walked) == sorted(_graded_groups(a, b, eps2, None, math.inf))
 
     @pytest.mark.parametrize("name,a,b,eps", carried_pairs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_route(self, monkeypatch, name, a, b, eps):
