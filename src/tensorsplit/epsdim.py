@@ -430,8 +430,9 @@ def enumerate_threshold_set(
     if not isinstance(certificate, ProductDecay):
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
 
+    to_vector = IndexVector._from_entries
     members = _walk(a, b, eps2, certificate.mult, cap, graded=False)
-    return ThresholdSet({IndexVector._from_entries(key): c for key, _, _, c in members}), False
+    return ThresholdSet({to_vector(key): c for key, _, _, c in members}), False
 
 
 def _enumerate_by_support(a, b, eps2, supports, cap):

@@ -717,10 +717,10 @@ def downward_search(a, b, eps2):
     out, stack = {}, [()]
     while stack:
         entries = stack.pop()
-        c = ratio(a, b, IndexVector._from_entries(entries))
-        if c < eps2:
+        j = IndexVector._from_entries(entries)
+        if (c := ratio(a, b, j)) < eps2:
             continue
-        out[IndexVector._from_entries(entries)] = c
+        out[j] = c
         if entries:
             stack.append(entries[:-1] + ((entries[-1][0], entries[-1][1] + 1),))
         k = entries[-1][0] + 1 if entries else 1
@@ -1120,7 +1120,7 @@ class TestGroupedWalk:
         scale_b=st.sampled_from([None, 0.8, 1.25]),
         n=st.integers(2, 14),
     )
-    # dyadic: ratios 2**-(0.8 T) / (product of 1, 1/2, 1/4), some exactly eps**2
+    # dyadic: ratios 2**-(0.8 T) times a product of 1, 1/2 and 1/4, some exactly eps**2
     @example(values=[1.0, 0.5, 0.25], s=0.4, lam=1.0, scale_a=None, scale_b=None, n=8)
     @settings(max_examples=60, deadline=None)
     def test_walk_equals_support_route(self, values, s, lam, scale_a, scale_b, n):
