@@ -16,10 +16,8 @@ from .decomp import (
     anchored_contraction,
     anchored_kernel,
     anchored_representation,
-    anchored_term,
     anova_contraction,
     anova_kernel,
-    anova_term,
     averaged_anchored_kernel,
     averaged_kernel_energy,
     decompose,

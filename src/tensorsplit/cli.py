@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomp import _weighted_norm, decompose
+from .decomp import _check_decomposable, _product_norm, _weighted_norm, decompose
 from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension
 from .equivalence import certify_equivalence
 from .errors import (ConfigInvalid, NoCertificate, TensorsplitError, check_keys,
@@ -158,20 +158,33 @@ def _omega_json(omega) -> str:
     return "[" + ",".join(map(str, omega)) + "]"
 
 
-def _support_cells(dim: int):
-    """``(coords, mask, cell)`` for every subset of 1..dim in canonical
-    order (size, then lexicographic): its coordinates, its bitmask as
-    ``SobolTable`` reads it (coordinate k is bit k - 1), and its omega cell,
-    ``_omega_json(coords)`` as ``csv.writer`` writes it."""
-    ks = range(1, dim + 1)
-    bits = [1 << (k - 1) for k in ks]
-    names = [str(k) for k in ks]
-    for size in range(dim + 1):
-        template = '"[%s]"' if size > 1 else "[%s]"
-        for coords, chosen, text in zip(itertools.combinations(ks, size),
-                                        itertools.combinations(bits, size),
-                                        itertools.combinations(names, size)):
-            yield coords, sum(chosen), template % ",".join(text)
+def _omega_cell(coords: tuple[int, ...]) -> str:
+    """``_omega_json(coords)`` as ``csv.writer`` writes it: quoted where it
+    holds a comma."""
+    text = _omega_json(coords)
+    return f'"{text}"' if len(coords) > 1 else text
+
+
+def _support_cells(dim: int, suffix: str = "") -> list[str]:
+    """``_omega_cell`` of every subset of 1..dim in canonical order (size,
+    then lexicographic), each followed by ``suffix``."""
+    names = [str(k) for k in range(1, dim + 1)]
+    cells = ["[]" + suffix]
+    for size in range(1, dim + 1):
+        template = ('"[{}]"' if size > 1 else "[{}]") + suffix
+        cells += map(template.format, map(",".join, itertools.combinations(names, size)))
+    return cells
+
+
+def _canonical_rank(coords: tuple[int, ...], dim: int) -> int:
+    """The position of the subset ``coords`` of 1..dim in canonical order:
+    the subsets of smaller size, then its lexicographic rank among those of
+    its size (the combinatorial number system)."""
+    size = len(coords)
+    rank = sum(math.comb(dim, s) for s in range(size)) + math.comb(dim, size) - 1
+    for i, k in enumerate(coords):
+        rank -= math.comb(dim - k, size - i)
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +244,20 @@ def _cmd_decomp(cfg: dict, args):
     check_keys(cfg, "config", {"function", "gamma"})
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
-    listed = {}
-    for term in decompose(f, args.command, args.anchor):
+    components = decompose(f, args.command, args.anchor)
+    # a component decompose leaves out has energy 0.0: both cells read 0
+    # whatever the weight
+    lines = _support_cells(f.dim, ",0,0")
+    for term in components:
         gv = gamma.value(term.omega)
         if gv > 0.0:
             contribution = term.mixed_norm_sq / gv
         else:
             contribution = 0.0 if term.mixed_norm_sq == 0.0 else math.inf
-        listed[term.omega.coords] = ",%.17g,%.17g" % (
+        coords = term.omega.coords
+        lines[_canonical_rank(coords, f.dim)] = _omega_cell(coords) + ",%.17g,%.17g" % (
             math.sqrt(max(0.0, term.mixed_norm_sq)), contribution)
-    # a component decompose leaves out has energy 0.0: both cells read 0
-    # whatever the weight
-    _write_csv(args.out, ["omega", "term_norm", "weighted_contribution"],
-               [cell + listed.get(coords, ",0,0") for coords, _, cell in _support_cells(f.dim)])
+    _write_csv(args.out, ["omega", "term_norm", "weighted_contribution"], lines)
 
 
 def _cmd_equiv(cfg: dict, args):
@@ -278,14 +292,9 @@ def _cmd_sobol(cfg: dict, args):
     table = sobol_indices(
         f, gamma, mode, anchor=args.anchor, include_empty=args.include_empty
     )
-    # per_omega lists some of the sets, in the walk's canonical order
-    rows = iter(table.per_omega.items())
-    omega, index = next(rows, (None, None))
-    lines = []
-    for coords, mask, cell in _support_cells(f.dim):
-        if omega is not None and omega.coords == coords:
-            lines.append(cell + ",%.17g,%.17g" % (index, table._total(mask)))
-            omega, index = next(rows, (None, None))
+    cells = _support_cells(f.dim)
+    lines = [cells[rank] + ",%.17g,%.17g" % (index, table._total(mask))
+             for rank, mask, index in table.rows()]
     _write_csv(args.out, ["omega", "index", "total"], lines)
 
 
@@ -295,9 +304,11 @@ def _cmd_truncate(cfg: dict, args):
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anchored")
     m_list = config_numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
-    components = decompose(f, mode, args.anchor)
-    norm = _weighted_norm(components, gamma)
-    errors = _truncation_errors(f, components, m_list, mode)
+    _check_decomposable(f, mode)
+    norm = _product_norm(f, gamma, mode, args.anchor)
+    if norm is None:
+        norm = _weighted_norm(decompose(f, mode, args.anchor), gamma)
+    errors = _truncation_errors(f, m_list, mode, args.anchor)
     bounds = _truncation_bounds(gamma, m_list, mode, args.anchor)
     rows = []
     for m, err, bound in zip(m_list, errors, bounds):

@@ -18,12 +18,13 @@ truncation bounds downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigInvalid, NormInfinite
 from .functions import SeparableFunction, Term, deriv_inner, table_pair_pieces
-from .gammas import GammaModel
+from .gammas import GammaModel, ProductGamma
 from .indexing import EMPTY_SUPPORT, SupportSet
 from .quadrature import QuadratureRule, gauss_legendre, integrate_piecewise
 
@@ -37,8 +38,6 @@ __all__ = [
     "averaged_kernel_energy",
     "anchored_contraction",
     "anova_contraction",
-    "anova_term",
-    "anchored_term",
     "decompose",
     "weighted_norm",
     "reconstruct",
@@ -154,6 +153,32 @@ def _live_mask(t: Term) -> int:
     return sum(1 << k for k, g in t.factors.items() if g.degree != 0)
 
 
+def _projections(f: SeparableFunction, mode: str, anchor: float) -> list[list[tuple]]:
+    """Per term of f, ``(k, c, g - c)`` for each factor g, in coordinate
+    order: c is g's mean (ANOVA) or its value at the anchor (anchored), and
+    g - c is the shifted factor, built once per term and coordinate."""
+    if mode == MODE_ANCHORED:
+        anchor = _check_anchor(anchor)
+    out = []
+    for t in f.terms:
+        factors = sorted(t.factors.items())
+        cs = [g.mean if mode == MODE_ANOVA else g.value(anchor) for _, g in factors]
+        out.append([(k, c, g.shifted(c)) for (k, g), c in zip(factors, cs)])
+    return out
+
+
+#: ``(c, shifted factor)`` of an absent factor, the constant 1
+_ONE = (1.0, None)
+
+
+def _projected_terms(f: SeparableFunction, mode: str, anchor: float) -> list[tuple]:
+    """``(coef, {k: (c, shifted factor)}, live mask)`` per term of f whose
+    coefficient is not 0 (see ``_projections``); a coordinate the term has
+    no factor at reads as ``_ONE``."""
+    return [(t.coef, {k: (c, s) for k, c, s in projected}, _live_mask(t))
+            for t, projected in zip(f.terms, _projections(f, mode, anchor)) if t.coef != 0.0]
+
+
 def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
     """A function of omega giving the component with active set omega, for
     omega inside ``coords``.
@@ -169,16 +194,12 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
     the float range is ``ConfigInvalid`` naming the coordinate or the
     component; an ``inf`` that no sum trips over is returned as it is.
     """
-    if mode == MODE_ANCHORED:
-        anchor = _check_anchor(anchor)
     # per term: (bit of k, c) per factor in coordinate order, and the
     # shifted factors
     consts, shifted = [], []
-    for t in f.terms:
-        factors = sorted(t.factors.items())
-        cs = [g.mean if mode == MODE_ANOVA else g.value(anchor) for _, g in factors]
-        consts.append([(1 << k, c) for (k, _), c in zip(factors, cs)])
-        shifted.append({k: g.shifted(c) for (k, g), c in zip(factors, cs)})
+    for projected in _projections(f, mode, anchor):
+        consts.append([(1 << k, c) for k, c, _ in projected])
+        shifted.append({k: s for k, _, s in projected})
     live = [_live_mask(t) for t in f.terms]
     tables = {}
     for k in coords:
@@ -224,26 +245,14 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
     return component
 
 
-def anova_term(f: SeparableFunction, omega: SupportSet) -> DecompositionTerm:
-    """Component with active set omega of the mean-projection decomposition."""
-    _check_support(f, omega)
-    return _component_builder(f, MODE_ANOVA, DEFAULT_ANCHOR, omega)(omega)
-
-
-def anchored_term(
-    f: SeparableFunction, omega: SupportSet, anchor: float = DEFAULT_ANCHOR
-) -> DecompositionTerm:
-    """Component with active set omega of the anchor-evaluation decomposition."""
-    anchor = _check_anchor(anchor)
-    _check_support(f, omega)
-    return _component_builder(f, MODE_ANCHORED, anchor, omega)(omega)
-
-
-def _check_support(f: SeparableFunction, omega: SupportSet):
-    if omega.max_coord > f.dim:
+def _check_decomposable(f: SeparableFunction, mode: str):
+    """``ConfigInvalid`` for an unknown mode or a dimension above
+    ``MAX_DECOMP_DIM``."""
+    _check_mode(mode)
+    if f.dim > MAX_DECOMP_DIM:
         raise ConfigInvalid(
-            f"active set {omega!r} exceeds the function dimension {f.dim}"
-        )
+            f"a decomposition lists all 2**dim components; dim {f.dim} exceeds "
+            f"{MAX_DECOMP_DIM}")
 
 
 def decompose(
@@ -257,11 +266,7 @@ def decompose(
     component is zero: energy 0.0 and a function without terms.  A
     dimension above ``MAX_DECOMP_DIM`` is rejected with ``ConfigInvalid``.
     """
-    _check_mode(mode)
-    if f.dim > MAX_DECOMP_DIM:
-        raise ConfigInvalid(
-            f"a decomposition lists all 2**dim components; dim {f.dim} exceeds "
-            f"{MAX_DECOMP_DIM}")
+    _check_decomposable(f, mode)
     masks = {_live_mask(t) for t in f.terms}
     reach = {EMPTY_SUPPORT}
     for bits in masks:
@@ -314,14 +319,77 @@ def _weighted_norm(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> flo
     return math.sqrt(max(0.0, _energy_sum(_weighted_energies(terms, gamma).values())))
 
 
+#: a product of per-coordinate weights inside [_TINY, 1 / _TINY] stays a
+#: normal float, so no set weight rounds to 0 or to inf
+_TINY = sys.float_info.min
+
+
+def _product_norm(f: SeparableFunction, gamma: GammaModel, mode: str,
+                  anchor: float = DEFAULT_ANCHOR) -> float | None:
+    """``weighted_norm`` for a ``ProductGamma`` from the factors alone, or
+    None where the component route must decide.
+
+    A product weight factors the norm over coordinates::
+
+        ||f||_gamma**2 = sum_{r,s} c_r c_s prod_k (c_rk c_sk + D_k^{rs} / gamma_k)
+
+    with c_rk the projection of term r's factor at k (1 where it has none)
+    and D_k^{rs} the ``deriv_inner`` of the two shifted factors, 0 unless
+    both are live at k.  This is the sum of every component's energy over
+    its set weight.  It is used only where every gamma_k on the terms' live
+    coordinates is positive and finite and the products of min(gamma_k, 1)
+    and of max(gamma_k, 1) stay normal floats, so that no set weight rounds
+    to 0 or inf, and only where the sum is finite.  Otherwise the result is
+    None, and ``decompose`` with ``_weighted_norm`` gives the norm or the
+    error line.  Terms of coefficient 0 add nothing.
+    """
+    if type(gamma) is not ProductGamma:
+        return None
+    terms = _projected_terms(f, mode, anchor)
+    union = 0
+    for _, _, bits in terms:
+        union |= bits
+    weights = {k: gamma.seq.value(k) for k in range(1, f.dim + 1) if union >> k & 1}
+    lo = hi = 1.0
+    for v in weights.values():
+        if not 0.0 < v < math.inf:
+            return None
+        lo *= min(v, 1.0)
+        hi *= max(v, 1.0)
+    if not _TINY <= lo <= hi <= 1.0 / _TINY:
+        return None
+    pieces = []
+    try:
+        for i, (cr, fr, br) in enumerate(terms):
+            for j in range(i, len(terms)):
+                cs, fs, bs = terms[j]
+                piece = cr * cs if i == j else 2.0 * cr * cs
+                for k in sorted(fr.keys() | fs.keys()):
+                    (a, g), (b, h) = fr.get(k, _ONE), fs.get(k, _ONE)
+                    factor = a * b
+                    if (br & bs) >> k & 1:
+                        factor += deriv_inner(g, h) / weights[k]
+                    piece *= factor
+                pieces.append(piece)
+        square = math.fsum(pieces)
+    except (OverflowError, ValueError):  # an integral or fsum past the float range
+        return None
+    return math.sqrt(max(0.0, square)) if math.isfinite(square) else None
+
+
 def _energy_sum(energies) -> float:
     """``math.fsum`` of weighted energies; ``ConfigInvalid`` where the sum
     of the finite ones leaves the float range (fsum raises there even
-    beside an ``inf``, which alone sums to ``inf``)."""
+    beside an ``inf``, which alone sums to ``inf``), and where it is nan:
+    an energy of inf - inf or 0 * inf pieces, which a norm would otherwise
+    read as 0."""
     try:
-        return math.fsum(energies)
+        total = math.fsum(energies)
     except OverflowError as exc:
         raise ConfigInvalid("the weighted energies sum past the float range") from exc
+    if math.isnan(total):
+        raise ConfigInvalid("the weighted energies sum past the float range")
+    return total
 
 
 def reconstruct(terms: Sequence[DecompositionTerm], x: Sequence[float]) -> float:

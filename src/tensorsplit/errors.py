@@ -107,10 +107,12 @@ def config_number(value, kind, name: str):
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if kind is float:
-            with suppress(OverflowError):  # an int beyond the float range
+            try:
                 x = float(value)
-                if math.isfinite(x):
-                    return x
+            except OverflowError:  # an int beyond the float range
+                x = math.inf
+            if math.isfinite(x):
+                return x
         elif isinstance(value, int) or (math.isfinite(value) and value.is_integer()):
             return int(value)
     raise ConfigInvalid(f"{name} must be {'an integer' if kind is int else 'a number'}, "

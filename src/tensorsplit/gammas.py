@@ -54,6 +54,12 @@ class GammaModel:
         """Largest set size with nonzero weight, or None if unbounded."""
         return None
 
+    def mask_values(self, dim: int) -> list[float]:
+        """``value`` of every subset of 1..dim, at the subset's bitmask
+        (coordinate k is bit k - 1)."""
+        return [self.value(SupportSet(k + 1 for k in range(dim) if mask >> k & 1))
+                for mask in range(1 << dim)]
+
 
 class ProductGamma(GammaModel):
     """gamma_omega as a product of per-coordinate values."""
@@ -71,6 +77,17 @@ class ProductGamma(GammaModel):
         if math.isnan(v):  # inf * 0: the product met a zero weight
             return 0.0
         return v
+
+    def mask_values(self, dim: int) -> list[float]:
+        """gamma_u = gamma_{u - max u} * gamma_{max u}: the multiplications
+        of ``value`` in its order, the set with the top bit after the set
+        without it; a nan (inf * 0) stays nan along the chain and is read as
+        0, as ``value`` reads it."""
+        values = [1.0]
+        for k in range(1, dim + 1):
+            g = self.seq.value(k)
+            values += [v * g for v in values]
+        return [0.0 if v != v else v for v in values]
 
     @property
     def is_finite_support(self) -> bool:
@@ -164,6 +181,10 @@ class FiniteOrderGamma(GammaModel):
 
     def value(self, omega: SupportSet) -> float:
         return self.base.value(omega) if len(omega) <= self.order else 0.0
+
+    def mask_values(self, dim: int) -> list[float]:
+        values = self.base.mask_values(dim)
+        return [v if mask.bit_count() <= self.order else 0.0 for mask, v in enumerate(values)]
 
     @property
     def is_finite_support(self) -> bool:

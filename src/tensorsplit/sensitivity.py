@@ -11,8 +11,8 @@ m-variate truncation keeps the components with at most m active variables.
 Its L2 error is bounded a priori by the tail sum of contraction-scaled set
 weights; the contraction factor per coordinate is anchor-dependent for the
 anchored decomposition and 1/6 for the ANOVA one.  The error itself is the
-energy of the ANOVA components left out, which are L2-orthogonal, or the
-pair sum of f minus its anchored approximant.
+L2 norm of the components left out, read off per-coordinate generating
+polynomials of the term pairs.
 """
 
 from __future__ import annotations
@@ -27,19 +27,19 @@ from typing import Sequence
 from .decomp import (
     DEFAULT_ANCHOR,
     MODE_ANCHORED,
-    MODE_ANOVA,
-    DecompositionTerm,
+    _ONE,
     _check_mode,
     _energy_sum,
+    _projected_terms,
     _weighted_energies,
     anchored_contraction,
     anova_contraction,
     decompose,
 )
 from .errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
-from .functions import SeparableFunction, Term, pair_pieces, value_inner
+from .functions import SeparableFunction, Term, pair_sum, value_inner
 from .gammas import GammaModel
-from .indexing import EMPTY_SUPPORT, SupportSet
+from .indexing import SupportSet
 
 __all__ = [
     "SobolTable",
@@ -52,19 +52,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SobolTable:
-    """Normalized component energies of one decomposition of one function."""
+    """Normalized component energies of one decomposition of one function.
+
+    The table lists every subset of 1..dim whose set weight is nonzero (the
+    empty set only with ``include_empty``), in canonical order.  ``weights``
+    holds every set weight by bitmask (coordinate k is bit k - 1), and
+    ``indices`` the index of each listed component by bitmask, in canonical
+    order; every other set of the table has index 0.0.
+    """
 
     mode: str
-    per_omega: dict
+    dim: int
+    weights: list
+    indices: dict
     denominator: float
     include_empty: bool
+
+    def rows(self):
+        """``(rank, mask, index)`` of each set of the table in canonical
+        order; rank counts every subset of 1..dim before it."""
+        for rank, mask in enumerate(_canonical_masks(self.dim)):
+            if self.weights[mask] != 0.0 and (mask or self.include_empty):
+                yield rank, mask, self.indices.get(mask, 0.0)
+
+    @functools.cached_property
+    def per_omega(self) -> dict:
+        """``{omega: index}`` over the sets of the table, in canonical order."""
+        return {SupportSet._from_coords(tuple(k + 1 for k in range(self.dim) if mask >> k & 1)): v
+                for _, mask, v in self.rows()}
 
     def total(self, omega0: SupportSet) -> float:
         """Summed index over the table's supersets of ``omega0``."""
         return self._total(_mask(omega0))
 
     def _total(self, m0: int) -> float:
-        """``total`` of the set with bitmask ``m0`` (see ``_mask``).
+        """``total`` of the set with bitmask ``m0``.
 
         Entries equal to 0.0 add nothing to the sum, so only the N nonzero
         entries are kept.  With U the union of their sets, this walks the
@@ -92,15 +114,23 @@ class SobolTable:
 
     @functools.cached_property
     def _by_mask(self) -> tuple[dict, int]:
-        """``{mask(omega): index}`` over the nonzero indices, and the union
-        of their masks."""
-        by_mask = {_mask(omega): v for omega, v in self.per_omega.items() if v != 0.0}
+        """``{mask: index}`` over the nonzero indices, and the union of
+        their masks."""
+        by_mask = {m: v for m, v in self.indices.items() if v != 0.0}
         return by_mask, functools.reduce(operator.or_, by_mask, 0)
 
 
 def _mask(omega: SupportSet) -> int:
     """The set as a bitmask: coordinate k is bit k - 1."""
     return sum(1 << (k - 1) for k in omega)
+
+
+def _canonical_masks(dim: int):
+    """The bitmask of every subset of 1..dim, in canonical order (size,
+    then lexicographic)."""
+    bits = [1 << k for k in range(dim)]
+    for size in range(dim + 1):
+        yield from map(sum, itertools.combinations(bits, size))
 
 
 def sobol_indices(
@@ -114,34 +144,20 @@ def sobol_indices(
 
     Raises ``DegenerateDenominator`` when nothing contributes (a constant
     function under the default convention) and ``NormInfinite`` when a
-    component with energy meets a zero weight.
+    component with energy meets a zero weight.  A set that no term reaches
+    has energy 0.0: its index is 0.0 where its weight is nonzero.
     """
-    live = decompose(f, mode, anchor)
-    live_energies = _weighted_energies(live, gamma)
-    listed = {t.omega.coords: t.omega for t in live}
-    energies = {}
-    for size in range(f.dim + 1):
-        for coords in itertools.combinations(range(1, f.dim + 1), size):
-            omega = listed.get(coords)
-            if omega is None:
-                # a zero component is listed where its weight is nonzero,
-                # which takes the product: it may underflow to 0
-                omega = SupportSet._from_coords(coords)
-                gv = gamma.value(omega)
-                if gv != 0.0:
-                    energies[omega] = 0.0 / gv
-            elif omega in live_energies:
-                energies[omega] = live_energies[omega]
-    if not include_empty:
-        energies.pop(EMPTY_SUPPORT, None)
+    energies = {_mask(omega): v
+                for omega, v in _weighted_energies(decompose(f, mode, anchor), gamma).items()
+                if omega or include_empty}
     denominator = _energy_sum(energies.values())
     if denominator <= 0.0:
         raise DegenerateDenominator(
             "no component carries energy under the chosen convention"
         )
-    per_omega = {omega: v / denominator for omega, v in energies.items()}
-    return SobolTable(mode=mode, per_omega=per_omega, denominator=denominator,
-                      include_empty=include_empty)
+    indices = {m: v / denominator for m, v in energies.items()}
+    return SobolTable(mode, f.dim, gamma.mask_values(f.dim), indices, denominator,
+                      include_empty)
 
 
 def _check_order(m: int):
@@ -155,15 +171,8 @@ def truncate_order(
     """The approximant keeping components with at most m active variables."""
     components = decompose(f, mode, anchor)
     _check_order(m)
-    terms = _kept_terms(components, m)
+    terms = [term for t in components if len(t.omega) <= m for term in t.func.terms]
     return SeparableFunction(f.dim, terms) if terms else SeparableFunction.constant(f.dim, 0.0)
-
-
-def _kept_terms(components: Sequence[DecompositionTerm], m: int) -> list[Term]:
-    """The terms of the components of at most m active variables, in the
-    canonical order of the components: cardinality first, so the kept
-    terms of a smaller m are a prefix of those of a larger one."""
-    return [term for t in components if len(t.omega) <= m for term in t.func.terms]
 
 
 def truncation_bound(
@@ -232,120 +241,109 @@ def _truncation_bounds(
 def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
     """L2([0,1]**d) distance between two separable functions.
 
-    f's terms of coefficient 0 are left out, as ``_truncation_errors``
-    leaves them out: each is the zero function, and against a factor whose
-    integrals overflow its pieces would be nan.  g's terms all stay, so an
-    empty approximant, the constant 0.0, meets f as it does in ``truncate``.
+    Terms of coefficient 0 of either function are left out: each is the
+    zero function, and against a factor whose integrals overflow its pieces
+    would be nan.  A squared distance that is not finite is ``ConfigInvalid``.
     """
     if f.dim != g.dim:
         raise ValueError("functions must share the active dimension")
-    diff = [t for t in f.terms if t.coef != 0.0] + _negated(g.terms)
-    return _prefix_l2_errors([(diff, len(diff))], functools.cache(value_inner))[0]
-
-
-def _negated(terms: Sequence[Term]) -> list[Term]:
-    return [Term(-t.coef, dict(t.factors)) for t in terms]
+    diff = [t for t in f.terms if t.coef != 0.0]
+    diff += [Term(-t.coef, dict(t.factors)) for t in g.terms if t.coef != 0.0]
+    try:
+        square = pair_sum(diff, functools.cache(value_inner))
+    except (OverflowError, ValueError) as exc:  # an integral or fsum past the float range
+        raise _overflow(0) from exc
+    if not math.isfinite(square):
+        raise _overflow(0)
+    return math.sqrt(max(0.0, square))
 
 
 def _truncation_errors(
-    f: SeparableFunction, components: Sequence[DecompositionTerm], m_list: Sequence[int],
-    mode: str,
+    f: SeparableFunction, m_list: Sequence[int], mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> list[float]:
-    """The L2 error of ``truncate_order(f, m, mode)`` for each m of
-    ``m_list``, from the ``decompose`` list of f in that mode.
+    """The L2 error of ``truncate_order(f, m, mode, anchor)`` for each m of
+    ``m_list``, from per-coordinate generating polynomials.
 
-    Every m is checked first, in list order.  Each distinct pair of
-    factors is integrated once over the whole list.  A squared error that
-    overflows the float range, or is nan, is ``ConfigInvalid`` naming the
-    position of the first such m.
+    Every m is checked first, in list order.  For a pair of terms (r, s),
+    c_rk is the projection of r's factor at k (its mean, or its value at the
+    anchor; 1 where it has none) and s_rk = g_rk - c_rk its shifted factor.
+    Expanding f - S_m f = sum of the components above m::
 
-    ANOVA components are L2-orthogonal, so the squared error is the sum of
-    the squared L2 norms of the components above m: one fsum of their pair
-    pieces, exactly 0.0 where no component lies above m, and without the
-    cancellation of summing f against its approximant.  Anchored
-    components are not orthogonal, so the pair sum of f - S_m f stays; the
-    terms of S_m are a prefix of those of the largest S_M asked for, so
-    the pieces of f - S_M f are built once and each m sums its prefix,
-    bit for bit what ``l2_error`` gives for f and S_m f.  f's terms of
-    coefficient 0 are left out, as there: each is the zero function, and
-    against a factor whose square integrates to inf its pieces would be nan.
+        error**2(m) = sum_{r,s} c_r c_s sum_{i,j>m} [z**i w**j]
+                      prod_k (c_rk c_sk + z c_sk int s_rk + w c_rk int s_sk
+                              + z w <s_rk, s_sk>)
+
+    with z counting r's active coordinates and w those of s.  In ANOVA mode
+    int s_rk = 0 and only i = j is left: the components are L2-orthogonal.
+    The z terms exist only where r is live, the w terms only where s is,
+    and the z w term where both are; each distinct pair of shifted factors
+    is integrated once.  A piece is c_r c_s times one coefficient, and each
+    m takes one ``math.fsum`` of the pieces above it: exactly 0.0 where no
+    component of any term lies above m.  Terms of coefficient 0 and
+    coefficients exactly 0.0 add nothing, so no 0 * inf appears.  A 1-D
+    integral past the float range reads nan and spoils only the
+    coefficients that need it.  A nan square, or a sum that leaves the float
+    range, is ``ConfigInvalid`` naming the position of the first such m; an
+    inf square is written as it is.
     """
     for m in m_list:
         _check_order(m)
-    inner = functools.cache(value_inner)
-    if mode == MODE_ANOVA:
-        return _anova_errors(components, m_list, inner)
-    top = max(m_list, default=0)
-    terms = [t for t in f.terms if t.coef != 0.0]
-    diff = terms + _negated(_kept_terms(components, top))
-    # an empty approximant is the constant 0.0, whose negated term is -0.0
-    empty = terms + [Term(-0.0, {})]
-    approximants = []
-    for m in m_list:
-        n = len(terms) + len(_kept_terms(components, m))
-        approximants.append((diff, n) if n > len(terms) else (empty, len(empty)))
-    return _prefix_l2_errors(approximants, inner)
-
-
-def _anova_errors(
-    components: Sequence[DecompositionTerm], m_list: Sequence[int], inner
-) -> list[float]:
-    """The ANOVA route of ``_truncation_errors``: per cardinality above the
-    smallest m, the pair pieces of its components."""
-    low = min(m_list, default=0)
-    by_order: dict[int, list[float]] = {}
-    broken = -1  # the largest cardinality whose 1-D integrals overflow
-    for t in components:
-        order = len(t.omega)
-        if order <= low:
-            continue
-        try:
-            by_order.setdefault(order, []).extend(pair_pieces(t.func.terms, inner))
-        except (OverflowError, ValueError):  # a 1-D integral past the float range
-            broken = order
+    terms = _projected_terms(f, mode, anchor)
+    anchored = mode == MODE_ANCHORED
+    by_level = [[] for _ in range(f.dim + 1)]  # pieces by min(i, j)
+    for i, (cr, fr, br) in enumerate(terms):
+        for j in range(i, len(terms)):
+            cs, fs, bs = terms[j]
+            poly = {(0, 0): 1.0}
+            for k in sorted(fr.keys() | fs.keys()):
+                (a, g), (b, h) = fr.get(k, _ONE), fs.get(k, _ONE)
+                live_r, live_s = br >> k & 1, bs >> k & 1
+                factor = [(0, 0, a * b)]
+                if anchored and live_r:
+                    factor.append((1, 0, b * g.mean))
+                if anchored and live_s:
+                    factor.append((0, 1, a * h.mean))
+                if live_r and live_s:
+                    factor.append((1, 1, _inner(g, h)))
+                poly = _times(poly, factor)
+            scale = cr * cs if i == j else 2.0 * cr * cs
+            for (zi, wj), p in poly.items():
+                if zi and wj and p != 0.0:
+                    by_level[min(zi, wj)].append(scale * p)
     errors = []
     for i, m in enumerate(m_list):
-        if m < broken:
-            raise _overflow(i)
         try:
-            square = math.fsum(p for order, pieces in by_order.items() if order > m for p in pieces)
+            square = math.fsum(p for pieces in by_level[m + 1:] for p in pieces)
         except (OverflowError, ValueError) as exc:  # fsum past the float range
             raise _overflow(i) from exc
-        errors.append(_root(square, i))
+        if math.isnan(square):
+            raise _overflow(i)
+        errors.append(math.sqrt(max(0.0, square)))
     return errors
 
 
-def _prefix_l2_errors(approximants: Sequence[tuple[list[Term], int]], inner) -> list[float]:
-    """``_root`` of pair_sum(terms[:n]) for each ``(terms, n)``; entries
-    that share a term list share its pair pieces.  A list some of whose
-    1-D integrals overflow is integrated again, prefix by prefix, so the
-    ``ConfigInvalid`` names the first entry whose own pairs overflow."""
-    pieces_of: dict = {}  # id of a term list -> its pieces, None where an integral overflows
-    errors = []
-    for i, (terms, n) in enumerate(approximants):
-        if id(terms) not in pieces_of:
-            try:
-                pieces_of[id(terms)] = pair_pieces(terms, inner)
-            except (OverflowError, ValueError):  # a 1-D integral past the float range
-                pieces_of[id(terms)] = None
-        try:
-            pieces = pieces_of[id(terms)]
-            if pieces is None:  # the integral may belong to later terms only
-                pieces = pair_pieces(terms[:n], inner)
-            square = math.fsum(itertools.islice(pieces, n * (n + 1) // 2))
-        except (OverflowError, ValueError) as exc:  # an integral or fsum past the float range
-            raise _overflow(i) from exc
-        errors.append(_root(square, i))
-    return errors
+def _inner(g, h) -> float:
+    """``value_inner`` of two shifted factors; nan where it leaves the float
+    range, so that only the coefficients that need it are spoiled."""
+    try:
+        return value_inner(g, h)
+    except (OverflowError, ValueError):  # a 1-D integral past the float range
+        return math.nan
 
 
-def _root(square: float, i: int) -> float:
-    """The error of approximant i from its squared error, a rounding below 0
-    read as 0; a nan square (0 times an overflowing integral) is
-    ``ConfigInvalid``, as an overflow is."""
-    if math.isnan(square):
-        raise _overflow(i)
-    return math.sqrt(max(0.0, square))
+def _times(poly: dict, factor: list) -> dict:
+    """The product of a polynomial ``{(i, j): coefficient}`` and the
+    ``(di, dj, coefficient)`` terms of one factor; products with a
+    coefficient exactly 0.0 are left out."""
+    out: dict = {}
+    for (i, j), p in poly.items():
+        if p == 0.0:
+            continue
+        for di, dj, a in factor:
+            if a != 0.0:
+                key = (i + di, j + dj)
+                out[key] = out.get(key, 0.0) + a * p
+    return out
 
 
 def _overflow(i: int) -> ConfigInvalid:

@@ -1,6 +1,8 @@
 """CLI subcommands: correctness of artifacts, error codes, determinism."""
 
+import collections
 import csv
+import functools
 import io
 import itertools
 import json
@@ -13,6 +15,7 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ import tensorsplit.decomp
 import tensorsplit.epsdim
 import tensorsplit.regress
 import tensorsplit.sensitivity
+from exact import ExactDecomposition, assert_matches_truth, mp
 from tensorsplit.cli import (_build_parser, _csv_line, _fmt, _index_json, _json_render, _omega_json,
                              _write_csv, main)
 from tensorsplit.decomp import MAX_DECOMP_DIM, decompose
@@ -695,19 +699,20 @@ class TestErrors:
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert errors == ["error: ConfigInvalid: the weighted energies sum past the float range"]
 
-    def test_overflowing_truncation_error_rejected(self, tmp_path, capsys):
-        """The energies are inf without tripping a sum, as before; the L2
-        error of the order-1 truncation sums +inf and -inf pieces."""
+    def test_overflowing_function_truncation_written(self, tmp_path):
+        """The energies are inf without tripping a sum.  1e160 (x1 - 1/2)
+        vanishes at the anchor, so S_0 f = 0 and the order-0 error is the
+        infinite norm of f; S_1 f = f has no component above 1, so m = 1
+        and 2 read 0 (summing f against S_1 f met +inf and -inf pieces and
+        exited 2)."""
         terms = [{"coef": 1e160, "factors": {"1": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]
-        path = tmp_path / "cfg.json"
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         path.write_text(json.dumps({"function": {"dim": 2, "terms": terms},
                                     "gamma": {"kind": "product", "seq": _POWER}}))
         assert run_cli("anova", path, tmp_path / "anova.csv") == 0
         assert "[1],inf,inf" in (tmp_path / "anova.csv").read_text()
-        assert run_cli("truncate", path, tmp_path / "out.csv") == 2
-        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-        assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
-                          "overflows the float range"]
+        assert run_cli("truncate", path, out) == 0
+        assert out.read_text() == "m,error,bound,bound_ratio\n0,inf,inf,nan\n1,0,inf,0\n2,0,inf,0\n"
 
     def test_overflowing_anova_component_written(self, tmp_path, capsys):
         """The same function in ANOVA: S_1 f = f, so the errors are the
@@ -762,19 +767,23 @@ class TestErrors:
     def test_nan_anova_error_rejected(self, tmp_path, capsys):
         """1.7e308 * (x1 - 1/2) times (x2 - 1/2) and times the orthogonal
         x2**2 - x2 + 1/6: the component [1, 2] has infinite energy, and its
-        cross piece is +inf * 0 = nan.  m = 2 reads 0; m = 0 is exit 2, not
-        the error 0 that a nan square clamped to 0 would write."""
+        cross piece is +inf * 0 = nan.  The truncation errors leave the
+        exact 0 out and read 0 at m = 2 and inf at m = 0, but the energy of
+        [1, 2] is nan, and the weighted norm that scales the bound refuses
+        it: exit 2, not the bound 0 that a nan norm clamped to 0 would
+        write."""
         x1 = {"kind": "polynomial", "coeffs": [-0.85e308, 1.7e308]}
         terms = [{"coef": 1.0, "factors": {"1": x1, "2": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}},
                  {"coef": 1.0, "factors": {"1": x1, "2": {"kind": "polynomial",
                                                           "coeffs": [1 / 6, -1.0, 1.0]}}}]
+        f = function_from_json({"dim": 2, "terms": terms})
+        assert tensorsplit.sensitivity._truncation_errors(f, [2, 0], "anova") == [0.0, math.inf]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"function": {"dim": 2, "terms": terms}, "mode": "anova",
                                     "gamma": {"kind": "product", "seq": _POWER}, "m": [2, 0]}))
         assert run_cli("truncate", path, tmp_path / "out.csv") == 2
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-        assert errors == ["error: ConfigInvalid: the L2 error of approximant 1 "
-                          "overflows the float range"]
+        assert errors == ["error: ConfigInvalid: the weighted energies sum past the float range"]
 
     @pytest.mark.parametrize("command", ["anova", "anchored", "sobol", "truncate"])
     def test_negative_power_exponent_rejected(self, tmp_path, capsys, command):
@@ -1335,9 +1344,9 @@ _ZERO_AT_ANCHOR = {"dim": 2, "terms": [{"coef": 1.0, "factors": {
 
 
 class TestNestedTruncation:
-    """Anchored errors come from one sweep over f - S_M f for the largest m
-    asked for, each m summing a prefix: every row equals ``l2_error`` of f
-    and its own approximant, bit for bit."""
+    """Truncation errors come from per-coordinate generating polynomials:
+    every row is the L2 error of f and its own approximant, within 1e-13 of
+    ||f|| of the exact oracle and exactly 0 where the truth is 0."""
 
     @staticmethod
     def _configs():
@@ -1345,6 +1354,15 @@ class TestNestedTruncation:
         transcendental = json.loads((GOLDEN_DIR / "truncate_anchored_transcendental.json").read_text())
         zero = {"function": _ZERO_AT_ANCHOR, "gamma": {"kind": "product", "seq": _POWER}}
         return {"example": example, "transcendental": transcendental, "zero_at_anchor": zero}
+
+    @staticmethod
+    @functools.cache
+    def _truths(name):
+        """(||f - S_m f||**2 for m = 0..dim, ||f||) by the exact oracle."""
+        spec = TestNestedTruncation._configs()[name]["function"]
+        with mpmath.workdps(40):
+            oracle = ExactDecomposition(spec, "anchored")
+            return oracle.errors_sq(), mpmath.sqrt(mp(oracle.l2_norm_sq()))
 
     @pytest.mark.parametrize("name", ["example", "transcendental", "zero_at_anchor"])
     @pytest.mark.parametrize("m_list", ["all", [3, 0, 3, 1], "beyond", [2, 0, 1]])
@@ -1361,16 +1379,37 @@ class TestNestedTruncation:
         assert run_cli("truncate", path, out) == 0
         rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
         assert [int(row[0]) for row in rows] == m_list
-        want = [l2_error(f, truncate_order(f, m, "anchored")) for m in m_list]
-        assert [float(row[1]).hex() for row in rows] == [w.hex() for w in want]
+        truths, norm = self._truths(name)
+        assert_matches_truth([float(row[1]) for row in rows],
+                             [truths[m] if m <= f.dim else 0 for m in m_list], scale=norm)
         if name == "zero_at_anchor":
             assert truncate_order(f, 0, "anchored").terms[0].coef == 0.0
 
+    @pytest.mark.parametrize("gamma", [
+        {"kind": "product", "seq": {"kind": "finite", "values": [1.0]}},
+        {"kind": "finite_order", "order": 1,
+         "base": {"kind": "product", "seq": {"kind": "power", "c": 1.0, "p": 4.0}}},
+    ], ids=["finite_product", "finite_order"])
+    def test_error_within_bound_above_the_last_component(self, tmp_path, gamma):
+        """1 + 0.5 x1 has no component above order 1: its anchored error is
+        exactly 0 there, and so within the bound 0 that a weight of largest
+        order 1 gives (summing f against S_m f wrote 4.56e-9 there)."""
+        spec = {"dim": 2, "terms": [{"coef": 1.0},
+                                    {"coef": 0.5, "factors": {"1": {"kind": "monomial", "power": 1}}}]}
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"function": spec, "gamma": gamma}))
+        assert run_cli("truncate", path, out) == 0
+        rows = [[float(v) for v in row.split(",")] for row in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [0, 1, 2]
+        assert [row[1] for row in rows[1:]] == [0.0, 0.0]
+        assert all(error <= bound for _, error, bound, _ in rows)
+        assert rows[0][1] == pytest.approx(0.5 / math.sqrt(12.0), rel=1e-15)
+
     def test_empty_approximant_is_the_constant_zero(self, tmp_path, capsys):
-        """S_0 is empty, and f - S_0 f carries the term -0.0 of the constant
-        0.0: against the +inf integral of the x1 factor its pieces are nan.
-        The truth is +inf, so a nan square is refused as an overflow is,
-        in ``l2_error`` and in the CLI, not written as 0."""
+        """S_0 is empty: the constant 0.0.  f - S_0 f = f, whose x1 factor
+        squares to an infinite integral: the truth is +inf.  ``l2_error``
+        refuses an infinite square as an overflow; ``truncate`` writes it,
+        as it writes the infinite ANOVA error of an infinite component."""
         spec = {"dim": 2, "terms": [{"coef": 1.0, "factors": {
             "1": {"kind": "polynomial", "coeffs": [1e308, 0.0, 1.7e308]},
             "2": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]}
@@ -1381,10 +1420,8 @@ class TestNestedTruncation:
         path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         path.write_text(json.dumps({"function": spec, "gamma": {"kind": "product", "seq": _POWER},
                                     "m": [0]}))
-        assert run_cli("truncate", path, out) == 2
-        assert not out.exists()
-        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-        assert errors == [f"error: ConfigInvalid: {message}"]
+        assert run_cli("truncate", path, out) == 0
+        assert out.read_text() == "m,error,bound,bound_ratio\n0,inf,inf,nan\n"
 
     @pytest.mark.parametrize("mode", ["anova", "anchored"])
     def test_zero_term_is_the_zero_function(self, tmp_path, mode):
@@ -1402,84 +1439,85 @@ class TestNestedTruncation:
 
     @pytest.mark.parametrize("m_list", [[0, 1, 2], [2, 0], [0, 0, 2], [1]])
     def test_overflow_names_first_failing_approximant(self, tmp_path, capsys, m_list):
-        """1e160 * (x1 - 1/2): S_0 is empty and its error is +inf; from m = 1
-        on, f - S_m f sums +inf and -inf pieces.  The error line names the
-        first m of the list whose own ``l2_error`` overflows."""
-        spec = {"dim": 2, "terms": [{"coef": 1e160, "factors": {
-            "1": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}}]}
-        f = function_from_json(spec)
-        failing = []
-        for i, m in enumerate(m_list):
-            try:
-                l2_error(f, truncate_order(f, m, "anchored"))
-            except ConfigInvalid:
-                failing.append(i)
+        """1e160 (x1 - 1/2)(x2 - 1/2) and 1e160 (x1**3 - 0.95 x1 + 0.225)(x2 - 1/2)
+        in ANOVA: their derivatives correlate positively, so the norm is
+        +inf without a failing sum, but their values correlate negatively,
+        so the pieces of the component [1, 2] are +inf and -inf.  Every m
+        below 2 needs them: the error line names the first such m of the
+        list."""
+        factor = {"kind": "polynomial", "coeffs": [-0.5, 1.0]}
+        terms = [{"coef": 1e160, "factors": {"1": factor, "2": factor}},
+                 {"coef": 1e160, "factors": {"1": {"kind": "polynomial", "coeffs": [0.225, -0.95, 0.0, 1.0]},
+                                             "2": factor}}]
+        failing = [i for i, m in enumerate(m_list) if m < 2]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"function": spec, "gamma": {"kind": "product", "seq": _POWER},
-                                    "m": m_list}))
+        path.write_text(json.dumps({"function": {"dim": 2, "terms": terms}, "mode": "anova",
+                                    "gamma": {"kind": "product", "seq": _POWER}, "m": m_list}))
         assert run_cli("truncate", path, tmp_path / "out.csv") == 2
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert errors == [f"error: ConfigInvalid: the L2 error of approximant {failing[0]} "
                           "overflows the float range"]
 
 
+def _recording_decompose(monkeypatch):
+    """Count the ``decompose`` calls of every module that looks it up."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return decompose(*args, **kwargs)
+
+    for module in (tensorsplit.cli, tensorsplit.decomp, tensorsplit.sensitivity):
+        monkeypatch.setattr(module, "decompose", counting)
+    return calls
+
+
 class TestDecompositionCount:
     def test_truncate_decomposes_once(self, tmp_path, monkeypatch):
-        """The norm and every order's truncation share one decomposition."""
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1:])
-            return decompose(*args, **kwargs)
-
-        for module in (tensorsplit.cli, tensorsplit.decomp, tensorsplit.sensitivity):
-            monkeypatch.setattr(module, "decompose", counting)
+        """A product weight takes the norm from the factors: no
+        decomposition.  Any other weight decomposes once, for the norm; the
+        errors never decompose."""
+        calls = _recording_decompose(monkeypatch)
         config = GOLDEN_DIR / "truncate_anova_all_orders.json"
         out = tmp_path / "trunc.csv"
         assert run_cli("truncate", config, out) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "truncate_anova_all_orders.out").read_bytes()
-        assert len(calls) == 1
+        assert calls == []
+        cfg = json.loads(config.read_text())
+        every_set = [[list(u), 0.5] for size in range(1, 5)
+                     for u in itertools.combinations(range(1, 5), size)]
+        for gamma in ({"kind": "finite_order", "base": cfg["gamma"], "order": 4},
+                      {"kind": "table", "entries": every_set}):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**cfg, "gamma": gamma}))
+            calls.clear()
+            assert run_cli("truncate", path, out) == 0
+            assert calls == [("anova", 0.5)]
 
 
 class TestFactorPairCount:
     @pytest.mark.parametrize("stem", ["truncate_anova_all_orders", "truncate_anchored_transcendental"])
     def test_truncate_integrates_each_factor_pair_once(self, tmp_path, monkeypatch, stem):
         """Over every order m = 0..d of one request, each unordered pair of
-        factors that the error needs is integrated once, and no other pair:
-        the pairs within each nonconstant component (ANOVA), or those of
-        f - S_d f at each coordinate where one of the two terms has a factor
-        (anchored)."""
-        calls, decomposed = [], []
+        shifted factors of two terms that are both live at a coordinate is
+        integrated once, and no other pair."""
+        calls = []
         value_inner = tensorsplit.sensitivity.value_inner
 
         def counting(f, g):
             calls.append((f, g))  # holding the factors keeps their ids distinct
             return value_inner(f, g)
 
-        def recording(f, *args):
-            decomposed.append((f, decompose(f, *args)))
-            return decomposed[-1][1]
-
         monkeypatch.setattr(tensorsplit.sensitivity, "value_inner", counting)
-        monkeypatch.setattr(tensorsplit.cli, "decompose", recording)
         config = GOLDEN_DIR / f"{stem}.json"
         out = tmp_path / "trunc.csv"
         assert run_cli("truncate", config, out) == 0
         assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.out").read_bytes()
 
-        [(f, components)] = decomposed
-        if json.loads(config.read_text())["mode"] == "anova":
-            groups = [t.func.terms for t in components if t.omega]
-        else:
-            groups = [f.terms + [term for t in components for term in t.func.terms]]
-        pairs = set()
-        for terms in groups:
-            for tr in terms:
-                for ts in terms:
-                    for k in tr.factors.keys() | ts.factors.keys():
-                        pairs.add(frozenset((id(tr.factor(k)), id(ts.factor(k)))))
-        assert {frozenset((id(a), id(b))) for a, b in calls} == pairs
-        assert len(calls) == len(pairs)
+        f = function_from_json(json.loads(config.read_text())["function"])
+        live = collections.Counter(k for t in f.terms for k, g in t.factors.items() if g.degree != 0)
+        pairs = {frozenset((id(a), id(b))) for a, b in calls}
+        assert len(calls) == len(pairs) == sum(n * (n + 1) // 2 for n in live.values())
 
 
 class TestFmt:

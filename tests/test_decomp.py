@@ -2,7 +2,10 @@
 
 import collections
 import math
+import random
 import struct
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -11,19 +14,19 @@ from hypothesis import strategies as st
 
 import tensorsplit.decomp
 from corpus import corpus
+from exact import ExactDecomposition, mp, poly_spec
 from tensorsplit.decomp import (
     MAX_DECOMP_DIM,
     DecompositionTerm,
     _component_builder,
+    _product_norm,
     _weighted_energies,
     _weighted_norm,
     anchored_contraction,
     anchored_kernel,
     anchored_representation,
-    anchored_term,
     anova_contraction,
     anova_kernel,
-    anova_term,
     averaged_anchored_kernel,
     averaged_kernel_energy,
     decompose,
@@ -33,7 +36,7 @@ from tensorsplit.decomp import (
 )
 from tensorsplit.errors import ConfigInvalid, DegenerateDenominator, NormInfinite, TensorsplitError
 from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as F, deriv_inner,
-                                  value_inner)
+                                  function_from_json, value_inner)
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
 from tensorsplit.quadrature import gauss_legendre, integrate_1d, integrate_piecewise
@@ -42,6 +45,12 @@ from tensorsplit.sequences import ConstantSeq, FiniteSeq, PowerSeq
 
 S = SupportSet.of
 RNG = np.random.default_rng(20240811)
+
+
+def single_component(f: SeparableFunction, mode: str, omega: SupportSet,
+                     anchor: float = 0.5) -> DecompositionTerm:
+    """The component of f with active set omega, built alone."""
+    return _component_builder(f, mode, anchor, omega)(omega)
 
 
 def sep_inner(f: SeparableFunction, g: SeparableFunction) -> float:
@@ -129,28 +138,28 @@ class TestUnivariateIdentities:
 class TestAnovaTerms:
     def test_linear_function_components(self):
         f = SeparableFunction(2, [Term(1.0, {1: F.monomial(1)})])
-        t_empty = anova_term(f, S())
+        t_empty = single_component(f, "anova", S())
         assert t_empty.func.value([0.0, 0.0]) == pytest.approx(0.5)
-        t1 = anova_term(f, S(1))
+        t1 = single_component(f, "anova", S(1))
         for x in (0.0, 0.3, 1.0):
             assert t1.func.value([x, 0.5]) == pytest.approx(x - 0.5)
-        assert anova_term(f, S(2)).mixed_norm_sq == pytest.approx(0.0, abs=1e-15)
-        assert anova_term(f, S(1, 2)).mixed_norm_sq == pytest.approx(0.0, abs=1e-15)
+        assert single_component(f, "anova", S(2)).mixed_norm_sq == pytest.approx(0.0, abs=1e-15)
+        assert single_component(f, "anova", S(1, 2)).mixed_norm_sq == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_function(self):
         f = SeparableFunction(2, [Term(3.0, {})])
-        assert anova_term(f, S()).func.value([0.1, 0.2]) == pytest.approx(3.0)
-        assert anova_term(f, S(1)).mixed_norm_sq == 0.0
+        assert single_component(f, "anova", S()).func.value([0.1, 0.2]) == pytest.approx(3.0)
+        assert single_component(f, "anova", S(1)).mixed_norm_sq == 0.0
 
     def test_product_function_factorizes(self):
         # components of a pure product are products of centered/mean factors
         g1, g2 = F.polynomial([0.5, 1.0]), F.polynomial([1.0, 0.0, 0.75])
         f = SeparableFunction(2, [Term(1.0, {1: g1, 2: g2})])
-        t12 = anova_term(f, S(1, 2))
+        t12 = single_component(f, "anova", S(1, 2))
         for x in RNG.uniform(0, 1, (10, 2)):
             expected = (g1.value(x[0]) - g1.mean) * (g2.value(x[1]) - g2.mean)
             assert t12.func.value(x) == pytest.approx(expected, abs=1e-12)
-        t1 = anova_term(f, S(1))
+        t1 = single_component(f, "anova", S(1))
         for x in RNG.uniform(0, 1, (10, 2)):
             expected = (g1.value(x[0]) - g1.mean) * g2.mean
             assert t1.func.value(x) == pytest.approx(expected, abs=1e-12)
@@ -159,22 +168,22 @@ class TestAnovaTerms:
 class TestAnchoredTerms:
     def test_linear_at_zero_anchor(self):
         f = SeparableFunction(2, [Term(1.0, {1: F.monomial(1)})])
-        assert anchored_term(f, S(), 0.0).func.value([0.5, 0.5]) == pytest.approx(0.0)
-        t1 = anchored_term(f, S(1), 0.0)
+        assert single_component(f, "anchored", S(), 0.0).func.value([0.5, 0.5]) == pytest.approx(0.0)
+        t1 = single_component(f, "anchored", S(1), 0.0)
         for x in (0.0, 0.4, 1.0):
             assert t1.func.value([x, 0.2]) == pytest.approx(x)
-        assert anchored_term(f, S(2), 0.0).mixed_norm_sq == 0.0
+        assert single_component(f, "anchored", S(2), 0.0).mixed_norm_sq == 0.0
 
     def test_square_at_midpoint(self):
         f = SeparableFunction(1, [Term(1.0, {1: F.monomial(2)})])
-        assert anchored_term(f, S(), 0.5).func.value([0.0]) == pytest.approx(0.25)
-        t1 = anchored_term(f, S(1), 0.5)
+        assert single_component(f, "anchored", S(), 0.5).func.value([0.0]) == pytest.approx(0.25)
+        t1 = single_component(f, "anchored", S(1), 0.5)
         assert t1.func.value([0.7]) == pytest.approx(0.49 - 0.25)
 
     def test_constant_function(self):
         f = SeparableFunction(1, [Term(2.5, {})])
-        assert anchored_term(f, S(), 0.3).func.value([0.9]) == pytest.approx(2.5)
-        assert anchored_term(f, S(1), 0.3).mixed_norm_sq == 0.0
+        assert single_component(f, "anchored", S(), 0.3).func.value([0.9]) == pytest.approx(2.5)
+        assert single_component(f, "anchored", S(1), 0.3).mixed_norm_sq == 0.0
 
 
 class TestReconstruction:
@@ -274,12 +283,12 @@ class TestSupportIteration:
 
     @pytest.mark.parametrize("mode", ["anova", "anchored"])
     def test_dimension_limit(self, mode):
-        """2**dim components are listed only up to MAX_DECOMP_DIM; a single
-        component of a larger function is still available."""
+        """2**dim components are listed only up to MAX_DECOMP_DIM; the
+        builder of a single component has no such limit."""
         f = SeparableFunction(MAX_DECOMP_DIM + 1, [Term(1.0, {1: F.monomial(1)})])
         with pytest.raises(ConfigInvalid, match=f"exceeds {MAX_DECOMP_DIM}$"):
             decompose(f, mode)
-        one = anova_term(f, S(1)) if mode == "anova" else anchored_term(f, S(1))
+        one = single_component(f, mode, S(1))
         assert one.mixed_norm_sq == pytest.approx(1.0)
 
 
@@ -322,7 +331,7 @@ class TestFactorReuse:
         x = RNG.random(4)
         for name, f in corpus():
             for t in decompose(f, mode, 0.3):
-                one = anova_term(f, t.omega) if mode == "anova" else anchored_term(f, t.omega, 0.3)
+                one = single_component(f, mode, t.omega, 0.3)
                 assert t.mixed_norm_sq == one.mixed_norm_sq, (name, t.omega)
                 assert t.func.value(x) == one.func.value(x), (name, t.omega)
 
@@ -500,7 +509,7 @@ class TestLiveComponents:
             S(), S(1), S(2), S(3), S(10), S(19), S(20),
             S(1, 2), S(1, 3), S(2, 3), S(19, 20), S(1, 2, 3)]
         for t in got:
-            one = anova_term(f, t.omega) if mode == "anova" else anchored_term(f, t.omega, 0.3)
+            one = single_component(f, mode, t.omega, 0.3)
             assert bits(t.mixed_norm_sq) == bits(one.mixed_norm_sq), t.omega
 
     def test_zero_components_leave_the_zero_weight_check(self):
@@ -512,3 +521,85 @@ class TestLiveComponents:
         gamma = TableGamma({S(2): 1.0})
         assert dense_energies(live + [DecompositionTerm(S(1, 2), empty, 0.0)], gamma) == \
             _weighted_energies(live, gamma) == {S(): -3.0, S(2): -3.0}
+
+
+# ---------------------------------------------------------------------------
+# the weighted norm of a product weight from the factors alone
+
+
+def _random_poly_spec(rnd, dim):
+    """Polynomial terms on random coordinates; one coefficient is a constant."""
+    return poly_spec(dim, [
+        (rnd.uniform(-2.0, 2.0), {k: [rnd.uniform(-1.0, 1.0) for _ in range(rnd.randint(1, 4))]
+                                  for k in rnd.sample(range(1, dim + 1), rnd.randint(0, dim))})
+        for _ in range(rnd.randint(1, 4))])
+
+
+class TestProductNorm:
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    def test_matches_oracle_and_component_route(self, seed, mode):
+        """Within 1e-13 of the exact product-weight norm, relative, and so
+        within rounding of the sum over the components."""
+        rnd = random.Random(f"{mode} {seed}")
+        dim = rnd.randint(1, 6)
+        spec = _random_poly_spec(rnd, dim)
+        seq = FiniteSeq([rnd.choice([0.25, 0.5, 1.0, 3.0]) for _ in range(dim)])
+        anchor = rnd.choice([0.0, 0.3, 0.5, 1.0])
+        f, gamma = function_from_json(spec), ProductGamma(seq)
+        got = _product_norm(f, gamma, mode, anchor)
+        truth_sq = ExactDecomposition(spec, mode, anchor).weighted_norm_sq(seq.value)
+        with mpmath.workdps(40):
+            truth = mpmath.sqrt(mp(truth_sq))
+            assert abs(mpmath.mpf(got) - truth) <= 1e-13 * truth
+        assert got == pytest.approx(weighted_norm(f, gamma, mode, anchor), rel=1e-13)
+
+    @pytest.mark.parametrize("gamma,norm", [
+        (FiniteOrderGamma(ProductGamma(ConstantSeq(1.0)), 2), None),
+        (ProductGamma(FiniteSeq([1.0, 0.0])), None),  # a zero weight where x2 is live
+        (ProductGamma(FiniteSeq([1.0, 1.0, 0.0])), math.sqrt(3.0)),  # x3 is live in no term
+        (ProductGamma(FiniteSeq([1e-200, 1e-200])), None),  # the set [1, 2] weighs 1e-400
+        (ProductGamma(FiniteSeq([1e200, 1e200])), None),  # the set [1, 2] weighs 1e400
+    ], ids=["finite_order", "zero_on_live", "zero_off_live", "underflow", "overflow"])
+    def test_refers_to_the_component_route(self, gamma, norm):
+        """None wherever a set weight may round to 0 or inf; the component
+        route then gives the norm or the error.  f = x1 + x2: mean 1 and
+        unit derivatives."""
+        f = SeparableFunction(3, [Term(1.0, {1: F.monomial(1)}),
+                                  Term(2.0, {2: F.monomial(1), 3: F.constant(0.5)})])
+        got = _product_norm(f, gamma, "anova")
+        assert got is None if norm is None else got == pytest.approx(norm, rel=1e-15)
+
+    def test_infinite_sum_refers_to_the_component_route(self):
+        """1e200 x1 has an infinite norm: the component route gives the
+        error line."""
+        f = SeparableFunction(1, [Term(1e200, {1: F.monomial(1)})])
+        gamma = ProductGamma(ConstantSeq(1.0))
+        assert _product_norm(f, gamma, "anova") is None
+        with pytest.raises(ConfigInvalid, match=r"component SupportSet\(\[\]\) overflows"):
+            weighted_norm(f, gamma, "anova")
+
+    def test_zero_coefficient_terms_add_nothing(self):
+        """0 * (1e308 + 1.7e308 x1**2): its pieces would be 0 * inf."""
+        f = SeparableFunction(2, [Term(0.0, {1: F.polynomial([1e308, 0.0, 1.7e308])}),
+                                  Term(1.0, {2: F.monomial(1)})])
+        gamma = ProductGamma(ConstantSeq(1.0))
+        assert _product_norm(f, gamma, "anova") == pytest.approx(math.sqrt(0.25 + 1.0), rel=1e-15)
+
+
+class TestMaskValues:
+    @pytest.mark.parametrize("gamma", [
+        ProductGamma(PowerSeq(1.0, 2.0)),
+        ProductGamma(FiniteSeq([1e200, 1e200, 0.0, math.inf, 0.5])),
+        ProductGamma(FiniteSeq([math.inf, 0.0, 2.0])),
+        FiniteOrderGamma(ProductGamma(FiniteSeq([0.5, 3.0, 1e-200, 1e-200])), 2),
+        TableGamma({S(1): 0.5, S(2, 4): 0.25, S(1, 2, 3): 2.0}),
+    ], ids=["power", "overflow_then_zero", "inf_times_zero", "finite_order", "table"])
+    def test_equals_value_bit_for_bit(self, gamma):
+        """Entry mask is ``value`` of the set with that bitmask, bit for bit
+        (nan read as 0 as ``value`` reads it)."""
+        dim = 5
+        got = gamma.mask_values(dim)
+        want = [gamma.value(SupportSet(k + 1 for k in range(dim) if mask >> k & 1))
+                for mask in range(1 << dim)]
+        assert [bits(v) for v in got] == [bits(v) for v in want]

@@ -13,8 +13,9 @@ import pytest
 
 import tensorsplit.sensitivity
 from corpus import corpus
+from exact import ExactDecomposition, assert_matches_truth, mp, poly_spec
 from tensorsplit.cli import main
-from tensorsplit.decomp import decompose, weighted_norm
+from tensorsplit.decomp import weighted_norm
 from tensorsplit.equivalence import certify_equivalence
 from tensorsplit.errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
 from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as F, function_from_json,
@@ -22,7 +23,6 @@ from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as 
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
 from tensorsplit.sensitivity import (
-    _prefix_l2_errors,
     _truncation_bounds,
     _truncation_errors,
     l2_error,
@@ -154,9 +154,13 @@ class TestTotalAgainstScan:
     def test_signed_and_zero_entries(self):
         """Zero entries of either sign are skipped and a negative one (an
         energy rounded below zero) is kept: every total equals the scan."""
-        per_omega = {S(): 0.5, S(1): -1e-17, S(2): 0.0, S(1, 2): -0.0, S(3): 0.25,
+        per_omega = {S(): 0.5, S(1): -1e-17, S(2): 0.0, S(3): 0.25, S(1, 2): -0.0,
                      S(1, 3): 0.0, S(2, 3): 0.125}
-        table = tensorsplit.sensitivity.SobolTable("anova", per_omega, 1.0, True)
+        indices = {sum(1 << (k - 1) for k in omega): v for omega, v in per_omega.items()}
+        weights = [1.0] * 7 + [0.0]  # the set [1, 2, 3] has weight 0: not in the table
+        table = tensorsplit.sensitivity.SobolTable("anova", 3, weights, indices, 1.0, True)
+        assert [(omega, str(v)) for omega, v in table.per_omega.items()] == \
+            [(omega, str(v)) for omega, v in per_omega.items()]
         for omega0 in SupportSet(range(1, 5)).subsets():
             assert str(table.total(omega0)) == str(scan_total(table, omega0)), omega0
 
@@ -222,10 +226,14 @@ class TestL2Error:
     def test_zero_term_of_f_is_the_zero_function(self, m):
         """0 * (1e308 + 1.7e308 x1^2)(x2 - 1/2) is the zero function: its
         anchored truncation error is 0 at every m, as ``truncate`` writes,
-        although its x1 factor's integrals overflow and 0 times them is nan."""
+        although its x1 factor's integrals overflow and 0 times them is nan.
+        The distance is 0 in either order: the zero-coefficient terms of
+        both arguments are left out."""
         f = SeparableFunction(2, [Term(0.0, {1: F.polynomial([1e308, 0.0, 1.7e308]),
                                              2: F.polynomial([-0.5, 1.0])})])
-        assert l2_error(f, truncate_order(f, m, "anchored")) == 0.0
+        approx = truncate_order(f, m, "anchored")
+        assert l2_error(f, approx) == 0.0
+        assert l2_error(approx, f) == 0.0
 
 
 class TestL2ErrorReuse:
@@ -252,17 +260,18 @@ class TestL2ErrorReuse:
 
 
 class TestPrefixSweep:
-    @pytest.mark.parametrize("cuts,index", [([1, 2], 1), ([2, 1], 0), ([1, 1, 2], 2)])
+    @pytest.mark.parametrize("cuts,index", [([1, 0], 1), ([0, 1], 0), ([1, 1, 0], 2)])
     def test_overflowing_integral_names_its_first_prefix(self, cuts, index):
         """A 1-D integral of +inf and -inf products, needed only by the
-        longer prefix, is ``ConfigInvalid`` naming the first entry that
-        needs it; the shorter prefix alone still sums."""
-        flat = F.constant(1e200)
-        ramp = F.polynomial([-1e200, 0.0, 4e200])  # changes sign: flat * ramp is -inf, then +inf
-        terms = [Term(1.0, {1: flat}), Term(1.0, {1: ramp})]
-        assert l2_error(SeparableFunction(1, terms[:1]), SeparableFunction.constant(1, 0.0)) == math.inf
+        components above m = 0, is ``ConfigInvalid`` naming the first entry
+        of the m list that needs it; m = 1 still sums."""
+        ramp = F.polynomial([-5e199, 1e200])  # 1e200 (x1 - 1/2)
+        wave = F.polynomial([-1e200 / 6, 0, 0, 0, 0, 1e200])  # 1e200 (x1**5 - 1/6)
+        f = SeparableFunction(2, [Term(1.0, {1: ramp}), Term(1.0, {1: wave}),
+                                  Term(1.0, {1: F.monomial(1), 2: F.monomial(1)})])
+        assert _truncation_errors(f, [1, 2], "anova") == [pytest.approx(1 / 12, rel=1e-15), 0.0]
         with pytest.raises(ConfigInvalid, match=f"approximant {index} overflows"):
-            _prefix_l2_errors([(terms, n) for n in cuts], value_inner)
+            _truncation_errors(f, cuts, "anova")
 
 
 class TestTruncationBound:
@@ -393,90 +402,7 @@ class TestTruncationBounds:
         assert str(got.value) == str(want.value)
 
 # ---------------------------------------------------------------------------
-# an exact oracle for ANOVA truncation errors
-
-
-def _mp(x):
-    """A Fraction or an mpf as an mpf at the working precision."""
-    return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
-
-
-class _ExactAnova:
-    """||f - S_m f||^2 of the ANOVA decomposition of a function spec, from the
-    spec alone: exact (``fractions.Fraction``) when every factor is a
-    polynomial, else to 40 digits (mpmath) for ``exp`` factors.  Per pair of
-    terms (r, s), the z-coefficients of prod_k (mu_rk mu_sk + z <g~_rk, g~_sk>)
-    are the pair's share of the energy of each order."""
-
-    ONE = ("poly", (Fraction(1),))
-
-    def __init__(self, spec: dict):
-        self.dim = spec["dim"]
-        self.terms = [(Fraction(t["coef"]),
-                       {int(k): self._factor(g) for k, g in t.get("factors", {}).items()})
-                      for t in spec["terms"]]
-        exact = all(g[0] == "poly" for _, fs in self.terms for g in fs.values())
-        self.num = (lambda x: x) if exact else _mp
-
-    @staticmethod
-    def _factor(spec):
-        if spec["kind"] == "monomial":
-            return ("poly", (Fraction(0),) * spec["power"] + (Fraction(1),))
-        if spec["kind"] == "polynomial":
-            return ("poly", tuple(map(Fraction, spec["coeffs"])))
-        assert spec["kind"] == "exp"
-        return ("exp", Fraction(spec["rate"]))
-
-    @staticmethod
-    def _mean(g):
-        kind, p = g
-        if kind == "poly":
-            return sum(c / (i + 1) for i, c in enumerate(p))
-        return mpmath.expm1(_mp(p)) / _mp(p)
-
-    @staticmethod
-    def _integral(g, h):
-        """The integral of g * h over [0, 1]."""
-        if g[0] == h[0] == "poly":
-            return sum(a * b / (i + j + 1) for i, a in enumerate(g[1]) for j, b in enumerate(h[1]))
-        if g[0] == h[0] == "exp":
-            rate = _mp(g[1] + h[1])
-            return mpmath.expm1(rate) / rate
-        (_, rate), (_, coeffs) = sorted((g, h))  # the exp factor first
-        return mpmath.quad(lambda x: mpmath.exp(_mp(rate) * x)
-                           * mpmath.polyval([_mp(c) for c in reversed(coeffs)], x), [0, 1])
-
-    def errors_sq(self) -> list:
-        """||f - S_m f||^2 for m = 0..dim."""
-        num = self.num
-        by_order = [num(Fraction(0))] * (self.dim + 1)
-        for cr, fr in self.terms:
-            for cs, fs in self.terms:
-                poly = [num(cr * cs)]
-                for k in range(1, self.dim + 1):
-                    g, h = fr.get(k, self.ONE), fs.get(k, self.ONE)
-                    a = num(self._mean(g)) * num(self._mean(h))
-                    v = num(self._integral(g, h)) - a
-                    poly = [a * p + v * q for p, q in zip(poly + [0], [0] + poly)]
-                by_order = [e + p for e, p in zip(by_order, poly)]
-        return [sum(by_order[m + 1:], num(Fraction(0))) for m in range(self.dim + 1)]
-
-    def l2_norm_sq(self):
-        """||f||^2 over [0, 1]**dim."""
-        total = self.num(Fraction(0))
-        for cr, fr in self.terms:
-            for cs, fs in self.terms:
-                piece = self.num(cr * cs)
-                for k in range(1, self.dim + 1):
-                    piece *= self.num(self._integral(fr.get(k, self.ONE), fs.get(k, self.ONE)))
-                total += piece
-        return total
-
-
-def _poly_spec(dim, terms):
-    return {"dim": dim, "terms": [{"coef": c, "factors": {str(k): {"kind": "polynomial", "coeffs": cs}
-                                                        for k, cs in fs.items()}}
-                                  for c, fs in terms]}
+# ANOVA truncation errors against the exact oracle
 
 
 def _cli_errors(tmp_path, spec, gamma, m_list=None):
@@ -489,19 +415,6 @@ def _cli_errors(tmp_path, spec, gamma, m_list=None):
     return [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
 
 
-def _assert_matches_truth(errors, truths_sq, scale=None):
-    """Each error within 1e-13 of its truth, relative (or of ``scale`` when
-    given), and exactly 0.0 where the truth is 0."""
-    with mpmath.workdps(40):
-        for m, (err, truth_sq) in enumerate(zip(errors, truths_sq)):
-            if truth_sq == 0:
-                assert err == 0.0, f"m={m}: {err!r} where the truth is 0"
-                continue
-            truth = mpmath.sqrt(_mp(truth_sq))
-            tol = 1e-13 * (truth if scale is None else scale)
-            assert abs(mpmath.mpf(err) - truth) <= tol, f"m={m}: {err!r} vs {mpmath.nstr(truth, 17)}"
-
-
 class TestAnovaErrorOracle:
     """ANOVA truncation errors against an exact oracle.  Summing f against
     its approximant (the route before the orthogonal component sum) is off
@@ -512,37 +425,72 @@ class TestAnovaErrorOracle:
     def test_golden_config(self, tmp_path):
         cfg = json.loads((GOLDEN_DIR / "truncate_anova_all_orders.json").read_text())
         with mpmath.workdps(40):
-            truths = _ExactAnova(cfg["function"]).errors_sq()
+            truths = ExactDecomposition(cfg["function"]).errors_sq()
         assert truths[-1] == 0
-        _assert_matches_truth(_cli_errors(tmp_path, cfg["function"], cfg["gamma"]), truths)
+        assert_matches_truth(_cli_errors(tmp_path, cfg["function"], cfg["gamma"]), truths)
 
     def test_product_of_eight_variables(self, tmp_path):
-        spec = _poly_spec(8, [(1.0, {k: [0.0, 1.0] for k in range(1, 9)})])
-        truths = _ExactAnova(spec).errors_sq()
+        spec = poly_spec(8, [(1.0, {k: [0.0, 1.0] for k in range(1, 9)})])
+        truths = ExactDecomposition(spec).errors_sq()
         assert truths[7] == Fraction(1, 12**8) and truths[8] == 0
         gamma = {"kind": "product", "seq": {"kind": "power", "c": 1.0, "p": 4.0}}
-        _assert_matches_truth(_cli_errors(tmp_path, spec, gamma, list(range(9))), truths)
+        assert_matches_truth(_cli_errors(tmp_path, spec, gamma, list(range(9))), truths)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_polynomial_corpus(self, seed):
         """Within 1e-13 * ||f||_L2 of the truth, and exactly 0.0 where the
         truth is 0, for every m and one more than the dimension."""
-        rnd = random.Random(seed)
-        dim = rnd.randint(1, 6)
-        terms = []
-        for _ in range(rnd.randint(1, 5)):
-            coords = rnd.sample(range(1, dim + 1), rnd.randint(0, dim))
-            terms.append((rnd.uniform(-2.0, 2.0), {
-                k: [rnd.uniform(-1.0, 1.0) for _ in range(rnd.randint(1, 4))] for k in coords}))
-        spec = _poly_spec(dim, terms)
+        _check_seeded_corpus(random.Random(seed), "anova", 0.5)
+
+
+def _seeded_spec(rnd: random.Random) -> dict:
+    """A polynomial function of 1..6 variables and 1..5 terms; a factor
+    with one coefficient is a constant."""
+    dim = rnd.randint(1, 6)
+    terms = []
+    for _ in range(rnd.randint(1, 5)):
+        coords = rnd.sample(range(1, dim + 1), rnd.randint(0, dim))
+        terms.append((rnd.uniform(-2.0, 2.0), {
+            k: [rnd.uniform(-1.0, 1.0) for _ in range(rnd.randint(1, 4))] for k in coords}))
+    return poly_spec(dim, terms)
+
+
+def _check_seeded_corpus(rnd: random.Random, mode: str, anchor: float):
+    """Within 1e-13 * ||f||_L2 of the truth, and exactly 0.0 where the
+    truth is 0, for every m and one more than the dimension."""
+    spec = _seeded_spec(rnd)
+    f = function_from_json(spec)
+    m_list = list(range(f.dim + 2))
+    errors = _truncation_errors(f, m_list, mode, anchor)
+    oracle = ExactDecomposition(spec, mode, anchor)
+    truths = oracle.errors_sq() + [Fraction(0)]
+    with mpmath.workdps(40):
+        norm = mpmath.sqrt(mp(oracle.l2_norm_sq()))
+    assert_matches_truth(errors, truths, scale=norm)
+
+
+class TestAnchoredErrorOracle:
+    """Anchored truncation errors against the exact oracle.  Summing f
+    against its approximant (the route before the generating polynomials)
+    wrote 7.09e-9 for the errors 0 of the bundled example at m = 2 and 3,
+    and 4.56e-9 for those of 1 + x1 / 2 at m = 1 and 2."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_polynomial_corpus(self, seed):
+        rnd = random.Random(f"anchored {seed}")
+        _check_seeded_corpus(rnd, "anchored", rnd.choice([0.0, 0.3, 0.5, 1.0]))
+
+    def test_exact_zero_above_the_last_component(self):
+        """1 + x1 / 2 and x2 (x3 - 1/4): nothing lies above order 2, and at
+        an anchor where x3 - 1/4 vanishes nothing of the second term lies
+        below it either."""
+        spec = poly_spec(3, [(1.0, {}), (0.5, {1: [0.0, 1.0]}), (1.0, {2: [0.0, 1.0], 3: [-0.25, 1.0]})])
         f = function_from_json(spec)
-        m_list = list(range(dim + 2))
-        errors = _truncation_errors(f, decompose(f, "anova"), m_list, "anova")
-        oracle = _ExactAnova(spec)
-        truths = oracle.errors_sq() + [Fraction(0)]
-        with mpmath.workdps(40):
-            norm = mpmath.sqrt(_mp(oracle.l2_norm_sq()))
-        _assert_matches_truth(errors, truths, scale=norm)
+        for anchor in (0.25, 0.5):
+            errors = _truncation_errors(f, [3, 2, 1, 0], "anchored", anchor)
+            assert errors[:2] == [0.0, 0.0]
+            truths = ExactDecomposition(spec, "anchored", anchor).errors_sq()
+            assert_matches_truth(errors, [truths[m] for m in (3, 2, 1, 0)])
 
 
 # ---------------------------------------------------------------------------
