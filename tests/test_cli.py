@@ -770,8 +770,8 @@ class TestErrors:
         cross piece is +inf * 0 = nan.  The truncation errors leave the
         exact 0 out and read 0 at m = 2 and inf at m = 0, but the energy of
         [1, 2] is nan, and the weighted norm that scales the bound refuses
-        it: exit 2, not the bound 0 that a nan norm clamped to 0 would
-        write."""
+        write.  ``sobol`` refuses the same nan energy rather than writing
+        nan indices."""
         x1 = {"kind": "polynomial", "coeffs": [-0.85e308, 1.7e308]}
         terms = [{"coef": 1.0, "factors": {"1": x1, "2": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}},
                  {"coef": 1.0, "factors": {"1": x1, "2": {"kind": "polynomial",
@@ -782,8 +782,11 @@ class TestErrors:
         path.write_text(json.dumps({"function": {"dim": 2, "terms": terms}, "mode": "anova",
                                     "gamma": {"kind": "product", "seq": _POWER}, "m": [2, 0]}))
         assert run_cli("truncate", path, tmp_path / "out.csv") == 2
+        path.write_text(json.dumps({"function": {"dim": 2, "terms": terms}, "mode": "anova",
+                                    "gamma": {"kind": "product", "seq": _POWER}}))
+        assert run_cli("sobol", path, tmp_path / "out.csv") == 2
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-        assert errors == ["error: ConfigInvalid: the weighted energies sum past the float range"]
+        assert errors == ["error: ConfigInvalid: the weighted energies sum past the float range"] * 2
 
     @pytest.mark.parametrize("command", ["anova", "anchored", "sobol", "truncate"])
     def test_negative_power_exponent_rejected(self, tmp_path, capsys, command):
