@@ -21,6 +21,9 @@ GOLDEN_DIGESTS = GOLDEN_DIR / "digests_seed1.txt"
 #: the same for ``epsdim --seeds 2 3``: other eps draws give a ratio that
 #: flips at the threshold more chances to show
 GOLDEN_EPSDIM_DIGESTS = GOLDEN_DIR / "digests_epsdim_seeds2_3.txt"
+#: the same for ``decomp --seeds 2 3``: other functions and weights through
+#: the decomposition, its energies and the truncation errors
+GOLDEN_DECOMP_DIGESTS = GOLDEN_DIR / "digests_decomp_seeds2_3.txt"
 
 
 def _load(path: Path, name: str):
@@ -71,6 +74,10 @@ def test_artifact_digests_pins_epsdim_seeds_2_and_3(capsys, monkeypatch):
 
 def test_artifact_digests_lists_every_decomp_request(capsys, monkeypatch):
     _check_every_request_listed("decomp", capsys, monkeypatch)
+
+
+def test_artifact_digests_pins_decomp_seeds_2_and_3(capsys, monkeypatch):
+    _check_every_request_listed("decomp", capsys, monkeypatch, (2, 3), GOLDEN_DECOMP_DIGESTS)
 
 
 @pytest.mark.parametrize("command,stem", [("anova", "anova_mixed_factors"),
