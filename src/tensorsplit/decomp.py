@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigInvalid, NormInfinite
-from .functions import SeparableFunction, Term, deriv_inner, table_pair_pieces
+from .functions import SeparableFunction, Term, deriv_inner
 from .gammas import GammaModel, ProductGamma
 from .indexing import EMPTY_SUPPORT, SupportSet
 from .quadrature import QuadratureRule, gauss_legendre, integrate_piecewise
@@ -153,17 +153,24 @@ def _live_mask(t: Term) -> int:
     return sum(1 << k for k, g in t.factors.items() if g.degree != 0)
 
 
-def _projections(f: SeparableFunction, mode: str, anchor: float) -> list[list[tuple]]:
-    """Per term of f, ``(k, c, g - c)`` for each factor g, in coordinate
-    order: c is g's mean (ANOVA) or its value at the anchor (anchored), and
-    g - c is the shifted factor, built once per term and coordinate."""
+def _projected_terms(f: SeparableFunction, mode: str, anchor: float) -> list[tuple]:
+    """``(coef, {k: (c, g - c)}, live mask)`` per term of f whose
+    coefficient is not 0, with one entry per factor g in coordinate order:
+    c is g's mean (ANOVA) or its value at the anchor (anchored), and g - c
+    the shifted factor, built once per term and coordinate, or None where
+    g is constant.  Terms of coefficient 0 are the zero function: they
+    reach no component and add no piece."""
     if mode == MODE_ANCHORED:
         anchor = _check_anchor(anchor)
     out = []
     for t in f.terms:
-        factors = sorted(t.factors.items())
-        cs = [g.mean if mode == MODE_ANOVA else g.value(anchor) for _, g in factors]
-        out.append([(k, c, g.shifted(c)) for (k, g), c in zip(factors, cs)])
+        if t.coef == 0.0:
+            continue
+        projected = {}
+        for k, g in sorted(t.factors.items()):
+            c = g.mean if mode == MODE_ANOVA else g.value(anchor)
+            projected[k] = (c, g.shifted(c) if g.degree != 0 else None)
+        out.append((t.coef, projected, _live_mask(t)))
     return out
 
 
@@ -171,12 +178,40 @@ def _projections(f: SeparableFunction, mode: str, anchor: float) -> list[list[tu
 _ONE = (1.0, None)
 
 
-def _projected_terms(f: SeparableFunction, mode: str, anchor: float) -> list[tuple]:
-    """``(coef, {k: (c, shifted factor)}, live mask)`` per term of f whose
-    coefficient is not 0 (see ``_projections``); a coordinate the term has
-    no factor at reads as ``_ONE``."""
-    return [(t.coef, {k: (c, s) for k, c, s in projected}, _live_mask(t))
-            for t, projected in zip(f.terms, _projections(f, mode, anchor)) if t.coef != 0.0]
+def _term_pairs(terms: list[tuple]):
+    """For each unordered pair r <= s of ``_projected_terms``: c_r c_s,
+    doubled where r != s, and ``(k, a, g, b, h)`` per coordinate k where
+    either term has a factor, in coordinate order, with (a, g) and (b, h)
+    the two terms' ``(c, shifted factor)`` there; g or h is None where that
+    term is constant at k.  Each unordered pair stands for both orders: a
+    product of the factors' integrals is the same bit for bit in either."""
+    for i, (cr, fr, _) in enumerate(terms):
+        for j in range(i, len(terms)):
+            cs, fs, _ = terms[j]
+            yield (cr * cs if i == j else 2.0 * cr * cs,
+                   [(k, *fr.get(k, _ONE), *fs.get(k, _ONE)) for k in sorted(fr.keys() | fs.keys())])
+
+
+def table_pair_pieces(coefs: Sequence[float], columns) -> list[float]:
+    """c_i * c_j * prod over ``(table, at)`` in ``columns`` of
+    ``table[at[i]][at[j]]`` for i <= j, the off-diagonal pieces doubled;
+    pair (i, j) comes after every pair of a smaller j, so the first
+    L*(L+1)/2 pieces are those of the first L coefficients.
+
+    Each unordered pair is visited once and counted twice: its product is
+    the same bit for bit in either order, doubling loses no bits and fsum is
+    correctly rounded, so the fsum of the pieces equals the sum over
+    ordered pairs.
+    """
+    pieces = []
+    for j, c in enumerate(coefs):
+        col = [d * c for d in coefs[:j + 1]]
+        for table, at in columns:
+            entries = table[at[j]]
+            col = [p * entries[a] for p, a in zip(col, at)]
+        pieces.extend([2.0 * p for p in col[:-1]])
+        pieces.append(col[-1])
+    return pieces
 
 
 def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
@@ -188,28 +223,23 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
     active factor g becomes g - c and an inactive one multiplies the
     coefficient by c; a term that is constant in an active coordinate
     vanishes, so omega is built from the terms whose live mask holds it.
-    ``deriv_inner`` of the shifted factors is taken once per unordered pair
-    of terms and coordinate of ``coords``, and every component's energy is
-    read from those tables.  A 1-D integral or an energy whose sum overflows
-    the float range is ``ConfigInvalid`` naming the coordinate or the
-    component; an ``inf`` that no sum trips over is returned as it is.
+    Terms of coefficient 0 take no part.  ``deriv_inner`` of the shifted
+    factors is taken once per unordered pair of terms and coordinate of
+    ``coords``, and every component's energy is read from those tables.  A
+    1-D integral or an energy whose sum overflows the float range is
+    ``ConfigInvalid`` naming the coordinate or the component; an ``inf``
+    that no sum trips over is returned as it is.
     """
-    # per term: (bit of k, c) per factor in coordinate order, and the
-    # shifted factors
-    consts, shifted = [], []
-    for projected in _projections(f, mode, anchor):
-        consts.append([(1 << k, c) for k, c, _ in projected])
-        shifted.append({k: s for k, _, s in projected})
-    live = [_live_mask(t) for t in f.terms]
+    terms = _projected_terms(f, mode, anchor)
     tables = {}
     for k in coords:
         # entries of terms that are constant at k are never read
-        table = tables[k] = [[0.0] * len(live) for _ in live]
-        rows = [r for r, bits in enumerate(live) if bits >> k & 1]
+        table = tables[k] = [[0.0] * len(terms) for _ in terms]
+        rows = [(r, factors[k][1]) for r, (_, factors, bits) in enumerate(terms) if bits >> k & 1]
         try:
-            for i, r in enumerate(rows):
-                for s in rows[i:]:
-                    table[r][s] = table[s][r] = deriv_inner(shifted[r][k], shifted[s][k])
+            for i, (r, g) in enumerate(rows):
+                for s, h in rows[i:]:
+                    table[r][s] = table[s][r] = deriv_inner(g, h)
         except (OverflowError, ValueError) as exc:  # fsum past the float range
             raise ConfigInvalid(
                 f"a derivative inner product at coordinate {k} overflows the float range"
@@ -218,18 +248,17 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
     def component(omega: SupportSet) -> DecompositionTerm:
         active = omega.coords
         mask = sum(1 << k for k in active)
-        rows, coefs, terms = [], [], []
-        for r, t in enumerate(f.terms):
-            if mask & ~live[r]:
+        rows, coefs, kept = [], [], []
+        for r, (coef, factors, bits) in enumerate(terms):
+            if mask & ~bits:
                 continue
-            coef = t.coef
-            for bit, c in consts[r]:
-                if not mask & bit:
+            for k, (c, _) in factors.items():
+                if not mask >> k & 1:
                     coef *= c
             if coef != 0.0:
                 rows.append(r)
                 coefs.append(coef)
-                terms.append(Term(coef, {k: shifted[r][k] for k in active}))
+                kept.append(Term(coef, {k: factors[k][1] for k in active}))
         try:
             if not coefs:
                 energy = 0.0
@@ -240,7 +269,7 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
         except (OverflowError, ValueError) as exc:  # ** or fsum past the float range
             raise ConfigInvalid(
                 f"the energy of component {omega!r} overflows the float range") from exc
-        return DecompositionTerm(omega, SeparableFunction(f.dim, terms), energy)
+        return DecompositionTerm(omega, SeparableFunction(f.dim, kept), energy)
 
     return component
 
@@ -267,7 +296,7 @@ def decompose(
     dimension above ``MAX_DECOMP_DIM`` is rejected with ``ConfigInvalid``.
     """
     _check_decomposable(f, mode)
-    masks = {_live_mask(t) for t in f.terms}
+    masks = {_live_mask(t) for t in f.terms if t.coef != 0.0}
     reach = {EMPTY_SUPPORT}
     for bits in masks:
         if any(bits != other and bits & other == bits for other in masks):
@@ -360,17 +389,13 @@ def _product_norm(f: SeparableFunction, gamma: GammaModel, mode: str,
         return None
     pieces = []
     try:
-        for i, (cr, fr, br) in enumerate(terms):
-            for j in range(i, len(terms)):
-                cs, fs, bs = terms[j]
-                piece = cr * cs if i == j else 2.0 * cr * cs
-                for k in sorted(fr.keys() | fs.keys()):
-                    (a, g), (b, h) = fr.get(k, _ONE), fs.get(k, _ONE)
-                    factor = a * b
-                    if (br & bs) >> k & 1:
-                        factor += deriv_inner(g, h) / weights[k]
-                    piece *= factor
-                pieces.append(piece)
+        for piece, coords in _term_pairs(terms):
+            for k, a, g, b, h in coords:
+                factor = a * b
+                if g is not None and h is not None:
+                    factor += deriv_inner(g, h) / weights[k]
+                piece *= factor
+            pieces.append(piece)
         square = math.fsum(pieces)
     except (OverflowError, ValueError):  # an integral or fsum past the float range
         return None

@@ -178,60 +178,6 @@ class Term:
         return v
 
 
-def pair_sum(terms: Sequence[Term], inner) -> float:
-    """fsum over term pairs (r, s) of c_r * c_s * prod_k inner(g_rk, g_sk)."""
-    return math.fsum(pair_pieces(terms, inner))
-
-
-def pair_pieces(terms: Sequence[Term], inner) -> list[float]:
-    """The pieces whose fsum is ``pair_sum``, in ``table_pair_pieces`` order,
-    so that the first L*(L+1)/2 of them are the pieces of ``terms[:L]``.
-
-    Per coordinate, ``inner`` is taken once per unordered pair of the
-    distinct factor objects there, an absent factor reading as
-    ``ONE_FACTOR``, and mirrored; where both factors are absent the table
-    holds 1.0.  Each piece is then the same IEEE products in the same
-    coordinate order as a per-pair loop, up to exact multiplies by 1.0 (a
-    prefix meets no factor at the coordinates only later terms use);
-    mirroring relies on ``inner(f, g) == inner(g, f)`` bit for bit.
-    """
-    columns = []
-    for k in sorted(set().union(*(t.factors for t in terms))):
-        slot: dict = {}
-        at = [slot.setdefault(t.factors.get(k), len(slot)) for t in terms]
-        keys = list(slot)  # None stands for an absent factor
-        factors = [ONE_FACTOR if g is None else g for g in keys]
-        table = [[1.0] * len(keys) for _ in keys]
-        for i in range(len(keys)):
-            for j in range(i, len(keys)):
-                if keys[i] is not None or keys[j] is not None:
-                    table[i][j] = table[j][i] = inner(factors[i], factors[j])
-        columns.append((table, at))
-    return table_pair_pieces([t.coef for t in terms], columns)
-
-
-def table_pair_pieces(coefs: Sequence[float], columns) -> list[float]:
-    """c_i * c_j * prod over ``(table, at)`` in ``columns`` of
-    ``table[at[i]][at[j]]`` for i <= j, the off-diagonal pieces doubled;
-    pair (i, j) comes after every pair of a smaller j, so the first
-    L*(L+1)/2 pieces are those of the first L coefficients.
-
-    Each unordered pair is visited once and counted twice: its product is
-    the same bit for bit in either order, doubling loses no bits and fsum is
-    correctly rounded, so the fsum of the pieces equals the sum over
-    ordered pairs.
-    """
-    pieces = []
-    for j, c in enumerate(coefs):
-        col = [d * c for d in coefs[:j + 1]]
-        for table, at in columns:
-            entries = table[at[j]]
-            col = [p * entries[a] for p, a in zip(col, at)]
-        pieces.extend([2.0 * p for p in col[:-1]])
-        pieces.append(col[-1])
-    return pieces
-
-
 class SeparableFunction:
     """A finite sum of product terms on [0, 1]**d."""
 

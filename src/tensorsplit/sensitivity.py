@@ -27,17 +27,17 @@ from typing import Sequence
 from .decomp import (
     DEFAULT_ANCHOR,
     MODE_ANCHORED,
-    _ONE,
     _check_mode,
     _energy_sum,
     _projected_terms,
+    _term_pairs,
     _weighted_energies,
     anchored_contraction,
     anova_contraction,
     decompose,
 )
 from .errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
-from .functions import SeparableFunction, Term, pair_sum, value_inner
+from .functions import SeparableFunction, Term, value_inner
 from .gammas import GammaModel
 from .indexing import SupportSet
 
@@ -241,16 +241,28 @@ def _truncation_bounds(
 def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
     """L2([0,1]**d) distance between two separable functions.
 
-    Terms of coefficient 0 of either function are left out: each is the
-    zero function, and against a factor whose integrals overflow its pieces
-    would be nan.  A squared distance that is not finite is ``ConfigInvalid``.
+    The square is the fsum over term pairs (r, s) of the difference of
+    c_r c_s prod_k <g_rk, g_sk>, each unordered pair taken once and doubled
+    off the diagonal, and each pair of factors integrated once.  Terms of
+    coefficient 0 of either function are left out: each is the zero
+    function, and against a factor whose integrals overflow its pieces
+    would be nan.  A squared distance that is not finite is
+    ``ConfigInvalid``.
     """
     if f.dim != g.dim:
         raise ValueError("functions must share the active dimension")
     diff = [t for t in f.terms if t.coef != 0.0]
     diff += [Term(-t.coef, dict(t.factors)) for t in g.terms if t.coef != 0.0]
+    inner = functools.cache(value_inner)
+    pieces = []
     try:
-        square = pair_sum(diff, functools.cache(value_inner))
+        for j, ts in enumerate(diff):
+            for i, tr in enumerate(diff[:j + 1]):
+                piece = tr.coef * ts.coef
+                for k in sorted(tr.factors.keys() | ts.factors.keys()):
+                    piece *= inner(tr.factor(k), ts.factor(k))
+                pieces.append(piece if i == j else 2.0 * piece)
+        square = math.fsum(pieces)
     except (OverflowError, ValueError) as exc:  # an integral or fsum past the float range
         raise _overflow(0) from exc
     if not math.isfinite(square):
@@ -288,28 +300,22 @@ def _truncation_errors(
     """
     for m in m_list:
         _check_order(m)
-    terms = _projected_terms(f, mode, anchor)
     anchored = mode == MODE_ANCHORED
     by_level = [[] for _ in range(f.dim + 1)]  # pieces by min(i, j)
-    for i, (cr, fr, br) in enumerate(terms):
-        for j in range(i, len(terms)):
-            cs, fs, bs = terms[j]
-            poly = {(0, 0): 1.0}
-            for k in sorted(fr.keys() | fs.keys()):
-                (a, g), (b, h) = fr.get(k, _ONE), fs.get(k, _ONE)
-                live_r, live_s = br >> k & 1, bs >> k & 1
-                factor = [(0, 0, a * b)]
-                if anchored and live_r:
-                    factor.append((1, 0, b * g.mean))
-                if anchored and live_s:
-                    factor.append((0, 1, a * h.mean))
-                if live_r and live_s:
-                    factor.append((1, 1, _inner(g, h)))
-                poly = _times(poly, factor)
-            scale = cr * cs if i == j else 2.0 * cr * cs
-            for (zi, wj), p in poly.items():
-                if zi and wj and p != 0.0:
-                    by_level[min(zi, wj)].append(scale * p)
+    for scale, coords in _term_pairs(_projected_terms(f, mode, anchor)):
+        poly = {(0, 0): 1.0}
+        for _, a, g, b, h in coords:
+            factor = [(0, 0, a * b)]
+            if anchored and g is not None:
+                factor.append((1, 0, b * g.mean))
+            if anchored and h is not None:
+                factor.append((0, 1, a * h.mean))
+            if g is not None and h is not None:
+                factor.append((1, 1, _inner(g, h)))
+            poly = _times(poly, factor)
+        for (zi, wj), p in poly.items():
+            if zi and wj and p != 0.0:
+                by_level[min(zi, wj)].append(scale * p)
     errors = []
     for i, m in enumerate(m_list):
         try:

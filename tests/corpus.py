@@ -1,4 +1,5 @@
-"""Shared test corpus: ten separable functions with d <= 4."""
+"""Shared test corpus: ten separable functions with d <= 4, and the
+ordered-pair sum that the term-pair sums are checked against."""
 
 import math
 
@@ -89,3 +90,15 @@ def corpus():
         ("rank_one_4d", rank_one_4d()),
         ("trig_4d", trig_4d()),
     ]
+
+
+def ordered_pair_sum(terms, inner):
+    """Reference: fsum over every ordered pair (r, s) of the term list."""
+    pieces = []
+    for tr in terms:
+        for ts in terms:
+            prod = tr.coef * ts.coef
+            for k in sorted(set(tr.factors) | set(ts.factors)):
+                prod *= inner(tr.factor(k), ts.factor(k))
+            pieces.append(prod)
+    return math.fsum(pieces)

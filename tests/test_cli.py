@@ -658,13 +658,26 @@ class TestErrors:
         ([{"coef": 1.0, "factors": {"1": {"kind": "sin", "freq": 1e300}}},
           {"coef": 1.0, "factors": {"1": {"kind": "cos", "freq": 1e300}}}],
          "a derivative inner product at coordinate 1 overflows the float range"),
-    ], ids=["constant-component", "polynomial-coeffs", "derivative-inner"])
+        # the same two terms times 0 are the zero function, beside x2
+        ([{"coef": 0.0, "factors": {"1": {"kind": "sin", "freq": 1e300}}},
+          {"coef": 0.0, "factors": {"1": {"kind": "cos", "freq": 1e300}}},
+          {"coef": 1.0, "factors": {"2": {"kind": "monomial", "power": 1}}}], None),
+    ], ids=["constant-component", "polynomial-coeffs", "derivative-inner", "zero-terms"])
     def test_overflowing_energy_rejected(self, tmp_path, capsys, command, terms, line):
         """An energy past the float range is one error line and exit 2,
-        not a traceback."""
+        not a traceback.  Terms of coefficient 0 take no part, so their
+        overflowing integrals are never taken: the rows are those of the
+        other terms alone."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"function": {"dim": 2, "terms": terms},
                                     "gamma": {"kind": "product", "seq": _POWER}}))
+        if line is None:
+            assert run_cli(command, path, tmp_path / "out.csv") == 0
+            path.write_text(json.dumps({"function": {"dim": 2, "terms": terms[2:]},
+                                        "gamma": {"kind": "product", "seq": _POWER}}))
+            assert run_cli(command, path, tmp_path / "alone.csv") == 0
+            assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+            return
         assert run_cli(command, path, tmp_path / "out.csv") == 2
         assert not (tmp_path / "out.csv").exists()
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]

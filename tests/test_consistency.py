@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 import tensorsplit
 import tensorsplit.errors as errors_mod
-from corpus import corpus
+from corpus import corpus, ordered_pair_sum
 from tensorsplit.decomp import decompose
 from tensorsplit.epsdim import _BoostTable
-from tensorsplit.functions import (ONE_FACTOR, Term, UnivariateFactor as F, deriv_inner, pair_sum,
-                                  value_inner)
+from tensorsplit.functions import (ONE_FACTOR, SeparableFunction, Term, UnivariateFactor as F,
+                                  deriv_inner, value_inner)
 from tensorsplit.indexing import IndexVector
 from tensorsplit.sensitivity import l2_error, truncate_order
 from tensorsplit.sequences import (
@@ -100,18 +100,6 @@ class TestIndexRoundTrips:
         assert IndexVector.from_json_obj(j.to_json_obj()) == j
 
 
-def ordered_pair_sum(terms, inner):
-    """Reference: fsum over every ordered pair (r, s) of the term list."""
-    pieces = []
-    for tr in terms:
-        for ts in terms:
-            prod = tr.coef * ts.coef
-            for k in sorted(set(tr.factors) | set(ts.factors)):
-                prod *= inner(tr.factor(k), ts.factor(k))
-            pieces.append(prod)
-    return math.fsum(pieces)
-
-
 FLOATS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
 #: factors drawn into random terms: equal but distinct objects, explicit
@@ -132,6 +120,20 @@ def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def norm_matches_ordered_pairs(f, inner=value_inner) -> bool:
+    """``l2_error`` from the zero function, whose square sums unordered term
+    pairs counted twice, against the ordered-pair sum, bit for bit."""
+    norm = l2_error(f, SeparableFunction(f.dim, []))
+    return bits(norm) == bits(math.sqrt(max(0.0, ordered_pair_sum(f.terms, inner))))
+
+
+def energies_match_ordered_pairs(f, mode, inner=deriv_inner) -> bool:
+    """Every nonempty component's energy, a table sum over unordered term
+    pairs, against the ordered-pair sum of its terms, bit for bit."""
+    return all(bits(t.mixed_norm_sq) == bits(ordered_pair_sum(t.func.terms, inner))
+               for t in decompose(f, mode) if t.omega)
+
+
 class TestPairSum:
     """Unordered pairs counted twice give the ordered-pair sum bit for bit."""
 
@@ -139,11 +141,10 @@ class TestPairSum:
     @pytest.mark.parametrize("mode", ["anova", "anchored"])
     @pytest.mark.parametrize("inner", [value_inner, deriv_inner], ids=["value", "deriv"])
     def test_components_match_ordered_pairs(self, name, f, mode, inner):
-        for t in decompose(f, mode):
-            terms = t.func.terms
-            assert pair_sum(terms, inner) == ordered_pair_sum(terms, inner)
-            if t.omega and inner is deriv_inner:
-                assert t.mixed_norm_sq == ordered_pair_sum(terms, inner)
+        if inner is value_inner:
+            assert all(norm_matches_ordered_pairs(t.func) for t in decompose(f, mode))
+        else:
+            assert energies_match_ordered_pairs(f, mode)
 
     @pytest.mark.parametrize("name,f", corpus())
     @pytest.mark.parametrize("mode", ["anova", "anchored"])
@@ -161,7 +162,12 @@ class TestPairSum:
         """Shared and absent factors, constants and zero coefficients of
         either sign: the table sum equals the ordered-pair sum bit for bit."""
         memo = functools.cache(inner)  # keyed by ordered pair: both orders are computed
-        assert bits(pair_sum(terms, memo)) == bits(ordered_pair_sum(terms, memo))
+        f = SeparableFunction(5, terms)
+        if inner is value_inner:
+            assert norm_matches_ordered_pairs(f, memo)
+        else:
+            assert energies_match_ordered_pairs(f, "anova", memo)
+            assert energies_match_ordered_pairs(f, "anchored", memo)
 
     @pytest.mark.parametrize("inner", [value_inner, deriv_inner], ids=["value", "deriv"])
     def test_inner_is_symmetric(self, inner):

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 import tensorsplit.sensitivity
-from corpus import corpus
+from corpus import corpus, ordered_pair_sum
 from exact import ExactDecomposition, assert_matches_truth, mp, poly_spec
 from tensorsplit.cli import main
 from tensorsplit.decomp import weighted_norm
 from tensorsplit.equivalence import certify_equivalence
 from tensorsplit.errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
 from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as F, function_from_json,
-                                   pair_sum, value_inner)
+                                   value_inner)
 from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
 from tensorsplit.indexing import SupportSet
 from tensorsplit.sensitivity import (
@@ -256,7 +256,7 @@ class TestL2ErrorReuse:
             assert max(pairs.values()) == 1
             assert len(pairs) <= f.dim * (2 * len(f.terms) + 1) ** 2
             diff = f.terms + [Term(-t.coef, t.factors) for t in approx.terms]
-            assert err == math.sqrt(max(0.0, pair_sum(diff, value_inner)))
+            assert err == math.sqrt(max(0.0, ordered_pair_sum(diff, value_inner)))
 
 
 class TestPrefixSweep:
