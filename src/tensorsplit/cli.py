@@ -249,6 +249,8 @@ def _cmd_decomp(cfg: dict, args):
     # whatever the weight
     lines = _support_cells(f.dim, ",0,0")
     for term in components:
+        if math.isnan(term.mixed_norm_sq):  # of inf * 0 pieces; max(0.0, nan) would write 0
+            raise ConfigInvalid(f"the energy of component {term.omega!r} overflows the float range")
         gv = gamma.value(term.omega)
         if gv > 0.0:
             contribution = term.mixed_norm_sq / gv

@@ -784,7 +784,8 @@ class TestErrors:
         exact 0 out and read 0 at m = 2 and inf at m = 0, but the energy of
         [1, 2] is nan, and the weighted norm that scales the bound refuses
         write.  ``sobol`` refuses the same nan energy rather than writing
-        nan indices."""
+        nan indices, and ``anova`` and ``anchored`` rather than writing its
+        norm as 0."""
         x1 = {"kind": "polynomial", "coeffs": [-0.85e308, 1.7e308]}
         terms = [{"coef": 1.0, "factors": {"1": x1, "2": {"kind": "polynomial", "coeffs": [-0.5, 1.0]}}},
                  {"coef": 1.0, "factors": {"1": x1, "2": {"kind": "polynomial",
@@ -800,6 +801,14 @@ class TestErrors:
         assert run_cli("sobol", path, tmp_path / "out.csv") == 2
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert errors == ["error: ConfigInvalid: the weighted energies sum past the float range"] * 2
+        path.write_text(json.dumps({"function": {"dim": 2, "terms": terms},
+                                    "gamma": {"kind": "product", "seq": _POWER}}))
+        for command in ("anova", "anchored"):
+            assert run_cli(command, path, tmp_path / f"{command}.csv") == 2
+            assert not (tmp_path / f"{command}.csv").exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == ["error: ConfigInvalid: the energy of component SupportSet([1, 2]) "
+                          "overflows the float range"] * 2
 
     @pytest.mark.parametrize("command", ["anova", "anchored", "sobol", "truncate"])
     def test_negative_power_exponent_rejected(self, tmp_path, capsys, command):
