@@ -493,6 +493,35 @@ class TestAnchoredErrorOracle:
             assert_matches_truth(errors, [truths[m] for m in (3, 2, 1, 0)])
 
 
+#: a 32-point Gauss-Legendre rule is exact to degree 63 only, and nothing
+#: checks its error on a fast sine
+_ITEM_22 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 22: 1-D integrals of high-frequency factors have no certified error"))
+
+
+class TestHighFrequencyIntegrals:
+    @_ITEM_22
+    @pytest.mark.parametrize("w", [60.0, 100.0, 300.0])
+    def test_value_inner_of_a_fast_sine(self, w):
+        """The integral of sin(w x)**2 over [0, 1] against mpmath at 40
+        digits; relative errors 6.4e-2, 1.6e-1 and 5.1e-3 today."""
+        g = F.sine(w)
+        with mpmath.workdps(40):
+            truth = mpmath.quad(lambda x: mpmath.sin(w * x) ** 2, [0, 1])
+            assert abs(mpmath.mpf(value_inner(g, g)) - truth) <= 1e-13 * truth
+
+    @_ITEM_22
+    def test_anova_errors_of_a_fast_sine(self):
+        """sin(100 x1) x2 in ANOVA: 0.43989 / 0.21995 at m = 0 / 1 today,
+        against 0.40914 / 0.20457 from the exact oracle."""
+        spec = {"dim": 2, "terms": [{"coef": 1.0, "factors": {
+            "1": {"kind": "sin", "freq": 100.0}, "2": {"kind": "monomial", "power": 1}}}]}
+        with mpmath.workdps(40):
+            truths = ExactDecomposition(spec).errors_sq()
+        errors = _truncation_errors(function_from_json(spec), [0, 1, 2], "anova")
+        assert_matches_truth(errors, truths)
+
+
 # ---------------------------------------------------------------------------
 # a sharp lower bound that every truncation bound must meet
 
