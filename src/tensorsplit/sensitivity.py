@@ -241,13 +241,12 @@ def _truncation_bounds(
 def l2_error(f: SeparableFunction, g: SeparableFunction) -> float:
     """L2([0,1]**d) distance between two separable functions.
 
-    The square is the fsum over term pairs (r, s) of the difference of
-    c_r c_s prod_k <g_rk, g_sk>, each unordered pair taken once and doubled
-    off the diagonal, and each pair of factors integrated once.  Terms of
-    coefficient 0 of either function are left out: each is the zero
-    function, and against a factor whose integrals overflow its pieces
-    would be nan.  A squared distance that is not finite is
-    ``ConfigInvalid``.
+    The square is the fsum, over unordered pairs of terms (r, s) of the
+    difference, of c_r c_s prod_k <g_rk, g_sk>, doubled off the diagonal;
+    the 1-D integrals are cached.  Terms of coefficient 0 of either
+    function are left out: each is the zero function, and against a factor
+    whose integrals overflow its pieces would be nan.  A squared distance
+    that is not finite is ``ConfigInvalid``.
     """
     if f.dim != g.dim:
         raise ValueError("functions must share the active dimension")
