@@ -973,6 +973,21 @@ class TestErrors:
         assert capsys.readouterr().err == ""
         assert out.read_text().splitlines()[2].startswith('"{""2"":1}",inf,inf,')
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 18: transform writes a nan ratio for a component a zero coordinate value suppresses"))
+    def test_transform_suppressed_component_writes_no_nan(self, tmp_path, capsys):
+        """No nan in an exit-0 artifact: the config above either exits
+        nonzero with one ``error:`` line and no artifact, or writes no nan
+        cell (it writes ``inf,inf,nan`` for {2: 1})."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": {"type": "product", "gamma": {
+            "kind": "finite", "values": [0.5, 0.0]}}, "indices": [{"1": 1}, {"2": 1}]}))
+        code, err = run_cli("transform", path, out), capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: ") and not out.exists()
+        else:
+            assert "nan" not in {cell for row in csv.reader(io.StringIO(out.read_text())) for cell in row}
+
     @pytest.mark.parametrize("kind", ["spline", "aniso"])
     def test_epsdim_dyadic_overflow_rejected(self, tmp_path, capsys, kind):
         """eps**2 = 1e-320 admits weights past the float range, so a weight
