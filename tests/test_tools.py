@@ -149,16 +149,54 @@ def test_bench_summary_on_synthetic_reports(tmp_path):
     # the change won by each metric's direction in BENCHMARK.json: ties
     # count for neither side, and a metric the file does not list gets none
     versus = regress["change_vs_parent"]
-    assert versus["req_per_s"] == {"ratio": 22.0 / 25.0, "won": 2}
+    assert versus["req_per_s"] == {"ratio": 22.0 / 25.0, "won": 2, "gain": False, "within_bound": True}
     assert versus["req_p50_ms"]["won"] == 2
-    assert versus["ok_frac"] == {"ratio": 1.0, "won": 0}
-    assert versus["rate_x2"] == {"ratio": 44.0 / 50.0, "won": None}
-    assert summary["epsdim"]["change_vs_parent"]["req_per_s"] == {"ratio": 8.0 / 7.0, "won": 1}
+    assert versus["ok_frac"] == {"ratio": 1.0, "won": 0, "gain": False, "within_bound": True}
+    assert versus["rate_x2"] == {"ratio": 44.0 / 50.0, "won": None, "gain": None, "within_bound": None}
+    assert summary["epsdim"]["change_vs_parent"]["req_per_s"] == {
+        "ratio": 8.0 / 7.0, "won": 1, "gain": True, "within_bound": True}
     slower = [_report(tmp_path / f"s{s}.json", "regress", s, 480, 9.0 * s) for s in (1, 2)]
     assert tool.main(["--parent", *map(str, parent[:4]), "--change", *map(str, slower),
                       "--out", str(out)]) == 0
     versus = json.loads(out.read_text())["regress"]["change_vs_parent"]
     assert versus["req_per_s"]["won"] == 0 and versus["req_p50_ms"]["won"] == 0
+    assert versus["req_per_s"]["within_bound"] is False
+
+
+@pytest.mark.parametrize("lead,won,gain", [
+    # 9 of 10 pairs, and a median lead of 9 over the parent's interquartile range of 4.5
+    ([10] * 9 + [-1], 9, True),
+    ([10] * 8 + [-1] * 2, 8, False),
+    # every pair, by less than the parent's interquartile range
+    ([1] * 10, 10, False),
+])
+def test_bench_summary_gain(tmp_path, lead, won, gain):
+    """A gain needs 9 of 10 pairs won and a median lead above the parent's
+    q3 - q1: parent rates 101..110 req/s, change rates ahead by ``lead``."""
+    tool = _load(ROOT / "tools" / "bench_summary.py", "bench_summary")
+    parent = [_report(tmp_path / f"p{s}.json", "epsdim", s, 500, 100.0 + s) for s in range(1, 11)]
+    change = [_report(tmp_path / f"c{s}.json", "epsdim", s, 480, 100.0 + s + d)
+              for s, d in zip(range(1, 11), lead)]
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]) == 0
+    versus = json.loads(out.read_text())["epsdim"]["change_vs_parent"]
+    assert versus["req_per_s"]["won"] == versus["req_p50_ms"]["won"] == won
+    assert versus["req_per_s"]["gain"] is versus["req_p50_ms"]["gain"] is gain
+    assert versus["ok_frac"]["gain"] is False and versus["rate_x2"]["gain"] is None
+
+
+def test_bench_summary_within_bound(tmp_path):
+    """Change rates 1.3 times lower: req_per_s falls 23%, inside its bound
+    of 0.25, and req_p50_ms rises 30%, outside it."""
+    tool = _load(ROOT / "tools" / "bench_summary.py", "bench_summary")
+    parent = [_report(tmp_path / f"p{s}.json", "decomp", s, 500, 100.0 + s) for s in range(1, 4)]
+    change = [_report(tmp_path / f"c{s}.json", "decomp", s, 480, (100.0 + s) / 1.3) for s in range(1, 4)]
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]) == 0
+    versus = json.loads(out.read_text())["decomp"]["change_vs_parent"]
+    assert versus["req_per_s"]["within_bound"] is True
+    assert versus["req_p50_ms"]["within_bound"] is False
+    assert versus["ok_frac"]["within_bound"] is True and versus["rate_x2"]["within_bound"] is None
 
 
 @pytest.mark.parametrize("bad,message", [("traced", "a traced report"),

@@ -15,9 +15,13 @@ metric the median, the quartiles and every run's value in seed order.
 gives ``ratio``, the change's median over the parent's (null where the
 parent's is 0), and ``won``, the number of those pairs in which the change's
 run is better by the metric's ``better`` field in ``BENCHMARK.json``; a tie
-counts for neither side, and ``won`` is null for a metric that file does
-not list.  Only untraced reports are read: a traced run reports per-layer
-metrics from half the time.
+counts for neither side.  ``gain`` says whether the change won at least nine
+tenths of the pairs and its median beats the parent's by more than the
+parent's interquartile range q3 - q1; ``within_bound`` says whether the
+change's median is worse than the parent's by no more than the metric's
+``bound`` in ``BENCHMARK.json``, as a share of the parent's median.  All
+three are null for a metric that file does not list.  Only untraced reports
+are read: a traced run reports per-layer metrics from half the time.
 """
 
 from __future__ import annotations
@@ -64,25 +68,31 @@ def _side(reports: list[dict]) -> dict:
             "metrics": metrics}
 
 
-def _better() -> dict:
-    """{metric: "higher" or "lower"} of the end-to-end metrics in BENCHMARK.json."""
+def _end_to_end() -> dict:
+    """{metric: its entry} of the end-to-end metrics in BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return {metric["name"]: metric for metric in spec["end_to_end"]}
 
 
-def _versus(parent: dict, change: dict, better: dict) -> dict:
-    """Per metric, the ratio of the two sides' medians and the number of
-    seeds both ran on which the change's run is the better one."""
+def _versus(parent: dict, change: dict, end_to_end: dict) -> dict:
+    """Per metric, the ratio of the two sides' medians, the number of seeds
+    both ran on which the change's run is the better one, and whether that
+    makes a gain and keeps within the metric's bound."""
     out = {}
     for name, p in parent["metrics"].items():
         c = change["metrics"][name]
         p_runs = dict(zip(parent["seeds"], p["runs"]))
         c_runs = dict(zip(change["seeds"], c["runs"]))
-        won = None
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
-            won = sum(sign * (c_runs[s] - p_runs[s]) > 0 for s in p_runs.keys() & c_runs.keys())
-        out[name] = {"ratio": c["median"] / p["median"] if p["median"] else None, "won": won}
+        won = gain = within_bound = None
+        if name in end_to_end:
+            sign = 1 if end_to_end[name]["better"] == "higher" else -1
+            seeds = p_runs.keys() & c_runs.keys()
+            won = sum(sign * (c_runs[s] - p_runs[s]) > 0 for s in seeds)
+            lead = sign * (c["median"] - p["median"])
+            gain = bool(seeds) and won >= 0.9 * len(seeds) and lead > p["q3"] - p["q1"]
+            within_bound = -lead <= end_to_end[name]["bound"] * p["median"]
+        out[name] = {"ratio": c["median"] / p["median"] if p["median"] else None, "won": won,
+                     "gain": gain, "within_bound": within_bound}
     return out
 
 
@@ -102,7 +112,7 @@ def summarize(paths: dict[str, list[Path]]) -> dict:
                                  f"of seed {meta['seed']}")
             runs[meta["seed"]] = report
     summary = {}
-    better = _better()
+    end_to_end = _end_to_end()
     for workload, sides in sorted(by_workload.items()):
         missing = [side for side in SIDES if not sides[side]]
         if missing:
@@ -110,7 +120,7 @@ def summarize(paths: dict[str, list[Path]]) -> dict:
         parent, change = (_side(list(sides[side].values())) for side in SIDES)
         summary[workload] = {"pairs": len(sides["parent"].keys() & sides["change"].keys()),
                              "parent": parent, "change": change,
-                             "change_vs_parent": _versus(parent, change, better)}
+                             "change_vs_parent": _versus(parent, change, end_to_end)}
     return summary
 
 
