@@ -7,10 +7,10 @@ walk over the index tree, level by level, prunes branches with a certified
 bound on how much the ratio can still grow when new coordinates enter, so
 the returned set is the full threshold set, not a heuristic approximation.
 
-For level-graded pairs (unit weights and common-smoothness spline weights,
-scaled or not) the walk visits groups instead of single indices: all
-indices sharing a support and a total level carry the same ratio and meet
-the same tests, and their number is a binomial coefficient.  Both
+For level-graded pairs (unit, product and common-smoothness spline
+weights, scaled or not) the walk visits groups instead of single indices:
+all indices sharing a support and a total level carry the same ratio and
+meet the same tests, and their number is a binomial coefficient.  Both
 ``eps_dimension`` and ``spline_eps_dimension`` count these groups for such
 pairs; the latter also reports the coarser closed-form bound in which the
 per-(support, excess) population is replaced by |support|**excess.
@@ -63,9 +63,11 @@ _ABOVE_ONE = "entry multipliers stay above 1 for arbitrarily large coordinates"
 #: most supports (the empty one too) a walk with an unbounded cap reaches
 #: before raising EnumerationCap
 SUPPORT_CAP = 1_000_000
-#: ``_walk``'s scans and push tests compare with eps2 * _PRUNE_FLOOR.  A bound (a node's
-#: ratio times boost-table floats) and a ratio below it round apart by about 11 u (u = 2**-53)
-#: per support coordinate, 360 u per dyadic factor 2**(2 s T) (four): < 2**13 u up to 600 coordinates
+#: ``_walk``'s scans, level prechecks and push tests compare with eps2 * _PRUNE_FLOOR.  A bound
+#: (a node's ratio times boost-table floats) and a descendant's ratio below it round apart by
+#: about 11 u (u = 2**-53) per support coordinate and 360 u per dyadic factor 2**(2 s T): four,
+#: two in each ratio, and a fifth where a precheck's ``level`` stands in for the child's factors
+#: at T + 1 (table entries about 2 * 360 u from the node's at T): < 2**13 u up to 500 coordinates
 _PRUNE_FLOOR = 1.0 - 2.0**-40
 
 
@@ -217,13 +219,16 @@ class SupportDecay:
 
 @dataclass(frozen=True)
 class ProductDecay:
-    """Per-coordinate upper bounds on the ratio multiplier at entry.
+    """Per-coordinate upper bounds on the ratio multiplier at entry, and one
+    for raising a level.
 
     ``mult.value(k)`` bounds c_{j + l*e_k} / c_j over all levels l >= 1 and
-    all j not containing k; raising an existing level never increases c.
+    all j not containing k; ``level``, at most 1, bounds c_{j + e_k} / c_j
+    over all j containing k, so raising an existing level never increases c.
     """
 
     mult: CoordSeq
+    level: float = 1.0
 
 
 class _BoostTable:
@@ -238,17 +243,17 @@ class _BoostTable:
     multipliers stay above one there: ``NotCompact`` if they do not decay,
     ``EnumerationCap`` if they do.
 
-    For each coordinate k the scan has reached, ``positive[k]`` is
-    ``mult.value(k) > 0.0``, ``sup[k]`` is ``mult.tail_sup(k)`` and
-    ``after[k]`` bounds the boost that coordinates past k can still give.
-    Neither increases with k, and ``after`` is 1.0 from ``k_last`` on, so
-    where the multipliers decay a scan passes every coordinate up to
-    ``COORD_GUARD`` exactly when it does not stop there: ``guard_sup``,
-    ``mult.tail_sup(COORD_GUARD)``, settles that at the start of the scan.
-    The lists grow one coordinate at a time as scans reach it, so a product
-    of sequences walks its factors once per coordinate, not once per node;
-    a walk reads ``positive`` and ``after`` directly over the coordinates a
-    scan covered.  Slot 0 is a placeholder: coordinates start at 1.
+    For each k from 0 up to the last coordinate a scan has read,
+    ``sup[k]`` is ``mult.tail_sup(k)``, a bound on the multiplier of every
+    coordinate past k, and ``after[k]`` bounds the boost that coordinates
+    past k can still give.  Neither increases with k, and ``after`` is 1.0
+    from ``k_last`` on, so where the multipliers decay a scan enters every
+    coordinate up to ``COORD_GUARD`` exactly when it does not stop there:
+    ``guard_sup``, ``mult.tail_sup(COORD_GUARD)``, settles that at the start
+    of the scan.  The lists grow one coordinate at a time as scans reach it,
+    so a product of sequences walks its factors once per coordinate, not
+    once per node; a walk reads ``after`` directly over the coordinates a
+    scan entered.
     """
 
     def __init__(self, mult: CoordSeq):
@@ -293,39 +298,41 @@ class _BoostTable:
         # gets past this coordinate without stopping would never stop
         self.k_unbounded = math.inf if decays else max(settled, k_last + 1)
         self.guard_sup = mult.tail_sup(COORD_GUARD) if decays else None
-        self.positive, self.sup, self.after = [False], [0.0], [1.0]
+        self.sup, self.after = [], []
+        self._grow()
 
     def _grow(self):
         """Add the table entries of the next coordinate."""
         k = len(self.sup)
-        self.positive.append(self.mult.value(k) > 0.0)
         self.sup.append(self.mult.tail_sup(k))
         self.after.append(1.0 if k >= self.k_last else self.suffix[k + 1])
 
     def scan_end(self, c: float, eps2: float, k: int) -> int:
-        """The last coordinate of the entry scan of a ratio c from k.
+        """The first coordinate from k on that the entry scan of a ratio c
+        does not enter.
 
-        The scan covers k, k+1, ... and stops at the first coordinate from
-        which on no entry can lift a ratio of c back to eps2, even with
-        every later boost applied; the coordinates it covers with a
-        positive multiplier are the ones that may enter.  A scan that would
-        only stop past ``COORD_GUARD`` raises at its start.
+        The scan enters k, k+1, ... and stops at the first coordinate i at
+        which c * sup[i - 1] * after[i], a bound on the push value of a
+        child entered at i or at any later coordinate, falls below eps2.  A
+        zero multiplier needs no test of its own: its child's ratio is 0,
+        which fails the push test.  A scan that would enter a coordinate
+        past ``COORD_GUARD`` raises at its start.
         """
-        if self.guard_sup is not None and k <= COORD_GUARD and not c * self.guard_sup < eps2:
+        if self.guard_sup is not None and not c * self.guard_sup < eps2:
             raise EnumerationCap(_GUARD_HIT)
         sup, after, k_unbounded = self.sup, self.after, self.k_unbounded
         while True:
             try:
-                if c * sup[k] * after[k] < eps2:
+                if c * sup[k - 1] * after[k] < eps2:
                     return k
             except IndexError:  # the scan reached a coordinate past the table
                 self._grow()
                 continue
-            if k >= k_unbounded:
+            if k > k_unbounded:
                 raise NotCompact("entry multipliers do not decay; the threshold set is unbounded")
-            k += 1
             if k > COORD_GUARD:
                 raise EnumerationCap(_GUARD_HIT)
+            k += 1
 
 
 def auto_certificate(a: WeightModel, b: WeightModel):
@@ -344,7 +351,9 @@ def auto_certificate(a: WeightModel, b: WeightModel):
             and a_base.gamma.is_finite_support
         ):
             return SupportDecay(tuple(a_base.gamma.iter_support()))
-        return ProductDecay(_inverse_growth_seq(a_base))
+        # a rising level multiplies a constant-smoothness spline weight by 2**(2 s)
+        spline = isinstance(a_base, SplineWeights) and a_base.s.is_constant
+        return ProductDecay(_inverse_growth_seq(a_base), a_base.level_decay(1) if spline else 1.0)
     if isinstance(a_base, ProductWeights) and isinstance(b_base, ProductWeights):
         return ProductDecay(seq_ratio(a_base.gamma_seq, b_base.gamma_seq))
     if isinstance(a_base, SplineWeights) and isinstance(b_base, SplineWeights):
@@ -387,8 +396,9 @@ def _spline_pair_certificate(a: SplineWeights, b: SplineWeights) -> ProductDecay
     gamma_ratio = seq_ratio(a.gamma.seq, b.gamma.seq)
     # entry multiplier: (gamma_a/gamma_b) * (lam_b/lam_a) * 2**(-2 ds)
     lam_b_over_a = _param_ratio(b.lam, a.lam)
-    decay = ConstantSeq(exp2(-2.0 * ds))
-    return ProductDecay(ProductOfSeqs([gamma_ratio, lam_b_over_a, decay]))
+    # a rising level multiplies the ratio by 2**(-2 ds) too
+    level = exp2(-2.0 * ds)
+    return ProductDecay(ProductOfSeqs([gamma_ratio, lam_b_over_a, ConstantSeq(level)]), level)
 
 
 def _param_ratio(num, den) -> CoordSeq:
@@ -431,7 +441,7 @@ def enumerate_threshold_set(
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
 
     to_vector = IndexVector._from_entries
-    members = _walk(a, b, eps2, certificate.mult, cap, graded=False)
+    members = _walk(a, b, eps2, certificate.mult, cap, graded=False, rise=certificate.level)
     return ThresholdSet({to_vector(key): c for key, _, _, c in members}), False
 
 
@@ -465,10 +475,12 @@ def _enumerate_by_support(a, b, eps2, supports, cap):
 
 
 def _level_graded(m: WeightModel) -> bool:
-    """Unit or constant-smoothness spline weights of exact type, scaled or
-    not: weights set by the support and the total level, with no level cap."""
+    """Unit, product or constant-smoothness spline weights of exact type,
+    scaled or not: weights set by the support and the total level.  Only
+    product weights cap the level, at 1: their groups never deepen, so each
+    is the one index with every level 1."""
     m = _strip_scale(m)
-    return type(m) is UnitWeights or (type(m) is SplineWeights and m.s.is_constant)
+    return type(m) in (UnitWeights, ProductWeights) or (type(m) is SplineWeights and m.s.is_constant)
 
 
 def _graded_groups(a, b, eps2, certificate, cap):
@@ -480,10 +492,10 @@ def _graded_groups(a, b, eps2, certificate, cap):
         return _count_by_support(a, b, eps2, certificate.supports, cap)
     if not isinstance(certificate, ProductDecay):
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
-    return _walk(a, b, eps2, certificate.mult, cap, graded=True)
+    return _walk(a, b, eps2, certificate.mult, cap, graded=True, rise=certificate.level)
 
 
-def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
+def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool, rise: float = 1.0):
     """Members ``(key, total level, count, ratio)`` of a breadth-first walk
     over the index tree, one total level at a time.
 
@@ -496,9 +508,12 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
     scan from a smaller ratio stops no later, so the pushed groups of σ run
     up from its first (T = |σ|, every level 1): only that group scans (one
     ``scan_end`` call) and enters coordinates, a deeper one only deepens.
-    Each child costs a's ``enter`` (or ``deepen``) and ``carried``, which
-    multiply floats the model keeps in tables, and b's too unless b's
-    weight is ``uniform``.
+    A child is built only where a bound says it can pass its push test:
+    an entered one below the scan's end, a deepened one where its parent's
+    ratio times ``rise`` (the certificate's ``level``, a bound on the factor
+    a rising level gives) passes.  Each child costs a's ``enter`` (or ``deepen``)
+    and ``carried``, which multiply floats the model keeps in tables, and
+    b's too unless b's weight is ``uniform``.
 
     ``cap`` bounds the candidates found (visited or built for the next
     level), ``SUPPORT_CAP`` the supports when ``cap`` is unbounded.  Past
@@ -507,7 +522,7 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
     level wins over it in any node order.
     """
     boost = _BoostTable(mult)
-    positive, after, scan_end = boost.positive, boost.after, boost.scan_end
+    after, scan_end = boost.after, boost.scan_end
     level_cap = min((m.max_level for m in (a, b) if m.max_level is not None), default=None)
     enter_a, deepen_a, carried_a = a.enter, a.deepen, a.carried
     enter_b, deepen_b, carried_b = b.enter, b.deepen, b.carried
@@ -532,7 +547,9 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
                 if first or not graded:
                     scan_end(c, floor, kmax + 1)
                 continue
-            if kmax and (level_cap is None or key[-1][1] < level_cap):
+            # a graded pair's level cap is product weights' 1: its groups never deepen
+            if (kmax and (level_cap is None or not graded and key[-1][1] < level_cap)
+                    and c * rise * after[kmax] >= floor):
                 child = key if graded else key[:-1] + ((kmax, key[-1][1] + 1),)
                 ca, cb = deepen_a(sa, kmax), (sb if bw else deepen_b(sb, kmax))
                 aw = carried_a(ca, child)
@@ -543,9 +560,7 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool):
                     found += count
             if graded and not first:
                 continue
-            for k in range(kmax + 1, scan_end(c, floor, kmax + 1) + 1):
-                if not positive[k]:
-                    continue
+            for k in range(kmax + 1, scan_end(c, floor, kmax + 1)):
                 child = key + (k,) if graded else key + ((k, 1),)
                 ca, cb = enter_a(sa, k), (sb if bw else enter_b(sb, k))
                 aw = carried_a(ca, child)

@@ -803,44 +803,46 @@ def brute_after(mult, k_last, k0):
 
 
 def reference_entry_scan(mult, c, eps2, k):
-    """The entry scan evaluated on the sequence at every coordinate.
+    """The entry scan evaluated on the sequence at every coordinate, each
+    coordinate i tested with the supremum over i and every later one.
 
-    Returns the coordinates it yields and the message of the NotCompact it
-    ends with (None when it stops), plus the last coordinate it scanned.
+    Returns the coordinates it enters and the message of the NotCompact it
+    ends with (None when it stops), plus the coordinate it stops at (the
+    first it does not enter) or raises at (the last it enters).
     """
     k_last = brute_k_last(mult)
-    yielded = []
+    entered = []
     while True:
-        if mult.value(k) > 0.0:
-            yielded.append(k)
-        if c * mult.tail_sup(k) * brute_after(mult, k_last, k) < eps2:
-            return yielded, None, k
-        if k >= mult.nonincreasing_from and k > k_last and not mult.decays_to_zero:
-            return yielded, "entry multipliers do not decay; the threshold set is unbounded", k
+        if c * mult.tail_sup(k - 1) * brute_after(mult, k_last, k) < eps2:
+            return entered, None, k
+        entered.append(k)
+        if k - 1 >= mult.nonincreasing_from and k - 1 > k_last and not mult.decays_to_zero:
+            return entered, "entry multipliers do not decay; the threshold set is unbounded", k
         k += 1
 
 
 def scanned_coords(table, c, eps2, k):
-    """The coordinates with a positive multiplier that the entry scan of
-    ``table`` from k covers, read from the table as the walk reads them."""
-    return [i for i in range(k, table.scan_end(c, eps2, k) + 1) if table.positive[i]]
+    """The coordinates the entry scan of ``table`` from k enters, read from
+    the table as the walk reads them."""
+    return list(range(k, table.scan_end(c, eps2, k)))
 
 
 class _RecordingTable(tensorsplit.epsdim._BoostTable):
-    """Keeps every table a walk builds and the coordinates its scans cover
-    with a positive multiplier."""
+    """Keeps every table a walk builds, the coordinates its scans enter and
+    the coordinates they stop at."""
 
     made = []
 
     def __init__(self, mult):
         super().__init__(mult)
-        self.yielded = [0]
+        self.entered, self.ends = [], []
         _RecordingTable.made.append(self)
 
     def scan_end(self, c, eps2, k):
-        last = super().scan_end(c, eps2, k)
-        self.yielded.extend(i for i in range(k, last + 1) if self.positive[i])
-        return last
+        end = super().scan_end(c, eps2, k)
+        self.entered.extend(range(k, end))
+        self.ends.append(end)
+        return end
 
 
 class TestEntryScanTable:
@@ -867,9 +869,9 @@ class TestEntryScanTable:
         assert not truncated
         assert got.ratios == box_threshold_ratios(a, b, eps, box)
         (table,) = _RecordingTable.made
-        # every multiplier here is positive, so every scanned coordinate is yielded
-        assert 1 < len(table.sup) <= max(table.yielded) + 1
-        assert len(table.positive) == len(table.sup) == len(table.after)
+        # the table reaches the last coordinate a scan stopped at, one past
+        # the last it entered
+        assert len(table.sup) == len(table.after) == max(table.ends) + 1 == max(table.entered) + 2
 
     @pytest.mark.parametrize("eps", [0.1, 0.05])
     def test_spline_counting_equals_box_brute_force(self, monkeypatch, eps):
@@ -879,7 +881,7 @@ class TestEntryScanTable:
         members = box_threshold_ratios(SplineWeights(self.power, s=1.0), UnitWeights(), eps, (11, 3, 5))
         assert counted.n == sum(SplineDims().subspace_dim(j) for j in members)
         (table,) = _RecordingTable.made
-        assert 1 < len(table.sup) <= max(table.yielded) + 1
+        assert len(table.sup) == max(table.ends) + 1 == max(table.entered) + 2
 
     @pytest.mark.parametrize("mult", [
         ProductOfSeqs([PowerSeq(2.0, 1.5), ConstantSeq(0.8), ConstantSeq(1.1)]),
@@ -895,24 +897,23 @@ class TestEntryScanTable:
         scanned = 0
         # on finite_zeros the last two scans go on only by the boost of coordinate 3
         for c, k in [(0.05, 2), (1.0, 1), (0.3, 4), (1e-3, 1), (1.0, 7), (0.2, 3), (0.005, 1), (0.0045, 2)]:
-            yielded, error, last = reference_entry_scan(mult, c, eps2, k)
+            entered, error, last = reference_entry_scan(mult, c, eps2, k)
             if error is None:
-                got = scanned_coords(table, c, eps2, k)
+                assert scanned_coords(table, c, eps2, k) == entered, (c, k)
             else:
                 with pytest.raises(NotCompact, match=error):
                     table.scan_end(c, eps2, k)
-                # the raising scan grew the table up to its last coordinate
-                got = [i for i in range(k, last + 1) if table.positive[i]]
-            assert got == yielded, (c, k)
+            # the scan grew the table up to the coordinate it stopped or raised at
             scanned = max(scanned, last)
-            assert len(table.positive) == len(table.sup) == len(table.after) == scanned + 1
+            assert len(table.sup) == len(table.after) == scanned + 1
 
 
     def test_scan_that_would_reach_the_guard_raises_at_once(self, monkeypatch):
         """ProductWeights(PowerSeq(1, 1.1)) over unit at eps 1e-4: the
-        root's scan keeps c * sup * after at or above eps**2 up to
-        COORD_GUARD, so it could only end at the guard.  Its first step
-        raises, before it covers coordinate 1 or builds any table entry."""
+        root's scan keeps c * sup * after at or above eps**2 past
+        COORD_GUARD, so it would enter a coordinate past the guard.  Its
+        first step raises, before it enters coordinate 1 or adds a table
+        entry to the one of slot 0."""
         mult = auto_certificate(ProductWeights(PowerSeq(1.0, 1.1)), UnitWeights()).mult
         table = _BoostTable(mult)
         assert table.k_unbounded == math.inf
@@ -920,13 +921,15 @@ class TestEntryScanTable:
         with pytest.raises(EnumerationCap, match="^coordinate scan exceeded the hard guard$"):
             table.scan_end(1.0, 1e-4 ** 2, 1)
         assert len(table.sup) == 1
-        # one ulp of eps**2 above the guard value, the scan starts and ends
-        # at the guard itself; a guard of 2000 keeps that scan short
+        # one ulp of eps**2 above the guard value, the scan enters every
+        # coordinate up to the guard itself and stops right after it; a
+        # guard of 2000 keeps that scan short
         monkeypatch.setattr(tensorsplit.epsdim, "COORD_GUARD", 2000)
         table = _BoostTable(mult)
         above = math.nextafter(mult.tail_sup(2000), math.inf)
-        assert table.scan_end(1.0, above, 1) == 2000
-        assert scanned_coords(table, 1.0, above, 1)[0] == 1
+        assert table.scan_end(1.0, above, 1) == 2001
+        assert scanned_coords(table, 1.0, above, 1) == list(range(1, 2001))
+        assert len(table.sup) == 2002
 
 
 class TestLastBoostingCoordinate:
@@ -1059,6 +1062,30 @@ def graded_pairs(draw):
             draw(st.sampled_from([WALK_CAP] * 4 + [2, 5, 30])))
 
 
+@st.composite
+def product_pairs(draw):
+    """(a, b, dims, eps, cap): product weights over unit weights, or over
+    product weights whose gamma decays slower by a margin, each side perhaps
+    scaled; gammas above 1 on the first coordinates boost."""
+    c_a = draw(st.floats(0.3, 5.0))
+    kind = draw(st.sampled_from(["power", "geometric", "finite", "product"]))
+    if kind == "power":
+        a, b = ProductWeights(PowerSeq(c_a, draw(st.floats(1.5, 4.0)))), UnitWeights()
+    elif kind == "geometric":
+        a, b = ProductWeights(GeometricSeq(c_a, draw(st.floats(0.1, 0.7)))), UnitWeights()
+    elif kind == "finite":  # a zero value suppresses its coordinate
+        values = draw(st.lists(st.floats(0.05, 3.0) | st.just(0.0), min_size=1, max_size=4))
+        a, b = ProductWeights(FiniteSeq(values)), UnitWeights()
+    else:
+        c_b, p_b = draw(st.floats(0.3, 3.0)), draw(st.floats(1.0, 3.0))
+        a = ProductWeights(PowerSeq(c_a, p_b + draw(st.floats(1.5, 3.0))))
+        b = ProductWeights(PowerSeq(c_b, p_b))
+    a, b = (m if (f := draw(st.sampled_from([None, 0.5, 2.0]))) is None else ScaledWeights(m, f)
+            for m in (a, b))
+    return (a, b, draw(st.sampled_from([AllOneDims(), SplineDims()])), draw(st.floats(0.01, 0.06) | st.floats(0.06, 0.3)),
+            draw(st.sampled_from([WALK_CAP] * 4 + [2, 5, 30])))
+
+
 def outcome(run):
     """``run()``, or the type and message of the package error it raises."""
     try:
@@ -1067,8 +1094,40 @@ def outcome(run):
         return type(exc), str(exc)
 
 
+def assert_grouped_equals_vector(a, b, dims, eps, cap):
+    """The grouped walk of a level-graded pair gives everything the vector
+    walk gives, bit for bit: the same error, or the same dimension, index
+    set and table, and the same smallest cap that passes."""
+    grouped = outcome(lambda: eps_dimension(a, b, eps, dims, cap=cap))
+    vector = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=cap))
+    if isinstance(vector, tuple):
+        assert grouped == vector
+        return
+    assert "ratios" not in vars(grouped.index_set)  # built when first read
+    assert grouped.n == vector.n
+    assert grouped.index_set.ratios == vector.index_set.ratios
+    assert grouped.index_set == vector.index_set
+    eps_list, ds = [eps, eps * 1.3, eps * 2.5], [0, 1, 2, 3, 5]
+    assert list(grouped.table(eps_list, ds)) == list(vector.table(eps_list, ds))
+    # the smallest cap the grouped walk passes is the vector walk's
+    lo, hi = 0, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _graded_groups(a, b, eps * eps, None, mid)
+            hi = mid
+        except EnumerationCap:
+            lo = mid
+    assert eps_dimension(a, b, eps, VectorDims(dims), cap=hi).n == vector.n
+    short = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=lo))
+    assert short[0] is EnumerationCap
+    assert outcome(lambda: eps_dimension(a, b, eps, dims, cap=lo)) == short
+
+
 #: the ``carried_pairs`` whose weights depend only on support and total level
 GRADED = {"spline_const_s", "spline_listed_lam", "scaled_both", "spline_spline", "support_product"}
+#: the ``carried_pairs`` of product weights, level-graded with every level 1
+PRODUCT = {"product_unit", "product_product"}
 
 
 class TestGroupedWalk:
@@ -1086,31 +1145,23 @@ class TestGroupedWalk:
                    WALK_CAP))
     @settings(max_examples=100, deadline=None)
     def test_equals_vector_walk(self, pair):
+        assert_grouped_equals_vector(*pair)
+
+    @given(pair=product_pairs())
+    # ratios 1/k**2 products: {8}, {2, 4} and {1, 2, 4} sit exactly at eps**2 = 2**-6
+    @example(pair=(ProductWeights(PowerSeq(1.0, 2.0)), UnitWeights(), AllOneDims(), 2.0 ** -3, WALK_CAP))
+    # {1} lies below the threshold and only the boost of coordinate 2 lifts {1, 2} above it
+    @example(pair=(ProductWeights(PowerSeq(5.0, 2.0)), ScaledWeights(UnitWeights(), 0.01), SplineDims(),
+                   0.235, WALK_CAP))
+    @settings(max_examples=60, deadline=None)
+    def test_product_pairs_equal_vector_walk(self, pair):
+        """Product weights are level-graded with every level 1: each group
+        is one index, with count 1 and dimension 1."""
         a, b, dims, eps, cap = pair
+        assert_grouped_equals_vector(a, b, dims, eps, cap)
         grouped = outcome(lambda: eps_dimension(a, b, eps, dims, cap=cap))
-        vector = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=cap))
-        if isinstance(vector, tuple):
-            assert grouped == vector
-            return
-        assert "ratios" not in vars(grouped.index_set)  # built when first read
-        assert grouped.n == vector.n
-        assert grouped.index_set.ratios == vector.index_set.ratios
-        assert grouped.index_set == vector.index_set
-        eps_list, ds = [eps, eps * 1.3, eps * 2.5], [0, 1, 2, 3, 5]
-        assert list(grouped.table(eps_list, ds)) == list(vector.table(eps_list, ds))
-        # the smallest cap the grouped walk passes is the vector walk's
-        lo, hi = 0, cap
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _graded_groups(a, b, eps * eps, None, mid)
-                hi = mid
-            except EnumerationCap:
-                lo = mid
-        assert eps_dimension(a, b, eps, VectorDims(dims), cap=hi).n == vector.n
-        short = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=lo))
-        assert short[0] is EnumerationCap
-        assert outcome(lambda: eps_dimension(a, b, eps, dims, cap=lo)) == short
+        if not isinstance(grouped, tuple):
+            assert {m[1:3] for m in grouped.members} <= {(1, 1)}
 
     @given(
         values=st.lists(st.floats(0.05, 1.5) | st.sampled_from([1.0, 0.5, 0.25]), min_size=1, max_size=4),
@@ -1131,13 +1182,15 @@ class TestGroupedWalk:
         a = base if scale_a is None else ScaledWeights(base, scale_a)
         b = UnitWeights() if scale_b is None else ScaledWeights(UnitWeights(), scale_b)
         eps2 = 2.0 ** -n
-        walked = _graded_groups(a, b, eps2, ProductDecay(base.multiplier_seq()), math.inf)
+        certificate = ProductDecay(base.multiplier_seq(), base.level_decay(1))
+        walked = _graded_groups(a, b, eps2, certificate, math.inf)
         assert sorted(walked) == sorted(_graded_groups(a, b, eps2, None, math.inf))
 
     @pytest.mark.parametrize("name,a,b,eps", carried_pairs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_route(self, monkeypatch, name, a, b, eps):
-        """Only level-graded pairs walk groups; listed or affine s,
-        anisotropic and product weights walk vectors."""
+        """Only level-graded pairs walk groups; listed or affine s and
+        anisotropic weights walk vectors.  Product weights cap every level
+        at 1, so each of their groups is one index."""
         walks = []
         for walk in ("enumerate_threshold_set", "_graded_groups"):
             run = getattr(tensorsplit.epsdim, walk)
@@ -1147,6 +1200,8 @@ class TestGroupedWalk:
         counts = {count for _, _, count, _ in res.members}
         if name in GRADED:
             assert walks == ["_graded_groups"] and max(counts) > 1
+        elif name in PRODUCT:
+            assert walks == ["_graded_groups"] and counts == {1}
         else:
             assert walks == ["enumerate_threshold_set"] and counts == {1}
         assert eps_dimension(a, b, eps, VectorDims(SplineDims())).n == res.n
@@ -1181,19 +1236,64 @@ class TestGroupedWalk:
         with pytest.raises(error, match="^entry multipliers do not decay|^visited more than"):
             eps_dimension(a, UnitWeights(), eps, dims, cap=cap)
 
-    @pytest.mark.parametrize("a", [ProductWeights(PowerSeq(1.0, 1.5)),
-                                   SplineWeights(ProductGamma(PowerSeq(1.0, 1.5)), 0.2)],
+    @pytest.mark.parametrize("a,dims", [(ProductWeights(PowerSeq(1.0, 1.5)), VectorDims(AllOneDims())),
+                                        (SplineWeights(ProductGamma(PowerSeq(1.0, 1.5)), 0.2), AllOneDims())],
                              ids=["vector", "grouped"])
-    def test_cap_bounds_the_nodes_built(self, monkeypatch, a):
-        """The root's entry scan covers thousands of coordinates, so the
+    def test_cap_bounds_the_nodes_built(self, monkeypatch, a, dims):
+        """The root's entry scan enters thousands of coordinates, so the
         cap of 50 trips while total level 1 is built: the walk computes the
-        ratio of the root and of each of its children, and of no node of
-        level 2, before EnumerationCap.  Each ratio reads a's carried
-        weight once."""
+        ratio of the root and of each coordinate its scan enters, and of no
+        node of level 2, before EnumerationCap.  Each ratio reads a's
+        carried weight once."""
         ratios = []
         carried = a.carried
         monkeypatch.setattr(a, "carried", lambda *args: ratios.append(args) or carried(*args))
         with pytest.raises(EnumerationCap, match="^visited more than 50 candidate indices$"):
-            eps_dimension(a, UnitWeights(), 1e-3, AllOneDims(), cap=50)
+            eps_dimension(a, UnitWeights(), 1e-3, dims, cap=50)
         children = scanned_coords(_BoostTable(auto_certificate(a, UnitWeights()).mult), 1.0, 1e-6, 1)
         assert len(children) > 1000 and len(ratios) == 1 + len(children)
+
+
+class TestChildrenBuilt:
+    """The walk computes a child's ratio only where a bound says the child
+    can pass its push test: an entered child below its scan's end, a
+    deepened one where the parent's ratio times the certificate's
+    ``level`` passes."""
+
+    def test_pinned_walk_reads_one_weight_per_member_group(self, monkeypatch):
+        """SplineWeights(ProductGamma(PowerSeq(1, 2)), s=1) over unit at eps
+        0.002 has 1132 member groups, the root among them.  The walk reads
+        a's carried weight 1132 times, once per group; building each scan's
+        stopping coordinate and each support's last deepening took 2389."""
+        a = SplineWeights(ProductGamma(PowerSeq(1, 2)), s=1)
+        calls = []
+        carried = a.carried
+        monkeypatch.setattr(a, "carried", lambda *args: calls.append(args) or carried(*args))
+        groups = _graded_groups(a, UnitWeights(), 0.002 ** 2, None, math.inf)
+        assert len(calls) == len(groups) == 1132
+        assert all(c >= 0.002 ** 2 for _, _, _, c in groups)
+
+    power = ProductGamma(PowerSeq(1.0, 2.0))
+
+    @pytest.mark.parametrize("a,b,level", [
+        (SplineWeights(power, s=1.0), UnitWeights(), 0.25),
+        (ScaledWeights(SplineWeights(power, s=0.75, lam=[2.0, 0.5]), 2.0), ScaledWeights(UnitWeights(), 0.5),
+         2.0 ** -1.5),
+        (SplineWeights(ProductGamma(PowerSeq(1.0, 3.0)), s=2.0), SplineWeights(power, s=1.25), 2.0 ** -1.5),
+        (SplineWeights(power, s=[1.5, 0.75]), UnitWeights(), 1.0),
+        (AnisotropicWeights(power, s=1.0), UnitWeights(), 1.0),
+        (ProductWeights(PowerSeq(0.85, 2.0)), UnitWeights(), 1.0),
+        (ProductWeights(PowerSeq(0.9, 3.0)), ProductWeights(PowerSeq(0.9, 1.5)), 1.0),
+    ], ids=["spline_unit", "scaled", "spline_spline", "listed_s", "anisotropic", "product_unit",
+            "product_product"])
+    def test_level_bounds_a_rising_level(self, a, b, level):
+        """``auto_certificate``'s ``level`` is 2**(-2 s) over a unit target
+        and 2**(-2 (s_a - s_b)) between splines, and 1.0 where the factor a
+        rising level gives is not one constant; raising a level of any box
+        index multiplies its ratio by at most ``level``, up to rounding."""
+        certificate = auto_certificate(a, b)
+        assert certificate.level == level
+        for j in sparse_box(4, 3, 3):
+            for k, level_k in j.entries:
+                raised = IndexVector({**dict(j.entries), k: level_k + 1})
+                assert ratio(a, b, raised) <= level * ratio(a, b, j) * (1 + 2.0 ** -40), (j, k)
