@@ -1097,12 +1097,13 @@ def outcome(run):
 def assert_grouped_equals_vector(a, b, dims, eps, cap):
     """The grouped walk of a level-graded pair gives everything the vector
     walk gives, bit for bit: the same error, or the same dimension, index
-    set and table, and the same smallest cap that passes."""
+    set and table, and the same smallest cap that passes.  Returns the
+    grouped walk's outcome."""
     grouped = outcome(lambda: eps_dimension(a, b, eps, dims, cap=cap))
     vector = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=cap))
     if isinstance(vector, tuple):
         assert grouped == vector
-        return
+        return grouped
     assert "ratios" not in vars(grouped.index_set)  # built when first read
     assert grouped.n == vector.n
     assert grouped.index_set.ratios == vector.index_set.ratios
@@ -1122,6 +1123,7 @@ def assert_grouped_equals_vector(a, b, dims, eps, cap):
     short = outcome(lambda: eps_dimension(a, b, eps, VectorDims(dims), cap=lo))
     assert short[0] is EnumerationCap
     assert outcome(lambda: eps_dimension(a, b, eps, dims, cap=lo)) == short
+    return grouped
 
 
 #: the ``carried_pairs`` whose weights depend only on support and total level
@@ -1157,9 +1159,7 @@ class TestGroupedWalk:
     def test_product_pairs_equal_vector_walk(self, pair):
         """Product weights are level-graded with every level 1: each group
         is one index, with count 1 and dimension 1."""
-        a, b, dims, eps, cap = pair
-        assert_grouped_equals_vector(a, b, dims, eps, cap)
-        grouped = outcome(lambda: eps_dimension(a, b, eps, dims, cap=cap))
+        grouped = assert_grouped_equals_vector(*pair)
         if not isinstance(grouped, tuple):
             assert {m[1:3] for m in grouped.members} <= {(1, 1)}
 
