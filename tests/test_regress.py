@@ -1,11 +1,14 @@
 """Kernel least-squares: Gram matrices, fits, maps, optimality."""
 
+import hashlib
+import importlib.util
 import itertools
 import math
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +166,100 @@ class TestGramMatrix:
         pointwise = np.array([[k(x, y) for y in X] for x in X])
         assert (tiles == rows).all()
         assert (tiles == pointwise).all()
+
+
+class TestGramCorners:
+    """``gram`` equals the pointwise kernel bit for bit where a coordinate's
+    factor is an exact 1.0 although the point is off the anchor, where every
+    point lies on one side of the anchor, and where products overflow."""
+
+    #: 200 points: one full tile and one partial, and a holdout of one full
+    #: row block (_GRAM_BLOCK // 200 = 163 rows) and one partial
+    N = 200
+
+    @staticmethod
+    def assert_pointwise(k, X, H):
+        def pointwise(A, B):
+            # Python floats: the same IEEE products and minima as numpy's, faster
+            B = B.tolist()
+            return np.array([[k(x, y) for y in B] for x in A.tolist()])
+
+        P = pointwise(X, X)
+        for K in (k.gram(X, X), k.gram(X, X.copy())):
+            assert K.shape == P.shape and K.tobytes() == P.tobytes()
+        K = k.gram(H, X)
+        assert K.shape == (len(H), len(X)) and K.tobytes() == pointwise(H, X).tobytes()
+        return P
+
+    @pytest.mark.parametrize("anchor,scales", [
+        (0.5, [1e-20, 1.0, 2.7]),   # 1 + s|a| == 1.0 above and below the anchor
+        (0.3, [0.0, 1.0, 0.0]),
+        (0.0, [1.0, 1e-20, 2.0]),   # every point above the anchor
+        (1.0, [3.0, 0.5, 1e-20]),   # every point below it
+        (0.4, [1e300, 1e300, 1.0]),  # products past the float range
+    ], ids=["tiny", "zero", "anchor0", "anchor1", "overflow"])
+    def test_equals_pointwise(self, anchor, scales):
+        rng = np.random.default_rng(37)
+        k = AnchoredKernel(3, anchor=anchor, scales=scales)
+        near = [anchor, np.nextafter(anchor, -1.0), np.nextafter(anchor, 2.0)]
+        special = [*near, 0.0, 1.0, min(anchor + 0.25, 1.0), max(anchor - 0.25, 0.0)]
+        X = rng.uniform(0, 1, (self.N, 3))
+        X[: len(special)] = np.array(special)[:, None]
+        X[-len(special):] = rng.permutation(np.repeat(special, 3)).reshape(-1, 3)
+        H = rng.uniform(0, 1, (self.N, 3))
+        H[: len(special)] = np.array(special)[::-1, None]
+        P = self.assert_pointwise(k, X, H)
+        # a scale of 1e-20 gives the factor 1.0 off the anchor, on either side
+        assert 1.0 + 1e-20 * max(anchor, 1.0 - anchor) == 1.0
+        if 1e300 in scales:
+            assert np.isinf(P).any() and np.isfinite(P).any()
+
+
+#: sha256 of the training Gram and the holdout kernel matrix of every seed-1
+#: regress request of ``perfbench/workloads.py``
+GOLDEN_GRAM_DIGESTS = Path(__file__).parent / "golden" / "gram_digests_seed1.txt"
+
+
+def gram_digest_lines(seed: int) -> list[str]:
+    """One line per regress request of the benchmark: its number, label and
+    the sha256 of its training Gram and holdout kernel matrix (``-`` without
+    a holdout), as the CLI builds them with its default anchor.
+
+    The benchmark writes each sample value as its ``repr``, which the CLI
+    reads back to the same float, so the arrays the requests hold are the
+    ones the CLI fits.  The fills use only minima and products, no BLAS, so
+    the digests are the same with any BLAS build.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the module runs
+    saved = sys.modules.get("workloads")
+    sys.modules["workloads"] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        if saved is None:
+            del sys.modules["workloads"]
+        else:
+            sys.modules["workloads"] = saved
+
+    def sha(K):
+        return hashlib.sha256(np.ascontiguousarray(K).tobytes()).hexdigest()
+
+    lines = []
+    for i, req in enumerate(workloads.regress_requests(seed)):
+        X, _ = req.files[req.cfg["samples"]]
+        k = AnchoredKernel(X.shape[1], scales=req.cfg["kernel"].get("scales"))
+        holdout = "-"
+        if "holdout" in req.cfg:
+            holdout = sha(k.gram(req.files[req.cfg["holdout"]][0], X))
+        lines.append(f"{i} {req.label} train={sha(gram_matrix(k, X))} holdout={holdout}")
+    return lines
+
+
+def test_gram_digests_match_golden():
+    assert gram_digest_lines(1) == GOLDEN_GRAM_DIGESTS.read_text().splitlines()
 
 
 class TestFit:
