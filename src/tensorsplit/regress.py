@@ -164,7 +164,8 @@ class AnchoredKernel:
         ``gram(X, X)`` (Y is X) builds the tiles on and below the diagonal
         in a cached buffer and stores each one twice, as itself and as its
         transpose; ``min`` is commutative, so the mirror has the same bits.
-        Any other Y is built in place one row block at a time.
+        Any other Y is built in place one row block at a time.  Every point
+        must have exactly ``dim`` coordinates.
         """
         xp, xm = self._half_lines(X)
         # a product past the float range is inf, as in the pointwise kernel
@@ -180,7 +181,8 @@ class AnchoredKernel:
         is the min of the two points' values on that side, bit for bit; on
         the other side both values, and so their min, are an exact 1.0.
         """
-        a = np.ascontiguousarray((X[:, : self.dim] - self.anchor).T)
+        _check_points(X, self.dim)
+        a = np.ascontiguousarray((X - self.anchor).T)
         s = np.array(self.scales)[:, None]
         return 1.0 + s * np.maximum(a, 0.0), 1.0 + s * np.maximum(-a, 0.0)
 
@@ -288,15 +290,19 @@ class FittedModel:
     fitted: np.ndarray | None = None
 
 
+def _check_points(P: np.ndarray, dim: int) -> None:
+    """Refuse a point set whose points do not have exactly ``dim`` coordinates."""
+    if P.shape[1] != dim:
+        raise ConfigInvalid(f"points have {P.shape[1]} coordinates, the kernel {dim}")
+
+
 def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``kernel.gram(X, Y)``, K[i, j] = k(X[i], Y[j]).
 
     Every point must have exactly ``kernel.dim`` coordinates.
     """
     for P in (X, Y):
-        if P.shape[1] != kernel.dim:
-            raise ConfigInvalid(f"points have {P.shape[1]} coordinates, "
-                                f"the kernel {kernel.dim}")
+        _check_points(P, kernel.dim)
     return kernel.gram(X, Y)
 
 

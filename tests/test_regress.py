@@ -433,6 +433,21 @@ class TestPointDimension:
             predict(model, [point, point])
         assert isinstance(predict(model, [0.5, 0.5, 0.5]), float)
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    @pytest.mark.parametrize("side", ["both", "rows", "columns"])
+    def test_gram(self, cols, side):
+        """``gram`` itself refuses them; the pointwise kernel raises
+        IndexError on a point with too few coordinates."""
+        k = AnchoredKernel(2, scales=[1.0, 1.0])
+        good = np.full((4, 2), 0.9)
+        bad = np.full((4, cols), 0.9)
+        X, Y = {"both": (bad, bad), "rows": (bad, good), "columns": (good, bad)}[side]
+        with pytest.raises(ConfigInvalid, match=f"points have {cols} coordinates, the kernel 2"):
+            k.gram(X, X if side == "both" else Y)
+        if side == "both":
+            with pytest.raises(ConfigInvalid, match=f"points have {cols} coordinates"):
+                k.gram(X, X.copy())
+
     def test_fit_on_extra_column(self):
         X = np.random.default_rng(59).uniform(0, 1, (8, 4))
         with pytest.raises(ConfigInvalid, match="points have 4 coordinates, the kernel 3"):
