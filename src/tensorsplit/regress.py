@@ -167,60 +167,76 @@ class AnchoredKernel:
         Any other Y is built in place one row block at a time.  Every point
         must have exactly ``dim`` coordinates.
         """
-        xp, xm = self._half_lines(X)
+        rows = self._half_lines(X)
         # a product past the float range is inf, as in the pointwise kernel
         with np.errstate(over="ignore"):
             if Y is X:
-                return _symmetric_gram(xp, xm)
-            return _row_block_gram(xp, xm, *self._half_lines(Y))
+                return _symmetric_gram(*rows)
+            return _row_block_gram(*rows[:2], self._half_lines(Y)[2])
 
-    def _half_lines(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d, n) arrays 1 + s_k * max(a, 0) and 1 + s_k * max(-a, 0), a = x_k - anchor.
+    def _half_lines(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points of X coded for the fill: (v, xs, pair).
+
+        With a = x_k - anchor, a point's values on the two half-lines are
+        1 + s_k * max(-a, 0) below the anchor and 1 + s_k * max(a, 0) above
+        it; ``pair`` (d, 2, n) holds them in that order.  At most one of
+        them differs from 1.0.  ``xs`` (d, n, intp) is the point's side, 1
+        where its value above the anchor exceeds 1.0, else 0, and ``v``
+        (d, n) its value on that side, the larger of the two.
 
         Rounding is monotone, so 1 + s * min(|a|, |b|) for a, b on one side
         is the min of the two points' values on that side, bit for bit; on
         the other side both values, and so their min, are an exact 1.0.
+        A point above the anchor whose value there rounds to 1.0 reads side
+        0 and v = 1.0; its min with any value on either side is then 1.0,
+        the factor the pointwise kernel gives.
         """
         _check_points(X, self.dim)
         a = np.ascontiguousarray((X - self.anchor).T)
         s = np.array(self.scales)[:, None]
-        return 1.0 + s * np.maximum(a, 0.0), 1.0 + s * np.maximum(-a, 0.0)
+        pair = np.empty((self.dim, 2, len(X)))
+        np.add(1.0, s * np.maximum(-a, 0.0), out=pair[:, 0])
+        np.add(1.0, s * np.maximum(a, 0.0), out=pair[:, 1])
+        xs = (pair[:, 1] > 1.0).astype(np.intp)
+        return pair.max(axis=1), xs, pair
 
 
-def _fill_block(out, xp, xm, yp, ym, t):
-    """out[i, j] = prod over k of min(xp[k, i], yp[k, j]) * min(xm[k, i], ym[k, j]).
+def _fill_block(out, v, xs, pair, t):
+    """out[i, j] = prod over k of min(v[k, i], pair[k, xs[k, i], j]).
 
-    One of the two minima of a coordinate is an exact 1.0, so multiplying
-    both in applies the factor 1 + s_k * overlap with one rounding, in
-    coordinate order, as the pointwise kernel does.  ``t`` is a work
-    buffer of out's shape.
+    Row i meets each column on row i's side of the anchor: the min of the
+    two points' values there is the factor 1 + s_k * overlap.  The min on
+    the other side, an exact 1.0, is not multiplied in, so each entry has
+    the pointwise kernel's products in its coordinate order and its bits.
+    ``t`` is a contiguous work buffer of out's shape.  ``take`` runs with
+    ``mode="clip"`` (xs is 0 or 1, so nothing is clipped): under the default
+    "raise" numpy fills a copy of ``t`` and copies it back.
     """
-    for k in range(len(xp)):
-        np.minimum(xp[k, :, None], yp[k], out=t if k else out)
+    for k in range(len(v)):
+        np.take(pair[k], xs[k], axis=0, out=t, mode="clip")
+        np.minimum(v[k, :, None], t, out=t if k else out)
         if k:
             out *= t
-        np.minimum(xm[k, :, None], ym[k], out=t)
-        out *= t
 
 
-def _row_block_gram(xp, xm, yp, ym) -> np.ndarray:
-    """The kernel matrix of two point sets from their half-line arrays."""
-    n, m = xp.shape[1], yp.shape[1]
+def _row_block_gram(v, xs, pair) -> np.ndarray:
+    """The kernel matrix of two point sets: the rows' v and xs, the columns' pair."""
+    n, m = v.shape[1], pair.shape[2]
     block = max(1, _GRAM_BLOCK // max(m, 1))
     G = np.empty((n, m))
 
     def fill(i0, t_buf):
         rows = slice(i0, min(i0 + block, n))
         g = G[rows]
-        _fill_block(g, xp[:, rows], xm[:, rows], yp, ym, t_buf[: len(g)])
+        _fill_block(g, v[:, rows], xs[:, rows], pair, t_buf[: len(g)])
 
     _split(fill, range(0, n, block), lambda: np.empty((min(n, block), m)))
     return G
 
 
-def _symmetric_gram(xp, xm) -> np.ndarray:
-    """The kernel matrix of one point set from its half-line arrays."""
-    n = xp.shape[1]
+def _symmetric_gram(v, xs, pair) -> np.ndarray:
+    """The kernel matrix of one point set from its coded points."""
+    n = v.shape[1]
     G = np.empty((n, n))
     side = min(n, _GRAM_TILE)
 
@@ -228,16 +244,16 @@ def _symmetric_gram(xp, xm) -> np.ndarray:
         i0, j0 = corner
         rows = slice(i0, min(i0 + _GRAM_TILE, n))
         cols = slice(j0, min(j0 + _GRAM_TILE, n))
-        shape = (rows.stop - i0, cols.stop - j0)
-        tile = bufs[0, : shape[0], : shape[1]]
-        _fill_block(tile, xp[:, rows], xm[:, rows], xp[:, cols], xm[:, cols],
-                    bufs[1, : shape[0], : shape[1]])
+        r, c = rows.stop - i0, cols.stop - j0
+        # contiguous also for the partial tiles, so ``take`` writes in place
+        tile, t = (buf[: r * c].reshape(r, c) for buf in bufs)
+        _fill_block(tile, v[:, rows], xs[:, rows], pair[:, :, cols], t)
         G[rows, cols] = tile
         if j0 < i0:
             G[cols, rows] = tile.T
 
     corners = [(i0, j0) for i0 in range(0, n, _GRAM_TILE) for j0 in range(0, i0 + 1, _GRAM_TILE)]
-    _split(fill, corners, lambda: np.empty((2, side, side)))
+    _split(fill, corners, lambda: np.empty((2, side * side)))
     return G
 
 
