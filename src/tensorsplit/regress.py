@@ -15,6 +15,13 @@ to the anchor (zero when the arguments lie on opposite sides).
 scipy is imported by the solve alone, so importing this module (and the
 CLI) loads numpy but not scipy.
 
+The anchored kernel's matrices are filled from coded points: each point's
+value on its own side of the anchor, that side, and its values on both
+sides for use as a column.  Per coordinate a fill gathers each column's
+value on the row's side, takes one minimum and multiplies it in once; the
+minimum on the other side is an exact 1.0, so the entries have the bits
+of the pointwise kernel.
+
 The tiles of the training Gram and the row blocks of any other kernel
 matrix are filled on all the CPUs this process may run on (``_split``),
 each exactly as in a serial loop, so the results have the same bits on any
