@@ -2,15 +2,19 @@
 
 The eps-dimension of a weighted-space pair (a, b) is the total dimension of
 the subspaces whose comparison ratio c_j = b_j / a_j stays at or above
-eps**2 (the boundary is included).  Enumeration is exact: a breadth-first
-walk over the index tree, level by level, prunes branches with a certified
-bound on how much the ratio can still grow when new coordinates enter, so
-the returned set is the full threshold set, not a heuristic approximation.
+eps**2 (the boundary is included).  Enumeration is exact, so the returned
+set is the full threshold set, not a heuristic approximation.
 
-For level-graded pairs (unit, product and common-smoothness spline
-weights, scaled or not) the walk visits groups instead of single indices:
-all indices sharing a support and a total level carry the same ratio and
-meet the same tests, and their number is a binomial coefficient.  Both
+Every route yields members ``(key, total level, count, ratio)``, and the
+decay certificate picks the route: a ``FiniteUniverse`` tests its listed
+candidates, a ``SupportDecay`` scans each support's level lattice, and a
+``ProductDecay`` walks the index tree breadth first, one total level at a
+time, pruning branches with a certified bound on how much the ratio can
+still grow when new coordinates enter.  A key is an index's entries, or,
+for level-graded pairs (unit, product and common-smoothness spline
+weights, scaled or not), a support's coordinates: all indices sharing a
+support and a total level carry the same ratio and meet the same tests,
+and their number, the count, is a binomial coefficient.  Both
 ``eps_dimension`` and ``spline_eps_dimension`` count these groups for such
 pairs; the latter also reports the coarser closed-form bound in which the
 per-(support, excess) population is replaced by |support|**excess.
@@ -422,56 +426,17 @@ def enumerate_threshold_set(
 
     Returns ``(index_set, False)``; the set keeps each member's ratio.
     Finding more than ``cap`` candidates in ``_walk`` (on the support
-    route: more than ``cap`` members) raises ``EnumerationCap``.
-    The second value is always False and is kept for callers that read
-    ``result[0]``.
+    route: more than ``cap`` members) raises ``EnumerationCap``.  The
+    second value is always False: ``perfbench/tracer.py``'s
+    ``_after_enumerate`` reads ``len(result[0])``, and the tuple goes with
+    the tracer's update (ROADMAP item 12).
     """
-    eps2 = _threshold(eps)
-    if certificate is None:
-        certificate = auto_certificate(a, b)
-
-    if isinstance(certificate, FiniteUniverse):
-        members = {j: c for j in certificate.candidates if (c := ratio(a, b, j)) >= eps2}
-        return ThresholdSet(members), False
-
-    if isinstance(certificate, SupportDecay):
-        return _enumerate_by_support(a, b, eps2, certificate.supports, cap)
-
-    if not isinstance(certificate, ProductDecay):
-        raise ConfigInvalid(f"unknown certificate {certificate!r}")
-
-    to_vector = IndexVector._from_entries
-    members = _walk(a, b, eps2, certificate.mult, cap, graded=False, rise=certificate.level)
-    return ThresholdSet({to_vector(key): c for key, _, _, c in members}), False
+    return _threshold_set(_members(a, b, _threshold(eps), certificate, cap, graded=False)), False
 
 
-def _enumerate_by_support(a, b, eps2, supports, cap):
-    """Per-support level scan; the ratio must be nonincreasing in each level.
-
-    Levels of a fixed support form a lattice; bumping coordinates in
-    nondecreasing position order visits each level vector once, and a
-    subthreshold vector prunes its whole upward cone.  Each support's
-    carried state (for spline weights its gamma value and lam product) is
-    computed once; within the support only the total level changes.
-    """
-    deepen_a, deepen_b = a.deepen, b.deepen
-    to_vector = IndexVector._from_entries
-    out: dict[IndexVector, float] = {}
-    for sigma in supports:
-        stack = [(tuple((k, 1) for k in sigma), a.state(sigma), b.state(sigma), 0)]
-        while stack:
-            entries, sa, sb, pos = stack.pop()
-            c = carried_ratio(a, b, sa, sb, entries)
-            if c < eps2:
-                continue
-            out[to_vector(entries)] = c
-            if len(out) > cap:
-                raise EnumerationCap(f"threshold set exceeds cap {cap}")
-            for i in range(pos, len(entries)):
-                k, level = entries[i]
-                stack.append((entries[:i] + ((k, level + 1),) + entries[i + 1:],
-                              deepen_a(sa, k), deepen_b(sb, k), i))
-    return ThresholdSet(out), False
+def _threshold_set(members) -> ThresholdSet:
+    """The threshold set of members keyed by their entries."""
+    return ThresholdSet({IndexVector._from_entries(key): c for key, _, _, c in members})
 
 
 def _level_graded(m: WeightModel) -> bool:
@@ -483,16 +448,58 @@ def _level_graded(m: WeightModel) -> bool:
     return type(m) in (UnitWeights, ProductWeights) or (type(m) is SplineWeights and m.s.is_constant)
 
 
-def _graded_groups(a, b, eps2, certificate, cap):
-    """Member groups ``(support, total level, count, ratio)`` of a level-graded
-    pair, the support a tuple of coordinates: ``_walk``'s, or the support route's."""
+def _members(a, b, eps2, certificate, cap, graded: bool):
+    """Members ``(key, total level, count, ratio)`` with ratio >= eps2 along
+    the certificate's route (``auto_certificate``'s if None): the listed
+    candidates, keyed by entries, or ``_scan_supports`` or ``_walk``."""
     if certificate is None:
         certificate = auto_certificate(a, b)
+    if isinstance(certificate, FiniteUniverse):
+        return [(j.entries, j.total_level, 1, c) for j in dict.fromkeys(certificate.candidates)
+                if (c := ratio(a, b, j)) >= eps2]
     if isinstance(certificate, SupportDecay):
-        return _count_by_support(a, b, eps2, certificate.supports, cap)
+        return _scan_supports(a, b, eps2, certificate.supports, cap, graded)
     if not isinstance(certificate, ProductDecay):
         raise ConfigInvalid(f"unknown certificate {certificate!r}")
-    return _walk(a, b, eps2, certificate.mult, cap, graded=True, rise=certificate.level)
+    return _walk(a, b, eps2, certificate.mult, cap, graded, rise=certificate.level)
+
+
+def _scan_supports(a, b, eps2, supports, cap, graded: bool):
+    """Members of each support's level lattice, where no level raises the ratio.
+
+    A depth-first scan from the support's index with every level 1 raises
+    each level at or after the last one raised, so it visits each level
+    vector once, and one below eps2 prunes its upward cone.  A ``graded``
+    pair raises only the last level: its node at total level T, keyed by
+    the support's coordinates σ, counts comb(T - 1, |σ| - 1) members.
+    ``cap`` bounds the members, ``SUPPORT_CAP`` the supports when ``cap`` is
+    unbounded, and ``COORD_GUARD`` the total level.
+    """
+    if cap == math.inf and len(supports) > SUPPORT_CAP:
+        raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
+    deepen_a, deepen_b = a.deepen, b.deepen
+    members, found = [], 0
+    for sigma in supports:
+        coords = sigma.coords
+        size = len(coords)
+        key = coords if graded else tuple((k, 1) for k in coords)
+        # the empty support has no level to raise
+        stack = [(key, size, a.state(sigma), b.state(sigma), size - 1 if graded and size else 0)]
+        while stack:
+            key, total, sa, sb, pos = stack.pop()
+            if (c := carried_ratio(a, b, sa, sb, key)) < eps2:
+                continue
+            count = math.comb(total - 1, size - 1) if graded and size else 1
+            if (found := found + count) > cap:
+                raise EnumerationCap(f"threshold set exceeds cap {cap}")
+            members.append((key, total, count, c))
+            if total > COORD_GUARD:
+                raise EnumerationCap("level scan exceeded the hard guard")
+            for i in range(pos, size):
+                k = coords[i]
+                child = key if graded else key[:i] + ((k, key[i][1] + 1),) + key[i + 1:]
+                stack.append((child, total + 1, deepen_a(sa, k), deepen_b(sb, k), i))
+    return members
 
 
 def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool, rise: float = 1.0):
@@ -575,37 +582,17 @@ def _walk(a, b, eps2, mult: CoordSeq, cap, graded: bool, rise: float = 1.0):
     return members
 
 
-def _count_by_support(a, b, eps2, supports, cap):
-    """The support route for a level-graded pair: each support has
-    comb(T - 1, |support| - 1) members at each total level T from |support|
-    up to the last whose ratio clears eps2, and the cap counts members."""
-    if cap == math.inf and len(supports) > SUPPORT_CAP:
-        raise EnumerationCap(f"more than {SUPPORT_CAP} supports enumerated")
-    groups, members = [], 0
-    for sigma in supports:
-        coords = sigma.coords
-        sa, sb, total = a.state(sigma), b.state(sigma), len(coords)
-        while (c := carried_ratio(a, b, sa, sb, coords)) >= eps2:
-            count = math.comb(total - 1, len(coords) - 1) if coords else 1
-            members += count
-            if members > cap:
-                raise EnumerationCap(f"threshold set exceeds cap {cap}")
-            groups.append((coords, total, count, c))
-            if not coords:
-                break
-            if total > COORD_GUARD:
-                raise EnumerationCap("level scan exceeded the hard guard")
-            sa, sb, total = a.deepen(sa, coords[-1]), b.deepen(sb, coords[-1]), total + 1
-    return groups
-
-
-def _group_result(groups, dims: DimensionModel, eps: float, **fields) -> EpsDimResult:
-    """The result whose ``members`` are these member groups."""
-    group_dim = _GROUP_DIM[type(dims)]
-    members = [(sigma[-1] if sigma else 0, count * group_dim(len(sigma), total), count, c)
-               for sigma, total, count, c in groups]
-    members.sort(key=itemgetter(0))  # ties in max_coord need no order: ``table`` sums them
-    return EpsDimResult(n=sum(m[1] for m in members), eps=eps, members=members, **fields)
+def _result(members, dims: DimensionModel, eps: float, graded: bool, **fields) -> EpsDimResult:
+    """The result with a row per member, keyed by support coordinates if ``graded``."""
+    if graded:
+        group_dim = _GROUP_DIM[type(dims)]
+        rows = [(key[-1] if key else 0, count * group_dim(len(key), total), count, c)
+                for key, total, count, c in members]
+    else:
+        rows = [(key[-1][0] if key else 0, dims.subspace_dim(IndexVector._from_entries(key)), 1, c)
+                for key, _, _, c in members]
+    rows.sort(key=itemgetter(0))  # ties in max_coord need no order: ``table`` sums them
+    return EpsDimResult(n=sum(row[1] for row in rows), eps=eps, members=rows, **fields)
 
 
 def eps_dimension(
@@ -618,20 +605,17 @@ def eps_dimension(
 ) -> EpsDimResult:
     """Total dimension of the threshold set's subspaces.
 
-    Level-graded pairs with all-one or spline dimensions walk groups
-    (``_graded_groups``) unless the certificate lists the candidates; their
-    ``index_set`` is the vector walk's, run when first read.
+    Level-graded pairs with all-one or spline dimensions count groups
+    unless the certificate lists the candidates; their ``index_set`` is
+    ``enumerate_threshold_set``'s, run when first read.
     """
-    if (_level_graded(a) and _level_graded(b) and type(dims) in _GROUP_DIM
-            and not isinstance(certificate, FiniteUniverse)):
-        groups = _graded_groups(a, b, _threshold(eps), certificate, cap)
-        return _group_result(groups, dims, eps, index_set=ThresholdSet(
-            lambda: enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)[0].ratios))
-    index_set, _ = enumerate_threshold_set(a, b, eps, certificate=certificate, cap=cap)
-    members = sorted(((j.max_coord, dims.subspace_dim(j), 1, c)
-                      for j, c in index_set.ratios.items()), key=itemgetter(0))
-    return EpsDimResult(n=sum(m[1] for m in members), eps=eps, index_set=index_set,
-                        members=members)
+    eps2 = _threshold(eps)
+    graded = (_level_graded(a) and _level_graded(b) and type(dims) in _GROUP_DIM
+              and not isinstance(certificate, FiniteUniverse))
+    members = _members(a, b, eps2, certificate, cap, graded=graded)
+    index_set = ThresholdSet(lambda: enumerate_threshold_set(
+        a, b, eps, certificate=certificate, cap=cap)[0].ratios) if graded else _threshold_set(members)
+    return _result(members, dims, eps, graded, index_set=index_set)
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +645,8 @@ def spline_eps_dimension(
     if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not lam > 0:
         raise ConfigInvalid("the scale constant must be a positive number")
     model = SplineWeights(gamma, float(s), float(lam))
-    groups = _graded_groups(model, UnitWeights(), eps2, None, math.inf)
-    # groups come in increasing total level per support: the last one wins
-    excess = {sigma: total - len(sigma) for sigma, total, _, _ in groups if sigma}
-    return _group_result(groups, SplineDims(), eps,
-                         coarse_bound=1 + 2 * sum((2 * len(w)) ** m for w, m in excess.items()))
+    members = _members(model, UnitWeights(), eps2, None, math.inf, graded=True)
+    # a support's groups come in increasing total level: the last one wins
+    excess = {sigma: total - len(sigma) for sigma, total, _, _ in members if sigma}
+    return _result(members, SplineDims(), eps, True,
+                   coarse_bound=1 + 2 * sum((2 * len(w)) ** m for w, m in excess.items()))

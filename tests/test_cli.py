@@ -1079,25 +1079,20 @@ class TestEnumerationCount:
         threshold set, grouped (a level-graded pair) or vector by vector,
         at the smallest eps."""
         calls = []
+        run = tensorsplit.epsdim._members
 
-        def counting(name):
-            run = getattr(tensorsplit.epsdim, name)
+        def recorded(a, b, eps2, *args, graded):
+            calls.append((graded, eps2))
+            return run(a, b, eps2, *args, graded=graded)
 
-            def recorded(a, b, eps, *args, **kwargs):
-                calls.append((name, eps))
-                return run(a, b, eps, *args, **kwargs)
-            return recorded
-
-        for name in ("enumerate_threshold_set", "_graded_groups"):
-            monkeypatch.setattr(tensorsplit.epsdim, name, counting(name))
-        for config, walk in [(CONFIG_DIR / "epsdim_example.json", "_graded_groups"),
-                             (GOLDEN_DIR / "epsdim_spline_listed.json", "enumerate_threshold_set")]:
+        monkeypatch.setattr(tensorsplit.epsdim, "_members", recorded)
+        for config, graded in [(CONFIG_DIR / "epsdim_example.json", True),
+                               (GOLDEN_DIR / "epsdim_spline_listed.json", False)]:
             calls.clear()
             out = tmp_path / "eps.csv"
             assert run_cli("epsdim", config, out) == 0
             eps = min(json.loads(config.read_text())["eps"])
-            # the grouped walk takes the threshold eps**2
-            assert calls == [(walk, eps if walk == "enumerate_threshold_set" else eps * eps)]
+            assert calls == [(graded, eps * eps)]
             assert out.read_bytes() == (GOLDEN_DIR / config.name.replace(".json", ".out")).read_bytes()
 
 

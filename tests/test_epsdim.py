@@ -18,7 +18,7 @@ from tensorsplit.epsdim import (
     ProductDecay,
     SplineDims,
     _BoostTable,
-    _graded_groups,
+    _members,
     _walk,
     auto_certificate,
     enumerate_threshold_set,
@@ -695,7 +695,7 @@ class TestExactBoundary:
 
         def walk(eps2):
             if graded:
-                return set(_graded_groups(a, b, eps2, None, math.inf))
+                return set(_members(a, b, eps2, None, math.inf, graded=True))
             return set(_walk(a, b, eps2, mult, math.inf, graded=False))
 
         members = walk(eps * eps)
@@ -755,7 +755,7 @@ class TestBoundaryMembersKept:
         """eps**2 = 2**-n, passed as it is: for odd n no float eps squares to it."""
         a, b, eps2 = SplineWeights(DYADIC_GAMMAS[gamma], s=0.4, lam=lam), UnitWeights(), 2.0 ** -n
         expected = downward_search(a, b, eps2)
-        assert sum(group[2] for group in _graded_groups(a, b, eps2, None, math.inf)) == len(expected)
+        assert sum(group[2] for group in _members(a, b, eps2, None, math.inf, graded=True)) == len(expected)
         vector = _walk(a, b, eps2, auto_certificate(a, b).mult, math.inf, graded=False)
         assert {IndexVector._from_entries(key): c for key, _, _, c in vector} == expected
 
@@ -1115,7 +1115,7 @@ def assert_grouped_equals_vector(a, b, dims, eps, cap):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _graded_groups(a, b, eps * eps, None, mid)
+            _members(a, b, eps * eps, None, mid, graded=True)
             hi = mid
         except EnumerationCap:
             lo = mid
@@ -1183,8 +1183,8 @@ class TestGroupedWalk:
         b = UnitWeights() if scale_b is None else ScaledWeights(UnitWeights(), scale_b)
         eps2 = 2.0 ** -n
         certificate = ProductDecay(base.multiplier_seq(), base.level_decay(1))
-        walked = _graded_groups(a, b, eps2, certificate, math.inf)
-        assert sorted(walked) == sorted(_graded_groups(a, b, eps2, None, math.inf))
+        walked = _members(a, b, eps2, certificate, math.inf, graded=True)
+        assert sorted(walked) == sorted(_members(a, b, eps2, None, math.inf, graded=True))
 
     @pytest.mark.parametrize("name,a,b,eps", carried_pairs(), ids=lambda v: v if isinstance(v, str) else "")
     def test_route(self, monkeypatch, name, a, b, eps):
@@ -1192,18 +1192,17 @@ class TestGroupedWalk:
         anisotropic weights walk vectors.  Product weights cap every level
         at 1, so each of their groups is one index."""
         walks = []
-        for walk in ("enumerate_threshold_set", "_graded_groups"):
-            run = getattr(tensorsplit.epsdim, walk)
-            monkeypatch.setattr(tensorsplit.epsdim, walk,
-                                lambda *args, run=run, walk=walk, **kwargs: walks.append(walk) or run(*args, **kwargs))
+        run = tensorsplit.epsdim._members
+        monkeypatch.setattr(tensorsplit.epsdim, "_members",
+                            lambda *args, graded: walks.append(graded) or run(*args, graded=graded))
         res = eps_dimension(a, b, eps, SplineDims())
         counts = {count for _, _, count, _ in res.members}
         if name in GRADED:
-            assert walks == ["_graded_groups"] and max(counts) > 1
+            assert walks == [True] and max(counts) > 1
         elif name in PRODUCT:
-            assert walks == ["_graded_groups"] and counts == {1}
+            assert walks == [True] and counts == {1}
         else:
-            assert walks == ["enumerate_threshold_set"] and counts == {1}
+            assert walks == [False] and counts == {1}
         assert eps_dimension(a, b, eps, VectorDims(SplineDims())).n == res.n
 
     def test_finite_universe_on_graded_pair(self):
@@ -1254,6 +1253,56 @@ class TestGroupedWalk:
         assert len(children) > 1000 and len(ratios) == 1 + len(children)
 
 
+def level_vectors(coords, total):
+    """Every index on the support ``coords`` with levels >= 1 summing to ``total``."""
+    if not coords:
+        yield ZERO_INDEX
+        return
+    for cuts in itertools.combinations(range(1, total), len(coords) - 1):
+        yield IndexVector(zip(coords, (hi - lo for lo, hi in zip((0, *cuts), (*cuts, total)))))
+
+
+#: finite-support gammas, whose spline weights over unit take the support scan
+SUPPORT_GAMMAS = {
+    "product": ProductGamma(FiniteSeq([0.9, 0.5, 0.2])),
+    "table": TableGamma({S(): 1.0, S(1): 1.0, S(2): 0.5, S(1, 2): 0.25, S(3): 0.125, S(1, 2, 3): 0.5}),
+}
+
+
+class TestSupportScan:
+    """The support scan in both modes: the graded scan's groups, each
+    expanded into its level vectors, are the vector scan's members with
+    their ratios, and both modes count the same members against the cap."""
+
+    @pytest.mark.parametrize("gamma", SUPPORT_GAMMAS.values(), ids=SUPPORT_GAMMAS.keys())
+    @pytest.mark.parametrize("s,lam,eps2", [(0.5, 1.0, 2.0 ** -9), (0.4, 2.0, 2.0 ** -8), (1.0, 0.5, 1e-3)])
+    def test_groups_expand_to_the_vector_scan(self, gamma, s, lam, eps2):
+        a, b = SplineWeights(gamma, s=s, lam=lam), UnitWeights()
+        assert isinstance(auto_certificate(a, b), tensorsplit.epsdim.SupportDecay)
+        grouped = _members(a, b, eps2, None, math.inf, graded=True)
+        vector = {IndexVector._from_entries(key): c for key, _, _, c in _members(a, b, eps2, None, math.inf,
+                                                                                  graded=False)}
+        expanded = {}
+        for coords, total, count, c in grouped:
+            js = list(level_vectors(coords, total))
+            assert len(js) == count
+            expanded.update(dict.fromkeys(js, c))
+        assert len(expanded) == sum(group[2] for group in grouped) == len(vector)
+        assert expanded == vector
+        assert max(group[1] - len(group[0]) for group in grouped) > 1  # some groups deepen
+
+    @pytest.mark.parametrize("gamma", SUPPORT_GAMMAS.values(), ids=SUPPORT_GAMMAS.keys())
+    def test_same_caps(self, gamma):
+        """Both modes raise EnumerationCap exactly at the caps below the member count."""
+        a, b, eps2 = SplineWeights(gamma, s=0.5), UnitWeights(), 2.0 ** -7
+        size = len(_members(a, b, eps2, None, math.inf, graded=False))
+        for cap in range(size + 2):
+            for graded in (True, False):
+                run = lambda: sum(m[2] for m in _members(a, b, eps2, None, cap, graded=graded))
+                assert outcome(run) == (size if cap >= size else
+                                        (EnumerationCap, f"threshold set exceeds cap {cap}"))
+
+
 class TestChildrenBuilt:
     """The walk computes a child's ratio only where a bound says the child
     can pass its push test: an entered child below its scan's end, a
@@ -1269,7 +1318,7 @@ class TestChildrenBuilt:
         calls = []
         carried = a.carried
         monkeypatch.setattr(a, "carried", lambda *args: calls.append(args) or carried(*args))
-        groups = _graded_groups(a, UnitWeights(), 0.002 ** 2, None, math.inf)
+        groups = _members(a, UnitWeights(), 0.002 ** 2, None, math.inf, graded=True)
         assert len(calls) == len(groups) == 1132
         assert all(c >= 0.002 ** 2 for _, _, _, c in groups)
 
