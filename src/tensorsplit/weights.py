@@ -637,7 +637,8 @@ def orthogonalized_weight(
     """Inverse tail sum of inverse weights above ``j``.
 
     Converts redundant-splitting weights into the equivalent weights for the
-    orthogonal splitting.  Always bounded by the original weight at ``j``.
+    orthogonal splitting.  Always bounded by the original weight at ``j``,
+    which must be finite: an index whose weight reads inf is ``ConfigInvalid``.
     """
     oracle = oracle or model.tail_oracle()
     if oracle.total() == math.inf:
@@ -651,18 +652,20 @@ def orthogonalized_weight(
 
 
 def _check_set_weight(model: WeightModel, j: IndexVector):
-    """Refuse an index whose weight reads inf, a suppressed component,
-    because its set weight, a product of positive values, underflowed to 0."""
+    """Refuse an index whose weight reads inf, a suppressed component, whose
+    ratio to its orthogonalized weight inf would be nan.  A set weight, a
+    product of positive values, that underflowed to 0 has its own message."""
+    if model.weight(j) != math.inf:
+        return
     while isinstance(model, ScaledWeights):
         model = model.base
     gamma = getattr(model, "gamma", None)  # spline and anisotropic weights
     seq = model.gamma_seq if isinstance(model, ProductWeights) else getattr(gamma, "seq", None)
-    if seq is None or model.weight(j) != math.inf:
-        return
-    values = [seq.value(k) for k in j.support]
+    values = [] if seq is None else [seq.value(k) for k in j.support]
     if 0.0 not in values and math.prod(values) == 0.0:
         raise ConfigInvalid(f"the set weight of {list(j.support.coords)} "
                             "underflows the float range")
+    raise ConfigInvalid(f"the weight of index {dict(j.entries)} reads inf (a suppressed component)")
 
 
 @dataclass(frozen=True)

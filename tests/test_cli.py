@@ -963,25 +963,29 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [
             "error: ConfigInvalid: the set weight of [1, 2] underflows the float range"]
 
-    def test_transform_suppressed_component_kept(self, tmp_path, capsys):
-        """A coordinate value of 0 suppresses its components on purpose:
-        weight inf, still written, and no underflow error."""
+    def test_transform_suppressed_component_refused(self, tmp_path, capsys):
+        """A coordinate value of 0 suppresses its components: the weight
+        reads inf and so does the orthogonalized weight, whose ratio is nan.
+        Exit 2 naming the index, and no underflow error: no value underflowed."""
         path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         path.write_text(json.dumps({"a": {"type": "product", "gamma": {
             "kind": "finite", "values": [0.5, 0.0]}}, "indices": [{"1": 1}, {"2": 1}]}))
-        assert run_cli("transform", path, out) == 0
-        assert capsys.readouterr().err == ""
-        assert out.read_text().splitlines()[2].startswith('"{""2"":1}",inf,inf,')
+        assert run_cli("transform", path, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigInvalid: the weight of index {2: 1} reads inf (a suppressed component)"]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 18: transform writes a nan ratio for a component a zero coordinate value suppresses"))
-    def test_transform_suppressed_component_writes_no_nan(self, tmp_path, capsys):
-        """No nan in an exit-0 artifact: the config above either exits
-        nonzero with one ``error:`` line and no artifact, or writes no nan
-        cell (it writes ``inf,inf,nan`` for {2: 1})."""
+    @pytest.mark.parametrize("a", [
+        {"type": "product", "gamma": {"kind": "finite", "values": [0.5, 0.0]}},
+        {"type": "spline", "s": 1, "gamma": {"kind": "product", "seq": {"kind": "finite", "values": [0.5, 0.0]}}},
+    ], ids=["product", "spline"])
+    def test_transform_suppressed_component_writes_no_nan(self, tmp_path, capsys, a):
+        """No nan in an exit-0 artifact: the config above, and spline
+        weights with s 1 over the same gamma, either exit nonzero with one
+        ``error:`` line and no artifact, or write no nan cell (both wrote
+        ``inf,inf,nan`` for {2: 1})."""
         path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
-        path.write_text(json.dumps({"a": {"type": "product", "gamma": {
-            "kind": "finite", "values": [0.5, 0.0]}}, "indices": [{"1": 1}, {"2": 1}]}))
+        path.write_text(json.dumps({"a": a, "indices": [{"1": 1}, {"2": 1}]}))
         code, err = run_cli("transform", path, out), capsys.readouterr().err.splitlines()
         if code:
             assert len(err) == 1 and err[0].startswith("error: ") and not out.exists()
