@@ -160,6 +160,8 @@ class AnchoredKernel:
                     f"kernel scales must be finite and nonnegative, got {list(self.scales)}")
 
     def __call__(self, x: Sequence[float], y: Sequence[float]) -> float:
+        _check_points(len(x), self.dim)
+        _check_points(len(y), self.dim)
         v = 1.0
         for k in range(self.dim):
             v *= 1.0 + self.scales[k] * anchored_overlap(x[k], y[k], self.anchor)
@@ -198,7 +200,7 @@ class AnchoredKernel:
         0 and v = 1.0; its min with any value on either side is then 1.0,
         the factor the pointwise kernel gives.
         """
-        _check_points(X, self.dim)
+        _check_points(X.shape[1], self.dim)
         a = np.ascontiguousarray((X - self.anchor).T)
         s = np.array(self.scales)[:, None]
         pair = np.empty((self.dim, 2, len(X)))
@@ -313,10 +315,10 @@ class FittedModel:
     fitted: np.ndarray | None = None
 
 
-def _check_points(P: np.ndarray, dim: int) -> None:
-    """Refuse a point set whose points do not have exactly ``dim`` coordinates."""
-    if P.shape[1] != dim:
-        raise ConfigInvalid(f"points have {P.shape[1]} coordinates, the kernel {dim}")
+def _check_points(coords: int, dim: int) -> None:
+    """Refuse points with ``coords`` coordinates unless that is exactly ``dim``."""
+    if coords != dim:
+        raise ConfigInvalid(f"points have {coords} coordinates, the kernel {dim}")
 
 
 def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -325,7 +327,7 @@ def _kernel_matrix(kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Every point must have exactly ``kernel.dim`` coordinates.
     """
     for P in (X, Y):
-        _check_points(P, kernel.dim)
+        _check_points(P.shape[1], kernel.dim)
     return kernel.gram(X, Y)
 
 

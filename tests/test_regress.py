@@ -436,8 +436,7 @@ class TestPointDimension:
     @pytest.mark.parametrize("cols", [1, 3])
     @pytest.mark.parametrize("side", ["both", "rows", "columns"])
     def test_gram(self, cols, side):
-        """``gram`` itself refuses them; the pointwise kernel raises
-        IndexError on a point with too few coordinates."""
+        """``gram`` itself refuses them, as the pointwise kernel does."""
         k = AnchoredKernel(2, scales=[1.0, 1.0])
         good = np.full((4, 2), 0.9)
         bad = np.full((4, cols), 0.9)
@@ -447,6 +446,17 @@ class TestPointDimension:
         if side == "both":
             with pytest.raises(ConfigInvalid, match=f"points have {cols} coordinates"):
                 k.gram(X, X.copy())
+
+    @pytest.mark.parametrize("x,y", [([0.9, 0.9, 0.1], [0.8, 0.8, 0.9]), ([0.9], [0.8]), ([0.9, 0.9], [0.8])],
+                             ids=["3-3", "1-1", "2-1"])
+    def test_pointwise_kernel(self, x, y):
+        """The pointwise kernel refuses them with ``gram``'s message; it had
+        read the first ``dim`` coordinates of a longer point (1.69 on the
+        first pair) and raised IndexError on a shorter one."""
+        coords = len(x) if len(x) != 2 else len(y)
+        with pytest.raises(ConfigInvalid, match=f"^points have {coords} coordinates, the kernel 2$"):
+            AnchoredKernel(2)(x, y)
+        assert AnchoredKernel(2)([0.9, 0.9], [0.8, 0.8]) == 1.6900000000000002
 
     def test_fit_on_extra_column(self):
         X = np.random.default_rng(59).uniform(0, 1, (8, 4))
