@@ -992,6 +992,37 @@ class TestErrors:
         else:
             assert "nan" not in {cell for row in csv.reader(io.StringIO(out.read_text())) for cell in row}
 
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                       reason="1 - 2**(-2s) reads 0 in the spline tail sums")
+    @pytest.mark.parametrize("seq", [_POWER, {"kind": "finite", "values": [1.0]}],
+                             ids=["power", "finite"])
+    def test_transform_level_decay_rounding_to_one(self, tmp_path, capsys, seq):
+        """With s 1e-20, 2**(-2s) rounds to 1: the inverse weights of the
+        levels are not summable, so exit 5 with one line."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": {"type": "spline", "s": 1e-20, "gamma": {
+            "kind": "product", "seq": seq}}, "indices": [{}]}))
+        assert run_cli("transform", path, out) == 5
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NormDegenerate: inverse weights are not summable; "
+            "the redundant seminorm vanishes on 1"]
+
+    @pytest.mark.parametrize("entries,code", [
+        ([[[1], 0.5], [[2], 0.5], [[1, 2], 0.25]], 0),
+        ([[[1, 2], 0.5]], 2),
+    ], ids=["closed", "not-closed"])
+    def test_gamma_table_assert_monotone(self, tmp_path, capsys, entries, code):
+        """``assert_monotone`` refuses a gamma support that is not closed
+        under taking subsets with one line, and accepts one that is."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"function": _LINEAR | {"dim": 2}, "gamma": {
+            "kind": "table", "entries": entries, "assert_monotone": True}}))
+        assert run_cli("anova", path, out) == code
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ([] if code == 0 else [
+            "error: ConfigInvalid: gamma support is not closed under taking subsets"])
+
     @pytest.mark.parametrize("kind", ["spline", "aniso"])
     def test_epsdim_dyadic_overflow_rejected(self, tmp_path, capsys, kind):
         """eps**2 = 1e-320 admits weights past the float range, so a weight

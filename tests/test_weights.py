@@ -240,6 +240,40 @@ class TestSplineOracleAgainstBruteForce:
         assert worst == pytest.approx(bound.c_squared, rel=1e-10)
 
 
+class TestTailBranches:
+    """Tail sums on branches the other tests never reach, pinned bit for bit."""
+
+    def test_unit_tail_diverges(self):
+        oracle = UnitWeights().tail_oracle()
+        assert oracle.tail(IndexVector({1: 1})) == oracle.total() == math.inf
+
+    def test_product_tail_at_zero_gamma_and_level_two(self):
+        oracle = ProductWeights(FiniteSeq([0.5, 0.0, 0.25])).tail_oracle()
+        assert oracle.total() == 1.875  # (1 + 0.5) * (1 + 0.25)
+        assert oracle.tail(IndexVector({2: 1})) == 0.0  # a suppressed coordinate
+        assert oracle.tail(IndexVector({1: 2})) == 0.0  # outside the {0,1} universe
+        assert oracle.tail(IndexVector({1: 1, 3: 2})) == 0.0
+
+    def test_spline_total_with_unsummable_multipliers(self):
+        # t_k = k**-0.5 / 3 is not summable, so prod (1 + t_k) diverges
+        oracle = SplineWeights(ProductGamma(PowerSeq(1.0, 0.5)), s=1.0).tail_oracle()
+        assert oracle.total() == oracle.tail(IndexVector({1: 1})) == math.inf
+
+    def test_spline_tail_at_underflowing_gamma(self):
+        oracle = SplineWeights(ProductGamma(GeometricSeq(1e-300, 0.5)), s=1.0).tail_oracle()
+        assert oracle.tail(IndexVector({100: 1})) == 0.0  # gamma_100 = 1e-300 * 2**-99 reads 0
+        assert oracle.tail(IndexVector({1: 1})) == float.fromhex("0x1.c92d503f699ccp-1000")
+        assert oracle.total() == 1.0
+
+    def test_spline_tail_with_affine_lam(self):
+        """1 / lam_k is bounded by the constant 1 / (a + b) in the entry
+        multipliers, and the affine route sums log(1 + t_k) directly."""
+        affine = {"kind": "affine", "a": 1.0, "b": 0.5}
+        oracle = SplineWeights(ProductGamma(GeometricSeq(1.0, 0.5)), s=1.0, lam=affine).tail_oracle()
+        assert oracle.total() == float.fromhex("0x1.30f2adb00ff53p+0")
+        assert oracle.tail(IndexVector({2: 1})) == float.fromhex("0x1.8655593347a04p-5")
+
+
 class TestConditionBound:
     def test_geometric_bound_is_two(self):
         m = geometric_single_coordinate(0.5)
