@@ -35,11 +35,11 @@ from .sequences import ConstantSeq, CoordSeq, ProductOfSeqs, seq_ratio
 from .weights import (
     AnisotropicWeights,
     ProductWeights,
-    ScaledWeights,
     SplineWeights,
     TableWeights,
     UnitWeights,
     WeightModel,
+    _strip_scale,
     carried_ratio,
     exp2,
     ratio,
@@ -365,13 +365,6 @@ def auto_certificate(a: WeightModel, b: WeightModel):
     raise TailUnavailable(
         f"no automatic decay certificate for ({type(a).__name__}, {type(b).__name__})"
     )
-
-
-def _strip_scale(m: WeightModel) -> WeightModel:
-    """The base model under any ScaledWeights wrappers."""
-    while isinstance(m, ScaledWeights):
-        m = m.base
-    return m
 
 
 def _inverse_growth_seq(model: WeightModel) -> CoordSeq:

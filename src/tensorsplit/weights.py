@@ -13,10 +13,12 @@ component that no admissible function may carry.  The variants:
 * ``UnitWeights``         a_j = 1 everywhere (the plain L2 target);
 * ``ScaledWeights``       a constant multiple of another model.
 
-Product and spline models ship closed-form tail oracles (geometric series
-per coordinate, products across coordinates), so the infinite sums behind
-the orthogonalizing transform and the condition bounds come with
-convergence evidence instead of hope.
+Product, spline, table and unit models are their own tail oracles
+(``TailOracle``): ``tail(j)`` sums the inverse weights above j, in closed
+form for product and spline models (geometric series per coordinate,
+products across coordinates), so the infinite sums behind the
+orthogonalizing transform and the condition bounds come with convergence
+evidence instead of hope.  A scaled model's oracle rescales its base's.
 
 Every model also carries its weights down the index tree for the
 threshold-set walks (``state``, ``enter``, ``deepen`` and ``carried``; see
@@ -186,7 +188,11 @@ class CoordParam:
 
 
 class TailOracle:
-    """Sums of inverse weights over upward-closed slices of the index set."""
+    """Sums of inverse weights over upward-closed slices of the index set.
+
+    A weight model that sums its own tails lists this class first among its
+    bases, so its ``tail_oracle`` is the model itself.
+    """
 
     def total(self) -> float:
         """Sum of 1/a_j over the whole support (``inf`` when divergent)."""
@@ -195,6 +201,9 @@ class TailOracle:
     def tail(self, j: IndexVector) -> float:
         """Sum of 1/a_i over all supported i >= j."""
         raise NotImplementedError
+
+    def tail_oracle(self) -> "TailOracle":
+        return self
 
 
 class WeightModel:
@@ -238,8 +247,9 @@ class WeightModel:
         raise OracleUnavailable(f"{type(self).__name__} has no tail-sum oracle")
 
 
-class UnitWeights(WeightModel):
-    """a_j = 1 for every index; the support is all of the index universe."""
+class UnitWeights(TailOracle, WeightModel):
+    """a_j = 1 for every index; the support is all of the index universe,
+    so every tail sum diverges."""
 
     uniform = 1.0
 
@@ -249,11 +259,6 @@ class UnitWeights(WeightModel):
     def carried(self, state, key) -> float:
         return 1.0
 
-    def tail_oracle(self) -> TailOracle:
-        return _DivergentOracle()
-
-
-class _DivergentOracle(TailOracle):
     def tail(self, j) -> float:
         return math.inf
 
@@ -288,6 +293,13 @@ class ScaledWeights(WeightModel):
         return _ScaledOracle(self.base.tail_oracle(), self.factor)
 
 
+def _strip_scale(m: WeightModel) -> WeightModel:
+    """The base model under any ScaledWeights wrappers."""
+    while isinstance(m, ScaledWeights):
+        m = m.base
+    return m
+
+
 class _ScaledOracle(TailOracle):
     def __init__(self, base: TailOracle, factor: float):
         self.base = base
@@ -301,7 +313,7 @@ class _ScaledOracle(TailOracle):
         return scaled
 
 
-class ProductWeights(WeightModel):
+class ProductWeights(TailOracle, WeightModel):
     """Support-only weights over {0,1} levels.
 
     The weight of an index with support omega is the inverse of the product
@@ -309,7 +321,8 @@ class ProductWeights(WeightModel):
     outside the universe and evaluate to 0.  A vanishing coordinate value
     sends the weight to infinity (the component is suppressed entirely).
     The carried state is (gamma product, total level), the product taken
-    over a table of the coordinate values.
+    over a table of the coordinate values.  A tail sum is the product of
+    1 + gamma_k over the coordinates off the support, times the set weight.
     """
 
     max_level = 1
@@ -345,17 +358,9 @@ class ProductWeights(WeightModel):
             return 0.0
         return math.inf if gw == 0.0 else 1.0 / gw
 
-    def tail_oracle(self) -> TailOracle:
-        return _ProductOracle(self.gamma_seq)
-
-
-class _ProductOracle(TailOracle):
-    def __init__(self, seq: CoordSeq):
-        self.seq = seq
-
     @cached_property
     def _log_total(self) -> float:
-        return self.seq.log1p_sum()
+        return self.gamma_seq.log1p_sum()
 
     def tail(self, j: IndexVector) -> float:
         gw = 1.0
@@ -363,7 +368,7 @@ class _ProductOracle(TailOracle):
         for k, jk in j.entries:
             if jk > 1:
                 return 0.0
-            v = self.seq.value(k)
+            v = self.gamma_seq.value(k)
             if v == 0.0:
                 return 0.0
             gw *= v
@@ -374,7 +379,7 @@ class _ProductOracle(TailOracle):
         return _exp_tail(gw, lt - correction)
 
 
-class SplineWeights(WeightModel):
+class SplineWeights(TailOracle, WeightModel):
     """Dyadic mixed-smoothness weights with set-dependent scaling.
 
     The carried state is (gamma value, lam product, total level).  The
@@ -387,6 +392,12 @@ class SplineWeights(WeightModel):
     coordinate and, with constant smoothness, of the dyadic factor by total
     level, so ``weight`` and the walks multiply the same floats in the same
     order.
+
+    Tail sums over an enumerable gamma support are finite sums of per-set
+    geometric products.  Over a product gamma on infinitely many coordinates
+    the total is the convergent product of (1 + t_k) with
+    t_k = gamma_k * lam_k^-1 * rho_k / (1 - rho_k), evaluated with a
+    certified remainder.
     """
 
     def __init__(self, gamma: GammaModel, s, lam=1.0):
@@ -450,12 +461,12 @@ class SplineWeights(WeightModel):
         """t_k = gamma_k * lam_k^-1 * rho_k / (1 - rho_k) with rho_k = 2**(-2 s_k):
         the inverse-weight multiplier of coordinate k entering, summed over levels >= 1."""
         rho = self.level_decay(k)
-        return _product_coord_value(self.gamma, k) * rho / ((1.0 - rho) * self.lam.value(k))
+        return _level_sum(_product_coord_value(self.gamma, k) * rho, rho, self.lam.value(k))
 
     def geometric_tail(self, k: int, level: int) -> float:
         """Sum over levels >= level of lam_k^-1 * 2**(-2 s_k l)."""
         rho = self.level_decay(k)
-        return rho**level / ((1.0 - rho) * self.lam.value(k))
+        return _level_sum(rho**level, rho, self.lam.value(k))
 
     def multiplier_seq(self) -> CoordSeq:
         """Certified upper bound on gamma_k * lam_k^-1 * 2**(-2 s_k), the
@@ -466,70 +477,45 @@ class SplineWeights(WeightModel):
             [self.gamma.seq, self.lam.inv_seq(), self.s.dyadic_decay_seq()]
         )
 
-    def tail_oracle(self) -> TailOracle:
-        return _SplineOracle(self)
-
-
-def _product_coord_value(gamma: GammaModel, k: int) -> float:
-    if isinstance(gamma, ProductGamma):
-        return gamma.seq.value(k)
-    raise TailUnavailable("per-coordinate gamma value needs a product model")
-
-
-class _SplineOracle(TailOracle):
-    """Closed-form inverse-weight sums for spline models.
-
-    For enumerable gamma supports the sums are finite sums of per-set
-    geometric products.  For product gamma over infinitely many coordinates
-    the total is the convergent product of (1 + t_k) with
-    t_k = gamma_k * lam_k^-1 * rho_k / (1 - rho_k), evaluated with a
-    certified remainder.
-    """
-
-    def __init__(self, model: SplineWeights):
-        self.model = model
-        self._enumerable = model.gamma.is_finite_support or not isinstance(
-            model.gamma, ProductGamma
-        )
+    @cached_property
+    def _enumerable(self) -> bool:
+        return self.gamma.is_finite_support or not isinstance(self.gamma, ProductGamma)
 
     @cached_property
     def _log_total(self) -> float:
         """log prod_k (1 + t_k), for product gamma over infinitely many coordinates."""
-        m = self.model
-        mult = m.multiplier_seq()
+        mult = self.multiplier_seq()
         if mult.sum() == math.inf:
             return math.inf
-        if m.s.affine is None and m.lam.affine is None:
+        if self.s.affine is None and self.lam.affine is None:
             # beyond the listed heads both parameters are constant, so the
             # entry terms are an exactly scaled copy of the gamma sequence
-            rho = exp2(-2.0 * m.s.const)
-            u_tail = rho / ((1.0 - rho) * m.lam.const)
-            base = m.gamma.seq.scaled(u_tail)
-            total = base.log1p_sum()
-            if total == math.inf:
+            rho = exp2(-2.0 * self.s.const)
+            if rho == 1.0:  # every coordinate past the heads has divergent levels
                 return math.inf
-            head_len = max(len(m.s.head), len(m.lam.head))
+            base = self.gamma.seq.scaled(rho / ((1.0 - rho) * self.lam.const))
+            total = base.log1p_sum()
+            head_len = max(len(self.s.head), len(self.lam.head))
             for k in range(1, head_len + 1):
-                total += math.log1p(m.entry_sum(k)) - math.log1p(base.value(k))
+                total += math.log1p(self.entry_sum(k)) - math.log1p(base.value(k))
             return total
         # affine smoothness: the terms decay geometrically, sum directly
-        rho_seq = m.s.dyadic_decay_seq()
-        return _certified_sum(lambda k: math.log1p(m.entry_sum(k)),
-                              lambda k: mult.tail_sum(k) / (1.0 - rho_seq.tail_sup(k)))
+        rho_seq = self.s.dyadic_decay_seq()
+        return _certified_sum(lambda k: math.log1p(self.entry_sum(k)),
+                              lambda k: _level_sum(mult.tail_sum(k), rho_seq.tail_sup(k), 1.0))
 
     def tail(self, j: IndexVector) -> float:
-        m = self.model
         sigma = j.support
         if self._enumerable:
             pieces = []
-            for omega in m.gamma.iter_support():
+            for omega in self.gamma.iter_support():
                 if not omega.issuperset(sigma):
                     continue
-                term = m.gamma.value(omega)
+                term = self.gamma.value(omega)
                 for k, jk in j.entries:
-                    term *= m.geometric_tail(k, jk)
+                    term *= self.geometric_tail(k, jk)
                 for k in omega.minus(sigma):
-                    term *= m.geometric_tail(k, 1)
+                    term *= self.geometric_tail(k, 1)
                 pieces.append(term)
             return math.fsum(pieces)
         lt = self._log_total
@@ -538,12 +524,26 @@ class _SplineOracle(TailOracle):
         head = 1.0
         correction = 0.0
         for k, jk in j.entries:
-            gk = _product_coord_value(m.gamma, k)
+            gk = _product_coord_value(self.gamma, k)
             if gk == 0.0:
                 return 0.0
-            head *= gk * m.geometric_tail(k, jk)
-            correction += math.log1p(m.entry_sum(k))
+            head *= gk * self.geometric_tail(k, jk)
+            correction += math.log1p(self.entry_sum(k))
         return _exp_tail(head, lt - correction)
+
+
+def _product_coord_value(gamma: GammaModel, k: int) -> float:
+    if isinstance(gamma, ProductGamma):
+        return gamma.seq.value(k)
+    raise TailUnavailable("per-coordinate gamma value needs a product model")
+
+
+def _level_sum(num: float, rho: float, lam: float) -> float:
+    """num / ((1 - rho) * lam): num / lam times the sum of rho**l over l >= 0.
+    A rho that rounds to 1 makes that sum diverge."""
+    if rho == 1.0:
+        return math.inf if num else 0.0
+    return num / ((1.0 - rho) * lam)
 
 
 class AnisotropicWeights(WeightModel):
@@ -565,7 +565,7 @@ class AnisotropicWeights(WeightModel):
         return acc / gv
 
 
-class TableWeights(WeightModel):
+class TableWeights(TailOracle, WeightModel):
     """Explicit finite table; absent entries evaluate to 0 (dropped)."""
 
     def __init__(self, entries: dict[IndexVector, float], assert_monotone: bool = False):
@@ -592,18 +592,10 @@ class TableWeights(WeightModel):
     def support(self):
         return sorted(self.entries, key=IndexVector.canonical_key)
 
-    def tail_oracle(self) -> TailOracle:
-        return _TableOracle(self)
-
-
-class _TableOracle(TailOracle):
-    def __init__(self, model: TableWeights):
-        self.model = model
-
     def tail(self, j: IndexVector) -> float:
         # the weights are positive and finite: an inf is past the float range
         try:
-            t = math.fsum(1.0 / v for i, v in self.model.entries.items() if j <= i)
+            t = math.fsum(1.0 / v for i, v in self.entries.items() if j <= i)
         except OverflowError:  # finite inverses whose sum overflows
             raise ConfigInvalid(_TAIL_OVERFLOW) from None
         if t == math.inf:
@@ -657,8 +649,7 @@ def _check_set_weight(model: WeightModel, j: IndexVector):
     product of positive values, that underflowed to 0 has its own message."""
     if model.weight(j) != math.inf:
         return
-    while isinstance(model, ScaledWeights):
-        model = model.base
+    model = _strip_scale(model)
     gamma = getattr(model, "gamma", None)  # spline and anisotropic weights
     seq = model.gamma_seq if isinstance(model, ProductWeights) else getattr(gamma, "seq", None)
     values = [] if seq is None else [seq.value(k) for k in j.support]

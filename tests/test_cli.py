@@ -992,8 +992,6 @@ class TestErrors:
         else:
             assert "nan" not in {cell for row in csv.reader(io.StringIO(out.read_text())) for cell in row}
 
-    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
-                       reason="1 - 2**(-2s) reads 0 in the spline tail sums")
     @pytest.mark.parametrize("seq", [_POWER, {"kind": "finite", "values": [1.0]}],
                              ids=["power", "finite"])
     def test_transform_level_decay_rounding_to_one(self, tmp_path, capsys, seq):
