@@ -19,7 +19,7 @@ from .quadrature import gauss_legendre, integrate_1d
 
 __all__ = ["UnivariateFactor", "SeparableFunction", "Term", "function_from_json"]
 
-#: Gauss-Legendre points for means and inner products of non-polynomial factors
+#: Gauss-Legendre points for inner products of non-polynomial factors
 DEFAULT_MEAN_ORDER = 32
 #: largest monomial power a function spec may ask for; each power is one
 #: stored coefficient, evaluated at every point
@@ -35,7 +35,7 @@ class UnivariateFactor:
         self,
         value: Callable[[float], float],
         deriv: Callable[[float], float],
-        mean: float | None = None,
+        mean: float,
         degree: int | None = None,
         label: str = "factor",
     ):
@@ -43,10 +43,7 @@ class UnivariateFactor:
         self.deriv = deriv
         self.degree = degree
         self.label = label
-        if mean is None:
-            self.mean = integrate_1d(value, gauss_legendre(DEFAULT_MEAN_ORDER))
-        else:
-            self.mean = float(mean)
+        self.mean = float(mean)
 
     def __repr__(self):
         return f"UnivariateFactor({self.label})"
@@ -198,16 +195,6 @@ class SeparableFunction:
         if len(x) < self.dim:
             raise ConfigInvalid(f"point has {len(x)} coordinates, need {self.dim}")
         return math.fsum(t.value(x) for t in self.terms)
-
-    def __add__(self, other: "SeparableFunction") -> "SeparableFunction":
-        if other.dim != self.dim:
-            raise ConfigInvalid("dimensions differ")
-        return SeparableFunction(self.dim, self.terms + other.terms)
-
-    def scaled(self, c: float) -> "SeparableFunction":
-        return SeparableFunction(
-            self.dim, [Term(c * t.coef, dict(t.factors)) for t in self.terms]
-        )
 
     @classmethod
     def constant(cls, dim: int, c: float) -> "SeparableFunction":

@@ -72,11 +72,6 @@ class SupportSet:
     def __repr__(self) -> str:
         return f"SupportSet({list(self.coords)})"
 
-    @property
-    def max_coord(self) -> int:
-        """Largest active coordinate, 0 for the empty set."""
-        return self.coords[-1] if self.coords else 0
-
     def add(self, k: int) -> "SupportSet":
         return SupportSet(self.coords + (k,))
 
@@ -142,11 +137,6 @@ class IndexVector:
         raise AttributeError("IndexVector is immutable")
 
     @classmethod
-    def of(cls, **levels: int) -> "IndexVector":
-        """Build from keyword coordinates, e.g. ``IndexVector.of(k1=2, k3=1)``."""
-        return cls({int(name.lstrip("k")): j for name, j in levels.items()})
-
-    @classmethod
     def _from_entries(cls, entries: tuple[tuple[int, int], ...]) -> "IndexVector":
         """Trusted constructor: ``entries`` is already canonical, a tuple of
         (coordinate, level) int pairs with increasing coordinates >= 1 and
@@ -195,9 +185,6 @@ class IndexVector:
 
     def __le__(self, other: "IndexVector") -> bool:
         return componentwise_leq(self, other)
-
-    def __lt__(self, other: "IndexVector") -> bool:
-        return self != other and componentwise_leq(self, other)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}:{j}" for k, j in self.entries)

@@ -31,10 +31,6 @@ class QuadratureRule:
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
-
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadratureRule:

@@ -188,11 +188,8 @@ class CoordParam:
 
 
 class TailOracle:
-    """Sums of inverse weights over upward-closed slices of the index set.
-
-    A weight model that sums its own tails lists this class first among its
-    bases, so its ``tail_oracle`` is the model itself.
-    """
+    """Sums of inverse weights over upward-closed slices of the index set;
+    a weight model listing this class first among its bases is its own oracle."""
 
     def total(self) -> float:
         """Sum of 1/a_j over the whole support (``inf`` when divergent)."""
@@ -629,8 +626,10 @@ def orthogonalized_weight(
     """Inverse tail sum of inverse weights above ``j``.
 
     Converts redundant-splitting weights into the equivalent weights for the
-    orthogonal splitting.  Always bounded by the original weight at ``j``,
-    which must be finite: an index whose weight reads inf is ``ConfigInvalid``.
+    orthogonal splitting.  At ``j`` of positive weight it is at most that
+    weight.  A weight of 0 encodes a dropped subspace (the paper's a_j = inf),
+    which the tail sums skip.  The weight at ``j`` must be finite: an index
+    whose weight reads inf is ``ConfigInvalid``.
     """
     oracle = oracle or model.tail_oracle()
     if oracle.total() == math.inf:
