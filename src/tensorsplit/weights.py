@@ -199,7 +199,7 @@ class TailOracle:
         """Sum of 1/a_i over all supported i >= j."""
         raise NotImplementedError
 
-    def tail_oracle(self) -> "TailOracle":
+    def tail_oracle(self) -> TailOracle:
         return self
 
 
@@ -319,7 +319,7 @@ class ProductWeights(TailOracle, WeightModel):
     sends the weight to infinity (the component is suppressed entirely).
     The carried state is (gamma product, total level), the product taken
     over a table of the coordinate values.  A tail sum is the product of
-    1 + gamma_k over the coordinates off the support, times the set weight.
+    1 + gamma_k over the coordinates off the support, times 1/a_j.
     """
 
     max_level = 1
