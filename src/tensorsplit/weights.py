@@ -488,10 +488,10 @@ class SplineWeights(TailOracle, WeightModel):
             # beyond the listed heads both parameters are constant, so the
             # entry terms are an exactly scaled copy of the gamma sequence
             rho = exp2(-2.0 * self.s.const)
-            if rho == 1.0:  # every coordinate past the heads has divergent levels
-                return math.inf
-            base = self.gamma.seq.scaled(rho / ((1.0 - rho) * self.lam.const))
+            base = self.gamma.seq.scaled(_level_sum(rho, rho, self.lam.const))
             total = base.log1p_sum()
+            if total == math.inf:  # rho rounds to 1, or the scale overflows
+                return math.inf
             head_len = max(len(self.s.head), len(self.lam.head))
             for k in range(1, head_len + 1):
                 total += math.log1p(self.entry_sum(k)) - math.log1p(base.value(k))

@@ -1006,6 +1006,20 @@ class TestErrors:
             "error: NormDegenerate: inverse weights are not summable; "
             "the redundant seminorm vanishes on 1"]
 
+    def test_transform_level_sum_scale_overflowing(self, tmp_path, capsys):
+        """With lam 1e-300 and s 1e-10, rho / ((1 - rho) * lam) overflows
+        to inf although the multipliers sum to a finite 1.6e300: the
+        inverse weights are not summable, so exit 5 with one line, not a
+        ``{},1,nan,nan`` row."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": {"type": "spline", "s": 1e-10, "lam": [1e-300], "gamma": {
+            "kind": "product", "seq": _POWER}}, "indices": [{}]}))
+        assert run_cli("transform", path, out) == 5
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NormDegenerate: inverse weights are not summable; "
+            "the redundant seminorm vanishes on 1"]
+
     @pytest.mark.parametrize("entries,code", [
         ([[[1], 0.5], [[2], 0.5], [[1, 2], 0.25]], 0),
         ([[[1, 2], 0.5]], 2),
