@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,11 +124,13 @@ def _write_json(path: str, report: dict):
 
 def _unique_keys(pairs) -> dict:
     """``object_pairs_hook`` that refuses a repeated key instead of keeping the last."""
-    obj = {}
-    for k, v in pairs:
-        if k in obj:
-            raise ConfigInvalid(f"config repeats the key {k!r}")
-        obj[k] = v
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # name the first key that repeats
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise ConfigInvalid(f"config repeats the key {k!r}")
+            seen.add(k)
     return obj
 
 
@@ -368,13 +370,13 @@ def _load_samples(spec, config_dir: Path):
         if not path.is_absolute():
             path = config_dir / path
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
                 header = next(csv.reader(fh))
-                body = fh.read()
-            # loadtxt warns on a body without rows; that is zero samples
-            data = (np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None,
-                               quotechar='"')
-                    if body.strip() else np.empty((0, len(header))))
+                # loadtxt warns on a body without rows; that is zero samples
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+            if not data.size:
+                data = np.empty((0, len(header)))
             if data.shape[1] != len(header):
                 raise ValueError(f"every row needs {len(header)} values")
         except (OSError, StopIteration, ValueError) as exc:

@@ -17,15 +17,16 @@ truncation bounds downstream.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigInvalid, NormInfinite
 from .functions import SeparableFunction, Term, deriv_inner
 from .gammas import GammaModel, ProductGamma
-from .indexing import EMPTY_SUPPORT, SupportSet
+from .indexing import SupportSet
 from .quadrature import QuadratureRule, gauss_legendre, integrate_piecewise
 
 __all__ = [
@@ -133,24 +134,42 @@ def mean_representation(factor, x: float, rule: QuadratureRule | None = None) ->
 # decomposition terms
 
 
-@dataclass(frozen=True)
 class DecompositionTerm:
     """One component of a decomposition, with its active set and energy.
 
     ``mixed_norm_sq`` is the squared L2 norm of the component's mixed first
     derivative in the active directions; for the empty set it is the square
-    of the constant component.
+    of the constant component.  ``func`` is the component itself: a
+    ``SeparableFunction``, or a function of no arguments that builds it on
+    first use, as ``decompose`` gives it, so that energies cost no function.
     """
 
-    omega: SupportSet
-    func: SeparableFunction
-    mixed_norm_sq: float
+    __slots__ = ("omega", "_func", "mixed_norm_sq")
+
+    def __init__(self, omega: SupportSet, func, mixed_norm_sq: float):
+        self.omega, self._func, self.mixed_norm_sq = omega, func, mixed_norm_sq
+
+    @property
+    def func(self) -> SeparableFunction:
+        if not isinstance(self._func, SeparableFunction):
+            self._func = self._func()
+        return self._func
 
 
 def _live_mask(t: Term) -> int:
-    """The coordinates where the term is not constant, as a bitmask (bit k
-    for coordinate k)."""
-    return sum(1 << k for k, g in t.factors.items() if g.degree != 0)
+    """The coordinates where the term is not constant, as a bitmask
+    (coordinate k is bit k - 1)."""
+    return sum(1 << (k - 1) for k, g in t.factors.items() if g.degree != 0)
+
+
+def _submasks(bits: int):
+    """Every submask of ``bits``, from ``bits`` itself down to 0."""
+    sub = bits
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & bits
 
 
 def _projected_terms(f: SeparableFunction, mode: str, anchor: float) -> list[tuple]:
@@ -214,28 +233,29 @@ def table_pair_pieces(coefs: Sequence[float], columns) -> list[float]:
     return pieces
 
 
-def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
-    """A function of omega giving the component with active set omega, for
-    omega inside ``coords``.
+def _energy_builder(terms: list[tuple], coords):
+    """A function of a component's coordinates and bitmask, inside
+    ``coords``, giving its energy and the ``(coefficient, projected
+    factors)`` of each of ``terms`` that it keeps.
 
     Per term and coordinate, c projects the factor g onto constants: its
     mean (ANOVA) or its value at the anchor.  In every product term an
     active factor g becomes g - c and an inactive one multiplies the
     coefficient by c; a term that is constant in an active coordinate
-    vanishes, so omega is built from the terms whose live mask holds it.
-    Terms of coefficient 0 take no part.  ``deriv_inner`` of the shifted
+    vanishes, so a component keeps the terms whose live mask holds its own
+    and whose coefficient is then not 0.  ``deriv_inner`` of the shifted
     factors is taken once per unordered pair of terms and coordinate of
-    ``coords``, and every component's energy is read from those tables.  A
-    1-D integral or an energy whose sum overflows the float range is
-    ``ConfigInvalid`` naming the coordinate or the component; an ``inf``
-    that no sum trips over is returned as it is.
+    ``coords``, and every energy is read from those tables.  A 1-D integral
+    or an energy whose sum overflows the float range is ``ConfigInvalid``
+    naming the coordinate or the component; an ``inf`` that no sum trips
+    over is returned as it is.
     """
-    terms = _projected_terms(f, mode, anchor)
     tables = {}
     for k in coords:
         # entries of terms that are constant at k are never read
         table = tables[k] = [[0.0] * len(terms) for _ in terms]
-        rows = [(r, factors[k][1]) for r, (_, factors, bits) in enumerate(terms) if bits >> k & 1]
+        rows = [(r, factors[k][1]) for r, (_, factors, bits) in enumerate(terms)
+                if bits >> (k - 1) & 1]
         try:
             for i, (r, g) in enumerate(rows):
                 for s, h in rows[i:]:
@@ -245,31 +265,45 @@ def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
                 f"a derivative inner product at coordinate {k} overflows the float range"
             ) from exc
 
-    def component(omega: SupportSet) -> DecompositionTerm:
-        active = omega.coords
-        mask = sum(1 << k for k in active)
+    def energy(active: tuple, mask: int) -> tuple[float, list]:
         rows, coefs, kept = [], [], []
         for r, (coef, factors, bits) in enumerate(terms):
             if mask & ~bits:
                 continue
             for k, (c, _) in factors.items():
-                if not mask >> k & 1:
+                if not mask >> (k - 1) & 1:
                     coef *= c
             if coef != 0.0:
                 rows.append(r)
                 coefs.append(coef)
-                kept.append(Term(coef, {k: factors[k][1] for k in active}))
+                kept.append((coef, factors))
         try:
             if not coefs:
-                energy = 0.0
-            elif active:
-                energy = math.fsum(table_pair_pieces(coefs, [(tables[k], rows) for k in active]))
-            else:
-                energy = math.fsum(coefs) ** 2
+                return 0.0, kept
+            if active:
+                return math.fsum(table_pair_pieces(coefs, [(tables[k], rows) for k in active])), kept
+            return math.fsum(coefs) ** 2, kept
         except (OverflowError, ValueError) as exc:  # ** or fsum past the float range
-            raise ConfigInvalid(
-                f"the energy of component {omega!r} overflows the float range") from exc
-        return DecompositionTerm(omega, SeparableFunction(f.dim, kept), energy)
+            raise ConfigInvalid(f"the energy of component SupportSet({list(active)}) "
+                                "overflows the float range") from exc
+
+    return energy
+
+
+def _component_function(dim: int, active: tuple, kept: list) -> SeparableFunction:
+    """The component with coordinates ``active`` from the terms it keeps."""
+    return SeparableFunction(dim, [Term(coef, {k: factors[k][1] for k in active})
+                                   for coef, factors in kept])
+
+
+def _component_builder(f: SeparableFunction, mode: str, anchor: float, coords):
+    """A function of omega giving the component with active set omega, for
+    omega inside ``coords``, by ``_energy_builder``."""
+    energy = _energy_builder(_projected_terms(f, mode, anchor), coords)
+
+    def component(omega: SupportSet) -> DecompositionTerm:
+        e, kept = energy(omega.coords, sum(1 << (k - 1) for k in omega))
+        return DecompositionTerm(omega, _component_function(f.dim, omega.coords, kept), e)
 
     return component
 
@@ -284,49 +318,61 @@ def _check_decomposable(f: SeparableFunction, mode: str):
             f"{MAX_DECOMP_DIM}")
 
 
+def _components(f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR) -> list[tuple]:
+    """The energy pass: ``(omega, energy, kept, mask)`` of each component
+    some term of f can reach (its set lies inside the term's live mask), in
+    canonical set order, with ``kept`` as ``_energy_builder`` gives it and
+    ``mask`` the set's bitmask.  A dimension above ``MAX_DECOMP_DIM`` is
+    rejected with ``ConfigInvalid``."""
+    _check_decomposable(f, mode)
+    terms = _projected_terms(f, mode, anchor)
+    reach = {0, *(sub for bits in {bits for _, _, bits in terms} for sub in _submasks(bits))}
+    union = functools.reduce(operator.or_, reach)
+    coords = [k for k in range(1, f.dim + 1) if union >> (k - 1) & 1]
+    energy = _energy_builder(terms, coords)
+    order = sorted((m.bit_count(), tuple(k for k in coords if m >> (k - 1) & 1), m) for m in reach)
+    return [(SupportSet._from_coords(active), *energy(active, mask), mask) for _, active, mask in order]
+
+
 def decompose(
     f: SeparableFunction, mode: str, anchor: float = DEFAULT_ANCHOR
 ) -> list[DecompositionTerm]:
-    """The components some term of f can reach, in canonical set order.
-
-    The component with active set omega is zero unless omega lies inside
-    the live mask of some term, so only the subsets of the terms' live
-    masks, and always the empty set, are built and listed.  Every other
-    component is zero: energy 0.0 and a function without terms.  A
-    dimension above ``MAX_DECOMP_DIM`` is rejected with ``ConfigInvalid``.
+    """The components some term of f can reach, in canonical set order: the
+    energy pass ``_components``, with each component's function built on
+    first use.  Every other component is zero: energy 0.0 and a function
+    without terms.  A dimension above ``MAX_DECOMP_DIM`` is rejected with
+    ``ConfigInvalid``.
     """
-    _check_decomposable(f, mode)
-    masks = {_live_mask(t) for t in f.terms if t.coef != 0.0}
-    reach = {EMPTY_SUPPORT}
-    for bits in masks:
-        if any(bits != other and bits & other == bits for other in masks):
-            continue  # its subsets are those of a larger mask
-        reach.update(SupportSet(k for k in range(1, f.dim + 1) if bits >> k & 1).subsets())
-    component = _component_builder(f, mode, anchor, sorted({k for omega in reach for k in omega}))
-    return [component(omega) for omega in sorted(reach, key=SupportSet.canonical_key)]
+    return [DecompositionTerm(omega, functools.partial(_component_function, f.dim, omega.coords, kept), e)
+            for omega, e, kept, _ in _components(f, mode, anchor)]
 
 
 def _weighted_energies(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> dict:
-    """``{omega: energy / gamma_omega}`` over the components with nonzero
-    weight; ``NormInfinite`` if a component with energy has zero weight.
+    """``{omega: energy / gamma_omega}`` over the components of a
+    ``decompose`` list with nonzero weight, by ``_weighted``."""
+    weighted = _weighted([(t.omega, t.mixed_norm_sq) for t in terms], [gamma.value(t.omega) for t in terms])
+    return {c[0]: v for c, v in weighted}
 
-    The zero components that ``decompose`` leaves out would change nothing
-    here: their energy 0.0 never exceeds the tolerance, and it would raise
-    the scale only where every energy is negative, so that none exceeds it.
+
+def _weighted(components: Sequence[tuple], weights: Sequence[float]) -> list[tuple]:
+    """``(component, energy / weight)`` for each ``(omega, energy, ...)``
+    component whose weight, at its position in ``weights``, is not 0;
+    ``NormInfinite`` if a component with energy has zero weight.
+
+    The zero components that the energy pass leaves out would change
+    nothing here: their energy 0.0 never exceeds the tolerance, and it
+    would raise the scale only where every energy is negative, so that
+    none exceeds it.
     """
-    scale = max((t.mixed_norm_sq for t in terms), default=0.0)
+    scale = max((c[1] for c in components), default=0.0)
     tol = _ZERO_TOL * (1.0 + scale)
-    table = {}
-    for t in terms:
-        gv = gamma.value(t.omega)
-        if gv == 0.0:
-            if t.mixed_norm_sq > tol:
-                raise NormInfinite(
-                    f"component {t.omega!r} has energy {t.mixed_norm_sq} but zero weight"
-                )
-            continue
-        table[t.omega] = t.mixed_norm_sq / gv
-    return table
+    out = []
+    for c, gv in zip(components, weights):
+        if gv != 0.0:
+            out.append((c, c[1] / gv))
+        elif c[1] > tol:
+            raise NormInfinite(f"component {c[0]!r} has energy {c[1]} but zero weight")
+    return out
 
 
 def weighted_norm(
@@ -378,7 +424,7 @@ def _product_norm(f: SeparableFunction, gamma: GammaModel, mode: str,
     union = 0
     for _, _, bits in terms:
         union |= bits
-    weights = {k: gamma.seq.value(k) for k in range(1, f.dim + 1) if union >> k & 1}
+    weights = {k: gamma.seq.value(k) for k in range(1, f.dim + 1) if union >> (k - 1) & 1}
     lo = hi = 1.0
     for v in weights.values():
         if not 0.0 < v < math.inf:

@@ -17,10 +17,10 @@ polynomials of the term pairs.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,10 +28,12 @@ from .decomp import (
     DEFAULT_ANCHOR,
     MODE_ANCHORED,
     _check_mode,
+    _components,
     _energy_sum,
     _projected_terms,
+    _submasks,
     _term_pairs,
-    _weighted_energies,
+    _weighted,
     anchored_contraction,
     anova_contraction,
     decompose,
@@ -86,38 +88,21 @@ class SobolTable:
         return self._total(_mask(omega0))
 
     def _total(self, m0: int) -> float:
-        """``total`` of the set with bitmask ``m0``.
-
-        Entries equal to 0.0 add nothing to the sum, so only the N nonzero
-        entries are kept.  With U the union of their sets, this walks the
-        supersets of m0 inside U, or scans the N entries where that is
-        shorter: min(2**|U - m0|, N) dictionary steps, so the totals of
-        every set of a full table take O(3**|U|) steps together, not
-        O(4**|U|).  ``math.fsum`` is correctly rounded and never returns
-        -0.0, so neither the order of the walk nor the skipped zeros change
-        a bit.
-        """
-        by_mask, union = self._by_mask
-        if m0 & ~union:
-            return 0.0
-        free = union & ~m0
-        if 1 << free.bit_count() > len(by_mask):
-            return math.fsum(v for m, v in by_mask.items() if m & m0 == m0)
-        found, sub = [], free
-        while True:
-            v = by_mask.get(m0 | sub)
-            if v is not None:
-                found.append(v)
-            if not sub:
-                return math.fsum(found)
-            sub = (sub - 1) & free
+        """``total`` of the set with bitmask ``m0``."""
+        return self._totals.get(m0, 0.0)
 
     @functools.cached_property
-    def _by_mask(self) -> tuple[dict, int]:
-        """``{mask: index}`` over the nonzero indices, and the union of
-        their masks."""
-        by_mask = {m: v for m, v in self.indices.items() if v != 0.0}
-        return by_mask, functools.reduce(operator.or_, by_mask, 0)
+    def _totals(self) -> dict:
+        """``{mask: total}`` over the masks below a nonzero index: each
+        nonzero index is added to every submask of its set, and each mask
+        takes one ``math.fsum``; every other mask totals 0.0.  ``fsum`` is
+        correctly rounded and never returns -0.0, so neither the order of
+        the appends nor the skipped zeros change a bit."""
+        found = collections.defaultdict(list)
+        for mask, v in self.indices.items():
+            for sub in _submasks(mask) if v != 0.0 else ():
+                found[sub].append(v)
+        return {m: math.fsum(vs) for m, vs in found.items()}
 
 
 def _mask(omega: SupportSet) -> int:
@@ -140,24 +125,25 @@ def sobol_indices(
     anchor: float = DEFAULT_ANCHOR,
     include_empty: bool = False,
 ) -> SobolTable:
-    """Weighted sensitivity indices of every component.
+    """Weighted sensitivity indices of every component, from the energy
+    pass and the weights of ``gamma.mask_values``.
 
     Raises ``DegenerateDenominator`` when nothing contributes (a constant
     function under the default convention) and ``NormInfinite`` when a
     component with energy meets a zero weight.  A set that no term reaches
     has energy 0.0: its index is 0.0 where its weight is nonzero.
     """
-    energies = {_mask(omega): v
-                for omega, v in _weighted_energies(decompose(f, mode, anchor), gamma).items()
-                if omega or include_empty}
+    components = _components(f, mode, anchor)
+    weights = gamma.mask_values(f.dim)
+    energies = {c[3]: v for c, v in _weighted(components, [weights[c[3]] for c in components])
+                if c[3] or include_empty}
     denominator = _energy_sum(energies.values())
     if denominator <= 0.0:
         raise DegenerateDenominator(
             "no component carries energy under the chosen convention"
         )
     indices = {m: v / denominator for m, v in energies.items()}
-    return SobolTable(mode, f.dim, gamma.mask_values(f.dim), indices, denominator,
-                      include_empty)
+    return SobolTable(mode, f.dim, weights, indices, denominator, include_empty)
 
 
 def _check_order(m: int):

@@ -537,10 +537,12 @@ def _product_coord_value(gamma: GammaModel, k: int) -> float:
 
 def _level_sum(num: float, rho: float, lam: float) -> float:
     """num / ((1 - rho) * lam): num / lam times the sum of rho**l over l >= 0.
-    A rho that rounds to 1 makes that sum diverge."""
-    if rho == 1.0:
+    A rho that rounds to 1, or a lam so small that the denominator rounds
+    to 0, reads inf, as an overflowing quotient does (0 where num is 0)."""
+    denominator = (1.0 - rho) * lam
+    if denominator == 0.0:
         return math.inf if num else 0.0
-    return num / ((1.0 - rho) * lam)
+    return num / denominator
 
 
 class AnisotropicWeights(WeightModel):

@@ -1020,6 +1020,19 @@ class TestErrors:
             "error: NormDegenerate: inverse weights are not summable; "
             "the redundant seminorm vanishes on 1"]
 
+    def test_transform_level_sum_subnormal_lam(self, tmp_path, capsys):
+        """With lam 5e-324 and s 0.1, (1 - rho) * lam rounds to 0 although
+        rho < 1: the scale reads inf, as an overflowing quotient does, so
+        exit 5 with the same line, not a ``ZeroDivisionError`` traceback."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"a": {"type": "spline", "s": 0.1, "lam": 5e-324, "gamma": {
+            "kind": "product", "seq": {"kind": "finite", "values": [1.0]}}}, "indices": [{}]}))
+        assert run_cli("transform", path, out) == 5
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NormDegenerate: inverse weights are not summable; "
+            "the redundant seminorm vanishes on 1"]
+
     @pytest.mark.parametrize("entries,code", [
         ([[[1], 0.5], [[2], 0.5], [[1, 2], 0.25]], 0),
         ([[[1, 2], 0.5]], 2),

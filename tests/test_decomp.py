@@ -19,6 +19,7 @@ from tensorsplit.decomp import (
     MAX_DECOMP_DIM,
     DecompositionTerm,
     _component_builder,
+    _components,
     _product_norm,
     _weighted_energies,
     _weighted_norm,
@@ -521,6 +522,50 @@ class TestLiveComponents:
         gamma = TableGamma({S(2): 1.0})
         assert dense_energies(live + [DecompositionTerm(S(1, 2), empty, 0.0)], gamma) == \
             _weighted_energies(live, gamma) == {S(): -3.0, S(2): -3.0}
+
+
+#: factors whose integrals, or products with large coefficients, leave the
+#: float range
+OVERFLOW_FACTORS = [F.polynomial([1e308, 0.0, 1.7e308]), F.constant(1e200), F.exponential(700.0)]
+
+
+@st.composite
+def overflow_functions(draw):
+    """Terms of coefficient 0 of either sign, tiny or large, over the oracle
+    factors and the overflowing ones."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    terms = draw(st.lists(st.builds(
+        Term,
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-200, 1e200]),
+        st.dictionaries(st.integers(min_value=1, max_value=dim),
+                        st.sampled_from(ORACLE_FACTORS + OVERFLOW_FACTORS), max_size=dim),
+    ), min_size=1, max_size=4))
+    return SeparableFunction(dim, terms)
+
+
+class TestEnergyPass:
+    @pytest.mark.parametrize("mode", ["anova", "anchored"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_decompose(self, mode, data):
+        """The energy pass lists the sets of ``decompose`` in canonical
+        order, each with its bitmask, and their energies and refusal lines
+        bit for bit; every energy is also that of the component built
+        alone."""
+        f = data.draw(oracle_functions() | overflow_functions())
+        anchor = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        passed = outcome(lambda: _components(f, mode, anchor))
+        expect = outcome(lambda: decompose(f, mode, anchor))
+        if expect[0] != "value":
+            assert passed == expect
+            return
+        passed, terms = passed[1], expect[1]
+        sets = [omega for omega, *_ in passed]
+        assert sets == [t.omega for t in terms] == sorted(sets, key=SupportSet.canonical_key)
+        for (omega, energy, _, mask), t in zip(passed, terms):
+            assert mask == sum(1 << (k - 1) for k in omega)
+            alone = single_component(f, mode, omega, anchor).mixed_norm_sq
+            assert bits(energy) == bits(t.mixed_norm_sq) == bits(alone), omega
 
 
 # ---------------------------------------------------------------------------

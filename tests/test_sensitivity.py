@@ -4,12 +4,15 @@ import collections
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tensorsplit.sensitivity
 from corpus import corpus, ordered_pair_sum
@@ -163,6 +166,28 @@ class TestTotalAgainstScan:
             [(omega, str(v)) for omega, v in per_omega.items()]
         for omega0 in SupportSet(range(1, 5)).subsets():
             assert str(table.total(omega0)) == str(scan_total(table, omega0)), omega0
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables_equal_scan(self, data):
+        """Tables as ``sobol_indices`` builds them: an index at each set of
+        nonzero weight (the empty set with ``include_empty``), drawn with
+        zeros of either sign, tiny negative entries and cancelling pairs.
+        Every total, over groups of coordinates 1..dim + 1, equals the scan
+        bit for bit."""
+        dim = data.draw(st.integers(min_value=1, max_value=5))
+        include_empty = data.draw(st.booleans())
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1 << dim,
+                                     max_size=1 << dim))
+        entry = st.one_of(st.sampled_from([0.0, -0.0, -1e-17, 1e-17, -1e-300, 0.1, -0.1, 1 / 3]),
+                          st.floats(min_value=-1.0, max_value=1.0))
+        indices = {m: data.draw(entry) for m in range(1 << dim)
+                   if weights[m] != 0.0 and (m or include_empty)}
+        table = tensorsplit.sensitivity.SobolTable("anova", dim, weights, indices, 1.0,
+                                                   include_empty)
+        for omega0 in SupportSet(range(1, dim + 2)).subsets():
+            assert struct.pack("<d", table.total(omega0)) == \
+                struct.pack("<d", scan_total(table, omega0)), omega0
 
     def test_tables_are_sparse(self):
         """The finite-order table skips sets; the table gamma also coordinate 4."""

@@ -220,3 +220,69 @@ def test_bench_summary_refuses(tmp_path, capsys, bad, message):
     # the same reports without the bad one are summarized
     assert tool.main(["--parent", *map(str, parent), "--change", str(change[0]),
                       "--out", str(out)]) == 0
+
+
+#: a stand-in for ``perfbench/run.py``: logs the checkout and seed of each
+#: run, then writes a report where run.py does, with the checkout's rate
+#: plus the seed as req_per_s; a negative rate fails the run
+_STUB_RUN = '''
+import argparse, json, sys
+from pathlib import Path
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    p.add_argument(flag, required=True)
+args = p.parse_args()
+here = Path.cwd()
+with open(Path(__file__).parent / "order.log", "a") as log:
+    log.write(f"{here.name} {args.seed}\\n")
+rate = float((here / "rate.txt").read_text())
+if rate < 0:
+    sys.exit(3)
+out = here / "perfbench" / "out"
+out.mkdir(parents=True, exist_ok=True)
+meta = {"workload": args.workload, "seed": int(args.seed), "seconds": float(args.seconds),
+        "trace": int(args.trace), "src_loc": 500 if here.name == "parent" else 480}
+metrics = {"req_per_s": rate + int(args.seed), "req_p50_ms": 1.0, "ok_frac": 1.0}
+(out / f"{args.workload}_seed{args.seed}_trace{args.trace}.json").write_text(
+    json.dumps({"meta": meta, "metrics": metrics}))
+'''
+
+
+def _stub_checkouts(tmp_path, monkeypatch, parent_rate, change_rate):
+    tool = _load(ROOT / "tools" / "bench_pairs.py", "bench_pairs")
+    (tmp_path / "stub_run.py").write_text(_STUB_RUN)
+    monkeypatch.setattr(tool, "RUN", [sys.executable, str(tmp_path / "stub_run.py")])
+    for side, rate in (("parent", parent_rate), ("change", change_rate)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "rate.txt").write_text(str(rate))
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workloads", "decomp", "--seeds", "1", "2", "3", "--seconds", "1",
+            "--reports", str(tmp_path / "reports"), "--out", str(tmp_path / "BENCH.json")]
+    return tool, argv
+
+
+def test_bench_pairs_alternates_and_keeps_every_report(tmp_path, monkeypatch):
+    """The side that runs first alternates by seed, every report is copied
+    away, and the copies are summarized as ``bench_summary`` does."""
+    tool, argv = _stub_checkouts(tmp_path, monkeypatch, 100.0, 110.0)
+    assert tool.main(argv) == 0
+    assert (tmp_path / "order.log").read_text().splitlines() == [
+        "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3"]
+    for side in ("parent", "change"):
+        for seed in (1, 2, 3):
+            report = json.loads((tmp_path / "reports" / side / f"decomp_seed{seed}_trace0.json").read_text())
+            assert report["meta"]["seed"] == seed
+    summary = json.loads((tmp_path / "BENCH.json").read_text())["decomp"]
+    assert summary["pairs"] == 3
+    assert summary["parent"]["metrics"]["req_per_s"]["runs"] == [101.0, 102.0, 103.0]
+    assert summary["change"]["metrics"]["req_per_s"]["runs"] == [111.0, 112.0, 113.0]
+    assert summary["change_vs_parent"]["req_per_s"]["won"] == 3
+
+
+def test_bench_pairs_stops_at_a_failed_run(tmp_path, monkeypatch, capsys):
+    """The change's first run fails: its exit code, no summary."""
+    tool, argv = _stub_checkouts(tmp_path, monkeypatch, 100.0, -1.0)
+    assert tool.main(argv) == 3
+    assert (tmp_path / "order.log").read_text().splitlines() == ["parent 1", "change 1"]
+    assert "bench_pairs: change decomp seed 1 exited 3" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()
