@@ -127,10 +127,8 @@ def _unique_keys(pairs) -> dict:
     obj = dict(pairs)
     if len(obj) != len(pairs):  # name the first key that repeats
         seen = set()
-        for k, _ in pairs:
-            if k in seen:
-                raise ConfigInvalid(f"config repeats the key {k!r}")
-            seen.add(k)
+        k = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ConfigInvalid(f"config repeats the key {k!r}")
     return obj
 
 
@@ -173,8 +171,8 @@ def _support_cells(dim: int, suffix: str = "") -> list[str]:
     names = [str(k) for k in range(1, dim + 1)]
     cells = ["[]" + suffix]
     for size in range(1, dim + 1):
-        template = ('"[{}]"' if size > 1 else "[{}]") + suffix
-        cells += map(template.format, map(",".join, itertools.combinations(names, size)))
+        joined = map(",".join, itertools.combinations(names, size))
+        cells += [f'"[{s}]"{suffix}' for s in joined] if size > 1 else [f"[{s}]{suffix}" for s in joined]
     return cells
 
 

@@ -278,8 +278,6 @@ def _energy_builder(terms: list[tuple], coords):
                 coefs.append(coef)
                 kept.append((coef, factors))
         try:
-            if not coefs:
-                return 0.0, kept
             if active:
                 return math.fsum(table_pair_pieces(coefs, [(tables[k], rows) for k in active])), kept
             return math.fsum(coefs) ** 2, kept

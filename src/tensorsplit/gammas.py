@@ -57,7 +57,7 @@ class GammaModel:
     def mask_values(self, dim: int) -> list[float]:
         """``value`` of every subset of 1..dim, at the subset's bitmask
         (coordinate k is bit k - 1)."""
-        return [self.value(SupportSet(k + 1 for k in range(dim) if mask >> k & 1))
+        return [self.value(SupportSet._from_coords(tuple(k + 1 for k in range(dim) if mask >> k & 1)))
                 for mask in range(1 << dim)]
 
 
@@ -145,6 +145,13 @@ class TableGamma(GammaModel):
 
     def value(self, omega: SupportSet) -> float:
         return self.entries.get(omega, 0.0)
+
+    def mask_values(self, dim: int) -> list[float]:
+        values = [0.0] * (1 << dim)
+        for omega, v in self.entries.items():
+            if all(k <= dim for k in omega):
+                values[sum(1 << (k - 1) for k in omega)] = v
+        return values
 
     @property
     def is_finite_support(self) -> bool:

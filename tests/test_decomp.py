@@ -648,3 +648,12 @@ class TestMaskValues:
         want = [gamma.value(SupportSet(k + 1 for k in range(dim) if mask >> k & 1))
                 for mask in range(1 << dim)]
         assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    def test_table_entries_beyond_the_dimension(self):
+        """A table's own list holds only the sets inside 1..dim, and a set
+        of weight 0 reads 0.0, as ``value`` reads them."""
+        gamma = TableGamma({S(1): 0.5, S(6): 3.0, S(2, 7): 0.25, S(3): 0.0, S(2, 3): 2.0})
+        got = gamma.mask_values(5)
+        want = [gamma.value(SupportSet(k + 1 for k in range(5) if mask >> k & 1))
+                for mask in range(1 << 5)]
+        assert [bits(v) for v in got] == [bits(v) for v in want]
