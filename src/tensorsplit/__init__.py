@@ -21,6 +21,7 @@ from .decomp import (
     averaged_anchored_kernel,
     averaged_kernel_energy,
     decompose,
+    decomposition_table,
     mean_representation,
     reconstruct,
     weighted_norm,
@@ -34,6 +35,7 @@ from .epsdim import (
     auto_certificate,
     enumerate_threshold_set,
     eps_dimension,
+    eps_dimension_table,
     spline_eps_dimension,
 )
 from .equivalence import (
@@ -77,14 +79,20 @@ from .regress import (
     fit,
     fit_map,
     gram_matrix,
+    kernel_from_json,
+    load_samples,
     predict,
+    regression_report,
+    rmse,
 )
 from .sensitivity import (
     SobolTable,
+    TruncationReport,
     l2_error,
     sobol_indices,
     truncate_order,
     truncation_bound,
+    truncation_report,
 )
 from .sequences import (
     ConstantSeq,
@@ -105,6 +113,7 @@ from .weights import (
     WeightModel,
     orthogonalized_weight,
     redundant_condition_bound,
+    transform_table,
 )
 
 __version__ = "0.1.0"

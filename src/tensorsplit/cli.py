@@ -12,28 +12,25 @@ and nothing here consults a clock or an unseeded generator.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
 import math
+import numbers
 import sys
-import warnings
 from pathlib import Path
 
-import numpy as np
-
-from .decomp import _check_decomposable, _product_norm, _weighted_norm, decompose
-from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension
+from .decomp import decomposition_table
+from .epsdim import DEFAULT_CAP, dims_from_json, eps_dimension_table
 from .equivalence import certify_equivalence
 from .errors import (ConfigInvalid, NoCertificate, TensorsplitError, check_keys,
                      config_number, config_numbers)
 from .functions import function_from_json
 from .gammas import gamma_from_json
 from .indexing import IndexVector
-from .regress import AnchoredKernel, SampleSet, fit, fit_map, predict
-from .sensitivity import _truncation_bounds, _truncation_errors, sobol_indices
-from .weights import orthogonalized_weight, weights_from_json
+from .regress import regression_report
+from .sensitivity import sobol_indices, truncation_report
+from .weights import transform_table, weights_from_json
 
 
 def _fmt(x) -> str:
@@ -41,7 +38,7 @@ def _fmt(x) -> str:
     and NaNs (of either sign) come out as ``inf``, ``-inf`` and ``nan``."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     return format(float(x), ".17g")
 
@@ -200,28 +197,10 @@ def _cmd_epsdim(cfg: dict, args):
     dims = dims_from_json(cfg.get("dims", "all_one"))
     eps_list = config_numbers(cfg["eps"], float, "eps")
     d_list = config_numbers(cfg.get("d", []), int, "d")
-    rows = []
-    if eps_list:
-        # One enumeration at the smallest eps serves every row: threshold
-        # sets nest in eps, and so does the walk.  Errors keep the order of
-        # one walk per eps: a nonpositive eps where it stands, a negative d
-        # right after the first eps's walk, and a failed walk as the first
-        # failing eps meets it (a larger eps visits fewer indices, so it may
-        # hit the cap before a deeper walk meets a different error).
-        lead = list(itertools.takewhile(lambda eps: eps > 0, eps_list))
-        if not lead or any(d < 0 for d in d_list):
-            lead = eps_list[:1]
-        try:
-            walk = eps_dimension(a, b, min(lead), dims, cap=args.cap)
-        except TensorsplitError:
-            for eps in lead:
-                eps_dimension(a, b, eps, dims, cap=args.cap)
-            raise
-        d_keys = ["", *map(str, d_list)]
-        for eps, d0, counts in walk.table(eps_list, d_list):
-            rows.extend(_csv_line([eps, d, n, size, d0, False])
-                        for d, (n, size) in zip(d_keys, counts))
-    _write_csv(args.out, ["eps", "d", "n", "set_size", "d0", "truncated"], rows)
+    rows = eps_dimension_table(a, b, eps_list, dims, d_list, cap=args.cap)
+    _write_csv(args.out, ["eps", "d", "n", "set_size", "d0", "truncated"],
+               [_csv_line([eps, "" if d is None else d, n, size, d0, False])
+                for eps, d, n, size, d0 in rows])
 
 
 def _cmd_transform(cfg: dict, args):
@@ -230,13 +209,8 @@ def _cmd_transform(cfg: dict, args):
     if not isinstance(cfg["indices"], list):
         raise ConfigInvalid(f"indices must be a list of index objects, got {cfg['indices']!r}")
     indices = [IndexVector.from_json_obj(obj) for obj in cfg["indices"]]
-    oracle = a.tail_oracle()
-    rows = []
-    for j in sorted(indices, key=IndexVector.canonical_key):
-        w = a.weight(j)
-        w_hat = orthogonalized_weight(a, j, oracle)
-        rows.append(_csv_line([_index_json(j), w, w_hat, w_hat / w if w > 0 else math.inf]))
-    _write_csv(args.out, ["index", "weight", "orthogonalized", "ratio"], rows)
+    _write_csv(args.out, ["index", "weight", "orthogonalized", "ratio"],
+               [_csv_line([_index_json(j), *cells]) for j, *cells in transform_table(a, indices)])
 
 
 def _cmd_decomp(cfg: dict, args):
@@ -244,21 +218,12 @@ def _cmd_decomp(cfg: dict, args):
     check_keys(cfg, "config", {"function", "gamma"})
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
-    components = decompose(f, args.command, args.anchor)
-    # a component decompose leaves out has energy 0.0: both cells read 0
-    # whatever the weight
+    rows = decomposition_table(f, gamma, args.command, args.anchor)
+    # a component the table leaves out reads 0 in both cells
     lines = _support_cells(f.dim, ",0,0")
-    for term in components:
-        if math.isnan(term.mixed_norm_sq):  # of inf * 0 pieces; max(0.0, nan) would write 0
-            raise ConfigInvalid(f"the energy of component {term.omega!r} overflows the float range")
-        gv = gamma.value(term.omega)
-        if gv > 0.0:
-            contribution = term.mixed_norm_sq / gv
-        else:
-            contribution = 0.0 if term.mixed_norm_sq == 0.0 else math.inf
-        coords = term.omega.coords
-        lines[_canonical_rank(coords, f.dim)] = _omega_cell(coords) + ",%.17g,%.17g" % (
-            math.sqrt(max(0.0, term.mixed_norm_sq)), contribution)
+    for omega, norm, contribution in rows:
+        coords = omega.coords
+        lines[_canonical_rank(coords, f.dim)] = _omega_cell(coords) + ",%.17g,%.17g" % (norm, contribution)
     _write_csv(args.out, ["omega", "term_norm", "weighted_contribution"], lines)
 
 
@@ -295,7 +260,7 @@ def _cmd_sobol(cfg: dict, args):
         f, gamma, mode, anchor=args.anchor, include_empty=args.include_empty
     )
     cells = _support_cells(f.dim)
-    lines = [cells[rank] + ",%.17g,%.17g" % (index, table._total(mask))
+    lines = [cells[rank] + ",%.17g,%.17g" % (index, table.mask_total(mask))
              for rank, mask, index in table.rows()]
     _write_csv(args.out, ["omega", "index", "total"], lines)
 
@@ -305,111 +270,14 @@ def _cmd_truncate(cfg: dict, args):
     f = function_from_json(cfg["function"])
     gamma = gamma_from_json(cfg["gamma"])
     mode = cfg.get("mode", "anchored")
-    m_list = config_numbers(cfg["m"], int, "m") if "m" in cfg else list(range(f.dim + 1))
-    _check_decomposable(f, mode)
-    norm = _product_norm(f, gamma, mode, args.anchor)
-    if norm is None:
-        norm = _weighted_norm(decompose(f, mode, args.anchor), gamma)
-    errors = _truncation_errors(f, m_list, mode, args.anchor)
-    bounds = _truncation_bounds(gamma, m_list, mode, args.anchor)
-    rows = []
-    for m, err, bound in zip(m_list, errors, bounds):
-        bound *= norm
-        rows.append(_csv_line([m, err, bound, err / bound if bound > 0 else 0.0]))
-    _write_csv(args.out, ["m", "error", "bound", "bound_ratio"], rows)
+    m_list = config_numbers(cfg["m"], int, "m") if "m" in cfg else None
+    report = truncation_report(f, gamma, mode, m_list, args.anchor)
+    _write_csv(args.out, ["m", "error", "bound", "bound_ratio"], [_csv_line(row) for row in report.rows])
 
 
 def _cmd_regress(cfg: dict, args):
     check_keys(cfg, "config", {"samples", "lambda"}, {"kernel", "holdout"})
-    config_dir = Path(args.config).resolve().parent
-    X, Y = _load_samples(cfg["samples"], config_dir)
-    samples = SampleSet(X, Y)
-    kernel = _kernel_from_json(cfg.get("kernel", {"type": "anchored"}),
-                               X.shape[1], args.anchor)
-    lam = cfg["lambda"]
-    if samples.outputs.ndim == 1:
-        model = fit(samples, kernel, config_number(lam, float, "lambda"))
-    else:
-        convert = config_numbers if isinstance(lam, list) else config_number
-        model = fit_map(samples, kernel, convert(lam, float, "lambda"))
-    report = {
-        "n": samples.n,
-        "outputs": samples.n_outputs,
-        "lambda": lam,
-        "coefficients": model.coefficients.tolist(),
-        "residual": model.residual,
-        "jitter": model.jitter,
-        "rmse_train": _rmse(model.fitted, samples.outputs),
-    }
-    if "holdout" in cfg:
-        holdout = SampleSet(*_load_samples(cfg["holdout"], config_dir))
-        if holdout.inputs.shape[1] != samples.inputs.shape[1]:
-            raise ConfigInvalid(
-                f"holdout inputs have {holdout.inputs.shape[1]} columns, "
-                f"training inputs {samples.inputs.shape[1]}"
-            )
-        if holdout.outputs.shape[1:] != samples.outputs.shape[1:]:
-            raise ConfigInvalid(
-                f"holdout outputs have shape {holdout.outputs.shape}, "
-                f"training outputs {samples.outputs.shape}: need the same number "
-                "of output columns, both 1-D or both 2-D"
-            )
-        report["rmse_holdout"] = _rmse(predict(model, holdout.inputs), holdout.outputs)
-    _write_json(args.out, report)
-
-
-def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((pred - target) ** 2)))
-
-
-def _load_samples(spec, config_dir: Path):
-    if isinstance(spec, str):
-        path = Path(spec)
-        if not path.is_absolute():
-            path = config_dir / path
-        try:
-            with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-                header = next(csv.reader(fh))
-                # loadtxt warns on a body without rows; that is zero samples
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-            if not data.size:
-                data = np.empty((0, len(header)))
-            if data.shape[1] != len(header):
-                raise ValueError(f"every row needs {len(header)} values")
-        except (OSError, StopIteration, ValueError) as exc:
-            # loadtxt's advice on a ragged row names one of its own arguments
-            reason = str(exc).partition("; use `usecols`")[0]
-            raise ConfigInvalid(f"cannot read sample CSV {path}: {reason}") from exc
-        x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-        y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
-        if not x_cols or not y_cols:
-            raise ConfigInvalid("sample CSV needs x... and y... columns")
-        X = data[:, x_cols]
-        Y = data[:, y_cols]
-        if Y.shape[1] == 1:
-            Y = Y[:, 0]
-        return X, Y
-    if isinstance(spec, dict):
-        check_keys(spec, "samples", {"inputs", "outputs"})
-        try:
-            return np.asarray(spec["inputs"], dtype=float), np.asarray(spec["outputs"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad inline samples: {exc}") from exc
-    raise ConfigInvalid("samples must be a CSV path or an inline object")
-
-
-def _kernel_from_json(obj, dim: int, anchor: float):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigInvalid("kernel spec must be an object with 'type'")
-    if obj["type"] == "anchored":
-        check_keys(obj, "kernel spec", {"type"}, {"scales", "anchor"})
-        anchor = config_number(obj.get("anchor", anchor), float, "anchor")
-        scales = obj.get("scales")
-        if scales is not None:
-            scales = config_numbers(scales, float, "kernel scales")
-        return AnchoredKernel(dim, anchor=anchor, scales=scales)
-    raise ConfigInvalid(f"unknown kernel type {obj['type']!r}")
+    _write_json(args.out, regression_report(cfg, args.anchor, Path(args.config).resolve().parent))
 
 
 # ---------------------------------------------------------------------------

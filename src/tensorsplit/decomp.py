@@ -40,6 +40,7 @@ __all__ = [
     "anchored_contraction",
     "anova_contraction",
     "decompose",
+    "decomposition_table",
     "weighted_norm",
     "reconstruct",
     "anchored_representation",
@@ -345,6 +346,30 @@ def decompose(
             for omega, e, kept, _ in _components(f, mode, anchor)]
 
 
+def decomposition_table(f: SeparableFunction, gamma: GammaModel, mode: str,
+                        anchor: float = DEFAULT_ANCHOR) -> list[tuple]:
+    """The ``anova``/``anchored`` rows of the components some term of f
+    reaches: ``(omega, term norm, weighted contribution)`` in canonical
+    order, the norm the square root of the energy and the contribution the
+    energy over the set weight.  A set weight of 0 gives 0 against an
+    energy of 0 and inf against any other; every component left out reads
+    0, 0 whatever its weight.  An energy that reads nan (of inf * 0 pieces,
+    which the norm would write as 0) is ``ConfigInvalid``.
+    """
+    rows = []
+    for term in decompose(f, mode, anchor):
+        e = term.mixed_norm_sq
+        if math.isnan(e):
+            raise ConfigInvalid(f"the energy of component {term.omega!r} overflows the float range")
+        gv = gamma.value(term.omega)
+        if gv > 0.0:
+            contribution = e / gv
+        else:
+            contribution = 0.0 if e == 0.0 else math.inf
+        rows.append((term.omega, math.sqrt(max(0.0, e)), contribution))
+    return rows
+
+
 def _weighted_energies(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> dict:
     """``{omega: energy / gamma_omega}`` over the components of a
     ``decompose`` list with nonzero weight, by ``_weighted``."""
@@ -381,10 +406,15 @@ def weighted_norm(
 ) -> float:
     """Weighted decomposition norm: sqrt of sum gamma^-1 * component energy.
 
-    Raises ``NormInfinite`` when a component with nonzero energy meets a
-    vanishing set weight: the function then lies outside the space.
+    A ``ProductGamma`` takes the product form ``_product_norm`` where it
+    applies; every other weight, and a product weight where it does not,
+    sums the components of ``decompose``.  Raises ``NormInfinite`` when a
+    component with nonzero energy meets a vanishing set weight: the
+    function then lies outside the space.
     """
-    return _weighted_norm(decompose(f, mode, anchor), gamma)
+    _check_decomposable(f, mode)
+    norm = _product_norm(f, gamma, mode, anchor)
+    return _weighted_norm(decompose(f, mode, anchor), gamma) if norm is None else norm
 
 
 def _weighted_norm(terms: Sequence[DecompositionTerm], gamma: GammaModel) -> float:

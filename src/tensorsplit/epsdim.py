@@ -23,12 +23,13 @@ per-(support, excess) population is replaced by |support|**excess.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import ConfigInvalid, EnumerationCap, NotCompact, TailUnavailable
+from .errors import ConfigInvalid, EnumerationCap, NotCompact, TailUnavailable, TensorsplitError
 from .gammas import GammaModel, ProductGamma
 from .indexing import EMPTY_SUPPORT, IndexSet, IndexVector, SupportSet
 from .sequences import ConstantSeq, CoordSeq, ProductOfSeqs, seq_ratio
@@ -56,6 +57,7 @@ __all__ = [
     "auto_certificate",
     "enumerate_threshold_set",
     "eps_dimension",
+    "eps_dimension_table",
     "spline_eps_dimension",
 ]
 
@@ -609,6 +611,42 @@ def eps_dimension(
     index_set = ThresholdSet(lambda: enumerate_threshold_set(
         a, b, eps, certificate=certificate, cap=cap)[0].ratios) if graded else _threshold_set(members)
     return _result(members, dims, eps, graded, index_set=index_set)
+
+
+def eps_dimension_table(
+    a: WeightModel,
+    b: WeightModel,
+    eps_list,
+    dims: DimensionModel,
+    ds=(),
+    cap: int = DEFAULT_CAP,
+) -> list[tuple]:
+    """The ``epsdim`` rows: ``(eps, d, n, set size, d0)`` for each eps of
+    ``eps_list`` in order, first of the full threshold set (d is None), then
+    of its members on the coordinates <= d for each d of ``ds``; d0 is the
+    set's largest coordinate.
+
+    One enumeration at the smallest eps serves every row: threshold sets
+    nest in eps, and so does the walk.  Errors keep the order of one walk
+    per eps: a nonpositive eps where it stands, a negative d right after
+    the first eps's walk, and a failed walk as the first failing eps meets
+    it (a larger eps visits fewer indices, so it may hit the cap before a
+    deeper walk meets a different error).
+    """
+    if not eps_list:
+        return []
+    lead = list(itertools.takewhile(lambda eps: eps > 0, eps_list))
+    if not lead or any(d < 0 for d in ds):
+        lead = eps_list[:1]
+    try:
+        walk = eps_dimension(a, b, min(lead), dims, cap=cap)
+    except TensorsplitError:
+        for eps in lead:
+            eps_dimension(a, b, eps, dims, cap=cap)
+        raise
+    keys = [None, *ds]
+    return [(eps, d, n, size, d0) for eps, d0, counts in walk.table(eps_list, ds)
+            for d, (n, size) in zip(keys, counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,33 @@ __all__ = [
 ]
 
 
+_BAD_COORD = "coordinates must be positive integers"
+
+
+def _integer(v, message: str) -> int:
+    """``v`` as an int where it is an integer (a numpy integer or an
+    integral float too); ``ValueError(message)`` for a bool or anything
+    non-integral, which ``int`` would truncate."""
+    if not isinstance(v, bool):
+        try:
+            k = int(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if k == v:
+                return k
+    raise ValueError(message)
+
+
 class SupportSet:
     """A finite set of active coordinates, kept sorted and duplicate-free."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[int] = ()):
-        cs = tuple(sorted({int(k) for k in coords}))
+        cs = tuple(sorted({_integer(k, _BAD_COORD) for k in coords}))
         if cs and cs[0] < 1:
-            raise ValueError("coordinates must be positive integers")
+            raise ValueError(_BAD_COORD)
         object.__setattr__(self, "coords", cs)
 
     def __setattr__(self, name, value):
@@ -73,7 +91,9 @@ class SupportSet:
         return f"SupportSet({list(self.coords)})"
 
     def add(self, k: int) -> "SupportSet":
-        return SupportSet(self.coords + (k,))
+        if type(k) is not int or k < 1:
+            return SupportSet(self.coords + (k,))
+        return self if k in self.coords else SupportSet._from_coords(tuple(sorted(self.coords + (k,))))
 
     def minus(self, other: "SupportSet") -> "SupportSet":
         return SupportSet(k for k in self.coords if k not in other)
@@ -122,9 +142,9 @@ class IndexVector:
             items = levels
         cleaned = {}
         for k, j in items:
-            k, j = int(k), int(j)
+            k, j = _integer(k, _BAD_COORD), _integer(j, "levels must be nonnegative integers")
             if k < 1:
-                raise ValueError("coordinates must be positive integers")
+                raise ValueError(_BAD_COORD)
             if j < 0:
                 raise ValueError("levels must be nonnegative")
             if j > 0:
@@ -155,7 +175,7 @@ class IndexVector:
 
     @property
     def support(self) -> SupportSet:
-        return SupportSet(k for k, _ in self.entries)
+        return SupportSet._from_coords(tuple(k for k, _ in self.entries))
 
     @property
     def num_active(self) -> int:

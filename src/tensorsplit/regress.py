@@ -38,16 +38,20 @@ strict lower triangle and a saved copy of the diagonal.
 from __future__ import annotations
 
 import contextvars
+import csv
 import math
 import os
 import threading
+import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .decomp import DEFAULT_ANCHOR
-from .errors import ConfigInvalid, KernelAsymmetric, SolveFailed
+from .errors import (ConfigInvalid, KernelAsymmetric, SolveFailed, check_keys, config_number,
+                     config_numbers)
 
 __all__ = [
     "AnchoredKernel",
@@ -58,6 +62,10 @@ __all__ = [
     "fit",
     "fit_map",
     "predict",
+    "load_samples",
+    "kernel_from_json",
+    "rmse",
+    "regression_report",
 ]
 
 _SYM_TOL = 1e-10
@@ -525,3 +533,109 @@ def objective(model: FittedModel, samples: SampleSet, coefficients=None) -> floa
     data = float(np.sum((samples.outputs - Gc) ** 2)) / samples.n
     # c_l . (G c_l) per output column, or one number for a vector c
     return data + float(np.sum(model.lam * np.einsum("i...,i...->...", c, Gc)))
+
+
+# ---------------------------------------------------------------------------
+# the regress command: samples and kernel from JSON, and the report
+
+
+def load_samples(spec, config_dir=".") -> SampleSet:
+    """Samples from a CSV path (relative to ``config_dir``) whose header
+    names x... input and y... output columns, or from an inline object
+    ``{"inputs": ..., "outputs": ...}``; one y column gives scalar outputs."""
+    if isinstance(spec, str):
+        path = Path(spec)
+        if not path.is_absolute():
+            path = Path(config_dir) / path
+        try:
+            with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+                header = next(csv.reader(fh))
+                # loadtxt warns on a body without rows; that is zero samples
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+            if not data.size:
+                data = np.empty((0, len(header)))
+            if data.shape[1] != len(header):
+                raise ValueError(f"every row needs {len(header)} values")
+        except (OSError, StopIteration, ValueError) as exc:
+            # loadtxt's advice on a ragged row names one of its own arguments
+            reason = str(exc).partition("; use `usecols`")[0]
+            raise ConfigInvalid(f"cannot read sample CSV {path}: {reason}") from exc
+        x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
+        y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
+        if not x_cols or not y_cols:
+            raise ConfigInvalid("sample CSV needs x... and y... columns")
+        Y = data[:, y_cols]
+        return SampleSet(data[:, x_cols], Y[:, 0] if Y.shape[1] == 1 else Y)
+    if isinstance(spec, dict):
+        check_keys(spec, "samples", {"inputs", "outputs"})
+        try:
+            X, Y = np.asarray(spec["inputs"], dtype=float), np.asarray(spec["outputs"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"bad inline samples: {exc}") from exc
+        return SampleSet(X, Y)
+    raise ConfigInvalid("samples must be a CSV path or an inline object")
+
+
+def kernel_from_json(obj, dim: int, anchor: float = DEFAULT_ANCHOR) -> AnchoredKernel:
+    """A kernel on ``dim`` coordinates: ``{"type": "anchored"}`` with
+    optional ``scales`` and ``anchor`` (``anchor`` by default)."""
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise ConfigInvalid("kernel spec must be an object with 'type'")
+    if obj["type"] == "anchored":
+        check_keys(obj, "kernel spec", {"type"}, {"scales", "anchor"})
+        anchor = config_number(obj.get("anchor", anchor), float, "anchor")
+        scales = obj.get("scales")
+        if scales is not None:
+            scales = config_numbers(scales, float, "kernel scales")
+        return AnchoredKernel(dim, anchor=anchor, scales=scales)
+    raise ConfigInvalid(f"unknown kernel type {obj['type']!r}")
+
+
+def rmse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Root mean squared difference over every entry."""
+    return float(np.sqrt(np.mean((pred - target) ** 2)))
+
+
+def regression_report(cfg: dict, anchor: float = DEFAULT_ANCHOR, config_dir=".") -> dict:
+    """The ``regress`` report of a config with ``samples`` and ``lambda``,
+    and optionally ``kernel`` (the anchored kernel at ``anchor`` by default)
+    and ``holdout`` samples: the fit's coefficients, residual, jitter and
+    training RMSE, and the holdout RMSE.  ``lambda`` is one number for
+    scalar outputs, and one number or one per output for vector outputs.
+
+    The holdout is read after the fit, and must have the training inputs'
+    columns and the training outputs' shape past the first axis.
+    """
+    samples = load_samples(cfg["samples"], config_dir)
+    kernel = kernel_from_json(cfg.get("kernel", {"type": "anchored"}), samples.inputs.shape[1], anchor)
+    lam = cfg["lambda"]
+    if samples.outputs.ndim == 1:
+        model = fit(samples, kernel, config_number(lam, float, "lambda"))
+    else:
+        convert = config_numbers if isinstance(lam, list) else config_number
+        model = fit_map(samples, kernel, convert(lam, float, "lambda"))
+    report = {
+        "n": samples.n,
+        "outputs": samples.n_outputs,
+        "lambda": lam,
+        "coefficients": model.coefficients.tolist(),
+        "residual": model.residual,
+        "jitter": model.jitter,
+        "rmse_train": rmse(model.fitted, samples.outputs),
+    }
+    if "holdout" in cfg:
+        holdout = load_samples(cfg["holdout"], config_dir)
+        if holdout.inputs.shape[1] != samples.inputs.shape[1]:
+            raise ConfigInvalid(
+                f"holdout inputs have {holdout.inputs.shape[1]} columns, "
+                f"training inputs {samples.inputs.shape[1]}"
+            )
+        if holdout.outputs.shape[1:] != samples.outputs.shape[1:]:
+            raise ConfigInvalid(
+                f"holdout outputs have shape {holdout.outputs.shape}, "
+                f"training outputs {samples.outputs.shape}: need the same number "
+                "of output columns, both 1-D or both 2-D"
+            )
+        report["rmse_holdout"] = rmse(predict(model, holdout.inputs), holdout.outputs)
+    return report

@@ -37,6 +37,7 @@ from .decomp import (
     anchored_contraction,
     anova_contraction,
     decompose,
+    weighted_norm,
 )
 from .errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
 from .functions import SeparableFunction, Term, value_inner
@@ -45,9 +46,11 @@ from .indexing import SupportSet
 
 __all__ = [
     "SobolTable",
+    "TruncationReport",
     "sobol_indices",
     "truncate_order",
     "truncation_bound",
+    "truncation_report",
     "l2_error",
 ]
 
@@ -85,9 +88,9 @@ class SobolTable:
 
     def total(self, omega0: SupportSet) -> float:
         """Summed index over the table's supersets of ``omega0``."""
-        return self._total(_mask(omega0))
+        return self.mask_total(_mask(omega0))
 
-    def _total(self, m0: int) -> float:
+    def mask_total(self, m0: int) -> float:
         """``total`` of the set with bitmask ``m0``."""
         return self._totals.get(m0, 0.0)
 
@@ -175,6 +178,41 @@ def truncation_bound(
     series to converge, else ``GammaL1Violated``.
     """
     return _truncation_bounds(gamma, [m], mode, anchor)[0]
+
+
+@dataclass(frozen=True)
+class TruncationReport:
+    """The ``truncate`` numbers: the weighted norm of the function, and
+    ``(m, error, bound, bound ratio)`` for each order m, where the bound is
+    ``truncation_bound`` times the norm and the ratio is error / bound, or
+    0.0 where the bound is 0."""
+
+    norm: float
+    rows: list
+
+
+def truncation_report(
+    f: SeparableFunction,
+    gamma: GammaModel,
+    mode: str,
+    m_list: Sequence[int] | None = None,
+    anchor: float = DEFAULT_ANCHOR,
+) -> TruncationReport:
+    """The L2 error of each order-m truncation of f and its a priori bound,
+    for each m of ``m_list`` (every m from 0 to ``f.dim`` by default).
+
+    The norm is ``weighted_norm``'s, so its mode and dimension are checked
+    first; then every m, by the errors.
+    """
+    m_list = list(range(f.dim + 1)) if m_list is None else m_list
+    norm = weighted_norm(f, gamma, mode, anchor)
+    errors = _truncation_errors(f, m_list, mode, anchor)
+    bounds = _truncation_bounds(gamma, m_list, mode, anchor)
+    rows = []
+    for m, err, bound in zip(m_list, errors, bounds):
+        bound *= norm
+        rows.append((m, err, bound, err / bound if bound > 0 else 0.0))
+    return TruncationReport(norm, rows)
 
 
 def _truncation_bounds(

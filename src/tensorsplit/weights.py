@@ -69,6 +69,7 @@ __all__ = [
     "ConditionBound",
     "orthogonalized_weight",
     "redundant_condition_bound",
+    "transform_table",
     "ratio",
     "weights_from_json",
 ]
@@ -642,6 +643,19 @@ def orthogonalized_weight(
     _check_set_weight(model, j)
     t = oracle.tail(j)
     return math.inf if t == 0.0 else 1.0 / t
+
+
+def transform_table(model: WeightModel, indices) -> list[tuple]:
+    """The ``transform`` rows: ``(j, weight, orthogonalized weight, ratio)``
+    for each index j of ``indices`` in canonical order, with ratio
+    w_hat / w, or inf where the weight is 0 (a dropped subspace)."""
+    oracle = model.tail_oracle()
+    rows = []
+    for j in sorted(indices, key=IndexVector.canonical_key):
+        w = model.weight(j)
+        w_hat = orthogonalized_weight(model, j, oracle)
+        rows.append((j, w, w_hat, w_hat / w if w > 0 else math.inf))
+    return rows
 
 
 def _check_set_weight(model: WeightModel, j: IndexVector):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,47 @@ class TestIndexVector:
         s = SupportSet.of(3, 1)
         assert s.to_json_obj() == [1, 3]
         assert SupportSet.from_json_obj([1, 3]) == s
+
+
+class TestIntegralEntries:
+    """The constructors refuse a bool or a non-integral coordinate or level
+    with the ValueError they raise for a coordinate below 1, instead of
+    truncating it; numpy integers and integral floats are read as ints."""
+
+    @pytest.mark.parametrize("coords", [[1.5], [True, 2], [2, False], [2.9], [float("nan")],
+                                        [float("inf")], ["3"]])
+    def test_support_refuses(self, coords):
+        with pytest.raises(ValueError, match="coordinates must be positive integers"):
+            SupportSet(coords)
+
+    @pytest.mark.parametrize("levels", [{1: 1.7}, {1: True}, {2: 0.5}, {1: float("nan")}])
+    def test_index_refuses_level(self, levels):
+        with pytest.raises(ValueError, match="levels must be nonnegative integers"):
+            IndexVector(levels)
+
+    @pytest.mark.parametrize("levels", [{2.9: 1}, {True: 1}, [(1.5, 2)]])
+    def test_index_refuses_coordinate(self, levels):
+        with pytest.raises(ValueError, match="coordinates must be positive integers"):
+            IndexVector(levels)
+
+    def test_add_refuses(self):
+        with pytest.raises(ValueError, match="coordinates must be positive integers"):
+            SupportSet.of(1).add(2.5)
+
+    def test_integers_accepted(self):
+        assert SupportSet([np.int64(3), 1, 2.0]).coords == (1, 2, 3)
+        assert all(type(k) is int for k in SupportSet([np.int64(3), 2.0]).coords)
+        j = IndexVector({np.int64(2): np.int32(3), 1.0: 2.0})
+        assert j.entries == ((1, 2), (2, 3))
+        assert all(type(v) is int for pair in j.entries for v in pair)
+        assert IndexVector({1: np.int8(0)}) == ZERO_INDEX
+
+    def test_add(self):
+        s = SupportSet.of(1, 4)
+        assert s.add(2).coords == (1, 2, 4)
+        assert s.add(4) == s
+        assert s.add(np.int64(7)).coords == (1, 4, 7)
+        assert type(s.add(np.int64(7)).coords[-1]) is int
 
 
 class TestSupportSubsets:

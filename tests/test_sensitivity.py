@@ -1,10 +1,13 @@
 """Sensitivity indices, truncation, and a priori error bounds."""
 
 import collections
+import csv
+import importlib.util
 import json
 import math
 import random
 import struct
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensorsplit.gammas
 import tensorsplit.sensitivity
 from corpus import corpus, ordered_pair_sum
 from exact import ExactDecomposition, assert_matches_truth, mp, poly_spec
@@ -23,7 +27,7 @@ from tensorsplit.equivalence import certify_equivalence
 from tensorsplit.errors import ConfigInvalid, DegenerateDenominator, GammaL1Violated, OrderOutOfRange
 from tensorsplit.functions import (SeparableFunction, Term, UnivariateFactor as F, function_from_json,
                                    value_inner)
-from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma
+from tensorsplit.gammas import FiniteOrderGamma, ProductGamma, TableGamma, gamma_from_json
 from tensorsplit.indexing import SupportSet
 from tensorsplit.sensitivity import (
     _truncation_bounds,
@@ -32,11 +36,13 @@ from tensorsplit.sensitivity import (
     sobol_indices,
     truncate_order,
     truncation_bound,
+    truncation_report,
 )
 from tensorsplit.sequences import ConstantSeq, FiniteSeq, GeometricSeq, PowerSeq
 
 S = SupportSet.of
 GOLDEN_DIR = Path(__file__).parent / "golden"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 RNG = np.random.default_rng(4242)
 UNIT_GAMMA = ProductGamma(ConstantSeq(1.0))
 
@@ -299,6 +305,40 @@ class TestPrefixSweep:
             _truncation_errors(f, cuts, "anova")
 
 
+def _benchmark_truncate_requests():
+    """The ``truncate`` requests of the decomp benchmark, seeds 1 to 3."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+    try:  # its dataclasses look their module up in sys.modules
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules["bench_workloads"]
+    return [pytest.param(req.cfg, id=f"seed{seed}-{i}-{req.label}")
+            for seed in (1, 2, 3) for i, req in enumerate(workloads.decomp_requests(seed))
+            if req.kind == "truncate"]
+
+
+class TestTruncateNorm:
+    @pytest.mark.parametrize("cfg", _benchmark_truncate_requests())
+    def test_artifact_bound_is_weighted_norm(self, tmp_path, cfg):
+        """The truncate artifact's bounds are the unit bounds times library
+        ``weighted_norm``, bit for bit, as is the report's norm: the library
+        and the CLI take one norm route."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["truncate", "--config", str(path), "--out", str(out)]) == 0
+        f, gamma = function_from_json(cfg["function"]), gamma_from_json(cfg["gamma"])
+        m_list = cfg.get("m", list(range(f.dim + 1)))
+        norm = weighted_norm(f, gamma, cfg["mode"])
+        assert struct.pack("<d", truncation_report(f, gamma, cfg["mode"], m_list).norm) == \
+            struct.pack("<d", norm)
+        units = _truncation_bounds(gamma, m_list, cfg["mode"])
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [int(row["m"]) for row in rows] == m_list
+        for row, unit in zip(rows, units):
+            assert struct.pack("<d", float(row["bound"])) == struct.pack("<d", unit * norm), row["m"]
+
+
 class TestTruncationBound:
     def test_empty_support_gives_zero(self):
         gamma = TableGamma({})
@@ -350,6 +390,18 @@ class TestTruncationBound:
             assert num / den == pytest.approx(expected, rel=0.01)
 
 
+class TestElementarySums:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1b: Newton's identities lose accuracy; "
+        "item 25's tail summary unmarks this"))
+    def test_forty_equal_values(self):
+        """e_l of forty values 0.9 is C(40, l) 0.9**l, exact in Fraction;
+        Newton's identities miss it by up to 7.08e-5 relative today."""
+        e = tensorsplit.gammas._newton_elementary(FiniteSeq([0.9] * 40), 40)
+        assert len(e) == 41
+        for l, got in enumerate(e):
+            truth = math.comb(40, l) * Fraction(0.9) ** l
+            assert abs(Fraction(got) - truth) <= Fraction(1, 10**12) * truth, l
 
 
 class _InfiniteCubes(GeometricSeq):

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,3 +223,28 @@ class TestSeqRatio:
     def test_constant_denominator(self):
         r = seq_ratio(FiniteSeq([1.0, 0.5]), ConstantSeq(2.0))
         assert r.value(2) == 0.25
+
+
+def _log1p_sum_of_power(p: float):
+    """sum_k log(1 + k**-p) = log 2 + sum_j (-1)**(j + 1) (zeta(j p) - 1) / j,
+    to 40 digits: the alternating terms fall like 2**(-j p)."""
+    p = mpmath.mpf(p)
+    total, j = mpmath.log(2), 1
+    while True:
+        term = (mpmath.zeta(j * p) - 1) / j
+        if term < mpmath.mpf(10) ** -45:
+            return total
+        total += term if j % 2 else -term
+        j += 1
+
+
+class TestLog1pSumBound:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: log1p_sum returns the lower end of its interval; "
+        "item 25's tail summary unmarks this"))
+    @pytest.mark.parametrize("p", [2.05, 2.2])
+    def test_power_seq_not_below_truth(self, p):
+        """PowerSeq(1, p).log1p_sum() must not lie below the true sum; today
+        it lies 2.55e-15 (p 2.05) and 3.2e-16 (p 2.2) relative below."""
+        with mpmath.workdps(40):
+            assert mpmath.mpf(PowerSeq(1.0, p).log1p_sum()) >= _log1p_sum_of_power(p)

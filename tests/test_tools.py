@@ -1,6 +1,7 @@
-"""Smoke tests of tools/artifact_digests.py, tools/bench_summary.py and the
-benchmark's tracer, run in this process."""
+"""Smoke tests of tools/artifact_digests.py, tools/bench_summary.py,
+tools/line_reach.py and the benchmark's tracer, run in this process."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -286,3 +287,34 @@ def test_bench_pairs_stops_at_a_failed_run(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "order.log").read_text().splitlines() == ["parent 1", "change 1"]
     assert "bench_pairs: change decomp seed 1 exited 3" in capsys.readouterr().err
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def _first_statement(path: Path, name: str) -> int:
+    """The line of the first statement after the docstring of function ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    func = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name)
+    return func.body[1].lineno
+
+
+def test_line_reach_lists_unreached_statements(capsys, monkeypatch):
+    """Over the epsdim requests of seed 1, the first statement of the regress
+    report is listed and that of the eps-dimension table, which every epsdim
+    request runs, is not; every listed line lies in src."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    new_modules = [name for name in ("worker", "workloads", "oracles", "calibrate", "tracer")
+                   if name not in sys.modules]
+    tool = _load(ROOT / "tools" / "line_reach.py", "line_reach")
+    try:
+        assert tool.main(["requests", "epsdim", "--seeds", "1"]) == 0
+    finally:
+        for name in new_modules:
+            sys.modules.pop(name, None)
+    lines = set(capsys.readouterr().out.splitlines())
+    src = Path("src") / "tensorsplit"
+    regress = f"{src / 'regress.py'}:{_first_statement(ROOT / src / 'regress.py', 'regression_report')}"
+    epsdim = f"{src / 'epsdim.py'}:{_first_statement(ROOT / src / 'epsdim.py', 'eps_dimension_table')}"
+    assert regress in lines
+    assert epsdim not in lines
+    assert all(line.startswith(f"{src}{os.sep}") for line in lines)
