@@ -303,8 +303,8 @@ def test_line_reach_lists_unreached_statements(capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
-    new_modules = [name for name in ("worker", "workloads", "oracles", "calibrate", "tracer")
-                   if name not in sys.modules]
+    new_modules = [name for name in ("artifact_digests", "worker", "workloads", "oracles", "calibrate",
+                                     "tracer") if name not in sys.modules]
     tool = _load(ROOT / "tools" / "line_reach.py", "line_reach")
     try:
         assert tool.main(["requests", "epsdim", "--seeds", "1"]) == 0

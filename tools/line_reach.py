@@ -7,7 +7,7 @@ Usage, from the root of a checkout::
 
 ``requests`` runs every request that ``perfbench/workloads.py`` builds for
 the given workloads and seeds through ``tensorsplit.cli.main`` in this
-process, with one BLAS thread, as ``tools/artifact_digests.py`` does;
+process, with one BLAS thread, by ``tools/artifact_digests.py``;
 ``pytest`` runs ``pytest.main`` on the remaining arguments.  Either run goes
 under ``sys.settrace`` and ``threading.settrace``, recording each line of
 ``src/tensorsplit`` that executes.  Then every statement inside a function
@@ -31,7 +31,6 @@ import contextlib
 import io
 import os
 import sys
-import tempfile
 import threading
 from collections import defaultdict
 from pathlib import Path
@@ -52,9 +51,9 @@ def _parse(argv):
     return p.parse_args(argv)
 
 
-def trace_lines(run) -> dict[str, set[int]]:
-    """``run()`` under the tracers: the executed lines of each file of
-    ``SRC``, keyed by its real path."""
+def trace_lines(run) -> tuple[object, dict[str, set[int]]]:
+    """``run()`` under the tracers: its result, and the executed lines of
+    each file of ``SRC``, keyed by its real path."""
     ran = defaultdict(set)
     real = {}  # co_filename -> real path inside SRC, or "" outside it
 
@@ -75,11 +74,11 @@ def trace_lines(run) -> dict[str, set[int]]:
     threading.settrace(start)
     sys.settrace(start)
     try:
-        run()
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return ran
+    return result, ran
 
 
 def _bodies(stmt) -> list[list]:
@@ -137,39 +136,29 @@ def unreached(path: Path, ran: set[int]) -> list[int]:
     return sorted(out)
 
 
-def _run_requests(workloads, seeds):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy loads its BLAS
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import tensorsplit.cli as cli
-    from worker import Bench
-    from workloads import WORKLOADS as BUILDERS
+def _run_requests(workloads, seeds) -> int:
+    """The requests as ``tools/artifact_digests.py`` runs them, its listing
+    dropped; its exit code."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import artifact_digests
 
-    with tempfile.TemporaryDirectory() as tmp:
-        bench = Bench(Path(tmp))
-        for workload in workloads:
-            for seed in seeds:
-                reqs = BUILDERS[workload](seed)
-                bench.prepare(reqs, f"{workload}{seed}_")
-                for req in reqs:
-                    with contextlib.redirect_stderr(io.StringIO()):
-                        try:
-                            cli.main(req.argv)
-                        except Exception:  # a crash ends one request, not the listing
-                            pass
+    with contextlib.redirect_stdout(io.StringIO()):
+        return artifact_digests.main([*workloads, "--seeds", *map(str, seeds)])
 
 
 def main(argv=None) -> int:
     args = _parse(argv)
     if args.mode == "requests":
-        ran = trace_lines(lambda: _run_requests(args.workloads, args.seeds))
+        rc, ran = trace_lines(lambda: _run_requests(args.workloads, args.seeds))
+        if rc:  # the package was not imported from this checkout
+            return rc
     else:
         import pytest
 
         sys.path.insert(0, str(ROOT / "src"))
         pytest_args = args.args[1:] if args.args[:1] == ["--"] else args.args
         with contextlib.redirect_stdout(sys.stderr):  # the listing alone goes to stdout
-            ran = trace_lines(lambda: pytest.main(pytest_args))
+            _, ran = trace_lines(lambda: pytest.main(pytest_args))
     for path in sorted(SRC.glob("*.py")):
         for line in unreached(path, ran.get(os.path.realpath(path), set())):
             print(f"{path.relative_to(ROOT)}:{line}")
